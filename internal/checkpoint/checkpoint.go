@@ -8,6 +8,13 @@
 //	header frame: uint32 length | JSON header | uint32 CRC32-C
 //	body frame:   uint32 length | JSON sim.SysSnap | uint32 CRC32-C
 //
+// Version 2 of the body encodes state that exists, not capacity: each
+// sram array is its valid lines in ascending position ({"p","t","u",
+// "m","v"} per line) plus clock and counters, and a directory entry
+// leaves out its zero fields (not blocked, no sharers, no transaction
+// context, nothing waiting). Version 1 wrote every line of every array,
+// valid or not; Load refuses it like any other foreign version.
+//
 // The header carries the format version, the simulated cycle, and a
 // content key — a hash over everything that determines the run
 // (configuration, workload parameters, seed, code revision; see
@@ -42,7 +49,7 @@ import (
 
 // Version is the on-disk format version. Bump on any incompatible
 // change to the header or body encoding; Load refuses other versions.
-const Version = 1
+const Version = 2
 
 // PrevSuffix is appended to a checkpoint path to name the previous
 // (fallback) checkpoint in the keep-last-2 rotation.

@@ -99,7 +99,8 @@ func TestLoadKeyMismatch(t *testing.T) {
 }
 
 func TestLoadVersionMismatch(t *testing.T) {
-	// Hand-build a checkpoint with a bumped version field.
+	// Hand-build checkpoints whose header names another format: the
+	// dense Version 1 this format replaced, and one from the future.
 	snap := tinySnap()
 	data, err := Encode("k", snap)
 	if err != nil {
@@ -109,18 +110,80 @@ func TestLoadVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta.Version = Version + 1
-	// Re-frame with the altered header.
-	hdr, _ := json.Marshal(meta)
-	body, _ := json.Marshal(snap)
-	var buf []byte
-	buf = append(buf, magic[:]...)
-	buf = appendFrame(buf, hdr)
-	buf = appendFrame(buf, body)
-	var mm *MismatchError
-	if _, _, err := Decode("x", "k", buf); !errors.As(err, &mm) || mm.Field != "version" {
-		t.Fatalf("future-version checkpoint accepted: err=%v", err)
+	for _, v := range []int{1, Version + 1} {
+		meta.Version = v
+		// Re-frame with the altered header.
+		hdr, _ := json.Marshal(meta)
+		body, _ := json.Marshal(snap)
+		var buf []byte
+		buf = append(buf, magic[:]...)
+		buf = appendFrame(buf, hdr)
+		buf = appendFrame(buf, body)
+		var mm *MismatchError
+		if _, _, err := Decode("x", "k", buf); !errors.As(err, &mm) || mm.Field != "version" {
+			t.Fatalf("version-%d checkpoint accepted by a version-%d reader: err=%v", v, Version, err)
+		}
 	}
+}
+
+// TestCheckpointCarriesOnlyValidLines: an 8-core sps checkpoint with
+// Table I caches round-trips, and is under a third of what writing
+// every line of every sram array — Version 1's encoding — would take.
+func TestCheckpointCarriesOnlyValidLines(t *testing.T) {
+	cfg := config.Default()
+	cfg.NumCores = 8
+	cfg.Policy = config.PolicyRoW
+	p := workload.MustGet("sps")
+	progs := workload.Generate(p, cfg.NumCores, 3000, 7)
+	var snap *sim.SysSnap
+	s, err := sim.New(cfg, progs,
+		sim.WithWarmFilter(workload.WarmFilter(p)),
+		sim.WithCheckpoint(1024, func(_ uint64, sn *sim.SysSnap) error {
+			snap = sn
+			return nil
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil {
+		t.Fatal("run finished without reaching a checkpoint")
+	}
+	data, err := Encode("k", snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := Decode("x", "k", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapEqual(t, got, snap)
+
+	// A lower bound on the dense encoding: this file, plus one zero
+	// record for every line the arrays have room for and do not hold.
+	capacity := func(l config.CacheLevel) int { return l.SizeBytes / cfg.Mem.LineBytes }
+	room := cfg.NumCores*(capacity(cfg.Mem.L1I)+capacity(cfg.Mem.L1D)+capacity(cfg.Mem.L2)) +
+		cfg.Mem.L3Banks*capacity(cfg.Mem.L3)
+	held := 0
+	for _, c := range snap.Cores {
+		held += len(c.L1I.Lines)
+	}
+	for _, c := range snap.Caches {
+		held += len(c.L1.Lines) + len(c.L2.Lines)
+	}
+	for _, d := range snap.Dirs {
+		held += len(d.L3.Lines)
+	}
+	if held == 0 || held*10 > room {
+		t.Fatalf("checkpoint holds %d of %d lines; the cell is meant to be warm and sparse", held, room)
+	}
+	dense := len(data) + (room-held)*len(`{"Valid":false,"Tag":0,"Meta":0,"LRU":0},`)
+	if 3*len(data) >= dense {
+		t.Fatalf("checkpoint is %d bytes, dense encoding at least %d: want under a third", len(data), dense)
+	}
+	t.Logf("checkpoint %d bytes for %d valid lines of %d; dense encoding >= %d bytes", len(data), held, room, dense)
 }
 
 func TestRotationKeepsPrevious(t *testing.T) {

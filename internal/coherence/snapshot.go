@@ -45,23 +45,35 @@ func (p *MsgPool) Restore(s PoolSnap) {
 // DirPending mirrors the directory's in-flight transaction context
 // with exported fields.
 type DirPending struct {
-	Requestor int
-	IsWrite   bool
-	Far       bool
-	FarAcks   int
-	FarData   bool
+	Requestor int  `json:"r,omitempty"`
+	IsWrite   bool `json:"w,omitempty"`
+	Far       bool `json:"f,omitempty"`
+	FarAcks   int  `json:"a,omitempty"`
+	FarData   bool `json:"d,omitempty"`
 }
 
 // DirEntrySnap is the exported view of one directory entry. The model
 // checker also uses it (via EntryView) as the canonical encoding of a
-// bank's per-line state.
+// bank's per-line state. Nearly every entry of a checkpoint is an idle
+// owned line, so the zero values — not blocked, no sharers, an all-zero
+// transaction context (Pend nil), nothing waiting — are left out of the
+// JSON; read the context through Pending.
 type DirEntrySnap struct {
-	State   uint8
-	Owner   int
-	Sharers uint64
-	Blocked bool
-	Pend    DirPending
-	Waiting []Msg // queued requests, FIFO, copied by value
+	State   uint8       `json:"s"`
+	Owner   int         `json:"o"`
+	Sharers uint64      `json:"h,omitempty"`
+	Blocked bool        `json:"b,omitempty"`
+	Pend    *DirPending `json:"p,omitempty"`
+	Waiting []Msg       `json:"q,omitempty"` // queued requests, FIFO, copied by value
+}
+
+// Pending returns the entry's transaction context, all zero when Pend
+// is nil.
+func (s *DirEntrySnap) Pending() DirPending {
+	if s.Pend == nil {
+		return DirPending{}
+	}
+	return *s.Pend
 }
 
 // DirSnap is a deep copy of one bank's mutable protocol state. Stats
@@ -81,13 +93,15 @@ func (e *dirEntry) snap() DirEntrySnap {
 		Owner:   e.owner,
 		Sharers: e.sharers,
 		Blocked: e.blocked,
-		Pend: DirPending{
+	}
+	if e.pend != (pending{}) {
+		s.Pend = &DirPending{
 			Requestor: e.pend.requestor,
 			IsWrite:   e.pend.isWrite,
 			Far:       e.pend.far,
 			FarAcks:   e.pend.farAcks,
 			FarData:   e.pend.farData,
-		},
+		}
 	}
 	for _, m := range e.waiting {
 		s.Waiting = append(s.Waiting, *m)
@@ -117,17 +131,18 @@ func (d *Directory) Restore(s *DirSnap) {
 	d.lines = make(map[uint64]*dirEntry, len(s.Lines))
 	//rowlint:ignore maporder rebuilding a map from a map; per-key copies are order-independent
 	for line, es := range s.Lines {
+		pend := es.Pending()
 		e := &dirEntry{
 			state:   dirState(es.State),
 			owner:   es.Owner,
 			sharers: es.Sharers,
 			blocked: es.Blocked,
 			pend: pending{
-				requestor: es.Pend.Requestor,
-				isWrite:   es.Pend.IsWrite,
-				far:       es.Pend.Far,
-				farAcks:   es.Pend.FarAcks,
-				farData:   es.Pend.FarData,
+				requestor: pend.Requestor,
+				isWrite:   pend.IsWrite,
+				far:       pend.Far,
+				farAcks:   pend.FarAcks,
+				farData:   pend.FarData,
 			},
 		}
 		for i := range es.Waiting {

@@ -242,11 +242,12 @@ func (m *Model) encodeWith(e *encoder, p *perm) {
 			e.u64(sh)
 			e.bool(ent.Blocked)
 			if ent.Blocked {
-				e.b(byte(p.cores[ent.Pend.Requestor]))
-				e.bool(ent.Pend.IsWrite)
-				e.bool(ent.Pend.Far)
-				e.i(ent.Pend.FarAcks)
-				e.bool(ent.Pend.FarData)
+				pend := ent.Pending()
+				e.b(byte(p.cores[pend.Requestor]))
+				e.bool(pend.IsWrite)
+				e.bool(pend.Far)
+				e.i(pend.FarAcks)
+				e.bool(pend.FarData)
 			}
 			e.b(byte(len(ent.Waiting)))
 			for i := range ent.Waiting {

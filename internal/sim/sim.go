@@ -7,7 +7,8 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"rowsim/internal/cache"
 	"rowsim/internal/coherence"
@@ -198,42 +199,58 @@ func (s *System) Cycle() uint64 { return s.cycle }
 // dominated by cold first-touch DRAM misses that real ROI
 // measurements never see.
 func (s *System) Warm(progs []trace.Program) {
-	lineMask := ^uint64(s.cfg.Mem.LineBytes - 1)
-	owner := make(map[uint64]int)
-	for c, prog := range progs {
+	lineShift := uint(bits.TrailingZeros(uint(s.cfg.Mem.LineBytes)))
+	// One key per memory access: the line number above the core
+	// number. A single sort then puts each line's accesses side by
+	// side with their cores ascending, so a line has one owner exactly
+	// when the first and last key of its run name the same core.
+	coreBits := uint(bits.Len(uint(len(progs))))
+	coreMask := uint64(1)<<coreBits - 1
+	mem := 0
+	for _, prog := range progs {
 		for i := range prog {
-			in := &prog[i]
-			if !in.IsMem() {
-				continue
-			}
-			line := in.Addr & lineMask
-			if prev, ok := owner[line]; ok && prev != c {
-				owner[line] = -1 // shared
-			} else if !ok {
-				owner[line] = c
+			if prog[i].IsMem() {
+				mem++
 			}
 		}
 	}
+	keys := make([]uint64, 0, mem)
+	var seen uint64
+	for c, prog := range progs {
+		for i := range prog {
+			if in := &prog[i]; in.IsMem() {
+				idx := in.Addr >> lineShift
+				seen |= idx
+				keys = append(keys, idx<<coreBits|uint64(c))
+			}
+		}
+	}
+	if bits.Len64(seen)+int(coreBits) > 64 {
+		panic(fmt.Sprintf("sim: Warm cannot key %d programs over line numbers up to %#x", len(progs), seen))
+	}
+	slices.Sort(keys)
+
 	n := s.cfg.NumCores
-	banks := s.cfg.Mem.L3Banks
-	lineShift := uint(0)
-	for 1<<lineShift < s.cfg.Mem.LineBytes {
-		lineShift++
-	}
-	// Deterministic install order (map iteration is randomized):
-	// warming happens in line-address order, so LRU keeps the highest
-	// lines of an over-capacity region — a fixed, reproducible subset.
-	lines := make([]uint64, 0, len(owner))
-	for line := range owner {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, line := range lines {
-		c := owner[line]
+	banks := uint64(s.cfg.Mem.L3Banks)
+	// Installing in ascending line order is what makes a warm start
+	// reproducible: LRU keeps the highest lines of an over-capacity
+	// region — a fixed subset.
+	for i := 0; i < len(keys); {
+		idx := keys[i] >> coreBits
+		j := i + 1
+		for j < len(keys) && keys[j]>>coreBits == idx {
+			j++
+		}
+		c := int(keys[i] & coreMask)
+		if int(keys[j-1]&coreMask) != c {
+			c = -1 // shared
+		}
+		i = j
+		line := idx << lineShift
 		if s.warmFilter != nil && !s.warmFilter(c, line) {
 			continue
 		}
-		bank := int((line >> lineShift) % uint64(banks))
+		bank := int(idx % banks)
 		if c >= 0 && c < n {
 			s.dirs[bank].WarmOwned(line, c)
 			s.caches[c].Warm(line, cache.StateE)
@@ -530,7 +547,7 @@ func (s *System) CheckCoherence() error {
 	for line := range holders {
 		lines = append(lines, line)
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	slices.Sort(lines)
 	for _, line := range lines {
 		hs := holders[line]
 		if len(hs) < 2 {

@@ -7,14 +7,17 @@ import (
 )
 
 // TestSnapshotCoversEveryField is the snapshot-completeness guard for
-// the SRAM array (and the Line record its snapshot copies wholesale).
+// the SRAM array (and the Line record its snapshot copies wholesale):
+// slot and chunks are captured together as the valid lines and their
+// positions.
 func TestSnapshotCoversEveryField(t *testing.T) {
 	snapcheck.Assert(t, Array{}, []string{
-		"lines", "clock", "hits", "misses",
+		"slot", "chunks", "clock", "hits", "misses",
 	}, map[string]string{
 		"sets":      "construction-time geometry",
 		"ways":      "construction-time geometry",
 		"lineShift": "construction-time geometry",
+		"blocks":    "how much of chunks is handed out; Restore hands blocks out afresh, and which block a set got is not observable",
 	})
 
 	snapcheck.Assert(t, Line{}, []string{

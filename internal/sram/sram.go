@@ -2,26 +2,53 @@
 // replacement, shared by the private caches, the shared L3 and the
 // instruction cache. It tracks presence and per-line metadata; data
 // values are not simulated (the model is timing-only).
+//
+// Storage follows use, not capacity: an array holds a four-byte slot
+// per set and takes a set's ways from its own backing store the first
+// time a line is inserted into that set. A run that touches 3% of an
+// L3 bank's sets allocates, clears and snapshots 3% of a bank.
 package sram
 
 import "fmt"
 
-// Line is one array entry.
+// Line is one array entry. Field order keeps the record at 24 bytes.
 type Line struct {
-	Valid bool
-	Tag   uint64 // full line address (low bits cleared by the caller)
-	Meta  uint8  // caller-defined metadata (e.g. coherence state)
-	LRU   uint64 // higher = more recently used
+	Tag   uint64 `json:"t"`           // full line address (low bits cleared by the caller)
+	LRU   uint64 `json:"u,omitempty"` // higher = more recently used
+	Meta  uint8  `json:"m,omitempty"` // caller-defined metadata (e.g. coherence state)
+	Valid bool   `json:"v"`
 }
+
+// The backing store grows by chunks of chunkBlocks sets' worth of ways
+// (one chunk when the array has fewer sets than that). A chunk never
+// moves once allocated, so growth copies nothing but the chunk table
+// and *Line results stay valid across it.
+const (
+	chunkShift  = 6
+	chunkBlocks = 1 << chunkShift
+)
 
 // Array is a set-associative array indexed by line address.
 type Array struct {
 	sets      int
 	ways      int
 	lineShift uint
-	lines     []Line // sets*ways, row-major
-	clock     uint64
 
+	// slot[s] is 1 + the number of the block holding set s's ways, or
+	// 0 while nothing has been inserted into s: such a set is all
+	// misses and owns no storage. Block b is the ways-long run at
+	// offset (b%chunkBlocks)*ways of chunks[b/chunkBlocks]; blocks are
+	// handed out in order, and storage past the last one is zero.
+	//
+	// Four bytes a set is the measured choice: a slice header per set
+	// saves a load and wins a single-array benchmark, but with 32 cores'
+	// arrays live the 24-byte headers fall out of the host's cache and
+	// the run loop is 5% slower (DESIGN.md, "SRAM arrays").
+	slot   []int32
+	chunks [][]Line
+	blocks int
+
+	clock  uint64
 	hits   uint64
 	misses uint64
 }
@@ -44,7 +71,7 @@ func New(sizeBytes, ways, lineBytes int) *Array {
 		sets:      sets,
 		ways:      ways,
 		lineShift: shift,
-		lines:     make([]Line, sets*ways),
+		slot:      make([]int32, sets),
 	}
 }
 
@@ -58,9 +85,33 @@ func (a *Array) setIndex(line uint64) int {
 	return int((line >> a.lineShift) & uint64(a.sets-1))
 }
 
+// block returns the ways of block b.
+func (a *Array) block(b int) []Line {
+	off := (b & (chunkBlocks - 1)) * a.ways
+	return a.chunks[b>>chunkShift][off : off+a.ways]
+}
+
+// set returns the ways of the line's set, or nil when nothing was ever
+// inserted into it — which every read path scans as a miss.
 func (a *Array) set(line uint64) []Line {
-	s := a.setIndex(line)
-	return a.lines[s*a.ways : (s+1)*a.ways]
+	b := a.slot[a.setIndex(line)]
+	if b == 0 {
+		return nil
+	}
+	return a.block(int(b - 1))
+}
+
+// own returns the ways of set s, taking a block for it (and a chunk
+// for the block) on the set's first use.
+func (a *Array) own(s int) []Line {
+	if a.slot[s] == 0 {
+		if a.blocks>>chunkShift == len(a.chunks) {
+			a.chunks = append(a.chunks, make([]Line, min(chunkBlocks, a.sets)*a.ways))
+		}
+		a.blocks++
+		a.slot[s] = int32(a.blocks)
+	}
+	return a.block(int(a.slot[s] - 1))
 }
 
 // Lookup finds a line and, when touch is true, refreshes its LRU
@@ -69,7 +120,8 @@ func (a *Array) set(line uint64) []Line {
 func (a *Array) Lookup(line uint64, touch bool) *Line {
 	set := a.set(line)
 	for i := range set {
-		if set[i].Valid && set[i].Tag == line {
+		// Tag first: nearly every way fails on it, with one load.
+		if set[i].Tag == line && set[i].Valid {
 			if touch {
 				a.clock++
 				set[i].LRU = a.clock
@@ -84,20 +136,14 @@ func (a *Array) Lookup(line uint64, touch bool) *Line {
 
 // Contains reports presence without disturbing LRU or hit/miss stats.
 func (a *Array) Contains(line uint64) bool {
-	set := a.set(line)
-	for i := range set {
-		if set[i].Valid && set[i].Tag == line {
-			return true
-		}
-	}
-	return false
+	return a.Peek(line) != nil
 }
 
 // Peek returns the line without disturbing LRU or stats.
 func (a *Array) Peek(line uint64) *Line {
 	set := a.set(line)
 	for i := range set {
-		if set[i].Valid && set[i].Tag == line {
+		if set[i].Tag == line && set[i].Valid {
 			return &set[i]
 		}
 	}
@@ -109,33 +155,8 @@ func (a *Array) Peek(line uint64) *Line {
 // valid line was displaced. Inserting an already-present line just
 // refreshes it.
 func (a *Array) Insert(line uint64, meta uint8) (evictedTag uint64, evictedMeta uint8, evicted bool) {
-	set := a.set(line)
-	a.clock++
-	// Already present: refresh.
-	for i := range set {
-		if set[i].Valid && set[i].Tag == line {
-			set[i].Meta = meta
-			set[i].LRU = a.clock
-			return 0, 0, false
-		}
-	}
-	// Free way.
-	for i := range set {
-		if !set[i].Valid {
-			set[i] = Line{Valid: true, Tag: line, Meta: meta, LRU: a.clock}
-			return 0, 0, false
-		}
-	}
-	// Evict LRU.
-	victim := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].LRU < set[victim].LRU {
-			victim = i
-		}
-	}
-	evictedTag, evictedMeta = set[victim].Tag, set[victim].Meta
-	set[victim] = Line{Valid: true, Tag: line, Meta: meta, LRU: a.clock}
-	return evictedTag, evictedMeta, true
+	evictedTag, evictedMeta, evicted, _ = a.InsertVeto(line, meta, nil)
+	return evictedTag, evictedMeta, evicted
 }
 
 // InsertLRU installs a line at the least-recently-used position so a
@@ -152,15 +173,13 @@ func (a *Array) InsertLRU(line uint64, meta uint8) (evictedTag uint64, evictedMe
 // Invalidate removes a line; it reports whether the line was present
 // and returns its metadata.
 func (a *Array) Invalidate(line uint64) (meta uint8, present bool) {
-	set := a.set(line)
-	for i := range set {
-		if set[i].Valid && set[i].Tag == line {
-			meta = set[i].Meta
-			set[i] = Line{}
-			return meta, true
-		}
+	l := a.Peek(line)
+	if l == nil {
+		return 0, false
 	}
-	return 0, false
+	meta = l.Meta
+	*l = Line{}
+	return meta, true
 }
 
 // Hits returns the number of Lookup hits.
@@ -173,23 +192,26 @@ func (a *Array) Misses() uint64 { return a.misses }
 // which veto returns true (e.g. a cacheline locked by an in-flight
 // atomic). When every candidate way is vetoed it reports ok=false and
 // leaves the array untouched; the caller should then treat the fill as
-// uncacheable.
+// uncacheable. A nil veto vetoes nothing.
 func (a *Array) InsertVeto(line uint64, meta uint8, veto func(tag uint64) bool) (evictedTag uint64, evictedMeta uint8, evicted, ok bool) {
-	set := a.set(line)
+	set := a.own(a.setIndex(line))
 	a.clock++
+	// Already present: refresh.
 	for i := range set {
-		if set[i].Valid && set[i].Tag == line {
+		if set[i].Tag == line && set[i].Valid {
 			set[i].Meta = meta
 			set[i].LRU = a.clock
 			return 0, 0, false, true
 		}
 	}
+	// Free way.
 	for i := range set {
 		if !set[i].Valid {
 			set[i] = Line{Valid: true, Tag: line, Meta: meta, LRU: a.clock}
 			return 0, 0, false, true
 		}
 	}
+	// Evict the LRU way among those not vetoed.
 	victim := -1
 	for i := range set {
 		if veto != nil && veto(set[i].Tag) {
@@ -207,12 +229,18 @@ func (a *Array) InsertVeto(line uint64, meta uint8, veto func(tag uint64) bool) 
 	return evictedTag, evictedMeta, true, true
 }
 
-// ForEach calls fn for every valid line in the array (diagnostics and
-// invariant checking; order is unspecified).
+// ForEach calls fn for every valid line in the array, in ascending
+// (set, way) order (diagnostics, invariant checking, snapshots).
 func (a *Array) ForEach(fn func(tag uint64, meta uint8)) {
-	for i := range a.lines {
-		if a.lines[i].Valid {
-			fn(a.lines[i].Tag, a.lines[i].Meta)
+	for _, b := range a.slot {
+		if b == 0 {
+			continue
+		}
+		set := a.block(int(b - 1))
+		for i := range set {
+			if set[i].Valid {
+				fn(set[i].Tag, set[i].Meta)
+			}
 		}
 	}
 }
@@ -223,7 +251,7 @@ func (a *Array) VictimFor(line uint64) (tag uint64, meta uint8, evicted bool) {
 	set := a.set(line)
 	victim := -1
 	for i := range set {
-		if set[i].Valid && set[i].Tag == line {
+		if set[i].Tag == line && set[i].Valid {
 			return 0, 0, false
 		}
 		if !set[i].Valid {
@@ -232,6 +260,9 @@ func (a *Array) VictimFor(line uint64) (tag uint64, meta uint8, evicted bool) {
 		if victim < 0 || set[i].LRU < set[victim].LRU {
 			victim = i
 		}
+	}
+	if victim < 0 {
+		return 0, 0, false
 	}
 	return set[victim].Tag, set[victim].Meta, true
 }

@@ -1,6 +1,8 @@
 package sram
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -227,5 +229,370 @@ func TestQuickLookupAfterInsert(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// dense is the layout this package had before sets were populated on
+// first insert — every way of every set allocated by the constructor,
+// the set found by arithmetic — kept as the reference model the lazy
+// Array is compared against. It shares no code with Array.
+type dense struct {
+	sets, ways          int
+	lines               []Line // sets*ways, row-major
+	clock, hits, misses uint64
+}
+
+func newDense(sizeBytes, ways, lineBytes int) *dense {
+	sets := sizeBytes / (ways * lineBytes)
+	return &dense{sets: sets, ways: ways, lines: make([]Line, sets*ways)}
+}
+
+func (d *dense) set(line uint64) []Line {
+	s := int(line / 64 % uint64(d.sets))
+	return d.lines[s*d.ways : (s+1)*d.ways]
+}
+
+func (d *dense) peek(line uint64) *Line {
+	set := d.set(line)
+	for i := range set {
+		if set[i].Valid && set[i].Tag == line {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+func (d *dense) lookup(line uint64, touch bool) *Line {
+	l := d.peek(line)
+	if l == nil {
+		d.misses++
+		return nil
+	}
+	if touch {
+		d.clock++
+		l.LRU = d.clock
+	}
+	d.hits++
+	return l
+}
+
+func (d *dense) insert(line uint64, meta uint8, veto func(uint64) bool) (uint64, uint8, bool, bool) {
+	set := d.set(line)
+	d.clock++
+	if l := d.peek(line); l != nil {
+		l.Meta, l.LRU = meta, d.clock
+		return 0, 0, false, true
+	}
+	victim := -1
+	for i := range set {
+		if !set[i].Valid {
+			set[i] = Line{Valid: true, Tag: line, Meta: meta, LRU: d.clock}
+			return 0, 0, false, true
+		}
+	}
+	for i := range set {
+		if veto != nil && veto(set[i].Tag) {
+			continue
+		}
+		if victim < 0 || set[i].LRU < set[victim].LRU {
+			victim = i
+		}
+	}
+	if victim < 0 {
+		return 0, 0, false, false
+	}
+	tag, m := set[victim].Tag, set[victim].Meta
+	set[victim] = Line{Valid: true, Tag: line, Meta: meta, LRU: d.clock}
+	return tag, m, true, true
+}
+
+func (d *dense) invalidate(line uint64) (uint8, bool) {
+	l := d.peek(line)
+	if l == nil {
+		return 0, false
+	}
+	meta := l.Meta
+	*l = Line{}
+	return meta, true
+}
+
+func (d *dense) victimFor(line uint64) (uint64, uint8, bool) {
+	set := d.set(line)
+	victim := 0
+	for i := range set {
+		if !set[i].Valid || set[i].Tag == line {
+			return 0, 0, false
+		}
+		if set[i].LRU < set[victim].LRU {
+			victim = i
+		}
+	}
+	return set[victim].Tag, set[victim].Meta, true
+}
+
+// snap is what Array.Snapshot must return for the same history.
+func (d *dense) snap() Snap {
+	s := Snap{Clock: d.clock, Hits: d.hits, Misses: d.misses}
+	for pos, l := range d.lines {
+		if l.Valid {
+			s.Lines = append(s.Lines, SnapLine{Pos: pos, Line: l})
+		}
+	}
+	return s
+}
+
+// geometries are the shapes the differential tests cover: one set,
+// fewer sets than a chunk, exactly a chunk (the L1D), and an L3 bank.
+var geometries = []struct {
+	name        string
+	size, ways  int
+	setSpan     int // sets the random addresses fall in
+	tagsPerSet  int // distinct lines per set, > ways so that sets overflow
+	checkpoints int // ops between full-content comparisons
+}{
+	{"1x2", 128, 2, 1, 7, 50},
+	{"8x4", 2048, 4, 8, 11, 200},
+	{"L1D-64x12", 48 << 10, 12, 64, 29, 500},
+	{"L3-4096x16", 4 << 20, 16, 300, 37, 2000},
+}
+
+func sameLine(a, b *Line) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return *a == *b
+}
+
+// step applies one random operation to both implementations and
+// reports the first difference in what they return.
+func step(rng *xrand.RNG, a *Array, d *dense, setSpan, tagsPerSet int) error {
+	line := uint64(rng.Intn(tagsPerSet)*a.Sets()+rng.Intn(setSpan)) * 64
+	meta := uint8(rng.Intn(5))
+	switch op := rng.Intn(100); {
+	case op < 25:
+		touch := rng.Bool(0.7)
+		if g, w := a.Lookup(line, touch), d.lookup(line, touch); !sameLine(g, w) {
+			return fmt.Errorf("Lookup(%#x,%v) = %+v, want %+v", line, touch, g, w)
+		}
+	case op < 32:
+		if g, w := a.Peek(line), d.peek(line); !sameLine(g, w) {
+			return fmt.Errorf("Peek(%#x) = %+v, want %+v", line, g, w)
+		}
+	case op < 38:
+		if g, w := a.Contains(line), d.peek(line) != nil; g != w {
+			return fmt.Errorf("Contains(%#x) = %v, want %v", line, g, w)
+		}
+	case op < 60:
+		gt, gm, ge := a.Insert(line, meta)
+		wt, wm, we, _ := d.insert(line, meta, nil)
+		if gt != wt || gm != wm || ge != we {
+			return fmt.Errorf("Insert(%#x,%d) = (%#x,%d,%v), want (%#x,%d,%v)", line, meta, gt, gm, ge, wt, wm, we)
+		}
+	case op < 66:
+		gt, gm, ge := a.InsertLRU(line, meta)
+		wt, wm, we, _ := d.insert(line, meta, nil)
+		d.peek(line).LRU = 0
+		if gt != wt || gm != wm || ge != we {
+			return fmt.Errorf("InsertLRU(%#x,%d) = (%#x,%d,%v), want (%#x,%d,%v)", line, meta, gt, gm, ge, wt, wm, we)
+		}
+	case op < 82:
+		// Veto a third of the tags, or (rarely) all of them.
+		k := uint64(rng.Intn(4))
+		veto := func(tag uint64) bool { return k == 3 || tag/64%3 == k }
+		gt, gm, ge, gok := a.InsertVeto(line, meta, veto)
+		wt, wm, we, wok := d.insert(line, meta, veto)
+		if gt != wt || gm != wm || ge != we || gok != wok {
+			return fmt.Errorf("InsertVeto(%#x,%d,k=%d) = (%#x,%d,%v,%v), want (%#x,%d,%v,%v)", line, meta, k, gt, gm, ge, gok, wt, wm, we, wok)
+		}
+	case op < 92:
+		gm, gp := a.Invalidate(line)
+		wm, wp := d.invalidate(line)
+		if gm != wm || gp != wp {
+			return fmt.Errorf("Invalidate(%#x) = (%d,%v), want (%d,%v)", line, gm, gp, wm, wp)
+		}
+	default:
+		gt, gm, ge := a.VictimFor(line)
+		wt, wm, we := d.victimFor(line)
+		if gt != wt || gm != wm || ge != we {
+			return fmt.Errorf("VictimFor(%#x) = (%#x,%d,%v), want (%#x,%d,%v)", line, gt, gm, ge, wt, wm, we)
+		}
+	}
+	return nil
+}
+
+// sameContents compares everything observable about the two arrays:
+// counters, the valid lines and their positions, ForEach's sequence.
+func sameContents(a *Array, d *dense) error {
+	want := d.snap()
+	if a.Hits() != want.Hits || a.Misses() != want.Misses {
+		return fmt.Errorf("hits/misses = %d/%d, want %d/%d", a.Hits(), a.Misses(), want.Hits, want.Misses)
+	}
+	if got := a.Snapshot(); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("snapshot has %d lines at clock %d, want %d at %d (or they differ in content)", len(got.Lines), got.Clock, len(want.Lines), want.Clock)
+	}
+	i := 0
+	var err error
+	a.ForEach(func(tag uint64, meta uint8) {
+		if err == nil && (i >= len(want.Lines) || want.Lines[i].Tag != tag || want.Lines[i].Meta != meta) {
+			err = fmt.Errorf("ForEach item %d = (%#x,%d), not the valid line at that rank", i, tag, meta)
+		}
+		i++
+	})
+	if err == nil && i != len(want.Lines) {
+		err = fmt.Errorf("ForEach visited %d lines, want %d", i, len(want.Lines))
+	}
+	return err
+}
+
+// TestDifferentialAgainstDense drives Array and the dense reference
+// with the same seeded operation sequences and requires every return
+// value, the counters and the valid-line set to agree throughout,
+// across Snapshot→Restore into the same array and into a fresh one.
+func TestDifferentialAgainstDense(t *testing.T) {
+	for _, g := range geometries {
+		for seed := uint64(1); seed <= 3; seed++ {
+			g, seed := g, seed
+			t.Run(fmt.Sprintf("%s/seed%d", g.name, seed), func(t *testing.T) {
+				a, d := New(g.size, g.ways, 64), newDense(g.size, g.ways, 64)
+				if err := sameContents(a, d); err != nil {
+					t.Fatalf("empty arrays: %v", err)
+				}
+				rng := xrand.New(seed)
+				for i := 1; i <= 12*g.checkpoints; i++ {
+					if err := step(rng, a, d, g.setSpan, g.tagsPerSet); err != nil {
+						t.Fatalf("op %d: %v", i, err)
+					}
+					if i%g.checkpoints != 0 {
+						continue
+					}
+					if err := sameContents(a, d); err != nil {
+						t.Fatalf("after op %d: %v", i, err)
+					}
+					snap := a.Snapshot()
+					if i/g.checkpoints%2 == 0 {
+						a = New(g.size, g.ways, 64)
+					}
+					a.Restore(snap)
+					if err := sameContents(a, d); err != nil {
+						t.Fatalf("after restore at op %d: %v", i, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestNeverInsertedSetsOwnNothing: reads of sets nothing was inserted
+// into are misses that take no storage, and an array's storage follows
+// the sets inserted into, not its capacity.
+func TestNeverInsertedSetsOwnNothing(t *testing.T) {
+	a := New(4<<20, 16, 64)
+	for i := uint64(0); i < 4096; i++ {
+		if a.Lookup(line(i), true) != nil || a.Peek(line(i)) != nil || a.Contains(line(i)) {
+			t.Fatalf("line %d found in an empty array", i)
+		}
+		if _, present := a.Invalidate(line(i)); present {
+			t.Fatalf("line %d invalidated in an empty array", i)
+		}
+		if _, _, ev := a.VictimFor(line(i)); ev {
+			t.Fatalf("line %d has a victim in an empty array", i)
+		}
+	}
+	if a.blocks != 0 || len(a.chunks) != 0 {
+		t.Fatalf("reads allocated %d blocks in %d chunks", a.blocks, len(a.chunks))
+	}
+	if a.Misses() != 4096 {
+		t.Fatalf("misses = %d, want 4096", a.Misses())
+	}
+	for i := uint64(0); i < 70; i++ {
+		a.Insert(line(i), 0)
+		a.Insert(line(i+4096), 0) // same set, second way
+	}
+	if a.blocks != 70 || len(a.chunks) != 2 {
+		t.Fatalf("70 sets inserted into: %d blocks in %d chunks, want 70 in 2", a.blocks, len(a.chunks))
+	}
+}
+
+// TestRestoreIntoUsedArray restores one Snap into a fresh array and
+// into one that already holds lines in other sets — what the model
+// checker does on every backtrack — and requires the two to be
+// indistinguishable afterwards: nothing of the old contents survives.
+func TestRestoreIntoUsedArray(t *testing.T) {
+	for _, g := range geometries {
+		g := g
+		t.Run(g.name, func(t *testing.T) {
+			src, ref := New(g.size, g.ways, 64), newDense(g.size, g.ways, 64)
+			rng := xrand.New(11)
+			for i := 0; i < 4*g.checkpoints; i++ {
+				if err := step(rng, src, ref, g.setSpan, g.tagsPerSet); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := src.Snapshot()
+
+			fresh, used := New(g.size, g.ways, 64), New(g.size, g.ways, 64)
+			for i := 0; i < src.Sets()*g.ways*3; i++ {
+				// Every set, more lines than ways, tags the snapshot lacks.
+				used.Insert(uint64((g.tagsPerSet+i/src.Sets())*src.Sets()+i%src.Sets())*64, 3)
+				used.Lookup(uint64(i)*64, true)
+			}
+			fresh.Restore(snap)
+			used.Restore(snap)
+			for _, a := range []*Array{fresh, used} {
+				if err := sameContents(a, ref); err != nil {
+					t.Fatalf("restored array: %v", err)
+				}
+			}
+			// Three arrays, one history from here on.
+			state := rng.State()
+			for _, a := range []*Array{fresh, used} {
+				rng.SetState(state)
+				d := *ref
+				d.lines = append([]Line(nil), ref.lines...)
+				for i := 0; i < 4*g.checkpoints; i++ {
+					if err := step(rng, a, &d, g.setSpan, g.tagsPerSet); err != nil {
+						t.Fatalf("op %d after restore: %v", i, err)
+					}
+				}
+				if err := sameContents(a, &d); err != nil {
+					t.Fatalf("after driving the restored array: %v", err)
+				}
+			}
+			if !reflect.DeepEqual(fresh.Snapshot(), used.Snapshot()) {
+				t.Fatal("fresh and used arrays diverged after the same restore and operations")
+			}
+		})
+	}
+}
+
+// TestRestoreRejectsForeignSnap: a Snap that cannot have come from an
+// array of this geometry fails loudly instead of planting lines no
+// lookup can reach.
+func TestRestoreRejectsForeignSnap(t *testing.T) {
+	ok := func(pos int, tag uint64) SnapLine {
+		return SnapLine{Pos: pos, Line: Line{Valid: true, Tag: tag, LRU: 1}}
+	}
+	// 8 sets x 4 ways: position p is way p%4 of set p/4; line(i) indexes set i%8.
+	for name, lines := range map[string][]SnapLine{
+		"negative position":  {ok(-1, line(0))},
+		"position past end":  {ok(32, line(0))},
+		"out of order":       {ok(5, line(1)), ok(4, line(9))},
+		"duplicate position": {ok(4, line(1)), ok(4, line(9))},
+		"invalid line":       {{Pos: 4, Line: Line{Tag: line(1)}}},
+		"tag of another set": {ok(4, line(2))},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Restore did not panic", name)
+				}
+			}()
+			New(2048, 4, 64).Restore(Snap{Lines: lines})
+		}()
+	}
+	a := New(2048, 4, 64)
+	a.Restore(Snap{Lines: []SnapLine{ok(4, line(1)), ok(5, line(9)), ok(31, line(7))}, Clock: 9})
+	if !a.Contains(line(1)) || !a.Contains(line(9)) || !a.Contains(line(7)) {
+		t.Fatal("well-formed snapshot was not restored")
 	}
 }
