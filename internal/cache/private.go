@@ -87,6 +87,10 @@ const (
 	TagPrefetch uint64 = 1<<64 - 1
 )
 
+// mshrRetryCycles is how long a demand miss that found every MSHR busy
+// waits before it tries again.
+const mshrRetryCycles = 4
+
 // releaseAfter is the stall age (cycles) after which a locked line is
 // forcibly released to guarantee forward progress. Real hardware
 // bounds cache-locking time similarly; the value is above ordinary
@@ -111,73 +115,6 @@ type waiter struct {
 	write bool
 }
 
-type event struct {
-	at   uint64
-	seq  uint64
-	kind uint8 // evRespond | evMiss
-	tag  uint64
-	line uint64
-	wr   bool
-	lat  uint64 // for evRespond: latency to report
-}
-
-const (
-	evRespond uint8 = iota
-	evMiss
-)
-
-// eventHeap is a typed binary min-heap ordered by (at, seq) —
-// hand-rolled for the same reason as the mesh's: container/heap boxes
-// every event through interface{}, one allocation per scheduled lookup.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) pushEvent(e event) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) popEvent() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s.less(l, min) {
-			min = l
-		}
-		if r < n && s.less(r, min) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
-}
-
 type strideEntry struct {
 	pc       uint64
 	lastAddr uint64
@@ -197,6 +134,9 @@ type stalledExt struct {
 type mshrSet struct {
 	lines []uint64
 	ms    []mshr
+	// gen counts allocations and retirements. A demand miss turned away
+	// by a full file carries the value it saw (event.stamp); see Tick.
+	gen uint64
 }
 
 func (s *mshrSet) get(line uint64) *mshr {
@@ -211,12 +151,14 @@ func (s *mshrSet) get(line uint64) *mshr {
 // add inserts and returns the slot; the pointer is valid only until
 // the next add or remove.
 func (s *mshrSet) add(line uint64, m mshr) *mshr {
+	s.gen++
 	s.lines = append(s.lines, line)
 	s.ms = append(s.ms, m)
 	return &s.ms[len(s.ms)-1]
 }
 
 func (s *mshrSet) remove(line uint64) {
+	s.gen++
 	for i, l := range s.lines {
 		if l == line {
 			n := len(s.lines) - 1
@@ -328,7 +270,7 @@ type Private struct {
 	// stays unchanged when a skipped Tick is replayed.
 	work uint64
 
-	events eventHeap
+	events wheel
 	seq    uint64
 	now    uint64
 
@@ -365,6 +307,8 @@ func NewPrivate(coreID int, cfg *config.Config, net coherence.Network, client Cl
 		pfDegree:    m.PrefetcherDegree,
 		pfConfMin:   m.PrefetcherDistance,
 	}
+	// Every delay push is asked for is one of these three.
+	p.events.init(max(m.L1D.HitCycles, m.L2.HitCycles, mshrRetryCycles))
 	p.Stats.MissHist = stats.NewHistogram(1 << 16)
 	return p
 }
@@ -385,7 +329,7 @@ func (p *Private) SetNow(cycle uint64) { p.now = cycle }
 // NeedsTick reports whether Tick would do anything beyond advancing
 // the clock: pending pipeline events or stalled external requests.
 func (p *Private) NeedsTick() bool {
-	return len(p.events) > 0 || p.stalled.len() > 0
+	return p.events.n > 0 || p.stalled.len() > 0
 }
 
 // WorkDone counts observable Tick actions; the idle-skip cross-check
@@ -402,8 +346,8 @@ func (p *Private) WorkDone() uint64 { return p.work }
 //rowlint:noalloc
 func (p *Private) NextEventAt(now uint64) uint64 {
 	at := ^uint64(0)
-	if len(p.events) > 0 {
-		at = p.events[0].at
+	if p.events.n > 0 {
+		_, at = p.events.earliest()
 	}
 	if !p.noForcedRelease {
 		// Tick releases a stalled entry once cycle-stallAt exceeds
@@ -462,10 +406,25 @@ func (p *Private) setState(line uint64, st uint8) {
 	}
 }
 
+// push schedules e behind everything already scheduled for its cycle.
+//
+//rowlint:noalloc
 func (p *Private) push(e event) {
+	p.enqueue(p.events.put(e))
+}
+
+// enqueue numbers the event in record i and queues it.
+//
+//rowlint:noalloc
+func (p *Private) enqueue(i int32) {
 	p.seq++
-	e.seq = p.seq
-	p.events.pushEvent(e)
+	p.events.slab[i].seq = p.seq
+	if !p.events.link(i, p.now) {
+		at := p.events.slab[i].at
+		p.events.release(i)
+		//rowlint:ignore noalloc fatal protocol-error path; the run is already over
+		p.fail(nil, fmt.Sprintf("pipeline event for cycle %d outside the %d-cycle wheel's window", at, len(p.events.head)))
+	}
 }
 
 // Access requests the line for the core. write asks for exclusive
@@ -547,7 +506,8 @@ func (p *Private) startMiss(tag uint64, line uint64, write bool, at uint64) {
 		}
 		p.Stats.MSHRFull.Inc()
 		// Preserve the original access time for latency accounting.
-		p.push(event{at: p.now + 4, kind: evMiss, tag: tag, line: line, wr: write, lat: p.now + 4 - at})
+		retry := p.now + mshrRetryCycles
+		p.push(event{at: retry, kind: evRetry, tag: tag, line: line, wr: write, lat: retry - at, stamp: p.mshrs.gen})
 		return
 	}
 	m := mshr{line: line, write: write, sentAt: p.now, waiters: p.getWaiters()}
@@ -949,6 +909,7 @@ func (p *Private) installL2(line uint64, st uint8) {
 // be warmed to a matching state by the caller.
 func (p *Private) Warm(line uint64, state uint8) {
 	p.l2.Insert(line, state)
+	p.mshrs.gen++ // permission granted outside a fill: queued retries must look again
 }
 
 // Tick advances internal pipelines: lookup completions and the
@@ -957,16 +918,39 @@ func (p *Private) Warm(line uint64, state uint8) {
 //rowlint:noalloc
 func (p *Private) Tick(cycle uint64) {
 	p.now = cycle
-	for len(p.events) > 0 && p.events[0].at <= cycle {
-		e := p.events.popEvent()
+	w := &p.events
+	for w.n > 0 {
+		b, at := w.earliest()
+		if at > cycle {
+			break
+		}
+		i := w.unlink(b)
 		p.work++
+		if e := &w.slab[i]; e.kind == evRetry && e.stamp == p.mshrs.gen && at == cycle {
+			// startMiss turned this miss away because the line lacked
+			// permission, no MSHR was open for it and none was free. All
+			// three can change only when an MSHR is allocated or retired
+			// (a fill installs after its MSHR retires; everything else
+			// only takes permission away), and none has been: it would
+			// be turned away again, so do just that.
+			p.Stats.MSHRFull.Inc()
+			e.at += mshrRetryCycles
+			e.lat += mshrRetryCycles
+			p.enqueue(i)
+			continue
+		}
+		e := w.slab[i] // by value: the handlers push, and the slab may move
+		w.release(i)
 		switch e.kind {
 		case evRespond:
 			p.client.MemResp(e.tag, RespInfo{Line: e.line, Latency: e.lat, Hit: true})
-		case evMiss:
+		case evMiss, evRetry:
 			p.startMiss(e.tag, e.line, e.wr, e.at-e.lat)
 		}
 	}
+	// Everything due is drained and nothing is scheduled a whole wheel
+	// ahead, so what is left lies in (cycle, cycle+size).
+	w.low, w.late = cycle, false
 	for i := 0; !p.noForcedRelease && i < p.stalled.len(); {
 		s := &p.stalled.exts[i]
 		if cycle-s.stallAt <= releaseAfter {
@@ -992,7 +976,7 @@ func (p *Private) Tick(cycle uint64) {
 // PendingWork reports in-flight misses, queued events or stalled
 // external requests (quiescence check).
 func (p *Private) PendingWork() bool {
-	return p.mshrs.len() > 0 || len(p.events) > 0 || p.stalled.len() > 0 ||
+	return p.mshrs.len() > 0 || p.events.n > 0 || p.stalled.len() > 0 ||
 		len(p.pendingFar) > 0 || len(p.farDeferred) > 0
 }
 

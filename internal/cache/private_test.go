@@ -2,6 +2,7 @@ package cache
 
 import (
 	"testing"
+	"unsafe"
 
 	"rowsim/internal/coherence"
 	"rowsim/internal/config"
@@ -428,5 +429,98 @@ func TestLine(t *testing.T) {
 	p, _, _ := newCacheUnderTest()
 	if p.Line(0x12345) != 0x12340 {
 		t.Fatalf("Line(0x12345) = %#x", p.Line(0x12345))
+	}
+}
+
+// TestEventRecordSize: the wheel's links and the retry stamp ride in what
+// was the heap record's padding, so the queue's storage did not grow.
+func TestEventRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 56 {
+		t.Fatalf("event is %d bytes, want the heap record's 56", got)
+	}
+}
+
+// countingClient is a Client that allocates nothing when called.
+type countingClient struct{ resps int }
+
+func (c *countingClient) MemResp(uint64, RespInfo)          { c.resps++ }
+func (c *countingClient) ExternalRequest(uint64, bool) bool { return false }
+func (c *countingClient) LineInvalidated(uint64)            {}
+func (c *countingClient) LineLocked(uint64) bool            { return false }
+func (c *countingClient) ForceRelease(uint64) bool          { return false }
+
+// TestPipelineSteadyStateAllocs pins the queue's two hot loops at zero
+// allocations once its slab has grown: hit after hit through push, Tick
+// and MemResp, and a storm of full-MSHR retries through the fast path.
+func TestPipelineSteadyStateAllocs(t *testing.T) {
+	cfg := config.Default()
+	cfg.Mem.MSHRs = 1
+	client := &countingClient{}
+	p := NewPrivate(0, cfg, &fakeNet{}, client, func(uint64) int { return 32 })
+	p.Warm(lineB, StateE)
+	cycle := uint64(1)
+	hits := func() {
+		for i := uint64(0); i < 100; i++ {
+			p.Tick(cycle)
+			p.Access(i, lineB, i%2 == 0)
+			p.Access(i, lineB+8, false)
+			cycle++
+		}
+	}
+	hits() // warm-up: the slab grows to the pipeline's depth
+	before := client.resps
+	if n := testing.AllocsPerRun(10, hits); n != 0 {
+		t.Errorf("hit loop allocates %v times per 200 hits, want 0", n)
+	}
+	if got := client.resps - before; got < 2000 {
+		t.Fatalf("%d hits answered, want at least 2000", got)
+	}
+
+	// One miss takes the only MSHR and is never filled; three more queue
+	// up behind it and retry every mshrRetryCycles.
+	for i := uint64(1); i <= 4; i++ {
+		p.Access(1000+i, lineB+i*64, false)
+	}
+	tick(p, cycle, cycle+100)
+	cycle += 101
+	storm := func() {
+		for i := 0; i < 1000; i++ {
+			p.Tick(cycle)
+			cycle++
+		}
+	}
+	before64 := p.Stats.MSHRFull.Value()
+	if n := testing.AllocsPerRun(4, storm); n != 0 {
+		t.Errorf("retry storm allocates %v times per 1000 cycles, want 0", n)
+	}
+	if got := p.Stats.MSHRFull.Value() - before64; got < 1000 {
+		t.Fatalf("%d retries in the storm, want at least 1000", got)
+	}
+	if p.events.late {
+		t.Error("on-time Ticks left the wheel in late mode")
+	}
+}
+
+// TestEventOutsideWindowIsProtocolError: the wheel's ordering rests on
+// a clock that never runs backwards. A caller that breaks that gets a
+// structured error through the sink, not a panic and not a misordered
+// queue.
+func TestEventOutsideWindowIsProtocolError(t *testing.T) {
+	p, _, _ := newCacheUnderTest()
+	sink := &coherence.ErrorSink{}
+	p.SetErrorSink(sink)
+	p.SetNow(100)
+	p.Access(1, lineB, false) // due at 112
+	p.SetNow(84)
+	p.Access(2, lineB+64, false) // due at 96: same bucket, behind 112
+	pe := sink.Err()
+	if pe == nil {
+		t.Fatal("no protocol error for an event scheduled behind its bucket's tail")
+	}
+	if pe.Component != "cache 0" || pe.Cycle != 84 {
+		t.Errorf("error = %v", pe)
+	}
+	if at, ok := p.EarliestPipelineEvent(); !ok || at != 112 || p.events.n != 1 {
+		t.Errorf("queue holds %d events, earliest %d; want the one at 112", p.events.n, at)
 	}
 }

@@ -40,9 +40,27 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 
 	snapcheck.Assert(t, waiter{}, []string{"tag", "at", "write"}, nil)
 
+	snapcheck.Assert(t, mshrSet{}, []string{"lines", "ms"}, map[string]string{
+		"gen": "change counter, compared only for equality with the stamps of live evRetry events; a restore leaves none (they come back as evMiss)",
+	})
+
 	snapcheck.Assert(t, event{}, []string{
 		"at", "seq", "kind", "tag", "line", "wr", "lat",
-	}, nil)
+	}, map[string]string{
+		"stamp": "lets a retry skip a re-check that would give the same answer; a restored retry is an evMiss and re-checks once",
+		"next":  "slab link; Restore relinks every event",
+	})
+
+	snapcheck.Assert(t, wheel{}, []string{"slab"}, map[string]string{
+		"free": "free list through the slab; Restore starts from an empty slab",
+		"head": "bucket FIFO links, rebuilt by Restore from the sorted events",
+		"tail": "bucket FIFO links, rebuilt by Restore from the sorted events",
+		"occ":  "one bit per non-empty bucket, rebuilt with the links",
+		"mask": "wheel size - 1, from the hit latencies at construction",
+		"n":    "number of queued events, recounted as Restore links them",
+		"low":  "lower bound of the queued cycles, re-derived by link as events are queued",
+		"late": "set while an overdue event holds the window back; re-derived by link, cleared by Tick",
+	})
 
 	snapcheck.Assert(t, strideEntry{}, []string{
 		"pc", "lastAddr", "stride", "conf",

@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"sort"
 
 	"rowsim/internal/coherence"
@@ -48,7 +51,8 @@ type FarSnap struct {
 }
 
 // EventSnap is the exported view of one pending pipeline event
-// (lookup completion or deferred miss).
+// (lookup completion or deferred miss). Kind is evRespond or evMiss: a
+// retry is stored as the miss it is.
 type EventSnap struct {
 	At   uint64 `json:"at"`
 	Seq  uint64 `json:"seq"`
@@ -73,7 +77,9 @@ type StrideSnap struct {
 // order (the flat tables use swap-removal, which permutes entries
 // without changing behaviour). Stats ride along so a restored run
 // reports byte-identical counters; every field is exported because
-// checkpoints serialize the whole snapshot to disk.
+// checkpoints serialize the whole snapshot to disk. Snapshot writes
+// Events in ascending (At, Seq); Restore accepts any order (checkpoints
+// written before the timing wheel carry them in binary-heap order).
 type CacheSnap struct {
 	Now, Seq uint64
 	Work     uint64
@@ -87,6 +93,23 @@ type CacheSnap struct {
 	Events  []EventSnap
 	Strides []StrideSnap
 	Stats   Stats
+}
+
+// snapKind is the kind an event is stored as: a retry's stamp is not
+// stored, so it goes down as the miss it is and looks again once restored.
+func snapKind(kind uint8) uint8 {
+	if kind == evRetry {
+		return evMiss
+	}
+	return kind
+}
+
+// sortEvents orders events by (At, Seq), the order Tick handles them in.
+func sortEvents(evs []EventSnap) []EventSnap {
+	slices.SortFunc(evs, func(a, b EventSnap) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Seq, b.Seq))
+	})
+	return evs
 }
 
 func snapWaiters(ws []waiter) []WaiterSnap {
@@ -116,11 +139,15 @@ func (p *Private) Snapshot() *CacheSnap {
 		Stats: p.Stats,
 	}
 	s.Stats.MissHist = p.Stats.MissHist.Clone()
-	for _, e := range p.events {
-		s.Events = append(s.Events, EventSnap{
-			At: e.at, Seq: e.seq, Kind: e.kind, Tag: e.tag, Line: e.line, Wr: e.wr, Lat: e.lat,
-		})
+	for _, i := range p.events.head {
+		for ; i >= 0; i = p.events.slab[i].next {
+			e := &p.events.slab[i]
+			s.Events = append(s.Events, EventSnap{
+				At: e.at, Seq: e.seq, Kind: snapKind(e.kind), Tag: e.tag, Line: e.line, Wr: e.wr, Lat: e.lat,
+			})
+		}
 	}
+	sortEvents(s.Events)
 	for _, t := range p.strides {
 		s.Strides = append(s.Strides, StrideSnap{PC: t.pc, LastAddr: t.lastAddr, Stride: t.stride, Conf: t.conf})
 	}
@@ -162,11 +189,16 @@ func (p *Private) Restore(s *CacheSnap) {
 	p.l2.Restore(s.L2)
 	p.Stats = s.Stats
 	p.Stats.MissHist = s.Stats.MissHist.Clone()
-	p.events = p.events[:0]
-	for _, e := range s.Events {
-		p.events = append(p.events, event{
-			at: e.At, seq: e.Seq, kind: e.Kind, tag: e.Tag, line: e.Line, wr: e.Wr, lat: e.Lat,
+	// Queued in (At, Seq) order every bucket comes out a FIFO again.
+	p.events.reset()
+	for _, e := range sortEvents(slices.Clone(s.Events)) {
+		i := p.events.put(event{
+			at: e.At, seq: e.Seq, kind: snapKind(e.Kind), tag: e.Tag, line: e.Line, wr: e.Wr, lat: e.Lat,
 		})
+		if !p.events.link(i, p.now) {
+			p.events.release(i)
+			p.fail(nil, fmt.Sprintf("snapshot holds a pipeline event for cycle %d, outside the %d-cycle wheel's window at cycle %d", e.At, len(p.events.head), p.now))
+		}
 	}
 	for i := range p.strides {
 		p.strides[i] = strideEntry{}
@@ -268,10 +300,11 @@ func (p *Private) LevelStates(line uint64) (l1, l2 uint8) {
 // scheduler's contract, which also folds in the forced-release sweep,
 // is NextEventAt in private.go.)
 func (p *Private) EarliestPipelineEvent() (uint64, bool) {
-	if len(p.events) == 0 {
+	if p.events.n == 0 {
 		return 0, false
 	}
-	return p.events[0].at, true
+	_, at := p.events.earliest()
+	return at, true
 }
 
 // DeliverOne processes a single protocol message (choice-mode

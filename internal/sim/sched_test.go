@@ -209,3 +209,83 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("scheduler hot path allocates %.1f per cycle; want 0", avg)
 	}
 }
+
+// TestCheckpointInsideMSHRStorm: cold canneal keeps every cache's MSHR
+// file full, so a checkpoint lands among queued retries. The snapshot
+// stores them as plain misses, in (At, Seq) order; resumed under either
+// scheduler the run must end exactly as the uninterrupted one does.
+func TestCheckpointInsideMSHRStorm(t *testing.T) {
+	mem := config.Default().Mem
+	build := func(sched Scheduler, opts ...Option) *System {
+		cfg := config.Default()
+		cfg.NumCores = 8
+		cfg.Policy = config.PolicyRoW
+		cfg.WarmCaches = false
+		cfg.MaxCycles = 50_000_000
+		progs := workload.Generate(workload.MustGet("canneal"), cfg.NumCores, 3000, 11)
+		s, err := New(cfg, progs, append(opts, WithScheduler(sched))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// Result has no MSHR-full count; the retries must add up all the same.
+	mshrFull := func(s *System) (n uint64) {
+		for _, pc := range s.caches {
+			n += pc.Stats.MSHRFull.Value()
+		}
+		return n
+	}
+	for _, from := range []Scheduler{SchedEvent, SchedCycle} {
+		var stormy []byte
+		s := build(from, WithCheckpoint(1024, func(cycle uint64, snap *SysSnap) error {
+			if stormy != nil {
+				return nil
+			}
+			for _, pc := range snap.Caches {
+				retries := 0
+				for i, e := range pc.Events {
+					if i > 0 && (e.At < pc.Events[i-1].At || (e.At == pc.Events[i-1].At && e.Seq < pc.Events[i-1].Seq)) {
+						t.Errorf("cycle %d: snapshot events out of (At, Seq) order: %v", cycle, pc.Events)
+					}
+					if e.Kind == 1 && e.Lat > uint64(mem.L2.HitCycles) {
+						retries++ // a miss older than one lookup has been turned away before
+					}
+				}
+				if retries >= 4 && len(pc.MSHRs) == mem.MSHRs && pc.Stats.MSHRFull.Value() > 0 {
+					var err error
+					stormy, err = json.Marshal(snap)
+					return err
+				}
+			}
+			return nil
+		}))
+		want, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stormy == nil {
+			t.Fatalf("%v: no checkpoint fell inside a full-MSHR storm", from)
+		}
+		for _, to := range []Scheduler{SchedEvent, SchedCycle} {
+			var snap SysSnap
+			if err := json.Unmarshal(stormy, &snap); err != nil {
+				t.Fatal(err)
+			}
+			resumed := build(to)
+			if err := resumed.RestoreSnap(&snap); err != nil {
+				t.Fatal(err)
+			}
+			got := resumed.MustRun()
+			if to == from && got != want {
+				t.Errorf("%v resumed under %v:\n got %+v\nwant %+v", from, to, got, want)
+			}
+			if got.SchedNormalized() != want.SchedNormalized() {
+				t.Errorf("%v resumed under %v diverged:\n got %+v\nwant %+v", from, to, got, want)
+			}
+			if g, w := mshrFull(resumed), mshrFull(s); g != w {
+				t.Errorf("%v resumed under %v: %d full-MSHR retries, want %d", from, to, g, w)
+			}
+		}
+	}
+}

@@ -211,22 +211,29 @@ func (a *Array) InsertVeto(line uint64, meta uint8, veto func(tag uint64) bool) 
 			return 0, 0, false, true
 		}
 	}
-	// Evict the LRU way among those not vetoed.
-	victim := -1
-	for i := range set {
-		if veto != nil && veto(set[i].Tag) {
-			continue
+	// Evict the LRU way among those not vetoed: take the ways in
+	// ascending (LRU, index) order and ask veto about one at a time, so
+	// the usual eviction costs one call, not one per way.
+	for prev := -1; ; {
+		victim := -1
+		for i := range set {
+			if prev >= 0 && (set[i].LRU < set[prev].LRU || (set[i].LRU == set[prev].LRU && i <= prev)) {
+				continue // vetoed already
+			}
+			if victim < 0 || set[i].LRU < set[victim].LRU {
+				victim = i
+			}
 		}
-		if victim < 0 || set[i].LRU < set[victim].LRU {
-			victim = i
+		if victim < 0 {
+			return 0, 0, false, false
 		}
+		if veto == nil || !veto(set[victim].Tag) {
+			evictedTag, evictedMeta = set[victim].Tag, set[victim].Meta
+			set[victim] = Line{Valid: true, Tag: line, Meta: meta, LRU: a.clock}
+			return evictedTag, evictedMeta, true, true
+		}
+		prev = victim
 	}
-	if victim < 0 {
-		return 0, 0, false, false
-	}
-	evictedTag, evictedMeta = set[victim].Tag, set[victim].Meta
-	set[victim] = Line{Valid: true, Tag: line, Meta: meta, LRU: a.clock}
-	return evictedTag, evictedMeta, true, true
 }
 
 // ForEach calls fn for every valid line in the array, in ascending

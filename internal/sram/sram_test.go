@@ -396,13 +396,44 @@ func step(rng *xrand.RNG, a *Array, d *dense, setSpan, tagsPerSet int) error {
 			return fmt.Errorf("InsertLRU(%#x,%d) = (%#x,%d,%v), want (%#x,%d,%v)", line, meta, gt, gm, ge, wt, wm, we)
 		}
 	case op < 82:
-		// Veto a third of the tags, or (rarely) all of them.
-		k := uint64(rng.Intn(4))
-		veto := func(tag uint64) bool { return k == 3 || tag/64%3 == k }
-		gt, gm, ge, gok := a.InsertVeto(line, meta, veto)
+		// Veto none, one, a third, all but one or all of the set's ways,
+		// counting how often the array asks about each.
+		resident := d.set(line)
+		spare := resident[rng.Intn(len(resident))].Tag
+		mode := rng.Intn(5)
+		veto := func(tag uint64) bool {
+			switch mode {
+			case 0:
+				return false
+			case 1:
+				return tag == spare
+			case 2:
+				return tag/64%3 == 0
+			case 3:
+				return tag != spare
+			default:
+				return true
+			}
+		}
+		asked := make(map[uint64]int)
+		gt, gm, ge, gok := a.InsertVeto(line, meta, func(tag uint64) bool { asked[tag]++; return veto(tag) })
 		wt, wm, we, wok := d.insert(line, meta, veto)
 		if gt != wt || gm != wm || ge != we || gok != wok {
-			return fmt.Errorf("InsertVeto(%#x,%d,k=%d) = (%#x,%d,%v,%v), want (%#x,%d,%v,%v)", line, meta, k, gt, gm, ge, gok, wt, wm, we, wok)
+			return fmt.Errorf("InsertVeto(%#x,%d,mode=%d) = (%#x,%d,%v,%v), want (%#x,%d,%v,%v)", line, meta, mode, gt, gm, ge, gok, wt, wm, we, wok)
+		}
+		for tag, n := range asked {
+			if n > 1 {
+				return fmt.Errorf("InsertVeto(%#x,mode=%d) asked about way %#x %d times", line, mode, tag, n)
+			}
+		}
+		// A refresh or a free way needs no verdict; an eviction nothing
+		// objects to needs exactly one, about the victim.
+		want := 0
+		if ge {
+			want = 1
+		}
+		if mode == 0 && len(asked) != want {
+			return fmt.Errorf("InsertVeto(%#x) with nothing vetoed asked about %d ways, want %d", line, len(asked), want)
 		}
 	case op < 92:
 		gm, gp := a.Invalidate(line)
