@@ -77,10 +77,6 @@ func run() (code int) {
 		jobs      = flag.Int("jobs", 0, "parallel simulation workers for figure sweeps (<1 = GOMAXPROCS); output is identical for any value")
 		schedFlag = flag.String("sched", "event", "simulation scheduler: event (skip idle cycles) or cycle (tick every cycle); results are identical")
 
-		benchJSON  = flag.String("bench-json", "", "run the figure benchmark suite and write a JSON report to this path")
-		benchBase  = flag.String("bench-baseline", "", "with -bench-json: compare against this baseline report and fail on regression")
-		maxRegress = flag.Float64("max-regress", 0.25, "wall-time regression tolerated by -bench-baseline (0.25 = +25%)")
-
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceFile  = flag.String("trace", "", "write a runtime execution trace to this file")
@@ -106,10 +102,6 @@ func run() (code int) {
 			}
 		}
 	}()
-
-	if *benchJSON != "" {
-		return runBenchSuite(*benchJSON, *benchBase, *maxRegress, *jobs, *quiet, sched)
-	}
 
 	// os.Interrupt covers Ctrl-C; SIGTERM is what containers and
 	// orchestrators send — both get the same graceful drain.

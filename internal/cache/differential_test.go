@@ -72,7 +72,6 @@ type controller interface {
 	Tick(cycle uint64)
 	SetNow(cycle uint64)
 	NextEventAt(now uint64) uint64
-	NeedsTick() bool
 	PendingWork() bool
 	WorkDone() uint64
 }
@@ -139,7 +138,6 @@ func (r *refPrivate) NextEventAt(now uint64) uint64 {
 	return at
 }
 
-func (r *refPrivate) NeedsTick() bool   { return len(r.h) > 0 || r.p.NeedsTick() }
 func (r *refPrivate) PendingWork() bool { return len(r.h) > 0 || r.p.PendingWork() }
 func (r *refPrivate) WorkDone() uint64  { return r.p.WorkDone() }
 
@@ -258,9 +256,6 @@ func (d *diffRun) compare(what string) {
 	now := d.real.now
 	if g, w := d.real.NextEventAt(now), d.ref.NextEventAt(now); g != w {
 		fail("NextEventAt(%d) = %d, want %d", now, g, w)
-	}
-	if g, w := d.real.NeedsTick(), d.ref.NeedsTick(); g != w {
-		fail("NeedsTick = %v, want %v", g, w)
 	}
 	if g, w := d.real.PendingWork(), d.ref.PendingWork(); g != w {
 		fail("PendingWork = %v, want %v", g, w)

@@ -266,7 +266,7 @@ type Private struct {
 	pool *coherence.MsgPool
 
 	// work counts observable actions taken by Tick (event completions,
-	// forced releases). The system's idle-skip cross-check asserts it
+	// forced releases). The run loop's cross-check asserts it
 	// stays unchanged when a skipped Tick is replayed.
 	work uint64
 
@@ -322,17 +322,12 @@ func (p *Private) SetErrorSink(s *coherence.ErrorSink) { p.sink = s }
 func (p *Private) SetMsgPool(mp *coherence.MsgPool) { p.pool = mp }
 
 // SetNow advances the controller clock without running Tick. The
-// system calls it when NeedsTick is false: the core may still issue
-// Accesses this cycle, and those schedule events relative to now.
+// system calls it on a visit that has nothing for Tick to do: the core
+// may still issue Accesses this cycle, and those schedule events
+// relative to now.
 func (p *Private) SetNow(cycle uint64) { p.now = cycle }
 
-// NeedsTick reports whether Tick would do anything beyond advancing
-// the clock: pending pipeline events or stalled external requests.
-func (p *Private) NeedsTick() bool {
-	return p.events.n > 0 || p.stalled.len() > 0
-}
-
-// WorkDone counts observable Tick actions; the idle-skip cross-check
+// WorkDone counts observable Tick actions; the run loop's cross-check
 // replays a skipped Tick and asserts this does not move.
 func (p *Private) WorkDone() uint64 { return p.work }
 

@@ -11,10 +11,11 @@ import "rowsim/internal/trace"
 // never is the NextEventAt value meaning "no self-driven work pending".
 const never = ^uint64(0)
 
-// SetNow advances the core clock without doing any work. The event
-// loop uses it to replicate the cycle loop's clock phasing: cache
-// completions and coherence callbacks delivered at cycle T observe a
-// core clock of T-1, because cores tick after caches within a cycle.
+// SetNow advances the core clock without doing any work. The run loop
+// uses it to give a core it skipped the clock phasing of one ticked
+// every cycle: cache completions and coherence callbacks delivered at
+// cycle T observe a core clock of T-1, because cores tick after caches
+// within a cycle.
 func (c *Core) SetNow(cycle uint64) { c.now = cycle }
 
 // WorkDone returns the monotone observable-work counter. Every
@@ -29,7 +30,7 @@ func (c *Core) WorkDone() uint64 { return c.work }
 // private cache and force a visit on their own); ^uint64(0) means the
 // core is quiescent until something external happens. The contract is
 // one-sided: returning too early wastes a visit, returning too late
-// would diverge from the cycle loop — which is exactly what the
+// would diverge from ticking every cycle — which is exactly what the
 // cross-check mode verifies.
 //
 //rowlint:noalloc

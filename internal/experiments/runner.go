@@ -145,11 +145,8 @@ type Runner struct {
 	mu    sync.Mutex
 	cache map[string]sim.Result
 	// cycles accumulates the simulated cycles of every non-memoized
-	// run (the benchmark gate's throughput denominator); visited
-	// accumulates the cycles those runs actually simulated, so the
-	// gate can report the event scheduler's skip efficiency.
-	cycles  uint64
-	visited uint64
+	// run (rowperf's throughput numerator).
+	cycles uint64
 	// Progress, when set, receives a line per completed run. It must
 	// itself be safe for concurrent use when the runner is shared.
 	Progress func(msg string)
@@ -227,7 +224,6 @@ func (r *Runner) RunCtx(ctx context.Context, wl string, v Variant) (sim.Result, 
 	r.mu.Lock()
 	r.cache[key] = res
 	r.cycles += res.Cycles
-	r.visited += res.CyclesVisited
 	r.mu.Unlock()
 	if r.Progress != nil {
 		r.Progress(fmt.Sprintf("ran %-14s %-16s %12d cycles", wl, v.Name, res.Cycles))
@@ -281,21 +277,12 @@ func (r *Runner) MustRunPrograms(cfg *config.Config, progs []trace.Program) sim.
 }
 
 // SimulatedCycles returns the total simulated cycles executed by this
-// runner's completed (non-memoized) runs — the throughput denominator
-// the benchmark-regression gate reports against wall time.
+// runner's completed (non-memoized) runs — what rowperf divides by wall
+// time.
 func (r *Runner) SimulatedCycles() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.cycles
-}
-
-// VisitedCycles returns the total cycles those runs actually visited:
-// equal to SimulatedCycles under sim.SchedCycle, smaller under
-// sim.SchedEvent. 1 - visited/simulated is the skip efficiency.
-func (r *Runner) VisitedCycles() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.visited
 }
 
 // Norm returns v normalized to base (the paper normalizes execution

@@ -340,7 +340,7 @@ func (m *Mesh) NextEventAt(now uint64) uint64 {
 }
 
 // HasMail reports whether the node's inbox holds undelivered messages.
-// The system's cycle loop uses it to skip Drain-and-handle entirely for
+// The system's run loop uses it to skip Drain-and-handle entirely for
 // idle nodes.
 //
 //rowlint:noalloc

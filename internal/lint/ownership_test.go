@@ -89,8 +89,8 @@ func TestRepoOwnershipComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Entries) < 2 {
-		t.Errorf("entries = %v, want both scheduler loops (runCycle, runEvent)", rep.Entries)
+	if len(rep.Entries) != 1 || rep.Entries[0] != "sim.System.run" {
+		t.Errorf("entries = %v, want exactly the run loop (sim.System.run)", rep.Entries)
 	}
 	known := map[string]bool{
 		"mesh-mediated": true, "scheduler": true, "seam": true,

@@ -64,8 +64,8 @@ func TestRepoParallelReady(t *testing.T) {
 		plan.Checks.ShardSyncHazards != 0 || plan.Checks.UnclassifiedEdges != 0 {
 		t.Errorf("plan gates must all be zero, got %+v", plan.Checks)
 	}
-	if len(plan.Entries) < 2 {
-		t.Errorf("entries = %v, want both scheduler loops", plan.Entries)
+	if len(plan.Entries) != 1 || plan.Entries[0] != "sim.System.run" {
+		t.Errorf("entries = %v, want exactly the run loop (sim.System.run)", plan.Entries)
 	}
 
 	// The epoch bound is base + hops*(link+router) with hops >= 1; with

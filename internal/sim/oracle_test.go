@@ -1,0 +1,61 @@
+package sim
+
+import "testing"
+
+// lockstepOracle runs s to completion without System.run: the plainest
+// lock-step loop over the components New assembled. Every bank, cache
+// and core is visited every cycle; no HasMail, no NextEventAt, no
+// SetNow, no postCycle. It shares nothing with the run loop but the
+// phase order, so a Result equal to Run's says the loop's two modes
+// both skip only what does nothing.
+func lockstepOracle(t *testing.T, s *System) Result {
+	t.Helper()
+	for {
+		s.cycle++
+		cyc := s.cycle
+		if cyc > s.cfg.MaxCycles {
+			t.Fatalf("oracle still running at cycle %d", cyc)
+		}
+		s.mesh.Tick(cyc)
+		for b, d := range s.dirs {
+			d.SetCycle(cyc)
+			for _, m := range s.mesh.Drain(s.cfg.NumCores + b) {
+				d.Handle(m)
+			}
+		}
+		for i, pc := range s.caches {
+			if msgs := s.mesh.Drain(i); msgs != nil {
+				pc.Deliver(msgs)
+			}
+			pc.Tick(cyc)
+		}
+		done := true
+		for _, c := range s.cores {
+			c.Tick(cyc)
+			done = done && c.Done()
+		}
+		if done {
+			break
+		}
+	}
+	if pe := s.sink.Err(); pe != nil {
+		t.Fatal(pe)
+	}
+	return s.collect()
+}
+
+// TestRunMatchesLockstepOracle holds Run under both schedulers to the
+// oracle.
+func TestRunMatchesLockstepOracle(t *testing.T) {
+	for _, tc := range schedMatrix {
+		t.Run(tc.name, func(t *testing.T) {
+			want := lockstepOracle(t, schedBuild(t, tc.policy, tc.wl, tc.faults, 3000)).SchedNormalized()
+			for _, sched := range []Scheduler{SchedEvent, SchedCycle} {
+				got := schedBuild(t, tc.policy, tc.wl, tc.faults, 3000, WithScheduler(sched)).MustRun()
+				if got.SchedNormalized() != want {
+					t.Errorf("Run under %v diverges from the oracle:\n got %+v\nwant %+v", sched, got, want)
+				}
+			}
+		})
+	}
+}

@@ -14,8 +14,9 @@ const (
 	// It is the default: the zero value of every Options struct and
 	// CLI that embeds a Scheduler.
 	SchedEvent Scheduler = iota
-	// SchedCycle ticks every component every cycle — the reference
-	// loop the event scheduler is checked against.
+	// SchedCycle visits every cycle and, in it, every cache and every
+	// live core, consulting no wake time — the reference behaviour
+	// the skipping of SchedEvent is checked against.
 	SchedCycle
 )
 
@@ -46,12 +47,24 @@ func ParseScheduler(s string) (Scheduler, error) {
 	return 0, fmt.Errorf("sim: unknown scheduler %q (want cycle or event)", s)
 }
 
-// runEvent is the next-event loop. Each iteration computes the
-// earliest future cycle at which anything can happen — a mesh arrival,
-// a cache pipeline event or forced-release expiry, a core wheel event
-// or front-end un-stall, or a maintenance cadence — jumps the clock
-// there, and visits only the nodes that are due. Equivalence with
-// runCycle rests on three pillars:
+// run is the simulation loop. Each iteration picks the next cycle to
+// simulate, moves the clock there and runs one phase order: the mesh,
+// then banks with mail, then caches in index order, then cores in index
+// order, then postCycle. Two mode bits, fixed before the loop starts,
+// are all that differs between schedulers:
+//
+//   - everyCycle (SchedCycle or WithCrossCheck): the next cycle is
+//     cycle+1. Otherwise it is nextTarget's: the earliest cycle at which
+//     anything can happen — a mesh arrival, a cache pipeline event or
+//     forced-release expiry, a core wheel event or front-end un-stall,
+//     or a maintenance cadence.
+//   - visitAll (SchedCycle only): the wake arrays stay zero, so every
+//     cache and every live core is due at every cycle and no NextEventAt
+//     is ever consulted. Otherwise only nodes that have mail or are due
+//     are visited, and a visited node's wake times are recomputed.
+//
+// That skipping nodes and cycles cannot change a result rests on three
+// pillars:
 //
 //   - The NextEventAt contract: a component reporting its next event
 //     at cycle t does no observable work in (now, t) absent external
@@ -59,38 +72,41 @@ func ParseScheduler(s string) (Scheduler, error) {
 //     lands on a visited node. WithCrossCheck verifies the contract by
 //     visiting every cycle and replaying the ticks the wake times said
 //     were skippable, asserting their work counters unchanged.
-//   - Phase order: within a visited cycle the loop runs banks, then
-//     caches in index order, then cores in index order — exactly the
-//     cycle loop's order with provably idle ticks removed — so every
-//     message send happens at the same cycle, in the same global
-//     order, with the same mesh sequence number and the same fault
-//     injector RNG draw as in cycle mode.
-//   - Maintenance bounds: the jump never overshoots the next multiple
+//   - Phase order: there is one, and skipping removes provably idle
+//     ticks from it without reordering the rest, so every message send
+//     happens at the same cycle, in the same global order, with the
+//     same mesh sequence number and the same fault injector RNG draw
+//     whichever nodes were skipped.
+//   - Maintenance bounds: a jump never overshoots the next multiple
 //     of 1024 or checkEvery, or MaxCycles+1, so the watchdog, context
 //     poll, coherence check, checkpoints and the cycle budget fire at
 //     identical simulated cycles.
 //
 //rowlint:entry
-func (s *System) runEvent(ctx context.Context, ms *maintState) (Result, error) {
+func (s *System) run(ctx context.Context, ms *maintState) (Result, error) {
+	visitAll := s.sched == SchedCycle
+	everyCycle := visitAll || s.crossCheck
 	n := len(s.caches)
 	cacheWake := make([]uint64, n)
 	coreWake := make([]uint64, n)
 	visit := make([]bool, n)
 	activeCores := 0
 	for i, c := range s.cores {
-		cacheWake[i] = s.caches[i].NextEventAt(s.cycle)
-		coreWake[i] = c.NextEventAt(s.cycle)
+		if !visitAll {
+			cacheWake[i] = s.caches[i].NextEventAt(s.cycle)
+			coreWake[i] = c.NextEventAt(s.cycle)
+		}
 		if !c.Done() {
 			activeCores++
 		}
 	}
 	for activeCores > 0 {
-		target := s.nextTarget(cacheWake, coreWake)
-		if s.crossCheck {
-			target = s.cycle + 1
-		}
-		if target <= s.cycle {
-			panic(fmt.Sprintf("sim: event scheduler would not advance past cycle %d", s.cycle))
+		target := s.cycle + 1
+		if !everyCycle {
+			target = s.nextTarget(cacheWake, coreWake)
+			if target <= s.cycle {
+				panic(fmt.Sprintf("sim: run loop would not advance past cycle %d", s.cycle))
+			}
 		}
 		s.cycle = target
 		s.visited++
@@ -99,6 +115,8 @@ func (s *System) runEvent(ctx context.Context, ms *maintState) (Result, error) {
 		for i, d := range s.dirs {
 			node := s.cfg.NumCores + i
 			if !s.mesh.HasMail(node) {
+				// Banks are purely message-driven: no mail means no
+				// work, and the bank clock only matters while handling.
 				if s.crossCheck && s.mesh.Drain(node) != nil {
 					panic(fmt.Sprintf("sim: cross-check: bank %d skipped with mail at cycle %d", i, cyc))
 				}
@@ -112,6 +130,9 @@ func (s *System) runEvent(ctx context.Context, ms *maintState) (Result, error) {
 		for i, pc := range s.caches {
 			c := s.cores[i]
 			coreLive := !c.Done()
+			// Drain contract: nil exactly when the inbox is empty, so
+			// HasMail is the cheap precheck and Deliver never sees an
+			// empty batch.
 			mail := s.mesh.HasMail(i)
 			cacheDue := cacheWake[i] <= cyc
 			visit[i] = mail || cacheDue || (coreLive && coreWake[i] <= cyc)
@@ -128,15 +149,14 @@ func (s *System) runEvent(ctx context.Context, ms *maintState) (Result, error) {
 			if coreLive && (mail || cacheDue) {
 				// Cache-phase callbacks (completions, forced releases,
 				// external requests) observe the core clock of the
-				// previous cycle, exactly as in the cycle loop where
-				// the core last ticked at cyc-1.
+				// previous cycle: cores tick after caches, so a core
+				// visited every cycle last ticked at cyc-1.
 				c.SetNow(cyc - 1)
 			}
 			switch {
 			case mail:
-				// Deliver-time handlers read the controller clock the
-				// previous cycle's Tick/SetNow left behind in the
-				// cycle loop.
+				// Deliver-time handlers likewise read the controller
+				// clock of the previous cycle.
 				pc.SetNow(cyc - 1)
 				pc.Deliver(s.mesh.Drain(i))
 				pc.Tick(cyc)
@@ -145,8 +165,7 @@ func (s *System) runEvent(ctx context.Context, ms *maintState) (Result, error) {
 			default:
 				// Core-only visit: the clock still advances so the
 				// core's accesses schedule completions at the right
-				// time. This replaces the cycle loop's per-cache
-				// per-cycle SetNow — it now runs only on visits.
+				// time.
 				pc.SetNow(cyc)
 			}
 		}
@@ -172,10 +191,12 @@ func (s *System) runEvent(ctx context.Context, ms *maintState) (Result, error) {
 		// Only visited nodes can have changed state: unvisited caches
 		// receive no mail and no client calls, unvisited cores no
 		// responses, so their previously computed wake-ups stand.
-		for i := 0; i < n; i++ {
-			if visit[i] {
-				cacheWake[i] = s.caches[i].NextEventAt(cyc)
-				coreWake[i] = s.cores[i].NextEventAt(cyc)
+		if !visitAll {
+			for i := 0; i < n; i++ {
+				if visit[i] {
+					cacheWake[i] = s.caches[i].NextEventAt(cyc)
+					coreWake[i] = s.cores[i].NextEventAt(cyc)
+				}
 			}
 		}
 		if err := s.postCycle(ctx, cyc, ms); err != nil {
@@ -191,7 +212,7 @@ func (s *System) runEvent(ctx context.Context, ms *maintState) (Result, error) {
 // nextTarget computes the next cycle anything can happen at: the
 // earliest component wake-up, bounded by the maintenance cadences so
 // watchdog/poll/checkpoint/coherence checks and the cycle budget fire
-// at the same simulated cycles as the cycle loop.
+// at the same simulated cycles as when every cycle is visited.
 //
 //rowlint:noalloc
 func (s *System) nextTarget(cacheWake, coreWake []uint64) uint64 {

@@ -30,28 +30,36 @@ func schedBuild(t *testing.T, policy config.AtomicPolicy, wl string, fc faults.C
 	return s
 }
 
-// TestSchedulerModeEquivalence is the headline property of the event
-// scheduler: over eager and lazy policies, with and without fault
-// injection, the event-driven run must produce a Result byte-identical
-// to the cycle-driven reference (modulo the visited-cycle bookkeeping)
-// — and must actually have skipped cycles to earn its keep.
+var (
+	schedJitter  = faults.Config{Seed: 9, JitterProb: 0.3, JitterMax: 12}
+	schedReorder = faults.Config{Seed: 5, JitterProb: 0.25, JitterMax: 12, ReorderProb: 0.05, ReorderMax: 64}
+)
+
+// schedMatrix is what the equivalence tests run over: eager, lazy, RoW
+// and far policies, with and without legal fault mixes.
+var schedMatrix = []struct {
+	name   string
+	policy config.AtomicPolicy
+	wl     string
+	faults faults.Config
+}{
+	{name: "eager_sps", policy: config.PolicyEager, wl: "sps"},
+	{name: "eager_cq_jitter", policy: config.PolicyEager, wl: "cq", faults: schedJitter},
+	{name: "lazy_cq", policy: config.PolicyLazy, wl: "cq"},
+	{name: "lazy_sps_reorder", policy: config.PolicyLazy, wl: "sps", faults: schedReorder},
+	{name: "row_pc", policy: config.PolicyRoW, wl: "pc"},
+	{name: "row_cq_jitter", policy: config.PolicyRoW, wl: "cq", faults: schedJitter},
+	{name: "far_tas", policy: config.PolicyFar, wl: "tas"},
+}
+
+// TestSchedulerModeEquivalence is the headline property of the run
+// loop's skipping: over eager and lazy policies, with and without fault
+// injection, an event-mode run must produce a Result byte-identical to
+// the visit-everything cycle mode (modulo the visited-cycle
+// bookkeeping) — and must actually have skipped cycles to earn its
+// keep.
 func TestSchedulerModeEquivalence(t *testing.T) {
-	jitter := faults.Config{Seed: 9, JitterProb: 0.3, JitterMax: 12}
-	reorder := faults.Config{Seed: 5, JitterProb: 0.25, JitterMax: 12, ReorderProb: 0.05, ReorderMax: 64}
-	for _, tc := range []struct {
-		name   string
-		policy config.AtomicPolicy
-		wl     string
-		faults faults.Config
-	}{
-		{name: "eager_sps", policy: config.PolicyEager, wl: "sps"},
-		{name: "eager_cq_jitter", policy: config.PolicyEager, wl: "cq", faults: jitter},
-		{name: "lazy_cq", policy: config.PolicyLazy, wl: "cq"},
-		{name: "lazy_sps_reorder", policy: config.PolicyLazy, wl: "sps", faults: reorder},
-		{name: "row_pc", policy: config.PolicyRoW, wl: "pc"},
-		{name: "row_cq_jitter", policy: config.PolicyRoW, wl: "cq", faults: jitter},
-		{name: "far_tas", policy: config.PolicyFar, wl: "tas"},
-	} {
+	for _, tc := range schedMatrix {
 		t.Run(tc.name, func(t *testing.T) {
 			cycle := schedBuild(t, tc.policy, tc.wl, tc.faults, 3000, WithScheduler(SchedCycle)).MustRun()
 			event := schedBuild(t, tc.policy, tc.wl, tc.faults, 3000, WithScheduler(SchedEvent)).MustRun()
@@ -84,11 +92,11 @@ func TestEventCrossCheckClean(t *testing.T) {
 }
 
 // TestEventModeLatenciesUnchanged is the regression test for the
-// skip-path clock wart: completion events are now scheduled relative
-// to event time (the controller clock is only advanced on visits), so
-// every latency-derived metric must match the per-cycle SetNow
-// reference exactly — hit latencies, miss fills, and the lock-window
-// tail included.
+// skip-path clock wart: completion events are scheduled relative to
+// event time (the controller clock is only advanced on visits), so
+// every latency-derived metric must match a run that ticks every
+// controller every cycle exactly — hit latencies, miss fills, and the
+// lock-window tail included.
 func TestEventModeLatenciesUnchanged(t *testing.T) {
 	cycle := schedBuild(t, config.PolicyEager, "canneal", faults.Config{}, 4000, WithScheduler(SchedCycle)).MustRun()
 	event := schedBuild(t, config.PolicyEager, "canneal", faults.Config{}, 4000, WithScheduler(SchedEvent)).MustRun()
@@ -163,9 +171,8 @@ func TestCrossModeCheckpointRestore(t *testing.T) {
 	}
 }
 
-// TestSchedulerStuckPanics: defensive check that a wake in the past
-// cannot silently rewind the clock — components clamp their own
-// NextEventAt, and the loop refuses a non-advancing target.
+// TestParseScheduler pins the -sched spellings and that Other flips
+// the mode.
 func TestParseScheduler(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -190,7 +197,7 @@ func TestParseScheduler(t *testing.T) {
 	}
 }
 
-// TestSchedulerSteadyStateAllocs pins the event scheduler's per-cycle
+// TestSchedulerSteadyStateAllocs pins event mode's per-cycle
 // hot path — the wake-time queries and the jump-target computation —
 // at zero allocations in steady state.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {

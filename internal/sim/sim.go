@@ -72,20 +72,21 @@ func WithFaults(cfg faults.Config) Option {
 	}
 }
 
-// WithCrossCheck verifies the cycle loop's idle-skip decisions: every
-// component the loop would skip is run anyway and asserted to be a
-// no-op (empty drain for banks, unchanged work counter for caches).
-// A violated skip panics — it means the skip conditions are wrong and
-// results could silently diverge from the always-tick loop. Enabled in
-// tests and the torture harness; too slow for real runs (it defeats
-// the skipping it checks).
+// WithCrossCheck verifies the run loop's skip decisions: every cycle
+// is visited, and every component the loop would skip in it is run
+// anyway and asserted to be a no-op (empty drain for banks, unchanged
+// work counter for caches and cores). A violated skip panics — it means
+// a wake time is wrong and results could silently diverge from visiting
+// everything. Enabled in tests and the torture harness; too slow for
+// real runs (it defeats the skipping it checks).
 func WithCrossCheck() Option {
 	return func(s *System) { s.crossCheck = true }
 }
 
-// WithScheduler selects the simulation loop: SchedEvent (the default)
-// advances the clock directly to the next scheduled wake-up, SchedCycle
-// is the reference lock-step loop. Both produce byte-identical Results
+// WithScheduler selects what the run loop visits: SchedEvent (the
+// default) advances the clock directly to the next scheduled wake-up
+// and visits the nodes due there, SchedCycle visits every node at every
+// cycle. Both produce byte-identical Results
 // (modulo CyclesVisited; see Result.SchedNormalized). The scheduler is
 // deliberately not part of config.Config: it cannot change results, so
 // it stays out of checkpoint content keys, and a checkpoint taken in
@@ -289,111 +290,23 @@ func (s *System) RunCtx(ctx context.Context) (Result, error) {
 	if ms.watchdog < 1024 {
 		ms.watchdog = 1024
 	}
-	if s.sched == SchedCycle {
-		return s.runCycle(ctx, ms)
-	}
-	return s.runEvent(ctx, ms)
+	return s.run(ctx, ms)
 }
 
-// maintState is the per-run maintenance bookkeeping shared by both
-// scheduler loops: the committed-progress watchdog.
+// maintState is the per-run maintenance bookkeeping: the
+// committed-progress watchdog.
 type maintState struct {
 	lastCommitted uint64
 	lastProgress  uint64
 	watchdog      uint64
 }
 
-// runCycle is the reference lock-step loop: every cycle visits the
-// mesh, every bank, every cache and every active core.
-//
-//rowlint:entry
-func (s *System) runCycle(ctx context.Context, ms *maintState) (Result, error) {
-	// active holds the cores still running their programs, in core-index
-	// order. Compacting it as cores finish replaces the per-cycle
-	// all-core doneness rescan: the loop exits when the list empties.
-	// Ticking a done core is a no-op (it returns immediately), so
-	// dropping finished cores cannot change behaviour, only cost.
-	active := make([]*core.Core, 0, len(s.cores))
-	for _, c := range s.cores {
-		if !c.Done() {
-			active = append(active, c)
-		}
-	}
-	for len(active) > 0 {
-		s.cycle++
-		s.visited++
-		cyc := s.cycle
-		s.mesh.Tick(cyc)
-		for i, d := range s.dirs {
-			node := s.cfg.NumCores + i
-			if !s.mesh.HasMail(node) {
-				// Banks are purely message-driven: no mail means no
-				// work, and the bank clock only matters while handling.
-				if s.crossCheck && s.mesh.Drain(node) != nil {
-					panic(fmt.Sprintf("sim: cross-check: bank %d skipped with mail at cycle %d", i, cyc))
-				}
-				continue
-			}
-			d.SetCycle(cyc)
-			for _, m := range s.mesh.Drain(node) {
-				d.Handle(m)
-			}
-		}
-		for i, pc := range s.caches {
-			// Drain contract: nil exactly when the inbox is empty, so
-			// HasMail is the cheap precheck and Deliver never sees an
-			// empty batch.
-			if s.mesh.HasMail(i) {
-				pc.Deliver(s.mesh.Drain(i))
-				pc.Tick(cyc)
-				continue
-			}
-			if pc.NeedsTick() {
-				pc.Tick(cyc)
-				continue
-			}
-			if s.crossCheck {
-				// Replay the skipped Tick and require it observably
-				// idle. (Tick also advances the clock, which is what
-				// SetNow does on the skip path.)
-				work := pc.WorkDone()
-				pc.Tick(cyc)
-				if pc.WorkDone() != work {
-					panic(fmt.Sprintf("sim: cross-check: cache %d skipped with pending work at cycle %d", i, cyc))
-				}
-				continue
-			}
-			// The clock still advances: the core may issue accesses
-			// this cycle, and their completion events are scheduled
-			// relative to the controller's now.
-			pc.SetNow(cyc)
-		}
-		n := 0
-		for _, c := range active {
-			c.Tick(cyc)
-			if !c.Done() {
-				active[n] = c
-				n++
-			}
-		}
-		active = active[:n]
-
-		if err := s.postCycle(ctx, cyc, ms); err != nil {
-			return Result{}, err
-		}
-	}
-	if err := s.checkMsgConservation(); err != nil {
-		return Result{}, err
-	}
-	return s.collect(), nil //rowlint:ignore bigcopy per-run result value, built once at run exit
-}
-
-// postCycle is the per-simulated-cycle epilogue shared by both
-// scheduler loops: protocol-error surfacing, the cycle budget, the
-// coherence-invariant cadence and the 1024-cycle cold block (context
-// poll, progress watchdog, checkpoints). The event loop visits every
-// multiple of 1024 and of checkEvery, so maintenance fires at the same
-// simulated cycles in both modes.
+// postCycle is the epilogue of every simulated cycle: protocol-error
+// surfacing, the cycle budget, the coherence-invariant cadence and the
+// 1024-cycle cold block (context poll, progress watchdog, checkpoints).
+// The loop visits every multiple of 1024 and of checkEvery even when it
+// skips cycles, so maintenance fires at the same simulated cycles under
+// both schedulers.
 func (s *System) postCycle(ctx context.Context, cyc uint64, ms *maintState) error {
 	if pe := s.sink.Err(); pe != nil {
 		pe.Trace = s.mesh.RecentTrace(pe.Line, 32)
@@ -422,22 +335,19 @@ func (s *System) postCycle(ctx context.Context, cyc uint64, ms *maintState) erro
 			return s.diagnoseDeadlock(ms.watchdog)
 		}
 		if s.ckptEvery != 0 && cyc-s.lastCkpt >= s.ckptEvery {
-			if s.sched == SchedEvent {
-				// Normalize the component clocks the event loop left
-				// stale on skipped nodes, so a snapshot is identical
-				// in shape to a cycle-mode one and restores into
-				// either mode. Done cores stay frozen at finishedAt,
-				// matching the cycle loop (Tick returns early on
-				// them). Nothing reads these clocks before the next
-				// visit overwrites them, so the run itself is
-				// unaffected.
-				for _, pc := range s.caches {
-					pc.SetNow(cyc)
-				}
-				for _, c := range s.cores {
-					if !c.Done() {
-						c.SetNow(cyc)
-					}
+			// Normalize the component clocks left stale on skipped
+			// nodes, so a snapshot has the same shape whichever nodes
+			// were skipped and restores under either scheduler (a no-op
+			// when every node was just ticked). Done cores stay frozen
+			// at finishedAt: Tick returns early on them. Nothing reads
+			// these clocks before the next visit overwrites them, so
+			// the run itself is unaffected.
+			for _, pc := range s.caches {
+				pc.SetNow(cyc)
+			}
+			for _, c := range s.cores {
+				if !c.Done() {
+					c.SetNow(cyc)
 				}
 			}
 			s.lastCkpt = cyc

@@ -248,8 +248,8 @@ func ExecuteCheckpointed(ctx context.Context, spec RunSpec, every uint64, path s
 	if spec.MaxCycles > 0 {
 		cfg.MaxCycles = spec.MaxCycles
 	}
-	// Torture runs double as the idle-skip cross-checker: every skip
-	// decision the scheduler makes is replayed and asserted a no-op.
+	// Torture runs double as the skip cross-checker: every skip
+	// decision the run loop makes is replayed and asserted a no-op.
 	opts := []sim.Option{sim.WithWarmFilter(workload.WarmFilter(p)), sim.WithScheduler(spec.Sched), sim.WithCrossCheck()}
 	if spec.CheckEvery > 0 {
 		opts = append(opts, sim.WithInvariantChecks(spec.CheckEvery))
