@@ -114,7 +114,7 @@ func run() (code int) {
 		for _, w := range opt.Workloads {
 			if _, err := workload.Get(w); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				return 2 // not os.Exit: the deferred profile stop must run
 			}
 		}
 	}
@@ -142,101 +142,61 @@ func run() (code int) {
 		}
 		fmt.Println()
 	}
+	type tableFn = func(*experiments.Runner) *stats.Table
+	figs := map[int][]tableFn{
+		1: {experiments.Fig1}, 2: {experiments.Fig2}, 4: {experiments.Fig4}, 5: {experiments.Fig5},
+		6: {experiments.Fig6}, 8: {experiments.Fig8Race, experiments.LockTails}, 9: {experiments.Fig9},
+		10: {experiments.Fig10}, 11: {experiments.Fig11}, 12: {experiments.Fig12}, 13: {experiments.Fig13},
+	}
+	ablations := map[string]tableFn{
+		"entries": experiments.AblationEntries, "update": experiments.AblationUpdate, "aq": experiments.AblationAQSize,
+	}
+	// Selections are checked before anything runs, and a bad one returns
+	// (never os.Exit) so the deferred profile stop still runs.
+	if _, ok := figs[*fig]; !ok && *fig != 0 {
+		fmt.Fprintf(os.Stderr, "unknown figure %d\n", *fig)
+		return 2
+	}
+	if _, ok := ablations[*ablation]; !ok && *ablation != "" {
+		fmt.Fprintf(os.Stderr, "unknown ablation %q (entries, update, aq)\n", *ablation)
+		return 2
+	}
 	start := time.Now()
-	ran := false
-	runFig := func(n int) {
-		ran = true
-		switch n {
-		case 1:
-			show(experiments.Fig1(r))
-		case 2:
-			show(experiments.Fig2(r))
-		case 4:
-			show(experiments.Fig4(r))
-		case 5:
-			show(experiments.Fig5(r))
-		case 6:
-			show(experiments.Fig6(r))
-		case 8:
-			show(experiments.Fig8Race(r))
-			show(experiments.LockTails(r))
-		case 9:
-			show(experiments.Fig9(r))
-		case 10:
-			show(experiments.Fig10(r))
-		case 11:
-			show(experiments.Fig11(r))
-		case 12:
-			show(experiments.Fig12(r))
-		case 13:
-			show(experiments.Fig13(r))
-		default:
-			fmt.Fprintf(os.Stderr, "unknown figure %d\n", n)
-			os.Exit(2)
+	table1 := func(*experiments.Runner) *stats.Table { return experiments.Table1() }
+	var run []tableFn
+	if *all {
+		run = append(run, table1)
+		for _, n := range []int{1, 2, 4, 5, 6, 8, 9, 10, 11, 12, 13} {
+			run = append(run, figs[n]...)
+		}
+		run = append(run, experiments.Summary, experiments.FarVsNear,
+			experiments.AblationEntries, experiments.AblationUpdate, experiments.AblationAQSize)
+	} else {
+		run = append(run, figs[*fig]...)
+		for _, sel := range []struct {
+			on bool
+			fn tableFn
+		}{
+			{*table == 1, table1},
+			{*table == 2, func(*experiments.Runner) *stats.Table { return experiments.HardwareCost() }},
+			{*summary, experiments.Summary},
+			{*scaling, func(r *experiments.Runner) *stats.Table { return experiments.Scaling(r, opt.Workloads) }},
+			{*far, experiments.FarVsNear},
+			{*locks, experiments.LockStudy},
+			{*stability, func(r *experiments.Runner) *stats.Table { return experiments.Stability(r, nil, opt.Workloads) }},
+			{*ablation != "", ablations[*ablation]},
+		} {
+			if sel.on {
+				run = append(run, sel.fn)
+			}
+		}
+		if len(run) == 0 {
+			flag.Usage()
+			return 2
 		}
 	}
-
-	if *all {
-		show(experiments.Table1())
-		for _, n := range []int{1, 2, 4, 5, 6, 8, 9, 10, 11, 12, 13} {
-			runFig(n)
-		}
-		show(experiments.Summary(r))
-		show(experiments.FarVsNear(r))
-		show(experiments.AblationEntries(r))
-		show(experiments.AblationUpdate(r))
-		show(experiments.AblationAQSize(r))
-	} else {
-		if *fig != 0 {
-			runFig(*fig)
-		}
-		if *table == 1 {
-			ran = true
-			show(experiments.Table1())
-		}
-		if *table == 2 {
-			ran = true
-			show(experiments.HardwareCost())
-		}
-		if *summary {
-			ran = true
-			show(experiments.Summary(r))
-		}
-		if *scaling {
-			ran = true
-			show(experiments.Scaling(r, opt.Workloads))
-		}
-		if *far {
-			ran = true
-			show(experiments.FarVsNear(r))
-		}
-		if *locks {
-			ran = true
-			show(experiments.LockStudy(r))
-		}
-		if *stability {
-			ran = true
-			show(experiments.Stability(r, nil, opt.Workloads))
-		}
-		switch *ablation {
-		case "":
-		case "entries":
-			ran = true
-			show(experiments.AblationEntries(r))
-		case "update":
-			ran = true
-			show(experiments.AblationUpdate(r))
-		case "aq":
-			ran = true
-			show(experiments.AblationAQSize(r))
-		default:
-			fmt.Fprintf(os.Stderr, "unknown ablation %q (entries, update, aq)\n", *ablation)
-			os.Exit(2)
-		}
-		if !ran {
-			flag.Usage()
-			os.Exit(2)
-		}
+	for _, fn := range run {
+		show(fn(r))
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "total wall time: %s\n", time.Since(start).Round(time.Millisecond))

@@ -22,43 +22,30 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 
 	"rowsim/internal/checkpoint"
-	"rowsim/internal/config"
 	"rowsim/internal/experiments"
 	"rowsim/internal/lifecycle"
 	"rowsim/internal/profiling"
 	"rowsim/internal/serve"
 	"rowsim/internal/sim"
 	"rowsim/internal/stats"
-	"rowsim/internal/workload"
 )
-
-// policies are the three configurations each sweep cell compares.
-var policies = []struct {
-	name string
-	p    config.AtomicPolicy
-}{
-	{"eager", config.PolicyEager},
-	{"lazy", config.PolicyLazy},
-	{"row", config.PolicyRoW},
-}
 
 func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	var (
 		name    = flag.String("workload", "sps", "base workload")
 		param   = flag.String("param", "sharedfrac", "parameter to sweep: "+strings.Join(serve.ParamNames(), ", "))
@@ -83,11 +70,14 @@ func run() int {
 		traceFile  = flag.String("trace", "", "write a runtime execution trace to this file")
 	)
 	flag.Parse()
+	fail := func(err error) int {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile, *traceFile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return fail(err)
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
@@ -111,117 +101,52 @@ func run() int {
 		defer cancel()
 	}
 
-	var (
-		jnl  *lifecycle.Journal
-		snap *lifecycle.Snapshot
-	)
-	switch {
-	case *resume != "":
-		jnl, snap, err = lifecycle.Resume(*resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		// The meta record carries a hash of the sweep definition; a
-		// journal whose meta no longer hashes to it was edited or
-		// written by a different definition — resuming it would
-		// silently sweep the wrong cells.
-		if cerr := snap.CheckSpec(*resume); cerr != nil {
-			fmt.Fprintln(os.Stderr, cerr)
-			return 2
-		}
-		// Definition flags passed alongside -resume must agree with the
-		// journal (convenience flags like -timeout/-deadline/-retries
-		// are not part of the definition and still come from the line).
-		a := snap.Meta.Args
-		var mismatch error
-		flag.Visit(func(f *flag.Flag) {
-			want, isDef := a[f.Name]
-			if !isDef || mismatch != nil {
-				return
+	// The sweep's definition is these seven flags: a new journal records
+	// them, a resumed one restores them (convenience flags like -timeout,
+	// -deadline and -retries still come from the command line).
+	jnl, snap, err := lifecycle.OpenSweep(flag.CommandLine, "rowsweep", *journal, *resume,
+		"workload", "param", "values", "cores", "instrs", "seed", "sched")
+	if err != nil {
+		return fail(err)
+	}
+	// A journal problem must be loud: a silent one makes resume lie.
+	defer func() {
+		if err := jnl.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "journal error: %v\n", err)
+			if code == 0 {
+				code = 1
 			}
-			if got := f.Value.String(); got != want {
-				mismatch = &lifecycle.SpecMismatchError{Path: *resume, Field: "-" + f.Name, Want: want, Got: got}
-			}
-		})
-		if mismatch != nil {
-			fmt.Fprintln(os.Stderr, mismatch)
-			return 2
 		}
-		*name, *param, *values = a["workload"], a["param"], a["values"]
-		*cores = atoi(a["cores"])
-		*instrs = atoi(a["instrs"])
-		// Journals written before the event scheduler existed have no
-		// "sched" key; the scheduler does not change results, so those
-		// resume under the flag's (default) mode.
-		if v, ok := a["sched"]; ok {
-			*schedF = v
-		}
-		s, perr := strconv.ParseUint(a["seed"], 10, 64)
-		if perr != nil {
-			fmt.Fprintf(os.Stderr, "corrupt journal meta: bad seed %q\n", a["seed"])
-			return 2
-		}
-		*seed = s
-	case *journal != "":
-		jnl, err = lifecycle.Create(*journal, lifecycle.Record{
-			Tool: "rowsweep",
-			Args: map[string]string{
-				"workload": *name,
-				"param":    *param,
-				"values":   *values,
-				"cores":    strconv.Itoa(*cores),
-				"instrs":   strconv.Itoa(*instrs),
-				"seed":     strconv.FormatUint(*seed, 10),
-				"sched":    *schedF,
-			},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
+	}()
 
-	// Checkpoints live in one directory per sweep, one file per cell
-	// (named by the cell's content key, so a resume matches them without
-	// any manifest). -resume-from names it explicitly; otherwise it is
-	// derived from the journal path so interrupt-then-resume finds the
-	// checkpoints with no extra flags.
-	ckptDir := *resumeFrom
-	if ckptDir == "" && *ckptEvery > 0 {
-		switch {
-		case *resume != "":
-			ckptDir = *resume + ".ckpt"
-		case *journal != "":
-			ckptDir = *journal + ".ckpt"
-		default:
-			ckptDir = "rowsweep.ckpt"
-		}
+	// One checkpoint file per cell, named by the cell's content key, so
+	// a resume matches them without a manifest.
+	ckptDir, err := checkpoint.OpenDir(*resumeFrom, cmp.Or(*resume, *journal, "rowsweep"), *ckptEvery)
+	if err != nil {
+		return fail(err)
 	}
-	if ckptDir != "" {
-		if err := os.MkdirAll(ckptDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
-
 	sched, err := sim.ParseScheduler(*schedF)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return fail(err)
 	}
 
-	// The parameter set is shared with rowserve (internal/serve): one
-	// definition of "what can be swept" across the CLI and the daemon.
-	apply, ok := serve.Params[*param]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown parameter %q (known: %s)\n", *param, strings.Join(serve.ParamNames(), ", "))
-		return 2
+	// From here on the sweep is a serve.SweepSpec, the same one a client
+	// would POST to rowserve: cells, keys, configuration and content keys
+	// are the daemon's. Only its admission limits are not applied.
+	spec := serve.SweepSpec{Workload: *name, Param: *param, Cores: *cores, Instrs: *instrs, Seed: *seed}
+	for _, raw := range strings.Split(*values, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
+		if err != nil {
+			return fail(fmt.Errorf("bad value %q: %v", raw, err))
+		}
+		spec.Values = append(spec.Values, v)
 	}
-	base, err := workload.Get(*name)
+	if err := spec.Resolve(); err != nil {
+		return fail(err)
+	}
+	cells, sweep, err := spec.Jobs(ckptDir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return fail(err)
 	}
 
 	sup := lifecycle.New(lifecycle.Config{
@@ -230,124 +155,58 @@ func run() int {
 		JitterSeed:  *seed,
 		Journal:     jnl,
 	})
-
-	// outcomes collects one supervised outcome per (value, policy) cell.
 	// Cells are independent deterministic simulations, so they fan out
-	// across a worker pool; the journal records outcomes in completion
-	// order, but the aggregate table below is built from this map in
-	// sweep order and is byte-identical for any worker count.
-	outcomes := make(map[string]lifecycle.Outcome)
-	canceled := false
-	rawValues := strings.Split(*values, ",")
-	type cellSpec struct {
-		key  string
-		wp   workload.Params
-		pcfg config.AtomicPolicy
+	// across workers; the journal records outcomes in completion order,
+	// but outs is in sweep order and the table below is byte-identical
+	// for any worker count.
+	note := func(i int, format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "%-30s %s\n", cells[i].Key, fmt.Sprintf(format, args...))
 	}
-	var cells []cellSpec
-	for _, raw := range rawValues {
-		v, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad value %q: %v\n", raw, err)
-			return 2
-		}
-		p := base
-		apply(&p, v)
-		for _, pol := range policies {
-			key := fmt.Sprintf("%s=%s/%s", *param, strings.TrimSpace(raw), pol.name)
-			if rec, ok := snap.Completed(key); ok {
-				outcomes[key] = rec.Outcome()
-				fmt.Fprintf(os.Stderr, "%-30s resumed from journal\n", key)
-				continue
+	outs := sup.Sweep(ctx, snap, *jobs, sweep, func(runCtx context.Context, i int) (sim.Result, error) {
+		return spec.Run(runCtx, cells[i], ckptDir, *ckptEvery, func(cycle uint64, warn error) {
+			if warn != nil {
+				note(i, "checkpoint unusable, starting fresh: %v", warn)
+			} else {
+				note(i, "resumed from checkpoint at cycle %d", cycle)
 			}
-			cells = append(cells, cellSpec{key: key, wp: p, pcfg: pol.p})
-		}
-	}
-	var mu sync.Mutex
-	experiments.ForEach(experiments.Jobs(*jobs), len(cells), func(i int) {
-		c := cells[i]
-		if ctx.Err() != nil {
-			mu.Lock()
-			canceled = true
-			mu.Unlock()
-			return
-		}
-		// The checkpoint content key covers everything that determines
-		// the run — config (policy included), workload parameters,
-		// shape, seed and code revision — so a stale or foreign
-		// checkpoint can never be resumed into this cell.
-		var cpath, ckey string
-		if ckptDir != "" {
-			ckey = experiments.ContentKey("rowsweep-cell", cellCfg(c.pcfg, *cores), c.wp, *instrs, *seed)
-			cpath = filepath.Join(ckptDir, ckey[:16]+".ckpt")
-		}
-		out := sup.Do(ctx, lifecycle.Job{Key: c.key, Seed: *seed, Checkpoint: cpath}, func(runCtx context.Context) (sim.Result, error) {
-			progs := workload.Generate(c.wp, *cores, *instrs, *seed)
-			cfg := cellCfg(c.pcfg, *cores)
-			opts := []sim.Option{sim.WithWarmFilter(workload.WarmFilter(c.wp)), sim.WithScheduler(sched)}
-			if cpath != "" && *ckptEvery > 0 {
-				opts = append(opts, sim.WithCheckpoint(*ckptEvery, checkpoint.Saver(cpath, ckey)))
-			}
-			s, err := sim.New(cfg, progs, opts...)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			if cpath != "" {
-				cyc, resumed, warn, err := checkpoint.ResumeLenient(s, cpath, ckey)
-				if err != nil {
-					return sim.Result{}, err
-				}
-				if warn != nil {
-					fmt.Fprintf(os.Stderr, "%-30s checkpoint unusable, starting fresh: %v\n", c.key, warn)
-				}
-				if resumed {
-					fmt.Fprintf(os.Stderr, "%-30s resumed from checkpoint at cycle %d\n", c.key, cyc)
-				}
-			}
-			return s.RunCtx(runCtx)
-		})
-		if cpath != "" && out.Status.Terminal() {
-			// The cell is done (ok, or deterministically failed): its
-			// recovery state has no future use. Canceled cells keep
-			// theirs for the next invocation.
-			checkpoint.Remove(cpath)
-		}
-		mu.Lock()
-		outcomes[c.key] = out
-		switch out.Status {
-		case lifecycle.StatusCanceled:
-			canceled = true
-		case lifecycle.StatusOK:
-			fmt.Fprintf(os.Stderr, "%-30s ok (%d attempt(s))\n", c.key, out.Attempts)
+		}, sim.WithScheduler(sched))
+	}, func(i int, out *lifecycle.Outcome, ran bool) {
+		switch {
+		case !out.Status.Terminal():
+			return // canceled: its checkpoint stays for the next invocation
+		case !ran:
+			note(i, "resumed from journal")
+		case out.Status == lifecycle.StatusOK:
+			note(i, "ok (%d attempt(s))", out.Attempts)
 		default:
 			// Degrade gracefully: record and keep sweeping.
-			fmt.Fprintf(os.Stderr, "%-30s %s after %d attempt(s): %v\n", c.key, out.Status, out.Attempts, out.Err)
+			note(i, "%s after %d attempt(s): %v", out.Status, out.Attempts, out.Err)
 		}
-		mu.Unlock()
+		// Done, now or in the journal (where a kill between the append
+		// and this removal strands the files): no future use.
+		checkpoint.Remove(sweep[i].Checkpoint)
 	})
 
-	if canceled {
-		hint := ""
-		if jnl != nil {
-			hint = fmt.Sprintf(" — resume with: rowsweep -resume %s", jnl.Path())
+	for _, out := range outs {
+		if out.Status == lifecycle.StatusCanceled {
+			hint := ""
+			if jnl != nil {
+				hint = fmt.Sprintf(" — resume with: rowsweep -resume %s", jnl.Path())
+			}
+			fmt.Fprintf(os.Stderr, "sweep interrupted%s\n", hint)
+			return 130
 		}
-		fmt.Fprintf(os.Stderr, "sweep interrupted%s\n", hint)
-		closeJournal(jnl)
-		return 130
 	}
 
 	t := &stats.Table{
-		Title:   fmt.Sprintf("Sweep of %s over %s", *param, base.Name),
-		Headers: []string{*param, "eager-cycles", "lazy/eager", "row(Sat)/eager", "%contended"},
+		Title:   fmt.Sprintf("Sweep of %s over %s", spec.Param, spec.Workload),
+		Headers: []string{spec.Param, "eager-cycles", "lazy/eager", "row(Sat)/eager", "%contended"},
 	}
-	for _, raw := range rawValues {
-		raw = strings.TrimSpace(raw)
-		cell := func(pol string) lifecycle.Outcome {
-			return outcomes[fmt.Sprintf("%s=%s/%s", *param, raw, pol)]
-		}
-		eager, lazy, row := cell("eager"), cell("lazy"), cell("row")
+	for i, v := range spec.Values {
+		// A row is one value's cells: serve.DefaultPolicies' trio, in order.
+		eager, lazy, row := outs[3*i], outs[3*i+1], outs[3*i+2]
 		if eager.Status == lifecycle.StatusOK && lazy.Status == lifecycle.StatusOK && row.Status == lifecycle.StatusOK {
-			t.AddRow(raw,
+			t.AddRow(serve.FormatValue(v),
 				fmt.Sprint(eager.Result.Cycles),
 				stats.F(float64(lazy.Result.Cycles)/float64(eager.Result.Cycles)),
 				stats.F(float64(row.Result.Cycles)/float64(eager.Result.Cycles)),
@@ -356,53 +215,12 @@ func run() int {
 		}
 		// A degraded cell keeps its row (with the failure mode) instead
 		// of aborting the sweep.
-		status := func(o lifecycle.Outcome) string {
-			if o.Status == lifecycle.StatusOK {
-				return "ok"
-			}
-			return string(o.Status)
-		}
-		t.AddRow(raw, status(eager), status(lazy), status(row), "—")
+		t.AddRow(serve.FormatValue(v), string(eager.Status), string(lazy.Status), string(row.Status), "—")
 	}
 	if *format == "csv" {
 		fmt.Print(t.CSV())
 	} else {
 		fmt.Println(t)
 	}
-	return closeJournal(jnl)
-}
-
-// closeJournal closes the journal and reports any write failure (a
-// journal problem must be loud: a silent one makes resume lie).
-func closeJournal(j *lifecycle.Journal) int {
-	if j == nil {
-		return 0
-	}
-	if err := j.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "journal error: %v\n", err)
-		return 1
-	}
 	return 0
-}
-
-// cellCfg builds one sweep cell's simulator configuration. Shared by
-// the run itself and the checkpoint content key, so the key always
-// hashes exactly the configuration that executes.
-func cellCfg(pol config.AtomicPolicy, cores int) *config.Config {
-	cfg := config.Default()
-	cfg.NumCores = cores
-	cfg.Policy = pol
-	cfg.RoW.Predictor = config.PredSaturate
-	cfg.EarlyAddrCalc = pol == config.PolicyRoW
-	cfg.MaxCycles = 500_000_000
-	return cfg
-}
-
-func atoi(s string) int {
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "corrupt journal meta: bad integer %q\n", s)
-		os.Exit(2)
-	}
-	return v
 }

@@ -1,0 +1,79 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// build compiles this command into a temp dir: the tests below drive
+// the real binary, flags, exit codes and all.
+func build(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "rowsweep")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+func invoke(t *testing.T, bin string, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	var o, e bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = &o, &e
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatal(err)
+	}
+	return o.String(), e.String(), cmd.ProcessState.ExitCode()
+}
+
+// TestResumesParentJournal: testdata/parent_killed.jsonl was written by
+// the rowsweep of the commit before the sweep machinery moved into
+// internal/ (`rowsweep -workload sps -param sharedfrac -values
+// 0.1,0.3,0.5,0.7,0.9 -cores 8 -instrs 20000 -jobs 1 -journal ...`,
+// SIGKILLed after 7 of 15 cells). This build must resume it — same
+// journal format, same cell keys, same definition hash — re-run only
+// the 8 missing cells and print what an uninterrupted sweep prints.
+func TestResumesParentJournal(t *testing.T) {
+	bin := build(t)
+	fixture, err := os.ReadFile("testdata/parent_killed.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
+	if err := os.WriteFile(journal, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, _, code := invoke(t, bin, "-workload", "sps", "-param", "sharedfrac", "-values", "0.1,0.3,0.5,0.7,0.9",
+		"-cores", "8", "-instrs", "20000", "-format", "csv")
+	if code != 0 {
+		t.Fatalf("uninterrupted sweep exited %d", code)
+	}
+
+	// A definition flag that contradicts the journal is refused...
+	_, stderr, code := invoke(t, bin, "-resume", journal, "-cores", "16")
+	if code != 2 || !strings.Contains(stderr, `-cores: journal has "8", resume computed "16"`) {
+		t.Fatalf("conflicting -cores: exit %d, stderr %q", code, stderr)
+	}
+	// ...one that agrees, and flags outside the definition, are not.
+	got, stderr, code := invoke(t, bin, "-resume", journal, "-cores", "8", "-jobs", "2", "-format", "csv")
+	if code != 0 {
+		t.Fatalf("resume exited %d: %s", code, stderr)
+	}
+	if got != want {
+		t.Errorf("resumed sweep differs from an uninterrupted one:\n--- resumed ---\n%s--- uninterrupted ---\n%s", got, want)
+	}
+	if n := strings.Count(stderr, "resumed from journal"); n != 7 {
+		t.Errorf("%d cells served from the parent's journal, want 7:\n%s", n, stderr)
+	}
+	if n := strings.Count(stderr, "ok (1 attempt(s))"); n != 8 {
+		t.Errorf("%d cells re-run, want 8:\n%s", n, stderr)
+	}
+}

@@ -35,6 +35,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -44,6 +45,7 @@ import (
 	"strings"
 	"syscall"
 
+	"rowsim/internal/checkpoint"
 	"rowsim/internal/faults"
 	"rowsim/internal/lifecycle"
 	"rowsim/internal/mcheck"
@@ -55,7 +57,7 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	var (
 		n       = flag.Int("n", 100, "sweep: number of randomized configs")
 		workers = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
@@ -82,17 +84,35 @@ func run() int {
 	)
 	flag.Parse()
 
-	sched, serr := sim.ParseScheduler(*schedF)
-	if serr != nil {
-		fmt.Fprintln(os.Stderr, serr)
+	fail := func(err error) int {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-
 	if *witness != "" {
 		return replayWitness(*witness)
 	}
+
 	if *wl != "" {
-		return repro(*seed, *wl, *variant, *cores, *instrs, *spec, *check, *budget, sched)
+		return repro(*seed, *wl, *variant, *cores, *instrs, *spec, *check, *budget, *schedF)
+	}
+
+	// The sweep's definition is these eight flags: a new journal records
+	// them, a resumed one restores them and refuses a conflicting one.
+	jnl, snap, err := lifecycle.OpenSweep(flag.CommandLine, "rowtorture", *journal, *resume,
+		"n", "seed", "cores", "instrs", "replay-every", "check-every", "max-cycles", "sched")
+	if err != nil {
+		return fail(err)
+	}
+	// A journal problem must be loud: a silent one makes resume lie.
+	defer func() {
+		if err := jnl.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "journal error: %v\n", err)
+			code = 1
+		}
+	}()
+	sched, err := sim.ParseScheduler(*schedF)
+	if err != nil {
+		return fail(err)
 	}
 
 	// os.Interrupt covers Ctrl-C; SIGTERM is what containers and
@@ -105,86 +125,10 @@ func run() int {
 		defer cancel()
 	}
 
-	var (
-		jnl  *lifecycle.Journal
-		snap *lifecycle.Snapshot
-		err  error
-	)
-	switch {
-	case *resume != "":
-		jnl, snap, err = lifecycle.Resume(*resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		// Refuse a journal whose meta record no longer hashes to its
-		// recorded sweep definition (edited or produced elsewhere).
-		if cerr := snap.CheckSpec(*resume); cerr != nil {
-			fmt.Fprintln(os.Stderr, cerr)
-			return 2
-		}
-		a := snap.Meta.Args
-		*n = atoi(a["n"])
-		s, perr := strconv.ParseUint(a["seed"], 10, 64)
-		if perr != nil {
-			fmt.Fprintf(os.Stderr, "corrupt journal meta: bad seed %q\n", a["seed"])
-			return 2
-		}
-		*seed = s
-		*cores, *instrs = a["cores"], a["instrs"]
-		*replay = atoi(a["replay-every"])
-		*check = uint64(atoi(a["check-every"]))
-		*budget = uint64(atoi(a["max-cycles"]))
-		// Journals from before the event scheduler have no "sched" key;
-		// the scheduler does not change results, so those resume under
-		// the flag's (default) mode.
-		if v, ok := a["sched"]; ok {
-			sched, serr = sim.ParseScheduler(v)
-			if serr != nil {
-				fmt.Fprintf(os.Stderr, "corrupt journal meta: bad sched %q\n", v)
-				return 2
-			}
-		}
-	case *journal != "":
-		jnl, err = lifecycle.Create(*journal, lifecycle.Record{
-			Tool: "rowtorture",
-			Args: map[string]string{
-				"n":            strconv.Itoa(*n),
-				"seed":         strconv.FormatUint(*seed, 10),
-				"cores":        *cores,
-				"instrs":       *instrs,
-				"replay-every": strconv.Itoa(*replay),
-				"check-every":  strconv.FormatUint(*check, 10),
-				"max-cycles":   strconv.FormatUint(*budget, 10),
-				"sched":        sched.String(),
-			},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
-
-	// Checkpoints live one file per run spec under a sweep-scoped
-	// directory; -resume-from names it explicitly, otherwise it is
-	// derived from the journal path so interrupt-then-resume finds the
-	// checkpoints without extra flags.
-	ckptDir := *resumeFrom
-	if ckptDir == "" && *ckptEvery > 0 {
-		switch {
-		case *resume != "":
-			ckptDir = *resume + ".ckpt"
-		case *journal != "":
-			ckptDir = *journal + ".ckpt"
-		default:
-			ckptDir = "rowtorture.ckpt"
-		}
-	}
-	if ckptDir != "" {
-		if err := os.MkdirAll(ckptDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
+	// One checkpoint file per run spec, named by its content key.
+	ckptDir, err := checkpoint.OpenDir(*resumeFrom, cmp.Or(*resume, *journal, "rowtorture"), *ckptEvery)
+	if err != nil {
+		return fail(err)
 	}
 
 	opt := torture.Options{
@@ -210,9 +154,6 @@ func run() int {
 	}
 	sum := torture.Torture(opt)
 	fmt.Println(sum)
-	if jerr := closeJournal(jnl); jerr != 0 {
-		return jerr
-	}
 	if !sum.OK() {
 		return 1
 	}
@@ -229,8 +170,13 @@ func run() int {
 
 // repro re-executes one run and reports its outcome; the exit code is
 // 0 only when the run completes cleanly.
-func repro(seed uint64, wl, variant, coresStr, instrsStr, spec string, check, budget uint64, sched sim.Scheduler) int {
+func repro(seed uint64, wl, variant, coresStr, instrsStr, spec string, check, budget uint64, schedStr string) int {
 	fc, err := faults.ParseSpec(spec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	sched, err := sim.ParseScheduler(schedStr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -275,17 +221,6 @@ func replayWitness(spec string) int {
 	return 0
 }
 
-func closeJournal(j *lifecycle.Journal) int {
-	if j == nil {
-		return 0
-	}
-	if err := j.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "journal error: %v\n", err)
-		return 1
-	}
-	return 0
-}
-
 func parseInts(s string) []int {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
@@ -301,15 +236,6 @@ func parseInts(s string) []int {
 		out = append(out, v)
 	}
 	return out
-}
-
-func atoi(s string) int {
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "corrupt journal meta: bad integer %q\n", s)
-		os.Exit(2)
-	}
-	return v
 }
 
 // one parses a single integer flag that shares syntax with a list.

@@ -1,0 +1,92 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"rowsim/internal/lifecycle"
+)
+
+func build(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "rowtorture")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+func invoke(t *testing.T, bin string, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	var o, e bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = &o, &e
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatal(err)
+	}
+	return o.String(), e.String(), cmd.ProcessState.ExitCode()
+}
+
+// TestResumesParentJournal: testdata/parent_killed.jsonl was written by
+// the rowtorture of the commit before the sweep machinery moved into
+// internal/ (`rowtorture -n 60 -seed 2026 -workers 1 -journal ...`,
+// SIGKILLed after 25 of 60 runs). This build must resume it and end
+// with the journal an uninterrupted sweep writes: the same 60 keys,
+// each ok with the same result. A -resume that contradicts the
+// journaled definition exits 2, as rowsweep's does.
+func TestResumesParentJournal(t *testing.T) {
+	bin := build(t)
+	dir := t.TempDir()
+	fixture, err := os.ReadFile("testdata/parent_killed.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(dir, "torture.jsonl")
+	if err := os.WriteFile(journal, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	clean := filepath.Join(dir, "clean.jsonl")
+	if out, stderr, code := invoke(t, bin, "-n", "60", "-seed", "2026", "-journal", clean); code != 0 {
+		t.Fatalf("uninterrupted sweep exited %d: %s%s", code, out, stderr)
+	}
+
+	for _, conflict := range [][]string{{"-n", "500"}, {"-seed", "7"}, {"-cores", "4"}, {"-instrs", "1000"},
+		{"-replay-every", "0"}, {"-check-every", "1"}, {"-max-cycles", "9"}, {"-sched", "cycle"}} {
+		_, stderr, code := invoke(t, bin, append([]string{"-resume", journal}, conflict...)...)
+		if code != 2 || !strings.Contains(stderr, "produced by a different sweep definition ("+conflict[0]+":") {
+			t.Errorf("conflicting %v: exit %d, stderr %q", conflict, code, stderr)
+		}
+	}
+	out, stderr, code := invoke(t, bin, "-resume", journal, "-n", "60", "-timeout", "1m")
+	if code != 0 || !strings.Contains(out, "torture: 60 runs, ") || !strings.Contains(out, " 0 failures, 25 resumed from journal") {
+		t.Fatalf("resume: exit %d, %q\n%s", code, out, stderr)
+	}
+
+	got, _, err := lifecycle.Load(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := lifecycle.Load(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Meta.SpecHash != want.Meta.SpecHash {
+		t.Errorf("definition hash: parent wrote %s, this build writes %s", got.Meta.SpecHash, want.Meta.SpecHash)
+	}
+	if len(got.Runs) != 60 || len(want.Runs) != 60 {
+		t.Fatalf("resumed journal has %d runs, uninterrupted %d, want 60", len(got.Runs), len(want.Runs))
+	}
+	for key, w := range want.Runs {
+		g, ok := got.Completed(key)
+		if !ok || w.Result == nil || *g.Result != *w.Result {
+			t.Errorf("%s: resumed journal has %+v, uninterrupted %+v", key, g, w)
+		}
+	}
+}

@@ -35,6 +35,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -340,10 +341,75 @@ func ResumeLenient(s *sim.System, path, key string) (cycle uint64, ok bool, warn
 	return cycle, ok, nil, err
 }
 
+// OpenDir resolves and creates the directory that holds a sweep's
+// checkpoints, one file per job (see Path): dir when it is named
+// explicitly, otherwise journal+".ckpt" when checkpoints are being
+// written (every > 0) — so interrupt-then-resume finds them with no
+// extra flag — and "" (checkpointing off) when neither.
+func OpenDir(dir, journal string, every uint64) (string, error) {
+	if dir == "" && every > 0 {
+		dir = journal + ".ckpt"
+	}
+	if dir == "" {
+		return "", nil
+	}
+	return dir, os.MkdirAll(dir, 0o755)
+}
+
+// Path names the checkpoint file of the job with content key key under
+// dir, or "" when dir is "" (checkpointing off). Content addressing
+// makes the mapping stable across processes: whoever resumes the job
+// recomputes the same key and finds the same file, no manifest needed.
+func Path(dir, key string) string {
+	if dir == "" {
+		return ""
+	}
+	return filepath.Join(dir, key[:16]+".ckpt")
+}
+
+// Run is the one durable attempt every front end makes: build the
+// system — saving a checkpoint to Path(dir, key) every `every` cycles
+// when every > 0 — resume it from the newest valid checkpoint a killed
+// process or a failed earlier attempt left there, and run it under ctx.
+// build passes the options Run hands it to sim.New beside its own.
+// Recovery is ResumeLenient's: no checkpoint or two corrupt slots start
+// fresh, another run's checkpoint (*MismatchError) fails the attempt;
+// found, when not nil, hears the cycle resumed at or the corruption
+// that cost the lineage. With dir "" Run is build and RunCtx. The
+// lineage outlives the attempt: the caller Removes it once the job's
+// outcome is terminal and keeps it for a canceled one.
+func Run(ctx context.Context, dir string, every uint64, key string,
+	build func(...sim.Option) (*sim.System, error), found func(cycle uint64, warn error)) (sim.Result, error) {
+	path := Path(dir, key)
+	var opts []sim.Option
+	if path != "" && every > 0 {
+		opts = append(opts, sim.WithCheckpoint(every, Saver(path, key)))
+	}
+	s, err := build(opts...)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	if path != "" {
+		cycle, ok, warn, err := ResumeLenient(s, path, key)
+		if err != nil {
+			return sim.Result{}, err
+		}
+		if found != nil && (ok || warn != nil) {
+			found(cycle, warn)
+		}
+	}
+	return s.RunCtx(ctx)
+}
+
 // Remove deletes every file of the checkpoint lineage at path (the
-// primary, the ".prev" fallback, and any abandoned temporary).
-// Missing files are fine; the first real filesystem error is returned.
+// primary, the ".prev" fallback, and any abandoned temporary) — what a
+// job whose outcome is terminal does with its recovery state. Missing
+// files and the "" path of a job that never checkpointed are fine; the
+// first real filesystem error is returned.
 func Remove(path string) error {
+	if path == "" {
+		return nil
+	}
 	var first error
 	for _, p := range []string{path, path + PrevSuffix, path + ".tmp"} {
 		if err := os.Remove(p); err != nil && !os.IsNotExist(err) && first == nil {

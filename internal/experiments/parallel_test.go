@@ -110,93 +110,92 @@ func TestWarmFailureDeferredToSequentialPass(t *testing.T) {
 }
 
 // TestParallelSweepKillResume runs the supervised-sweep recovery story
-// under a 4-worker pool: a journaled parallel sweep is "killed" (the
-// journal torn mid-record, as SIGKILL leaves it), and the resumed
-// parallel sweep must execute exactly the specs the journal does not
-// show complete, with a final aggregate identical to an uninterrupted
-// run. Journal records land in completion order — resume must not care.
+// through the real loop (lifecycle.Supervisor.Sweep) under a 4-worker
+// pool: a journaled parallel sweep is canceled mid-dispatch and then
+// "killed" (the journal torn mid-record, as SIGKILL leaves it), and the
+// resumed parallel sweep must execute exactly the specs the journal
+// does not show complete, with a final aggregate identical to an
+// uninterrupted run. Journal records land in completion order — resume
+// must not care.
 func TestParallelSweepKillResume(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sweep.jsonl")
-	const nspecs = 12
-	specs := make([]string, nspecs)
-	for i := range specs {
-		specs[i] = fmt.Sprintf("spec-%02d", i)
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	jobs := make([]lifecycle.Job, 12)
+	for i := range jobs {
+		jobs[i] = lifecycle.Job{Key: fmt.Sprintf("spec-%02d", i), Seed: 1}
 	}
 	runSpec := func(key string) sim.Result {
 		return sim.Result{Cycles: uint64(1000 + len(key)*7 + int(key[len(key)-1])), Committed: uint64(len(key))}
 	}
 
-	// Phase 1: a 4-worker sweep of the first 8 specs, then tear the
-	// journal inside the last appended record.
+	// Phase 1: specs 4..7 occupy all four workers until spec 7 cancels
+	// the sweep, so the cancel lands while spec 8 waits for a worker.
+	// Every spec past 8 is then certainly undispatched (spec 8 itself
+	// may win the race for a freed worker and come back canceled by
+	// the supervisor instead).
 	j, err := lifecycle.Create(path, lifecycle.Record{Tool: "par-sweep"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := lifecycle.New(lifecycle.Config{Journal: j})
-	ForEach(4, 8, func(i int) {
-		key := specs[i]
-		out := sup.Do(context.Background(), lifecycle.Job{Key: key, Seed: 1}, func(context.Context) (sim.Result, error) {
-			return runSpec(key), nil
-		})
-		if out.Status != lifecycle.StatusOK {
-			t.Errorf("setup run %s: %+v", key, out)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	outs := lifecycle.New(lifecycle.Config{Journal: j}).Sweep(ctx, nil, 4, jobs, func(c context.Context, i int) (sim.Result, error) {
+		if i == 7 {
+			cancel()
 		}
-	})
+		if i >= 4 {
+			<-c.Done()
+		}
+		return runSpec(jobs[i].Key), nil
+	}, nil)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	info, err := os.Stat(path)
+	before, size, err := lifecycle.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, info.Size()-20); err != nil { // cut into the last record
+	for i, out := range outs {
+		_, journaled := before.Runs[jobs[i].Key]
+		switch {
+		case i < 8 && (out.Status != lifecycle.StatusOK || !journaled):
+			t.Errorf("%s ran before the cancel: %+v (journaled %v), want ok and journaled", jobs[i].Key, out, journaled)
+		case i >= 8 && out.Status != lifecycle.StatusCanceled:
+			t.Errorf("%s was not dispatched before the cancel: %+v, want canceled", jobs[i].Key, out)
+		case i > 8 && (out.Attempts != 0 || journaled):
+			t.Errorf("undispatched %s: %d attempt(s), journaled %v, want neither", jobs[i].Key, out.Attempts, journaled)
+		}
+	}
+	if err := os.Truncate(path, size-20); err != nil { // cut into the last record
 		t.Fatal(err)
 	}
 
 	// Phase 2: resume with 4 workers. The torn record's spec plus the
-	// four never-run specs must execute; everything else must come from
-	// the journal.
+	// never-run specs must execute; everything else must come from the
+	// journal.
 	j2, snap, err := lifecycle.Resume(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	completedBefore := 0
+	if len(snap.Runs) != len(before.Runs)-1 {
+		t.Fatalf("torn journal shows %d records, want one fewer than the %d written", len(snap.Runs), len(before.Runs))
+	}
 	var missing []string
-	for _, key := range specs {
-		if _, ok := snap.Completed(key); ok {
-			completedBefore++
-		} else {
-			missing = append(missing, key)
+	for _, job := range jobs {
+		if _, ok := snap.Completed(job.Key); !ok {
+			missing = append(missing, job.Key)
 		}
 	}
-	if completedBefore != 7 {
-		t.Fatalf("journal shows %d complete specs after tear, want 7", completedBefore)
+	if len(missing) < 4 {
+		t.Fatalf("journal shows only %v incomplete, want at least the four undispatched specs", missing)
 	}
-	sup2 := lifecycle.New(lifecycle.Config{Journal: j2})
 	var mu sync.Mutex
 	var executed []string
-	final := make(map[string]sim.Result)
-	for _, key := range specs {
-		if rec, ok := snap.Completed(key); ok {
-			final[key] = *rec.Result
-		}
-	}
-	ForEach(4, len(missing), func(i int) {
-		key := missing[i]
-		out := sup2.Do(context.Background(), lifecycle.Job{Key: key, Seed: 1}, func(context.Context) (sim.Result, error) {
-			mu.Lock()
-			executed = append(executed, key)
-			mu.Unlock()
-			return runSpec(key), nil
-		})
-		if out.Status != lifecycle.StatusOK {
-			t.Errorf("resumed run %s: %+v", key, out)
-		}
+	outs = lifecycle.New(lifecycle.Config{Journal: j2}).Sweep(context.Background(), snap, 4, jobs, func(_ context.Context, i int) (sim.Result, error) {
 		mu.Lock()
-		final[key] = out.Result
+		executed = append(executed, jobs[i].Key)
 		mu.Unlock()
-	})
+		return runSpec(jobs[i].Key), nil
+	}, nil)
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -205,9 +204,9 @@ func TestParallelSweepKillResume(t *testing.T) {
 	if fmt.Sprint(executed) != fmt.Sprint(missing) {
 		t.Fatalf("resume executed %v, want exactly the missing specs %v", executed, missing)
 	}
-	for _, key := range specs {
-		if final[key] != runSpec(key) {
-			t.Fatalf("resumed aggregate diverges at %s: %+v", key, final[key])
+	for i, out := range outs {
+		if out.Status != lifecycle.StatusOK || out.Result != runSpec(jobs[i].Key) {
+			t.Fatalf("resumed aggregate diverges at %s: %+v", jobs[i].Key, out)
 		}
 	}
 }

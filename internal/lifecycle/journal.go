@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -187,8 +188,12 @@ func (j *Journal) Err() error {
 	return j.err
 }
 
-// Close flushes, fsyncs and closes the journal.
+// Close flushes, fsyncs and closes the journal. A nil journal (a sweep
+// run without one) closes cleanly.
 func (j *Journal) Close() error {
+	if j == nil {
+		return nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
@@ -327,6 +332,56 @@ func Resume(path string) (*Journal, *Snapshot, error) {
 	}
 	j, err := openAppend(path)
 	if err != nil {
+		return nil, nil, err
+	}
+	return j, snap, nil
+}
+
+// OpenSweep creates or resumes a tool's sweep journal against its flag
+// set; def names the flags that define the sweep (as opposed to how it
+// is run: timeouts, worker counts, output format). With create set it
+// starts a journal whose meta record holds the definition flags' current
+// values; with resume set it reopens one (see Resume), refuses it unless
+// it is this tool's, its meta still hashes to its definition (CheckSpec)
+// and every definition flag given on the command line agrees with it —
+// all as *SpecMismatchError — and then sets each flag the journal recorded to
+// the journaled value, so `tool -resume j.jsonl` needs no other flag. A
+// definition flag the journal predates (no key) keeps its value. With
+// neither path it returns a nil journal and snapshot, which Supervisor,
+// Sweep and Close all accept.
+func OpenSweep(fs *flag.FlagSet, tool, create, resume string, def ...string) (*Journal, *Snapshot, error) {
+	if resume == "" {
+		if create == "" {
+			return nil, nil, nil
+		}
+		args := make(map[string]string, len(def))
+		for _, name := range def {
+			args[name] = fs.Lookup(name).Value.String()
+		}
+		j, err := Create(create, Record{Tool: tool, Args: args})
+		return j, nil, err
+	}
+	j, snap, err := Resume(resume)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err = snap.CheckSpec(resume); err == nil && snap.Meta.Tool != tool {
+		err = &SpecMismatchError{Path: resume, Field: "tool", Want: snap.Meta.Tool, Got: tool}
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if want, isDef := snap.Meta.Args[f.Name]; isDef && err == nil && f.Value.String() != want {
+			err = &SpecMismatchError{Path: resume, Field: "-" + f.Name, Want: want, Got: f.Value.String()}
+		}
+	})
+	for name, v := range snap.Meta.Args {
+		if f := fs.Lookup(name); f != nil && err == nil {
+			if serr := f.Value.Set(v); serr != nil {
+				err = fmt.Errorf("lifecycle: corrupt journal meta in %s: -%s: %v", resume, name, serr)
+			}
+		}
+	}
+	if err != nil {
+		j.Close()
 		return nil, nil, err
 	}
 	return j, snap, nil

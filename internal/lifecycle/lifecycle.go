@@ -19,6 +19,7 @@ package lifecycle
 
 import (
 	"context"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -187,6 +188,58 @@ func (s *Supervisor) Do(ctx context.Context, job Job, fn AttemptFunc) Outcome {
 		s.cfg.Journal.Append(rec)
 	}
 	return out
+}
+
+// Sweep is the supervised sweep loop: it runs attempt(ctx, i) for every
+// job under Do, on up to workers goroutines (<1 = GOMAXPROCS), and
+// returns one outcome per job in job order, whatever order they
+// finished (and were journaled) in. A job the done snapshot shows
+// completed is served from its journal record and not run again. Once
+// ctx ends no further job is dispatched: the undispatched come back
+// canceled with nothing journaled, the in-flight ones drain through Do.
+// settled, when not nil, is called once per job before Sweep returns —
+// from the worker that ran it (ran true; concurrently with others), or
+// inline for a job that did not run — and may amend the outcome.
+func (s *Supervisor) Sweep(ctx context.Context, done *Snapshot, workers int, jobs []Job,
+	attempt func(ctx context.Context, i int) (sim.Result, error), settled func(i int, out *Outcome, ran bool)) []Outcome {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	outs := make([]Outcome, len(jobs))
+	settle := func(i int, out Outcome, ran bool) {
+		outs[i] = out
+		if settled != nil {
+			settled(i, &outs[i], ran)
+		}
+	}
+	work := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(jobs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				settle(i, s.Do(ctx, jobs[i], func(c context.Context) (sim.Result, error) { return attempt(c, i) }), true)
+			}
+		}()
+	}
+	for i, job := range jobs {
+		if rec, ok := done.Completed(job.Key); ok {
+			settle(i, rec.Outcome(), false)
+			continue
+		}
+		if ctx.Err() == nil {
+			select {
+			case work <- i:
+				continue
+			case <-ctx.Done():
+			}
+		}
+		settle(i, Outcome{Status: StatusCanceled, Err: ctx.Err()}, false)
+	}
+	close(work)
+	wg.Wait()
+	return outs
 }
 
 func (s *Supervisor) run(ctx context.Context, job Job, fn AttemptFunc) Outcome {

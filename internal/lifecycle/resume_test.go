@@ -5,15 +5,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"rowsim/internal/sim"
 )
 
 // TestKilledSweepResumesExactlyMissingSpecs is the end-to-end recovery
-// story at the package level: a supervised sweep of ten specs is
-// "killed" mid-journal (the file is cut mid-record, as SIGKILL during
+// story at the package level, through the real sweep loop
+// (Supervisor.Sweep): a supervised sweep of ten specs is "killed"
+// mid-journal (the file is cut mid-record, as SIGKILL during
 // an append would leave it), and the resumed sweep must execute
 // exactly the specs the journal does not show complete — the torn one
 // included — while serving the finished ones from disk, ending with
@@ -21,9 +21,9 @@ import (
 func TestKilledSweepResumesExactlyMissingSpecs(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.jsonl")
-	specs := make([]string, 10)
-	for i := range specs {
-		specs[i] = fmt.Sprintf("spec-%02d", i)
+	jobs := make([]Job, 10)
+	for i := range jobs {
+		jobs[i] = Job{Key: fmt.Sprintf("spec-%02d", i), Seed: 1}
 	}
 	runSpec := func(key string) sim.Result {
 		// A deterministic stand-in for a simulation: the result is a
@@ -31,20 +31,17 @@ func TestKilledSweepResumesExactlyMissingSpecs(t *testing.T) {
 		return sim.Result{Cycles: uint64(1000 + len(key)*7), Committed: uint64(len(key))}
 	}
 
-	// Phase 1: run the sweep, stopping after 6 completed specs — then
-	// tear the journal mid-way through the 6th record to emulate
-	// SIGKILL during the append.
+	// Phase 1: sweep the first 6 specs — then tear the journal mid-way
+	// through the 6th record to emulate SIGKILL during the append.
 	j, err := Create(path, Record{Tool: "test-sweep"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := New(Config{Journal: j})
-	for _, key := range specs[:6] {
-		out := sup.Do(context.Background(), Job{Key: key, Seed: 1}, func(context.Context) (sim.Result, error) {
-			return runSpec(key), nil
-		})
+	for i, out := range New(Config{Journal: j}).Sweep(context.Background(), nil, 1, jobs[:6], func(_ context.Context, i int) (sim.Result, error) {
+		return runSpec(jobs[i].Key), nil
+	}, nil) {
 		if out.Status != StatusOK {
-			t.Fatalf("setup run %s: %+v", key, out)
+			t.Fatalf("setup run %s: %+v", jobs[i].Key, out)
 		}
 	}
 	if err := j.Close(); err != nil {
@@ -64,37 +61,27 @@ func TestKilledSweepResumesExactlyMissingSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup2 := New(Config{Journal: j2})
-	var executed []string
-	final := make(map[string]sim.Result)
-	for _, key := range specs {
-		if rec, ok := snap.Completed(key); ok {
-			final[key] = *rec.Result
-			continue
+	var executed, ran []string // one worker: attempts and hooks are sequential
+	outs := New(Config{Journal: j2}).Sweep(context.Background(), snap, 1, jobs, func(_ context.Context, i int) (sim.Result, error) {
+		executed = append(executed, jobs[i].Key)
+		return runSpec(jobs[i].Key), nil
+	}, func(i int, _ *Outcome, r bool) {
+		if r {
+			ran = append(ran, jobs[i].Key)
 		}
-		key := key
-		out := sup2.Do(context.Background(), Job{Key: key, Seed: 1}, func(context.Context) (sim.Result, error) {
-			executed = append(executed, key)
-			return runSpec(key), nil
-		})
-		if out.Status != StatusOK {
-			t.Fatalf("resumed run %s: %+v", key, out)
-		}
-		final[key] = out.Result
-	}
+	})
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	want := []string{"spec-05", "spec-06", "spec-07", "spec-08", "spec-09"}
-	sort.Strings(executed)
-	if fmt.Sprint(executed) != fmt.Sprint(want) {
-		t.Fatalf("resume executed %v, want exactly the missing specs %v", executed, want)
+	if fmt.Sprint(executed) != fmt.Sprint(want) || fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Fatalf("resume executed %v and reported %v as run, want exactly the missing specs %v", executed, ran, want)
 	}
-	// The aggregate equals an uninterrupted sweep's.
-	for _, key := range specs {
-		if final[key] != runSpec(key) {
-			t.Fatalf("resumed aggregate diverges at %s: %+v", key, final[key])
+	// The aggregate equals an uninterrupted sweep's, in job order.
+	for i, out := range outs {
+		if out.Status != StatusOK || out.Result != runSpec(jobs[i].Key) {
+			t.Fatalf("resumed aggregate diverges at %s: %+v", jobs[i].Key, out)
 		}
 	}
 	// And the healed journal now shows all ten specs complete.
@@ -102,9 +89,9 @@ func TestKilledSweepResumesExactlyMissingSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range specs {
-		if _, ok := snap2.Completed(key); !ok {
-			t.Fatalf("journal incomplete after resumed sweep: missing %s", key)
+	for _, job := range jobs {
+		if _, ok := snap2.Completed(job.Key); !ok {
+			t.Fatalf("journal incomplete after resumed sweep: missing %s", job.Key)
 		}
 	}
 }

@@ -224,9 +224,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	// recovery checkpoints (idempotent; running cells that settle later
 	// clean up after themselves in settle).
 	for _, c := range sw.cells {
-		if p := s.ckptPath(c.ckey); p != "" {
-			_ = checkpoint.Remove(p)
-		}
+		_ = checkpoint.Remove(s.ckptPath(c.ckey))
 	}
 	writeJSON(w, http.StatusOK, s.viewOf(sw))
 }

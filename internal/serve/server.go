@@ -3,8 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,7 +12,6 @@ import (
 	"rowsim/internal/experiments"
 	"rowsim/internal/lifecycle"
 	"rowsim/internal/sim"
-	"rowsim/internal/workload"
 )
 
 // Config tunes a Server. The zero value (plus a Journal path) is a
@@ -116,11 +113,11 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.Journal == "" {
 		return nil, fmt.Errorf("serve: Config.Journal is required (the journal is the queue)")
 	}
-	if cfg.CheckpointEvery > 0 {
-		if cfg.CheckpointDir == "" {
-			cfg.CheckpointDir = cfg.Journal + ".ckpt"
-		}
-		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
+	if cfg.CheckpointEvery == 0 {
+		cfg.CheckpointDir = "" // a directory alone does not turn checkpointing on
+	} else {
+		var err error
+		if cfg.CheckpointDir, err = checkpoint.OpenDir(cfg.CheckpointDir, cfg.Journal, cfg.CheckpointEvery); err != nil {
 			return nil, fmt.Errorf("serve: checkpoint dir: %w", err)
 		}
 	}
@@ -258,9 +255,7 @@ func (s *Server) runCell(id int, c *cellState) {
 	}
 
 	s.stats.setWorker(id, "running", c.jkey)
-	spec := sw.spec
-	cpath := s.ckptPath(c.ckey)
-	out := s.sup.Do(sw.ctx, lifecycle.Job{Key: c.jkey, Seed: spec.Seed, Checkpoint: cpath}, func(runCtx context.Context) (sim.Result, error) {
+	out := s.sup.Do(sw.ctx, lifecycle.Job{Key: c.jkey, Seed: sw.spec.Seed, Checkpoint: s.ckptPath(c.ckey)}, func(runCtx context.Context) (sim.Result, error) {
 		// Count contained panics at the attempt level, then re-raise so
 		// the supervisor classifies them exactly as before.
 		defer func() {
@@ -269,32 +264,14 @@ func (s *Server) runCell(id int, c *cellState) {
 				panic(r)
 			}
 		}()
-		wp, err := spec.WorkloadParams(c.cell)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		progs := workload.Generate(wp, spec.Cores, spec.Instrs, spec.Seed)
-		opts := []sim.Option{sim.WithWarmFilter(workload.WarmFilter(wp))}
-		if cpath != "" {
-			opts = append(opts, sim.WithCheckpoint(s.cfg.CheckpointEvery, checkpoint.Saver(cpath, c.ckey)))
-		}
-		sys, err := sim.New(spec.Config(c.cell), progs, opts...)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		if cpath != "" {
-			// Resume from a checkpoint left by a previous attempt or a
-			// previous daemon process. A stale or corrupt pair is a
-			// bounded loss (start fresh), never a failed cell.
-			_, resumed, _, err := checkpoint.ResumeLenient(sys, cpath, c.ckey)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			if resumed {
+		// A checkpoint left by a previous attempt or a previous daemon
+		// process is resumed; a corrupt pair is a bounded loss (start
+		// fresh), never a failed cell.
+		return sw.spec.Run(runCtx, c.cell, s.cfg.CheckpointDir, s.cfg.CheckpointEvery, func(_ uint64, warn error) {
+			if warn == nil {
 				s.stats.add(func(b *statsBook) { b.cellsCkptResumed++ })
 			}
-		}
-		return sys.RunCtx(runCtx)
+		})
 	})
 
 	s.stats.add(func(b *statsBook) {
@@ -318,16 +295,8 @@ func (s *Server) runCell(id int, c *cellState) {
 	s.settle(id, c, out, false)
 }
 
-// ckptPath maps a cell's content key to its checkpoint file, or ""
-// when checkpointing is off. Content addressing makes the mapping
-// stable across restarts: the resumed daemon recomputes the same key
-// and finds the same file, no manifest needed.
-func (s *Server) ckptPath(ckey string) string {
-	if s.cfg.CheckpointEvery == 0 {
-		return ""
-	}
-	return filepath.Join(s.cfg.CheckpointDir, ckey[:16]+".ckpt")
-}
+// ckptPath is a cell's checkpoint file, or "" when checkpointing is off.
+func (s *Server) ckptPath(ckey string) string { return checkpoint.Path(s.cfg.CheckpointDir, ckey) }
 
 // settle journals the outcome, updates counters and idles the worker.
 func (s *Server) settle(id int, c *cellState, out lifecycle.Outcome, cached bool) {
@@ -336,8 +305,8 @@ func (s *Server) settle(id int, c *cellState, out lifecycle.Outcome, cached bool
 	// cell of a deleted sweep will never run again, so its checkpoint
 	// goes too. A drain-canceled cell keeps its checkpoint — that is
 	// the state the restart resumes from.
-	if p := s.ckptPath(c.ckey); p != "" && (out.Status.Terminal() || s.q.sweepCanceled(c.sweep)) {
-		_ = checkpoint.Remove(p)
+	if out.Status.Terminal() || s.q.sweepCanceled(c.sweep) {
+		_ = checkpoint.Remove(s.ckptPath(c.ckey))
 	}
 	s.stats.add(func(b *statsBook) {
 		switch out.Status {

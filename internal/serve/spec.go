@@ -17,6 +17,7 @@
 package serve
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -26,15 +27,16 @@ import (
 	"strings"
 	"time"
 
+	"rowsim/internal/checkpoint"
 	"rowsim/internal/config"
 	"rowsim/internal/experiments"
+	"rowsim/internal/lifecycle"
+	"rowsim/internal/sim"
 	"rowsim/internal/workload"
 )
 
 // Params maps sweep-parameter names to their application on the
-// workload. It is the one shared definition of "what can be swept" —
-// cmd/rowsweep and the daemon both use it, so a spec means the same
-// cells everywhere.
+// workload: the one definition of "what can be swept".
 var Params = map[string]func(*workload.Params, float64){
 	"atomics10k":  func(p *workload.Params, v float64) { p.AtomicsPer10K = v },
 	"sharedfrac":  func(p *workload.Params, v float64) { p.SharedFrac = v },
@@ -87,9 +89,11 @@ const (
 	maxInstrs        = 1_000_000
 )
 
-// SweepSpec is the JSON body of POST /v1/sweeps: one parameter swept
-// over a value list for a base workload, each value simulated under
-// each policy. It is the same sweep shape cmd/rowsweep runs locally.
+// SweepSpec is one sweep: a parameter swept over a value list for a
+// base workload, each value simulated under each policy. It is the JSON
+// body of POST /v1/sweeps and what cmd/rowsweep builds from its flags;
+// cells, keys, configuration, content keys and the attempt itself all
+// come from it, so a spec means the same cells on either front end.
 type SweepSpec struct {
 	Workload string    `json:"workload"`           // base workload name
 	Param    string    `json:"param"`              // swept parameter (see Params)
@@ -106,10 +110,10 @@ type SweepSpec struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// Normalize fills defaults and validates the spec. It must be called
-// before Hash, ID or Cells: normalization is part of the canonical
-// form, so `{"cores":0}` and `{"cores":8}` are the same sweep.
-func (s *SweepSpec) Normalize() error {
+// Resolve fills defaults and checks that the spec names things that
+// exist — what any front end needs before Cells. It imposes no size
+// limits: those are the daemon's admission control (Normalize).
+func (s *SweepSpec) Resolve() error {
 	if s.Workload == "" {
 		s.Workload = "sps"
 	}
@@ -136,17 +140,27 @@ func (s *SweepSpec) Normalize() error {
 	if s.Cores == 0 {
 		s.Cores = 8
 	}
-	if s.Cores < 1 || s.Cores > maxCores {
-		return fmt.Errorf("serve: cores %d out of range [1,%d]", s.Cores, maxCores)
-	}
 	if s.Instrs == 0 {
 		s.Instrs = 4000
 	}
-	if s.Instrs < 1 || s.Instrs > maxInstrs {
-		return fmt.Errorf("serve: instrs %d out of range [1,%d]", s.Instrs, maxInstrs)
-	}
 	if s.Seed == 0 {
 		s.Seed = experiments.DefaultSeed
+	}
+	return nil
+}
+
+// Normalize is Resolve plus the daemon's admission limits. It must be
+// called before Hash or ID: normalization is part of the canonical
+// form, so `{"cores":0}` and `{"cores":8}` are the same sweep.
+func (s *SweepSpec) Normalize() error {
+	if err := s.Resolve(); err != nil {
+		return err
+	}
+	if s.Cores < 1 || s.Cores > maxCores {
+		return fmt.Errorf("serve: cores %d out of range [1,%d]", s.Cores, maxCores)
+	}
+	if s.Instrs < 1 || s.Instrs > maxInstrs {
+		return fmt.Errorf("serve: instrs %d out of range [1,%d]", s.Instrs, maxInstrs)
 	}
 	if s.TimeoutMS < 0 {
 		return fmt.Errorf("serve: negative timeout_ms %d", s.TimeoutMS)
@@ -197,7 +211,7 @@ type Cell struct {
 	Policy string  // policy name (a Policies key)
 }
 
-// Cells expands the normalized spec into its cell list, in canonical
+// Cells expands the resolved spec into its cell list, in canonical
 // order (values outer, policies inner). Expansion is deterministic, so
 // recovery re-derives the exact same cells from the journaled spec.
 func (s SweepSpec) Cells() []Cell {
@@ -205,7 +219,7 @@ func (s SweepSpec) Cells() []Cell {
 	for _, v := range s.Values {
 		for _, p := range s.Policies {
 			cells = append(cells, Cell{
-				Key:    fmt.Sprintf("%s=%s/%s", s.Param, trimFloat(v), p),
+				Key:    fmt.Sprintf("%s=%s/%s", s.Param, FormatValue(v), p),
 				Value:  v,
 				Policy: p,
 			})
@@ -214,8 +228,7 @@ func (s SweepSpec) Cells() []Cell {
 	return cells
 }
 
-// Config materializes the simulator configuration for one cell —
-// the same shape cmd/rowsweep builds for its cells.
+// Config materializes the simulator configuration for one cell.
 func (s SweepSpec) Config(c Cell) *config.Config {
 	cfg := config.Default()
 	cfg.NumCores = s.Cores
@@ -252,8 +265,45 @@ func (s SweepSpec) ContentKey(c Cell) (string, error) {
 	return experiments.ContentKey(s.Config(c), wp, s.Cores, s.Instrs, s.Seed), nil
 }
 
-// trimFloat renders a sweep value the way rowsweep's key format does:
-// no trailing zeros, integers without a decimal point.
-func trimFloat(v float64) string {
+// Jobs names the spec's cells as supervised jobs, in Cells order: the
+// cell key, the seed and — with a checkpoint directory — the cell's
+// content-addressed checkpoint file.
+func (s SweepSpec) Jobs(ckptDir string) ([]Cell, []lifecycle.Job, error) {
+	cells := s.Cells()
+	jobs := make([]lifecycle.Job, len(cells))
+	for i, c := range cells {
+		ckey, err := s.ContentKey(c)
+		if err != nil {
+			return nil, nil, err
+		}
+		jobs[i] = lifecycle.Job{Key: c.Key, Seed: s.Seed, Checkpoint: checkpoint.Path(ckptDir, ckey)}
+	}
+	return cells, jobs, nil
+}
+
+// Run is one durable attempt of cell c (see checkpoint.Run) — how the
+// daemon's workers and rowsweep both simulate a cell. opts are the front
+// end's own simulator options (rowsweep's -sched); they do not enter
+// the content key, so they must not change results.
+func (s SweepSpec) Run(ctx context.Context, c Cell, ckptDir string, every uint64, found func(cycle uint64, warn error), opts ...sim.Option) (sim.Result, error) {
+	wp, err := s.WorkloadParams(c)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	var key string
+	if ckptDir != "" {
+		if key, err = s.ContentKey(c); err != nil {
+			return sim.Result{}, err
+		}
+	}
+	return checkpoint.Run(ctx, ckptDir, every, key, func(ck ...sim.Option) (*sim.System, error) {
+		progs := workload.Generate(wp, s.Cores, s.Instrs, s.Seed)
+		return sim.New(s.Config(c), progs, append(append(ck, sim.WithWarmFilter(workload.WarmFilter(wp))), opts...)...)
+	}, found)
+}
+
+// FormatValue renders a sweep value as cell keys and table rows spell
+// it: no trailing zeros, integers without a decimal point.
+func FormatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }

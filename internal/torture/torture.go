@@ -11,11 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"rowsim/internal/checkpoint"
@@ -144,9 +141,6 @@ func (o Options) withDefaults() Options {
 	if o.Runs == 0 {
 		o.Runs = 100
 	}
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -228,13 +222,13 @@ func ExecuteCtx(ctx context.Context, spec RunSpec) (sim.Result, error) {
 	return ExecuteCheckpointed(ctx, spec, 0, "")
 }
 
-// ExecuteCheckpointed is ExecuteCtx with a durable checkpoint lineage
-// at path: the run resumes from an existing valid checkpoint (fresh
-// start when none, or when both slots are corrupt — bounded loss) and,
-// when every > 0, persists a new checkpoint each cadence. A checkpoint
-// whose content key does not match the spec fails the run with
-// *checkpoint.MismatchError rather than resuming foreign state.
-func ExecuteCheckpointed(ctx context.Context, spec RunSpec, every uint64, path string) (sim.Result, error) {
+// ExecuteCheckpointed is ExecuteCtx as a durable attempt (see
+// checkpoint.Run) with the spec's checkpoint lineage under dir: the run
+// resumes from an existing valid checkpoint and, when every > 0,
+// persists a new one each cadence. A checkpoint whose content key does
+// not match the spec fails the run with *checkpoint.MismatchError
+// rather than resuming foreign state.
+func ExecuteCheckpointed(ctx context.Context, spec RunSpec, every uint64, dir string) (sim.Result, error) {
 	v, err := LookupVariant(spec.Variant)
 	if err != nil {
 		return sim.Result{}, err
@@ -243,39 +237,26 @@ func ExecuteCheckpointed(ctx context.Context, spec RunSpec, every uint64, path s
 	if err != nil {
 		return sim.Result{}, err
 	}
-	progs := workload.Generate(p, spec.Cores, spec.Instrs, spec.Seed)
-	cfg := v.Config(spec.Cores)
-	if spec.MaxCycles > 0 {
-		cfg.MaxCycles = spec.MaxCycles
-	}
-	// Torture runs double as the skip cross-checker: every skip
-	// decision the run loop makes is replayed and asserted a no-op.
-	opts := []sim.Option{sim.WithWarmFilter(workload.WarmFilter(p)), sim.WithScheduler(spec.Sched), sim.WithCrossCheck()}
-	if spec.CheckEvery > 0 {
-		opts = append(opts, sim.WithInvariantChecks(spec.CheckEvery))
-	}
-	if spec.Faults.Enabled() {
-		opts = append(opts, sim.WithFaults(spec.Faults))
-	}
-	var key string
-	if path != "" {
-		key = spec.ContentKey()
-		if every > 0 {
-			opts = append(opts, sim.WithCheckpoint(every, checkpoint.Saver(path, key)))
+	return checkpoint.Run(ctx, dir, every, spec.ContentKey(), func(ck ...sim.Option) (*sim.System, error) {
+		cfg := v.Config(spec.Cores)
+		if spec.MaxCycles > 0 {
+			cfg.MaxCycles = spec.MaxCycles
 		}
-	}
-	s, err := sim.New(cfg, progs, opts...)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	if path != "" {
-		if _, _, warn, err := checkpoint.ResumeLenient(s, path, key); err != nil {
-			return sim.Result{}, err
-		} else if warn != nil {
+		// Torture runs double as the skip cross-checker: every skip
+		// decision the run loop makes is replayed and asserted a no-op.
+		opts := append(ck, sim.WithWarmFilter(workload.WarmFilter(p)), sim.WithScheduler(spec.Sched), sim.WithCrossCheck())
+		if spec.CheckEvery > 0 {
+			opts = append(opts, sim.WithInvariantChecks(spec.CheckEvery))
+		}
+		if spec.Faults.Enabled() {
+			opts = append(opts, sim.WithFaults(spec.Faults))
+		}
+		return sim.New(cfg, workload.Generate(p, spec.Cores, spec.Instrs, spec.Seed), opts...)
+	}, func(_ uint64, warn error) {
+		if warn != nil {
 			fmt.Fprintf(os.Stderr, "torture: %s: checkpoint unusable, starting fresh: %v\n", spec.ReproLine(), warn)
 		}
-	}
-	return s.RunCtx(ctx)
+	})
 }
 
 // ReplayMismatchError reports nondeterminism: the same spec produced
@@ -415,131 +396,91 @@ func Torture(opt Options) Summary {
 		Journal:     opt.Journal,
 	})
 
-	type outcome struct {
-		status   lifecycle.Status
-		err      error
-		replayed bool
-		skipped  bool
+	jobs := make([]lifecycle.Job, len(all))
+	for i, spec := range all {
+		jobs[i] = lifecycle.Job{Key: spec.ReproLine(), Seed: spec.Seed, Checkpoint: checkpoint.Path(opt.CheckpointDir, spec.ContentKey())}
 	}
-	outcomes := make([]outcome, len(all))
-
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < opt.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				spec := all[i]
-				key := spec.ReproLine()
-				if _, ok := opt.Resume.Completed(key); ok {
-					outcomes[i] = outcome{status: lifecycle.StatusOK, skipped: true}
-					if opt.Progress != nil {
-						opt.Progress(fmt.Sprintf("run %4d %-4s %-13s %-14s cores=%d (resumed from journal)",
-							i, "skip", spec.Workload, spec.Variant, spec.Cores))
-					}
-					continue
-				}
-				var cpath string
-				if opt.CheckpointDir != "" {
-					cpath = filepath.Join(opt.CheckpointDir, spec.ContentKey()[:16]+".ckpt")
-				}
-				out := sup.Do(ctx, lifecycle.Job{Key: key, Seed: spec.Seed, Checkpoint: cpath}, func(c context.Context) (sim.Result, error) {
-					return ExecuteCheckpointed(c, spec, opt.CheckpointEvery, cpath)
-				})
-				err := out.Err
-				replayed := false
-				if out.Status == lifecycle.StatusOK && opt.ReplayEvery > 0 && i%opt.ReplayEvery == 0 {
-					// The replay runs under the opposite scheduler: a pass
-					// proves both determinism and mode equivalence on this
-					// spec (fault mix included). Results are compared
-					// mode-normalized — the visited-cycle count is the one
-					// field allowed to differ.
-					replayed = true
-					other := spec
-					other.Sched = spec.Sched.Other()
-					res2, err2 := ExecuteCtx(ctx, other)
-					switch {
-					case err2 != nil && lifecycle.Classify(err2) == lifecycle.ClassCanceled:
-						// The sweep was interrupted mid-replay: the run is
-						// fine, the determinism check just did not finish.
-						replayed = false
-					case err2 != nil:
-						err = &ReplayMismatchError{Detail: fmt.Sprintf("%s-scheduler replay failed where the %s run passed: %v",
-							other.Sched, spec.Sched, err2)}
-					case res2.SchedNormalized() != out.Result.SchedNormalized():
-						err = &ReplayMismatchError{Detail: fmt.Sprintf("%s run %d cycles / %d messages, %s replay %d cycles / %d messages",
-							spec.Sched, out.Result.Cycles, out.Result.NetworkMessages, other.Sched, res2.Cycles, res2.NetworkMessages)}
-					}
-					if err != nil {
-						// Override the journaled ok: the latest record per
-						// key wins on resume, so the mismatch re-runs.
-						out.Status = lifecycle.StatusFailed
-						if opt.Journal != nil {
-							opt.Journal.Append(lifecycle.Record{
-								Kind: "run", Key: key, Seed: spec.Seed,
-								Status: lifecycle.StatusFailed, Attempts: out.Attempts,
-								Class: "replay-mismatch", Error: err.Error(),
-							})
-						}
-					}
-				}
-				if cpath != "" && out.Status.Terminal() {
-					// Done (ok or deterministically failed): the recovery
-					// state has no future use. Canceled runs keep theirs
-					// for the resumed sweep.
-					checkpoint.Remove(cpath)
-				}
-				outcomes[i] = outcome{status: out.Status, err: err, replayed: replayed}
-				if opt.Progress != nil {
-					status := "ok"
-					if out.Status != lifecycle.StatusOK {
-						status = strings.ToUpper(string(out.Status))
-					} else if err != nil {
-						status = "FAIL"
-					}
-					opt.Progress(fmt.Sprintf("run %4d %-4s %-13s %-14s cores=%d faults=%s attempts=%d",
-						i, status, spec.Workload, spec.Variant, spec.Cores, spec.Faults.Spec(), out.Attempts))
-				}
-			}
-		}()
-	}
-feed:
-	for i := range all {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			// SIGINT / sweep deadline: stop dispatching; in-flight runs
-			// drain (their simulations stop at the next cancellation
-			// poll and are journaled canceled).
-			for j := i; j < len(all); j++ {
-				outcomes[j].status = lifecycle.StatusCanceled
-			}
-			break feed
-		}
-	}
-	close(work)
-	wg.Wait()
-
 	sum := Summary{Runs: len(all), ByKind: make(map[string]int)}
-	for i, o := range outcomes {
-		if o.replayed {
+	replayed := make([]bool, len(all))
+	outs := sup.Sweep(ctx, opt.Resume, opt.Workers, jobs, func(c context.Context, i int) (sim.Result, error) {
+		return ExecuteCheckpointed(c, all[i], opt.CheckpointEvery, opt.CheckpointDir)
+	}, func(i int, out *lifecycle.Outcome, ran bool) {
+		spec := all[i]
+		if out.Status.Terminal() {
+			// Done (ok — now or in the journal — or deterministically
+			// failed): the recovery state has no future use. Canceled
+			// runs keep theirs for the resumed sweep.
+			checkpoint.Remove(jobs[i].Checkpoint)
+		}
+		if !ran {
+			if out.Status == lifecycle.StatusOK {
+				sum.Skipped++ // inline calls are sequential: no lock
+				if opt.Progress != nil {
+					opt.Progress(fmt.Sprintf("run %4d %-4s %-13s %-14s cores=%d (resumed from journal)",
+						i, "skip", spec.Workload, spec.Variant, spec.Cores))
+				}
+			}
+			return
+		}
+		if out.Status == lifecycle.StatusOK && opt.ReplayEvery > 0 && i%opt.ReplayEvery == 0 {
+			// The replay runs under the opposite scheduler: a pass
+			// proves both determinism and mode equivalence on this
+			// spec (fault mix included). Results are compared
+			// mode-normalized — the visited-cycle count is the one
+			// field allowed to differ.
+			replayed[i] = true
+			other := spec
+			other.Sched = spec.Sched.Other()
+			res2, err2 := ExecuteCtx(ctx, other)
+			switch {
+			case err2 != nil && lifecycle.Classify(err2) == lifecycle.ClassCanceled:
+				// The sweep was interrupted mid-replay: the run is
+				// fine, the determinism check just did not finish.
+				replayed[i] = false
+			case err2 != nil:
+				out.Err = &ReplayMismatchError{Detail: fmt.Sprintf("%s-scheduler replay failed where the %s run passed: %v",
+					other.Sched, spec.Sched, err2)}
+			case res2.SchedNormalized() != out.Result.SchedNormalized():
+				out.Err = &ReplayMismatchError{Detail: fmt.Sprintf("%s run %d cycles / %d messages, %s replay %d cycles / %d messages",
+					spec.Sched, out.Result.Cycles, out.Result.NetworkMessages, other.Sched, res2.Cycles, res2.NetworkMessages)}
+			}
+			if out.Err != nil {
+				// Override the journaled ok: the latest record per
+				// key wins on resume, so the mismatch re-runs.
+				out.Status = lifecycle.StatusFailed
+				if opt.Journal != nil {
+					opt.Journal.Append(lifecycle.Record{
+						Kind: "run", Key: jobs[i].Key, Seed: spec.Seed,
+						Status: lifecycle.StatusFailed, Attempts: out.Attempts,
+						Class: "replay-mismatch", Error: out.Err.Error(),
+					})
+				}
+			}
+		}
+		if opt.Progress != nil {
+			status := "ok"
+			if out.Status != lifecycle.StatusOK {
+				status = strings.ToUpper(string(out.Status))
+			}
+			opt.Progress(fmt.Sprintf("run %4d %-4s %-13s %-14s cores=%d faults=%s attempts=%d",
+				i, status, spec.Workload, spec.Variant, spec.Cores, spec.Faults.Spec(), out.Attempts))
+		}
+	})
+
+	for i, o := range outs {
+		if replayed[i] {
 			sum.Replayed++
 		}
-		if o.skipped {
-			sum.Skipped++
-		}
-		if o.status == lifecycle.StatusCanceled {
+		if o.Status == lifecycle.StatusCanceled {
 			sum.Canceled++
 			continue
 		}
-		if o.err == nil {
+		if o.Err == nil {
 			continue
 		}
-		kind := Classify(o.err)
+		kind := Classify(o.Err)
 		sum.ByKind[kind]++
-		sum.Failures = append(sum.Failures, Failure{Index: i, Spec: all[i], Err: o.err, Kind: kind})
+		sum.Failures = append(sum.Failures, Failure{Index: i, Spec: all[i], Err: o.Err, Kind: kind})
 	}
-	sort.Slice(sum.Failures, func(a, b int) bool { return sum.Failures[a].Index < sum.Failures[b].Index })
 	return sum
 }
