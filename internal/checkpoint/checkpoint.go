@@ -5,23 +5,29 @@
 // On-disk format (all integers little-endian):
 //
 //	magic "rowckpt1" (8 bytes)
-//	header frame: uint32 length | JSON header | uint32 CRC32-C
-//	body frame:   uint32 length | JSON sim.SysSnap | uint32 CRC32-C
+//	header frame: uint32 length | JSON Meta | uint32 CRC32-C
+//	body frame:   uint32 length | gob sim.SysSnap | uint32 CRC32-C
 //
-// Version 2 of the body encodes state that exists, not capacity: each
-// sram array is its valid lines in ascending position ({"p","t","u",
-// "m","v"} per line) plus clock and counters, and a directory entry
-// leaves out its zero fields (not blocked, no sharers, no transaction
-// context, nothing waiting). Version 1 wrote every line of every array,
-// valid or not; Load refuses it like any other foreign version.
+// Version 3 of the body is one encoding/gob stream holding one
+// sim.SysSnap: binary, self-describing, zero fields and empty slices
+// left out. A snapshot encodes state that exists, not capacity — each
+// sram array is its valid lines in ascending position, each directory
+// bank its entries in ascending line order — and holds no map, so the
+// bytes are a function of the state. The stats accumulators travel
+// through their MarshalBinary methods, floats as their bits. Versions
+// 1 and 2 were JSON bodies; no reader for them remains.
 //
 // The header carries the format version, the simulated cycle, and a
 // content key — a hash over everything that determines the run
 // (configuration, workload parameters, seed, code revision; see
-// experiments.ContentKey). Load refuses a checkpoint whose key does
-// not match the resuming run with a *MismatchError: resuming foreign
-// state would not crash, it would silently produce wrong results,
-// which is worse.
+// experiments.ContentKey). Load refuses a checkpoint of another format
+// version, and one whose key does not match the resuming run, with a
+// *MismatchError before it touches the body: resuming foreign state
+// would not crash, it would silently produce wrong results, which is
+// worse. Checkpoints are recovery state, removed when their job is
+// done, so an older build's file is not migrated: ResumeLenient (hence
+// Run) starts such a run fresh and says so, and the next Save rotates
+// the old file away. Another run's key stays a hard error.
 //
 // Durability discipline: Save writes to a temporary file, fsyncs it,
 // rotates the current checkpoint to the ".prev" slot, and renames the
@@ -37,6 +43,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -50,7 +57,7 @@ import (
 
 // Version is the on-disk format version. Bump on any incompatible
 // change to the header or body encoding; Load refuses other versions.
-const Version = 2
+const Version = 3
 
 // PrevSuffix is appended to a checkpoint path to name the previous
 // (fallback) checkpoint in the keep-last-2 rotation.
@@ -99,64 +106,83 @@ func (e *CorruptError) Error() string {
 
 func (e *CorruptError) Unwrap() error { return e.Cause }
 
-func writeFrame(w io.Writer, payload []byte) error {
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(payload)))
-	if _, err := w.Write(n[:]); err != nil {
-		return err
+// frameBuf is the one buffer a checkpoint is assembled in. A write
+// reserves room for the four CRC bytes that close a frame along with
+// its payload, so sealing the body — the last append, megabytes in —
+// never regrows the buffer.
+type frameBuf []byte
+
+func (b *frameBuf) Write(p []byte) (int, error) {
+	if need := len(*b) + len(p) + 4; need > cap(*b) {
+		grown := make(frameBuf, len(*b), max(need, 2*cap(*b)))
+		copy(grown, *b)
+		*b = grown
 	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(n[:], crc32.Checksum(payload, castagnoli))
-	_, err := w.Write(n[:])
-	return err
+	*b = append(*b, p...)
+	return len(p), nil
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
-	var n [4]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return nil, fmt.Errorf("frame length: %w", err)
+// open starts a frame: a length word to be back-patched by seal, which
+// is handed the offset open returns.
+func (b *frameBuf) open() int {
+	*b = append(*b, 0, 0, 0, 0)
+	return len(*b)
+}
+
+// seal closes the frame whose payload starts at start: length in front,
+// CRC32-C behind.
+func (b *frameBuf) seal(start int) {
+	payload := (*b)[start:]
+	binary.LittleEndian.PutUint32((*b)[start-4:], uint32(len(payload)))
+	*b = binary.LittleEndian.AppendUint32(*b, crc32.Checksum(payload, castagnoli))
+}
+
+// nextFrame slices the first frame's payload out of data — no copy —
+// and returns what follows the frame.
+func nextFrame(data []byte) (payload, rest []byte, err error) {
+	if len(data) < 4 {
+		return nil, nil, fmt.Errorf("frame length: %w", io.ErrUnexpectedEOF)
 	}
-	ln := binary.LittleEndian.Uint32(n[:])
+	ln := binary.LittleEndian.Uint32(data)
 	if ln > maxFrame {
-		return nil, fmt.Errorf("frame length %d exceeds limit", ln)
+		return nil, nil, fmt.Errorf("frame length %d exceeds limit", ln)
 	}
-	payload := make([]byte, ln)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("frame payload: %w", err)
+	data = data[4:]
+	if uint64(len(data)) < uint64(ln) {
+		return nil, nil, fmt.Errorf("frame payload: %w", io.ErrUnexpectedEOF)
 	}
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return nil, fmt.Errorf("frame checksum: %w", err)
+	payload, data = data[:ln], data[ln:]
+	if len(data) < 4 {
+		return nil, nil, fmt.Errorf("frame checksum: %w", io.ErrUnexpectedEOF)
 	}
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(n[:]); got != want {
-		return nil, fmt.Errorf("frame checksum 0x%08x, computed 0x%08x", want, got)
+	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(data); got != want {
+		return nil, nil, fmt.Errorf("frame checksum 0x%08x, computed 0x%08x", want, got)
 	}
-	return payload, nil
+	return payload, data[4:], nil
 }
 
 // Encode serializes a checkpoint to its byte representation (the exact
 // content Save writes). Split out so tests and in-memory consumers can
-// frame without touching the filesystem.
+// frame without touching the filesystem. The bytes are a function of
+// key and snap: a snapshot holds no map for gob to walk in random order.
 func Encode(key string, snap *sim.SysSnap) ([]byte, error) {
 	hdr, err := json.Marshal(Meta{Version: Version, Key: key, Cycle: snap.Cycle})
 	if err != nil {
 		return nil, err
 	}
-	body, err := json.Marshal(snap)
-	if err != nil {
+	buf := append(make(frameBuf, 0, 256), magic[:]...)
+	at := buf.open()
+	buf = append(buf, hdr...)
+	buf.seal(at)
+	at = buf.open()
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	buf.Grow(len(magic) + len(hdr) + len(body) + 16)
-	buf.Write(magic[:])
-	if err := writeFrame(&buf, hdr); err != nil {
-		return nil, err
+	if n := len(buf) - at; n > maxFrame {
+		return nil, fmt.Errorf("body of %d bytes exceeds the frame limit Load accepts", n)
 	}
-	if err := writeFrame(&buf, body); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	buf.seal(at)
+	return buf, nil
 }
 
 // Decode parses checkpoint bytes, verifying structure and, when key is
@@ -164,15 +190,13 @@ func Encode(key string, snap *sim.SysSnap) ([]byte, error) {
 // a valid checkpoint for a different run returns *MismatchError. The
 // path parameter only labels errors.
 func Decode(path, key string, data []byte) (*sim.SysSnap, Meta, error) {
-	r := bytes.NewReader(data)
-	var m [8]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return nil, Meta{}, &CorruptError{Path: path, Cause: fmt.Errorf("magic: %w", err)}
+	if len(data) < len(magic) {
+		return nil, Meta{}, &CorruptError{Path: path, Cause: fmt.Errorf("magic: %w", io.ErrUnexpectedEOF)}
 	}
-	if m != magic {
-		return nil, Meta{}, &CorruptError{Path: path, Cause: fmt.Errorf("bad magic %q", m[:])}
+	if !bytes.Equal(data[:len(magic)], magic[:]) {
+		return nil, Meta{}, &CorruptError{Path: path, Cause: fmt.Errorf("bad magic %q", data[:len(magic)])}
 	}
-	hdrB, err := readFrame(r)
+	hdrB, data, err := nextFrame(data[len(magic):])
 	if err != nil {
 		return nil, Meta{}, &CorruptError{Path: path, Cause: fmt.Errorf("header: %w", err)}
 	}
@@ -186,16 +210,20 @@ func Decode(path, key string, data []byte) (*sim.SysSnap, Meta, error) {
 	if key != "" && meta.Key != key {
 		return nil, meta, &MismatchError{Path: path, Field: "content key", Want: key, Got: meta.Key}
 	}
-	bodyB, err := readFrame(r)
+	bodyB, data, err := nextFrame(data)
 	if err != nil {
 		return nil, meta, &CorruptError{Path: path, Cause: fmt.Errorf("body: %w", err)}
 	}
-	if r.Len() != 0 {
-		return nil, meta, &CorruptError{Path: path, Cause: fmt.Errorf("%d trailing bytes after body frame", r.Len())}
+	if len(data) != 0 {
+		return nil, meta, &CorruptError{Path: path, Cause: fmt.Errorf("%d trailing bytes after body frame", len(data))}
 	}
+	body := bytes.NewReader(bodyB)
 	snap := new(sim.SysSnap)
-	if err := json.Unmarshal(bodyB, snap); err != nil {
+	if err := gob.NewDecoder(body).Decode(snap); err != nil {
 		return nil, meta, &CorruptError{Path: path, Cause: fmt.Errorf("body: %w", err)}
+	}
+	if body.Len() != 0 {
+		return nil, meta, &CorruptError{Path: path, Cause: fmt.Errorf("body: %d bytes after the snapshot", body.Len())}
 	}
 	if snap.Cycle != meta.Cycle {
 		return nil, meta, &CorruptError{Path: path, Cause: fmt.Errorf("header cycle %d, body cycle %d", meta.Cycle, snap.Cycle)}
@@ -236,10 +264,12 @@ func Save(path, key string, snap *sim.SysSnap) error {
 	// slot populated, which Load handles.
 	if _, err := os.Stat(path); err == nil {
 		if err := os.Rename(path, path+PrevSuffix); err != nil {
+			os.Remove(tmp)
 			return err
 		}
 	}
 	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	syncDir(filepath.Dir(path))
@@ -326,16 +356,20 @@ func Resume(s *sim.System, path, key string) (cycle uint64, ok bool, err error) 
 }
 
 // ResumeLenient restores the newest valid checkpoint into s with the
-// recovery policy the harnesses want: a corrupt lineage (both slots
-// damaged) is treated as absent — resuming from cycle zero loses
-// bounded progress, while refusing to run loses the whole job — and is
-// reported through warn so the caller can log it. A *MismatchError or
-// a restore shape error stays a hard error: that state belongs to a
-// different run, and executing it would be silently wrong.
+// recovery policy the harnesses want: a lineage that cannot be read —
+// both slots damaged, or written in another format version by an older
+// build of this run — is treated as absent: resuming from cycle zero
+// loses bounded progress, while refusing to run loses the whole job
+// until someone deletes the file by hand. It is reported through warn
+// so the caller can log it, and the next Save rotates it away. A
+// content-key *MismatchError or a restore shape error stays a hard
+// error: that state belongs to a different run, and executing it would
+// be silently wrong.
 func ResumeLenient(s *sim.System, path, key string) (cycle uint64, ok bool, warn, err error) {
 	cycle, ok, err = Resume(s, path, key)
 	var ce *CorruptError
-	if errors.As(err, &ce) {
+	var me *MismatchError
+	if errors.As(err, &ce) || errors.As(err, &me) && me.Field == "version" {
 		return 0, false, err, nil
 	}
 	return cycle, ok, nil, err
@@ -372,12 +406,13 @@ func Path(dir, key string) string {
 // when every > 0 — resume it from the newest valid checkpoint a killed
 // process or a failed earlier attempt left there, and run it under ctx.
 // build passes the options Run hands it to sim.New beside its own.
-// Recovery is ResumeLenient's: no checkpoint or two corrupt slots start
-// fresh, another run's checkpoint (*MismatchError) fails the attempt;
-// found, when not nil, hears the cycle resumed at or the corruption
-// that cost the lineage. With dir "" Run is build and RunCtx. The
-// lineage outlives the attempt: the caller Removes it once the job's
-// outcome is terminal and keeps it for a canceled one.
+// Recovery is ResumeLenient's: no checkpoint, two corrupt slots or an
+// older build's format start fresh, another run's checkpoint (content
+// key *MismatchError) fails the attempt; found, when not nil, hears the
+// cycle resumed at or the error that cost the lineage. With dir "" Run
+// is build and RunCtx. The lineage outlives the attempt: the caller
+// Removes it once the job's outcome is terminal and keeps it for a
+// canceled one.
 func Run(ctx context.Context, dir string, every uint64, key string,
 	build func(...sim.Option) (*sim.System, error), found func(cycle uint64, warn error)) (sim.Result, error) {
 	path := Path(dir, key)

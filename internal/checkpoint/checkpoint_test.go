@@ -1,38 +1,44 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"rowsim/internal/config"
+	"rowsim/internal/faults"
 	"rowsim/internal/sim"
 	"rowsim/internal/workload"
 )
 
-// realSnap captures a mid-run snapshot from a real system, so the
-// round-trip tests exercise populated ROBs, MSHRs and mesh traffic
-// rather than a quiesced zero state.
-func realSnap(t *testing.T) *sim.SysSnap {
+// midRunSnap runs sps under RoW on the given number of cores with a
+// checkpoint every `every` cycles and returns the first (first == true)
+// or the last snapshot taken, so the round-trip tests exercise
+// populated ROBs, MSHRs and mesh traffic rather than a quiesced zero
+// state.
+func midRunSnap(t testing.TB, cores, instrs int, every uint64, first bool, opts ...sim.Option) *sim.SysSnap {
 	t.Helper()
 	cfg := config.Default()
-	cfg.NumCores = 2
+	cfg.NumCores = cores
 	cfg.Policy = config.PolicyRoW
 	cfg.MaxCycles = 50_000_000
 	p := workload.MustGet("sps")
-	progs := workload.Generate(p, cfg.NumCores, 4000, 7)
 	var captured *sim.SysSnap
-	s, err := sim.New(cfg, progs,
-		sim.WithWarmFilter(workload.WarmFilter(p)),
-		sim.WithCheckpoint(2048, func(cycle uint64, snap *sim.SysSnap) error {
-			if captured == nil {
+	opts = append(opts, sim.WithWarmFilter(workload.WarmFilter(p)),
+		sim.WithCheckpoint(every, func(_ uint64, snap *sim.SysSnap) error {
+			if captured == nil || !first {
 				captured = snap
 			}
 			return nil
 		}))
+	s, err := sim.New(cfg, workload.Generate(p, cfg.NumCores, instrs, 7), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +51,12 @@ func realSnap(t *testing.T) *sim.SysSnap {
 	return captured
 }
 
+// realSnap is a 2-core mid-run snapshot.
+func realSnap(t testing.TB) *sim.SysSnap {
+	t.Helper()
+	return midRunSnap(t, 2, 4000, 2048, true)
+}
+
 // tinySnap is a minimal synthetic snapshot: the corruption fuzz flips
 // every byte offset, which is quadratic in checkpoint size, so it
 // wants the smallest structurally complete file.
@@ -52,18 +64,78 @@ func tinySnap() *sim.SysSnap {
 	return &sim.SysSnap{Cycle: 4096}
 }
 
+func mustEncode(t testing.TB, snap *sim.SysSnap) []byte {
+	t.Helper()
+	data, err := Encode("k", snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// snapEqual compares two snapshots by their encodings. Encode is a
+// function of the state (TestEncodeIsAFunctionOfTheState), so equal
+// bytes are equal state; comparing the structs themselves would trip
+// over the one thing a round trip changes, an empty slice decoding as
+// nil, which every Restore treats alike.
 func snapEqual(t *testing.T, a, b *sim.SysSnap) {
 	t.Helper()
-	ab, err := json.Marshal(a)
+	if ab, bb := mustEncode(t, a), mustEncode(t, b); !bytes.Equal(ab, bb) {
+		t.Fatalf("snapshots differ (encodings of %d and %d bytes)", len(ab), len(bb))
+	}
+}
+
+// TestEncodeIsAFunctionOfTheState: encoding one snapshot twice gives
+// the same bytes (nothing in a snapshot is walked in map order), and a
+// decoded snapshot encodes to the bytes it was decoded from — the fixed
+// point that lets every other test compare snapshots by encoding. The
+// snapshot is a mid-run 8-core RoW one with fault injection on, so the
+// injector's state and jittered in-flight messages are in it.
+func TestEncodeIsAFunctionOfTheState(t *testing.T) {
+	snap := midRunSnap(t, 8, 3000, 1024, true,
+		sim.WithFaults(faults.Config{Seed: 9, JitterProb: 0.3, JitterMax: 12}))
+	if snap.Faults == (faults.InjectorSnap{}) {
+		t.Fatal("snapshot carries no fault-injector state")
+	}
+	data := mustEncode(t, snap)
+	if again := mustEncode(t, snap); !bytes.Equal(data, again) {
+		t.Fatal("two encodings of one snapshot differ")
+	}
+	got, _, err := Decode("x", "k", data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
+	if back := mustEncode(t, got); !bytes.Equal(data, back) {
+		t.Fatalf("Encode(Decode(Encode(s))) is %d bytes and differs from Encode(s), %d bytes", len(back), len(data))
 	}
-	if string(ab) != string(bb) {
-		t.Fatalf("snapshots differ (%d vs %d bytes)", len(ab), len(bb))
+}
+
+// TestEncodeUsesOneBuffer: on top of what gob itself allocates to
+// encode the snapshot (its Encoder grows a private buffer to the whole
+// message before writing it out), Encode allocates the bytes it returns
+// and little else — the body is not staged in a second buffer and
+// copied into the file image.
+func TestEncodeUsesOneBuffer(t *testing.T) {
+	snap := realSnap(t)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var data []byte
+	encode := func() { data = mustEncode(t, snap) }
+	bare := func() {
+		if err := gob.NewEncoder(io.Discard).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encode() // gob compiles its encoders for the snapshot's types once
+	whole, gobs := allocated(encode), allocated(bare)
+	if own := int64(whole) - int64(gobs); own > int64(len(data))*5/4 {
+		t.Fatalf("Encode allocated %d bytes, gob alone %d: %d of its own for a %d-byte checkpoint, want at most 1.25x",
+			whole, gobs, own, len(data))
 	}
 }
 
@@ -99,73 +171,51 @@ func TestLoadKeyMismatch(t *testing.T) {
 }
 
 func TestLoadVersionMismatch(t *testing.T) {
-	// Hand-build checkpoints whose header names another format: the
-	// dense Version 1 this format replaced, and one from the future.
-	snap := tinySnap()
-	data, err := Encode("k", snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Hand-build checkpoints whose header names another format: the two
+	// JSON-bodied versions this format replaced, and one from the future.
+	data := mustEncode(t, tinySnap())
 	_, meta, err := Decode("x", "k", data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{1, Version + 1} {
+	for _, v := range []int{1, 2, Version + 1} {
 		meta.Version = v
 		// Re-frame with the altered header.
 		hdr, _ := json.Marshal(meta)
-		body, _ := json.Marshal(snap)
 		var buf []byte
 		buf = append(buf, magic[:]...)
 		buf = appendFrame(buf, hdr)
-		buf = appendFrame(buf, body)
+		buf = appendFrame(buf, bodyOf(t, data))
 		var mm *MismatchError
 		if _, _, err := Decode("x", "k", buf); !errors.As(err, &mm) || mm.Field != "version" {
 			t.Fatalf("version-%d checkpoint accepted by a version-%d reader: err=%v", v, Version, err)
 		}
 	}
+	// And a real one: a file the last Version 2 build wrote.
+	var mm *MismatchError
+	if _, _, err := Decode("x", "k", mustRead(t, "testdata/v2.ckpt")); !errors.As(err, &mm) || mm.Field != "version" || mm.Got != "2" {
+		t.Fatalf("Version 2 file: err=%v, want a version *MismatchError", err)
+	}
 }
 
 // TestCheckpointCarriesOnlyValidLines: an 8-core sps checkpoint with
-// Table I caches round-trips, and is under a third of what writing
-// every line of every sram array — Version 1's encoding — would take.
+// Table I caches round-trips and holds the lines that are valid, not a
+// record for every line the arrays have room for. The size bound is
+// the binary format's: this cell was 3.0 MB as a Version 2 JSON body
+// and at least 29.5 MB with every line written, as Version 1 did.
 func TestCheckpointCarriesOnlyValidLines(t *testing.T) {
-	cfg := config.Default()
-	cfg.NumCores = 8
-	cfg.Policy = config.PolicyRoW
-	p := workload.MustGet("sps")
-	progs := workload.Generate(p, cfg.NumCores, 3000, 7)
-	var snap *sim.SysSnap
-	s, err := sim.New(cfg, progs,
-		sim.WithWarmFilter(workload.WarmFilter(p)),
-		sim.WithCheckpoint(1024, func(_ uint64, sn *sim.SysSnap) error {
-			snap = sn
-			return nil
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if snap == nil {
-		t.Fatal("run finished without reaching a checkpoint")
-	}
-	data, err := Encode("k", snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := midRunSnap(t, 8, 3000, 1024, false)
+	data := mustEncode(t, snap)
 	got, _, err := Decode("x", "k", data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapEqual(t, got, snap)
 
-	// A lower bound on the dense encoding: this file, plus one zero
-	// record for every line the arrays have room for and do not hold.
-	capacity := func(l config.CacheLevel) int { return l.SizeBytes / cfg.Mem.LineBytes }
-	room := cfg.NumCores*(capacity(cfg.Mem.L1I)+capacity(cfg.Mem.L1D)+capacity(cfg.Mem.L2)) +
-		cfg.Mem.L3Banks*capacity(cfg.Mem.L3)
+	mem := config.Default().Mem
+	capacity := func(l config.CacheLevel) int { return l.SizeBytes / mem.LineBytes }
+	room := len(snap.Cores)*(capacity(mem.L1I)+capacity(mem.L1D)+capacity(mem.L2)) +
+		mem.L3Banks*capacity(mem.L3)
 	held := 0
 	for _, c := range snap.Cores {
 		held += len(c.L1I.Lines)
@@ -179,11 +229,10 @@ func TestCheckpointCarriesOnlyValidLines(t *testing.T) {
 	if held == 0 || held*10 > room {
 		t.Fatalf("checkpoint holds %d of %d lines; the cell is meant to be warm and sparse", held, room)
 	}
-	dense := len(data) + (room-held)*len(`{"Valid":false,"Tag":0,"Meta":0,"LRU":0},`)
-	if 3*len(data) >= dense {
-		t.Fatalf("checkpoint is %d bytes, dense encoding at least %d: want under a third", len(data), dense)
+	if len(data) > 2<<20 {
+		t.Fatalf("checkpoint is %d bytes for %d valid lines, want at most 2 MB", len(data), held)
 	}
-	t.Logf("checkpoint %d bytes for %d valid lines of %d; dense encoding >= %d bytes", len(data), held, room, dense)
+	t.Logf("checkpoint %d bytes for %d valid lines of %d", len(data), held, room)
 }
 
 func TestRotationKeepsPrevious(t *testing.T) {
@@ -212,6 +261,29 @@ func TestRotationKeepsPrevious(t *testing.T) {
 		t.Fatalf("fallback returned cycle %d, want 4096", meta.Cycle)
 	}
 	snapEqual(t, got, s1)
+}
+
+// TestFailedSaveLeavesNoTemporary: a Save that cannot rotate (the
+// ".prev" slot is occupied by a directory that is not empty) fails and
+// takes its temporary file with it; the lineage is as it was.
+func TestFailedSaveLeavesNoTemporary(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	if err := Save(path, "k", tinySnap()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path+PrevSuffix, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := Save(path, "k", tinySnap()); err == nil {
+		t.Fatal("Save rotated a checkpoint onto a non-empty directory")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed Save left its temporary behind: %v", err)
+	}
+	if _, meta, err := Load(path, "k"); err != nil || meta.Cycle != 4096 {
+		t.Fatalf("lineage damaged by a failed Save: meta=%+v err=%v", meta, err)
+	}
 }
 
 func TestLoadMissing(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -137,4 +138,50 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b[i:])
+}
+
+// bodyOf returns the body frame's payload of an encoded checkpoint.
+func bodyOf(t testing.TB, data []byte) []byte {
+	t.Helper()
+	_, rest, err := nextFrame(data[len(magic):])
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _, err := nextFrame(rest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// FuzzDecodeBody reaches what the tests above almost never do: they
+// damage a file and the CRC turns it away before the body decoder sees
+// a byte. Here the fuzz input is the body, framed with a correct CRC
+// behind a valid header, so it is gob and the snapshot types'
+// unmarshalers that must hold Decode's contract: a snapshot or a
+// *CorruptError, no panic, and no allocation out of proportion to a
+// frame (a length field inside the body must not be believed).
+func FuzzDecodeBody(f *testing.F) {
+	tiny := mustEncode(f, tinySnap())
+	tinyBody := bodyOf(f, tiny)
+	for _, body := range [][]byte{tinyBody, bodyOf(f, mustEncode(f, realSnap(f)))} {
+		f.Add(body)
+		for _, cut := range []int{len(body) / 4, len(body) / 2, len(body) - 1} {
+			f.Add(body[:cut])
+		}
+	}
+	hdr := tiny[:len(tiny)-len(tinyBody)-8] // magic and header frame, cycle 4096
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		snap, _, err := Decode("fuzz", "k", appendFrame(append([]byte(nil), hdr...), body))
+		runtime.ReadMemStats(&after)
+		var ce *CorruptError
+		if (err == nil) == (snap == nil) || err != nil && !errors.As(err, &ce) {
+			t.Fatalf("Decode returned snapshot %v, error %T: %v", snap != nil, err, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > maxFrame {
+			t.Fatalf("Decode allocated %d bytes for a %d-byte body", grew, len(body))
+		}
+	})
 }

@@ -27,6 +27,15 @@ func (c *pollCtx) Err() error {
 	return nil
 }
 
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestRunDurableAttempt is the contract of the one durable attempt
 // (Run) and of what its caller does with the lineage afterwards (Remove
 // it when the outcome is terminal, keep it when the run was canceled),
@@ -84,6 +93,7 @@ func TestRunDurableAttempt(t *testing.T) {
 		setup    func(t *testing.T, dir string)
 		resumed  bool // found hears a cycle > 0
 		warned   bool // found hears a *CorruptError
+		stale    bool // found hears a version *MismatchError
 		mismatch bool // the attempt fails with *MismatchError
 	}{
 		{name: "checkpointing off"},
@@ -96,6 +106,15 @@ func TestRunDurableAttempt(t *testing.T) {
 			setup: func(t *testing.T, dir string) {
 				interrupted(t, dir, key)
 				shred(t, Path(dir, key), Path(dir, key)+PrevSuffix)
+			}},
+		{name: "an older build's format", dir: true, stale: true,
+			setup: func(t *testing.T, dir string) {
+				// testdata/v2.ckpt is the parent commit's
+				// Encode("k", &sim.SysSnap{Cycle: 4096}): the version is
+				// refused before the key is looked at.
+				if err := os.WriteFile(Path(dir, key), mustRead(t, "testdata/v2.ckpt"), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}},
 		{name: "another run's checkpoint", dir: true, mismatch: true,
 			setup: func(t *testing.T, dir string) { interrupted(t, dir, other) }},
@@ -133,7 +152,9 @@ func TestRunDurableAttempt(t *testing.T) {
 				t.Errorf("found heard (cycle %d, warn %v) %d time(s), want one resume past cycle 0", cycle, warn, calls)
 			case tc.warned && (calls != 1 || cycle != 0 || !errors.As(warn, &ce)):
 				t.Errorf("found heard (cycle %d, warn %v) %d time(s), want one *CorruptError", cycle, warn, calls)
-			case !tc.resumed && !tc.warned && calls != 0:
+			case tc.stale && (calls != 1 || cycle != 0 || !errors.As(warn, &me) || me.Field != "version"):
+				t.Errorf("found heard (cycle %d, warn %v) %d time(s), want one version *MismatchError", cycle, warn, calls)
+			case !tc.resumed && !tc.warned && !tc.stale && calls != 0:
 				t.Errorf("found heard (cycle %d, warn %v) on a fresh start", cycle, warn)
 			}
 
@@ -148,6 +169,14 @@ func TestRunDurableAttempt(t *testing.T) {
 			}
 			if _, err := os.Stat(path); err != nil {
 				t.Fatalf("completed run left no checkpoint to clean up: %v", err)
+			}
+			if tc.stale {
+				// The run's saves rotated the old file out of both slots.
+				for _, f := range []string{path, path + PrevSuffix} {
+					if _, _, err := Decode(f, key, mustRead(t, f)); err != nil {
+						t.Errorf("slot still unreadable after the run: %v", err)
+					}
+				}
 			}
 			shred(t, path+".tmp")
 			if err := Remove(path); err != nil {

@@ -1,7 +1,7 @@
 package coherence
 
 import (
-	"sort"
+	"slices"
 
 	"rowsim/internal/sram"
 )
@@ -76,13 +76,21 @@ func (s *DirEntrySnap) Pending() DirPending {
 	return *s.Pend
 }
 
-// DirSnap is a deep copy of one bank's mutable protocol state. Stats
-// ride along so a checkpointed run restores to byte-identical counters
-// (they never feed back into protocol decisions, but they do reach the
-// final Result).
+// DirLineSnap is one line's directory entry in a DirSnap.
+type DirLineSnap struct {
+	Line  uint64
+	Entry DirEntrySnap
+}
+
+// DirSnap is a deep copy of one bank's mutable protocol state. Lines is
+// a slice in ascending line order, not a map, so that encoding a
+// snapshot is a function of the state (an encoder walks a map in
+// random order). Stats ride along so a checkpointed run restores to
+// byte-identical counters (they never feed back into protocol
+// decisions, but they do reach the final Result).
 type DirSnap struct {
 	Now   uint64
-	Lines map[uint64]DirEntrySnap
+	Lines []DirLineSnap
 	L3    sram.Snap
 	Stats DirStats
 }
@@ -113,10 +121,10 @@ func (e *dirEntry) snap() DirEntrySnap {
 // returns a pointer so the snapshot is handed around by reference
 // rather than bulk-copied.
 func (d *Directory) Snapshot() *DirSnap {
-	s := &DirSnap{Now: d.now, Lines: make(map[uint64]DirEntrySnap, len(d.lines)), L3: d.l3.Snapshot(), Stats: d.Stats}
-	//rowlint:ignore maporder building a map from a map; per-key copies are order-independent
-	for line, e := range d.lines {
-		s.Lines[line] = e.snap()
+	s := &DirSnap{Now: d.now, Lines: make([]DirLineSnap, 0, len(d.lines)), L3: d.l3.Snapshot(), Stats: d.Stats}
+	for _, line := range d.LinesKnown() {
+		e := d.lines[line]
+		s.Lines = append(s.Lines, DirLineSnap{Line: line, Entry: e.snap()})
 	}
 	return s
 }
@@ -129,8 +137,8 @@ func (d *Directory) Restore(s *DirSnap) {
 	d.now = s.Now
 	d.Stats = s.Stats
 	d.lines = make(map[uint64]*dirEntry, len(s.Lines))
-	//rowlint:ignore maporder rebuilding a map from a map; per-key copies are order-independent
-	for line, es := range s.Lines {
+	for k := range s.Lines {
+		line, es := s.Lines[k].Line, &s.Lines[k].Entry
 		pend := es.Pending()
 		e := &dirEntry{
 			state:   dirState(es.State),
@@ -174,6 +182,6 @@ func (d *Directory) LinesKnown() []uint64 {
 	for line := range d.lines {
 		out = append(out, line)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -268,8 +268,12 @@ func TestChaosKill9(t *testing.T) {
 
 // ckptSpec is heavier than chaosSpec so cells live long enough to
 // cross many checkpoint intervals: kills land while checkpoint files
-// are actively being written and rotated.
-const ckptSpec = `{"workload":"sps","param":"sharedfrac","values":[0.2,0.8],"cores":2,"instrs":3000}`
+// are actively being written and rotated. It is sized against the cost
+// of a save — the sweep must still be in flight when the first round's
+// kill lands (111 ms in with the default seed), or the corruption round
+// has no checkpoint to wait for: about 600 ms with binary bodies (3000
+// instructions, enough when a save was a JSON encode, finish in 130).
+const ckptSpec = `{"workload":"sps","param":"sharedfrac","values":[0.2,0.8],"cores":2,"instrs":9000}`
 
 const ckptCells = 6
 

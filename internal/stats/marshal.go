@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // JSON round-tripping for the three sample accumulators, so component
@@ -79,6 +81,78 @@ func (h *Histogram) UnmarshalJSON(b []byte) error {
 	}
 	h.buckets = v.Buckets
 	h.sum, h.n, h.max = v.Sum, v.N, v.Max
+	return nil
+}
+
+// Binary round-tripping for the same three accumulators: encoding/gob —
+// the checkpoint body's codec — cannot see unexported fields, and asks
+// a type for these methods instead. Fixed-width little-endian words; a
+// float64 travels as its IEEE 754 bits, so NaN payloads, infinities and
+// the sign of zero survive and a restored mean is bit-identical. Input
+// of the wrong length is an error, never a panic: the bytes come off a
+// disk.
+
+// MarshalBinary encodes the counter's full state.
+func (c Counter) MarshalBinary() ([]byte, error) {
+	return binary.LittleEndian.AppendUint64(nil, c.n), nil
+}
+
+// UnmarshalBinary restores the counter's full state.
+func (c *Counter) UnmarshalBinary(b []byte) error {
+	if len(b) != 8 {
+		return fmt.Errorf("stats: counter is 8 bytes, got %d", len(b))
+	}
+	c.n = binary.LittleEndian.Uint64(b)
+	return nil
+}
+
+// MarshalBinary encodes the mean's full state.
+func (m Mean) MarshalBinary() ([]byte, error) {
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 16), math.Float64bits(m.sum))
+	return binary.LittleEndian.AppendUint64(b, m.n), nil
+}
+
+// UnmarshalBinary restores the mean's full state.
+func (m *Mean) UnmarshalBinary(b []byte) error {
+	if len(b) != 16 {
+		return fmt.Errorf("stats: mean is 16 bytes, got %d", len(b))
+	}
+	m.sum = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	m.n = binary.LittleEndian.Uint64(b[8:])
+	return nil
+}
+
+// histogramFixed is the encoded size of a histogram's sum, n and max;
+// the buckets follow, eight bytes each.
+const histogramFixed = 24
+
+// MarshalBinary encodes the histogram's full state, bucket layout
+// included.
+func (h *Histogram) MarshalBinary() ([]byte, error) {
+	b := make([]byte, 0, histogramFixed+8*len(h.buckets))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(h.sum))
+	b = binary.LittleEndian.AppendUint64(b, h.n)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(h.max))
+	for _, c := range h.buckets {
+		b = binary.LittleEndian.AppendUint64(b, c)
+	}
+	return b, nil
+}
+
+// UnmarshalBinary restores the histogram's full state. As in the JSON
+// form, the bucket count comes from the encoded form and a histogram
+// with no buckets is refused (Observe indexes the last one).
+func (h *Histogram) UnmarshalBinary(b []byte) error {
+	if len(b) <= histogramFixed || (len(b)-histogramFixed)%8 != 0 {
+		return fmt.Errorf("stats: histogram is %d bytes plus 8 per bucket, at least one bucket; got %d", histogramFixed, len(b))
+	}
+	h.sum = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	h.n = binary.LittleEndian.Uint64(b[8:])
+	h.max = math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))
+	h.buckets = make([]uint64, (len(b)-histogramFixed)/8)
+	for i := range h.buckets {
+		h.buckets[i] = binary.LittleEndian.Uint64(b[histogramFixed+8*i:])
+	}
 	return nil
 }
 

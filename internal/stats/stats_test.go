@@ -1,6 +1,10 @@
 package stats
 
 import (
+	"bytes"
+	"encoding"
+	"encoding/gob"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -169,5 +173,98 @@ func TestFormatters(t *testing.T) {
 	}
 	if Pct(0.125) != "12.5%" {
 		t.Fatalf("Pct = %q", Pct(0.125))
+	}
+}
+
+// TestBinaryRoundTrip: the binary form of each accumulator restores its
+// exact state — floats bit for bit, so NaN, the infinities and negative
+// zero survive — both directly and as a field inside a gob stream (how a
+// checkpoint carries them; gob leaves zero values out, and negative zero
+// must not count as one).
+func TestBinaryRoundTrip(t *testing.T) {
+	sums := []float64{0, math.Copysign(0, -1), 1.5, -7e300, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff8_0000_dead_beef)} // a NaN with a payload
+	type carrier struct {
+		C Counter
+		M Mean
+		H *Histogram
+	}
+	for _, sum := range sums {
+		in := carrier{C: Counter{n: 1<<63 + 5}, M: Mean{sum: sum, n: 3}, H: NewHistogram(64)}
+		in.H.Observe(3)
+		in.H.Observe(1000)
+		in.H.sum, in.H.max = sum, sum
+
+		var direct carrier
+		direct.H = new(Histogram)
+		for _, p := range []struct {
+			from encoding.BinaryMarshaler
+			to   encoding.BinaryUnmarshaler
+		}{{in.C, &direct.C}, {in.M, &direct.M}, {in.H, direct.H}} {
+			b, err := p.from.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.to.UnmarshalBinary(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		var buf bytes.Buffer
+		var viaGob carrier
+		if err := gob.NewEncoder(&buf).Encode(in); err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewDecoder(&buf).Decode(&viaGob); err != nil {
+			t.Fatal(err)
+		}
+
+		for name, out := range map[string]carrier{"direct": direct, "gob": viaGob} {
+			bits := math.Float64bits
+			if out.C != in.C || out.M.n != in.M.n || bits(out.M.sum) != bits(sum) {
+				t.Errorf("%s, sum %v: counter/mean came back %+v %+v", name, sum, out.C, out.M)
+			}
+			h := out.H
+			if h == nil || h.n != in.H.n || bits(h.sum) != bits(sum) || bits(h.max) != bits(sum) ||
+				len(h.buckets) != len(in.H.buckets) {
+				t.Fatalf("%s, sum %v: histogram came back %+v", name, sum, h)
+			}
+			for i := range h.buckets {
+				if h.buckets[i] != in.H.buckets[i] {
+					t.Errorf("%s, sum %v: bucket %d is %d, want %d", name, sum, i, h.buckets[i], in.H.buckets[i])
+				}
+			}
+		}
+	}
+}
+
+// TestBinaryRejectsMalformed: input cut short (or padded) is an error,
+// never a panic, and a histogram with no buckets — whose Observe would
+// index out of range — is refused in the binary form as in the JSON one.
+func TestBinaryRejectsMalformed(t *testing.T) {
+	h := NewHistogram(16)
+	h.Observe(2)
+	for name, v := range map[string]interface {
+		encoding.BinaryMarshaler
+		encoding.BinaryUnmarshaler
+	}{"counter": &Counter{n: 9}, "mean": &Mean{sum: 2, n: 1}, "histogram": h} {
+		whole, err := v.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n <= len(whole)+1; n++ {
+			if n == len(whole) || name == "histogram" && n > histogramFixed && (n-histogramFixed)%8 == 0 {
+				continue // a well-formed length
+			}
+			if err := v.UnmarshalBinary(append(whole, 0)[:n]); err == nil {
+				t.Errorf("%s: %d of %d bytes accepted", name, n, len(whole))
+			}
+		}
+	}
+	if err := new(Histogram).UnmarshalBinary(make([]byte, histogramFixed)); err == nil {
+		t.Error("binary histogram with no buckets accepted")
+	}
+	if err := json.Unmarshal([]byte(`{"sum":0,"n":0,"max":0}`), new(Histogram)); err == nil {
+		t.Error("JSON histogram with no buckets accepted")
 	}
 }
