@@ -199,7 +199,7 @@ func run() (code int) {
 		show(fn(r))
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "total wall time: %s\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "total wall time: %s; %s\n", time.Since(start).Round(time.Millisecond), r.SetupStats())
 	}
 	return 0
 }

@@ -6,6 +6,7 @@
 //	rowsim -workload pc -policy eager
 //	rowsim -workload canneal -policy row -detect rwdir -pred ud
 //	rowsim -workload sps -policy lazy -cores 16 -instrs 50000
+//	rowsim -workload sps -cores 32 -instrs 24000 -cpuprofile cpu.out
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"os"
 
 	"rowsim/internal/config"
+	"rowsim/internal/profiling"
 	"rowsim/internal/sim"
 	"rowsim/internal/stats"
 	"rowsim/internal/trace"
@@ -21,6 +23,12 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+// run is main with an exit code, so that the deferred profile stop runs
+// on every path.
+func run() (code int) {
 	var (
 		name    = flag.String("workload", "pc", "workload name (see -list)")
 		policy  = flag.String("policy", "row", "atomic policy: eager, lazy, row, far")
@@ -35,13 +43,17 @@ func main() {
 		verbose = flag.Bool("v", false, "print extended statistics")
 		perCore = flag.Bool("percore", false, "print a per-core breakdown table")
 		traceIn = flag.String("tracefile", "", "replay a trace file (from rowtrace -save) instead of generating")
+
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		traceFile  = flag.String("trace", "", "write a runtime execution trace to this file")
 	)
 	flag.Parse()
 
 	sched, err := sim.ParseScheduler(*schedF)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 
 	if *list {
@@ -49,8 +61,22 @@ func main() {
 			p := workload.MustGet(n)
 			fmt.Printf("%-14s %5.1f atomics/10k  %s\n", n, p.AtomicsPer10K, p.Descr)
 		}
-		return
+		return 0
 	}
+
+	stopProf, err := profiling.Start(*cpuprofile, *memprofile, *traceFile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	cfg := config.Default()
 	cfg.NumCores = *cores
@@ -66,7 +92,7 @@ func main() {
 		cfg.Policy = config.PolicyFar
 	default:
 		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
-		os.Exit(2)
+		return 2
 	}
 	switch *detect {
 	case "ew":
@@ -77,7 +103,7 @@ func main() {
 		cfg.RoW.Detection = config.DetectRWDir
 	default:
 		fmt.Fprintf(os.Stderr, "unknown detection %q\n", *detect)
-		os.Exit(2)
+		return 2
 	}
 	switch *pred {
 	case "ud":
@@ -88,7 +114,7 @@ func main() {
 		cfg.RoW.Predictor = config.PredTwoUpOneDown
 	default:
 		fmt.Fprintf(os.Stderr, "unknown predictor %q\n", *pred)
-		os.Exit(2)
+		return 2
 	}
 
 	// The early address-calculation pass is a RoW mechanism (it opens
@@ -99,20 +125,20 @@ func main() {
 	p, err := workload.Get(*name)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 	var progs []trace.Program
 	if *traceIn != "" {
 		f, err := os.Open(*traceIn)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		progs, err = trace.ReadPrograms(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		if len(progs) > *cores {
 			cfg.NumCores = len(progs)
@@ -123,12 +149,12 @@ func main() {
 	system, err := sim.New(cfg, progs, sim.WithWarmFilter(workload.WarmFilter(p)), sim.WithScheduler(sched))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	r, err := system.Run()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 
 	fmt.Printf("workload        %s (%s)\n", p.Name, p.Descr)
@@ -181,6 +207,7 @@ func main() {
 		fmt.Printf("ext stalls      %d\n", r.ExtStalls)
 		fmt.Printf("net messages    %d\n", r.NetworkMessages)
 	}
+	return 0
 }
 
 func pct(a, b uint64) float64 {

@@ -162,8 +162,9 @@ func run() (code int) {
 	note := func(i int, format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "%-30s %s\n", cells[i].Key, fmt.Sprintf(format, args...))
 	}
+	setup := experiments.NewSetup(experiments.Jobs(*jobs))
 	outs := sup.Sweep(ctx, snap, *jobs, sweep, func(runCtx context.Context, i int) (sim.Result, error) {
-		return spec.Run(runCtx, cells[i], ckptDir, *ckptEvery, func(cycle uint64, warn error) {
+		return spec.Run(runCtx, cells[i], setup, ckptDir, *ckptEvery, func(cycle uint64, warn error) {
 			if warn != nil {
 				note(i, "checkpoint unusable, starting fresh: %v", warn)
 			} else {
@@ -186,6 +187,8 @@ func run() (code int) {
 		// and this removal strands the files): no future use.
 		checkpoint.Remove(sweep[i].Checkpoint)
 	})
+
+	fmt.Fprintln(os.Stderr, setup.Stats())
 
 	for _, out := range outs {
 		if out.Status == lifecycle.StatusCanceled {

@@ -74,8 +74,12 @@ func Cross(workloads []string, variants ...Variant) []Spec {
 }
 
 // SetJobs sets the worker count Warm fans runs across (resolved via
-// Jobs; the default is 1, i.e. fully sequential).
-func (r *Runner) SetJobs(n int) { r.jobs = Jobs(n) }
+// Jobs; the default is 1, i.e. fully sequential). The set-up cache is
+// sized to match.
+func (r *Runner) SetJobs(n int) {
+	r.jobs = Jobs(n)
+	r.setup.setRuns(r.jobs)
+}
 
 // Jobs returns the effective worker count.
 func (r *Runner) Jobs() int {

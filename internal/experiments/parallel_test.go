@@ -57,30 +57,42 @@ func parallelTestOptions() Options {
 // guarantee: the rendered figure tables must be byte-identical whether
 // the underlying runs execute sequentially or fanned across a worker
 // pool. The parallel phase only warms the memo; the table pass always
-// reads it back in sweep order.
+// reads it back in sweep order. The reference is neither: a table
+// rendered from cells that were each generated, built by plain sim.New
+// and warmed on their own, so the shared trace sets and warm images of
+// the runner's set-up cache are held to the path they replace.
 func TestFigureOutputIdenticalForAnyJobs(t *testing.T) {
 	figures := []struct {
-		name string
-		run  func(r *Runner) fmt.Stringer
+		name     string
+		run      func(r *Runner) fmt.Stringer
+		variants []Variant
 	}{
-		{"Fig1", func(r *Runner) fmt.Stringer { return Fig1(r) }},
-		{"Fig9", func(r *Runner) fmt.Stringer { return Fig9(r) }},
-		{"Fig11", func(r *Runner) fmt.Stringer { return Fig11(r) }},
+		{"Fig1", func(r *Runner) fmt.Stringer { return Fig1(r) }, []Variant{VarEager, VarLazy}},
+		{"Fig9", func(r *Runner) fmt.Stringer { return Fig9(r) }, append([]Variant{VarEager}, Fig9Variants...)},
+		{"Fig11", func(r *Runner) fmt.Stringer { return Fig11(r) }, []Variant{VarEager, VarLazy, VarDirUD, VarDirSat}},
 	}
-	jobCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
+	opt := parallelTestOptions()
 	for _, fig := range figures {
-		var want string
-		for i, jobs := range jobCounts {
-			r := NewRunner(parallelTestOptions())
-			r.SetJobs(jobs)
-			got := fig.run(r).String()
-			if i == 0 {
-				want = got
-				continue
+		ref := NewRunner(opt)
+		for _, wl := range opt.Workloads {
+			for _, v := range fig.variants {
+				s, err := plainSystem(v.Config(opt.Cores), wl, opt.Cores, opt.Instrs, opt.Seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.cache[wl+"#"+v.key()] = s.MustRun()
 			}
-			if got != want {
-				t.Fatalf("%s with jobs=%d differs from jobs=%d output:\n%s\n--- vs ---\n%s",
-					fig.name, jobs, jobCounts[0], got, want)
+		}
+		want := fig.run(ref).String()
+		if n := ref.SetupStats(); n != (SetupStats{}) {
+			t.Fatalf("%s: the reference runner simulated a cell itself (%v); its variant list is out of date", fig.name, n)
+		}
+		for _, jobs := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+			r := NewRunner(opt)
+			r.SetJobs(jobs)
+			if got := fig.run(r).String(); got != want {
+				t.Fatalf("%s with jobs=%d differs from the table of plainly built cells:\n%s\n--- vs ---\n%s",
+					fig.name, jobs, got, want)
 			}
 		}
 	}
@@ -128,7 +140,9 @@ func TestParallelSweepKillResume(t *testing.T) {
 	}
 
 	// Phase 1: specs 4..7 occupy all four workers until spec 7 cancels
-	// the sweep, so the cancel lands while spec 8 waits for a worker.
+	// the sweep — once 4..6 are inside their attempts, since a worker
+	// that has its spec but not yet started it would see the cancel and
+	// never run — so the cancel lands while spec 8 waits for a worker.
 	// Every spec past 8 is then certainly undispatched (spec 8 itself
 	// may win the race for a freed worker and come back canceled by
 	// the supervisor instead).
@@ -138,9 +152,15 @@ func TestParallelSweepKillResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	var started sync.WaitGroup
+	started.Add(3)
 	outs := lifecycle.New(lifecycle.Config{Journal: j}).Sweep(ctx, nil, 4, jobs, func(c context.Context, i int) (sim.Result, error) {
-		if i == 7 {
+		switch {
+		case i == 7:
+			started.Wait()
 			cancel()
+		case i >= 4:
+			started.Done()
 		}
 		if i >= 4 {
 			<-c.Done()

@@ -131,17 +131,22 @@ func (v Variant) key() string {
 		v.Name, v.Policy, v.Detection, v.Predictor, v.Forward, v.Threshold, v.PredEntries, v.AQSize)
 }
 
-// Runner executes and memoizes simulation runs: several figures share
-// the same eager/lazy/RoW runs. It is safe for concurrent use: the
-// memo map is mutex-protected, so the torture harness and parallel
-// figure runs can share one runner. Concurrent misses on the same key
-// may run the simulation twice (both arrive at the same result; the
-// memo is purely a performance optimization).
+// Runner executes simulation runs and shares what they have in common,
+// at two levels: a memo of results (several figures use the same
+// eager/lazy/RoW runs) and a set-up cache of trace sets (the runs of one
+// workload differ in policy only, so they share one generated trace set
+// and one warm image; see Setup). It is safe for concurrent use — the
+// torture harness and parallel figure runs can share one runner.
+// Concurrent misses on the same memo key may run the simulation twice;
+// a trace set wanted twice is generated once. Both are purely
+// performance optimizations: every result is the one a fresh
+// Generate + sim.New + Run would give.
 type Runner struct {
 	opt   Options
 	ctx   context.Context       // base context for Run/MustRun (nil = Background)
 	super *lifecycle.Supervisor // optional supervision of every run
 	jobs  int                   // Warm worker count (see SetJobs; <1 = sequential)
+	setup *Setup
 	mu    sync.Mutex
 	cache map[string]sim.Result
 	// cycles accumulates the simulated cycles of every non-memoized
@@ -154,7 +159,7 @@ type Runner struct {
 
 // NewRunner builds a runner with the given options.
 func NewRunner(opt Options) *Runner {
-	return &Runner{opt: opt.withDefaults(), cache: make(map[string]sim.Result)}
+	return &Runner{opt: opt.withDefaults(), cache: make(map[string]sim.Result), setup: NewSetup(1)}
 }
 
 // Options returns the effective (defaulted) options.
@@ -198,9 +203,7 @@ func (r *Runner) RunCtx(ctx context.Context, wl string, v Variant) (sim.Result, 
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("experiments: %w", err)
 		}
-		progs := workload.Generate(p, r.opt.Cores, r.opt.Instrs, r.opt.Seed)
-		cfg := v.Config(r.opt.Cores)
-		s, err := sim.New(cfg, progs, sim.WithWarmFilter(workload.WarmFilter(p)), sim.WithScheduler(r.opt.Sched))
+		s, err := r.setup.System(v.Config(r.opt.Cores), p, r.opt.Cores, r.opt.Instrs, r.opt.Seed, sim.WithScheduler(r.opt.Sched))
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("experiments: %w", err)
 		}
@@ -275,6 +278,9 @@ func (r *Runner) MustRunPrograms(cfg *config.Config, progs []trace.Program) sim.
 	}
 	return res
 }
+
+// SetupStats reports what the runner's set-up cache did so far.
+func (r *Runner) SetupStats() SetupStats { return r.setup.Stats() }
 
 // SimulatedCycles returns the total simulated cycles executed by this
 // runner's completed (non-memoized) runs — what rowperf divides by wall

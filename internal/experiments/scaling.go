@@ -38,7 +38,7 @@ func Scaling(r *Runner, workloads []string) *stats.Table {
 				Seed:      r.opt.Seed,
 				Workloads: []string{wl},
 			})
-			sub.Progress = r.Progress
+			sub.Progress, sub.setup = r.Progress, r.setup // one bounded set-up cache, not one per cell
 			cells = append(cells, cell{wl: wl, n: n, sub: sub})
 		}
 	}
@@ -156,7 +156,7 @@ func Stability(r *Runner, seeds []uint64, workloads []string) *stats.Table {
 				Seed:      seed,
 				Workloads: []string{wl},
 			})
-			sub.Progress = r.Progress
+			sub.Progress, sub.setup = r.Progress, r.setup // one bounded set-up cache, not one per cell
 			e := sub.MustRun(wl, VarEager)
 			lazies = append(lazies, Norm(sub.MustRun(wl, VarLazy).Cycles, e.Cycles))
 			rows = append(rows, Norm(sub.MustRun(wl, VarDirSat).Cycles, e.Cycles))

@@ -1,7 +1,8 @@
 // Package profiling wires the standard runtime/pprof and runtime/trace
-// collectors behind the -cpuprofile/-memprofile/-trace flags of the
-// rowbench and rowsweep binaries, so perf work can profile real figure
-// runs without patching the tools.
+// collectors behind the -cpuprofile/-memprofile/-trace flags of rowsim
+// (one cell), rowbench (figures), rowsweep (a sweep) and rowserve (the
+// daemon), so perf work can profile real runs without patching the
+// tools or writing a harness.
 package profiling
 
 import (

@@ -10,8 +10,10 @@ import (
 	"testing"
 
 	"rowsim/internal/checkpoint"
+	"rowsim/internal/experiments"
 	"rowsim/internal/lifecycle"
 	"rowsim/internal/sim"
+	"rowsim/internal/workload"
 )
 
 // TestFrontEndsAgree runs one sweep the way rowsweep does — a spec
@@ -20,7 +22,9 @@ import (
 // value — and the way a client of the daemon does — the JSON spec
 // POSTed to an in-process Server — and requires the same cell keys,
 // the same content keys (hence the same checkpoint files and memo
-// entries) and the same sim.Result for every cell.
+// entries) and the same sim.Result for every cell: the result of the
+// cell generated, built by plain sim.New and warmed on its own, which
+// neither front end does (both share trace sets through a set-up cache).
 func TestFrontEndsAgree(t *testing.T) {
 	// The CLI front end: rowsweep -workload pc -param hotlines
 	// -values "1, 4.0" -cores 2 -instrs 300 -seed 0 -sched cycle.
@@ -40,9 +44,13 @@ func TestFrontEndsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	setup := experiments.NewSetup(2)
 	outs := lifecycle.New(lifecycle.Config{}).Sweep(context.Background(), nil, 2, jobs, func(ctx context.Context, i int) (sim.Result, error) {
-		return cli.Run(ctx, cells[i], ckptDir, 256, nil, sim.WithScheduler(sim.SchedCycle))
+		return cli.Run(ctx, cells[i], setup, ckptDir, 256, nil, sim.WithScheduler(sim.SchedCycle))
 	}, nil)
+	if n, want := setup.Stats(), (experiments.SetupStats{Generated: 2, Warmed: 2, Reused: 4}); n != want {
+		t.Errorf("CLI sweep of 2 values x 3 policies: %v, want %v", n, want)
+	}
 
 	// The daemon front end.
 	srv, hs := testServer(t, Config{Journal: filepath.Join(t.TempDir(), "q.jsonl"), CheckpointEvery: 256}, true)
@@ -76,8 +84,20 @@ func TestFrontEndsAgree(t *testing.T) {
 		if outs[i].Status != lifecycle.StatusOK || served.Result == nil {
 			t.Fatalf("cell %s: CLI %+v, daemon %+v", c.Key, outs[i], served)
 		}
-		if got, want := outs[i].Result.SchedNormalized(), served.Result.SchedNormalized(); got != want {
-			t.Errorf("cell %s: results differ\nCLI    %+v\ndaemon %+v", c.Key, got, want)
+		wp, err := cli.WorkloadParams(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := sim.New(cli.Config(c), workload.Generate(wp, cli.Cores, cli.Instrs, cli.Seed), sim.WithWarmFilter(workload.WarmFilter(wp)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sys.MustRun().SchedNormalized()
+		if got := outs[i].Result.SchedNormalized(); got != want {
+			t.Errorf("cell %s: the CLI's result differs from a plainly built cell's\nCLI   %+v\nplain %+v", c.Key, got, want)
+		}
+		if got := served.Result.SchedNormalized(); got != want {
+			t.Errorf("cell %s: the daemon's result differs from a plainly built cell's\ndaemon %+v\nplain  %+v", c.Key, got, want)
 		}
 	}
 	if cells[3].Key != "hotlines=4/eager" {

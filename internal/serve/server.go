@@ -91,6 +91,7 @@ type Server struct {
 	cfg   Config
 	q     *queue
 	memo  *memo
+	setup *experiments.Setup // trace sets shared by the cells of a value
 	sup   *lifecycle.Supervisor
 	stats *statsBook
 
@@ -124,6 +125,7 @@ func Open(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		memo:  newMemo(),
+		setup: experiments.NewSetup(cfg.Workers),
 		stats: newStatsBook(cfg.Workers),
 	}
 	s.cellCtx, s.cellCancel = context.WithCancel(context.Background())
@@ -267,7 +269,7 @@ func (s *Server) runCell(id int, c *cellState) {
 		// A checkpoint left by a previous attempt or a previous daemon
 		// process is resumed; a corrupt pair is a bounded loss (start
 		// fresh), never a failed cell.
-		return sw.spec.Run(runCtx, c.cell, s.cfg.CheckpointDir, s.cfg.CheckpointEvery, func(_ uint64, warn error) {
+		return sw.spec.Run(runCtx, c.cell, s.setup, s.cfg.CheckpointDir, s.cfg.CheckpointEvery, func(_ uint64, warn error) {
 			if warn == nil {
 				s.stats.add(func(b *statsBook) { b.cellsCkptResumed++ })
 			}
@@ -341,6 +343,7 @@ func (s *Server) admissionRetryAfter(pending int) int {
 // Snapshot assembles the /v1/stats document.
 func (s *Server) Snapshot() Stats {
 	hits, misses, entries := s.memo.counters()
+	setup := s.setup.Stats()
 	s.q.mu.Lock()
 	depth := s.q.pendingN
 	tenants := make(map[string]int, len(s.q.tenantFIFO))
@@ -368,6 +371,10 @@ func (s *Server) Snapshot() Stats {
 		RejectedDrain:    b.rejectedDrain,
 		CellsExecuted:    b.cellsExecuted,
 		CellsFromCache:   b.cellsFromCache,
+		SetupGenerated:   setup.Generated,
+		SetupWarmed:      setup.Warmed,
+		SetupReused:      setup.Reused,
+		SetupEvicted:     setup.Evicted,
 		CellsResumed:     b.cellsResumed,
 		CellsRequeued:    b.cellsRequeued,
 		CellsCkptResumed: b.cellsCkptResumed,

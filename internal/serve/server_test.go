@@ -415,6 +415,34 @@ func TestServerStats(t *testing.T) {
 	}
 }
 
+// TestServerSharesTraceSets: the policies of one value share a trace
+// set — generated and warmed once however the two workers race for it —
+// the counters say so in /v1/stats, and the cache holds workers+1 images.
+func TestServerSharesTraceSets(t *testing.T) {
+	_, hs := testServer(t, Config{}, true) // 2 workers: room for 3 images
+	stats := func() (st Stats) {
+		t.Helper()
+		_, body := get(t, hs, "", "/v1/stats")
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	_, v := submit(t, hs, "", testSpec(t, 0.2, 0.8))
+	waitDone(t, hs, "", v.ID)
+	if st := stats(); st.SetupGenerated != 2 || st.SetupWarmed != 2 || st.SetupReused != 2 || st.SetupEvicted != 0 || st.CellsExecuted != 4 {
+		t.Fatalf("2 values x 2 policies: generated %d, warmed %d, reused %d, evicted %d, executed %d; want 2, 2, 2, 0, 4",
+			st.SetupGenerated, st.SetupWarmed, st.SetupReused, st.SetupEvicted, st.CellsExecuted)
+	}
+	_, v = submit(t, hs, "", testSpec(t, 0.1, 0.3, 0.5, 0.7, 0.9))
+	waitDone(t, hs, "", v.ID)
+	st := stats()
+	if st.SetupWarmed < 7 || st.SetupWarmed+st.SetupReused != st.CellsExecuted || st.SetupEvicted != st.SetupWarmed-3 {
+		t.Fatalf("after 5 more values: warmed %d, reused %d, evicted %d, executed %d; want >= 7 warmed, every executed cell counted once, all but 3 images evicted",
+			st.SetupWarmed, st.SetupReused, st.SetupEvicted, st.CellsExecuted)
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool, msg string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

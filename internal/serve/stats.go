@@ -32,6 +32,10 @@ type Stats struct {
 
 	CellsExecuted    uint64 `json:"cells_executed"`     // computed by a worker
 	CellsFromCache   uint64 `json:"cells_from_cache"`   // served by the memo
+	SetupGenerated   uint64 `json:"setup_generated"`    // trace sets generated
+	SetupWarmed      uint64 `json:"setup_warmed"`       // executed cells that warmed (and left a warm image)
+	SetupReused      uint64 `json:"setup_reused"`       // executed cells built from an image already there
+	SetupEvicted     uint64 `json:"setup_evicted"`      // warm images dropped to make room
 	CellsResumed     uint64 `json:"cells_resumed"`      // served from the journal at startup
 	CellsRequeued    uint64 `json:"cells_requeued"`     // re-enqueued at startup
 	CellsCkptResumed uint64 `json:"cells_ckpt_resumed"` // resumed mid-run from a checkpoint

@@ -33,6 +33,7 @@ type System struct {
 	pool     *coherence.MsgPool
 
 	warmFilter func(core int, line uint64) bool
+	image      *WarmImage // WithWarmImage: read-only, shared with other systems
 	checkEvery uint64
 	watchdog   uint64
 	crossCheck bool
@@ -53,6 +54,18 @@ type Option func(*System)
 // returns false stay cold (e.g. a capacity-missing atomic region).
 func WithWarmFilter(f func(core int, line uint64) bool) Option {
 	return func(s *System) { s.warmFilter = f }
+}
+
+// WithWarmImage makes New restore img where it would have called Warm:
+// the caches and banks come up in the state Warm left the system the
+// image was taken from (see System.WarmImage), for the cost of their
+// Restore methods. The image is only read, so any number of systems —
+// concurrent ones included — may be built from one. New refuses an
+// image whose memory geometry or core count is not the configuration's;
+// with cfg.WarmCaches off there is nothing to restore and the image is
+// ignored. The warm filter plays no part: it already shaped the image.
+func WithWarmImage(img *WarmImage) Option {
+	return func(s *System) { s.image = img }
 }
 
 // WithInvariantChecks verifies the single-writer/multiple-reader
@@ -175,7 +188,11 @@ func New(cfg *config.Config, progs []trace.Program, opts ...Option) (*System, er
 		opt(s)
 	}
 	if cfg.WarmCaches {
-		s.Warm(progs)
+		if s.image == nil {
+			s.Warm(progs)
+		} else if err := s.restoreWarm(s.image); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }

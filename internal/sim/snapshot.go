@@ -5,6 +5,7 @@ import (
 
 	"rowsim/internal/cache"
 	"rowsim/internal/coherence"
+	"rowsim/internal/config"
 	"rowsim/internal/core"
 	"rowsim/internal/faults"
 	"rowsim/internal/interconnect"
@@ -21,9 +22,12 @@ import (
 // Not captured, by design:
 //
 //   - programs: workload.Generate is a pure function of its parameters,
-//     so the trace is regenerated on resume and core.Restore rebinds
-//     instruction pointers by program index. The checkpoint content key
-//     covers the generator parameters instead.
+//     so a resume builds the system over the same trace again — freshly
+//     generated, or the shared copy a sweep's set-up cache holds, in
+//     which case New first restores the set's warm image and RestoreSnap
+//     then overwrites it — and core.Restore rebinds instruction pointers
+//     by program index. The checkpoint content key covers the generator
+//     parameters instead.
 //   - the error sink: snapshots are taken in RunCtx's cold block, which
 //     runs only after the sink has been checked empty that cycle — a
 //     system with a recorded protocol error never reaches a checkpoint.
@@ -38,7 +42,8 @@ type SysSnap struct {
 	Mesh    interconnect.MeshSnap `json:"mesh"`
 	// The per-component snapshots are held by pointer: each one is
 	// built in place by its component and handed around by reference
-	// (a CoreSnap alone is ~900 bytes). JSON encoding is unchanged.
+	// (a CoreSnap alone is ~900 bytes). The checkpoint body is one gob
+	// stream of this struct, which follows the pointers.
 	Cores  []*core.CoreSnap     `json:"cores"`
 	Caches []*cache.CacheSnap   `json:"caches"`
 	Dirs   []*coherence.DirSnap `json:"dirs"`
@@ -95,6 +100,52 @@ func (s *System) RestoreSnap(snap *SysSnap) error {
 	}
 	for i, d := range s.dirs {
 		d.Restore(snap.Dirs[i])
+	}
+	return nil
+}
+
+// WarmImage is the memory half of a SysSnap — every private cache and
+// every directory bank — as Warm left them, plus the geometry they were
+// built with. Warm is a function of the programs, the warm filter and
+// that geometry only, so one image serves every policy variant run over
+// one trace set: take it from the first system (WarmImage) and hand it
+// to the rest (WithWarmImage). It is not a second way of warming, only
+// Warm's result carried by the snapshot types checkpoints use.
+type WarmImage struct {
+	Mem    config.Memory
+	Caches []*cache.CacheSnap
+	Dirs   []*coherence.DirSnap
+}
+
+// WarmImage captures the caches and banks of a system New has just
+// built, before it runs: at that point they hold what Warm installed
+// and nothing else. Like Snapshot it is a pure read.
+func (s *System) WarmImage() *WarmImage {
+	img := &WarmImage{
+		Mem:    s.cfg.Mem,
+		Caches: make([]*cache.CacheSnap, len(s.caches)),
+		Dirs:   make([]*coherence.DirSnap, len(s.dirs)),
+	}
+	for i, pc := range s.caches {
+		img.Caches[i] = pc.Snapshot()
+	}
+	for i, d := range s.dirs {
+		img.Dirs[i] = d.Snapshot()
+	}
+	return img
+}
+
+// restoreWarm is New's alternative to Warm: the same state, restored.
+func (s *System) restoreWarm(img *WarmImage) error {
+	if img.Mem != s.cfg.Mem || len(img.Caches) != len(s.caches) || len(img.Dirs) != len(s.dirs) {
+		return fmt.Errorf("sim: warm image of %d caches/%d banks, memory %+v, does not fit a system of %d/%d, memory %+v",
+			len(img.Caches), len(img.Dirs), &img.Mem, len(s.caches), len(s.dirs), &s.cfg.Mem)
+	}
+	for i, pc := range s.caches {
+		pc.Restore(img.Caches[i])
+	}
+	for i, d := range s.dirs {
+		d.Restore(img.Dirs[i])
 	}
 	return nil
 }
