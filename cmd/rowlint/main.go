@@ -3,21 +3,17 @@
 //
 //	go run ./cmd/rowlint ./...
 //
-// It exits non-zero when any active finding remains. Suppressed
-// findings (//rowlint:ignore <analyzer> <reason>) are counted in the
-// summary and listed with -v. The pass is stdlib-only: it loads and
-// type-checks packages with go/parser + go/types, so it needs no
-// network and no tools beyond the Go distribution.
+// It exits 1 when any active finding remains (append `|| true` for an
+// advisory run) and 2 on a usage or load error. Suppressed findings
+// (//rowlint:ignore <analyzer> <reason>) are counted in the summary and
+// listed with -v; -json prints every finding as a JSON array instead.
+// The pass is stdlib-only: it loads and type-checks packages with
+// go/parser + go/types, so it needs no network and no tools beyond the
+// Go distribution.
 //
 // Fast pre-commit runs: -only=<analyzer,...> restricts the analyzer
 // set and -changed[=<git-ref>] restricts linting to packages with
-// files modified since the ref (scripts/precommit.sh wires both).
-//
-// Whole-program artifacts: -ownership-report writes the classified
-// cross-domain edge map, and -shard-plan writes SHARDPLAN.json — the
-// machine-checked parallel execution plan (epoch bound, shard
-// assignments, per-seam verdicts). -fail-on selects which conditions
-// fail the run (findings, unclassified, unproven).
+// files modified since the ref (scripts/precommit.sh wires the latter).
 package main
 
 import (
@@ -62,12 +58,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rowlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	verbose := fs.Bool("v", false, "also list suppressed findings")
-	analyzersFlag := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-	onlyFlag := fs.String("only", "", "comma-separated analyzer subset (alias of -analyzers)")
+	only := fs.String("only", "", "comma-separated analyzer subset (default: all)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (suppressed included) instead of text")
-	reportPath := fs.String("ownership-report", "", "write the whole-program shard-ownership report (JSON) to this path ('-' for stdout); exits non-zero on unclassified edges")
-	planPath := fs.String("shard-plan", "", "write the machine-checked parallel execution plan (JSON) to this path ('-' for stdout); needs the full module (./...)")
-	failOn := fs.String("fail-on", "findings,unclassified,unproven", "comma-separated conditions that exit non-zero: findings, unclassified, unproven (or 'none')")
 	var changed changedFlag
 	fs.Var(&changed, "changed", "lint only packages with files modified since the given git ref (bare -changed: HEAD)")
 	bigcopyBytes := fs.Int64("bigcopy-bytes", lint.BigCopyThreshold, "struct-copy size threshold (bytes) for the bigcopy analyzer")
@@ -80,20 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 
-	only := *analyzersFlag
-	if *onlyFlag != "" {
-		if only != "" && only != *onlyFlag {
-			fmt.Fprintln(stderr, "rowlint: -only and -analyzers are aliases; pass just one")
-			return 2
-		}
-		only = *onlyFlag
-	}
-	analyzers, err := selectAnalyzers(only)
-	if err != nil {
-		fmt.Fprintln(stderr, "rowlint:", err)
-		return 2
-	}
-	gates, err := parseFailOn(*failOn)
+	analyzers, err := selectAnalyzers(*only)
 	if err != nil {
 		fmt.Fprintln(stderr, "rowlint:", err)
 		return 2
@@ -185,50 +164,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, summary)
 	}
 
-	code := 0
-	if active > 0 && gates["findings"] {
-		code = 1
+	if active > 0 {
+		return 1
 	}
-	if *reportPath != "" {
-		unclassified, err := writeOwnershipReport(stderr, loader, pkgs, *reportPath, stdout)
-		if err != nil {
-			fmt.Fprintln(stderr, "rowlint:", err)
-			return 2
-		}
-		if unclassified > 0 && gates["unclassified"] && code == 0 {
-			code = 1
-		}
-	}
-	if *planPath != "" {
-		clean, err := writeShardPlan(stderr, loader, pkgs, *planPath, stdout)
-		if err != nil {
-			fmt.Fprintln(stderr, "rowlint:", err)
-			return 2
-		}
-		if !clean && gates["unproven"] && code == 0 {
-			code = 1
-		}
-	}
-	return code
-}
-
-// parseFailOn resolves the -fail-on flag into the set of gating
-// conditions.
-func parseFailOn(s string) (map[string]bool, error) {
-	gates := make(map[string]bool)
-	if s == "" || s == "none" {
-		return gates, nil
-	}
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		switch name {
-		case "findings", "unclassified", "unproven":
-			gates[name] = true
-		default:
-			return nil, fmt.Errorf("unknown -fail-on condition %q (want findings, unclassified, unproven or none)", name)
-		}
-	}
-	return gates, nil
+	return 0
 }
 
 // filterChanged keeps only the package directories holding files git
@@ -265,37 +204,6 @@ func filterChanged(modRoot, ref string, dirs []string) ([]string, error) {
 		}
 	}
 	return kept, nil
-}
-
-// writeShardPlan builds the parallel execution plan over the loaded
-// packages, writes it to path, and reports whether every plan check
-// gate is zero.
-func writeShardPlan(stderr io.Writer, loader *lint.Loader, pkgs []*lint.Package, path string, stdout io.Writer) (bool, error) {
-	plan, err := lint.BuildShardPlan(loader, pkgs)
-	if err != nil {
-		return false, err
-	}
-	data, err := plan.JSON()
-	if err != nil {
-		return false, err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		if _, err := stdout.Write(data); err != nil {
-			return false, err
-		}
-	} else if err := os.WriteFile(path, data, 0o644); err != nil {
-		return false, err
-	}
-	fmt.Fprintf(stderr, "rowlint: shard plan: %d seam(s) (%d unproven), epoch bound %d cycles, %d init-only violation(s), %d sync hazard(s), %d unclassified edge(s)\n",
-		len(plan.Seams), plan.Checks.UnprovenSeams, plan.Epoch.MinCrossShardLatencyCycles,
-		plan.Checks.InitOnlyViolations, plan.Checks.ShardSyncHazards, plan.Checks.UnclassifiedEdges)
-	for _, s := range plan.Seams {
-		if s.Verdict != "proven" {
-			fmt.Fprintf(stderr, "rowlint: unproven seam: %s (%s): %d finding(s)\n", s.Func, s.Kind, s.Findings)
-		}
-	}
-	return plan.Checks.Clean(), nil
 }
 
 // hasAnalyzer reports whether the selected set includes a.
@@ -340,40 +248,7 @@ func writeJSON(stdout io.Writer, cwd string, findings []lint.Finding) error {
 	return enc.Encode(out)
 }
 
-// writeOwnershipReport builds the whole-program shard-ownership report
-// over the loaded packages, writes it to path, and returns the number
-// of unclassified cross-domain edges (the CI gate).
-func writeOwnershipReport(stderr io.Writer, loader *lint.Loader, pkgs []*lint.Package, path string, stdout io.Writer) (int, error) {
-	rep, err := lint.BuildOwnershipReport(loader, pkgs)
-	if err != nil {
-		return 0, err
-	}
-	data, err := rep.JSON()
-	if err != nil {
-		return 0, err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		if _, err := stdout.Write(data); err != nil {
-			return 0, err
-		}
-	} else if err := os.WriteFile(path, data, 0o644); err != nil {
-		return 0, err
-	}
-	fmt.Fprintf(stderr, "rowlint: ownership report: %d entries, %d edges, %d unclassified\n",
-		len(rep.Entries), len(rep.Edges), rep.Unclassified)
-	if rep.Unclassified > 0 {
-		for _, e := range rep.Edges {
-			if e.Class == "unclassified" {
-				fmt.Fprintf(stderr, "rowlint: unclassified edge: %s -> %s %s %s (%s)\n",
-					e.From, e.To, e.Kind, e.Target, strings.Join(e.Sites, ", "))
-			}
-		}
-	}
-	return rep.Unclassified, nil
-}
-
-// selectAnalyzers resolves the -analyzers flag against the registry.
+// selectAnalyzers resolves the -only flag against the registry.
 func selectAnalyzers(only string) ([]*lint.Analyzer, error) {
 	all := lint.Analyzers()
 	if only == "" {

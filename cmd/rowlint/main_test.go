@@ -21,7 +21,7 @@ func TestRunSummaryCountsSuppressions(t *testing.T) {
 		t.Fatalf("exit code = %d, want 1 (fixture has active findings); stderr: %s", code, errOut.String())
 	}
 	got := out.String()
-	if !strings.Contains(got, "rowlint: 6 finding(s), 1 suppressed, 1 package(s)") {
+	if !strings.Contains(got, "rowlint: 7 finding(s), 1 suppressed, 1 package(s)") {
 		t.Errorf("summary line missing or wrong in output:\n%s", got)
 	}
 	if !strings.Contains(got, "missing the mandatory reason") {
@@ -48,10 +48,10 @@ func TestRunVerboseListsSuppressed(t *testing.T) {
 	}
 }
 
-// TestRunRejectsUnknownAnalyzer: the -analyzers flag validates names.
+// TestRunRejectsUnknownAnalyzer: the -only flag validates names.
 func TestRunRejectsUnknownAnalyzer(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-analyzers", "nope", "."}, &out, &errOut); code != 2 {
+	if code := run([]string{"-only", "nope", "."}, &out, &errOut); code != 2 {
 		t.Fatalf("exit code = %d, want 2 for unknown analyzer", code)
 	}
 	if !strings.Contains(errOut.String(), `unknown analyzer "nope"`) {
@@ -60,56 +60,21 @@ func TestRunRejectsUnknownAnalyzer(t *testing.T) {
 }
 
 // TestRunOnlySelectsAnalyzers: -only restricts the analyzer set (the
-// pre-commit fast path). Over the shardown fixture, -only shardown
-// must report exactly the shardown findings and none from epochsafe.
+// pre-commit fast path). The noallocescape fixture trips both noalloc
+// and noalloc-escape; -only noalloc must report exactly the noalloc
+// finding and skip the escape capture entirely.
 func TestRunOnlySelectsAnalyzers(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-only", "shardown", "../../internal/lint/testdata/src/shardown/core"}, &out, &errOut)
+	code := run([]string{"-only", "noalloc", "../../internal/lint/testdata/src/noallocescape/cache"}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1; stderr: %s", code, errOut.String())
 	}
 	got := out.String()
-	if !strings.Contains(got, "rowlint: 5 finding(s), 1 suppressed, 1 package(s)") {
-		t.Errorf("summary line missing or wrong with -only shardown:\n%s", got)
+	if !strings.Contains(got, "rowlint: 1 finding(s), 0 suppressed, 1 package(s)") {
+		t.Errorf("summary line missing or wrong with -only noalloc:\n%s", got)
 	}
-	if strings.Contains(got, "epochsafe:") {
-		t.Errorf("-only shardown still ran epochsafe:\n%s", got)
-	}
-}
-
-// TestRunOnlyAliasConflict: -only and -analyzers are aliases; passing
-// both with different values is an error, same value is accepted.
-func TestRunOnlyAliasConflict(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-only", "shardown", "-analyzers", "maporder", "."}, &out, &errOut); code != 2 {
-		t.Fatalf("exit code = %d, want 2 for conflicting alias values", code)
-	}
-	if !strings.Contains(errOut.String(), "-only and -analyzers are aliases") {
-		t.Errorf("missing alias-conflict error: %s", errOut.String())
-	}
-	out.Reset()
-	errOut.Reset()
-	code := run([]string{"-only", "shardown", "-analyzers", "shardown", "../../internal/lint/testdata/src/shardown/core"}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1 when both flags agree; stderr: %s", code, errOut.String())
-	}
-}
-
-// TestRunFailOnNone: -fail-on none reports findings but exits zero —
-// the advisory mode for incremental adoption.
-func TestRunFailOnNone(t *testing.T) {
-	var out, errOut strings.Builder
-	code := run([]string{"-fail-on", "none", "../../internal/lint/testdata/src/shardown/core"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0 with -fail-on none; stderr: %s", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "shardown:") {
-		t.Errorf("findings not reported in advisory mode:\n%s", out.String())
-	}
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-fail-on", "sometimes", "."}, &out, &errOut); code != 2 {
-		t.Fatalf("exit code = %d, want 2 for unknown -fail-on condition", code)
+	if strings.Contains(got, "noalloc-escape:") {
+		t.Errorf("-only noalloc still ran noalloc-escape:\n%s", got)
 	}
 }
 
@@ -132,8 +97,8 @@ func TestRunJSONOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(out.String()), &findings); err != nil {
 		t.Fatalf("stdout is not a JSON array: %v\n%s", err, out.String())
 	}
-	if len(findings) != 7 {
-		t.Fatalf("got %d findings, want 7 (6 active + 1 suppressed)", len(findings))
+	if len(findings) != 8 {
+		t.Fatalf("got %d findings, want 8 (7 active + 1 suppressed)", len(findings))
 	}
 	reasons := 0
 	for _, f := range findings {
@@ -149,58 +114,6 @@ func TestRunJSONOutput(t *testing.T) {
 	}
 	if reasons != 1 {
 		t.Errorf("got %d suppressed findings, want 1", reasons)
-	}
-}
-
-// TestRunShardPlanNeedsWholeModule: -shard-plan over a partial package
-// set cannot derive the epoch bound and must fail loudly instead of
-// emitting a half-plan.
-func TestRunShardPlanNeedsWholeModule(t *testing.T) {
-	var out, errOut strings.Builder
-	code := run([]string{"-shard-plan", "-", "../../internal/lint/testdata/src/shardown/core"}, &out, &errOut)
-	if code != 2 {
-		t.Fatalf("exit code = %d, want 2 without config+interconnect in the set", code)
-	}
-	if !strings.Contains(errOut.String(), "needs the config and interconnect packages") {
-		t.Errorf("missing derivation error: %s", errOut.String())
-	}
-}
-
-// TestRunShardPlanStdout: -shard-plan - writes the plan after the
-// findings. The epochsafe fixture provides the entry root and seeded
-// violations, the real config and interconnect packages feed the
-// epoch-bound derivation; in advisory mode the unproven seams are
-// listed on stderr but the exit stays zero.
-func TestRunShardPlanStdout(t *testing.T) {
-	var out, errOut strings.Builder
-	code := run([]string{"-shard-plan", "-", "-fail-on", "none",
-		"../../internal/lint/testdata/src/epochsafe/core",
-		"../../internal/config", "../../internal/interconnect"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0 in advisory mode; stderr: %s", code, errOut.String())
-	}
-	got := out.String()
-	start := strings.Index(got, "{")
-	if start < 0 {
-		t.Fatalf("no JSON object on stdout:\n%s", got)
-	}
-	var plan struct {
-		Version int `json:"version"`
-		Epoch   struct {
-			MinCrossShardLatencyCycles int64 `json:"min_cross_shard_latency_cycles"`
-		} `json:"epoch"`
-	}
-	if err := json.Unmarshal([]byte(got[start:]), &plan); err != nil {
-		t.Fatalf("plan JSON does not parse: %v\n%s", err, got[start:])
-	}
-	if plan.Version != 1 || plan.Epoch.MinCrossShardLatencyCycles != 7 {
-		t.Errorf("plan header = %+v, want version 1 and a 7-cycle bound", plan)
-	}
-	if !strings.Contains(errOut.String(), "epoch bound 7 cycles") {
-		t.Errorf("stderr summary missing the epoch bound: %s", errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "unproven seam: core.CacheSide.Spill") {
-		t.Errorf("stderr does not list the unproven seams: %s", errOut.String())
 	}
 }
 

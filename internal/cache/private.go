@@ -41,43 +41,28 @@ type RespInfo struct {
 }
 
 // Client is the core-side interface the controller calls into. It is
-// implemented by the owning core, so every method is a declared
-// cache→core seam: cache[i] and core[i] are distinct shard domains,
-// but the crossing stays within one index i (a core talks only to its
-// own private cache and vice versa), which is exactly the pairing the
-// epoch/barrier parallelism plan co-locates on one shard.
-//
-//rowlint:owner core[i]
+// implemented by the owning core: a core talks only to its own private
+// cache and vice versa.
 type Client interface {
 	// MemResp delivers the completion of an Access with the given tag.
-	//
-	//rowlint:seam same-index cache→core upcall; cache[i] and core[i] share a shard
 	MemResp(tag uint64, info RespInfo)
 	// ExternalRequest is invoked when an external coherence request
 	// (Inv or Fwd) arrives for a line. The client returns true to
 	// stall the request because the line is locked by an in-flight
 	// atomic; it also uses this hook for ready-window contention
 	// tracking.
-	//
-	//rowlint:seam same-index cache→core upcall; cache[i] and core[i] share a shard
 	ExternalRequest(line uint64, write bool) (stall bool)
 	// LineInvalidated reports that the line left the private cache
 	// (external invalidation, forward, or eviction); the core uses it
 	// to squash speculatively executed loads (TSO).
-	//
-	//rowlint:seam same-index cache→core upcall; cache[i] and core[i] share a shard
 	LineInvalidated(line uint64)
 	// LineLocked reports whether the line is locked by the core's AQ;
 	// used to veto evictions.
-	//
-	//rowlint:seam same-index cache→core upcall; cache[i] and core[i] share a shard
 	LineLocked(line uint64) bool
 	// ForceRelease asks the core to break an overlong lock stall on
 	// the line (deadlock avoidance); it returns true when the lock was
 	// released (the core squashes and replays that atomic's lock
 	// acquisition).
-	//
-	//rowlint:seam same-index cache→core upcall; cache[i] and core[i] share a shard
 	ForceRelease(line uint64) bool
 }
 
@@ -426,8 +411,6 @@ func (p *Private) enqueue(i int32) {
 // permission. The response arrives via Client.MemResp(tag) unless tag
 // is TagPrefetch. The call itself is instantaneous; lookup latency is
 // modeled inside the controller.
-//
-//rowlint:seam same-index core→cache entry point; core[i] and cache[i] share a shard
 func (p *Private) Access(tag uint64, addr uint64, write bool) {
 	line := p.Line(addr)
 	p.Stats.Accesses.Inc()
@@ -530,8 +513,6 @@ func (p *Private) PendingWrite(line uint64) bool {
 // StoreComplete performs a store-buffer drain write when the line is
 // held with write permission; it returns false when a GetX is needed
 // first (the caller then issues an Access with write=true).
-//
-//rowlint:seam same-index core→cache entry point; core[i] and cache[i] share a shard
 func (p *Private) StoreComplete(line uint64) bool {
 	if l := p.l1.Lookup(line, true); l != nil && (l.Meta == StateM || l.Meta == StateE) {
 		l.Meta = StateM
@@ -560,8 +541,6 @@ func (p *Private) StoreComplete(line uint64) bool {
 // to re-install, and the stale PutX then erases the directory's record
 // of the new owner — the directory ends up in dirI while this core
 // holds M.
-//
-//rowlint:seam same-index core→cache entry point; core[i] and cache[i] share a shard
 func (p *Private) FarRMW(tag uint64, addr uint64) {
 	line := p.Line(addr)
 	p.Stats.Accesses.Inc()
@@ -590,8 +569,6 @@ func (p *Private) issueFar(line uint64, w waiter) {
 }
 
 // TrainPrefetch feeds the IP-stride prefetcher with a demand load.
-//
-//rowlint:seam same-index core→cache entry point; core[i] and cache[i] share a shard
 func (p *Private) TrainPrefetch(pc, addr uint64) {
 	if p.pfDegree <= 0 {
 		return
@@ -850,7 +827,6 @@ func (p *Private) serveExternal(m *coherence.Msg) {
 // LockReleased must be called by the core when an atomic unlocks a
 // line; any stalled external request for it is then served.
 //
-//rowlint:seam same-index core→cache entry point; core[i] and cache[i] share a shard
 //rowlint:noalloc
 func (p *Private) LockReleased(line uint64) {
 	if s, ok := p.stalled.remove(line); ok {

@@ -14,8 +14,6 @@ import (
 //
 // Like Msg, the error value travels: the raising component builds it
 // and hands it to the sink, which owns it from then on.
-//
-//rowlint:owner message
 type ProtocolError struct {
 	// Cycle is the simulation cycle at which the violation was
 	// detected (the raising component's local clock).
@@ -61,16 +59,12 @@ func (e *ProtocolError) Error() string {
 // of one simulated system. The system checks it every cycle and turns
 // a recorded error into the Run return value; later errors in the same
 // (already doomed) cycle are counted but not kept.
-//
-//rowlint:owner sim-global
 type ErrorSink struct {
 	err        *ProtocolError
 	suppressed int
 }
 
 // Fail records the error; only the first one is kept.
-//
-//rowlint:seam reduction first-error latch: any domain may report its failure; the run is over once one does, so the race is benign and the parallel plan can merge sinks at the failing epoch
 func (s *ErrorSink) Fail(e *ProtocolError) {
 	if s.err == nil {
 		s.err = e
@@ -88,8 +82,6 @@ func (s *ErrorSink) Suppressed() int { return s.suppressed }
 // Raise reports e to the sink. Components not wired into a system
 // (nil sink, e.g. driven directly by a unit test) keep the historical
 // fail-fast behaviour and panic with the structured error as payload.
-//
-//rowlint:seam reduction same first-error latch as ErrorSink.Fail
 func Raise(s *ErrorSink, e *ProtocolError) {
 	if s != nil {
 		s.Fail(e)

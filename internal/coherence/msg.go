@@ -103,9 +103,7 @@ const (
 //
 // Ownership of a message travels with the value (sender builds it,
 // network carries it, consumer releases it — see MsgPool), so the
-// current holder may read and write it freely regardless of domain.
-//
-//rowlint:owner message
+// current holder may read and write it freely.
 type Msg struct {
 	Type MsgType
 	Line uint64 // line address (low bits cleared)
@@ -134,11 +132,7 @@ func (m *Msg) String() string {
 }
 
 // Network abstracts message transport so the protocol agents do not
-// depend on the interconnect implementation. It is the one legal
-// cross-shard channel: calls into it classify as mesh-mediated in the
-// shard-ownership analysis.
-//
-//rowlint:owner mesh
+// depend on the interconnect implementation.
 type Network interface {
 	// Send enqueues m for delivery; latency is derived from the
 	// src/dst placement.

@@ -16,8 +16,6 @@ package coherence
 // private cache's stalled-external slot — release it when the retained
 // reference is served. A message must never be Put twice, and never
 // used after Put.
-//
-//rowlint:owner sim-global
 type MsgPool struct {
 	free []*Msg
 
@@ -30,8 +28,6 @@ type MsgPool struct {
 }
 
 // Get returns a zeroed message, recycling a released one when possible.
-//
-//rowlint:seam reduction message allocation: the pool is a shared service every domain draws from; the parallel plan replicates free lists per shard and merges the gets/puts counters at epoch boundaries
 func (p *MsgPool) Get() *Msg {
 	if p == nil {
 		return new(Msg)
@@ -47,8 +43,6 @@ func (p *MsgPool) Get() *Msg {
 
 // New returns a pooled message initialized to v (the literal-style
 // construction the protocol agents use: pool.New(Msg{Type: ..., ...})).
-//
-//rowlint:seam reduction message allocation: same shared-pool seam as Get
 func (p *MsgPool) New(v Msg) *Msg {
 	m := p.Get()
 	*m = v
@@ -58,8 +52,6 @@ func (p *MsgPool) New(v Msg) *Msg {
 // Put releases a fully consumed message back to the free list. The
 // message is zeroed immediately so stale protocol state can never leak
 // into a later transaction through reuse.
-//
-//rowlint:seam reduction message release: same shared-pool seam as Get
 func (p *MsgPool) Put(m *Msg) {
 	if p == nil || m == nil {
 		return

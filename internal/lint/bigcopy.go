@@ -146,8 +146,8 @@ func renderType(t types.Type) string {
 	if t == nil {
 		return "<unknown>"
 	}
-	if _, ok := t.(*types.Named); ok {
-		return typeShortName(t)
+	if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
+		return named.Obj().Pkg().Name() + "." + named.Obj().Name()
 	}
 	return t.String()
 }

@@ -105,7 +105,7 @@ func (p *Pass) Deterministic() bool {
 
 // Analyzers is the registry, in the order checks are run and reported.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{BigCopy, EpochSafe, MapOrder, MsgPool, NoAlloc, NoAllocEscape, ShardOwn, WallClock}
+	return []*Analyzer{BigCopy, MapOrder, MsgPool, NoAlloc, NoAllocEscape, WallClock}
 }
 
 // analyzerKnown reports whether name is a registered analyzer (used to

@@ -39,19 +39,6 @@ type Package struct {
 	// the noalloc-escape analyzer can refuse to pass vacuously.
 	Escapes         []BuildDiag
 	EscapesCaptured bool
-
-	// loader links back to the module loader so cross-package
-	// ownership annotations resolve through the memoized package set.
-	loader *Loader
-	// own memoizes the package's shard-ownership annotation table.
-	own *ownership
-	// decls memoizes FuncDecls().
-	decls map[*types.Func]*ast.FuncDecl
-	// epoch memoizes epochFindings(); epochAt records the loader
-	// package-set size it was computed at (reachability and interface
-	// fan-out can change as more packages load).
-	epoch   []epochFinding
-	epochAt int
 }
 
 // TypeOf returns the static type of an expression, or nil when type
@@ -90,19 +77,6 @@ type Loader struct {
 	pkgs map[string]*Package // by import path
 
 	loading map[string]bool // cycle guard
-
-	// readonlyMemo caches methodReadOnly results across packages.
-	readonlyMemo map[*types.Func]bool
-
-	// implMemo caches interface-method → implementations resolution;
-	// implMemoPkgs records the package-set size it was computed at, so
-	// loading more packages (which can add implementations)
-	// invalidates it. reachMemo/reachMemoPkgs memoize the entry-roots
-	// reachability set the same way (see reachableFromEntries).
-	implMemo      map[*types.Func][]*types.Func
-	implMemoPkgs  int
-	reachMemo     map[*types.Func]bool
-	reachMemoPkgs int
 }
 
 // NewLoader builds a loader for the module rooted at modRoot.
@@ -115,8 +89,6 @@ func NewLoader(modRoot, modPath string) *Loader {
 		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		pkgs:    make(map[string]*Package),
 		loading: make(map[string]bool),
-
-		readonlyMemo: make(map[*types.Func]bool),
 	}
 }
 
@@ -200,11 +172,10 @@ func (l *Loader) Load(dir string) (*Package, error) {
 	}
 
 	pkg := &Package{
-		Path:   path,
-		Dir:    dir,
-		Fset:   l.fset,
-		Src:    make(map[string][]byte),
-		loader: l,
+		Path: path,
+		Dir:  dir,
+		Fset: l.fset,
+		Src:  make(map[string][]byte),
 		Info: &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),
 			Defs:       make(map[*ast.Ident]types.Object),

@@ -72,39 +72,10 @@ func parseDirectives(pkg *Package) (directiveSet, []Finding) {
 				if text == noallocMarker || strings.HasPrefix(text, noallocMarker+" ") {
 					continue // function annotation, handled by noalloc
 				}
-				if arg, ok := markerText(text, ownerMarker); ok {
-					if _, valid := parseDomain(arg); !valid {
-						report(c.Pos(), "//rowlint:owner needs exactly one domain out of "+domainSpellings)
-					}
-					continue // ownership annotation, consumed by Ownership()
-				}
-				if arg, ok := markerText(text, seamMarker); ok {
-					if arg == "" {
-						report(c.Pos(), "//rowlint:seam is missing the mandatory kind ("+seamKindSpellings+") and reason")
-						continue
-					}
-					if _, ok := parseSeamDecl(arg); !ok {
-						kindWord, reason, _ := strings.Cut(arg, " ")
-						if _, valid := parseSeamKind(kindWord); !valid {
-							report(c.Pos(), "//rowlint:seam "+kindWord+" is not a checkable seam kind (want one of "+seamKindSpellings+"), followed by the mandatory reason")
-						} else if strings.TrimSpace(reason) == "" {
-							report(c.Pos(), "//rowlint:seam "+kindWord+" is missing the mandatory reason")
-						}
-					}
-					continue // seam declaration, consumed by Ownership()
-				}
-				if _, ok := markerText(text, entryMarker); ok {
-					continue // walk root, consumed by Ownership()
-				}
-				if !strings.HasPrefix(text, ignorePrefix) {
+				rest, ok := strings.CutPrefix(text, ignorePrefix)
+				if !ok || rest != "" && !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "\t") {
 					report(c.Pos(), "unknown rowlint directive "+firstField(text)+
-						" (want //rowlint:ignore, //rowlint:noalloc, //rowlint:owner, //rowlint:seam or //rowlint:entry)")
-					continue
-				}
-				rest := strings.TrimPrefix(text, ignorePrefix)
-				if rest != "" && !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "\t") {
-					report(c.Pos(), "unknown rowlint directive "+firstField(text)+
-						" (want //rowlint:ignore, //rowlint:noalloc, //rowlint:owner, //rowlint:seam or //rowlint:entry)")
+						" (want //rowlint:ignore or //rowlint:noalloc)")
 					continue
 				}
 				fields := strings.Fields(rest)
@@ -136,19 +107,6 @@ func parseDirectives(pkg *Package) (directiveSet, []Finding) {
 		}
 	}
 	return set, malformed
-}
-
-// markerText matches a directive spelling against a marker, returning
-// its trimmed argument text. Only exact or space-separated forms match
-// (so //rowlint:ownerx stays an unknown directive).
-func markerText(text, marker string) (string, bool) {
-	if text == marker {
-		return "", true
-	}
-	if rest, ok := strings.CutPrefix(text, marker+" "); ok {
-		return strings.TrimSpace(rest), true
-	}
-	return "", false
 }
 
 // standalone reports whether only whitespace precedes the comment on

@@ -49,3 +49,11 @@ func WellFormed(r Registry) bool {
 	}
 	return false
 }
+
+// LeftoverSeam carries a directive from a retired grammar: rowlint no
+// longer knows the verb, so it is a finding like any other.
+//
+//rowlint:seam reduction first-error latch
+func LeftoverSeam(r Registry) int {
+	return len(r)
+}

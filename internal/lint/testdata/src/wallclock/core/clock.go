@@ -1,13 +1,38 @@
 // Package core is a wallclock fixture: deterministic-core code must
 // not read wall clocks, the global math/rand source, or the host
-// environment.
+// environment, and must not hand ordering to the host scheduler.
 package core
 
 import (
 	"math/rand"
 	"os"
+	"sync" // want: wallclock
 	"time"
 )
+
+// mu would guard state shared between goroutines: the import is
+// flagged.
+var mu sync.Mutex
+
+// Fanout computes on a goroutine and collects through a channel: the
+// channel type, the go statement, the send and the receive are flagged.
+func Fanout(n int) int {
+	ch := make(chan int) // want: wallclock
+	go func() {          // want: wallclock
+		ch <- n // want: wallclock
+	}()
+	return <-ch // want: wallclock
+}
+
+// Drain closes a channel and polls it with select: both flagged, along
+// with the parameter's channel type and the receive.
+func Drain(ch chan int) { // want: wallclock
+	close(ch) // want: wallclock
+	select {  // want: wallclock
+	case <-ch: // want: wallclock
+	default:
+	}
+}
 
 // Stamp reads the wall clock: flagged.
 func Stamp() int64 {

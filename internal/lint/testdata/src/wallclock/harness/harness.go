@@ -6,8 +6,23 @@ package harness
 
 import (
 	"math/rand/v2"
+	"sync"
 	"time"
 )
+
+// Parallel runs independent cells on goroutines: legal, the
+// concurrency ban covers only the deterministic core.
+func Parallel(cells []func()) {
+	var wg sync.WaitGroup
+	for _, cell := range cells {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cell()
+		}()
+	}
+	wg.Wait()
+}
 
 // Elapsed reads the wall clock: flagged (default-deny).
 func Elapsed(start time.Time) time.Duration {

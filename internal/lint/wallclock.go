@@ -2,7 +2,9 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"strconv"
 	"strings"
 )
 
@@ -19,9 +21,14 @@ import (
 // is named in WallClockAllowed. The deterministic core is checked
 // unconditionally — listing a DeterministicPackages member in the
 // allowlist has no effect (and is itself rejected by a test).
+//
+// The deterministic core is also banned from the host scheduler: no go
+// statements, channels (types, sends, receives, close), select, or
+// sync/sync/atomic imports. The simulator is one sequential event
+// loop; harnesses outside the core may run whole cells concurrently.
 var WallClock = &Analyzer{
 	Name: "wallclock",
-	Doc:  "bans wall clocks, global math/rand and env reads outside allowlisted packages",
+	Doc:  "bans wall clocks, global math/rand and env reads outside allowlisted packages, and concurrency in the deterministic core",
 	Run:  runWallClock,
 }
 
@@ -120,6 +127,42 @@ func runWallClock(pass *Pass) {
 			pass.Reportf(sel.Pos(),
 				"%s.%s reads ambient host state, which breaks run-to-run determinism; %s",
 				id.Name, sel.Sel.Name, hint)
+			return true
+		})
+	}
+	if pass.Deterministic() {
+		checkConcurrency(pass)
+	}
+}
+
+// checkConcurrency reports every construct that would let the host
+// scheduler decide an order inside a deterministic package.
+func checkConcurrency(pass *Pass) {
+	const why = " hands ordering to the host scheduler; the deterministic core is one sequential event loop"
+	for _, f := range pass.Pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.ImportSpec:
+				if path, _ := strconv.Unquote(n.Path.Value); path == "sync" || path == "sync/atomic" {
+					pass.Reportf(n.Pos(), "import of %s%s", path, why)
+				}
+			case *ast.GoStmt:
+				pass.Reportf(n.Pos(), "go statement%s", why)
+			case *ast.SelectStmt:
+				pass.Reportf(n.Pos(), "select%s", why)
+			case *ast.SendStmt:
+				pass.Reportf(n.Pos(), "channel send%s", why)
+			case *ast.UnaryExpr:
+				if n.Op == token.ARROW {
+					pass.Reportf(n.Pos(), "channel receive%s", why)
+				}
+			case *ast.ChanType:
+				pass.Reportf(n.Pos(), "channel type%s", why)
+			case *ast.CallExpr:
+				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "close" && isBuiltin(pass.Pkg, id) {
+					pass.Reportf(n.Pos(), "close%s", why)
+				}
+			}
 			return true
 		})
 	}

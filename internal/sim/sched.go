@@ -81,8 +81,6 @@ func ParseScheduler(s string) (Scheduler, error) {
 //     of 1024 or checkEvery, or MaxCycles+1, so the watchdog, context
 //     poll, coherence check, checkpoints and the cycle budget fire at
 //     identical simulated cycles.
-//
-//rowlint:entry
 func (s *System) run(ctx context.Context, ms *maintState) (Result, error) {
 	visitAll := s.sched == SchedCycle
 	everyCycle := visitAll || s.crossCheck

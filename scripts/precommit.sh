@@ -1,8 +1,7 @@
 #!/bin/sh
 # Fast pre-commit gate: build the module, then rowlint only the
 # packages with files modified since the last commit (staged, unstaged
-# and untracked). The full-module pass — all analyzers, the ownership
-# report and the shard-plan drift check — stays in CI; this keeps the
+# and untracked). The full-module pass stays in CI; this keeps the
 # edit loop under a few seconds.
 #
 # Install:  ln -s ../../scripts/precommit.sh .git/hooks/pre-commit
