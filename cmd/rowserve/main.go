@@ -41,7 +41,7 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8034", "listen address (host:port; port 0 picks a free port)")
 		addrFile = flag.String("addr-file", "", "write the actual listen address to this file once serving (tests, scripts)")
@@ -70,6 +70,9 @@ func run() int {
 	defer func() {
 		if err := stopProf(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
+			if code == 0 {
+				code = 1
+			}
 		}
 	}()
 

@@ -82,6 +82,9 @@ func run() (code int) {
 	defer func() {
 		if err := stopProf(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
+			if code == 0 {
+				code = 1
+			}
 		}
 	}()
 

@@ -77,3 +77,14 @@ func TestResumesParentJournal(t *testing.T) {
 		t.Errorf("%d cells re-run, want 8:\n%s", n, stderr)
 	}
 }
+
+// TestProfileWriteFailureExits1: a heap profile that cannot be written
+// fails the run even though the sweep itself succeeded.
+func TestProfileWriteFailureExits1(t *testing.T) {
+	bin := build(t)
+	missing := filepath.Join(t.TempDir(), "missing", "m.out")
+	out, stderr, code := invoke(t, bin, "-values", "0.5", "-cores", "2", "-instrs", "200", "-memprofile", missing)
+	if code != 1 || !strings.Contains(stderr, "profiling:") || !strings.Contains(out, "Sweep of sharedfrac") {
+		t.Fatalf("exit %d, want 1 with the table and a profiling error; stderr %q", code, stderr)
+	}
+}

@@ -131,13 +131,22 @@ func run() (code int) {
 		return fail(err)
 	}
 
+	coreChoices, err := parseInts(*cores)
+	if err != nil {
+		return fail(err)
+	}
+	instrChoices, err := parseInts(*instrs)
+	if err != nil {
+		return fail(err)
+	}
+
 	opt := torture.Options{
 		Runs:            *n,
 		Workers:         *workers,
 		Seed:            *seed,
 		Sched:           sched,
-		Cores:           parseInts(*cores),
-		Instrs:          parseInts(*instrs),
+		Cores:           coreChoices,
+		Instrs:          instrChoices,
 		ReplayEvery:     *replay,
 		CheckEvery:      *check,
 		MaxCycles:       *budget,
@@ -181,12 +190,22 @@ func repro(seed uint64, wl, variant, coresStr, instrsStr, spec string, check, bu
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	cores, err := one(coresStr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	instrs, err := one(instrsStr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 	rs := torture.RunSpec{
 		Seed:       seed,
 		Workload:   wl,
 		Variant:    variant,
-		Cores:      one(coresStr),
-		Instrs:     one(instrsStr),
+		Cores:      cores,
+		Instrs:     instrs,
 		Faults:     fc,
 		CheckEvery: check,
 		MaxCycles:  budget,
@@ -221,7 +240,7 @@ func replayWitness(spec string) int {
 	return 0
 }
 
-func parseInts(s string) []int {
+func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
@@ -230,20 +249,21 @@ func parseInts(s string) []int {
 		}
 		v, err := strconv.Atoi(part)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad integer list %q: %v\n", s, err)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad integer list %q: %v", s, err)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
 // one parses a single integer flag that shares syntax with a list.
-func one(s string) int {
-	vs := parseInts(s)
-	if len(vs) != 1 {
-		fmt.Fprintf(os.Stderr, "repro mode wants a single value, got %q\n", s)
-		os.Exit(2)
+func one(s string) (int, error) {
+	vs, err := parseInts(s)
+	if err == nil && len(vs) != 1 {
+		err = fmt.Errorf("repro mode wants a single value, got %q", s)
 	}
-	return vs[0]
+	if err != nil {
+		return 0, err
+	}
+	return vs[0], nil
 }

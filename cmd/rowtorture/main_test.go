@@ -90,3 +90,21 @@ func TestResumesParentJournal(t *testing.T) {
 		}
 	}
 }
+
+// TestBadListClosesJournal: a malformed list flag, found after the
+// journal is open, exits 2 through run, so the journal is closed and
+// reopens.
+func TestBadListClosesJournal(t *testing.T) {
+	bin := build(t)
+	journal := filepath.Join(t.TempDir(), "j.jsonl")
+	if _, stderr, code := invoke(t, bin, "-journal", journal, "-cores", "4,x"); code != 2 || !strings.Contains(stderr, "bad integer list") {
+		t.Fatalf("-cores 4,x: exit %d, stderr %q; want 2", code, stderr)
+	}
+	j, _, err := lifecycle.Resume(journal)
+	if err != nil {
+		t.Fatalf("journal left by the failed run: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -16,30 +16,11 @@ import (
 	"rowsim/internal/workload"
 )
 
-// Address-region boundaries (mirrors the workload generator layout).
-const (
-	hotBase     = 0x1000_0000
-	metaBase    = 0x1400_0000
-	sharedBase  = 0x1800_0000
-	privateBase = 0x4000_0000
-)
-
-func region(addr uint64) string {
-	switch {
-	case addr >= privateBase:
-		return "private"
-	case addr >= sharedBase:
-		return "shared-payload"
-	case addr >= metaBase:
-		return "shared-metadata"
-	case addr >= hotBase:
-		return "hot-atomic"
-	default:
-		return "other"
-	}
+func main() {
+	os.Exit(run())
 }
 
-func main() {
+func run() int {
 	var (
 		name    = flag.String("workload", "pc", "workload name")
 		core    = flag.Int("core", 0, "core whose trace to inspect")
@@ -55,28 +36,26 @@ func main() {
 	p, err := workload.Get(*name)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 	progs := workload.Generate(p, *cores, *instrs, *seed)
 	if *save != "" {
 		f, err := os.Create(*save)
+		if err == nil {
+			err = trace.WritePrograms(f, progs)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := trace.WritePrograms(f, progs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d cores to %s\n", len(progs), *save)
 	}
 	if *core < 0 || *core >= len(progs) {
 		fmt.Fprintf(os.Stderr, "core %d out of range [0,%d)\n", *core, len(progs))
-		os.Exit(2)
+		return 2
 	}
 	prog := progs[*core]
 
@@ -89,12 +68,12 @@ func main() {
 			in := &prog[i]
 			extra := ""
 			if in.IsMem() {
-				extra = "  [" + region(in.Addr) + "]"
+				extra = "  [" + workload.Region(in.Addr) + "]"
 			}
 			fmt.Printf("%6d  %s%s\n", i, in, extra)
 		}
 		if !*summary {
-			return
+			return 0
 		}
 		fmt.Println()
 	}
@@ -119,10 +98,10 @@ func main() {
 		if !in.IsMem() {
 			continue
 		}
-		regions[region(in.Addr)]++
+		regions[workload.Region(in.Addr)]++
 		lines[in.Addr&^63] = true
 		if in.Kind == trace.Atomic {
-			atomicRegions[region(in.Addr)]++
+			atomicRegions[workload.Region(in.Addr)]++
 		}
 	}
 	t.AddRow("distinct lines", fmt.Sprint(len(lines)))
@@ -133,6 +112,7 @@ func main() {
 		t.AddRow("atomics to "+r, fmt.Sprint(atomicRegions[r]))
 	}
 	fmt.Println(t)
+	return 0
 }
 
 func pct(a, b int) float64 {

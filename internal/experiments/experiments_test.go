@@ -1,11 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rowsim/internal/config"
+	"rowsim/internal/lifecycle"
+	"rowsim/internal/sim"
 )
 
 // tinyRunner keeps experiment tests fast: few cores, short traces,
@@ -63,6 +68,25 @@ func TestRunnerMemoizes(t *testing.T) {
 	r.MustRun("sps", VarLazy)
 	if runs != 2 {
 		t.Fatalf("distinct variant not run: %d", runs)
+	}
+
+	// Two goroutines wanting one cell at once share one simulation.
+	r = tinyRunner()
+	var ran atomic.Int32
+	r.Progress = func(string) { ran.Add(1) }
+	var wg sync.WaitGroup
+	wg.Add(2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			defer wg.Done()
+			if _, err := r.Run("canneal", VarEager); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if ran.Load() != 1 {
+		t.Fatalf("one cell wanted by two goroutines ran %d times", ran.Load())
 	}
 }
 
@@ -250,6 +274,53 @@ func TestStabilityTable(t *testing.T) {
 	}
 	if !strings.Contains(tab.Rows[0][1], "[") {
 		t.Fatalf("no spread reported: %v", tab.Rows[0])
+	}
+}
+
+// TestScalingStabilityUseTheRunner: Scaling and Stability run their
+// cells on the runner they are given, so they stop when its context
+// does and simulate under its scheduler.
+func TestScalingStabilityUseTheRunner(t *testing.T) {
+	opt := Options{Cores: 4, Instrs: 1500, Seed: 1}
+	for _, fig := range []struct {
+		name  string
+		run   func(*Runner)
+		cells []cell
+	}{
+		{"Scaling", func(r *Runner) { Scaling(r, []string{"sps"}) },
+			grid([]string{"sps"}, []int{8, 16, 32}, []uint64{1}, VarEager, VarLazy, VarDirSat, VarDirSatFwd)},
+		{"Stability", func(r *Runner) { Stability(r, []uint64{1, 2}, []string{"sps"}) },
+			grid([]string{"sps"}, []int{4}, []uint64{1, 2}, VarEager, VarLazy, VarDirSat)},
+	} {
+		r := NewRunner(opt)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		r.SetContext(ctx)
+		r.Supervise(lifecycle.New(lifecycle.Config{}))
+		err := func() (err error) {
+			defer func() { err, _ = recover().(error) }()
+			fig.run(r)
+			return nil
+		}()
+		if lifecycle.Classify(err) != lifecycle.ClassCanceled {
+			t.Errorf("%s on a canceled runner: %v, want a canceled error", fig.name, err)
+		}
+
+		cycle := opt
+		cycle.Sched = sim.SchedCycle
+		r = NewRunner(cycle)
+		r.SetJobs(2)
+		var ran atomic.Int32
+		r.Progress = func(string) { ran.Add(1) }
+		fig.run(r)
+		for _, c := range fig.cells {
+			if res := r.must(c); res.CyclesVisited != res.Cycles {
+				t.Errorf("%s: %s under SchedCycle visited %d of %d cycles", fig.name, c.key(), res.CyclesVisited, res.Cycles)
+			}
+		}
+		if int(ran.Load()) != len(fig.cells) {
+			t.Errorf("%s ran %d cells, want %d", fig.name, ran.Load(), len(fig.cells))
+		}
 	}
 }
 

@@ -7,13 +7,13 @@ import (
 )
 
 // This file is the sweep-parallelism engine. Every figure is a set of
-// independent, deterministic (workload, Variant) simulations, so the
-// harness splits each figure into two phases: a parallel *warm* phase
-// that fans the runs across a worker pool to fill the runner's memo,
-// and the unchanged sequential phase that builds the table from the
-// memo. The table pass therefore observes exactly the results (and the
-// failure behavior) of a jobs=1 run: output is byte-identical for any
-// worker count, and only wall-clock time changes.
+// independent, deterministic cell simulations, so the harness splits
+// each figure into two phases: a parallel *warm* phase that fans the
+// runs across a worker pool to fill the runner's memo, and the
+// unchanged sequential phase that builds the table from the memo. The
+// table pass therefore observes exactly the results (and the failure
+// behavior) of a jobs=1 run: output is byte-identical for any worker
+// count, and only wall-clock time changes.
 
 // Jobs resolves a -jobs flag value: n >= 1 is taken literally, any
 // other value selects GOMAXPROCS.
@@ -90,27 +90,26 @@ func (r *Runner) Jobs() int {
 }
 
 // Warm fills the memo for the given specs using the runner's worker
-// pool, deduplicating repeated cells so no simulation runs twice. Run
-// errors (and panics) are swallowed here on purpose: the runs are
+// pool; the memo sees to it that a repeated cell runs once. Run errors
+// (and panics) are swallowed here on purpose: the runs are
 // deterministic, so the figure's sequential pass re-executes any
 // failed cell and reports the identical failure exactly as a
 // sequential run would — Warm only ever changes wall-clock time.
 func (r *Runner) Warm(specs []Spec) {
-	if r.Jobs() <= 1 || len(specs) < 2 {
+	cells := make([]cell, len(specs))
+	for i, s := range specs {
+		cells[i] = cell{s.Workload, s.Variant, r.opt.Cores, r.opt.Seed}
+	}
+	r.warm(cells)
+}
+
+// warm is Warm for cells of any core count and seed.
+func (r *Runner) warm(cells []cell) {
+	if r.Jobs() <= 1 || len(cells) < 2 {
 		return
 	}
-	seen := make(map[string]bool, len(specs))
-	uniq := specs[:0:0]
-	for _, s := range specs {
-		k := s.Workload + "#" + s.Variant.key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		uniq = append(uniq, s)
-	}
-	ForEach(r.Jobs(), len(uniq), func(i int) {
+	ForEach(r.Jobs(), len(cells), func(i int) {
 		defer func() { _ = recover() }()
-		_, _ = r.Run(uniq[i].Workload, uniq[i].Variant)
+		_, _ = r.run(cells[i])
 	})
 }

@@ -60,32 +60,37 @@ func parallelTestOptions() Options {
 // reads it back in sweep order. The reference is neither: a table
 // rendered from cells that were each generated, built by plain sim.New
 // and warmed on their own, so the shared trace sets and warm images of
-// the runner's set-up cache are held to the path they replace.
+// the runner's set-up cache are held to the path they replace. Scaling
+// and Stability are here for their cells at other core counts and
+// seeds than the runner's own.
 func TestFigureOutputIdenticalForAnyJobs(t *testing.T) {
-	figures := []struct {
-		name     string
-		run      func(r *Runner) fmt.Stringer
-		variants []Variant
-	}{
-		{"Fig1", func(r *Runner) fmt.Stringer { return Fig1(r) }, []Variant{VarEager, VarLazy}},
-		{"Fig9", func(r *Runner) fmt.Stringer { return Fig9(r) }, append([]Variant{VarEager}, Fig9Variants...)},
-		{"Fig11", func(r *Runner) fmt.Stringer { return Fig11(r) }, []Variant{VarEager, VarLazy, VarDirUD, VarDirSat}},
-	}
 	opt := parallelTestOptions()
+	own := func(vs ...Variant) []cell { return grid(opt.Workloads, []int{opt.Cores}, []uint64{opt.Seed}, vs...) }
+	figures := []struct {
+		name  string
+		run   func(r *Runner) fmt.Stringer
+		cells []cell
+	}{
+		{"Fig1", func(r *Runner) fmt.Stringer { return Fig1(r) }, own(VarEager, VarLazy)},
+		{"Fig9", func(r *Runner) fmt.Stringer { return Fig9(r) }, own(append([]Variant{VarEager}, Fig9Variants...)...)},
+		{"Fig11", func(r *Runner) fmt.Stringer { return Fig11(r) }, own(VarEager, VarLazy, VarDirUD, VarDirSat)},
+		{"Scaling", func(r *Runner) fmt.Stringer { return Scaling(r, []string{"sps"}) },
+			grid([]string{"sps"}, []int{8, 16, 32}, []uint64{opt.Seed}, VarEager, VarLazy, VarDirSat, VarDirSatFwd)},
+		{"Stability", func(r *Runner) fmt.Stringer { return Stability(r, []uint64{1, 2}, []string{"sps"}) },
+			grid([]string{"sps"}, []int{opt.Cores}, []uint64{1, 2}, VarEager, VarLazy, VarDirSat)},
+	}
 	for _, fig := range figures {
 		ref := NewRunner(opt)
-		for _, wl := range opt.Workloads {
-			for _, v := range fig.variants {
-				s, err := plainSystem(v.Config(opt.Cores), wl, opt.Cores, opt.Instrs, opt.Seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref.cache[wl+"#"+v.key()] = s.MustRun()
+		for _, c := range fig.cells {
+			s, err := plainSystem(c.v.Config(c.cores), c.wl, c.cores, opt.Instrs, c.seed)
+			if err != nil {
+				t.Fatal(err)
 			}
+			ref.memo.Put(c.key(), s.MustRun())
 		}
 		want := fig.run(ref).String()
 		if n := ref.SetupStats(); n != (SetupStats{}) {
-			t.Fatalf("%s: the reference runner simulated a cell itself (%v); its variant list is out of date", fig.name, n)
+			t.Fatalf("%s: the reference runner simulated a cell itself (%v); its cell list is out of date", fig.name, n)
 		}
 		for _, jobs := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 			r := NewRunner(opt)

@@ -10,7 +10,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"rowsim/internal/config"
 	"rowsim/internal/lifecycle"
@@ -132,42 +132,67 @@ func (v Variant) key() string {
 }
 
 // Runner executes simulation runs and shares what they have in common,
-// at two levels: a memo of results (several figures use the same
-// eager/lazy/RoW runs) and a set-up cache of trace sets (the runs of one
-// workload differ in policy only, so they share one generated trace set
-// and one warm image; see Setup). It is safe for concurrent use — the
-// torture harness and parallel figure runs can share one runner.
-// Concurrent misses on the same memo key may run the simulation twice;
-// a trace set wanted twice is generated once. Both are purely
-// performance optimizations: every result is the one a fresh
-// Generate + sim.New + Run would give.
+// at two levels: a memo of results, one per cell (several figures use
+// the same eager/lazy/RoW runs), and a set-up cache of trace sets (the
+// runs of one workload differ in policy only, so they share one
+// generated trace set and one warm image; see Setup). It is safe for
+// concurrent use — parallel figure runs share one runner — and a cell
+// or a trace set wanted by several callers at once is made once. Both
+// are purely performance optimizations: every result is the one a
+// fresh Generate + sim.New + Run would give.
 type Runner struct {
 	opt   Options
 	ctx   context.Context       // base context for Run/MustRun (nil = Background)
 	super *lifecycle.Supervisor // optional supervision of every run
 	jobs  int                   // Warm worker count (see SetJobs; <1 = sequential)
 	setup *Setup
-	mu    sync.Mutex
-	cache map[string]sim.Result
+	memo  Flight[sim.Result] // by cell key, never evicted
 	// cycles accumulates the simulated cycles of every non-memoized
 	// run (rowperf's throughput numerator).
-	cycles uint64
+	cycles atomic.Uint64
 	// Progress, when set, receives a line per completed run. It must
 	// itself be safe for concurrent use when the runner is shared.
 	Progress func(msg string)
 }
 
+// cell is one simulation of a figure: a workload under a variant on
+// cores cores, over the traces drawn at seed.
+type cell struct {
+	wl    string
+	v     Variant
+	cores int
+	seed  uint64
+}
+
+func (c cell) key() string { return fmt.Sprintf("%s#%s#%d#%d", c.wl, c.v.key(), c.cores, c.seed) }
+
+// grid is every cell of workloads × cores × seeds × variants, nested
+// in that order.
+func grid(workloads []string, cores []int, seeds []uint64, variants ...Variant) []cell {
+	var cells []cell
+	for _, wl := range workloads {
+		for _, n := range cores {
+			for _, seed := range seeds {
+				for _, v := range variants {
+					cells = append(cells, cell{wl, v, n, seed})
+				}
+			}
+		}
+	}
+	return cells
+}
+
 // NewRunner builds a runner with the given options.
 func NewRunner(opt Options) *Runner {
-	return &Runner{opt: opt.withDefaults(), cache: make(map[string]sim.Result), setup: NewSetup(1)}
+	return &Runner{opt: opt.withDefaults(), setup: NewSetup(1)}
 }
 
 // Options returns the effective (defaulted) options.
 func (r *Runner) Options() Options { return r.opt }
 
-// SetContext installs the base context every context-less Run call
-// (and therefore every figure's MustRun) executes under, making whole
-// figure harnesses cancellable by SIGINT or a sweep deadline.
+// SetContext installs the base context every run (and therefore every
+// figure) executes under, making whole figure harnesses cancellable by
+// SIGINT or a sweep deadline.
 func (r *Runner) SetContext(ctx context.Context) { r.ctx = ctx }
 
 // Supervise routes every run through the supervisor: panic
@@ -182,97 +207,85 @@ func (r *Runner) baseCtx() context.Context {
 	return context.Background()
 }
 
-// Run simulates one workload under one variant, memoized. It returns
-// an error when the configuration is invalid or the run aborts (cycle
-// budget, deadlock, protocol violation, cancellation).
+// Run simulates one workload under one variant, memoized, under the
+// base context. It returns an error when the configuration is invalid
+// or the run aborts (cycle budget, deadlock, protocol violation,
+// cancellation).
 func (r *Runner) Run(wl string, v Variant) (sim.Result, error) {
-	return r.RunCtx(r.baseCtx(), wl, v)
-}
-
-// RunCtx is Run under explicit cancellation.
-func (r *Runner) RunCtx(ctx context.Context, wl string, v Variant) (sim.Result, error) {
-	key := wl + "#" + v.key()
-	r.mu.Lock()
-	res, ok := r.cache[key]
-	r.mu.Unlock()
-	if ok {
-		return res, nil
-	}
-	exec := func(ctx context.Context) (sim.Result, error) {
-		p, err := workload.Get(wl)
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("experiments: %w", err)
-		}
-		s, err := r.setup.System(v.Config(r.opt.Cores), p, r.opt.Cores, r.opt.Instrs, r.opt.Seed, sim.WithScheduler(r.opt.Sched))
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("experiments: %w", err)
-		}
-		return s.RunCtx(ctx)
-	}
-	var err error
-	if r.super != nil {
-		job := lifecycle.Job{Key: fmt.Sprintf("%s under %s seed=%d", wl, v.Name, r.opt.Seed), Seed: r.opt.Seed}
-		out := r.super.Do(ctx, job, exec)
-		if out.Status != lifecycle.StatusOK {
-			return sim.Result{}, fmt.Errorf("experiments: %s under %s [%s after %d attempt(s)]: %w",
-				wl, v.Name, out.Status, out.Attempts, out.Err)
-		}
-		res = out.Result
-	} else {
-		res, err = exec(ctx)
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("experiments: %s under %s: %w", wl, v.Name, err)
-		}
-	}
-	r.mu.Lock()
-	r.cache[key] = res
-	r.cycles += res.Cycles
-	r.mu.Unlock()
-	if r.Progress != nil {
-		r.Progress(fmt.Sprintf("ran %-14s %-16s %12d cycles", wl, v.Name, res.Cycles))
-	}
-	return res, nil
+	return r.run(cell{wl, v, r.opt.Cores, r.opt.Seed})
 }
 
 // MustRun is Run for the figure harnesses, where an aborted run is a
 // bug in the simulator, not an expected condition.
 func (r *Runner) MustRun(wl string, v Variant) sim.Result {
-	res, err := r.Run(wl, v)
+	return r.must(cell{wl, v, r.opt.Cores, r.opt.Seed})
+}
+
+// run simulates c, memoized: callers wanting c at once share one
+// simulation, and a failed one is not remembered.
+func (r *Runner) run(c cell) (sim.Result, error) {
+	res, _, err := r.memo.Get(r.baseCtx(), c.key(), func() (sim.Result, error) {
+		name := fmt.Sprintf("%s under %s cores=%d seed=%d", c.wl, c.v.Name, c.cores, c.seed)
+		res, err := r.do(name, c.seed, func(ctx context.Context) (sim.Result, error) {
+			p, err := workload.Get(c.wl)
+			if err != nil {
+				return sim.Result{}, err
+			}
+			s, err := r.setup.System(ctx, c.v.Config(c.cores), p, c.cores, r.opt.Instrs, c.seed, sim.WithScheduler(r.opt.Sched))
+			if err != nil {
+				return sim.Result{}, err
+			}
+			return s.RunCtx(ctx)
+		})
+		if err == nil {
+			r.cycles.Add(res.Cycles)
+			if r.Progress != nil {
+				r.Progress(fmt.Sprintf("ran %-14s %-16s %12d cycles", c.wl, c.v.Name, res.Cycles))
+			}
+		}
+		return res, err
+	})
+	return res, err
+}
+
+// must is run with the MustRun convention.
+func (r *Runner) must(c cell) sim.Result {
+	res, err := r.run(c)
 	if err != nil {
 		panic(err)
 	}
 	return res
 }
 
-// RunPrograms simulates explicit programs (the microbenchmark path)
-// under the runner's base context and supervisor, when set.
-func (r *Runner) RunPrograms(cfg *config.Config, progs []trace.Program) (sim.Result, error) {
-	exec := func(ctx context.Context) (sim.Result, error) {
-		s, err := sim.New(cfg, progs, sim.WithScheduler(r.opt.Sched))
+// do runs exec once under the base context, through the supervisor
+// when there is one. name says what ran, in errors and as the
+// supervisor's job key.
+func (r *Runner) do(name string, seed uint64, exec func(context.Context) (sim.Result, error)) (sim.Result, error) {
+	if r.super == nil {
+		res, err := exec(r.baseCtx())
 		if err != nil {
-			return sim.Result{}, fmt.Errorf("experiments: %w", err)
+			return sim.Result{}, fmt.Errorf("experiments: %s: %w", name, err)
 		}
-		return s.RunCtx(ctx)
+		return res, nil
 	}
-	if r.super != nil {
-		job := lifecycle.Job{Key: fmt.Sprintf("programs(%d) seed=%d", len(progs), r.opt.Seed), Seed: r.opt.Seed}
-		out := r.super.Do(r.baseCtx(), job, exec)
-		if out.Status != lifecycle.StatusOK {
-			return sim.Result{}, fmt.Errorf("experiments: programs [%s after %d attempt(s)]: %w",
-				out.Status, out.Attempts, out.Err)
-		}
-		return out.Result, nil
+	out := r.super.Do(r.baseCtx(), lifecycle.Job{Key: name, Seed: seed}, exec)
+	if out.Status != lifecycle.StatusOK {
+		return sim.Result{}, fmt.Errorf("experiments: %s [%s after %d attempt(s)]: %w", name, out.Status, out.Attempts, out.Err)
 	}
-	res, err := exec(r.baseCtx())
-	if err != nil {
-		return sim.Result{}, fmt.Errorf("experiments: %w", err)
-	}
-	return res, nil
+	return out.Result, nil
 }
 
-// MustRunPrograms is RunPrograms with the figure-harness convention.
+// MustRunPrograms simulates explicit programs (the microbenchmark path)
+// under the runner's base context and supervisor, when set, with the
+// MustRun convention.
 func (r *Runner) MustRunPrograms(cfg *config.Config, progs []trace.Program) sim.Result {
-	res, err := r.RunPrograms(cfg, progs)
+	res, err := r.do(fmt.Sprintf("programs(%d) seed=%d", len(progs), r.opt.Seed), r.opt.Seed, func(ctx context.Context) (sim.Result, error) {
+		s, err := sim.New(cfg, progs, sim.WithScheduler(r.opt.Sched))
+		if err != nil {
+			return sim.Result{}, err
+		}
+		return s.RunCtx(ctx)
+	})
 	if err != nil {
 		panic(err)
 	}
@@ -285,11 +298,7 @@ func (r *Runner) SetupStats() SetupStats { return r.setup.Stats() }
 // SimulatedCycles returns the total simulated cycles executed by this
 // runner's completed (non-memoized) runs — what rowperf divides by wall
 // time.
-func (r *Runner) SimulatedCycles() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cycles
-}
+func (r *Runner) SimulatedCycles() uint64 { return r.cycles.Load() }
 
 // Norm returns v normalized to base (the paper normalizes execution
 // times to the eager baseline).

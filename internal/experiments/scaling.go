@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"rowsim/internal/config"
 	"rowsim/internal/stats"
@@ -16,53 +17,20 @@ func Scaling(r *Runner, workloads []string) *stats.Table {
 	if workloads == nil {
 		workloads = []string{"canneal", "sps", "pc"}
 	}
-	coreCounts := []int{8, 16, 32}
+	variants := []Variant{VarEager, VarLazy, VarDirSat, VarDirSatFwd}
+	cells := grid(workloads, []int{8, 16, 32}, []uint64{r.opt.Seed}, variants...)
+	r.warm(cells)
 	t := &stats.Table{
 		Title:   "Scaling — normalized execution time vs eager, by core count",
 		Headers: []string{"workload", "cores", "lazy/eager", "RoW(Sat)/eager", "RoW(Sat+Fwd)/eager"},
 	}
-	// Each (workload, coreCount) cell has its own memoizing sub-runner;
-	// the parallel phase warms all cells at once and the sequential
-	// table pass below reads the memos back in deterministic order.
-	type cell struct {
-		wl  string
-		n   int
-		sub *Runner
-	}
-	var cells []cell
-	for _, wl := range workloads {
-		for _, n := range coreCounts {
-			sub := NewRunner(Options{
-				Cores:     n,
-				Instrs:    r.opt.Instrs,
-				Seed:      r.opt.Seed,
-				Workloads: []string{wl},
-			})
-			sub.Progress, sub.setup = r.Progress, r.setup // one bounded set-up cache, not one per cell
-			cells = append(cells, cell{wl: wl, n: n, sub: sub})
-		}
-	}
-	ForEach(r.Jobs(), len(cells), func(i int) {
-		defer func() { _ = recover() }()
-		c := cells[i]
-		for _, v := range []Variant{VarEager, VarLazy, VarDirSat, VarDirSatFwd} {
-			if _, err := c.sub.Run(c.wl, v); err != nil {
-				return
-			}
-		}
-	})
-	for _, c := range cells {
-		wl, n, sub := c.wl, c.n, c.sub
-		{
-			e := sub.MustRun(wl, VarEager)
-			l := sub.MustRun(wl, VarLazy)
-			s := sub.MustRun(wl, VarDirSat)
-			f := sub.MustRun(wl, VarDirSatFwd)
-			t.AddRow(wl, fmt.Sprint(n),
-				stats.F(Norm(l.Cycles, e.Cycles)),
-				stats.F(Norm(s.Cycles, e.Cycles)),
-				stats.F(Norm(f.Cycles, e.Cycles)))
-		}
+	for i := 0; i < len(cells); i += len(variants) {
+		c := cells[i : i+len(variants)] // one (workload, cores) row, in variants order
+		e := r.must(c[0])
+		t.AddRow(c[0].wl, fmt.Sprint(c[0].cores),
+			stats.F(Norm(r.must(c[1]).Cycles, e.Cycles)),
+			stats.F(Norm(r.must(c[2]).Cycles, e.Cycles)),
+			stats.F(Norm(r.must(c[3]).Cycles, e.Cycles)))
 	}
 	return t
 }
@@ -135,31 +103,15 @@ func Stability(r *Runner, seeds []uint64, workloads []string) *stats.Table {
 		Headers: []string{"workload", "lazy/eager", "RoW(Sat)/eager"},
 	}
 	span := func(vs []float64) string {
-		mean := stats.ArithMean(vs)
-		lo, hi := vs[0], vs[0]
-		for _, v := range vs {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		return fmt.Sprintf("%.3f [%.3f,%.3f]", mean, lo, hi)
+		return fmt.Sprintf("%.3f [%.3f,%.3f]", stats.ArithMean(vs), slices.Min(vs), slices.Max(vs))
 	}
+	r.warm(grid(workloads, []int{r.opt.Cores}, seeds, VarEager, VarLazy, VarDirSat))
 	for _, wl := range workloads {
 		var lazies, rows []float64
 		for _, seed := range seeds {
-			sub := NewRunner(Options{
-				Cores:     r.opt.Cores,
-				Instrs:    r.opt.Instrs,
-				Seed:      seed,
-				Workloads: []string{wl},
-			})
-			sub.Progress, sub.setup = r.Progress, r.setup // one bounded set-up cache, not one per cell
-			e := sub.MustRun(wl, VarEager)
-			lazies = append(lazies, Norm(sub.MustRun(wl, VarLazy).Cycles, e.Cycles))
-			rows = append(rows, Norm(sub.MustRun(wl, VarDirSat).Cycles, e.Cycles))
+			e := r.must(cell{wl, VarEager, r.opt.Cores, seed})
+			lazies = append(lazies, Norm(r.must(cell{wl, VarLazy, r.opt.Cores, seed}).Cycles, e.Cycles))
+			rows = append(rows, Norm(r.must(cell{wl, VarDirSat, r.opt.Cores, seed}).Cycles, e.Cycles))
 		}
 		t.AddRow(wl, span(lazies), span(rows))
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"rowsim/internal/checkpoint"
@@ -74,7 +75,7 @@ func TestWarmImageEqualsWarm(t *testing.T) {
 					t.Errorf("%s under %s: image taken under %s differs from Warm", wl, v.Name, name)
 				}
 			}
-			s, err = setup.System(v.Config(cores), p, cores, instrs, seed)
+			s, err = setup.System(context.Background(), v.Config(cores), p, cores, instrs, seed)
 			if got := encoded(t, s, err); !bytes.Equal(got, want) {
 				t.Errorf("%s under %s: Setup.System differs from Generate + sim.New", wl, v.Name)
 			}
@@ -97,7 +98,7 @@ func TestSetupIsolation(t *testing.T) {
 	wantRes := s.MustRun()
 
 	for i := 0; i < 3; i++ { // the leader, then two systems from its image
-		s, err := setup.System(cfg, p, cores, instrs, seed)
+		s, err := setup.System(context.Background(), cfg, p, cores, instrs, seed)
 		if got := encoded(t, s, err); !bytes.Equal(got, want) {
 			t.Fatalf("build %d: state before the run differs from a plain build", i)
 		}
@@ -117,7 +118,7 @@ func TestSetupIsolation(t *testing.T) {
 	for i, other := range []*config.Config{smallL2, moreCores} {
 		s, err := plainSystem(other, wl, cores, instrs, seed)
 		want := encoded(t, s, err)
-		s, err = setup.System(other, p, cores, instrs, seed)
+		s, err = setup.System(context.Background(), other, p, cores, instrs, seed)
 		if got := encoded(t, s, err); !bytes.Equal(got, want) {
 			t.Errorf("config %d: differs from a plain build", i)
 		}
@@ -177,7 +178,7 @@ func TestSetupLeaderFailureIsNotShared(t *testing.T) {
 	setup := NewSetup(1)
 	bad := VarEager.Config(cores)
 	bad.Core.AQSize = 0
-	if _, err := setup.System(bad, p, cores, instrs, seed); err == nil {
+	if _, err := setup.System(context.Background(), bad, p, cores, instrs, seed); err == nil {
 		t.Fatal("invalid configuration built")
 	}
 	if n, want := setup.Stats(), (SetupStats{Generated: 1}); n != want {
@@ -186,7 +187,7 @@ func TestSetupLeaderFailureIsNotShared(t *testing.T) {
 	good := VarEager.Config(cores)
 	s, err := plainSystem(good, "sps", cores, instrs, seed)
 	want := encoded(t, s, err)
-	s, err = setup.System(good, p, cores, instrs, seed)
+	s, err = setup.System(context.Background(), good, p, cores, instrs, seed)
 	if got := encoded(t, s, err); !bytes.Equal(got, want) {
 		t.Fatal("the cell after a failed leader differs from a plain build")
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"sync"
 
+	"rowsim/internal/experiments"
 	"rowsim/internal/lifecycle"
 	"rowsim/internal/sim"
 )
@@ -132,7 +133,7 @@ func sweepID(tenant string, spec SweepSpec) string {
 // re-admitted, terminal cells kept with their results, everything else
 // re-enqueued. Recovered terminal results also seed the memo cache.
 // Returns (queue, resumedCells, requeuedCells).
-func openQueue(baseCtx context.Context, path string, m *memo) (*queue, int, int, error) {
+func openQueue(baseCtx context.Context, path string, memo *experiments.Flight[memoOutcome]) (*queue, int, int, error) {
 	q := &queue{
 		path:       path,
 		sweeps:     make(map[string]*sweepState),
@@ -212,13 +213,11 @@ func openQueue(baseCtx context.Context, path string, m *memo) (*queue, int, int,
 			c.result = prev.Result
 			c.resumed = true
 			resumed++
-			if m != nil {
-				switch prev.Status {
-				case lifecycle.StatusOK:
-					m.seed(c.ckey, memoOutcome{res: *prev.Result})
-				case lifecycle.StatusFailed:
-					m.seed(c.ckey, memoOutcome{err: prev.Error})
-				}
+			switch prev.Status {
+			case lifecycle.StatusOK:
+				memo.Put(c.ckey, memoOutcome{res: *prev.Result})
+			case lifecycle.StatusFailed:
+				memo.Put(c.ckey, memoOutcome{err: prev.Error})
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"rowsim/internal/experiments"
 	"rowsim/internal/lifecycle"
 	"rowsim/internal/sim"
 )
@@ -20,8 +21,11 @@ func testSpec(t *testing.T, values ...float64) SweepSpec {
 	return s
 }
 
-func mustOpenQueue(t *testing.T, path string, m *memo) (*queue, int, int) {
+func mustOpenQueue(t *testing.T, path string, m *experiments.Flight[memoOutcome]) (*queue, int, int) {
 	t.Helper()
+	if m == nil {
+		m = new(experiments.Flight[memoOutcome])
+	}
 	q, resumed, requeued, err := openQueue(context.Background(), path, m)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +58,7 @@ func TestQueueRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := newMemo()
+	m := new(experiments.Flight[memoOutcome])
 	q2, resumed, requeued := mustOpenQueue(t, path, m)
 	defer q2.close()
 	if resumed != 2 || requeued != 2 {
@@ -76,7 +80,7 @@ func TestQueueRecovery(t *testing.T) {
 		t.Errorf("mid-flight cell recovered as %s, want pending (re-run)", st)
 	}
 	// Recovered results seed the memo: identical future cells are hits.
-	if _, ok, _ := m.claim(r0.ckey); !ok {
+	if _, led, _ := m.Get(context.Background(), r0.ckey, func() (memoOutcome, error) { return memoOutcome{}, nil }); led {
 		t.Error("recovered ok result did not seed the memo cache")
 	}
 	// No completed cell may be handed out again.
@@ -137,7 +141,7 @@ func TestQueueRecoveryRejectsTamperedSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, _, err = openQueue(context.Background(), path, nil)
+	_, _, _, err = openQueue(context.Background(), path, new(experiments.Flight[memoOutcome]))
 	var sm *lifecycle.SpecMismatchError
 	if !errors.As(err, &sm) {
 		t.Fatalf("openQueue = %v, want *lifecycle.SpecMismatchError", err)
@@ -158,7 +162,7 @@ func TestQueueRejectsForeignJournal(t *testing.T) {
 	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := openQueue(context.Background(), path, nil); err == nil {
+	if _, _, _, err := openQueue(context.Background(), path, new(experiments.Flight[memoOutcome])); err == nil {
 		t.Fatal("openQueue accepted a rowsweep journal")
 	}
 }

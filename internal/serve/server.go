@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -90,8 +91,8 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	q     *queue
-	memo  *memo
-	setup *experiments.Setup // trace sets shared by the cells of a value
+	memo  experiments.Flight[memoOutcome] // by content key (keys carry the code revision)
+	setup *experiments.Setup              // trace sets shared by the cells of a value
 	sup   *lifecycle.Supervisor
 	stats *statsBook
 
@@ -124,12 +125,11 @@ func Open(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:   cfg,
-		memo:  newMemo(),
 		setup: experiments.NewSetup(cfg.Workers),
 		stats: newStatsBook(cfg.Workers),
 	}
 	s.cellCtx, s.cellCancel = context.WithCancel(context.Background())
-	q, resumed, requeued, err := openQueue(s.cellCtx, cfg.Journal, s.memo)
+	q, resumed, requeued, err := openQueue(s.cellCtx, cfg.Journal, &s.memo)
 	if err != nil {
 		s.cellCancel()
 		return nil, err
@@ -224,38 +224,52 @@ func (s *Server) worker(ctx context.Context, id int) {
 	}
 }
 
+// memoOutcome is one finished computation: the result of a cell, or
+// the deterministic failure every identical cell would reproduce.
+type memoOutcome struct {
+	res sim.Result
+	err string // non-empty for deterministic (permanent) failures
+}
+
 // runCell resolves one popped cell to a terminal (or canceled) state.
+// The memo runs each content key once: the first worker to want it
+// computes it, the others wait and are served the outcome. Only an ok
+// result or a deterministic failure is an outcome; a degraded or
+// canceled computation leaves the key to the next worker that wants it.
 func (s *Server) runCell(id int, c *cellState) {
 	sw := c.sweep
-	for {
-		out, ok, wait := s.memo.claim(c.ckey)
-		if ok {
-			// Cache hit: identical cell already computed (this process
-			// or recovered from the journal) — serve, don't recompute.
-			s.stats.add(func(b *statsBook) { b.cellsFromCache++ })
-			if out.err != "" {
-				s.settle(id, c, lifecycle.Outcome{
-					Status: lifecycle.StatusFailed,
-					Err:    fmt.Errorf("%s", out.err),
-				}, true)
-			} else {
-				s.settle(id, c, lifecycle.Outcome{Status: lifecycle.StatusOK, Result: out.res}, true)
-			}
-			return
+	var out lifecycle.Outcome
+	s.stats.setWorker(id, "waiting-memo", c.jkey)
+	memo, led, err := s.memo.Get(sw.ctx, c.ckey, func() (memoOutcome, error) {
+		out = s.compute(id, c)
+		switch out.Status {
+		case lifecycle.StatusOK:
+			return memoOutcome{res: out.Result}, nil
+		case lifecycle.StatusFailed:
+			return memoOutcome{err: out.Err.Error()}, nil
 		}
-		if wait == nil {
-			break // this worker is the leader; compute below
-		}
-		s.stats.setWorker(id, "waiting-memo", c.jkey)
-		select {
-		case <-wait:
-			continue
-		case <-sw.ctx.Done():
-			s.settle(id, c, lifecycle.Outcome{Status: lifecycle.StatusCanceled, Err: sw.ctx.Err()}, false)
-			return
+		return memoOutcome{}, out.Err
+	})
+	switch {
+	case led:
+		s.settle(id, c, out, false)
+	case err != nil: // this sweep ended while another worker computed the cell
+		s.settle(id, c, lifecycle.Outcome{Status: lifecycle.StatusCanceled, Err: err}, false)
+	default:
+		// Identical cell already computed (this process or recovered
+		// from the journal): serve, don't recompute.
+		s.stats.add(func(b *statsBook) { b.cellsFromCache++ })
+		if memo.err != "" {
+			s.settle(id, c, lifecycle.Outcome{Status: lifecycle.StatusFailed, Err: errors.New(memo.err)}, true)
+		} else {
+			s.settle(id, c, lifecycle.Outcome{Status: lifecycle.StatusOK, Result: memo.res}, true)
 		}
 	}
+}
 
+// compute simulates c under the supervisor.
+func (s *Server) compute(id int, c *cellState) lifecycle.Outcome {
+	sw := c.sweep
 	s.stats.setWorker(id, "running", c.jkey)
 	out := s.sup.Do(sw.ctx, lifecycle.Job{Key: c.jkey, Seed: sw.spec.Seed, Checkpoint: s.ckptPath(c.ckey)}, func(runCtx context.Context) (sim.Result, error) {
 		// Count contained panics at the attempt level, then re-raise so
@@ -275,26 +289,13 @@ func (s *Server) runCell(id int, c *cellState) {
 			}
 		})
 	})
-
 	s.stats.add(func(b *statsBook) {
 		b.cellsExecuted++
 		if out.Attempts > 1 {
 			b.retries += uint64(out.Attempts - 1)
 		}
 	})
-	switch out.Status {
-	case lifecycle.StatusOK:
-		s.memo.publish(c.ckey, memoOutcome{res: out.Result})
-	case lifecycle.StatusFailed:
-		// Deterministic failure: every identical cell fails identically,
-		// so the error is as cacheable as a result.
-		s.memo.publish(c.ckey, memoOutcome{err: out.Err.Error()})
-	default:
-		// Degraded or canceled: not a deterministic outcome — release
-		// the key so another claim can retry fresh.
-		s.memo.abandon(c.ckey)
-	}
-	s.settle(id, c, out, false)
+	return out
 }
 
 // ckptPath is a cell's checkpoint file, or "" when checkpointing is off.
@@ -342,7 +343,7 @@ func (s *Server) admissionRetryAfter(pending int) int {
 
 // Snapshot assembles the /v1/stats document.
 func (s *Server) Snapshot() Stats {
-	hits, misses, entries := s.memo.counters()
+	memo := s.memo.Stats()
 	setup := s.setup.Stats()
 	s.q.mu.Lock()
 	depth := s.q.pendingN
@@ -384,13 +385,13 @@ func (s *Server) Snapshot() Stats {
 		OutcomeCanceled:  b.cancN,
 		Retries:          b.retries,
 		Panics:           b.panics,
-		CacheHits:        hits,
-		CacheMisses:      misses,
-		CacheEntries:     entries,
+		CacheHits:        memo.Hits,
+		CacheMisses:      memo.Leads,
+		CacheEntries:     memo.Entries,
 		Workers:          append([]WorkerState(nil), b.workers...),
 	}
-	if total := hits + misses; total > 0 {
-		st.CacheHitRate = float64(hits) / float64(total)
+	if total := memo.Hits + memo.Leads; total > 0 {
+		st.CacheHitRate = float64(memo.Hits) / float64(total)
 	}
 	return st
 }

@@ -300,7 +300,7 @@ func (s SweepSpec) Run(ctx context.Context, c Cell, setup *experiments.Setup, ck
 		}
 	}
 	return checkpoint.Run(ctx, ckptDir, every, key, func(ck ...sim.Option) (*sim.System, error) {
-		return setup.System(s.Config(c), wp, s.Cores, s.Instrs, s.Seed, append(ck, opts...)...)
+		return setup.System(ctx, s.Config(c), wp, s.Cores, s.Instrs, s.Seed, append(ck, opts...)...)
 	}, found)
 }
 

@@ -114,6 +114,24 @@ const (
 	lineBytes       = 64
 )
 
+// Region names the part of the address layout addr falls in:
+// "hot-atomic", "shared-metadata", "shared-payload", "private", or
+// "other" below the hot lines.
+func Region(addr uint64) string {
+	switch {
+	case addr >= privateBase:
+		return "private"
+	case addr >= sharedBase:
+		return "shared-payload"
+	case addr >= metaBase:
+		return "shared-metadata"
+	case addr >= hotBase:
+		return "hot-atomic"
+	default:
+		return "other"
+	}
+}
+
 // siteKind classifies a static instruction slot in the template.
 type siteKind uint8
 

@@ -104,6 +104,41 @@ func TestCoresDisjointPrivateRegions(t *testing.T) {
 	}
 }
 
+// TestRegionMatchesLayout: Region names an access by the part of the
+// layout the generator drew it from. Every atomic of a pc trace on one
+// of its hot lines is "hot-atomic", and every access inside a core's
+// private window is "private".
+func TestRegionMatchesLayout(t *testing.T) {
+	p := MustGet("pc")
+	hotEnd := uint64(hotBase) + uint64(p.HotLines)*lineBytes
+	var hot, private int
+	for c, prog := range Generate(p, 4, 4000, 5) {
+		window := uint64(privateBase) + uint64(c)*privateStep
+		for i := range prog {
+			in := &prog[i]
+			want := ""
+			switch {
+			case !in.IsMem():
+				continue
+			case in.Kind == trace.Atomic && in.Addr >= hotBase && in.Addr < hotEnd:
+				hot++
+				want = "hot-atomic"
+			case in.Addr >= window && in.Addr < window+privateStep:
+				private++
+				want = "private"
+			default:
+				continue
+			}
+			if got := Region(in.Addr); got != want {
+				t.Fatalf("core %d: %v is %q, want %q", c, in, got, want)
+			}
+		}
+	}
+	if hot == 0 || private == 0 {
+		t.Fatalf("%d hot-line atomics and %d private accesses; the trace exercises neither check", hot, private)
+	}
+}
+
 func TestHotLinesShared(t *testing.T) {
 	p := MustGet("pc")
 	progs := Generate(p, 4, 4000, 5)
