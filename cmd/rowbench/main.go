@@ -12,18 +12,15 @@
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"rowsim/internal/cli"
 	"rowsim/internal/experiments"
 	"rowsim/internal/lifecycle"
-	"rowsim/internal/profiling"
 	"rowsim/internal/sim"
 	"rowsim/internal/stats"
 	"rowsim/internal/viz"
@@ -31,7 +28,7 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run executes the figure harness under the lifecycle supervisor:
@@ -40,7 +37,7 @@ func main() {
 // figure exits with a structured report instead of a raw panic (the
 // figure code itself still uses the MustRun convention, so the typed
 // error arrives here as a panic payload).
-func run() (code int) {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	defer func() {
 		p := recover()
 		if p == nil {
@@ -50,62 +47,47 @@ func run() (code int) {
 		if !ok {
 			panic(p) // a real bug, not a run failure: keep the crash
 		}
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		if lifecycle.Classify(err) == lifecycle.ClassCanceled {
 			code = 130
 			return
 		}
 		code = 1
 	}()
+	stderr = cli.Synced(stderr) // progress lines come from the workers
+	fs := cli.NewFlagSet("rowbench", stderr)
 	var (
-		fig       = flag.Int("fig", 0, "figure number to regenerate (1,2,4,5,6,8,9,10,11,12,13)")
-		table     = flag.Int("table", 0, "table to regenerate (1 = system params, 2 = RoW hardware cost)")
-		summary   = flag.Bool("summary", false, "print the Section VI headline summary")
-		ablation  = flag.String("ablation", "", "ablation to run: entries, update, aq")
-		scaling   = flag.Bool("scaling", false, "core-count scaling sweep")
-		far       = flag.Bool("far", false, "far-vs-near atomics comparison")
-		locks     = flag.Bool("locks", false, "synchronization-kernel study (tas/ticket/barrier)")
-		stability = flag.Bool("stability", false, "multi-seed stability check")
-		format    = flag.String("format", "text", "output format: text, csv, chart")
-		all       = flag.Bool("all", false, "regenerate everything")
-		cores     = flag.Int("cores", 32, "number of cores")
-		instrs    = flag.Int("instrs", 0, "instructions per core (0 = experiment default)")
-		seed      = flag.Uint64("seed", 1, "trace seed (0 selects the documented default seed)")
-		wls       = flag.String("workloads", "", "comma-separated workload subset (default: the 13 atomic-intensive)")
-		timeout   = flag.Duration("timeout", 0, "per-run wall-clock deadline (0 = off); timed-out runs retry")
-		quiet     = flag.Bool("q", false, "suppress per-run progress")
-		jobs      = flag.Int("jobs", 0, "parallel simulation workers for figure sweeps (<1 = GOMAXPROCS); output is identical for any value")
-		schedFlag = flag.String("sched", "event", "simulation scheduler: event (skip idle cycles) or cycle (tick every cycle); results are identical")
-
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		traceFile  = flag.String("trace", "", "write a runtime execution trace to this file")
+		fig       = fs.Int("fig", 0, "figure number to regenerate (1,2,4,5,6,8,9,10,11,12,13)")
+		table     = fs.Int("table", 0, "table to regenerate (1 = system params, 2 = RoW hardware cost)")
+		summary   = fs.Bool("summary", false, "print the Section VI headline summary")
+		ablation  = fs.String("ablation", "", "ablation to run: entries, update, aq")
+		scaling   = fs.Bool("scaling", false, "core-count scaling sweep")
+		far       = fs.Bool("far", false, "far-vs-near atomics comparison")
+		locks     = fs.Bool("locks", false, "synchronization-kernel study (tas/ticket/barrier)")
+		stability = fs.Bool("stability", false, "multi-seed stability check")
+		format    = fs.String("format", "text", "output format: text, csv, chart")
+		all       = fs.Bool("all", false, "regenerate everything")
+		cores     = fs.Int("cores", 32, "number of cores")
+		instrs    = fs.Int("instrs", 0, "instructions per core (0 = experiment default)")
+		seed      = fs.Uint64("seed", 1, "trace seed (0 selects the documented default seed)")
+		wls       = fs.String("workloads", "", "comma-separated workload subset (default: the 13 atomic-intensive)")
+		timeout   = fs.Duration("timeout", 0, "per-run wall-clock deadline (0 = off); timed-out runs retry")
+		quiet     = fs.Bool("q", false, "suppress per-run progress")
+		jobs      = fs.Int("jobs", 0, "parallel simulation workers for figure sweeps (<1 = GOMAXPROCS); output is identical for any value")
+		prof      = cli.AddProfile(fs)
 	)
-	flag.Parse()
-
-	sched, err := sim.ParseScheduler(*schedFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+	sched := sim.SchedEvent
+	fs.Var(&sched, "sched", "simulation scheduler: event (skip idle cycles) or cycle (tick every cycle); results are identical")
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
 	}
 
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile, *traceFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if !prof.Start(stderr) {
 		return 2
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}()
+	defer prof.Stop(&code, stderr)
 
-	// os.Interrupt covers Ctrl-C; SIGTERM is what containers and
-	// orchestrators send — both get the same graceful drain.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.Context()
 	defer stop()
 
 	opt := experiments.Options{Cores: *cores, Instrs: *instrs, Seed: *seed, Sched: sched}
@@ -113,8 +95,8 @@ func run() (code int) {
 		opt.Workloads = strings.Split(*wls, ",")
 		for _, w := range opt.Workloads {
 			if _, err := workload.Get(w); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 2 // not os.Exit: the deferred profile stop must run
+				fmt.Fprintln(stderr, err)
+				return 2
 			}
 		}
 	}
@@ -123,24 +105,24 @@ func run() (code int) {
 	r.SetContext(ctx)
 	r.Supervise(lifecycle.New(lifecycle.Config{RunTimeout: *timeout, JitterSeed: r.Options().Seed}))
 	if !*quiet {
-		r.Progress = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
+		r.Progress = func(msg string) { fmt.Fprintln(stderr, msg) }
 	}
 
 	show := func(t *stats.Table) {
 		switch *format {
 		case "csv":
-			fmt.Print(t.CSV())
+			fmt.Fprint(stdout, t.CSV())
 		case "chart":
-			fmt.Println(t)
+			fmt.Fprintln(stdout, t)
 			if len(t.Headers) > 1 {
 				if c := viz.NormChart(t, len(t.Headers)-1, 50); c != "" {
-					fmt.Println(c)
+					fmt.Fprintln(stdout, c)
 				}
 			}
 		default:
-			fmt.Println(t)
+			fmt.Fprintln(stdout, t)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	type tableFn = func(*experiments.Runner) *stats.Table
 	figs := map[int][]tableFn{
@@ -151,14 +133,13 @@ func run() (code int) {
 	ablations := map[string]tableFn{
 		"entries": experiments.AblationEntries, "update": experiments.AblationUpdate, "aq": experiments.AblationAQSize,
 	}
-	// Selections are checked before anything runs, and a bad one returns
-	// (never os.Exit) so the deferred profile stop still runs.
+	// Selections are checked before anything runs.
 	if _, ok := figs[*fig]; !ok && *fig != 0 {
-		fmt.Fprintf(os.Stderr, "unknown figure %d\n", *fig)
+		fmt.Fprintf(stderr, "unknown figure %d\n", *fig)
 		return 2
 	}
 	if _, ok := ablations[*ablation]; !ok && *ablation != "" {
-		fmt.Fprintf(os.Stderr, "unknown ablation %q (entries, update, aq)\n", *ablation)
+		fmt.Fprintf(stderr, "unknown ablation %q (entries, update, aq)\n", *ablation)
 		return 2
 	}
 	start := time.Now()
@@ -191,7 +172,7 @@ func run() (code int) {
 			}
 		}
 		if len(run) == 0 {
-			flag.Usage()
+			fs.Usage()
 			return 2
 		}
 	}
@@ -199,7 +180,7 @@ func run() (code int) {
 		show(fn(r))
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "total wall time: %s; %s\n", time.Since(start).Round(time.Millisecond), r.SetupStats())
+		fmt.Fprintf(stderr, "total wall time: %s; %s\n", time.Since(start).Round(time.Millisecond), r.SetupStats())
 	}
 	return 0
 }

@@ -11,11 +11,12 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
+	"rowsim/internal/cli"
 	"rowsim/internal/mcheck"
 )
 
@@ -34,33 +35,36 @@ type report struct {
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("rowcheck", stderr)
 	var (
-		cores     = flag.Int("cores", 2, "number of cores (1..4)")
-		lines     = flag.Int("lines", 1, "number of cachelines (1..2)")
-		banks     = flag.Int("banks", 1, "number of directory banks (1..2)")
-		ops       = flag.Int("ops", 3, "per-core program length (generated workload)")
-		mode      = flag.String("mode", "both", "issue discipline: eager, lazy or both")
-		net       = flag.String("net", "both", "network envelope: chan (per-channel FIFO), fifo (global FIFO) or both")
-		bug       = flag.String("bug", "", "seed a protocol bug: getx-as-gets, drop-unblock, drop-inv")
-		maxStates = flag.Uint64("max-states", 0, "truncate each search after this many states (0: unlimited)")
-		wall      = flag.Duration("wall", 0, "wall-clock cap across the whole matrix (0: none)")
-		benchJSON = flag.String("bench-json", "", "write explored-state counts as a JSON report to this path")
-		quiet     = flag.Bool("q", false, "print only failures")
+		cores     = fs.Int("cores", 2, "number of cores (1..4)")
+		lines     = fs.Int("lines", 1, "number of cachelines (1..2)")
+		banks     = fs.Int("banks", 1, "number of directory banks (1..2)")
+		ops       = fs.Int("ops", 3, "per-core program length (generated workload)")
+		mode      = fs.String("mode", "both", "issue discipline: eager, lazy or both")
+		net       = fs.String("net", "both", "network envelope: chan (per-channel FIFO), fifo (global FIFO) or both")
+		bug       = fs.String("bug", "", "seed a protocol bug: getx-as-gets, drop-unblock, drop-inv")
+		maxStates = fs.Uint64("max-states", 0, "truncate each search after this many states (0: unlimited)")
+		wall      = fs.Duration("wall", 0, "wall-clock cap across the whole matrix (0: none)")
+		benchJSON = fs.String("bench-json", "", "write explored-state counts as a JSON report to this path")
+		quiet     = fs.Bool("q", false, "print only failures")
 	)
-	flag.Parse()
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
+	}
 
 	modes, err := pick(*mode, "eager", "lazy")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rowcheck:", err)
+		fmt.Fprintln(stderr, "rowcheck:", err)
 		return 2
 	}
 	nets, err := pick(*net, "chan", "fifo")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rowcheck:", err)
+		fmt.Fprintln(stderr, "rowcheck:", err)
 		return 2
 	}
 
@@ -83,7 +87,7 @@ func run() int {
 			start := time.Now()
 			res, err := mcheck.Check(cfg)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "rowcheck: %s: %v\n", name, err)
+				fmt.Fprintf(stderr, "rowcheck: %s: %v\n", name, err)
 				return 2
 			}
 			ent := matrixEntry{
@@ -97,20 +101,16 @@ func run() int {
 			switch {
 			case res.Violation != nil:
 				ent.Violation = res.Violation.Kind
-				fmt.Printf("FAIL %s: %s\n", name, res.Violation.Error())
-				fmt.Printf("  witness (%d choices): %v\n", len(res.Violation.Trace), res.Violation.Trace)
-				fmt.Printf("  replay: rowtorture -replay '%s'\n", res.Violation.Spec)
-				if worst < 1 {
-					worst = 1
-				}
+				fmt.Fprintf(stdout, "FAIL %s: %s\n", name, res.Violation.Error())
+				fmt.Fprintf(stdout, "  witness (%d choices): %v\n", len(res.Violation.Trace), res.Violation.Trace)
+				fmt.Fprintf(stdout, "  replay: rowtorture -replay '%s'\n", res.Violation.Spec)
+				worst = max(worst, 1)
 			case res.Stats.Truncated:
-				fmt.Printf("TRUNCATED %s: %d states visited (cap hit before exhaustion)\n", name, res.Stats.Visited)
-				if worst < 2 {
-					worst = 2
-				}
+				fmt.Fprintf(stdout, "TRUNCATED %s: %d states visited (cap hit before exhaustion)\n", name, res.Stats.Visited)
+				worst = max(worst, 2)
 			default:
 				if !*quiet {
-					fmt.Printf("ok   %s: %d states, %d transitions, depth %d, %s — all invariants hold\n",
+					fmt.Fprintf(stdout, "ok   %s: %d states, %d transitions, depth %d, %s — all invariants hold\n",
 						name, res.Stats.Visited, res.Stats.Transitions, res.Stats.MaxDepth,
 						time.Since(start).Round(time.Millisecond))
 				}
@@ -125,7 +125,7 @@ func run() int {
 			err = os.WriteFile(*benchJSON, append(data, '\n'), 0o644)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rowcheck: writing bench json:", err)
+			fmt.Fprintln(stderr, "rowcheck: writing bench json:", err)
 			return 2
 		}
 	}

@@ -18,7 +18,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -27,6 +26,7 @@ import (
 	"sort"
 	"strings"
 
+	"rowsim/internal/cli"
 	"rowsim/internal/lint"
 )
 
@@ -55,16 +55,15 @@ func (c *changedFlag) Set(v string) error {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("rowlint", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.NewFlagSet("rowlint", stderr)
 	verbose := fs.Bool("v", false, "also list suppressed findings")
 	only := fs.String("only", "", "comma-separated analyzer subset (default: all)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (suppressed included) instead of text")
 	var changed changedFlag
 	fs.Var(&changed, "changed", "lint only packages with files modified since the given git ref (bare -changed: HEAD)")
 	bigcopyBytes := fs.Int64("bigcopy-bytes", lint.BigCopyThreshold, "struct-copy size threshold (bytes) for the bigcopy analyzer")
-	if err := fs.Parse(args); err != nil {
-		return 2
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
 	}
 	lint.BigCopyThreshold = *bigcopyBytes
 	patterns := fs.Args()

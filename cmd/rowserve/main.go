@@ -24,61 +24,52 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"rowsim/internal/profiling"
+	"rowsim/internal/cli"
 	"rowsim/internal/serve"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() (code int) {
+// run prints only diagnostics: the daemon's output is its HTTP API.
+func run(args []string, _, stderr io.Writer) (code int) {
+	fs := cli.NewFlagSet("rowserve", stderr)
 	var (
-		addr     = flag.String("addr", "127.0.0.1:8034", "listen address (host:port; port 0 picks a free port)")
-		addrFile = flag.String("addr-file", "", "write the actual listen address to this file once serving (tests, scripts)")
-		journal  = flag.String("journal", "rowserve.jsonl", "queue journal path (created if missing, recovered if present)")
-		workers  = flag.Int("workers", 0, "worker pool size (<1 = GOMAXPROCS)")
-		maxQueue = flag.Int("max-queue", 256, "total pending-cell bound; submissions over it get 429 + Retry-After")
-		tenantQ  = flag.Int("tenant-queue", 0, "per-tenant pending-cell bound (<1 = max-queue/4, at least one full sweep)")
-		timeout  = flag.Duration("timeout", 0, "per-attempt wall-clock deadline for one cell (0 = off)")
-		retries  = flag.Int("retries", 3, "attempt budget per cell for transient failures (timeout, panic)")
-		grace    = flag.Duration("drain-grace", 5*time.Second, "how long a drain waits for in-flight cells before checkpointing them")
+		addr     = fs.String("addr", "127.0.0.1:8034", "listen address (host:port; port 0 picks a free port)")
+		addrFile = fs.String("addr-file", "", "write the actual listen address to this file once serving (tests, scripts)")
+		journal  = fs.String("journal", "rowserve.jsonl", "queue journal path (created if missing, recovered if present)")
+		workers  = fs.Int("workers", 0, "worker pool size (<1 = GOMAXPROCS)")
+		maxQueue = fs.Int("max-queue", 256, "total pending-cell bound; submissions over it get 429 + Retry-After")
+		tenantQ  = fs.Int("tenant-queue", 0, "per-tenant pending-cell bound (<1 = max-queue/4, at least one full sweep)")
+		timeout  = fs.Duration("timeout", 0, "per-attempt wall-clock deadline for one cell (0 = off)")
+		retries  = fs.Int("retries", 3, "attempt budget per cell for transient failures (timeout, panic)")
+		grace    = fs.Duration("drain-grace", 5*time.Second, "how long a drain waits for in-flight cells before checkpointing them")
 
-		ckptEvery = flag.Uint64("checkpoint-every", 0, "write a durable per-cell checkpoint every N simulated cycles (0 = off); interrupted cells resume mid-run after crash or restart")
-		ckptDir   = flag.String("checkpoint-dir", "", "per-cell checkpoint directory (default: <journal>.ckpt when -checkpoint-every is set)")
+		ckptEvery = fs.Uint64("checkpoint-every", 0, "write a durable per-cell checkpoint every N simulated cycles (0 = off); interrupted cells resume mid-run after crash or restart")
+		ckptDir   = fs.String("checkpoint-dir", "", "per-cell checkpoint directory (default: <journal>.ckpt when -checkpoint-every is set)")
 
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		traceFile  = flag.String("trace", "", "write a runtime execution trace to this file")
+		prof = cli.AddProfile(fs)
 	)
-	flag.Parse()
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
+	}
 
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile, *traceFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if !prof.Start(stderr) {
 		return 2
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}()
+	defer prof.Stop(&code, stderr)
 
 	// SIGTERM (orchestrators) and SIGINT (Ctrl-C) both mean the same
 	// thing here: drain gracefully, leave a resumable queue, exit 0.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.Context()
 	defer stop()
 
 	srv, err := serve.Open(serve.Config{
@@ -94,22 +85,22 @@ func run() (code int) {
 		CheckpointDir:   *ckptDir,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 	}
-	fmt.Fprintf(os.Stderr, "rowserve: listening on %s, journal %s\n", ln.Addr(), *journal)
+	fmt.Fprintf(stderr, "rowserve: listening on %s, journal %s\n", ln.Addr(), *journal)
 
 	hsrv := &http.Server{Handler: srv.Handler()}
 	httpErr := make(chan error, 1)
@@ -125,15 +116,15 @@ func run() (code int) {
 	select {
 	case err := <-httpErr:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 	default:
 	}
 	if runErr != nil {
-		fmt.Fprintln(os.Stderr, runErr)
+		fmt.Fprintln(stderr, runErr)
 		return 1
 	}
-	fmt.Fprintln(os.Stderr, "rowserve: drained; queue is resumable at", *journal)
+	fmt.Fprintln(stderr, "rowserve: drained; queue is resumable at", *journal)
 	return 0
 }

@@ -1,0 +1,86 @@
+package main
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// capture runs the command in-process and returns what it printed.
+func capture(args ...string) (stdout, stderr string, code int) {
+	var o, e strings.Builder
+	code = run(args, &o, &e)
+	return o.String(), e.String(), code
+}
+
+func golden(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestInspectMatchesGoldens: the inspection flags print what the
+// standalone trace inspector they replace printed; testdata holds that
+// tool's output for the same traces (rowtrace -n 40 for -dump 40), and
+// the SHA-256 of the file its -save wrote.
+func TestInspectMatchesGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"pc_dump40.txt", []string{"-workload", "pc", "-dump", "40"}},
+		{"cq_summary.txt", []string{"-workload", "cq", "-summary"}},
+	} {
+		out, stderr, code := capture(tc.args...)
+		if code != 0 || out != golden(t, tc.golden) {
+			t.Errorf("%v: exit %d, stderr %q, stdout differs from testdata/%s:\n%s", tc.args, code, stderr, tc.golden, out)
+		}
+	}
+
+	f := filepath.Join(t.TempDir(), "sps.trace")
+	out, stderr, code := capture("-workload", "sps", "-save", f, "-summary")
+	if code != 0 || out != golden(t, "sps_save_summary.txt") || stderr != "wrote 32 cores to "+f+"\n" {
+		t.Fatalf("-save -summary: exit %d, stderr %q, stdout:\n%s", code, stderr, out)
+	}
+	saved, err := os.ReadFile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(saved)
+	if got, want := hex.EncodeToString(sum[:]), strings.TrimSpace(golden(t, "sps_save.trace.sha256")); got != want {
+		t.Errorf("saved trace file has SHA-256 %s, want %s", got, want)
+	}
+}
+
+// TestSaveThenReplay: a run replayed from a -save file prints what the
+// run that generates the same traces prints.
+func TestSaveThenReplay(t *testing.T) {
+	f := filepath.Join(t.TempDir(), "cq.trace")
+	gen := []string{"-workload", "cq", "-cores", "4", "-instrs", "1500", "-seed", "3"}
+	if out, stderr, code := capture(append(gen, "-save", f)...); code != 0 || out != "" {
+		t.Fatalf("-save: exit %d, stdout %q, stderr %q", code, out, stderr)
+	}
+	want, _, code := capture(append(gen, "-percore")...)
+	if code != 0 {
+		t.Fatalf("generated run exited %d", code)
+	}
+	got, stderr, code := capture("-workload", "cq", "-cores", "4", "-tracefile", f, "-percore")
+	if code != 0 || got != want {
+		t.Errorf("replayed run: exit %d, stderr %q\n--- replayed ---\n%s--- generated ---\n%s", code, stderr, got, want)
+	}
+}
+
+// TestInspectRejectsBadCore: -core outside the generated cores is a
+// usage error.
+func TestInspectRejectsBadCore(t *testing.T) {
+	_, stderr, code := capture("-workload", "pc", "-cores", "2", "-instrs", "100", "-summary", "-core", "2")
+	if code != 2 || stderr != "core 2 out of range [0,2)\n" {
+		t.Errorf("exit %d, stderr %q; want 2", code, stderr)
+	}
+}

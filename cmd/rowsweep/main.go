@@ -22,71 +22,56 @@
 package main
 
 import (
-	"cmp"
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"rowsim/internal/checkpoint"
+	"rowsim/internal/cli"
 	"rowsim/internal/experiments"
 	"rowsim/internal/lifecycle"
-	"rowsim/internal/profiling"
 	"rowsim/internal/serve"
 	"rowsim/internal/sim"
 	"rowsim/internal/stats"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() (code int) {
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	stderr = cli.Synced(stderr) // progress lines come from the workers
+	fs := cli.NewFlagSet("rowsweep", stderr)
 	var (
-		name    = flag.String("workload", "sps", "base workload")
-		param   = flag.String("param", "sharedfrac", "parameter to sweep: "+strings.Join(serve.ParamNames(), ", "))
-		values  = flag.String("values", "0.1,0.5,0.9", "comma-separated sweep values")
-		cores   = flag.Int("cores", 32, "number of cores")
-		instrs  = flag.Int("instrs", 8000, "instructions per core")
-		seed    = flag.Uint64("seed", 1, "trace seed (0 selects the documented default seed)")
-		schedF  = flag.String("sched", "event", "simulation scheduler: event (skip idle cycles) or cycle (tick every cycle); results are identical")
-		format  = flag.String("format", "text", "output format: text, csv")
-		journal = flag.String("journal", "", "write a crash-safe JSONL run journal to this path")
-		resume  = flag.String("resume", "", "resume an interrupted sweep from its journal (re-runs only missing cells)")
-		timeout = flag.Duration("timeout", 0, "per-run wall-clock deadline (0 = off); timed-out runs retry")
-		deadlin = flag.Duration("deadline", 0, "whole-sweep wall-clock deadline (0 = off)")
-		retries = flag.Int("retries", 3, "attempt budget per run for transient failures (timeout, panic)")
-		jobs    = flag.Int("jobs", 0, "parallel sweep workers (<1 = GOMAXPROCS); aggregate output is identical for any value")
-
-		ckptEvery  = flag.Uint64("checkpoint-every", 0, "write a durable per-cell checkpoint every N simulated cycles (0 = off); interrupted or retried cells resume from it")
-		resumeFrom = flag.String("resume-from", "", "directory holding mid-run checkpoints from a previous invocation (default: derived from the journal path when -checkpoint-every is set)")
-
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		traceFile  = flag.String("trace", "", "write a runtime execution trace to this file")
+		name   = fs.String("workload", "sps", "base workload")
+		param  = fs.String("param", "sharedfrac", "parameter to sweep: "+strings.Join(serve.ParamNames(), ", "))
+		values = cli.NewList("0.1,0.5,0.9", parseFloats)
+		cores  = fs.Int("cores", 32, "number of cores")
+		instrs = fs.Int("instrs", 8000, "instructions per core")
+		seed   = fs.Uint64("seed", 1, "trace seed (0 selects the documented default seed)")
+		format = fs.String("format", "text", "output format: text, csv")
+		jobs   = fs.Int("jobs", 0, "parallel sweep workers (<1 = GOMAXPROCS); aggregate output is identical for any value")
+		sw     = cli.AddSweep(fs, "rowsweep", 3)
+		prof   = cli.AddProfile(fs)
 	)
-	flag.Parse()
+	fs.Var(values, "values", "comma-separated sweep values")
+	sched := sim.SchedEvent
+	fs.Var(&sched, "sched", "simulation scheduler: event (skip idle cycles) or cycle (tick every cycle); results are identical")
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
+	}
 	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile, *traceFile)
-	if err != nil {
-		return fail(err)
+	if !prof.Start(stderr) {
+		return 2
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}()
+	defer prof.Stop(&code, stderr)
 
 	// Seed 0 means "the default": resolve it here so the journal and
 	// every repro record carry the real seed, never the ambiguous 0.
@@ -94,80 +79,45 @@ func run() (code int) {
 		*seed = experiments.DefaultSeed
 	}
 
-	// os.Interrupt covers Ctrl-C; SIGTERM is what containers and
-	// orchestrators send — both get the same graceful drain.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := sw.Context()
 	defer stop()
-	if *deadlin > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *deadlin)
-		defer cancel()
-	}
 
 	// The sweep's definition is these seven flags: a new journal records
 	// them, a resumed one restores them (convenience flags like -timeout,
 	// -deadline and -retries still come from the command line).
-	jnl, snap, err := lifecycle.OpenSweep(flag.CommandLine, "rowsweep", *journal, *resume,
-		"workload", "param", "values", "cores", "instrs", "seed", "sched")
-	if err != nil {
-		return fail(err)
-	}
-	// A journal problem must be loud: a silent one makes resume lie.
-	defer func() {
-		if err := jnl.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "journal error: %v\n", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}()
-
-	// One checkpoint file per cell, named by the cell's content key, so
-	// a resume matches them without a manifest.
-	ckptDir, err := checkpoint.OpenDir(*resumeFrom, cmp.Or(*resume, *journal, "rowsweep"), *ckptEvery)
-	if err != nil {
-		return fail(err)
-	}
-	sched, err := sim.ParseScheduler(*schedF)
-	if err != nil {
+	defer sw.Close(&code, stderr)
+	if err := sw.Open(fs, "workload", "param", "values", "cores", "instrs", "seed", "sched"); err != nil {
 		return fail(err)
 	}
 
 	// From here on the sweep is a serve.SweepSpec, the same one a client
 	// would POST to rowserve: cells, keys, configuration and content keys
 	// are the daemon's. Only its admission limits are not applied.
-	spec := serve.SweepSpec{Workload: *name, Param: *param, Cores: *cores, Instrs: *instrs, Seed: *seed}
-	for _, raw := range strings.Split(*values, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
-		if err != nil {
-			return fail(fmt.Errorf("bad value %q: %v", raw, err))
-		}
-		spec.Values = append(spec.Values, v)
-	}
+	spec := serve.SweepSpec{Workload: *name, Param: *param, Values: values.Values, Cores: *cores, Instrs: *instrs, Seed: *seed}
 	if err := spec.Resolve(); err != nil {
 		return fail(err)
 	}
-	cells, sweep, err := spec.Jobs(ckptDir)
+	cells, sweep, err := spec.Jobs(sw.CheckpointDir)
 	if err != nil {
 		return fail(err)
 	}
 
 	sup := lifecycle.New(lifecycle.Config{
-		MaxAttempts: *retries,
-		RunTimeout:  *timeout,
+		MaxAttempts: sw.Retries,
+		RunTimeout:  sw.Timeout,
 		JitterSeed:  *seed,
-		Journal:     jnl,
+		Journal:     sw.Journal,
 	})
 	// Cells are independent deterministic simulations, so they fan out
 	// across workers; the journal records outcomes in completion order,
 	// but outs is in sweep order and the table below is byte-identical
 	// for any worker count.
 	note := func(i int, format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "%-30s %s\n", cells[i].Key, fmt.Sprintf(format, args...))
+		fmt.Fprintf(stderr, "%-30s %s\n", cells[i].Key, fmt.Sprintf(format, args...))
 	}
 	setup := experiments.NewSetup(experiments.Jobs(*jobs))
-	outs := sup.Sweep(ctx, snap, *jobs, sweep, func(runCtx context.Context, i int) (sim.Result, error) {
-		return spec.Run(runCtx, cells[i], setup, ckptDir, *ckptEvery, func(cycle uint64, warn error) {
+	outs := sup.Sweep(ctx, sw.Snap, *jobs, sweep, func(runCtx context.Context, i int) (sim.Result, error) {
+		return spec.Run(runCtx, cells[i], setup, sw.CheckpointDir, sw.CheckpointEvery, func(cycle uint64, warn error) {
 			if warn != nil {
 				note(i, "checkpoint unusable, starting fresh: %v", warn)
 			} else {
@@ -191,16 +141,11 @@ func run() (code int) {
 		checkpoint.Remove(sweep[i].Checkpoint)
 	})
 
-	fmt.Fprintln(os.Stderr, setup.Stats())
+	fmt.Fprintln(stderr, setup.Stats())
 
 	for _, out := range outs {
 		if out.Status == lifecycle.StatusCanceled {
-			hint := ""
-			if jnl != nil {
-				hint = fmt.Sprintf(" — resume with: rowsweep -resume %s", jnl.Path())
-			}
-			fmt.Fprintf(os.Stderr, "sweep interrupted%s\n", hint)
-			return 130
+			return sw.Interrupted(stderr)
 		}
 	}
 
@@ -224,9 +169,21 @@ func run() (code int) {
 		t.AddRow(serve.FormatValue(v), string(eager.Status), string(lazy.Status), string(row.Status), "—")
 	}
 	if *format == "csv" {
-		fmt.Print(t.CSV())
+		fmt.Fprint(stdout, t.CSV())
 	} else {
-		fmt.Println(t)
+		fmt.Fprintln(stdout, t)
 	}
 	return 0
+}
+
+func parseFloats(s string) ([]float64, error) {
+	var vs []float64
+	for _, raw := range strings.Split(s, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad value %q: %v", raw, err)
+		}
+		vs = append(vs, v)
+	}
+	return vs, nil
 }

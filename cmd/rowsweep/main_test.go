@@ -1,37 +1,17 @@
 package main
 
 import (
-	"bytes"
-	"errors"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// build compiles this command into a temp dir: the tests below drive
-// the real binary, flags, exit codes and all.
-func build(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "rowsweep")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	return bin
-}
-
-func invoke(t *testing.T, bin string, args ...string) (stdout, stderr string, code int) {
-	t.Helper()
-	var o, e bytes.Buffer
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout, cmd.Stderr = &o, &e
-	err := cmd.Run()
-	var ee *exec.ExitError
-	if err != nil && !errors.As(err, &ee) {
-		t.Fatal(err)
-	}
-	return o.String(), e.String(), cmd.ProcessState.ExitCode()
+// capture runs the command in-process and returns what it printed.
+func capture(args ...string) (stdout, stderr string, code int) {
+	var o, e strings.Builder
+	code = run(args, &o, &e)
+	return o.String(), e.String(), code
 }
 
 // TestResumesParentJournal: testdata/parent_killed.jsonl was written by
@@ -42,7 +22,6 @@ func invoke(t *testing.T, bin string, args ...string) (stdout, stderr string, co
 // journal format, same cell keys, same definition hash — re-run only
 // the 8 missing cells and print what an uninterrupted sweep prints.
 func TestResumesParentJournal(t *testing.T) {
-	bin := build(t)
 	fixture, err := os.ReadFile("testdata/parent_killed.jsonl")
 	if err != nil {
 		t.Fatal(err)
@@ -51,19 +30,19 @@ func TestResumesParentJournal(t *testing.T) {
 	if err := os.WriteFile(journal, fixture, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want, _, code := invoke(t, bin, "-workload", "sps", "-param", "sharedfrac", "-values", "0.1,0.3,0.5,0.7,0.9",
+	want, _, code := capture("-workload", "sps", "-param", "sharedfrac", "-values", "0.1,0.3,0.5,0.7,0.9",
 		"-cores", "8", "-instrs", "20000", "-format", "csv")
 	if code != 0 {
 		t.Fatalf("uninterrupted sweep exited %d", code)
 	}
 
 	// A definition flag that contradicts the journal is refused...
-	_, stderr, code := invoke(t, bin, "-resume", journal, "-cores", "16")
+	_, stderr, code := capture("-resume", journal, "-cores", "16")
 	if code != 2 || !strings.Contains(stderr, `-cores: journal has "8", resume computed "16"`) {
 		t.Fatalf("conflicting -cores: exit %d, stderr %q", code, stderr)
 	}
 	// ...one that agrees, and flags outside the definition, are not.
-	got, stderr, code := invoke(t, bin, "-resume", journal, "-cores", "8", "-jobs", "2", "-format", "csv")
+	got, stderr, code := capture("-resume", journal, "-cores", "8", "-jobs", "2", "-format", "csv")
 	if code != 0 {
 		t.Fatalf("resume exited %d: %s", code, stderr)
 	}
@@ -81,10 +60,29 @@ func TestResumesParentJournal(t *testing.T) {
 // TestProfileWriteFailureExits1: a heap profile that cannot be written
 // fails the run even though the sweep itself succeeded.
 func TestProfileWriteFailureExits1(t *testing.T) {
-	bin := build(t)
 	missing := filepath.Join(t.TempDir(), "missing", "m.out")
-	out, stderr, code := invoke(t, bin, "-values", "0.5", "-cores", "2", "-instrs", "200", "-memprofile", missing)
+	out, stderr, code := capture("-values", "0.5", "-cores", "2", "-instrs", "200", "-memprofile", missing)
 	if code != 1 || !strings.Contains(stderr, "profiling:") || !strings.Contains(out, "Sweep of sharedfrac") {
 		t.Fatalf("exit %d, want 1 with the table and a profiling error; stderr %q", code, stderr)
+	}
+}
+
+// TestBadFlagLeavesNoJournal: a bad -sched or -values is refused while
+// the flags are parsed, before the journal exists, so the same
+// command with the value fixed starts a fresh sweep instead of finding
+// a journal whose definition no run can use.
+func TestBadFlagLeavesNoJournal(t *testing.T) {
+	for _, tc := range []struct{ flag, value, stderr string }{
+		{"-sched", "bogus", `sim: unknown scheduler "bogus"`},
+		{"-values", "0.5,x", `bad value "x"`},
+	} {
+		journal := filepath.Join(t.TempDir(), "j.jsonl")
+		_, stderr, code := capture("-journal", journal, tc.flag, tc.value)
+		if code != 2 || !strings.Contains(stderr, tc.stderr) {
+			t.Errorf("%s %s: exit %d, stderr %q; want 2", tc.flag, tc.value, code, stderr)
+		}
+		if _, err := os.Stat(journal); !os.IsNotExist(err) {
+			t.Errorf("%s %s left a journal behind (stat: %v)", tc.flag, tc.value, err)
+		}
 	}
 }

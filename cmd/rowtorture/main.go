@@ -35,189 +35,128 @@
 package main
 
 import (
-	"cmp"
-	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 
-	"rowsim/internal/checkpoint"
+	"rowsim/internal/cli"
 	"rowsim/internal/faults"
-	"rowsim/internal/lifecycle"
 	"rowsim/internal/mcheck"
 	"rowsim/internal/sim"
 	"rowsim/internal/torture"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() (code int) {
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	stdout = cli.Synced(stdout) // progress lines come from the workers
+	fs := cli.NewFlagSet("rowtorture", stderr)
 	var (
-		n       = flag.Int("n", 100, "sweep: number of randomized configs")
-		workers = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		seed    = flag.Uint64("seed", 1, "sweep master seed, or the trace seed in repro mode")
-		wl      = flag.String("wl", "", "repro mode: workload name (enables repro mode)")
-		variant = flag.String("variant", "Eager", "repro mode: variant name")
-		cores   = flag.String("cores", "4,8", "core-count choices (sweep) or the core count (repro)")
-		instrs  = flag.String("instrs", "1000,2500", "per-core instruction choices (sweep) or the count (repro)")
-		spec    = flag.String("faults", "none", "repro mode: fault spec, e.g. jitter=0.5:16,reorder=0.05:64")
-		replay  = flag.Int("replay-every", 5, "replay every Nth run for determinism (0 = off)")
-		check   = flag.Uint64("check-every", 4096, "coherence-invariant check interval in cycles (0 = off)")
-		budget  = flag.Uint64("max-cycles", 20_000_000, "per-run cycle budget (simulated cycles)")
-		schedF  = flag.String("sched", "event", "scheduler for primary runs: event or cycle; determinism replays run under the opposite one")
-		journal = flag.String("journal", "", "write a crash-safe JSONL run journal to this path")
-		resume  = flag.String("resume", "", "resume an interrupted sweep from its journal")
-		timeout = flag.Duration("timeout", 0, "per-run wall-clock deadline (0 = off); timed-out runs retry")
-		deadlin = flag.Duration("deadline", 0, "whole-sweep wall-clock deadline (0 = off)")
-		retries = flag.Int("retries", 1, "attempt budget per run for transient failures (timeout, panic)")
-		verbose = flag.Bool("v", false, "print a line per run")
-		witness = flag.String("replay", "", "replay a rowcheck witness spec (mcheck v1 ...)")
-
-		ckptEvery  = flag.Uint64("checkpoint-every", 0, "write a durable per-run checkpoint every N simulated cycles (0 = off); interrupted or retried runs resume from it")
-		resumeFrom = flag.String("resume-from", "", "directory holding mid-run checkpoints from a previous invocation (default: derived from the journal path when -checkpoint-every is set)")
+		n       = fs.Int("n", 100, "sweep: number of randomized configs")
+		workers = fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		seed    = fs.Uint64("seed", 1, "sweep master seed, or the trace seed in repro mode")
+		wl      = fs.String("wl", "", "repro mode: workload name (enables repro mode)")
+		variant = fs.String("variant", "Eager", "repro mode: variant name")
+		cores   = cli.NewList("4,8", parseInts)
+		instrs  = cli.NewList("1000,2500", parseInts)
+		spec    = fs.String("faults", "none", "repro mode: fault spec, e.g. jitter=0.5:16,reorder=0.05:64")
+		replay  = fs.Int("replay-every", 5, "replay every Nth run for determinism (0 = off)")
+		check   = fs.Uint64("check-every", 4096, "coherence-invariant check interval in cycles (0 = off)")
+		budget  = fs.Uint64("max-cycles", 20_000_000, "per-run cycle budget (simulated cycles)")
+		verbose = fs.Bool("v", false, "print a line per run")
+		witness = fs.String("replay", "", "replay a rowcheck witness spec (mcheck v1 ...)")
+		sw      = cli.AddSweep(fs, "rowtorture", 1)
 	)
-	flag.Parse()
-
-	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+	fs.Var(cores, "cores", "core-count choices (sweep) or the core count (repro)")
+	fs.Var(instrs, "instrs", "per-core instruction choices (sweep) or the count (repro)")
+	sched := sim.SchedEvent
+	fs.Var(&sched, "sched", "scheduler for primary runs: event or cycle; determinism replays run under the opposite one")
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
 	}
+
 	if *witness != "" {
-		return replayWitness(*witness)
+		return replayWitness(*witness, stdout, stderr)
 	}
 
 	if *wl != "" {
-		return repro(*seed, *wl, *variant, *cores, *instrs, *spec, *check, *budget, *schedF)
+		return repro(torture.RunSpec{
+			Seed:       *seed,
+			Workload:   *wl,
+			Variant:    *variant,
+			CheckEvery: *check,
+			MaxCycles:  *budget,
+			Sched:      sched,
+		}, cores, instrs, *spec, stdout, stderr)
 	}
 
 	// The sweep's definition is these eight flags: a new journal records
 	// them, a resumed one restores them and refuses a conflicting one.
-	jnl, snap, err := lifecycle.OpenSweep(flag.CommandLine, "rowtorture", *journal, *resume,
-		"n", "seed", "cores", "instrs", "replay-every", "check-every", "max-cycles", "sched")
-	if err != nil {
-		return fail(err)
+	defer sw.Close(&code, stderr)
+	if err := sw.Open(fs, "n", "seed", "cores", "instrs", "replay-every", "check-every", "max-cycles", "sched"); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	// A journal problem must be loud: a silent one makes resume lie.
-	defer func() {
-		if err := jnl.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "journal error: %v\n", err)
-			code = 1
-		}
-	}()
-	sched, err := sim.ParseScheduler(*schedF)
-	if err != nil {
-		return fail(err)
-	}
-
-	// os.Interrupt covers Ctrl-C; SIGTERM is what containers and
-	// orchestrators send — both get the same graceful drain.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := sw.Context()
 	defer stop()
-	if *deadlin > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *deadlin)
-		defer cancel()
-	}
-
-	// One checkpoint file per run spec, named by its content key.
-	ckptDir, err := checkpoint.OpenDir(*resumeFrom, cmp.Or(*resume, *journal, "rowtorture"), *ckptEvery)
-	if err != nil {
-		return fail(err)
-	}
-
-	coreChoices, err := parseInts(*cores)
-	if err != nil {
-		return fail(err)
-	}
-	instrChoices, err := parseInts(*instrs)
-	if err != nil {
-		return fail(err)
-	}
 
 	opt := torture.Options{
 		Runs:            *n,
 		Workers:         *workers,
 		Seed:            *seed,
 		Sched:           sched,
-		Cores:           coreChoices,
-		Instrs:          instrChoices,
+		Cores:           cores.Values,
+		Instrs:          instrs.Values,
 		ReplayEvery:     *replay,
 		CheckEvery:      *check,
 		MaxCycles:       *budget,
 		Ctx:             ctx,
-		RunTimeout:      *timeout,
-		MaxAttempts:     *retries,
-		Journal:         jnl,
-		Resume:          snap,
-		CheckpointDir:   ckptDir,
-		CheckpointEvery: *ckptEvery,
+		RunTimeout:      sw.Timeout,
+		MaxAttempts:     sw.Retries,
+		Journal:         sw.Journal,
+		Resume:          sw.Snap,
+		CheckpointDir:   sw.CheckpointDir,
+		CheckpointEvery: sw.CheckpointEvery,
 	}
 	if *verbose {
-		opt.Progress = func(msg string) { fmt.Println(msg) }
+		opt.Progress = func(msg string) { fmt.Fprintln(stdout, msg) }
 	}
 	sum := torture.Torture(opt)
-	fmt.Println(sum)
+	fmt.Fprintln(stdout, sum)
 	if !sum.OK() {
 		return 1
 	}
 	if sum.Canceled > 0 {
-		hint := ""
-		if jnl != nil {
-			hint = fmt.Sprintf(" — resume with: rowtorture -resume %s", jnl.Path())
-		}
-		fmt.Fprintf(os.Stderr, "sweep interrupted%s\n", hint)
-		return 130
+		return sw.Interrupted(stderr)
 	}
 	return 0
 }
 
-// repro re-executes one run and reports its outcome; the exit code is
-// 0 only when the run completes cleanly.
-func repro(seed uint64, wl, variant, coresStr, instrsStr, spec string, check, budget uint64, schedStr string) int {
-	fc, err := faults.ParseSpec(spec)
+// repro re-executes one run, rs completed by the single -cores, -instrs
+// and -faults values, and reports its outcome; the exit code is 0 only
+// when the run completes cleanly.
+func repro(rs torture.RunSpec, cores, instrs *cli.List[int], spec string, stdout, stderr io.Writer) int {
+	var err error
+	if rs.Faults, err = faults.ParseSpec(spec); err == nil {
+		if rs.Cores, err = one(cores); err == nil {
+			rs.Instrs, err = one(instrs)
+		}
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	sched, err := sim.ParseScheduler(schedStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	cores, err := one(coresStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	instrs, err := one(instrsStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	rs := torture.RunSpec{
-		Seed:       seed,
-		Workload:   wl,
-		Variant:    variant,
-		Cores:      cores,
-		Instrs:     instrs,
-		Faults:     fc,
-		CheckEvery: check,
-		MaxCycles:  budget,
-		Sched:      sched,
-	}
-	fmt.Println(rs.ReproLine())
+	fmt.Fprintln(stdout, rs.ReproLine())
 	res, err := torture.Execute(rs)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL [%s]\n%v\n", torture.Classify(err), err)
+		fmt.Fprintf(stderr, "FAIL [%s]\n%v\n", torture.Classify(err), err)
 		return 1
 	}
-	fmt.Printf("ok: %d cycles, %d committed, IPC %.2f, %d network messages\n",
+	fmt.Fprintf(stdout, "ok: %d cycles, %d committed, IPC %.2f, %d network messages\n",
 		res.Cycles, res.Committed, res.IPC, res.NetworkMessages)
 	return 0
 }
@@ -226,17 +165,17 @@ func repro(seed uint64, wl, variant, coresStr, instrsStr, spec string, check, bu
 // when the violation reproduces (the expected outcome for a live bug),
 // 0 when the trace replays cleanly (the bug is fixed), 2 on a spec that
 // no longer applies.
-func replayWitness(spec string) int {
+func replayWitness(spec string, stdout, stderr io.Writer) int {
 	res, err := mcheck.Replay(spec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	if v := res.Violation; v != nil {
-		fmt.Printf("reproduced [%s] after %d choices: %s\n", torture.Classify(v), len(v.Trace), v.Detail)
+		fmt.Fprintf(stdout, "reproduced [%s] after %d choices: %s\n", torture.Classify(v), len(v.Trace), v.Detail)
 		return 1
 	}
-	fmt.Printf("ok: witness replayed cleanly (%d choices) — violation not reproduced\n", res.Stats.Transitions)
+	fmt.Fprintf(stdout, "ok: witness replayed cleanly (%d choices) — violation not reproduced\n", res.Stats.Transitions)
 	return 0
 }
 
@@ -256,14 +195,10 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-// one parses a single integer flag that shares syntax with a list.
-func one(s string) (int, error) {
-	vs, err := parseInts(s)
-	if err == nil && len(vs) != 1 {
-		err = fmt.Errorf("repro mode wants a single value, got %q", s)
+// one is the single value repro mode wants of a list flag.
+func one(l *cli.List[int]) (int, error) {
+	if len(l.Values) != 1 {
+		return 0, fmt.Errorf("repro mode wants a single value, got %q", l)
 	}
-	if err != nil {
-		return 0, err
-	}
-	return vs[0], nil
+	return l.Values[0], nil
 }

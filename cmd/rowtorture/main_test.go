@@ -1,10 +1,7 @@
 package main
 
 import (
-	"bytes"
-	"errors"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,26 +9,11 @@ import (
 	"rowsim/internal/lifecycle"
 )
 
-func build(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "rowtorture")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	return bin
-}
-
-func invoke(t *testing.T, bin string, args ...string) (stdout, stderr string, code int) {
-	t.Helper()
-	var o, e bytes.Buffer
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout, cmd.Stderr = &o, &e
-	err := cmd.Run()
-	var ee *exec.ExitError
-	if err != nil && !errors.As(err, &ee) {
-		t.Fatal(err)
-	}
-	return o.String(), e.String(), cmd.ProcessState.ExitCode()
+// capture runs the command in-process and returns what it printed.
+func capture(args ...string) (stdout, stderr string, code int) {
+	var o, e strings.Builder
+	code = run(args, &o, &e)
+	return o.String(), e.String(), code
 }
 
 // TestResumesParentJournal: testdata/parent_killed.jsonl was written by
@@ -42,7 +24,6 @@ func invoke(t *testing.T, bin string, args ...string) (stdout, stderr string, co
 // each ok with the same result. A -resume that contradicts the
 // journaled definition exits 2, as rowsweep's does.
 func TestResumesParentJournal(t *testing.T) {
-	bin := build(t)
 	dir := t.TempDir()
 	fixture, err := os.ReadFile("testdata/parent_killed.jsonl")
 	if err != nil {
@@ -53,18 +34,18 @@ func TestResumesParentJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	clean := filepath.Join(dir, "clean.jsonl")
-	if out, stderr, code := invoke(t, bin, "-n", "60", "-seed", "2026", "-journal", clean); code != 0 {
+	if out, stderr, code := capture("-n", "60", "-seed", "2026", "-journal", clean); code != 0 {
 		t.Fatalf("uninterrupted sweep exited %d: %s%s", code, out, stderr)
 	}
 
 	for _, conflict := range [][]string{{"-n", "500"}, {"-seed", "7"}, {"-cores", "4"}, {"-instrs", "1000"},
 		{"-replay-every", "0"}, {"-check-every", "1"}, {"-max-cycles", "9"}, {"-sched", "cycle"}} {
-		_, stderr, code := invoke(t, bin, append([]string{"-resume", journal}, conflict...)...)
+		_, stderr, code := capture(append([]string{"-resume", journal}, conflict...)...)
 		if code != 2 || !strings.Contains(stderr, "produced by a different sweep definition ("+conflict[0]+":") {
 			t.Errorf("conflicting %v: exit %d, stderr %q", conflict, code, stderr)
 		}
 	}
-	out, stderr, code := invoke(t, bin, "-resume", journal, "-n", "60", "-timeout", "1m")
+	out, stderr, code := capture("-resume", journal, "-n", "60", "-timeout", "1m")
 	if code != 0 || !strings.Contains(out, "torture: 60 runs, ") || !strings.Contains(out, " 0 failures, 25 resumed from journal") {
 		t.Fatalf("resume: exit %d, %q\n%s", code, out, stderr)
 	}
@@ -91,20 +72,14 @@ func TestResumesParentJournal(t *testing.T) {
 	}
 }
 
-// TestBadListClosesJournal: a malformed list flag, found after the
-// journal is open, exits 2 through run, so the journal is closed and
-// reopens.
-func TestBadListClosesJournal(t *testing.T) {
-	bin := build(t)
+// TestBadListLeavesNoJournal: a malformed list flag is refused while
+// the flags are parsed, before the journal exists.
+func TestBadListLeavesNoJournal(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "j.jsonl")
-	if _, stderr, code := invoke(t, bin, "-journal", journal, "-cores", "4,x"); code != 2 || !strings.Contains(stderr, "bad integer list") {
+	if _, stderr, code := capture("-journal", journal, "-cores", "4,x"); code != 2 || !strings.Contains(stderr, "bad integer list") {
 		t.Fatalf("-cores 4,x: exit %d, stderr %q; want 2", code, stderr)
 	}
-	j, _, err := lifecycle.Resume(journal)
-	if err != nil {
-		t.Fatalf("journal left by the failed run: %v", err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Errorf("-cores 4,x left a journal behind (stat: %v)", err)
 	}
 }

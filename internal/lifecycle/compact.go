@@ -3,8 +3,7 @@ package lifecycle
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
+	"io"
 	"sort"
 )
 
@@ -16,7 +15,7 @@ import (
 // cell transitions reloads from a file proportional to the number of
 // cells, not the number of transitions).
 //
-// The rewrite is atomic (temp+fsync+rename): a crash mid-compaction
+// The rewrite is atomic (see writeAtomic): a crash mid-compaction
 // leaves the original journal untouched. The journal must not be open
 // for appending — compaction is for quiesced journals (rowserve runs
 // it on graceful drain, after the queue has closed).
@@ -31,46 +30,21 @@ func CompactFile(path string) error {
 	}
 	sort.Strings(keys)
 
-	tmp := path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	write := func(rec Record) {
-		if err != nil {
-			return
+	err = writeAtomic(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		recs := append([]Record{snap.Meta}, snap.Sweeps...)
+		for _, k := range keys {
+			recs = append(recs, snap.Runs[k])
 		}
-		var line []byte
-		if line, err = json.Marshal(rec); err != nil {
-			return
+		for i := range recs {
+			if err := enc.Encode(recs[i]); err != nil {
+				return err
+			}
 		}
-		_, err = f.Write(append(line, '\n'))
-	}
-	err = nil
-	write(snap.Meta)
-	for _, sw := range snap.Sweeps {
-		write(sw)
-	}
-	for _, k := range keys {
-		write(snap.Runs[k])
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+		return nil
+	})
 	if err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("lifecycle: compact %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, derr := os.Open(filepath.Dir(path)); derr == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }

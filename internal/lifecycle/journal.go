@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 
@@ -119,26 +120,46 @@ func Create(path string, meta Record) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lifecycle: encode meta: %w", err)
 	}
+	err = writeAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(append(line, '\n'))
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("lifecycle: write journal header: %w", err)
+	}
+	return openAppend(path)
+}
+
+// writeAtomic makes path hold exactly what write writes, or leaves it
+// as it was: the bytes go to a temp file that is fsynced, closed and
+// renamed over path, and then the directory is fsynced so the rename
+// itself survives power loss (without it a journal acknowledged to a
+// client can vanish). The directory fsync is best-effort: some
+// filesystems refuse it.
+func writeAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if _, err := f.Write(append(line, '\n')); err == nil {
+	if err = write(f); err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
 		os.Remove(tmp)
-		return nil, fmt.Errorf("lifecycle: write journal header: %w", err)
+		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return nil, err
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
+		d.Sync()
+		d.Close()
 	}
-	return openAppend(path)
+	return nil
 }
 
 func openAppend(path string) (*Journal, error) {

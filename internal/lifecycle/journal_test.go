@@ -2,6 +2,8 @@ package lifecycle
 
 import (
 	"context"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,6 +65,35 @@ func TestJournalCreateRefusesExisting(t *testing.T) {
 	j.Close()
 	if _, err := Create(path, testMeta()); err == nil {
 		t.Fatal("Create over an existing journal succeeded")
+	}
+}
+
+// TestWriteAtomic: the write path Create and CompactFile share either
+// replaces the file whole or leaves it as it was, and never leaves its
+// temp file behind.
+func TestWriteAtomic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	if err := os.WriteFile(path, []byte("old\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		write func(io.Writer) error
+		err   error
+		want  string
+	}{
+		{func(w io.Writer) error { io.WriteString(w, "torn"); return boom }, boom, "old\n"},
+		{func(w io.Writer) error { _, err := io.WriteString(w, "new\n"); return err }, nil, "new\n"},
+	} {
+		if err := writeAtomic(path, tc.write); !errors.Is(err, tc.err) {
+			t.Errorf("writeAtomic = %v, want %v", err, tc.err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != tc.want {
+			t.Errorf("file holds %q (%v), want %q", got, err, tc.want)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Errorf("temp file left behind (stat: %v)", err)
+		}
 	}
 }
 

@@ -36,15 +36,18 @@ func (m Scheduler) Other() Scheduler {
 	return SchedCycle
 }
 
-// ParseScheduler maps a -sched flag value to a Scheduler.
-func ParseScheduler(s string) (Scheduler, error) {
+// Set parses a -sched spelling, so that *Scheduler is the flag.Value of
+// every command's -sched.
+func (m *Scheduler) Set(s string) error {
 	switch s {
 	case "event":
-		return SchedEvent, nil
+		*m = SchedEvent
 	case "cycle":
-		return SchedCycle, nil
+		*m = SchedCycle
+	default:
+		return fmt.Errorf("sim: unknown scheduler %q (want cycle or event)", s)
 	}
-	return 0, fmt.Errorf("sim: unknown scheduler %q (want cycle or event)", s)
+	return nil
 }
 
 // run is the simulation loop. Each iteration picks the next cycle to

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"testing"
 
 	"rowsim/internal/config"
@@ -171,24 +174,28 @@ func TestCrossModeCheckpointRestore(t *testing.T) {
 	}
 }
 
-// TestParseScheduler pins the -sched spellings and that Other flips
+// TestSchedulerFlag pins the -sched spellings, the error a bad one
+// gets (a bad value leaves the flag as it was), and that Other flips
 // the mode.
-func TestParseScheduler(t *testing.T) {
+func TestSchedulerFlag(t *testing.T) {
 	for _, tc := range []struct {
+		from Scheduler
 		in   string
 		want Scheduler
-		ok   bool
+		err  string
 	}{
-		{"event", SchedEvent, true},
-		{"cycle", SchedCycle, true},
-		{"", 0, false},
-		{"events", 0, false},
+		{SchedCycle, "event", SchedEvent, ""},
+		{SchedEvent, "cycle", SchedCycle, ""},
+		{SchedCycle, "", SchedCycle, `sim: unknown scheduler "" (want cycle or event)`},
+		{SchedEvent, "events", SchedEvent, `sim: unknown scheduler "events" (want cycle or event)`},
 	} {
-		got, err := ParseScheduler(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseScheduler(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		got := tc.from
+		err := got.Set(tc.in)
+		if fmt.Sprint(err) != cmp.Or(tc.err, "<nil>") || got != tc.want {
+			t.Errorf("Set(%q) = %v, leaving %v; want %q, %v", tc.in, err, got, tc.err, tc.want)
 		}
 	}
+	var _ flag.Value = new(Scheduler)
 	if SchedEvent.String() != "event" || SchedCycle.String() != "cycle" {
 		t.Errorf("String(): %q, %q", SchedEvent, SchedCycle)
 	}
