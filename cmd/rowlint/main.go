@@ -61,11 +61,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (suppressed included) instead of text")
 	var changed changedFlag
 	fs.Var(&changed, "changed", "lint only packages with files modified since the given git ref (bare -changed: HEAD)")
-	bigcopyBytes := fs.Int64("bigcopy-bytes", lint.BigCopyThreshold, "struct-copy size threshold (bytes) for the bigcopy analyzer")
 	if code, ok := cli.Parse(fs, args); !ok {
 		return code
 	}
-	lint.BigCopyThreshold = *bigcopyBytes
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

@@ -44,7 +44,6 @@ import (
 	"rowsim/internal/cli"
 	"rowsim/internal/faults"
 	"rowsim/internal/mcheck"
-	"rowsim/internal/sim"
 	"rowsim/internal/torture"
 )
 
@@ -73,8 +72,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	)
 	fs.Var(cores, "cores", "core-count choices (sweep) or the core count (repro)")
 	fs.Var(instrs, "instrs", "per-core instruction choices (sweep) or the count (repro)")
-	sched := sim.SchedEvent
-	fs.Var(&sched, "sched", "scheduler for primary runs: event or cycle; determinism replays run under the opposite one")
 	if code, ok := cli.Parse(fs, args); !ok {
 		return code
 	}
@@ -90,14 +87,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			Variant:    *variant,
 			CheckEvery: *check,
 			MaxCycles:  *budget,
-			Sched:      sched,
 		}, cores, instrs, *spec, stdout, stderr)
 	}
 
-	// The sweep's definition is these eight flags: a new journal records
+	// The sweep's definition is these seven flags: a new journal records
 	// them, a resumed one restores them and refuses a conflicting one.
+	// A journal that also records -sched, as older builds wrote, still
+	// resumes: OpenSweep skips a journaled name with no flag.
 	defer sw.Close(&code, stderr)
-	if err := sw.Open(fs, "n", "seed", "cores", "instrs", "replay-every", "check-every", "max-cycles", "sched"); err != nil {
+	if err := sw.Open(fs, "n", "seed", "cores", "instrs", "replay-every", "check-every", "max-cycles"); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
@@ -108,7 +106,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		Runs:            *n,
 		Workers:         *workers,
 		Seed:            *seed,
-		Sched:           sched,
 		Cores:           cores.Values,
 		Instrs:          instrs.Values,
 		ReplayEvery:     *replay,

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,8 +22,10 @@ func capture(args ...string) (stdout, stderr string, code int) {
 // internal/ (`rowtorture -n 60 -seed 2026 -workers 1 -journal ...`,
 // SIGKILLed after 25 of 60 runs). This build must resume it and end
 // with the journal an uninterrupted sweep writes: the same 60 keys,
-// each ok with the same result. A -resume that contradicts the
-// journaled definition exits 2, as rowsweep's does.
+// each ok with the same result. The parent also journaled -sched event,
+// a flag this build no longer has; everything else in its definition
+// is this build's. A -resume that contradicts the journaled definition
+// exits 2, as rowsweep's does.
 func TestResumesParentJournal(t *testing.T) {
 	dir := t.TempDir()
 	fixture, err := os.ReadFile("testdata/parent_killed.jsonl")
@@ -39,7 +42,7 @@ func TestResumesParentJournal(t *testing.T) {
 	}
 
 	for _, conflict := range [][]string{{"-n", "500"}, {"-seed", "7"}, {"-cores", "4"}, {"-instrs", "1000"},
-		{"-replay-every", "0"}, {"-check-every", "1"}, {"-max-cycles", "9"}, {"-sched", "cycle"}} {
+		{"-replay-every", "0"}, {"-check-every", "1"}, {"-max-cycles", "9"}} {
 		_, stderr, code := capture(append([]string{"-resume", journal}, conflict...)...)
 		if code != 2 || !strings.Contains(stderr, "produced by a different sweep definition ("+conflict[0]+":") {
 			t.Errorf("conflicting %v: exit %d, stderr %q", conflict, code, stderr)
@@ -58,8 +61,13 @@ func TestResumesParentJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Meta.SpecHash != want.Meta.SpecHash {
-		t.Errorf("definition hash: parent wrote %s, this build writes %s", got.Meta.SpecHash, want.Meta.SpecHash)
+	parentDef := maps.Clone(got.Meta.Args)
+	if parentDef["sched"] != "event" {
+		t.Errorf("parent journal records -sched %q, want event", parentDef["sched"])
+	}
+	delete(parentDef, "sched")
+	if !maps.Equal(parentDef, want.Meta.Args) {
+		t.Errorf("definition: parent wrote %v, this build writes %v", got.Meta.Args, want.Meta.Args)
 	}
 	if len(got.Runs) != 60 || len(want.Runs) != 60 {
 		t.Fatalf("resumed journal has %d runs, uninterrupted %d, want 60", len(got.Runs), len(want.Runs))

@@ -91,9 +91,6 @@ func NewDirectory(nodeID, bank int, net Network, l3SizeBytes, l3Ways, lineBytes,
 	}
 }
 
-// NodeID returns the bank's network node id.
-func (d *Directory) NodeID() int { return d.nodeID }
-
 // SetErrorSink wires the system-wide protocol-error sink. Without one,
 // violations panic (fail-fast for components driven directly by tests).
 func (d *Directory) SetErrorSink(s *ErrorSink) { d.sink = s }

@@ -312,9 +312,6 @@ func (c *Core) Mem() *cache.Private { return c.mem }
 // policy is not RoW.
 func (c *Core) ContentionPredictor() *predictor.Contention { return c.cp }
 
-// BranchPredictor returns the direction predictor.
-func (c *Core) BranchPredictor() *predictor.Branch { return c.bp }
-
 // L1IMisses returns the number of instruction-cache misses.
 func (c *Core) L1IMisses() uint64 { return c.l1iMisses }
 

@@ -12,81 +12,38 @@ import (
 // alias and the wrong policy is applied (a single shared entry
 // degrades to roughly eager performance on average).
 func AblationEntries(r *Runner) *stats.Table {
-	sizes := []int{1, 4, 16, 64, 256}
-	headers := []string{"workload"}
-	for _, n := range sizes {
-		headers = append(headers, fmt.Sprintf("%d-entries", n))
-	}
-	t := &stats.Table{
-		Title:   "Ablation — RoW (RW+Dir_U/D) predictor table size, normalized to eager",
-		Headers: headers,
-	}
-	warm := []Variant{VarEager}
-	for _, n := range sizes {
+	var vs []Variant
+	var headers []string
+	for _, n := range []int{1, 4, 16, 64, 256} {
 		v := VarDirUD
-		v.Name = fmt.Sprintf("RW+Dir_U/D(%de)", n)
-		v.PredEntries = n
-		warm = append(warm, v)
+		v.Name, v.PredEntries = fmt.Sprintf("RW+Dir_U/D(%de)", n), n
+		vs, headers = append(vs, v), append(headers, fmt.Sprintf("%d-entries", n))
 	}
-	r.Warm(Cross(r.opt.Workloads, warm...))
-	sums := make([][]float64, len(sizes))
-	for _, wl := range r.opt.Workloads {
-		e := r.MustRun(wl, VarEager)
-		row := []string{wl}
-		for i, n := range sizes {
-			v := VarDirUD
-			v.Name = fmt.Sprintf("RW+Dir_U/D(%de)", n)
-			v.PredEntries = n
-			res := r.MustRun(wl, v)
-			norm := Norm(res.Cycles, e.Cycles)
-			sums[i] = append(sums[i], norm)
-			row = append(row, stats.F(norm))
-		}
-		t.AddRow(row...)
-	}
-	row := []string{"geomean"}
-	for i := range sizes {
-		row = append(row, stats.F(stats.GeoMean(sums[i])))
-	}
-	t.AddRow(row...)
-	return t
+	return normTable(r, "Ablation — RoW (RW+Dir_U/D) predictor table size, normalized to eager", false, vs, headers)
 }
 
 // AblationUpdate compares the counter-update rules: UpDown, Saturate
 // on Contention, and the +2/-1 rule the paper evaluated and
 // discarded.
 func AblationUpdate(r *Runner) *stats.Table {
-	kinds := []config.PredictorKind{config.PredUpDown, config.PredSaturate, config.PredTwoUpOneDown}
-	headers := []string{"workload"}
-	for _, k := range kinds {
-		headers = append(headers, k.String())
+	var vs []Variant
+	var headers []string
+	for _, k := range []config.PredictorKind{config.PredUpDown, config.PredSaturate, config.PredTwoUpOneDown} {
+		vs, headers = append(vs, rowVariant("RW+Dir_"+k.String(), config.DetectRWDir, k, false)), append(headers, k.String())
 	}
-	t := &stats.Table{
-		Title:   "Ablation — predictor update rule (RW+Dir), normalized to eager",
-		Headers: headers,
+	return normTable(r, "Ablation — predictor update rule (RW+Dir), normalized to eager", false, vs, headers)
+}
+
+// AblationAQSize sweeps the Atomic Queue depth: too few entries limit
+// the number of in-flight atomics (dispatch stalls), while the
+// paper's 16 entries are enough for every workload.
+func AblationAQSize(r *Runner) *stats.Table {
+	var vs []Variant
+	var headers []string
+	for _, n := range []int{4, 8, 16, 32} {
+		v := VarDirUD
+		v.Name, v.AQSize = fmt.Sprintf("RW+Dir_U/D(aq%d)", n), n
+		vs, headers = append(vs, v), append(headers, fmt.Sprintf("AQ=%d", n))
 	}
-	warm := []Variant{VarEager}
-	for _, k := range kinds {
-		warm = append(warm, rowVariant("RW+Dir_"+k.String(), config.DetectRWDir, k, false))
-	}
-	r.Warm(Cross(r.opt.Workloads, warm...))
-	sums := make([][]float64, len(kinds))
-	for _, wl := range r.opt.Workloads {
-		e := r.MustRun(wl, VarEager)
-		row := []string{wl}
-		for i, k := range kinds {
-			v := rowVariant("RW+Dir_"+k.String(), config.DetectRWDir, k, false)
-			res := r.MustRun(wl, v)
-			norm := Norm(res.Cycles, e.Cycles)
-			sums[i] = append(sums[i], norm)
-			row = append(row, stats.F(norm))
-		}
-		t.AddRow(row...)
-	}
-	row := []string{"geomean"}
-	for i := range kinds {
-		row = append(row, stats.F(stats.GeoMean(sums[i])))
-	}
-	t.AddRow(row...)
-	return t
+	return normTable(r, "Ablation — Atomic Queue depth under RoW (RW+Dir_U/D), normalized to eager", false, vs, headers)
 }

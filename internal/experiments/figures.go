@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rowsim/internal/config"
+	"rowsim/internal/sim"
 	"rowsim/internal/stats"
 	"rowsim/internal/workload"
 )
@@ -12,18 +13,16 @@ import (
 // execution relative to eager, per workload. Values above 1 mean
 // eager wins (canneal side), below 1 mean lazy wins (pc side).
 func Fig1(r *Runner) *stats.Table {
-	r.Warm(Cross(r.opt.Workloads, VarEager, VarLazy))
 	t := &stats.Table{
 		Title:   "Fig. 1 — Normalized execution time: lazy relative to eager (>1: eager wins)",
 		Headers: []string{"workload", "eager-cycles", "lazy-cycles", "lazy/eager"},
 	}
 	var ratios []float64
-	for _, wl := range r.opt.Workloads {
-		e := r.MustRun(wl, VarEager)
-		l := r.MustRun(wl, VarLazy)
-		ratio := Norm(l.Cycles, e.Cycles)
+	for w, res := range r.sweep(r.opt.Workloads, nil, nil, VarEager, VarLazy) {
+		e, l := res[0].Cycles, res[1].Cycles
+		ratio := Norm(l, e)
 		ratios = append(ratios, ratio)
-		t.AddRow(wl, fmt.Sprint(e.Cycles), fmt.Sprint(l.Cycles), stats.F(ratio))
+		t.AddRow(r.opt.Workloads[w], fmt.Sprint(e), fmt.Sprint(l), stats.F(ratio))
 	}
 	t.AddRow("geomean", "", "", stats.F(stats.GeoMean(ratios)))
 	return t
@@ -34,21 +33,26 @@ func Fig1(r *Runner) *stats.Table {
 // eager atomic issues, and younger already-executing instructions
 // when a lazy atomic issues.
 func Fig4(r *Runner) *stats.Table {
-	r.Warm(Cross(r.opt.Workloads, VarEager, VarLazy))
 	t := &stats.Table{
 		Title:   "Fig. 4 — Independent instructions around atomics",
 		Headers: []string{"workload", "older-unexecuted@eager", "younger-started@lazy"},
 	}
 	var olds, youngs []float64
-	for _, wl := range r.opt.Workloads {
-		e := r.MustRun(wl, VarEager)
-		l := r.MustRun(wl, VarLazy)
-		olds = append(olds, e.OlderUnexecAtEager)
-		youngs = append(youngs, l.YoungerStartedAtLazy)
-		t.AddRow(wl, stats.F1(e.OlderUnexecAtEager), stats.F1(l.YoungerStartedAtLazy))
+	for w, res := range r.sweep(r.opt.Workloads, nil, nil, VarEager, VarLazy) {
+		o, y := res[0].OlderUnexecAtEager, res[1].YoungerStartedAtLazy
+		olds, youngs = append(olds, o), append(youngs, y)
+		t.AddRow(r.opt.Workloads[w], stats.F1(o), stats.F1(y))
 	}
 	t.AddRow("mean", stats.F1(stats.ArithMean(olds)), stats.F1(stats.ArithMean(youngs)))
 	return t
+}
+
+// eagerDetect is the eager policy with a contention detector attached:
+// the detector only affects the statistics, not the schedule.
+func eagerDetect(d config.Detection, name string) Variant {
+	v := VarEager
+	v.Name, v.Detection = "eager-detect-"+name, d
+	return v
 }
 
 // Fig5 reproduces Figure 5: atomic intensity (atomics per 10
@@ -61,13 +65,8 @@ func Fig5(r *Runner) *stats.Table {
 		Title:   "Fig. 5 — Atomic intensity and contention (eager execution)",
 		Headers: []string{"workload", "atomics/10k", "%contended"},
 	}
-	eagerDir := VarEager
-	eagerDir.Name = "eager-detect-RW+Dir"
-	eagerDir.Detection = config.DetectRWDir
-	r.Warm(Cross(r.opt.Workloads, eagerDir))
-	for _, wl := range r.opt.Workloads {
-		e := r.MustRun(wl, eagerDir)
-		t.AddRow(wl, stats.F1(e.AtomicsPer10K), stats.Pct(e.ContendedFrac))
+	for w, res := range r.sweep(r.opt.Workloads, nil, nil, eagerDetect(config.DetectRWDir, "RW+Dir")) {
+		t.AddRow(r.opt.Workloads[w], stats.F1(res[0].AtomicsPer10K), stats.Pct(res[0].ContendedFrac))
 	}
 	return t
 }
@@ -75,18 +74,50 @@ func Fig5(r *Runner) *stats.Table {
 // Fig6 reproduces Figure 6: the atomic latency breakdown — dispatch
 // to issue, issue to lock, lock to unlock — under eager and lazy.
 func Fig6(r *Runner) *stats.Table {
-	r.Warm(Cross(r.opt.Workloads, VarEager, VarLazy))
 	t := &stats.Table{
 		Title:   "Fig. 6 — Atomic latency breakdown (cycles): eager vs lazy",
 		Headers: []string{"workload", "E:disp->issue", "E:issue->lock", "E:lock->unlock", "L:disp->issue", "L:issue->lock", "L:lock->unlock"},
 	}
-	for _, wl := range r.opt.Workloads {
-		e := r.MustRun(wl, VarEager)
-		l := r.MustRun(wl, VarLazy)
-		t.AddRow(wl,
+	for w, res := range r.sweep(r.opt.Workloads, nil, nil, VarEager, VarLazy) {
+		e, l := &res[0], &res[1]
+		t.AddRow(r.opt.Workloads[w],
 			stats.F1(e.DispatchToIssue), stats.F1(e.IssueToLock), stats.F1(e.LockToUnlock),
 			stats.F1(l.DispatchToIssue), stats.F1(l.IssueToLock), stats.F1(l.LockToUnlock))
 	}
+	return t
+}
+
+// normTable runs every workload under eager and variants and tabulates
+// each variant's cycles normalized to eager's: a row per workload, then
+// the geomean row. headers label the variants' columns (nil: their
+// names), and eagerCol puts an "eager" column of 1.000s before them.
+func normTable(r *Runner, title string, eagerCol bool, variants []Variant, headers []string) *stats.Table {
+	if headers == nil {
+		for _, v := range variants {
+			headers = append(headers, v.Name)
+		}
+	}
+	t := &stats.Table{Title: title, Headers: []string{"workload"}}
+	var ones []string // the eager column's cell, when there is one
+	if eagerCol {
+		t.Headers, ones = append(t.Headers, "eager"), []string{"1.000"}
+	}
+	t.Headers = append(t.Headers, headers...)
+	norms := make([][]float64, len(variants))
+	for w, res := range r.sweep(r.opt.Workloads, nil, nil, append([]Variant{VarEager}, variants...)...) {
+		row := append([]string{r.opt.Workloads[w]}, ones...)
+		for i := range variants {
+			n := Norm(res[i+1].Cycles, res[0].Cycles)
+			norms[i] = append(norms[i], n)
+			row = append(row, stats.F(n))
+		}
+		t.AddRow(row...)
+	}
+	row := append([]string{"geomean"}, ones...)
+	for _, ns := range norms {
+		row = append(row, stats.F(stats.GeoMean(ns)))
+	}
+	t.AddRow(row...)
 	return t
 }
 
@@ -97,33 +128,7 @@ var Fig9Variants = []Variant{VarLazy, VarEWUD, VarEWSat, VarRWUD, VarRWSat, VarD
 // variants (EW/RW/RW+Dir × UpDown/Saturate) against the eager and
 // lazy baselines, forwarding disabled.
 func Fig9(r *Runner) *stats.Table {
-	r.Warm(Cross(r.opt.Workloads, append([]Variant{VarEager}, Fig9Variants...)...))
-	headers := []string{"workload", "eager"}
-	for _, v := range Fig9Variants {
-		headers = append(headers, v.Name)
-	}
-	t := &stats.Table{
-		Title:   "Fig. 9 — Normalized execution time of RoW variants (no forwarding), relative to eager",
-		Headers: headers,
-	}
-	sums := make([][]float64, len(Fig9Variants))
-	for _, wl := range r.opt.Workloads {
-		e := r.MustRun(wl, VarEager)
-		row := []string{wl, "1.000"}
-		for i, v := range Fig9Variants {
-			res := r.MustRun(wl, v)
-			n := Norm(res.Cycles, e.Cycles)
-			sums[i] = append(sums[i], n)
-			row = append(row, stats.F(n))
-		}
-		t.AddRow(row...)
-	}
-	row := []string{"geomean", "1.000"}
-	for i := range Fig9Variants {
-		row = append(row, stats.F(stats.GeoMean(sums[i])))
-	}
-	t.AddRow(row...)
-	return t
+	return normTable(r, "Fig. 9 — Normalized execution time of RoW variants (no forwarding), relative to eager", true, Fig9Variants, nil)
 }
 
 // Fig10Thresholds is the latency-threshold sweep of Figure 10.
@@ -133,63 +138,30 @@ var Fig10Thresholds = []int{0, 100, 400, 1000, 2000, -2}
 // Fig10 reproduces Figure 10: sensitivity of RoW (RW+Dir, UpDown) to
 // the fill-latency threshold of the directory detector.
 func Fig10(r *Runner) *stats.Table {
-	warm := []Variant{VarEager}
+	var vs []Variant
+	var headers []string
 	for _, th := range Fig10Thresholds {
 		v := VarDirUD
-		v.Name = fmt.Sprintf("RW+Dir_U/D(th=%d)", th)
-		v.Threshold = th
-		warm = append(warm, v)
-	}
-	r.Warm(Cross(r.opt.Workloads, warm...))
-	headers := []string{"workload"}
-	for _, th := range Fig10Thresholds {
+		v.Name, v.Threshold = fmt.Sprintf("RW+Dir_U/D(th=%d)", th), th
+		h := fmt.Sprint(th)
 		if th == -2 {
-			headers = append(headers, "inf")
-		} else {
-			headers = append(headers, fmt.Sprint(th))
+			h = "inf"
 		}
+		vs, headers = append(vs, v), append(headers, h)
 	}
-	t := &stats.Table{
-		Title:   "Fig. 10 — RW+Dir_U/D threshold sweep, normalized to eager",
-		Headers: headers,
-	}
-	sums := make([][]float64, len(Fig10Thresholds))
-	for _, wl := range r.opt.Workloads {
-		e := r.MustRun(wl, VarEager)
-		row := []string{wl}
-		for i, th := range Fig10Thresholds {
-			v := VarDirUD
-			v.Name = fmt.Sprintf("RW+Dir_U/D(th=%d)", th)
-			v.Threshold = th
-			res := r.MustRun(wl, v)
-			n := Norm(res.Cycles, e.Cycles)
-			sums[i] = append(sums[i], n)
-			row = append(row, stats.F(n))
-		}
-		t.AddRow(row...)
-	}
-	row := []string{"geomean"}
-	for i := range Fig10Thresholds {
-		row = append(row, stats.F(stats.GeoMean(sums[i])))
-	}
-	t.AddRow(row...)
-	return t
+	return normTable(r, "Fig. 10 — RW+Dir_U/D threshold sweep, normalized to eager", false, vs, headers)
 }
 
 // Fig11 reproduces Figure 11: average L1D miss latency under eager,
 // lazy and RoW with either predictor (RW+Dir).
 func Fig11(r *Runner) *stats.Table {
-	r.Warm(Cross(r.opt.Workloads, VarEager, VarLazy, VarDirUD, VarDirSat))
 	t := &stats.Table{
 		Title:   "Fig. 11 — L1D miss latency (cycles)",
 		Headers: []string{"workload", "eager", "lazy", "RoW_U/D", "RoW_Sat"},
 	}
-	for _, wl := range r.opt.Workloads {
-		t.AddRow(wl,
-			stats.F1(r.MustRun(wl, VarEager).MissLatency),
-			stats.F1(r.MustRun(wl, VarLazy).MissLatency),
-			stats.F1(r.MustRun(wl, VarDirUD).MissLatency),
-			stats.F1(r.MustRun(wl, VarDirSat).MissLatency))
+	for w, res := range r.sweep(r.opt.Workloads, nil, nil, VarEager, VarLazy, VarDirUD, VarDirSat) {
+		t.AddRow(r.opt.Workloads[w], stats.F1(res[0].MissLatency), stats.F1(res[1].MissLatency),
+			stats.F1(res[2].MissLatency), stats.F1(res[3].MissLatency))
 	}
 	return t
 }
@@ -197,18 +169,15 @@ func Fig11(r *Runner) *stats.Table {
 // Fig12 reproduces Figure 12: contention-prediction accuracy of the
 // UpDown and Saturate predictors (RW+Dir detection).
 func Fig12(r *Runner) *stats.Table {
-	r.Warm(Cross(r.opt.Workloads, VarDirUD, VarDirSat))
 	t := &stats.Table{
 		Title:   "Fig. 12 — Contention predictor accuracy",
 		Headers: []string{"workload", "U/D", "Sat"},
 	}
 	var ud, sat []float64
-	for _, wl := range r.opt.Workloads {
-		u := r.MustRun(wl, VarDirUD).PredAccuracy
-		s := r.MustRun(wl, VarDirSat).PredAccuracy
-		ud = append(ud, u)
-		sat = append(sat, s)
-		t.AddRow(wl, stats.Pct(u), stats.Pct(s))
+	for w, res := range r.sweep(r.opt.Workloads, nil, nil, VarDirUD, VarDirSat) {
+		u, s := res[0].PredAccuracy, res[1].PredAccuracy
+		ud, sat = append(ud, u), append(sat, s)
+		t.AddRow(r.opt.Workloads[w], stats.Pct(u), stats.Pct(s))
 	}
 	t.AddRow("mean", stats.Pct(stats.ArithMean(ud)), stats.Pct(stats.ArithMean(sat)))
 	return t
@@ -221,33 +190,7 @@ var Fig13Variants = []Variant{VarLazy, VarEagerFwd, VarDirUD, VarDirSat, VarDirU
 // the atomic-locality override that flips predicted-contended atomics
 // back to eager when a matching store is in the SB.
 func Fig13(r *Runner) *stats.Table {
-	r.Warm(Cross(r.opt.Workloads, append([]Variant{VarEager}, Fig13Variants...)...))
-	headers := []string{"workload", "eager"}
-	for _, v := range Fig13Variants {
-		headers = append(headers, v.Name)
-	}
-	t := &stats.Table{
-		Title:   "Fig. 13 — Forwarding to atomics, normalized to eager (no fwd)",
-		Headers: headers,
-	}
-	sums := make([][]float64, len(Fig13Variants))
-	for _, wl := range r.opt.Workloads {
-		e := r.MustRun(wl, VarEager)
-		row := []string{wl, "1.000"}
-		for i, v := range Fig13Variants {
-			res := r.MustRun(wl, v)
-			n := Norm(res.Cycles, e.Cycles)
-			sums[i] = append(sums[i], n)
-			row = append(row, stats.F(n))
-		}
-		t.AddRow(row...)
-	}
-	row := []string{"geomean", "1.000"}
-	for i := range Fig13Variants {
-		row = append(row, stats.F(stats.GeoMean(sums[i])))
-	}
-	t.AddRow(row...)
-	return t
+	return normTable(r, "Fig. 13 — Forwarding to atomics, normalized to eager (no fwd)", true, Fig13Variants, nil)
 }
 
 // Summary reproduces the headline claims of Section VI: RoW with
@@ -261,30 +204,22 @@ func Summary(r *Runner) *stats.Table {
 		Title:   "Section VI summary — RoW with forwarding vs baselines",
 		Headers: []string{"set", "variant", "vs-eager", "vs-lazy", "best-case"},
 	}
-	allWls := append(append([]string{}, r.opt.Workloads...), workload.Fillers...)
-	r.Warm(Cross(allWls, VarEager, VarLazy, VarDirUDFwd, VarDirSatFwd))
-	eval := func(wls []string, v Variant) (vsEager, vsLazy, best float64) {
-		var re, rl []float64
-		best = 1
-		for _, wl := range wls {
-			e := r.MustRun(wl, VarEager)
-			l := r.MustRun(wl, VarLazy)
-			w := r.MustRun(wl, v)
-			ne := Norm(w.Cycles, e.Cycles)
-			re = append(re, ne)
-			rl = append(rl, Norm(w.Cycles, l.Cycles))
-			if ne < best {
-				best = ne
-			}
-		}
-		return stats.GeoMean(re), stats.GeoMean(rl), best
-	}
 	all := append(append([]string{}, r.opt.Workloads...), workload.Fillers...)
-	for _, v := range []Variant{VarDirUDFwd, VarDirSatFwd} {
-		ve, vl, best := eval(r.opt.Workloads, v)
-		t.AddRow("atomic-intensive", v.Name, stats.F(ve), stats.F(vl), stats.F(best))
-		ve, vl, best = eval(all, v)
-		t.AddRow("all applications", v.Name, stats.F(ve), stats.F(vl), stats.F(best))
+	rows := r.sweep(all, nil, nil, VarEager, VarLazy, VarDirUDFwd, VarDirSatFwd)
+	for i, v := range []Variant{VarDirUDFwd, VarDirSatFwd} {
+		for _, set := range []struct {
+			name string
+			rows [][]sim.Result
+		}{{"atomic-intensive", rows[:len(r.opt.Workloads)]}, {"all applications", rows}} {
+			var re, rl []float64
+			best := 1.0
+			for _, res := range set.rows {
+				ne := Norm(res[2+i].Cycles, res[0].Cycles)
+				re, rl = append(re, ne), append(rl, Norm(res[2+i].Cycles, res[1].Cycles))
+				best = min(best, ne)
+			}
+			t.AddRow(set.name, v.Name, stats.F(stats.GeoMean(re)), stats.F(stats.GeoMean(rl)), stats.F(best))
+		}
 	}
 	return t
 }

@@ -4,16 +4,18 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"rowsim/internal/sim"
 )
 
 // This file is the sweep-parallelism engine. Every figure is a set of
-// independent, deterministic cell simulations, so the harness splits
-// each figure into two phases: a parallel *warm* phase that fans the
-// runs across a worker pool to fill the runner's memo, and the
-// unchanged sequential phase that builds the table from the memo. The
-// table pass therefore observes exactly the results (and the failure
-// behavior) of a jobs=1 run: output is byte-identical for any worker
-// count, and only wall-clock time changes.
+// independent, deterministic cell simulations, and every figure names
+// its cells once, to Runner.sweep, which runs them in two phases: a
+// parallel phase that fans the cells across a worker pool to fill the
+// runner's memo, and a sequential phase that reads every cell back from
+// the memo in sweep order. The figure therefore observes exactly the
+// results (and the failure behavior) of a jobs=1 run: output is
+// byte-identical for any worker count, and only wall-clock time changes.
 
 // Jobs resolves a -jobs flag value: n >= 1 is taken literally, any
 // other value selects GOMAXPROCS.
@@ -56,24 +58,7 @@ func ForEach(jobs, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Spec names one memoizable cell of a figure sweep.
-type Spec struct {
-	Workload string
-	Variant  Variant
-}
-
-// Cross builds the spec set {workloads} x {variants}.
-func Cross(workloads []string, variants ...Variant) []Spec {
-	specs := make([]Spec, 0, len(workloads)*len(variants))
-	for _, wl := range workloads {
-		for _, v := range variants {
-			specs = append(specs, Spec{Workload: wl, Variant: v})
-		}
-	}
-	return specs
-}
-
-// SetJobs sets the worker count Warm fans runs across (resolved via
+// SetJobs sets the worker count sweep fans cells across (resolved via
 // Jobs; the default is 1, i.e. fully sequential). The set-up cache is
 // sized to match.
 func (r *Runner) SetJobs(n int) {
@@ -89,27 +74,35 @@ func (r *Runner) Jobs() int {
 	return r.jobs
 }
 
-// Warm fills the memo for the given specs using the runner's worker
-// pool; the memo sees to it that a repeated cell runs once. Run errors
-// (and panics) are swallowed here on purpose: the runs are
-// deterministic, so the figure's sequential pass re-executes any
-// failed cell and reports the identical failure exactly as a
-// sequential run would — Warm only ever changes wall-clock time.
-func (r *Runner) Warm(specs []Spec) {
-	cells := make([]cell, len(specs))
-	for i, s := range specs {
-		cells[i] = cell{s.Workload, s.Variant, r.opt.Cores, r.opt.Seed}
+// sweep runs the cells of workloads × cores × seeds × variants (nil
+// cores or seeds: the runner's own) and returns their results, a row
+// per (workload, cores, seed) in that nesting order, each row in
+// variants order. The parallel phase swallows run errors (and panics)
+// on purpose: the runs are deterministic, so the sequential read-back
+// re-executes any failed cell and meets the identical failure, under
+// the MustRun convention. The first failing cell in sweep order
+// therefore panics whatever the worker count.
+func (r *Runner) sweep(workloads []string, cores []int, seeds []uint64, variants ...Variant) [][]sim.Result {
+	if cores == nil {
+		cores = []int{r.opt.Cores}
 	}
-	r.warm(cells)
-}
-
-// warm is Warm for cells of any core count and seed.
-func (r *Runner) warm(cells []cell) {
-	if r.Jobs() <= 1 || len(cells) < 2 {
-		return
+	if seeds == nil {
+		seeds = []uint64{r.opt.Seed}
 	}
-	ForEach(r.Jobs(), len(cells), func(i int) {
-		defer func() { _ = recover() }()
-		_, _ = r.run(cells[i])
-	})
+	cells := grid(workloads, cores, seeds, variants...)
+	if r.Jobs() > 1 && len(cells) > 1 {
+		ForEach(r.Jobs(), len(cells), func(i int) {
+			defer func() { _ = recover() }()
+			_, _ = r.run(cells[i])
+		})
+	}
+	var rows [][]sim.Result
+	for i := 0; i < len(cells); i += len(variants) {
+		row := make([]sim.Result, len(variants))
+		for j := range row {
+			row[j] = r.must(cells[i+j])
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }

@@ -7,10 +7,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"rowsim/internal/config"
 	"rowsim/internal/lifecycle"
 	"rowsim/internal/sim"
 )
@@ -62,10 +64,33 @@ func parallelTestOptions() Options {
 // and warmed on their own, so the shared trace sets and warm images of
 // the runner's set-up cache are held to the path they replace. Scaling
 // and Stability are here for their cells at other core counts and
-// seeds than the runner's own.
+// seeds than the runner's own; the rest cover the normalized-to-eager
+// builder with and without an eager column, and figures whose variants
+// are derived on the fly.
 func TestFigureOutputIdenticalForAnyJobs(t *testing.T) {
 	opt := parallelTestOptions()
 	own := func(vs ...Variant) []cell { return grid(opt.Workloads, []int{opt.Cores}, []uint64{opt.Seed}, vs...) }
+	fig10 := []Variant{VarEager}
+	for _, th := range []int{0, 100, 400, 1000, 2000, -2} {
+		v := VarDirUD
+		v.Name, v.Threshold = fmt.Sprintf("RW+Dir_U/D(th=%d)", th), th
+		fig10 = append(fig10, v)
+	}
+	aq := []Variant{VarEager}
+	for _, n := range []int{4, 8, 16, 32} {
+		v := VarDirUD
+		v.Name, v.AQSize = fmt.Sprintf("RW+Dir_U/D(aq%d)", n), n
+		aq = append(aq, v)
+	}
+	var fig8 []Variant
+	for _, d := range []struct {
+		name string
+		det  config.Detection
+	}{{"EW", config.DetectEW}, {"RW", config.DetectRW}, {"RW+Dir", config.DetectRWDir}} {
+		v := VarEager
+		v.Name, v.Detection = "eager-detect-"+d.name, d.det
+		fig8 = append(fig8, v)
+	}
 	figures := []struct {
 		name  string
 		run   func(r *Runner) fmt.Stringer
@@ -73,7 +98,11 @@ func TestFigureOutputIdenticalForAnyJobs(t *testing.T) {
 	}{
 		{"Fig1", func(r *Runner) fmt.Stringer { return Fig1(r) }, own(VarEager, VarLazy)},
 		{"Fig9", func(r *Runner) fmt.Stringer { return Fig9(r) }, own(append([]Variant{VarEager}, Fig9Variants...)...)},
+		{"Fig10", func(r *Runner) fmt.Stringer { return Fig10(r) }, own(fig10...)},
 		{"Fig11", func(r *Runner) fmt.Stringer { return Fig11(r) }, own(VarEager, VarLazy, VarDirUD, VarDirSat)},
+		{"Fig13", func(r *Runner) fmt.Stringer { return Fig13(r) }, own(append([]Variant{VarEager}, Fig13Variants...)...)},
+		{"AblationAQSize", func(r *Runner) fmt.Stringer { return AblationAQSize(r) }, own(aq...)},
+		{"Fig8Race", func(r *Runner) fmt.Stringer { return Fig8Race(r) }, own(fig8...)},
 		{"Scaling", func(r *Runner) fmt.Stringer { return Scaling(r, []string{"sps"}) },
 			grid([]string{"sps"}, []int{8, 16, 32}, []uint64{opt.Seed}, VarEager, VarLazy, VarDirSat, VarDirSatFwd)},
 		{"Stability", func(r *Runner) fmt.Stringer { return Stability(r, []uint64{1, 2}, []string{"sps"}) },
@@ -104,25 +133,35 @@ func TestFigureOutputIdenticalForAnyJobs(t *testing.T) {
 }
 
 // TestWarmFailureDeferredToSequentialPass: a failing cell must not
-// crash the parallel warm phase; the sequential pass reports it with
-// the exact error a jobs=1 run would produce.
+// crash sweep's parallel phase; the sequential read-back panics with
+// the exact error a jobs=1 sweep raises, at the first failing cell in
+// sweep order, after the good cells before it were read.
 func TestWarmFailureDeferredToSequentialPass(t *testing.T) {
-	r := NewRunner(parallelTestOptions())
-	r.SetJobs(4)
-	// An unknown workload fails every run of its cell; the warm phase
-	// must swallow that and leave the good cells warmed.
-	r.Warm(Cross([]string{"sps", "no-such-workload"}, VarEager, VarLazy))
-	if _, err := r.Run("sps", VarEager); err != nil {
-		t.Fatalf("good cell failed after warm: %v", err)
+	sweep := func(jobs int) (ran []string, err error) {
+		r := NewRunner(parallelTestOptions())
+		r.SetJobs(jobs)
+		var mu sync.Mutex
+		r.Progress = func(msg string) {
+			mu.Lock()
+			ran = append(ran, msg)
+			mu.Unlock()
+		}
+		defer func() { err, _ = recover().(error) }()
+		// An unknown workload fails every run of its cell; the parallel
+		// phase must swallow that and leave the good cells in the memo.
+		r.sweep([]string{"sps", "no-such-workload", "canneal"}, nil, nil, VarEager, VarLazy)
+		return ran, nil
 	}
-	_, errPar := r.Run("no-such-workload", VarEager)
-	if errPar == nil {
-		t.Fatal("bad cell unexpectedly succeeded")
+	seqRan, errSeq := sweep(1)
+	parRan, errPar := sweep(4)
+	if errSeq == nil || errPar == nil {
+		t.Fatalf("a sweep over a bad cell returned: seq %v, par %v", errSeq, errPar)
 	}
-	seq := NewRunner(parallelTestOptions())
-	_, errSeq := seq.Run("no-such-workload", VarEager)
-	if errSeq == nil || errPar.Error() != errSeq.Error() {
-		t.Fatalf("parallel-warm error diverges from sequential error:\npar: %v\nseq: %v", errPar, errSeq)
+	if errPar.Error() != errSeq.Error() || !strings.Contains(errSeq.Error(), "no-such-workload under Eager") {
+		t.Fatalf("parallel error diverges from sequential error, or names the wrong cell:\npar: %v\nseq: %v", errPar, errSeq)
+	}
+	if len(seqRan) != 2 || len(parRan) != 4 {
+		t.Fatalf("cells simulated: seq %d %q, par %d %q; want the two before the bad cell, and all four good ones", len(seqRan), seqRan, len(parRan), parRan)
 	}
 }
 

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"rowsim/internal/config"
 	"rowsim/internal/stats"
 )
@@ -11,74 +9,21 @@ import (
 // often reach a core after its atomic has already unlocked, so each
 // successively wider detection window (EW -> RW -> RW+Dir) observes a
 // larger fraction of the truly contended atomics. The policy is held
-// at eager for every run; only the detector changes.
+// at eager for every run; only the detector changes, so cycles stay
+// comparable.
 func Fig8Race(r *Runner) *stats.Table {
 	t := &stats.Table{
 		Title:   "Fig. 8 evidence — fraction of atomics detected contended, by detection window (eager execution)",
 		Headers: []string{"workload", "EW", "RW", "RW+Dir"},
 	}
-	mk := func(base Variant, name string) Variant {
-		v := base
-		v.Name = name
-		return v
-	}
-	// Detection runs under the eager policy: build eager variants
-	// with each detector (the detector only affects the statistics,
-	// not the schedule, so cycles stay comparable).
-	ew := mk(VarEager, "eager-detect-EW")
-	ew.Detection = config.DetectEW
-	rw := mk(VarEager, "eager-detect-RW")
-	rw.Detection = config.DetectRW
-	dir := mk(VarEager, "eager-detect-RW+Dir")
-	dir.Detection = config.DetectRWDir
-
 	var ews, rws, dirs []float64
-	for _, wl := range r.opt.Workloads {
-		e := r.MustRun(wl, ew).ContendedFrac
-		w := r.MustRun(wl, rw).ContendedFrac
-		d := r.MustRun(wl, dir).ContendedFrac
-		ews = append(ews, e)
-		rws = append(rws, w)
-		dirs = append(dirs, d)
-		t.AddRow(wl, stats.Pct(e), stats.Pct(w), stats.Pct(d))
+	for w, res := range r.sweep(r.opt.Workloads, nil, nil, eagerDetect(config.DetectEW, "EW"),
+		eagerDetect(config.DetectRW, "RW"), eagerDetect(config.DetectRWDir, "RW+Dir")) {
+		e, rw, d := res[0].ContendedFrac, res[1].ContendedFrac, res[2].ContendedFrac
+		ews, rws, dirs = append(ews, e), append(rws, rw), append(dirs, d)
+		t.AddRow(r.opt.Workloads[w], stats.Pct(e), stats.Pct(rw), stats.Pct(d))
 	}
 	t.AddRow("mean", stats.Pct(stats.ArithMean(ews)), stats.Pct(stats.ArithMean(rws)), stats.Pct(stats.ArithMean(dirs)))
-	return t
-}
-
-// AblationAQSize sweeps the Atomic Queue depth: too few entries limit
-// the number of in-flight atomics (dispatch stalls), while the
-// paper's 16 entries are enough for every workload.
-func AblationAQSize(r *Runner) *stats.Table {
-	sizes := []int{4, 8, 16, 32}
-	headers := []string{"workload"}
-	for _, n := range sizes {
-		headers = append(headers, fmt.Sprintf("AQ=%d", n))
-	}
-	t := &stats.Table{
-		Title:   "Ablation — Atomic Queue depth under RoW (RW+Dir_U/D), normalized to eager",
-		Headers: headers,
-	}
-	sums := make([][]float64, len(sizes))
-	for _, wl := range r.opt.Workloads {
-		e := r.MustRun(wl, VarEager)
-		row := []string{wl}
-		for i, n := range sizes {
-			v := VarDirUD
-			v.Name = fmt.Sprintf("RW+Dir_U/D(aq%d)", n)
-			v.AQSize = n
-			res := r.MustRun(wl, v)
-			norm := Norm(res.Cycles, e.Cycles)
-			sums[i] = append(sums[i], norm)
-			row = append(row, stats.F(norm))
-		}
-		t.AddRow(row...)
-	}
-	row := []string{"geomean"}
-	for i := range sizes {
-		row = append(row, stats.F(stats.GeoMean(sums[i])))
-	}
-	t.AddRow(row...)
 	return t
 }
 
@@ -90,11 +35,8 @@ func LockTails(r *Runner) *stats.Table {
 		Title:   "Lock-window tail — p99 lock-hold cycles",
 		Headers: []string{"workload", "eager", "lazy", "RoW(Sat)"},
 	}
-	for _, wl := range r.opt.Workloads {
-		t.AddRow(wl,
-			stats.F1(r.MustRun(wl, VarEager).LockHoldP99),
-			stats.F1(r.MustRun(wl, VarLazy).LockHoldP99),
-			stats.F1(r.MustRun(wl, VarDirSat).LockHoldP99))
+	for w, res := range r.sweep(r.opt.Workloads, nil, nil, VarEager, VarLazy, VarDirSat) {
+		t.AddRow(r.opt.Workloads[w], stats.F1(res[0].LockHoldP99), stats.F1(res[1].LockHoldP99), stats.F1(res[2].LockHoldP99))
 	}
 	return t
 }

@@ -91,6 +91,8 @@ var (
 
 	VarDirUDFwd  = rowVariant("RW+Dir_U/D+Fwd", config.DetectRWDir, config.PredUpDown, true)
 	VarDirSatFwd = rowVariant("RW+Dir_Sat+Fwd", config.DetectRWDir, config.PredSaturate, true)
+
+	varFar = Variant{Name: "Far", Policy: config.PolicyFar, Threshold: -1}
 )
 
 func rowVariant(name string, d config.Detection, p config.PredictorKind, fwd bool) Variant {
@@ -144,7 +146,7 @@ type Runner struct {
 	opt   Options
 	ctx   context.Context       // base context for Run/MustRun (nil = Background)
 	super *lifecycle.Supervisor // optional supervision of every run
-	jobs  int                   // Warm worker count (see SetJobs; <1 = sequential)
+	jobs  int                   // sweep worker count (see SetJobs; <1 = sequential)
 	setup *Setup
 	memo  Flight[sim.Result] // by cell key, never evicted
 	// cycles accumulates the simulated cycles of every non-memoized

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"rowsim/internal/config"
 	"rowsim/internal/stats"
 	"rowsim/internal/workload"
 )
@@ -17,20 +16,15 @@ func Scaling(r *Runner, workloads []string) *stats.Table {
 	if workloads == nil {
 		workloads = []string{"canneal", "sps", "pc"}
 	}
-	variants := []Variant{VarEager, VarLazy, VarDirSat, VarDirSatFwd}
-	cells := grid(workloads, []int{8, 16, 32}, []uint64{r.opt.Seed}, variants...)
-	r.warm(cells)
 	t := &stats.Table{
 		Title:   "Scaling — normalized execution time vs eager, by core count",
 		Headers: []string{"workload", "cores", "lazy/eager", "RoW(Sat)/eager", "RoW(Sat+Fwd)/eager"},
 	}
-	for i := 0; i < len(cells); i += len(variants) {
-		c := cells[i : i+len(variants)] // one (workload, cores) row, in variants order
-		e := r.must(c[0])
-		t.AddRow(c[0].wl, fmt.Sprint(c[0].cores),
-			stats.F(Norm(r.must(c[1]).Cycles, e.Cycles)),
-			stats.F(Norm(r.must(c[2]).Cycles, e.Cycles)),
-			stats.F(Norm(r.must(c[3]).Cycles, e.Cycles)))
+	cores := []int{8, 16, 32}
+	for i, res := range r.sweep(workloads, cores, nil, VarEager, VarLazy, VarDirSat, VarDirSatFwd) {
+		e := res[0].Cycles
+		t.AddRow(workloads[i/len(cores)], fmt.Sprint(cores[i%len(cores)]),
+			stats.F(Norm(res[1].Cycles, e)), stats.F(Norm(res[2].Cycles, e)), stats.F(Norm(res[3].Cycles, e)))
 	}
 	return t
 }
@@ -42,23 +36,8 @@ func Scaling(r *Runner, workloads []string) *stats.Table {
 // they win exactly where lazy wins and lose where eager wins — RoW's
 // when-question and Dynamo/CLAU's where-question are complementary.
 func FarVsNear(r *Runner) *stats.Table {
-	far := Variant{Name: "Far", Policy: config.PolicyFar, Threshold: -1}
-	r.Warm(Cross(r.opt.Workloads, VarEager, VarLazy, VarDirSatFwd, far))
-	t := &stats.Table{
-		Title:   "Far vs near — normalized execution time vs eager (near)",
-		Headers: []string{"workload", "eager", "lazy", "RoW(Sat+Fwd)", "far"},
-	}
-	var ls, rs, fs []float64
-	for _, wl := range r.opt.Workloads {
-		e := r.MustRun(wl, VarEager)
-		l := Norm(r.MustRun(wl, VarLazy).Cycles, e.Cycles)
-		w := Norm(r.MustRun(wl, VarDirSatFwd).Cycles, e.Cycles)
-		f := Norm(r.MustRun(wl, far).Cycles, e.Cycles)
-		ls, rs, fs = append(ls, l), append(rs, w), append(fs, f)
-		t.AddRow(wl, "1.000", stats.F(l), stats.F(w), stats.F(f))
-	}
-	t.AddRow("geomean", "1.000", stats.F(stats.GeoMean(ls)), stats.F(stats.GeoMean(rs)), stats.F(stats.GeoMean(fs)))
-	return t
+	return normTable(r, "Far vs near — normalized execution time vs eager (near)", true,
+		[]Variant{VarLazy, VarDirSatFwd, varFar}, []string{"lazy", "RoW(Sat+Fwd)", "far"})
 }
 
 // LockStudy applies the policy comparison to the classic
@@ -70,20 +49,14 @@ func FarVsNear(r *Runner) *stats.Table {
 // execution shines for barrier arrivals (a fetch-and-add at the bank,
 // no line migration at all).
 func LockStudy(r *Runner) *stats.Table {
-	far := Variant{Name: "Far", Policy: config.PolicyFar, Threshold: -1}
-	r.Warm(Cross(workload.SyncKernels, VarEager, VarLazy, VarDirSat, VarDirSatFwd, far))
 	t := &stats.Table{
 		Title:   "Lock study — synchronization kernels, normalized to eager",
 		Headers: []string{"kernel", "eager-cycles", "lazy", "RoW(Sat)", "RoW(Sat+Fwd)", "far"},
 	}
-	for _, wl := range workload.SyncKernels {
-		e := r.MustRun(wl, VarEager)
-		t.AddRow(wl,
-			fmt.Sprint(e.Cycles),
-			stats.F(Norm(r.MustRun(wl, VarLazy).Cycles, e.Cycles)),
-			stats.F(Norm(r.MustRun(wl, VarDirSat).Cycles, e.Cycles)),
-			stats.F(Norm(r.MustRun(wl, VarDirSatFwd).Cycles, e.Cycles)),
-			stats.F(Norm(r.MustRun(wl, far).Cycles, e.Cycles)))
+	for w, res := range r.sweep(workload.SyncKernels, nil, nil, VarEager, VarLazy, VarDirSat, VarDirSatFwd, varFar) {
+		e := res[0].Cycles
+		t.AddRow(workload.SyncKernels[w], fmt.Sprint(e), stats.F(Norm(res[1].Cycles, e)),
+			stats.F(Norm(res[2].Cycles, e)), stats.F(Norm(res[3].Cycles, e)), stats.F(Norm(res[4].Cycles, e)))
 	}
 	return t
 }
@@ -105,13 +78,12 @@ func Stability(r *Runner, seeds []uint64, workloads []string) *stats.Table {
 	span := func(vs []float64) string {
 		return fmt.Sprintf("%.3f [%.3f,%.3f]", stats.ArithMean(vs), slices.Min(vs), slices.Max(vs))
 	}
-	r.warm(grid(workloads, []int{r.opt.Cores}, seeds, VarEager, VarLazy, VarDirSat))
-	for _, wl := range workloads {
+	runs := r.sweep(workloads, nil, seeds, VarEager, VarLazy, VarDirSat)
+	for w, wl := range workloads {
 		var lazies, rows []float64
-		for _, seed := range seeds {
-			e := r.must(cell{wl, VarEager, r.opt.Cores, seed})
-			lazies = append(lazies, Norm(r.must(cell{wl, VarLazy, r.opt.Cores, seed}).Cycles, e.Cycles))
-			rows = append(rows, Norm(r.must(cell{wl, VarDirSat, r.opt.Cores, seed}).Cycles, e.Cycles))
+		for _, res := range runs[w*len(seeds) : (w+1)*len(seeds)] {
+			lazies = append(lazies, Norm(res[1].Cycles, res[0].Cycles))
+			rows = append(rows, Norm(res[2].Cycles, res[0].Cycles))
 		}
 		t.AddRow(wl, span(lazies), span(rows))
 	}

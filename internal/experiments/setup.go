@@ -32,7 +32,7 @@ import (
 // larger half and the cheaper to make again, so they are kept for as
 // many sets as the owner runs cells at once: enough that concurrent
 // cells share them. The warm images are kept for one set more: figures
-// and SweepSpec.Cells are both trace-set-major, so concurrent cells
+// and rowsweep/rowserve sweeps are both trace-set-major, so concurrent cells
 // straddle at most that many sets, and the extra image is what lets a
 // figure suite over two workloads come back to the first without
 // warming it again (a set whose programs went and whose image stayed

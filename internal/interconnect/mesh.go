@@ -155,9 +155,6 @@ func NewMesh(nodes, linkCycles, routerCycles, baseCycles int) *Mesh {
 	}
 }
 
-// Nodes returns the number of attached nodes.
-func (m *Mesh) Nodes() int { return m.nodes }
-
 // SetMsgPool installs the message free list used for fault-injected
 // duplicate copies. The pool is shared with the protocol endpoints by
 // the system; a nil pool (component tests) falls back to the allocator.

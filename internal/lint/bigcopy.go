@@ -6,11 +6,10 @@ import (
 	"runtime"
 )
 
-// BigCopyThreshold is the struct-copy size (bytes) above which bigcopy
-// reports, overridable with `rowlint -bigcopy-bytes`. The default
-// follows the profile: duffcopy shows up for copies of a couple of
-// cache lines and beyond.
-var BigCopyThreshold int64 = 128
+// bigCopyThreshold is the struct-copy size (bytes) above which bigcopy
+// reports. It follows the profile: duffcopy shows up for copies of a
+// couple of cache lines and beyond.
+const bigCopyThreshold int64 = 128
 
 // BigCopy flags by-value copies of large structs and arrays on the
 // hot path: the PR 8 profile attributes ~5% of per-visit cost to
@@ -69,21 +68,21 @@ func checkBigCopies(pass *Pass, sizes types.Sizes, fd *ast.FuncDecl) {
 			for _, arg := range n.Args {
 				if sz, t := bigValue(pkg, sizes, arg); sz > 0 {
 					pass.Reportf(arg.Pos(), "argument copies %d-byte value of type %s (threshold %d); pass a pointer",
-						sz, renderType(t), BigCopyThreshold)
+						sz, renderType(t), bigCopyThreshold)
 				}
 			}
 		case *ast.ReturnStmt:
 			for _, res := range n.Results {
 				if sz, t := bigValue(pkg, sizes, res); sz > 0 {
 					pass.Reportf(res.Pos(), "return copies %d-byte value of type %s (threshold %d); return a pointer or write through one",
-						sz, renderType(t), BigCopyThreshold)
+						sz, renderType(t), bigCopyThreshold)
 				}
 			}
 		case *ast.AssignStmt:
 			for _, rhs := range n.Rhs {
 				if sz, t := bigValue(pkg, sizes, rhs); sz > 0 {
 					pass.Reportf(rhs.Pos(), "assignment copies %d-byte value of type %s (threshold %d); keep a pointer instead",
-						sz, renderType(t), BigCopyThreshold)
+						sz, renderType(t), bigCopyThreshold)
 				}
 			}
 		case *ast.RangeStmt:
@@ -91,9 +90,9 @@ func checkBigCopies(pass *Pass, sizes types.Sizes, fd *ast.FuncDecl) {
 				return true
 			}
 			if t := pkg.TypeOf(n.Value); t != nil {
-				if sz := sizeOfBulk(sizes, t); sz > BigCopyThreshold {
+				if sz := sizeOfBulk(sizes, t); sz > bigCopyThreshold {
 					pass.Reportf(n.Value.Pos(), "range value copies each %d-byte element of type %s (threshold %d); range over the index instead",
-						sz, renderType(t), BigCopyThreshold)
+						sz, renderType(t), bigCopyThreshold)
 				}
 			}
 		}
@@ -114,7 +113,7 @@ func bigValue(pkg *Package, sizes types.Sizes, e ast.Expr) (int64, types.Type) {
 		if t == nil {
 			return 0, nil
 		}
-		if sz := sizeOfBulk(sizes, t); sz > BigCopyThreshold {
+		if sz := sizeOfBulk(sizes, t); sz > bigCopyThreshold {
 			return sz, t
 		}
 	}

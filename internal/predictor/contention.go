@@ -105,9 +105,6 @@ func (p *Contention) Accuracy() float64 {
 // Predictions returns the number of predictions made.
 func (p *Contention) Predictions() uint64 { return p.predictions }
 
-// PredictedContended returns how many predictions said "contended".
-func (p *Contention) PredictedContended() uint64 { return p.predContended }
-
 // StorageBits returns the predictor's storage cost in bits, reported
 // by the paper as part of the 64-byte overhead.
 func (p *Contention) StorageBits() int {

@@ -192,13 +192,6 @@ func (s SweepSpec) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ID derives the sweep's public identifier from its hash. Determinism
-// is a feature: resubmitting an identical spec names the same sweep,
-// making submission idempotent and retry-safe for clients.
-func (s SweepSpec) ID() string {
-	return "sw-" + s.Hash()[:12]
-}
-
 // Timeout returns the whole-sweep deadline, or 0 for none.
 func (s SweepSpec) Timeout() time.Duration {
 	return time.Duration(s.TimeoutMS) * time.Millisecond

@@ -70,9 +70,6 @@ func TestSpecHashCanonical(t *testing.T) {
 	if implicit.Hash() != explicit.Hash() {
 		t.Error("implicit and explicit defaults hash differently")
 	}
-	if implicit.ID() != explicit.ID() {
-		t.Error("implicit and explicit defaults get different sweep IDs")
-	}
 	other := normalized(t, SweepSpec{Values: []float64{0.6}})
 	if other.Hash() == implicit.Hash() {
 		t.Error("different values hash identically")

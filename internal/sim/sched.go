@@ -28,14 +28,6 @@ func (m Scheduler) String() string {
 	return "event"
 }
 
-// Other returns the opposite scheduler (mode-equivalence replays).
-func (m Scheduler) Other() Scheduler {
-	if m == SchedCycle {
-		return SchedEvent
-	}
-	return SchedCycle
-}
-
 // Set parses a -sched spelling, so that *Scheduler is the flag.Value of
 // every command's -sched.
 func (m *Scheduler) Set(s string) error {

@@ -174,9 +174,8 @@ func TestCrossModeCheckpointRestore(t *testing.T) {
 	}
 }
 
-// TestSchedulerFlag pins the -sched spellings, the error a bad one
-// gets (a bad value leaves the flag as it was), and that Other flips
-// the mode.
+// TestSchedulerFlag pins the -sched spellings and the error a bad one
+// gets (a bad value leaves the flag as it was).
 func TestSchedulerFlag(t *testing.T) {
 	for _, tc := range []struct {
 		from Scheduler
@@ -198,9 +197,6 @@ func TestSchedulerFlag(t *testing.T) {
 	var _ flag.Value = new(Scheduler)
 	if SchedEvent.String() != "event" || SchedCycle.String() != "cycle" {
 		t.Errorf("String(): %q, %q", SchedEvent, SchedCycle)
-	}
-	if SchedEvent.Other() != SchedCycle || SchedCycle.Other() != SchedEvent {
-		t.Error("Other() does not flip the mode")
 	}
 }
 

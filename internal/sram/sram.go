@@ -159,17 +159,6 @@ func (a *Array) Insert(line uint64, meta uint8) (evictedTag uint64, evictedMeta 
 	return evictedTag, evictedMeta, evicted
 }
 
-// InsertLRU installs a line at the least-recently-used position so a
-// subsequent insert in the same set prefers to evict it (used for
-// prefetches that should not pollute).
-func (a *Array) InsertLRU(line uint64, meta uint8) (evictedTag uint64, evictedMeta uint8, evicted bool) {
-	t, m, e := a.Insert(line, meta)
-	if l := a.Peek(line); l != nil {
-		l.LRU = 0
-	}
-	return t, m, e
-}
-
 // Invalidate removes a line; it reports whether the line was present
 // and returns its metadata.
 func (a *Array) Invalidate(line uint64) (meta uint8, present bool) {
@@ -250,26 +239,4 @@ func (a *Array) ForEach(fn func(tag uint64, meta uint8)) {
 			}
 		}
 	}
-}
-
-// VictimFor returns the tag that Insert would evict for this line, or
-// evicted=false if the set has room or the line is already present.
-func (a *Array) VictimFor(line uint64) (tag uint64, meta uint8, evicted bool) {
-	set := a.set(line)
-	victim := -1
-	for i := range set {
-		if set[i].Tag == line && set[i].Valid {
-			return 0, 0, false
-		}
-		if !set[i].Valid {
-			return 0, 0, false
-		}
-		if victim < 0 || set[i].LRU < set[victim].LRU {
-			victim = i
-		}
-	}
-	if victim < 0 {
-		return 0, 0, false
-	}
-	return set[victim].Tag, set[victim].Meta, true
 }

@@ -111,22 +111,6 @@ func TestInsertVetoAllLockedBypasses(t *testing.T) {
 	}
 }
 
-func TestVictimFor(t *testing.T) {
-	a := New(128, 2, 64)
-	if _, _, ev := a.VictimFor(line(5)); ev {
-		t.Fatal("empty set must not report a victim")
-	}
-	a.Insert(line(0), 0)
-	a.Insert(line(1), 0)
-	if _, _, ev := a.VictimFor(line(0)); ev {
-		t.Fatal("present line must not report a victim")
-	}
-	tag, _, ev := a.VictimFor(line(2))
-	if !ev || tag != line(0) {
-		t.Fatalf("victim = (%#x,%v), want line 0", tag, ev)
-	}
-}
-
 func TestSetIsolation(t *testing.T) {
 	// Lines in different sets never evict each other.
 	a := New(8192, 2, 64) // 64 sets
@@ -139,16 +123,6 @@ func TestSetIsolation(t *testing.T) {
 		if !a.Contains(line(i)) {
 			t.Fatalf("line %d missing", i)
 		}
-	}
-}
-
-func TestInsertLRUPreferredVictim(t *testing.T) {
-	a := New(128, 2, 64)
-	a.Insert(line(0), 0)
-	a.InsertLRU(line(1), 0) // inserted at LRU position
-	evTag, _, evicted := a.Insert(line(2), 0)
-	if !evicted || evTag != line(1) {
-		t.Fatalf("evicted (%#x,%v), want the LRU-inserted line 1", evTag, evicted)
 	}
 }
 
@@ -316,20 +290,6 @@ func (d *dense) invalidate(line uint64) (uint8, bool) {
 	return meta, true
 }
 
-func (d *dense) victimFor(line uint64) (uint64, uint8, bool) {
-	set := d.set(line)
-	victim := 0
-	for i := range set {
-		if !set[i].Valid || set[i].Tag == line {
-			return 0, 0, false
-		}
-		if set[i].LRU < set[victim].LRU {
-			victim = i
-		}
-	}
-	return set[victim].Tag, set[victim].Meta, true
-}
-
 // snap is what Array.Snapshot must return for the same history.
 func (d *dense) snap() Snap {
 	s := Snap{Clock: d.clock, Hits: d.hits, Misses: d.misses}
@@ -382,18 +342,11 @@ func step(rng *xrand.RNG, a *Array, d *dense, setSpan, tagsPerSet int) error {
 		if g, w := a.Contains(line), d.peek(line) != nil; g != w {
 			return fmt.Errorf("Contains(%#x) = %v, want %v", line, g, w)
 		}
-	case op < 60:
+	case op < 66:
 		gt, gm, ge := a.Insert(line, meta)
 		wt, wm, we, _ := d.insert(line, meta, nil)
 		if gt != wt || gm != wm || ge != we {
 			return fmt.Errorf("Insert(%#x,%d) = (%#x,%d,%v), want (%#x,%d,%v)", line, meta, gt, gm, ge, wt, wm, we)
-		}
-	case op < 66:
-		gt, gm, ge := a.InsertLRU(line, meta)
-		wt, wm, we, _ := d.insert(line, meta, nil)
-		d.peek(line).LRU = 0
-		if gt != wt || gm != wm || ge != we {
-			return fmt.Errorf("InsertLRU(%#x,%d) = (%#x,%d,%v), want (%#x,%d,%v)", line, meta, gt, gm, ge, wt, wm, we)
 		}
 	case op < 82:
 		// Veto none, one, a third, all but one or all of the set's ways,
@@ -435,17 +388,11 @@ func step(rng *xrand.RNG, a *Array, d *dense, setSpan, tagsPerSet int) error {
 		if mode == 0 && len(asked) != want {
 			return fmt.Errorf("InsertVeto(%#x) with nothing vetoed asked about %d ways, want %d", line, len(asked), want)
 		}
-	case op < 92:
+	default:
 		gm, gp := a.Invalidate(line)
 		wm, wp := d.invalidate(line)
 		if gm != wm || gp != wp {
 			return fmt.Errorf("Invalidate(%#x) = (%d,%v), want (%d,%v)", line, gm, gp, wm, wp)
-		}
-	default:
-		gt, gm, ge := a.VictimFor(line)
-		wt, wm, we := d.victimFor(line)
-		if gt != wt || gm != wm || ge != we {
-			return fmt.Errorf("VictimFor(%#x) = (%#x,%d,%v), want (%#x,%d,%v)", line, gt, gm, ge, wt, wm, we)
 		}
 	}
 	return nil
@@ -524,9 +471,6 @@ func TestNeverInsertedSetsOwnNothing(t *testing.T) {
 		}
 		if _, present := a.Invalidate(line(i)); present {
 			t.Fatalf("line %d invalidated in an empty array", i)
-		}
-		if _, _, ev := a.VictimFor(line(i)); ev {
-			t.Fatalf("line %d has a victim in an empty array", i)
 		}
 	}
 	if a.blocks != 0 || len(a.chunks) != 0 {

@@ -82,20 +82,20 @@ type Options struct {
 	Runs    int // number of randomized configs (default 100)
 	Workers int // concurrent simulations (default GOMAXPROCS)
 	Seed    uint64
-	// Sched is the scheduler every primary run executes under (zero =
-	// sim.SchedEvent); replays run under the opposite one.
-	Sched sim.Scheduler
 
 	Cores     []int    // core-count choices (default {4, 8})
 	Instrs    []int    // per-core instruction-count choices (default {1000, 2500})
 	Workloads []string // default: the contended set above
 
-	// ReplayEvery re-runs every Nth config under the opposite scheduler
-	// and requires an identical (mode-normalized) sim.Result — both the
-	// determinism that makes repro lines trustworthy and the proof that
-	// the event and cycle schedulers agree across the whole sweep
-	// matrix, fault injection included. 0 disables replay; default
-	// every 5th run.
+	// ReplayEvery re-runs every Nth config the way every other command
+	// runs it — default scheduler, no cross-check, no invariant checks —
+	// and requires an identical (mode-normalized) sim.Result. The
+	// primary run visits every cycle (its cross-check replays every
+	// skippable tick), the replay jumps between wake-ups, so a pass is
+	// both the determinism that makes repro lines trustworthy and the
+	// proof that the run loop's skipping changes nothing across the
+	// whole sweep matrix, fault injection included. 0 disables replay;
+	// default every 5th run.
 	ReplayEvery int
 
 	CheckEvery uint64 // coherence-invariant interval (default 4096)
@@ -182,22 +182,12 @@ type RunSpec struct {
 
 	CheckEvery uint64
 	MaxCycles  uint64
-
-	// Sched is the scheduler the run executes under. Excluded from the
-	// JSON encoding (and therefore from ContentKey) on purpose: both
-	// schedulers produce the same run, so a checkpoint written under
-	// one resumes under the other.
-	Sched sim.Scheduler `json:"-"`
 }
 
 // ReproLine renders the one-line reproduction command.
 func (s RunSpec) ReproLine() string {
-	line := fmt.Sprintf("rowtorture -seed %#x -wl %s -variant %q -cores %d -instrs %d -faults %q",
+	return fmt.Sprintf("rowtorture -seed %#x -wl %s -variant %q -cores %d -instrs %d -faults %q",
 		s.Seed, s.Workload, s.Variant, s.Cores, s.Instrs, s.Faults.Spec())
-	if s.Sched != sim.SchedEvent {
-		line += " -sched " + s.Sched.String()
-	}
-	return line
 }
 
 // ContentKey hashes everything that determines the run — the spec
@@ -229,34 +219,65 @@ func ExecuteCtx(ctx context.Context, spec RunSpec) (sim.Result, error) {
 // not match the spec fails the run with *checkpoint.MismatchError
 // rather than resuming foreign state.
 func ExecuteCheckpointed(ctx context.Context, spec RunSpec, every uint64, dir string) (sim.Result, error) {
-	v, err := LookupVariant(spec.Variant)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	p, err := workload.Get(spec.Workload)
+	build, err := builder(spec)
 	if err != nil {
 		return sim.Result{}, err
 	}
 	return checkpoint.Run(ctx, dir, every, spec.ContentKey(), func(ck ...sim.Option) (*sim.System, error) {
-		cfg := v.Config(spec.Cores)
-		if spec.MaxCycles > 0 {
-			cfg.MaxCycles = spec.MaxCycles
-		}
-		// Torture runs double as the skip cross-checker: every skip
-		// decision the run loop makes is replayed and asserted a no-op.
-		opts := append(ck, sim.WithWarmFilter(workload.WarmFilter(p)), sim.WithScheduler(spec.Sched), sim.WithCrossCheck())
+		// Torture runs double as the skip cross-checker: every cycle is
+		// visited, and every skip decision the run loop would make is
+		// replayed and asserted a no-op.
+		opts := append(ck, sim.WithCrossCheck())
 		if spec.CheckEvery > 0 {
 			opts = append(opts, sim.WithInvariantChecks(spec.CheckEvery))
 		}
-		if spec.Faults.Enabled() {
-			opts = append(opts, sim.WithFaults(spec.Faults))
-		}
-		return sim.New(cfg, workload.Generate(p, spec.Cores, spec.Instrs, spec.Seed), opts...)
+		return build(opts...)
 	}, func(_ uint64, warn error) {
 		if warn != nil {
 			fmt.Fprintf(os.Stderr, "torture: %s: checkpoint unusable, starting fresh: %v\n", spec.ReproLine(), warn)
 		}
 	})
+}
+
+// replay re-executes spec the way every other command runs a cell: from
+// the spec's own options only, under the default scheduler, so the run
+// loop jumps between wake-ups instead of visiting every cycle.
+func replay(ctx context.Context, spec RunSpec) (sim.Result, error) {
+	build, err := builder(spec)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	s, err := build()
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return s.RunCtx(ctx)
+}
+
+// builder resolves spec's variant and workload and returns the
+// constructor of its system: the variant's configuration under the
+// spec's cycle budget, over the spec's traces, warm filter and fault
+// mix, plus whatever options the caller adds.
+func builder(spec RunSpec) (func(opts ...sim.Option) (*sim.System, error), error) {
+	v, err := LookupVariant(spec.Variant)
+	if err != nil {
+		return nil, err
+	}
+	p, err := workload.Get(spec.Workload)
+	if err != nil {
+		return nil, err
+	}
+	return func(opts ...sim.Option) (*sim.System, error) {
+		cfg := v.Config(spec.Cores)
+		if spec.MaxCycles > 0 {
+			cfg.MaxCycles = spec.MaxCycles
+		}
+		opts = append(opts, sim.WithWarmFilter(workload.WarmFilter(p)))
+		if spec.Faults.Enabled() {
+			opts = append(opts, sim.WithFaults(spec.Faults))
+		}
+		return sim.New(cfg, workload.Generate(p, spec.Cores, spec.Instrs, spec.Seed), opts...)
+	}, nil
 }
 
 // ReplayMismatchError reports nondeterminism: the same spec produced
@@ -373,7 +394,6 @@ func specs(opt Options) []RunSpec {
 			Faults:     fl,
 			CheckEvery: opt.CheckEvery,
 			MaxCycles:  opt.MaxCycles,
-			Sched:      opt.Sched,
 		}
 	}
 	return out
@@ -423,26 +443,23 @@ func Torture(opt Options) Summary {
 			return
 		}
 		if out.Status == lifecycle.StatusOK && opt.ReplayEvery > 0 && i%opt.ReplayEvery == 0 {
-			// The replay runs under the opposite scheduler: a pass
-			// proves both determinism and mode equivalence on this
-			// spec (fault mix included). Results are compared
-			// mode-normalized — the visited-cycle count is the one
-			// field allowed to differ.
+			// The replay skips the cycles the cross-checked run
+			// visited: a pass proves both determinism and that the
+			// skipping changes nothing on this spec (fault mix
+			// included). Results are compared mode-normalized — the
+			// visited-cycle count is the one field allowed to differ.
 			replayed[i] = true
-			other := spec
-			other.Sched = spec.Sched.Other()
-			res2, err2 := ExecuteCtx(ctx, other)
+			res2, err2 := replay(ctx, spec)
 			switch {
 			case err2 != nil && lifecycle.Classify(err2) == lifecycle.ClassCanceled:
 				// The sweep was interrupted mid-replay: the run is
 				// fine, the determinism check just did not finish.
 				replayed[i] = false
 			case err2 != nil:
-				out.Err = &ReplayMismatchError{Detail: fmt.Sprintf("%s-scheduler replay failed where the %s run passed: %v",
-					other.Sched, spec.Sched, err2)}
+				out.Err = &ReplayMismatchError{Detail: fmt.Sprintf("skipping replay failed where the cross-checked run passed: %v", err2)}
 			case res2.SchedNormalized() != out.Result.SchedNormalized():
-				out.Err = &ReplayMismatchError{Detail: fmt.Sprintf("%s run %d cycles / %d messages, %s replay %d cycles / %d messages",
-					spec.Sched, out.Result.Cycles, out.Result.NetworkMessages, other.Sched, res2.Cycles, res2.NetworkMessages)}
+				out.Err = &ReplayMismatchError{Detail: fmt.Sprintf("cross-checked run %d cycles / %d messages, skipping replay %d cycles / %d messages",
+					out.Result.Cycles, out.Result.NetworkMessages, res2.Cycles, res2.NetworkMessages)}
 			}
 			if out.Err != nil {
 				// Override the journaled ok: the latest record per

@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -76,60 +77,37 @@ func TestExecuteMatchesReproLine(t *testing.T) {
 	}
 }
 
-// TestExecuteSchedulerEquivalence: one spec executed under both
-// schedulers (faults on) must agree on everything but the
-// visited-cycle bookkeeping, and the repro line must name the
-// scheduler only when it is not the default.
+// TestExecuteSchedulerEquivalence: a torture run is cross-checked, so
+// it visits every cycle; the determinism replay a sweep makes of it
+// runs the way every other command does, jumping between wake-ups, and
+// must agree on everything but the visited-cycle count (faults on).
 func TestExecuteSchedulerEquivalence(t *testing.T) {
 	spec := RunSpec{
-		Seed:      0x9d1,
-		Workload:  "sps",
-		Variant:   "Lazy",
-		Cores:     4,
-		Instrs:    500,
-		Faults:    faults.Config{Seed: 6, JitterProb: 0.25, JitterMax: 12, ReorderProb: 0.05, ReorderMax: 64},
-		MaxCycles: 5_000_000,
+		Seed:       0x9d1,
+		Workload:   "tas",
+		Variant:    "Lazy",
+		Cores:      4,
+		Instrs:     500,
+		Faults:     faults.Config{Seed: 6, JitterProb: 0.25, JitterMax: 12, ReorderProb: 0.05, ReorderMax: 64},
+		CheckEvery: 4096,
+		MaxCycles:  5_000_000,
 	}
-	spec.Sched = sim.SchedEvent
-	ev, err := Execute(spec)
+	primary, err := Execute(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Sched = sim.SchedCycle
-	cy, err := Execute(spec)
+	again, err := replay(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.SchedNormalized() != cy.SchedNormalized() {
-		t.Fatalf("schedulers diverge:\nevent: %+v\ncycle: %+v", ev, cy)
+	if primary.CyclesVisited != primary.Cycles {
+		t.Errorf("cross-checked run visited %d of %d cycles, want all", primary.CyclesVisited, primary.Cycles)
 	}
-	if !strings.Contains(spec.ReproLine(), "-sched cycle") {
-		t.Errorf("cycle-mode repro line omits the scheduler: %q", spec.ReproLine())
+	if again.CyclesVisited >= again.Cycles {
+		t.Errorf("replay visited %d of %d cycles, want it to skip some", again.CyclesVisited, again.Cycles)
 	}
-	spec.Sched = sim.SchedEvent
-	if strings.Contains(spec.ReproLine(), "-sched") {
-		t.Errorf("default-mode repro line names the scheduler: %q", spec.ReproLine())
-	}
-}
-
-// TestSweepCycleSchedulerPrimary runs a miniature sweep with the cycle
-// scheduler as the primary mode, so the determinism replays execute
-// under the event scheduler — the reverse direction of the default.
-func TestSweepCycleSchedulerPrimary(t *testing.T) {
-	sum := Torture(Options{
-		Runs:        6,
-		Seed:        33,
-		Sched:       sim.SchedCycle,
-		Cores:       []int{4},
-		Instrs:      []int{500},
-		ReplayEvery: 2,
-		MaxCycles:   5_000_000,
-	})
-	if !sum.OK() {
-		t.Fatalf("sweep failed:\n%s", sum)
-	}
-	if sum.Replayed == 0 {
-		t.Fatalf("no runs replayed: %s", sum)
+	if primary.SchedNormalized() != again.SchedNormalized() {
+		t.Fatalf("replay diverges:\nrun:    %+v\nreplay: %+v", primary, again)
 	}
 }
 

@@ -11,54 +11,6 @@ import (
 	"rowsim/internal/stats"
 )
 
-// BarChart renders one numeric column of a table as labeled bars.
-// Non-numeric cells (and a trailing % sign) are tolerated; rows whose
-// cell does not parse are skipped. width is the maximum bar length in
-// characters.
-func BarChart(t *stats.Table, column int, width int) string {
-	if width <= 0 {
-		width = 50
-	}
-	type row struct {
-		label string
-		value float64
-	}
-	var rows []row
-	maxVal := 0.0
-	labelW := 0
-	for _, r := range t.Rows {
-		if column >= len(r) {
-			continue
-		}
-		v, err := parseCell(r[column])
-		if err != nil {
-			continue
-		}
-		rows = append(rows, row{label: r[0], value: v})
-		if v > maxVal {
-			maxVal = v
-		}
-		if len(r[0]) > labelW {
-			labelW = len(r[0])
-		}
-	}
-	if len(rows) == 0 || maxVal <= 0 {
-		return ""
-	}
-	var b strings.Builder
-	if t.Title != "" && column < len(t.Headers) {
-		fmt.Fprintf(&b, "%s — %s\n", t.Title, t.Headers[column])
-	}
-	for _, r := range rows {
-		n := int(r.value / maxVal * float64(width))
-		if n < 1 && r.value > 0 {
-			n = 1
-		}
-		fmt.Fprintf(&b, "%-*s  %-*s %8.3f\n", labelW, r.label, width, strings.Repeat("#", n), r.value)
-	}
-	return b.String()
-}
-
 // NormChart renders a normalized-time column with a reference line at
 // 1.0: bars shorter than the marker beat the baseline.
 func NormChart(t *stats.Table, column int, width int) string {

@@ -16,8 +16,8 @@ func sample() *stats.Table {
 	return t
 }
 
-func TestBarChartProportions(t *testing.T) {
-	out := BarChart(sample(), 1, 40)
+func TestNormChartProportions(t *testing.T) {
+	out := NormChart(sample(), 1, 40)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 4 { // title + three parsable rows
 		t.Fatalf("lines = %d:\n%s", len(lines), out)
@@ -32,9 +32,9 @@ func TestBarChartProportions(t *testing.T) {
 	}
 }
 
-func TestBarChartEmpty(t *testing.T) {
+func TestNormChartEmpty(t *testing.T) {
 	empty := &stats.Table{Headers: []string{"a", "b"}}
-	if BarChart(empty, 1, 10) != "" {
+	if NormChart(empty, 1, 10) != "" {
 		t.Fatal("empty table must render nothing")
 	}
 }
@@ -55,7 +55,7 @@ func TestNormChartMarker(t *testing.T) {
 func TestPercentCellsParse(t *testing.T) {
 	tab := &stats.Table{Headers: []string{"wl", "pct"}}
 	tab.AddRow("x", "42.0%")
-	out := BarChart(tab, 1, 10)
+	out := NormChart(tab, 1, 10)
 	if !strings.Contains(out, "42.000") {
 		t.Fatalf("percent cell not parsed:\n%s", out)
 	}
@@ -65,7 +65,7 @@ func TestTinyValueGetsMinimumBar(t *testing.T) {
 	tab := &stats.Table{Headers: []string{"wl", "v"}}
 	tab.AddRow("big", "1000")
 	tab.AddRow("tiny", "0.001")
-	out := BarChart(tab, 1, 30)
+	out := NormChart(tab, 1, 30)
 	for _, line := range strings.Split(out, "\n") {
 		if strings.HasPrefix(line, "tiny") && !strings.Contains(line, "#") {
 			t.Fatalf("tiny value rendered with no bar:\n%s", out)
