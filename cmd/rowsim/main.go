@@ -20,6 +20,7 @@ import (
 
 	"rowsim/internal/cli"
 	"rowsim/internal/config"
+	"rowsim/internal/experiments"
 	"rowsim/internal/sim"
 	"rowsim/internal/stats"
 	"rowsim/internal/trace"
@@ -70,15 +71,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	defer prof.Stop(&code, stderr)
 
-	cfg := config.Default()
-	cfg.NumCores = *cores
-	cfg.ForwardAtomics = *fwd
+	v := experiments.Variant{Forward: *fwd, Threshold: -1}
 	for _, err := range []error{
-		lookup(&cfg.Policy, "policy", *policy, map[string]config.AtomicPolicy{
+		lookup(&v.Policy, "policy", *policy, map[string]config.AtomicPolicy{
 			"eager": config.PolicyEager, "lazy": config.PolicyLazy, "row": config.PolicyRoW, "far": config.PolicyFar}),
-		lookup(&cfg.RoW.Detection, "detection", *detect, map[string]config.Detection{
+		lookup(&v.Detection, "detection", *detect, map[string]config.Detection{
 			"ew": config.DetectEW, "rw": config.DetectRW, "rwdir": config.DetectRWDir}),
-		lookup(&cfg.RoW.Predictor, "predictor", *pred, map[string]config.PredictorKind{
+		lookup(&v.Predictor, "predictor", *pred, map[string]config.PredictorKind{
 			"ud": config.PredUpDown, "sat": config.PredSaturate, "2up1down": config.PredTwoUpOneDown}),
 	} {
 		if err != nil {
@@ -86,11 +85,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return 2
 		}
 	}
-
-	// The early address-calculation pass is a RoW mechanism (it opens
-	// the ready window); the plain baselines and the EW variant do
-	// without it, as in the paper.
-	cfg.EarlyAddrCalc = cfg.Policy == config.PolicyRoW && cfg.RoW.Detection != config.DetectEW
 
 	p, err := workload.Get(*name)
 	if err != nil {
@@ -107,9 +101,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
-		}
-		if len(progs) > *cores {
-			cfg.NumCores = len(progs)
 		}
 	} else {
 		progs = workload.Generate(p, *cores, *instrs, *seed)
@@ -139,6 +130,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *save != "" || *dump > 0 || *summary {
 		return 0
 	}
+	cfg := v.Config(max(*cores, len(progs)))
 	system, err := sim.New(cfg, progs, sim.WithWarmFilter(workload.WarmFilter(p)), sim.WithScheduler(sched))
 	if err != nil {
 		fmt.Fprintln(stderr, err)

@@ -3,10 +3,14 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"rowsim/internal/experiments"
 )
 
 // capture runs the command in-process and returns what it printed.
@@ -82,5 +86,44 @@ func TestInspectRejectsBadCore(t *testing.T) {
 	_, stderr, code := capture("-workload", "pc", "-cores", "2", "-instrs", "100", "-summary", "-core", "2")
 	if code != 2 || stderr != "core 2 out of range [0,2)\n" {
 		t.Errorf("exit %d, stderr %q; want 2", code, stderr)
+	}
+}
+
+// TestFlagsMatchVariant: rowsim's -policy/-detect/-pred/-fwd flags name
+// an experiments.Variant, so a run prints the cycles and issue split
+// the figures' runner gets for that variant on the same traces. The
+// cases beyond the first are sized so that each flag changes the
+// result, so a flag that stops reaching the run fails one of them.
+func TestFlagsMatchVariant(t *testing.T) {
+	for _, tc := range []struct {
+		wl, instrs string
+		flags      []string
+		v          experiments.Variant
+	}{
+		{"sps", "1000", []string{"-policy", "row", "-detect", "ew", "-pred", "ud", "-fwd=false"}, experiments.VarEWUD},
+		{"pc", "3000", []string{"-policy", "row", "-detect", "rw", "-pred", "ud", "-fwd=false"}, experiments.VarRWUD},
+		{"pc", "3000", []string{"-policy", "row", "-detect", "ew", "-pred", "sat", "-fwd=false"}, experiments.VarEWSat},
+		{"cq", "3000", []string{"-policy", "row", "-detect", "ew", "-pred", "sat", "-fwd=false"}, experiments.VarEWSat},
+		{"pc", "3000", []string{"-policy", "lazy", "-fwd=false"}, experiments.VarLazy},
+		{"cq", "3000", []string{"-policy", "row", "-detect", "rwdir", "-pred", "sat"}, experiments.VarDirSatFwd},
+	} {
+		args := append([]string{"-workload", tc.wl, "-cores", "4", "-instrs", tc.instrs}, tc.flags...)
+		out, stderr, code := capture(args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d, stderr %q", args, code, stderr)
+		}
+		instrs, _ := strconv.Atoi(tc.instrs)
+		r, err := experiments.NewRunner(experiments.Options{Cores: 4, Instrs: instrs, Workloads: []string{tc.wl}}).Run(tc.wl, tc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range []string{
+			fmt.Sprintf("cycles          %d\n", r.Cycles),
+			fmt.Sprintf("issued          eager=%d lazy=%d forwarded=%d\n", r.EagerIssued, r.LazyIssued, r.ForwardedAtomics),
+		} {
+			if !strings.Contains(out, line) {
+				t.Errorf("%v (%s): stdout lacks %q:\n%s", args, tc.v.Name, line, out)
+			}
+		}
 	}
 }

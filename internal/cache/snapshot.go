@@ -54,21 +54,21 @@ type FarSnap struct {
 // (lookup completion or deferred miss). Kind is evRespond or evMiss: a
 // retry is stored as the miss it is.
 type EventSnap struct {
-	At   uint64 `json:"at"`
-	Seq  uint64 `json:"seq"`
-	Kind uint8  `json:"kind"`
-	Tag  uint64 `json:"tag"`
-	Line uint64 `json:"line"`
-	Wr   bool   `json:"wr"`
-	Lat  uint64 `json:"lat"`
+	At   uint64
+	Seq  uint64
+	Kind uint8
+	Tag  uint64
+	Line uint64
+	Wr   bool
+	Lat  uint64
 }
 
 // StrideSnap is the exported view of one stride-prefetcher table entry.
 type StrideSnap struct {
-	PC       uint64 `json:"pc"`
-	LastAddr uint64 `json:"last_addr"`
-	Stride   int64  `json:"stride"`
-	Conf     int    `json:"conf"`
+	PC       uint64
+	LastAddr uint64
+	Stride   int64
+	Conf     int
 }
 
 // CacheSnap is a deep copy of the controller's mutable state. The

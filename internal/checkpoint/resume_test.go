@@ -38,7 +38,6 @@ func TestResumeEndToEnd(t *testing.T) {
 			cfg := config.Default()
 			cfg.NumCores = 2
 			cfg.Policy = tc.policy
-			cfg.EarlyAddrCalc = tc.policy == config.PolicyRoW
 			cfg.MaxCycles = 50_000_000
 			p := workload.MustGet(tc.workload)
 			// Long enough that every case crosses several checkpoint

@@ -49,7 +49,6 @@ func TestRunDurableAttempt(t *testing.T) {
 	cfg := config.Default()
 	cfg.NumCores = 2
 	cfg.Policy = config.PolicyRoW
-	cfg.EarlyAddrCalc = true
 	cfg.MaxCycles = 50_000_000
 	p := workload.MustGet("sps")
 	build := func(opts ...sim.Option) (*sim.System, error) {

@@ -45,11 +45,11 @@ func (p *MsgPool) Restore(s PoolSnap) {
 // DirPending mirrors the directory's in-flight transaction context
 // with exported fields.
 type DirPending struct {
-	Requestor int  `json:"r,omitempty"`
-	IsWrite   bool `json:"w,omitempty"`
-	Far       bool `json:"f,omitempty"`
-	FarAcks   int  `json:"a,omitempty"`
-	FarData   bool `json:"d,omitempty"`
+	Requestor int
+	IsWrite   bool
+	Far       bool
+	FarAcks   int
+	FarData   bool
 }
 
 // DirEntrySnap is the exported view of one directory entry. The model
@@ -57,14 +57,14 @@ type DirPending struct {
 // bank's per-line state. Nearly every entry of a checkpoint is an idle
 // owned line, so the zero values — not blocked, no sharers, an all-zero
 // transaction context (Pend nil), nothing waiting — are left out of the
-// JSON; read the context through Pending.
+// gob stream; read the context through Pending.
 type DirEntrySnap struct {
-	State   uint8       `json:"s"`
-	Owner   int         `json:"o"`
-	Sharers uint64      `json:"h,omitempty"`
-	Blocked bool        `json:"b,omitempty"`
-	Pend    *DirPending `json:"p,omitempty"`
-	Waiting []Msg       `json:"q,omitempty"` // queued requests, FIFO, copied by value
+	State   uint8
+	Owner   int
+	Sharers uint64
+	Blocked bool
+	Pend    *DirPending
+	Waiting []Msg // queued requests, FIFO, copied by value
 }
 
 // Pending returns the entry's transaction context, all zero when Pend

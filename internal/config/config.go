@@ -6,7 +6,10 @@
 // coherent by a blocking MESI directory.
 package config
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // AtomicPolicy selects when an atomic RMW instruction is issued.
 type AtomicPolicy int
@@ -164,6 +167,13 @@ type Memory struct {
 	BaseCycles   int // injection/ejection overhead per message
 }
 
+// HomeBank returns the L3 bank, in [0, L3Banks), that is home to the
+// line at address line: line numbers interleave across the banks.
+// LineBytes must be a power of two (Validate checks it).
+func (m *Memory) HomeBank(line uint64) int {
+	return int((line >> bits.TrailingZeros(uint(m.LineBytes))) % uint64(m.L3Banks))
+}
+
 // RoW holds the Rush-or-Wait mechanism parameters (Section IV).
 type RoW struct {
 	Detection        Detection
@@ -198,12 +208,6 @@ type Config struct {
 	// contended atomic back to eager when a matching older store is in
 	// the store buffer (Section IV-E).
 	ForwardAtomics bool
-
-	// EarlyAddrCalc lets predicted-lazy atomics issue once in
-	// only-calculate-address mode so the ready window can observe
-	// external requests (Section IV-B). It is implied by DetectRW and
-	// DetectRWDir under PolicyRoW.
-	EarlyAddrCalc bool
 
 	// WarmCaches pre-installs the lines each trace touches (private
 	// lines in the owner's L2, shared lines in the L3) before the
@@ -265,7 +269,6 @@ func Default() *Config {
 		},
 		Policy:         PolicyRoW,
 		ForwardAtomics: true,
-		EarlyAddrCalc:  true,
 		WarmCaches:     true,
 		MaxCycles:      0,
 	}
@@ -319,6 +322,15 @@ func (c *Config) Validate() error {
 func (c *Config) Clone() *Config {
 	cp := *c
 	return &cp
+}
+
+// EarlyAddrCalc reports whether predicted-lazy atomics issue once in
+// only-calculate-address mode so the ready window can observe external
+// requests (Section IV-B). Only the ready window needs that pass, so it
+// follows from the policy and the detector: RoW with DetectRW or
+// DetectRWDir.
+func (c *Config) EarlyAddrCalc() bool {
+	return c.Policy == PolicyRoW && c.RoW.Detection != DetectEW
 }
 
 // PredictorThreshold resolves the effective eager/lazy decision

@@ -132,3 +132,20 @@ func TestStringers(t *testing.T) {
 		}
 	}
 }
+
+// TestEarlyAddrCalc: only the ready window needs the address-only pass,
+// so it runs under RoW with the RW or RW+Dir detector and nowhere else.
+func TestEarlyAddrCalc(t *testing.T) {
+	early := map[AtomicPolicy]map[Detection]bool{
+		PolicyRoW: {DetectRW: true, DetectRWDir: true},
+	}
+	for _, p := range []AtomicPolicy{PolicyEager, PolicyLazy, PolicyRoW, PolicyFar} {
+		for _, d := range []Detection{DetectEW, DetectRW, DetectRWDir} {
+			cfg := Default()
+			cfg.Policy, cfg.RoW.Detection = p, d
+			if got := cfg.EarlyAddrCalc(); got != early[p][d] {
+				t.Errorf("%s with %s: EarlyAddrCalc() = %v, want %v", p, d, got, early[p][d])
+			}
+		}
+	}
+}

@@ -12,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 
 	"rowsim/internal/cache"
 	"rowsim/internal/coherence"
@@ -142,12 +141,6 @@ const wheelSize = 16 // > max internal latency
 
 // Tag encoding for memory responses: slot in the low bits, id above.
 const tagSlotBits = 12
-
-// debugLock enables lock-timeline prints for core 0 (development aid;
-// compiled out when false).
-//
-//rowlint:ignore wallclock development-only log gate read once at init; it toggles prints, never simulated behaviour
-var debugLock = os.Getenv("ROWSIM_DEBUG_LOCK") != ""
 
 // Stats aggregates a core's behaviour for the experiment harnesses.
 type Stats struct {

@@ -207,14 +207,6 @@ func (c *Core) atomicLineArrived(e *robEntry, slot uint32, info cache.RespInfo) 
 		a.lockAt = c.now
 		e.locked = true
 		e.lockAt = c.now
-		if debugLock && c.id == 0 {
-			headID := uint64(0)
-			if c.robHead < c.robTail {
-				headID = c.entry(c.robHead).id
-			}
-			fmt.Printf("[%d] core0 LOCK line=%#x id=%d distToHead=%d olderUnexec=%d sbDepth=%d issueToLock=%d\n",
-				c.now, e.line, e.id, e.id-headID, c.countOlderUnexecuted(e.id), e.sb-c.sbHead, c.now-e.lockIssueAt)
-		}
 		c.Stats.IssueToLock.Observe(float64(c.now - e.lockIssueAt))
 		if c.detectDir() && info.FromPrivate && !info.Hit {
 			// The AQ's request-issued-cycle field feeds the 14-bit

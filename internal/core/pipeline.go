@@ -107,7 +107,7 @@ func (c *Core) forwardValue(e *robEntry) {
 // queue: the ready queue, or straight to the lazy-wait list for
 // atomics issued lazily without the early address-calculation pass.
 func (c *Core) makeReady(e *robEntry, slot uint32) {
-	if e.in.Kind == trace.Atomic && e.lazy && !c.cfg.EarlyAddrCalc {
+	if e.in.Kind == trace.Atomic && e.lazy && !c.cfg.EarlyAddrCalc() {
 		e.st = sWaitLazy
 		c.lazyWait = append(c.lazyWait, depRef{slot: slot, id: e.id})
 		return
@@ -231,9 +231,6 @@ func (c *Core) unlockAtomic(h *sbEntry) {
 		c.Stats.ContendedAtomics++
 	}
 	if a.locked {
-		if debugLock && c.id == 0 {
-			fmt.Printf("[%d] core0 UNLOCK line=%#x id=%d held=%d\n", c.now, a.line, a.id, c.now-a.lockAt)
-		}
 		c.Stats.LockToUnlock.Observe(float64(c.now - a.lockAt))
 		c.Stats.LockHold.Observe(float64(c.now - a.lockAt))
 	}

@@ -29,139 +29,139 @@ import (
 
 // DepRef is the exported view of one dependence edge.
 type DepRef struct {
-	Slot uint32 `json:"slot"`
-	ID   uint64 `json:"id"`
+	Slot uint32
+	ID   uint64
 }
 
 // ROBEntrySnap is the exported view of one reorder-buffer slot. In is
 // represented by Pi, the program index (-1 when the slot never held an
 // instruction).
 type ROBEntrySnap struct {
-	Valid bool   `json:"valid"`
-	ID    uint64 `json:"id"`
-	Pi    int32  `json:"pi"`
-	St    uint8  `json:"st"`
+	Valid bool
+	ID    uint64
+	Pi    int32
+	St    uint8
 
-	SrcPending int8     `json:"src_pending"`
-	Token      uint16   `json:"token"`
-	Deps       []DepRef `json:"deps"`
+	SrcPending int8
+	Token      uint16
+	Deps       []DepRef
 
-	DispatchAt uint64 `json:"dispatch_at"`
-	CompleteAt uint64 `json:"complete_at"`
+	DispatchAt uint64
+	CompleteAt uint64
 
-	Line      uint64 `json:"line"`
-	AddrReady bool   `json:"addr_ready"`
-	LQ        int64  `json:"lq"`
-	SB        int64  `json:"sb"`
-	AQ        int64  `json:"aq"`
+	Line      uint64
+	AddrReady bool
+	LQ        int64
+	SB        int64
+	AQ        int64
 
-	WaitStoreID uint64 `json:"wait_store_id"`
-	Mispred     bool   `json:"mispred"`
-	ValueReady  bool   `json:"value_ready"`
+	WaitStoreID uint64
+	Mispred     bool
+	ValueReady  bool
 
-	Lazy          bool   `json:"lazy"`
-	PredContended bool   `json:"pred_contended"`
-	AddrCalcDone  bool   `json:"addr_calc_done"`
-	Locked        bool   `json:"locked"`
-	LockAt        uint64 `json:"lock_at"`
-	LockIssueAt   uint64 `json:"lock_issue_at"`
+	Lazy          bool
+	PredContended bool
+	AddrCalcDone  bool
+	Locked        bool
+	LockAt        uint64
+	LockIssueAt   uint64
 }
 
 // SBEntrySnap is the exported view of one store-buffer slot.
 type SBEntrySnap struct {
-	ID        uint64 `json:"id"`
-	Slot      uint32 `json:"slot"`
-	Line      uint64 `json:"line"`
-	AddrReady bool   `json:"addr_ready"`
-	Committed bool   `json:"committed"`
-	IsAtomic  bool   `json:"is_atomic"`
-	NoWrite   bool   `json:"no_write"`
+	ID        uint64
+	Slot      uint32
+	Line      uint64
+	AddrReady bool
+	Committed bool
+	IsAtomic  bool
+	NoWrite   bool
 }
 
 // LQEntrySnap is the exported view of one load-queue slot.
 type LQEntrySnap struct {
-	ID       uint64 `json:"id"`
-	Slot     uint32 `json:"slot"`
-	Line     uint64 `json:"line"`
-	HasLine  bool   `json:"has_line"`
-	IsAtomic bool   `json:"is_atomic"`
-	Done     bool   `json:"done"`
+	ID       uint64
+	Slot     uint32
+	Line     uint64
+	HasLine  bool
+	IsAtomic bool
+	Done     bool
 }
 
 // AQEntrySnap is the exported view of one Atomic Queue slot.
 type AQEntrySnap struct {
-	ID        uint64 `json:"id"`
-	Slot      uint32 `json:"slot"`
-	PC        uint64 `json:"pc"`
-	Line      uint64 `json:"line"`
-	HasAddr   bool   `json:"has_addr"`
-	Locked    bool   `json:"locked"`
-	Contended bool   `json:"contended"`
-	IssuedAt  uint64 `json:"issued_at"`
-	LockAt    uint64 `json:"lock_at"`
+	ID        uint64
+	Slot      uint32
+	PC        uint64
+	Line      uint64
+	HasAddr   bool
+	Locked    bool
+	Contended bool
+	IssuedAt  uint64
+	LockAt    uint64
 
-	PredContended bool `json:"pred_contended"`
-	Trainable     bool `json:"trainable"`
+	PredContended bool
+	Trainable     bool
 }
 
 // WheelEventSnap is the exported view of one scheduled completion.
 type WheelEventSnap struct {
-	Slot  uint32 `json:"slot"`
-	ID    uint64 `json:"id"`
-	Token uint16 `json:"token"`
-	Kind  uint8  `json:"kind"`
+	Slot  uint32
+	ID    uint64
+	Token uint16
+	Kind  uint8
 }
 
 // CoreSnap is a deep copy of the core's mutable state.
 type CoreSnap struct {
-	FetchIdx    int    `json:"fetch_idx"`
-	FetchHoldBy uint64 `json:"fetch_hold_by"`
-	FetchFreeAt uint64 `json:"fetch_free_at"`
+	FetchIdx    int
+	FetchHoldBy uint64
+	FetchFreeAt uint64
 
-	Now    uint64 `json:"now"`
-	NextID uint64 `json:"next_id"`
+	Now    uint64
+	NextID uint64
 
-	ROB     []ROBEntrySnap `json:"rob"`
-	ROBHead int64          `json:"rob_head"`
-	ROBTail int64          `json:"rob_tail"`
+	ROB     []ROBEntrySnap
+	ROBHead int64
+	ROBTail int64
 
-	LQ     []LQEntrySnap `json:"lq"`
-	LQHead int64         `json:"lq_head"`
-	LQTail int64         `json:"lq_tail"`
-	SB     []SBEntrySnap `json:"sb"`
-	SBHead int64         `json:"sb_head"`
-	SBTail int64         `json:"sb_tail"`
-	AQ     []AQEntrySnap `json:"aq"`
-	AQHead int64         `json:"aq_head"`
-	AQTail int64         `json:"aq_tail"`
+	LQ     []LQEntrySnap
+	LQHead int64
+	LQTail int64
+	SB     []SBEntrySnap
+	SBHead int64
+	SBTail int64
+	AQ     []AQEntrySnap
+	AQHead int64
+	AQTail int64
 
-	Rename []DepRef `json:"rename"`
+	Rename []DepRef
 
-	ReadyQ       []DepRef `json:"ready_q"`
-	LazyWait     []DepRef `json:"lazy_wait"`
-	StoreBlocked []DepRef `json:"store_blocked"`
-	FenceBlocked []DepRef `json:"fence_blocked"`
-	LockWait     []DepRef `json:"lock_wait"`
-	OrderWait    []DepRef `json:"order_wait"`
-	FenceIDs     []uint64 `json:"fence_ids"`
+	ReadyQ       []DepRef
+	LazyWait     []DepRef
+	StoreBlocked []DepRef
+	FenceBlocked []DepRef
+	LockWait     []DepRef
+	OrderWait    []DepRef
+	FenceIDs     []uint64
 
-	Wheel [][]WheelEventSnap `json:"wheel"`
+	Wheel [][]WheelEventSnap
 
-	BP predictor.BranchSnap      `json:"bp"`
-	SS predictor.StoreSetSnap    `json:"ss"`
-	CP *predictor.ContentionSnap `json:"cp,omitempty"` // nil unless policy RoW
+	BP predictor.BranchSnap
+	SS predictor.StoreSetSnap
+	CP *predictor.ContentionSnap // nil unless policy RoW
 
-	L1I         sram.Snap `json:"l1i"`
-	L1ILastLine uint64    `json:"l1i_last_line"`
-	L1IMisses   uint64    `json:"l1i_misses"`
+	L1I         sram.Snap
+	L1ILastLine uint64
+	L1IMisses   uint64
 
-	MemPortsUsed int    `json:"mem_ports_used"`
-	DrainBusy    bool   `json:"drain_busy"`
-	Work         uint64 `json:"work"`
-	Done         bool   `json:"done"`
-	FinishedAt   uint64 `json:"finished_at"`
+	MemPortsUsed int
+	DrainBusy    bool
+	Work         uint64
+	Done         bool
+	FinishedAt   uint64
 
-	Stats Stats `json:"stats"`
+	Stats Stats
 }
 
 func snapDeps(ds []depRef) []DepRef {

@@ -28,15 +28,6 @@ func TestVariantConfigs(t *testing.T) {
 	if VarEager.Config(4).Policy != config.PolicyEager {
 		t.Fatal("eager variant policy wrong")
 	}
-	if VarLazy.Config(4).EarlyAddrCalc {
-		t.Fatal("lazy baseline must not early-calculate addresses")
-	}
-	if VarEWUD.Config(4).EarlyAddrCalc {
-		t.Fatal("EW variant must not early-calculate addresses")
-	}
-	if !VarRWUD.Config(4).EarlyAddrCalc {
-		t.Fatal("RW variant requires the early address pass")
-	}
 	cfg := VarDirSatFwd.Config(4)
 	if !cfg.ForwardAtomics || cfg.RoW.Predictor != config.PredSaturate || cfg.RoW.Detection != config.DetectRWDir {
 		t.Fatal("RW+Dir_Sat+Fwd variant mis-assembled")

@@ -100,6 +100,8 @@ func rowVariant(name string, d config.Detection, p config.PredictorKind, fwd boo
 }
 
 // Config materializes the variant into a full system configuration.
+// It is the one place a front end turns a policy, detector, predictor
+// and forwarding choice into a config.Config.
 func (v Variant) Config(cores int) *config.Config {
 	cfg := config.Default()
 	cfg.NumCores = cores
@@ -107,9 +109,6 @@ func (v Variant) Config(cores int) *config.Config {
 	cfg.ForwardAtomics = v.Forward
 	cfg.RoW.Detection = v.Detection
 	cfg.RoW.Predictor = v.Predictor
-	// The ready window requires the early address-calculation pass;
-	// EW and the plain baselines do without it (Section IV-B).
-	cfg.EarlyAddrCalc = v.Policy == config.PolicyRoW && v.Detection != config.DetectEW
 	switch v.Threshold {
 	case -1:
 		// keep the default (400)

@@ -9,8 +9,8 @@ package faults
 // content key, not the snapshot); buf is per-call scratch that never
 // carries state across deliveries.
 type InjectorSnap struct {
-	RNGState uint64 `json:"rng_state"`
-	Stats    Stats  `json:"stats"`
+	RNGState uint64
+	Stats    Stats
 }
 
 // Snapshot captures the injector's mutable state. A nil injector (no

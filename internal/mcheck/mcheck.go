@@ -287,6 +287,7 @@ func (c *modelCore) ForceRelease(line uint64) bool {
 // cores and ghost state.
 type Model struct {
 	cfg   Config
+	mem   *config.Memory // the component stack's memory parameters
 	nodes int
 
 	pool   *coherence.MsgPool
@@ -312,9 +313,7 @@ type Model struct {
 
 func (m *Model) lineAddr(idx int) uint64 { return uint64(idx) * lineBytes }
 func (m *Model) lineIdx(addr uint64) int { return int(addr / lineBytes) }
-func (m *Model) bankOf(line uint64) int {
-	return m.cfg.Cores + int(line/lineBytes)%m.cfg.Banks
-}
+func (m *Model) bankOf(line uint64) int  { return m.cfg.Cores + m.mem.HomeBank(line) }
 
 // NewModel builds the component stack for one configuration. The cache
 // geometry is deliberately tiny (snapshots are taken at every DFS
@@ -345,8 +344,9 @@ func NewModel(cfgIn Config) (*Model, error) {
 	sc.Mem.L2.HitCycles = 2
 	sc.Mem.MSHRs = 8
 	sc.Mem.PrefetcherDegree = 0
+	sc.Mem.L3Banks = cfg.Banks
 
-	m := &Model{cfg: cfg, nodes: cfg.Cores + cfg.Banks}
+	m := &Model{cfg: cfg, mem: &sc.Mem, nodes: cfg.Cores + cfg.Banks}
 	m.pool = &coherence.MsgPool{}
 	m.sink = &coherence.ErrorSink{}
 	m.mesh = interconnect.NewMesh(m.nodes, 1, 1, 1)

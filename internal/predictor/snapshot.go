@@ -10,12 +10,12 @@ package predictor
 
 // BranchSnap is the serializable state of a Branch predictor.
 type BranchSnap struct {
-	GShare     []uint8 `json:"gshare"`
-	Bimodal    []uint8 `json:"bimodal"`
-	Chooser    []uint8 `json:"chooser"`
-	History    uint64  `json:"history"`
-	Lookups    uint64  `json:"lookups"`
-	Mispredict uint64  `json:"mispredict"`
+	GShare     []uint8
+	Bimodal    []uint8
+	Chooser    []uint8
+	History    uint64
+	Lookups    uint64
+	Mispredict uint64
 }
 
 // Snapshot deep-copies the branch predictor's mutable state.
@@ -43,10 +43,10 @@ func (b *Branch) Restore(s BranchSnap) {
 
 // StoreSetSnap is the serializable state of a StoreSet predictor.
 type StoreSetSnap struct {
-	SSIT       []int32  `json:"ssit"`
-	LFST       []uint64 `json:"lfst"`
-	NextID     int32    `json:"next_id"`
-	Violations uint64   `json:"violations"`
+	SSIT       []int32
+	LFST       []uint64
+	NextID     int32
+	Violations uint64
 }
 
 // Snapshot deep-copies the store-set predictor's mutable state.
@@ -70,10 +70,10 @@ func (s *StoreSet) Restore(snap StoreSetSnap) {
 
 // ContentionSnap is the serializable state of a Contention predictor.
 type ContentionSnap struct {
-	Counters      []uint16 `json:"counters"`
-	Predictions   uint64   `json:"predictions"`
-	Correct       uint64   `json:"correct"`
-	PredContended uint64   `json:"pred_contended"`
+	Counters      []uint16
+	Predictions   uint64
+	Correct       uint64
+	PredContended uint64
 }
 
 // Snapshot deep-copies the contention predictor's mutable state.

@@ -46,9 +46,6 @@ type Config struct {
 	// way the queue on disk is resumable and the daemon exits cleanly.
 	DrainGrace time.Duration
 
-	// JitterSeed seeds retry-backoff jitter (0 = 1).
-	JitterSeed uint64
-
 	// CheckpointEvery enables durable mid-cell checkpoints every N
 	// simulated cycles (0 = off). A cell killed mid-run — crash, drain
 	// overrun, retried panic — resumes from its newest valid checkpoint
@@ -142,7 +139,6 @@ func Open(cfg Config) (*Server, error) {
 	s.sup = lifecycle.New(lifecycle.Config{
 		MaxAttempts: cfg.MaxAttempts,
 		RunTimeout:  cfg.RunTimeout,
-		JitterSeed:  cfg.JitterSeed,
 		Journal:     nil, // the queue journals cell records itself
 	})
 	return s, nil

@@ -69,11 +69,17 @@ func ApplyParam(p *workload.Params, name string, v float64) error {
 	return nil
 }
 
-// Policies maps spec policy names to atomic-execution policies.
-var Policies = map[string]config.AtomicPolicy{
-	"eager": config.PolicyEager,
-	"lazy":  config.PolicyLazy,
-	"row":   config.PolicyRoW,
+// Policies maps spec policy names to the variants a cell runs. Every
+// one carries the RW+Dir detector, the Saturate predictor and
+// store-to-atomic forwarding; only the policy differs.
+var Policies = map[string]experiments.Variant{
+	"eager": servedVariant(config.PolicyEager),
+	"lazy":  servedVariant(config.PolicyLazy),
+	"row":   servedVariant(config.PolicyRoW),
+}
+
+func servedVariant(p config.AtomicPolicy) experiments.Variant {
+	return experiments.Variant{Policy: p, Detection: config.DetectRWDir, Predictor: config.PredSaturate, Forward: true, Threshold: -1}
 }
 
 // DefaultPolicies is the comparison trio a spec sweeps when it names
@@ -223,13 +229,7 @@ func (s SweepSpec) Cells() []Cell {
 
 // Config materializes the simulator configuration for one cell.
 func (s SweepSpec) Config(c Cell) *config.Config {
-	cfg := config.Default()
-	cfg.NumCores = s.Cores
-	cfg.Policy = Policies[c.Policy]
-	cfg.RoW.Predictor = config.PredSaturate
-	cfg.EarlyAddrCalc = cfg.Policy == config.PolicyRoW
-	cfg.MaxCycles = 500_000_000
-	return cfg
+	return Policies[c.Policy].Config(s.Cores)
 }
 
 // WorkloadParams returns the cell's workload parameters: the base

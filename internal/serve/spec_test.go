@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rowsim/internal/config"
 	"rowsim/internal/experiments"
 )
 
@@ -94,6 +95,27 @@ func TestSpecCellsExpansion(t *testing.T) {
 	f := normalized(t, SweepSpec{Values: []float64{0.25}})
 	if got := f.Cells()[0].Key; got != "sharedfrac=0.25/eager" {
 		t.Errorf("fractional key = %q", got)
+	}
+}
+
+// TestSpecConfigsPinned: a cell's configuration comes from
+// experiments.Variant.Config, and must stay the one rowserve and
+// rowsweep have always run: Table I with the Saturate predictor, the
+// RW+Dir detector, forwarding on and the 500M-cycle cap, differing only
+// in the policy.
+func TestSpecConfigsPinned(t *testing.T) {
+	s := normalized(t, SweepSpec{Values: []float64{0.5}, Cores: 6})
+	for name, policy := range map[string]config.AtomicPolicy{
+		"eager": config.PolicyEager, "lazy": config.PolicyLazy, "row": config.PolicyRoW,
+	} {
+		want := config.Default()
+		want.NumCores = 6
+		want.Policy = policy
+		want.RoW.Predictor = config.PredSaturate
+		want.MaxCycles = 500_000_000
+		if got := s.Config(Cell{Policy: name}); *got != *want {
+			t.Errorf("%s: config\n got %+v\nwant %+v", name, *got, *want)
+		}
 	}
 }
 

@@ -57,7 +57,6 @@ func TestLazyDetectionNeedsWiderWindow(t *testing.T) {
 		cfg := config.Default()
 		cfg.NumCores = 4
 		cfg.Policy = config.PolicyLazy
-		cfg.EarlyAddrCalc = false
 		cfg.RoW.Detection = det
 		cfg.MaxCycles = 20_000_000
 		progs := []trace.Program{mk(), mk(), mk(), mk()}

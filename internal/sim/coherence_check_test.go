@@ -17,7 +17,6 @@ func TestCoherenceInvariantUnderContention(t *testing.T) {
 		cfg := config.Default()
 		cfg.NumCores = 8
 		cfg.Policy = pol
-		cfg.EarlyAddrCalc = pol == config.PolicyRoW
 		cfg.MaxCycles = 50_000_000
 		progs := workload.Generate(workload.MustGet("pc"), 8, 3000, 5)
 		s, err := New(cfg, progs, WithInvariantChecks(64))

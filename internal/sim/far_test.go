@@ -11,7 +11,6 @@ func farCfg(cores int) *config.Config {
 	cfg := config.Default()
 	cfg.NumCores = cores
 	cfg.Policy = config.PolicyFar
-	cfg.EarlyAddrCalc = false
 	cfg.MaxCycles = 20_000_000
 	return cfg
 }

@@ -174,7 +174,6 @@ func TestAtomicsCompleteEager(t *testing.T) {
 func TestAtomicsCompleteLazy(t *testing.T) {
 	cfg := smallCfg(1)
 	cfg.Policy = config.PolicyLazy
-	cfg.EarlyAddrCalc = false
 	r, _ := buildAndRun(t, cfg, []trace.Program{atomicProgram(50, 0x40000000, trace.FAA)})
 	if r.Atomics != 50 {
 		t.Fatalf("atomics = %d, want 50", r.Atomics)
@@ -417,7 +416,6 @@ func TestQuickNeverDeadlocks(t *testing.T) {
 		cfg := config.Default()
 		cfg.NumCores = 4
 		cfg.Policy = policies[int(polPick)%len(policies)]
-		cfg.EarlyAddrCalc = cfg.Policy == config.PolicyRoW
 		cfg.MaxCycles = 50_000_000
 		progs := workload.Generate(workload.MustGet(wl), 4, 1500, seed)
 		s, err := New(cfg, progs)

@@ -101,7 +101,6 @@ func TestRoWWithEWDetectionEndToEnd(t *testing.T) {
 	cfg.NumCores = 4
 	cfg.Policy = config.PolicyRoW
 	cfg.RoW.Detection = config.DetectEW
-	cfg.EarlyAddrCalc = false
 	cfg.MaxCycles = 50_000_000
 	const hot = uint64(0x10000000)
 	progs := []trace.Program{

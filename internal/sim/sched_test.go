@@ -2,7 +2,6 @@ package sim
 
 import (
 	"cmp"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"testing"
@@ -153,14 +152,8 @@ func TestCrossModeCheckpointRestore(t *testing.T) {
 				t.Fatalf("expected at least 2 checkpoints, got %d", len(snaps))
 			}
 			mid := snaps[len(snaps)/2]
-			b, err := json.Marshal(&mid)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var decoded SysSnap
-			if err := json.Unmarshal(b, &decoded); err != nil {
-				t.Fatal(err)
-			}
+			mustUngob(t, mustGob(t, &mid), &decoded)
 
 			resumed := schedBuild(t, config.PolicyRoW, "sps", tc.faults, 6000, WithScheduler(tc.to))
 			if err := resumed.RestoreSnap(&decoded); err != nil {
@@ -263,9 +256,8 @@ func TestCheckpointInsideMSHRStorm(t *testing.T) {
 					}
 				}
 				if retries >= 4 && len(pc.MSHRs) == mem.MSHRs && pc.Stats.MSHRFull.Value() > 0 {
-					var err error
-					stormy, err = json.Marshal(snap)
-					return err
+					stormy = mustGob(t, snap)
+					return nil
 				}
 			}
 			return nil
@@ -279,9 +271,7 @@ func TestCheckpointInsideMSHRStorm(t *testing.T) {
 		}
 		for _, to := range []Scheduler{SchedEvent, SchedCycle} {
 			var snap SysSnap
-			if err := json.Unmarshal(stormy, &snap); err != nil {
-				t.Fatal(err)
-			}
+			mustUngob(t, stormy, &snap)
 			resumed := build(to)
 			if err := resumed.RestoreSnap(&snap); err != nil {
 				t.Fatal(err)

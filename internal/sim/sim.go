@@ -144,13 +144,7 @@ func New(cfg *config.Config, progs []trace.Program, opts ...Option) (*System, er
 	banks := cfg.Mem.L3Banks
 	mesh := interconnect.NewMesh(n+banks, cfg.Mem.LinkCycles, cfg.Mem.RouterCycles, cfg.Mem.BaseCycles)
 
-	lineShift := uint(0)
-	for 1<<lineShift < cfg.Mem.LineBytes {
-		lineShift++
-	}
-	bankOf := func(line uint64) int {
-		return n + int((line>>lineShift)%uint64(banks))
-	}
+	bankOf := func(line uint64) int { return n + cfg.Mem.HomeBank(line) }
 
 	s := &System{cfg: cfg, mesh: mesh, bankOf: bankOf, sink: &coherence.ErrorSink{}, watchdog: watchdogWindow}
 	// One message free list per system, shared by every protocol agent
@@ -249,7 +243,6 @@ func (s *System) Warm(progs []trace.Program) {
 	slices.Sort(keys)
 
 	n := s.cfg.NumCores
-	banks := uint64(s.cfg.Mem.L3Banks)
 	// Installing in ascending line order is what makes a warm start
 	// reproducible: LRU keeps the highest lines of an over-capacity
 	// region — a fixed subset.
@@ -268,7 +261,7 @@ func (s *System) Warm(progs []trace.Program) {
 		if s.warmFilter != nil && !s.warmFilter(c, line) {
 			continue
 		}
-		bank := int(idx % banks)
+		bank := s.cfg.Mem.HomeBank(line)
 		if c >= 0 && c < n {
 			s.dirs[bank].WarmOwned(line, c)
 			s.caches[c].Warm(line, cache.StateE)

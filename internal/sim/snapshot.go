@@ -34,21 +34,21 @@ import (
 //   - construction-time wiring (config, bank mapping, warm filter,
 //     check cadences): rebuilt by sim.New, validated by the content key.
 type SysSnap struct {
-	Cycle uint64 `json:"cycle"`
+	Cycle uint64
 	// Visited is the cumulative visited-cycle count, carried so a
 	// resumed run reports the same CyclesVisited as an uninterrupted
 	// one in the same scheduler mode.
-	Visited uint64                `json:"visited"`
-	Mesh    interconnect.MeshSnap `json:"mesh"`
+	Visited uint64
+	Mesh    interconnect.MeshSnap
 	// The per-component snapshots are held by pointer: each one is
 	// built in place by its component and handed around by reference
 	// (a CoreSnap alone is ~900 bytes). The checkpoint body is one gob
 	// stream of this struct, which follows the pointers.
-	Cores  []*core.CoreSnap     `json:"cores"`
-	Caches []*cache.CacheSnap   `json:"caches"`
-	Dirs   []*coherence.DirSnap `json:"dirs"`
-	Pool   coherence.PoolSnap   `json:"pool"`
-	Faults faults.InjectorSnap  `json:"faults"`
+	Cores  []*core.CoreSnap
+	Caches []*cache.CacheSnap
+	Dirs   []*coherence.DirSnap
+	Pool   coherence.PoolSnap
+	Faults faults.InjectorSnap
 }
 
 // Snapshot captures the system's full mutable state. It is a pure

@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -33,13 +34,22 @@ func runToEnd(t *testing.T, s *System) (Result, *SysSnap) {
 	return r, s.Snapshot()
 }
 
-func mustJSON(t *testing.T, v any) []byte {
+// mustGob encodes v with encoding/gob, the checkpoint body's codec.
+func mustGob(t *testing.T, v any) []byte {
 	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return buf.Bytes()
+}
+
+// mustUngob decodes mustGob's bytes into v.
+func mustUngob(t *testing.T, b []byte, v any) {
+	t.Helper()
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSnapshotResumeByteIdentical is the core checkpoint correctness
@@ -99,13 +109,11 @@ func TestSnapshotResumeByteIdentical(t *testing.T) {
 			}
 			mid := snaps[len(snaps)/2]
 
-			// Round-trip the snapshot through JSON first: the on-disk
+			// Round-trip the snapshot through gob first: the on-disk
 			// checkpoint stores exactly this encoding, so the resumed
 			// state must survive serialization, not just copying.
 			var decoded SysSnap
-			if err := json.Unmarshal(mustJSON(t, &mid), &decoded); err != nil {
-				t.Fatal(err)
-			}
+			mustUngob(t, mustGob(t, &mid), &decoded)
 
 			resumed := build()
 			if err := resumed.RestoreSnap(&decoded); err != nil {
@@ -119,7 +127,7 @@ func TestSnapshotResumeByteIdentical(t *testing.T) {
 			if !reflect.DeepEqual(gotRes, wantRes) {
 				t.Fatalf("resumed result diverged:\n got %+v\nwant %+v", gotRes, wantRes)
 			}
-			gotB, wantB := mustJSON(t, gotSnap), mustJSON(t, wantSnap)
+			gotB, wantB := mustGob(t, gotSnap), mustGob(t, wantSnap)
 			if string(gotB) != string(wantB) {
 				t.Fatalf("resumed final state diverged from uninterrupted run (snapshots differ, %d vs %d bytes)", len(gotB), len(wantB))
 			}

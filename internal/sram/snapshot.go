@@ -5,7 +5,7 @@ import "fmt"
 // SnapLine is one valid line of a Snap and where it sits: Pos is
 // set*ways + way, the line's index in a row-major array.
 type SnapLine struct {
-	Pos int `json:"p"`
+	Pos int
 	Line
 }
 
@@ -19,10 +19,10 @@ type SnapLine struct {
 // identical geometry. Which block of the backing store a set occupies
 // is not state either: Restore hands blocks out afresh.
 type Snap struct {
-	Lines  []SnapLine `json:"lines,omitempty"`
-	Clock  uint64     `json:"clock"`
-	Hits   uint64     `json:"hits"`
-	Misses uint64     `json:"misses"`
+	Lines  []SnapLine
+	Clock  uint64
+	Hits   uint64
+	Misses uint64
 }
 
 // Snapshot captures the array's contents, LRU clock and stats. Lines

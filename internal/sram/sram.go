@@ -13,10 +13,10 @@ import "fmt"
 
 // Line is one array entry. Field order keeps the record at 24 bytes.
 type Line struct {
-	Tag   uint64 `json:"t"`           // full line address (low bits cleared by the caller)
-	LRU   uint64 `json:"u,omitempty"` // higher = more recently used
-	Meta  uint8  `json:"m,omitempty"` // caller-defined metadata (e.g. coherence state)
-	Valid bool   `json:"v"`
+	Tag   uint64 // full line address (low bits cleared by the caller)
+	LRU   uint64 // higher = more recently used
+	Meta  uint8  // caller-defined metadata (e.g. coherence state)
+	Valid bool
 }
 
 // The backing store grows by chunks of chunkBlocks sets' worth of ways

@@ -2,90 +2,13 @@ package stats
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 )
 
-// JSON round-tripping for the three sample accumulators, so component
-// Stats structs that embed them serialize transparently inside a
-// checkpoint. encoding/json renders float64 with the shortest
-// representation that parses back to the identical bits, so a
-// marshal/unmarshal cycle is exact: a restored histogram or mean
-// reports byte-identical values. All fields are encoded — including
-// zero ones — because a checkpoint is a faithful state copy, not a
-// compact wire format.
-
-type counterJSON struct {
-	N uint64 `json:"n"`
-}
-
-// MarshalJSON encodes the counter's full state.
-func (c Counter) MarshalJSON() ([]byte, error) {
-	return json.Marshal(counterJSON{N: c.n})
-}
-
-// UnmarshalJSON restores the counter's full state.
-func (c *Counter) UnmarshalJSON(b []byte) error {
-	var v counterJSON
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	c.n = v.N
-	return nil
-}
-
-type meanJSON struct {
-	Sum float64 `json:"sum"`
-	N   uint64  `json:"n"`
-}
-
-// MarshalJSON encodes the mean's full state.
-func (m Mean) MarshalJSON() ([]byte, error) {
-	return json.Marshal(meanJSON{Sum: m.sum, N: m.n})
-}
-
-// UnmarshalJSON restores the mean's full state.
-func (m *Mean) UnmarshalJSON(b []byte) error {
-	var v meanJSON
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	m.sum, m.n = v.Sum, v.N
-	return nil
-}
-
-type histogramJSON struct {
-	Buckets []uint64 `json:"buckets"`
-	Sum     float64  `json:"sum"`
-	N       uint64   `json:"n"`
-	Max     float64  `json:"max"`
-}
-
-// MarshalJSON encodes the histogram's full state, bucket layout
-// included.
-func (h *Histogram) MarshalJSON() ([]byte, error) {
-	return json.Marshal(histogramJSON{Buckets: h.buckets, Sum: h.sum, N: h.n, Max: h.max})
-}
-
-// UnmarshalJSON restores the histogram's full state. The bucket count
-// comes from the encoded form, so the restored histogram clamps
-// out-of-range samples exactly as the original did.
-func (h *Histogram) UnmarshalJSON(b []byte) error {
-	var v histogramJSON
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	if v.Buckets == nil {
-		return fmt.Errorf("stats: histogram with no buckets")
-	}
-	h.buckets = v.Buckets
-	h.sum, h.n, h.max = v.Sum, v.N, v.Max
-	return nil
-}
-
-// Binary round-tripping for the same three accumulators: encoding/gob —
-// the checkpoint body's codec — cannot see unexported fields, and asks
+// Binary round-tripping for the three sample accumulators, so component
+// Stats structs that embed them travel inside a checkpoint: encoding/gob
+// — the checkpoint body's codec — cannot see unexported fields, and asks
 // a type for these methods instead. Fixed-width little-endian words; a
 // float64 travels as its IEEE 754 bits, so NaN payloads, infinities and
 // the sign of zero survive and a restored mean is bit-identical. Input
@@ -139,8 +62,9 @@ func (h *Histogram) MarshalBinary() ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalBinary restores the histogram's full state. As in the JSON
-// form, the bucket count comes from the encoded form and a histogram
+// UnmarshalBinary restores the histogram's full state. The bucket count
+// comes from the encoded form, so the restored histogram clamps
+// out-of-range samples exactly as the original did, and a histogram
 // with no buckets is refused (Observe indexes the last one).
 func (h *Histogram) UnmarshalBinary(b []byte) error {
 	if len(b) <= histogramFixed || (len(b)-histogramFixed)%8 != 0 {
