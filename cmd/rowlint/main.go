@@ -121,15 +121,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pkgs = append(pkgs, pkg)
 	}
 
-	// The noalloc-escape analyzer needs the compiler's escape
-	// diagnostics; without a capture it refuses to pass vacuously.
-	if hasAnalyzer(analyzers, lint.NoAllocEscape) {
-		if err := loader.CaptureEscapes(pkgs); err != nil {
-			fmt.Fprintln(stderr, "rowlint:", err)
-			return 2
-		}
-	}
-
 	var findings []lint.Finding
 	for _, pkg := range pkgs {
 		findings = append(findings, lint.Run(pkg, analyzers)...)
@@ -201,16 +192,6 @@ func filterChanged(modRoot, ref string, dirs []string) ([]string, error) {
 		}
 	}
 	return kept, nil
-}
-
-// hasAnalyzer reports whether the selected set includes a.
-func hasAnalyzer(analyzers []*lint.Analyzer, a *lint.Analyzer) bool {
-	for _, x := range analyzers {
-		if x == a {
-			return true
-		}
-	}
-	return false
 }
 
 // jsonFinding is the -json output shape: one finding per element,

@@ -60,21 +60,21 @@ func TestRunRejectsUnknownAnalyzer(t *testing.T) {
 }
 
 // TestRunOnlySelectsAnalyzers: -only restricts the analyzer set (the
-// pre-commit fast path). The noallocescape fixture trips both noalloc
-// and noalloc-escape; -only noalloc must report exactly the noalloc
-// finding and skip the escape capture entirely.
+// pre-commit fast path). The wallclock fixture's core package trips
+// both wallclock and maporder; -only maporder must report exactly the
+// maporder finding.
 func TestRunOnlySelectsAnalyzers(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-only", "noalloc", "../../internal/lint/testdata/src/noallocescape/cache"}, &out, &errOut)
+	code := run([]string{"-only", "maporder", "../../internal/lint/testdata/src/wallclock/core"}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1; stderr: %s", code, errOut.String())
 	}
 	got := out.String()
 	if !strings.Contains(got, "rowlint: 1 finding(s), 0 suppressed, 1 package(s)") {
-		t.Errorf("summary line missing or wrong with -only noalloc:\n%s", got)
+		t.Errorf("summary line missing or wrong with -only maporder:\n%s", got)
 	}
-	if strings.Contains(got, "noalloc-escape:") {
-		t.Errorf("-only noalloc still ran noalloc-escape:\n%s", got)
+	if !strings.Contains(got, "maporder:") || strings.Contains(got, "wallclock:") {
+		t.Errorf("-only maporder did not report exactly maporder's finding:\n%s", got)
 	}
 }
 

@@ -274,7 +274,7 @@ type Private struct {
 
 // NewPrivate builds the hierarchy from the memory configuration.
 func NewPrivate(coreID int, cfg *config.Config, net coherence.Network, client Client, bankOf func(uint64) int) *Private {
-	m := cfg.Mem //rowlint:ignore bigcopy construction-time copy of the memory config; NewPrivate runs once per core per run
+	m := cfg.Mem
 	p := &Private{
 		coreID:      coreID,
 		net:         net,
@@ -501,13 +501,6 @@ func (p *Private) startMiss(tag uint64, line uint64, write bool, at uint64) {
 	p.net.Send(p.pool.New(coherence.Msg{
 		Type: t, Line: line, Src: p.coreID, Dst: p.bankOf(line), Requestor: p.coreID,
 	}))
-}
-
-// PendingWrite reports whether an exclusive request for the line is
-// already in flight (e.g. a store's exclusive prefetch).
-func (p *Private) PendingWrite(line uint64) bool {
-	m := p.mshrs.get(line)
-	return m != nil && m.write
 }
 
 // StoreComplete performs a store-buffer drain write when the line is

@@ -407,24 +407,6 @@ func TestEvictionWritesBack(t *testing.T) {
 	}
 }
 
-func TestPendingWrite(t *testing.T) {
-	p, _, _ := newCacheUnderTest()
-	p.Tick(1)
-	if p.PendingWrite(lineB) {
-		t.Fatal("no request outstanding yet")
-	}
-	p.Access(1, lineB, true)
-	tick(p, 2, 20)
-	if !p.PendingWrite(lineB) {
-		t.Fatal("outstanding GetX not reported")
-	}
-	p.Access(2, lineB+64, false)
-	tick(p, 21, 40)
-	if p.PendingWrite(lineB + 64) {
-		t.Fatal("read request reported as pending write")
-	}
-}
-
 func TestLine(t *testing.T) {
 	p, _, _ := newCacheUnderTest()
 	if p.Line(0x12345) != 0x12340 {
@@ -441,17 +423,29 @@ func TestEventRecordSize(t *testing.T) {
 }
 
 // countingClient is a Client that allocates nothing when called.
-type countingClient struct{ resps int }
+type countingClient struct {
+	resps  int
+	locked uint64 // the line the core holds locked (0: none)
+}
 
-func (c *countingClient) MemResp(uint64, RespInfo)          { c.resps++ }
-func (c *countingClient) ExternalRequest(uint64, bool) bool { return false }
-func (c *countingClient) LineInvalidated(uint64)            {}
-func (c *countingClient) LineLocked(uint64) bool            { return false }
-func (c *countingClient) ForceRelease(uint64) bool          { return false }
+func (c *countingClient) MemResp(uint64, RespInfo)                 { c.resps++ }
+func (c *countingClient) ExternalRequest(line uint64, _ bool) bool { return line == c.locked }
+func (c *countingClient) LineInvalidated(uint64)                   {}
+func (c *countingClient) LineLocked(line uint64) bool              { return line == c.locked }
+func (c *countingClient) ForceRelease(uint64) bool                 { return false }
+
+// poolNet hands every message the cache sends straight back to the
+// pool: the test plays the directory's side itself.
+type poolNet struct{ pool *coherence.MsgPool }
+
+func (n poolNet) Send(m *coherence.Msg)                { n.pool.Put(m) }
+func (n poolNet) SendAfter(m *coherence.Msg, _ uint64) { n.pool.Put(m) }
 
 // TestPipelineSteadyStateAllocs pins the queue's two hot loops at zero
 // allocations once its slab has grown: hit after hit through push, Tick
 // and MemResp, and a storm of full-MSHR retries through the fast path.
+// Then the protocol endpoint: misses filled by Data and external
+// requests served, one of them stalled behind a locked line.
 func TestPipelineSteadyStateAllocs(t *testing.T) {
 	cfg := config.Default()
 	cfg.Mem.MSHRs = 1
@@ -498,6 +492,44 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	}
 	if p.events.late {
 		t.Error("on-time Ticks left the wheel in late mode")
+	}
+
+	pool := &coherence.MsgPool{}
+	qc := &countingClient{}
+	q := NewPrivate(0, config.Default(), poolNet{pool}, qc, func(uint64) int { return 32 })
+	q.SetMsgPool(pool)
+	one := make([]*coherence.Msg, 1)
+	deliver := func(typ coherence.MsgType, grant coherence.GrantState) {
+		one[0] = pool.New(coherence.Msg{Type: typ, Line: lineB, Src: 32, Dst: 0, Requestor: 5, Grant: grant})
+		q.Deliver(one)
+	}
+	miss := func(write bool) {
+		q.Tick(cycle)
+		q.Access(0, lineB, write)
+		tick(q, cycle+1, cycle+20) // past the L2 lookup: the request goes out
+		cycle += 21
+	}
+	protocol := func() {
+		miss(false)
+		deliver(coherence.MsgData, coherence.GrantE) // fill: E
+		deliver(coherence.MsgFwdGetS, 0)             // E -> S
+		deliver(coherence.MsgInv, 0)                 // S -> I
+		miss(true)
+		deliver(coherence.MsgData, coherence.GrantM) // fill: M
+		qc.locked = lineB
+		deliver(coherence.MsgFwdGetX, 0) // stalled behind the lock
+		qc.locked = 0
+		q.LockReleased(lineB) // served: M -> I
+	}
+	protocol() // warm-up: the tables and the pool reach their size
+	stalls, fwds, fills := q.Stats.ExtStalls.Value(), q.Stats.Forwarded.Value(), qc.resps
+	if n := testing.AllocsPerRun(20, protocol); n != 0 {
+		t.Errorf("protocol round allocates %v times, want 0", n)
+	}
+	// AllocsPerRun makes 21 rounds: one to warm up, then the 20 it counts.
+	stalls, fwds = q.Stats.ExtStalls.Value()-stalls, q.Stats.Forwarded.Value()-fwds
+	if fills = qc.resps - fills; stalls != 21 || fwds != 42 || fills != 42 {
+		t.Fatalf("21 rounds made %d stalls, %d forwards, %d fills; want 21, 42, 42", stalls, fwds, fills)
 	}
 }
 

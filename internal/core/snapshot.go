@@ -309,7 +309,7 @@ func (c *Core) Restore(s *CoreSnap) {
 	c.work = s.Work
 	c.done = s.Done
 	c.finishedAt = s.FinishedAt
-	c.Stats = s.Stats //rowlint:ignore bigcopy restore rewinds the whole stats block once per resume, off the visit path
+	c.Stats = s.Stats
 	c.Stats.LockHold = s.Stats.LockHold.Clone()
 
 	for i := range c.rob {

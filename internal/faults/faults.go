@@ -55,11 +55,6 @@ func (c Config) Enabled() bool {
 	return c.JitterProb > 0 || c.ReorderProb > 0 || c.DupProb > 0 || c.DropProb > 0
 }
 
-// Legal reports whether the config only injects timings the protocol
-// is required to tolerate (no duplication, no drops). The torture
-// sweep draws from legal configs; illegal modes are opt-in.
-func (c Config) Legal() bool { return c.DupProb == 0 && c.DropProb == 0 }
-
 // withDefaults fills the magnitude knobs that make probabilities
 // meaningful.
 func (c Config) withDefaults() Config {

@@ -54,18 +54,6 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
-func TestLegal(t *testing.T) {
-	if !(Config{JitterProb: 0.5, ReorderProb: 0.5}).Legal() {
-		t.Error("jitter+reorder should be legal")
-	}
-	if (Config{DupProb: 0.01}).Legal() {
-		t.Error("duplication should be illegal")
-	}
-	if (Config{DropProb: 0.01}).Legal() {
-		t.Error("drops should be illegal")
-	}
-}
-
 // TestInjectorDeterminism is the property repro lines rely on: the same
 // seed produces the same perturbation sequence.
 func TestInjectorDeterminism(t *testing.T) {

@@ -203,7 +203,7 @@ func (m *Mesh) Send(msg *coherence.Msg) { m.SendAfter(msg, 0) }
 //rowlint:noalloc
 func (m *Mesh) SendAfter(msg *coherence.Msg, extra uint64) {
 	if msg.Dst < 0 || msg.Dst >= m.nodes {
-		coherence.Raise(m.sink, &coherence.ProtocolError{ //rowlint:ignore noalloc-escape fatal protocol-error path; the run is already over
+		coherence.Raise(m.sink, &coherence.ProtocolError{
 			Cycle:     m.now,
 			Component: "mesh",
 			Line:      msg.Line,

@@ -105,7 +105,7 @@ func (p *Pass) Deterministic() bool {
 
 // Analyzers is the registry, in the order checks are run and reported.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{BigCopy, MapOrder, MsgPool, NoAlloc, NoAllocEscape, WallClock}
+	return []*Analyzer{MapOrder, MsgPool, NoAlloc, WallClock}
 }
 
 // analyzerKnown reports whether name is a registered analyzer (used to
@@ -151,15 +151,4 @@ func Run(pkg *Package, analyzers []*Analyzer) []Finding {
 		return a.Analyzer < b.Analyzer
 	})
 	return all
-}
-
-// Active filters to the findings that are not suppressed.
-func Active(findings []Finding) []Finding {
-	var out []Finding
-	for _, f := range findings {
-		if !f.Suppressed {
-			out = append(out, f)
-		}
-	}
-	return out
 }

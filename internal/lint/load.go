@@ -32,13 +32,6 @@ type Package struct {
 	// with partial type information; `go build` is the authority on
 	// whether the code compiles.
 	TypeErrors []error
-
-	// Escapes holds compiler escape diagnostics captured from
-	// `go build -gcflags=-m` (see CaptureEscapes); EscapesCaptured
-	// distinguishes "captured, none found" from "never captured", so
-	// the noalloc-escape analyzer can refuse to pass vacuously.
-	Escapes         []BuildDiag
-	EscapesCaptured bool
 }
 
 // TypeOf returns the static type of an expression, or nil when type

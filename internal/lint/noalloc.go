@@ -10,10 +10,10 @@ import (
 
 // NoAlloc enforces hot-path purity: a function whose doc comment
 // carries //rowlint:noalloc opts into a ban on allocation-prone
-// constructs. The AllocsPerRun tests pin the steady state of the mesh,
-// directory and private-cache hot paths at exactly zero allocations;
-// this analyzer keeps the constructs that would silently reintroduce
-// them from creeping in between benchmark runs:
+// constructs. The *SteadyStateAllocs* tests measure what the paths
+// they run allocate and require zero, and scripts/noalloc_cover.sh
+// requires every annotated function to run inside one of them; this
+// analyzer is the half that holds on every branch, run or not:
 //
 //   - calls into package fmt (every verb formats through interfaces)
 //   - function literals capturing enclosing locals (closure allocation)

@@ -23,17 +23,7 @@ func directiveKey(file string, line int, analyzer string) string {
 }
 
 func (s directiveSet) match(f Finding) *directive {
-	if d := s[directiveKey(f.Pos.Filename, f.Pos.Line, f.Analyzer)]; d != nil {
-		return d
-	}
-	if f.Analyzer == NoAllocEscape.Name {
-		// A //rowlint:ignore noalloc on the line also covers the
-		// compiler-proven diagnostic for the same allocation: the
-		// justification is the same, and requiring it twice would just
-		// duplicate the reason text.
-		return s[directiveKey(f.Pos.Filename, f.Pos.Line, NoAlloc.Name)]
-	}
-	return nil
+	return s[directiveKey(f.Pos.Filename, f.Pos.Line, f.Analyzer)]
 }
 
 // noallocMarker is the doc-comment annotation opting a function into

@@ -61,3 +61,13 @@ func DebugDump() string {
 	//rowlint:ignore wallclock debug-only banner; never reaches simulated state
 	return os.Getenv("ROWSIM_BANNER")
 }
+
+// Tally ranges over a map: maporder's finding, not wallclock's, so the
+// package trips two analyzers (the CLI's -only test selects one).
+func Tally(m map[string]int) int {
+	n := 0
+	for _, v := range m { // want: maporder
+		n += v
+	}
+	return n
+}

@@ -84,11 +84,3 @@ func (b *Branch) PredictAndTrain(pc uint64, taken bool) (mispredicted bool) {
 	}
 	return mispredicted
 }
-
-// MispredictRate returns mispredictions per lookup.
-func (b *Branch) MispredictRate() float64 {
-	if b.lookups == 0 {
-		return 0
-	}
-	return float64(b.mispredict) / float64(b.lookups)
-}

@@ -76,19 +76,3 @@ func TestBranchMixedSites(t *testing.T) {
 	}
 	t.Logf("mixed-site mispredict rate: %.3f", rate)
 }
-
-// TestBranchRateAccounting checks the reported rate matches the
-// returned mispredictions.
-func TestBranchRateAccounting(t *testing.T) {
-	b := NewBranch(10)
-	var wrong int
-	for i := 0; i < 100; i++ {
-		if b.PredictAndTrain(4, i%3 == 0) {
-			wrong++
-		}
-	}
-	want := float64(wrong) / 100
-	if got := b.MispredictRate(); got != want {
-		t.Fatalf("MispredictRate = %v, want %v", got, want)
-	}
-}

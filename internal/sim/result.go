@@ -70,7 +70,7 @@ type Result struct {
 // under it regardless of scheduler mode.
 func (r Result) SchedNormalized() Result {
 	r.CyclesVisited = 0
-	return r //rowlint:ignore bigcopy per-run result value, built once at run exit
+	return r
 }
 
 func (s *System) collect() Result {
@@ -160,5 +160,5 @@ func (s *System) collect() Result {
 		r.PredAccuracy = predCorrectWeighted / predTotal
 	}
 	r.NetworkMessages = s.mesh.Messages()
-	return r //rowlint:ignore bigcopy per-run result value, built once at run exit
+	return r
 }

@@ -199,7 +199,7 @@ func (s *System) run(ctx context.Context, ms *maintState) (Result, error) {
 	if err := s.checkMsgConservation(); err != nil {
 		return Result{}, err
 	}
-	return s.collect(), nil //rowlint:ignore bigcopy per-run result value, built once at run exit
+	return s.collect(), nil
 }
 
 // nextTarget computes the next cycle anything can happen at: the

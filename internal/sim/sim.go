@@ -424,7 +424,7 @@ func (s *System) MustRun() Result {
 	if err != nil {
 		panic(err)
 	}
-	return r //rowlint:ignore bigcopy per-run result value, built once at run exit
+	return r
 }
 
 // CheckCoherence verifies the single-writer/multiple-reader invariant

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -24,9 +23,6 @@ func (c *Counter) Inc() { c.n++ }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
 // Mean accumulates samples and reports their arithmetic mean.
 type Mean struct {
 	sum float64
@@ -37,12 +33,6 @@ type Mean struct {
 func (m *Mean) Observe(v float64) {
 	m.sum += v
 	m.n++
-}
-
-// ObserveN records a pre-aggregated sum of n samples.
-func (m *Mean) ObserveN(sum float64, n uint64) {
-	m.sum += sum
-	m.n += n
 }
 
 // Count returns the number of samples observed.
@@ -58,9 +48,6 @@ func (m *Mean) Value() float64 {
 	}
 	return m.sum / float64(m.n)
 }
-
-// Reset discards all samples.
-func (m *Mean) Reset() { m.sum, m.n = 0, 0 }
 
 // Histogram records samples into exponentially sized latency buckets:
 // [0,1), [1,2), [2,4), [4,8), ... Values below zero clamp to bucket 0.
@@ -157,54 +144,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.max
-}
-
-// Set is a named collection of counters and means, used by components
-// that want extensible stats without hard-coded fields.
-type Set struct {
-	counters map[string]*Counter
-	means    map[string]*Mean
-}
-
-// NewSet returns an empty stats set.
-func NewSet() *Set {
-	return &Set{
-		counters: make(map[string]*Counter),
-		means:    make(map[string]*Mean),
-	}
-}
-
-// Counter returns (allocating if needed) the counter with this name.
-func (s *Set) Counter(name string) *Counter {
-	c, ok := s.counters[name]
-	if !ok {
-		c = &Counter{}
-		s.counters[name] = c
-	}
-	return c
-}
-
-// Mean returns (allocating if needed) the mean with this name.
-func (s *Set) Mean(name string) *Mean {
-	m, ok := s.means[name]
-	if !ok {
-		m = &Mean{}
-		s.means[name] = m
-	}
-	return m
-}
-
-// Names returns the sorted names of all counters and means.
-func (s *Set) Names() []string {
-	names := make([]string, 0, len(s.counters)+len(s.means))
-	for n := range s.counters {
-		names = append(names, n)
-	}
-	for n := range s.means {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Table renders rows of experiment results with aligned columns, in

@@ -17,10 +17,6 @@ func TestCounter(t *testing.T) {
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("reset did not zero")
-	}
 }
 
 func TestMean(t *testing.T) {
@@ -30,12 +26,8 @@ func TestMean(t *testing.T) {
 	}
 	m.Observe(2)
 	m.Observe(4)
-	if m.Value() != 3 {
-		t.Fatalf("mean = %v, want 3", m.Value())
-	}
-	m.ObserveN(14, 2) // samples 7,7
-	if m.Value() != 5 || m.Count() != 4 {
-		t.Fatalf("mean/count = %v/%d, want 5/4", m.Value(), m.Count())
+	if m.Value() != 3 || m.Count() != 2 {
+		t.Fatalf("mean/count = %v/%d, want 3/2", m.Value(), m.Count())
 	}
 }
 
@@ -102,20 +94,6 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 	h := NewHistogram(16)
 	if h.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram quantile must be 0")
-	}
-}
-
-func TestSet(t *testing.T) {
-	s := NewSet()
-	s.Counter("a").Inc()
-	s.Counter("a").Inc()
-	s.Mean("b").Observe(3)
-	if s.Counter("a").Value() != 2 {
-		t.Fatal("counter identity not preserved")
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
 	}
 }
 

@@ -32,7 +32,7 @@ const (
 // emitTAS produces one lock/critical-section/unlock round of a
 // test-and-set spinlock.
 func (g *generator) emitTAS(prog trace.Program) trace.Program {
-	p := g.t.p //rowlint:ignore bigcopy per-run parameter block copied once at generation time
+	p := g.t.p
 	lock := g.hotAddr()
 	// Acquire: SWAP until it returns 0. The number of failed attempts
 	// grows with the configured contention.
@@ -75,7 +75,7 @@ func (g *generator) lockPair() (uint64, uint64) {
 // ticket, then the waiter spins on plain loads of the now-serving
 // word (no atomic hammering — the reason ticket locks scale better).
 func (g *generator) emitTicket(prog trace.Program) trace.Program {
-	p := g.t.p //rowlint:ignore bigcopy per-run parameter block copied once at generation time
+	p := g.t.p
 	ticket, serving := g.lockPair()
 	prog = append(prog, trace.Instr{PC: codeBase + 0, Kind: trace.Atomic, Dst: 1, Addr: ticket, Size: 8, AtomicOp: trace.FAA})
 	spins := g.rng.Geometric(p.SpinMean)
@@ -102,7 +102,7 @@ func (g *generator) emitTicket(prog trace.Program) trace.Program {
 // one FAA on the arrival counter, then spin loads on the generation
 // word until the last arriver flips it.
 func (g *generator) emitBarrier(prog trace.Program) trace.Program {
-	p := g.t.p //rowlint:ignore bigcopy per-run parameter block copied once at generation time
+	p := g.t.p
 	counter, gen := g.lockPair()
 	prog = g.emitLocalWork(prog, p.NonCriticalLen)
 	prog = append(prog, trace.Instr{PC: codeBase + 0, Kind: trace.Atomic, Dst: 1, Addr: counter, Size: 8, AtomicOp: trace.FAA})

@@ -295,7 +295,7 @@ func Get(name string) (Params, error) {
 	if p.AddrIndep == 0 {
 		p.AddrIndep = 0.6
 	}
-	return p, nil //rowlint:ignore bigcopy per-run parameter block, returned once at lookup time
+	return p, nil
 }
 
 // MustGet is Get for callers with a known-valid name.
@@ -304,5 +304,5 @@ func MustGet(name string) Params {
 	if err != nil {
 		panic(err)
 	}
-	return p //rowlint:ignore bigcopy per-run parameter block, returned once at lookup time
+	return p
 }

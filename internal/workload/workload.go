@@ -423,7 +423,7 @@ func (g *generator) streamAddr(pc uint64, shared bool) uint64 {
 
 // emit appends the dynamic instruction(s) for one template site.
 func (g *generator) emit(prog trace.Program, s *site) trace.Program {
-	p := g.t.p //rowlint:ignore bigcopy per-run parameter block copied once at generation time
+	p := g.t.p
 	switch s.kind {
 	case siteALU:
 		src2 := g.consumeLeaf()
@@ -526,9 +526,9 @@ func Generate(p Params, cores, instrs int, seed uint64) []trace.Program {
 		instrs = p.DefaultInstrs
 	}
 	if p.Synth != synthNone {
-		return generateSynth(p, cores, instrs, seed) //rowlint:ignore bigcopy per-run parameter block handed to the generator once
+		return generateSynth(p, cores, instrs, seed)
 	}
-	t := buildTemplate(p, seed) //rowlint:ignore bigcopy per-run parameter block handed to the generator once
+	t := buildTemplate(p, seed)
 	progs := make([]trace.Program, cores)
 	for c := 0; c < cores; c++ {
 		g := newGenerator(t, c, seed)
