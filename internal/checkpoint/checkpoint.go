@@ -8,14 +8,16 @@
 //	header frame: uint32 length | JSON Meta | uint32 CRC32-C
 //	body frame:   uint32 length | gob sim.SysSnap | uint32 CRC32-C
 //
-// Version 3 of the body is one encoding/gob stream holding one
+// Version 4 of the body is one encoding/gob stream holding one
 // sim.SysSnap: binary, self-describing, zero fields and empty slices
 // left out. A snapshot encodes state that exists, not capacity — each
 // sram array is its valid lines in ascending position, each directory
 // bank its entries in ascending line order — and holds no map, so the
-// bytes are a function of the state. The stats accumulators travel
-// through their MarshalBinary methods, floats as their bits. Versions
-// 1 and 2 were JSON bodies; no reader for them remains.
+// bytes are a function of the state. Both are stored column-wise, a
+// slice per field, which gob encodes as runs of numbers. The stats
+// accumulators travel through their MarshalBinary methods, floats as
+// their bits. Version 3 held the same snapshot one struct per line,
+// and versions 1 and 2 were JSON bodies; no reader for them remains.
 //
 // The header carries the format version, the simulated cycle, and a
 // content key — a hash over everything that determines the run
@@ -57,7 +59,7 @@ import (
 
 // Version is the on-disk format version. Bump on any incompatible
 // change to the header or body encoding; Load refuses other versions.
-const Version = 3
+const Version = 4
 
 // PrevSuffix is appended to a checkpoint path to name the previous
 // (fallback) checkpoint in the keep-last-2 rotation.
@@ -362,9 +364,10 @@ func Resume(s *sim.System, path, key string) (cycle uint64, ok bool, err error) 
 // loses bounded progress, while refusing to run loses the whole job
 // until someone deletes the file by hand. It is reported through warn
 // so the caller can log it, and the next Save rotates it away. A
-// content-key *MismatchError or a restore shape error stays a hard
-// error: that state belongs to a different run, and executing it would
-// be silently wrong.
+// content-key *MismatchError or an error restoring the snapshot (a
+// shape that does not fit, or state a component refuses) stays a hard
+// error: that state belongs to a different run or left s half
+// restored, and executing it would be silently wrong.
 func ResumeLenient(s *sim.System, path, key string) (cycle uint64, ok bool, warn, err error) {
 	cycle, ok, err = Resume(s, path, key)
 	var ce *CorruptError

@@ -18,30 +18,35 @@ import (
 	"rowsim/internal/workload"
 )
 
-// midRunSnap runs sps under RoW on the given number of cores with a
-// checkpoint every `every` cycles and returns the first (first == true)
-// or the last snapshot taken, so the round-trip tests exercise
-// populated ROBs, MSHRs and mesh traffic rather than a quiesced zero
-// state.
-func midRunSnap(t testing.TB, cores, instrs int, every uint64, first bool, opts ...sim.Option) *sim.SysSnap {
+// spsSystem builds sps under RoW on the given number of cores: the
+// system the snapshots of these tests are taken from and restored into.
+func spsSystem(t testing.TB, cores, instrs int, opts ...sim.Option) *sim.System {
 	t.Helper()
 	cfg := config.Default()
 	cfg.NumCores = cores
 	cfg.Policy = config.PolicyRoW
 	cfg.MaxCycles = 50_000_000
 	p := workload.MustGet("sps")
-	var captured *sim.SysSnap
-	opts = append(opts, sim.WithWarmFilter(workload.WarmFilter(p)),
-		sim.WithCheckpoint(every, func(_ uint64, snap *sim.SysSnap) error {
-			if captured == nil || !first {
-				captured = snap
-			}
-			return nil
-		}))
-	s, err := sim.New(cfg, workload.Generate(p, cfg.NumCores, instrs, 7), opts...)
+	s, err := sim.New(cfg, workload.Generate(p, cores, instrs, 7), append(opts, sim.WithWarmFilter(workload.WarmFilter(p)))...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+// midRunSnap runs spsSystem with a checkpoint every `every` cycles and
+// returns the first (first == true) or the last snapshot taken, so the
+// round-trip tests exercise populated ROBs, MSHRs and mesh traffic
+// rather than a quiesced zero state.
+func midRunSnap(t testing.TB, cores, instrs int, every uint64, first bool, opts ...sim.Option) *sim.SysSnap {
+	t.Helper()
+	var captured *sim.SysSnap
+	s := spsSystem(t, cores, instrs, append(opts, sim.WithCheckpoint(every, func(_ uint64, snap *sim.SysSnap) error {
+		if captured == nil || !first {
+			captured = snap
+		}
+		return nil
+	}))...)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +56,16 @@ func midRunSnap(t testing.TB, cores, instrs int, every uint64, first bool, opts 
 	return captured
 }
 
-// realSnap is a 2-core mid-run snapshot.
+// realSnap is a 2-core mid-run snapshot; realSystem builds a fresh
+// system it restores into.
 func realSnap(t testing.TB) *sim.SysSnap {
 	t.Helper()
 	return midRunSnap(t, 2, 4000, 2048, true)
+}
+
+func realSystem(t testing.TB) *sim.System {
+	t.Helper()
+	return spsSystem(t, 2, 4000)
 }
 
 // tinySnap is a minimal synthetic snapshot: the corruption fuzz flips
@@ -171,14 +182,14 @@ func TestLoadKeyMismatch(t *testing.T) {
 }
 
 func TestLoadVersionMismatch(t *testing.T) {
-	// Hand-build checkpoints whose header names another format: the two
-	// JSON-bodied versions this format replaced, and one from the future.
+	// Hand-build checkpoints whose header names another format: the
+	// three versions this format replaced, and one from the future.
 	data := mustEncode(t, tinySnap())
 	_, meta, err := Decode("x", "k", data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{1, 2, Version + 1} {
+	for _, v := range []int{1, 2, 3, Version + 1} {
 		meta.Version = v
 		// Re-frame with the altered header.
 		hdr, _ := json.Marshal(meta)
@@ -191,18 +202,21 @@ func TestLoadVersionMismatch(t *testing.T) {
 			t.Fatalf("version-%d checkpoint accepted by a version-%d reader: err=%v", v, Version, err)
 		}
 	}
-	// And a real one: a file the last Version 2 build wrote.
-	var mm *MismatchError
-	if _, _, err := Decode("x", "k", mustRead(t, "testdata/v2.ckpt")); !errors.As(err, &mm) || mm.Field != "version" || mm.Got != "2" {
-		t.Fatalf("Version 2 file: err=%v, want a version *MismatchError", err)
+	// And real ones: files the last Version 2 and Version 3 builds wrote.
+	for _, v := range []string{"2", "3"} {
+		var mm *MismatchError
+		if _, _, err := Decode("x", "k", mustRead(t, "testdata/v"+v+".ckpt")); !errors.As(err, &mm) || mm.Field != "version" || mm.Got != v {
+			t.Fatalf("Version %s file: err=%v, want a version *MismatchError", v, err)
+		}
 	}
 }
 
 // TestCheckpointCarriesOnlyValidLines: an 8-core sps checkpoint with
 // Table I caches round-trips and holds the lines that are valid, not a
 // record for every line the arrays have room for. The size bound is
-// the binary format's: this cell was 3.0 MB as a Version 2 JSON body
-// and at least 29.5 MB with every line written, as Version 1 did.
+// the column-wise format's: this cell was 807 KB as a Version 3 body of
+// one struct per line, 3.0 MB as a Version 2 JSON body and at least
+// 29.5 MB with every line written, as Version 1 did.
 func TestCheckpointCarriesOnlyValidLines(t *testing.T) {
 	snap := midRunSnap(t, 8, 3000, 1024, false)
 	data := mustEncode(t, snap)
@@ -218,19 +232,19 @@ func TestCheckpointCarriesOnlyValidLines(t *testing.T) {
 		mem.L3Banks*capacity(mem.L3)
 	held := 0
 	for _, c := range snap.Cores {
-		held += len(c.L1I.Lines)
+		held += len(c.L1I.Pos)
 	}
 	for _, c := range snap.Caches {
-		held += len(c.L1.Lines) + len(c.L2.Lines)
+		held += len(c.L1.Pos) + len(c.L2.Pos)
 	}
 	for _, d := range snap.Dirs {
-		held += len(d.L3.Lines)
+		held += len(d.L3.Pos)
 	}
 	if held == 0 || held*10 > room {
 		t.Fatalf("checkpoint holds %d of %d lines; the cell is meant to be warm and sparse", held, room)
 	}
-	if len(data) > 2<<20 {
-		t.Fatalf("checkpoint is %d bytes for %d valid lines, want at most 2 MB", len(data), held)
+	if len(data) > 7<<20/10 {
+		t.Fatalf("checkpoint is %d bytes for %d valid lines, want at most 0.7 MB", len(data), held)
 	}
 	t.Logf("checkpoint %d bytes for %d valid lines of %d", len(data), held, room)
 }

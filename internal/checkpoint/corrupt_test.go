@@ -160,16 +160,25 @@ func bodyOf(t testing.TB, data []byte) []byte {
 // behind a valid header, so it is gob and the snapshot types'
 // unmarshalers that must hold Decode's contract: a snapshot or a
 // *CorruptError, no panic, and no allocation out of proportion to a
-// frame (a length field inside the body must not be believed).
+// frame (a length field inside the body must not be believed). A
+// snapshot that decodes is then restored into a fresh system of the
+// real seed's shape, which must take it or return an error, not panic.
+// The real seed is relabelled with the header's cycle, so that it and
+// its mutants get past Decode's cycle check to the restore; so is a
+// copy holding an L1 line past the end of its array.
 func FuzzDecodeBody(f *testing.F) {
 	tiny := mustEncode(f, tinySnap())
 	tinyBody := bodyOf(f, tiny)
-	for _, body := range [][]byte{tinyBody, bodyOf(f, mustEncode(f, realSnap(f)))} {
+	real, spoiled := realSnap(f), realSnap(f)
+	real.Cycle, spoiled.Cycle = tinySnap().Cycle, tinySnap().Cycle
+	spoiled.Caches[0].L1.Pos[0] = 1 << 30
+	for _, body := range [][]byte{tinyBody, bodyOf(f, mustEncode(f, real))} {
 		f.Add(body)
 		for _, cut := range []int{len(body) / 4, len(body) / 2, len(body) - 1} {
 			f.Add(body[:cut])
 		}
 	}
+	f.Add(bodyOf(f, mustEncode(f, spoiled)))
 	hdr := tiny[:len(tiny)-len(tinyBody)-8] // magic and header frame, cycle 4096
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var before, after runtime.MemStats
@@ -182,6 +191,9 @@ func FuzzDecodeBody(f *testing.F) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > maxFrame {
 			t.Fatalf("Decode allocated %d bytes for a %d-byte body", grew, len(body))
+		}
+		if snap != nil {
+			_ = realSystem(t).RestoreSnap(snap) // an error is an answer; a panic fails the fuzz
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -115,6 +116,44 @@ func TestResumeEndToEnd(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got3, want) {
 				t.Errorf("fallback-resumed run diverges from uninterrupted run:\nwant %+v\ngot  %+v", want, got3)
+			}
+		})
+	}
+}
+
+// TestResumeRefusesSnapshotThatDoesNotFit: a checkpoint that decodes
+// but holds state the system cannot take is an error from Resume, not
+// a panic, and a hard one from ResumeLenient and Run, which never run
+// the half-restored system.
+func TestResumeRefusesSnapshotThatDoesNotFit(t *testing.T) {
+	const key = "0123456789abcdef-spoiled"
+	for _, tc := range []struct {
+		name  string
+		spoil func(*sim.SysSnap)
+	}{
+		{"L1 line past the end of its array", func(s *sim.SysSnap) { s.Caches[0].L1.Pos[0] = 1 << 30 }},
+		{"directory columns of unequal length", func(s *sim.SysSnap) {
+			d := s.Dirs[0]
+			d.Owner = d.Owner[:len(d.Owner)-1]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := realSnap(t)
+			tc.spoil(snap)
+			dir := t.TempDir()
+			path := Path(dir, key)
+			if err := Save(path, key, snap); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := Resume(realSystem(t), path, key); err == nil || ok {
+				t.Fatalf("Resume: ok=%v err=%v, want an error", ok, err)
+			}
+			if _, ok, warn, err := ResumeLenient(realSystem(t), path, key); err == nil || ok || warn != nil {
+				t.Fatalf("ResumeLenient: ok=%v warn=%v err=%v, want a hard error", ok, warn, err)
+			}
+			build := func(opts ...sim.Option) (*sim.System, error) { return realSystem(t), nil }
+			if _, err := Run(context.Background(), dir, 0, key, build, nil); err == nil {
+				t.Fatal("Run ran a system its checkpoint did not fit")
 			}
 		})
 	}

@@ -108,10 +108,18 @@ func TestRunDurableAttempt(t *testing.T) {
 			}},
 		{name: "an older build's format", dir: true, stale: true,
 			setup: func(t *testing.T, dir string) {
-				// testdata/v2.ckpt is the parent commit's
+				// testdata/v2.ckpt is the last Version 2 build's
 				// Encode("k", &sim.SysSnap{Cycle: 4096}): the version is
 				// refused before the key is looked at.
 				if err := os.WriteFile(Path(dir, key), mustRead(t, "testdata/v2.ckpt"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "a Version 3 file", dir: true, stale: true,
+			setup: func(t *testing.T, dir string) {
+				// The same snapshot as the last Version 3 build wrote it,
+				// one struct per sram line and directory entry.
+				if err := os.WriteFile(Path(dir, key), mustRead(t, "testdata/v3.ckpt"), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}},

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"slices"
 
 	"rowsim/internal/sram"
@@ -52,79 +53,85 @@ type DirPending struct {
 	FarData   bool
 }
 
-// DirEntrySnap is the exported view of one directory entry. The model
-// checker also uses it (via EntryView) as the canonical encoding of a
-// bank's per-line state. Nearly every entry of a checkpoint is an idle
-// owned line, so the zero values — not blocked, no sharers, an all-zero
-// transaction context (Pend nil), nothing waiting — are left out of the
-// gob stream; read the context through Pending.
+// DirTxnSnap is the part of a directory entry an idle line leaves
+// zero: the open transaction and the queued requests.
+type DirTxnSnap struct {
+	Blocked bool
+	Pend    DirPending
+	Waiting []Msg // queued requests, FIFO, copied by value
+}
+
+// DirEntrySnap is the exported view of one directory entry, the model
+// checker's canonical encoding of a bank's per-line state (EntryView).
 type DirEntrySnap struct {
 	State   uint8
 	Owner   int
 	Sharers uint64
-	Blocked bool
-	Pend    *DirPending
-	Waiting []Msg // queued requests, FIFO, copied by value
+	DirTxnSnap
 }
 
-// Pending returns the entry's transaction context, all zero when Pend
-// is nil.
-func (s *DirEntrySnap) Pending() DirPending {
-	if s.Pend == nil {
-		return DirPending{}
-	}
-	return *s.Pend
+// DirBusySnap is the transaction of a DirSnap entry that is not idle;
+// Index is the entry's place in the columns.
+type DirBusySnap struct {
+	Index int
+	DirTxnSnap
 }
 
-// DirLineSnap is one line's directory entry in a DirSnap.
-type DirLineSnap struct {
-	Line  uint64
-	Entry DirEntrySnap
-}
-
-// DirSnap is a deep copy of one bank's mutable protocol state. Lines is
-// a slice in ascending line order, not a map, so that encoding a
-// snapshot is a function of the state (an encoder walks a map in
-// random order). Stats ride along so a checkpointed run restores to
-// byte-identical counters (they never feed back into protocol
-// decisions, but they do reach the final Result).
+// DirSnap is a deep copy of one bank's mutable protocol state. The
+// entries are stored column-wise in ascending line order — entry i is
+// Line[i], State[i], Owner[i] and Sharers[i] — because nearly every
+// entry of a checkpoint is an idle line, and columns of numbers are
+// what encoding/gob encodes fastest and smallest; Busy holds the
+// transactions of the few entries that are not idle, in ascending
+// Index. Slices, not a map, make encoding a snapshot a function of the
+// state (an encoder walks a map in random order). Stats ride along so
+// a checkpointed run restores to byte-identical counters (they never
+// feed back into protocol decisions, but they do reach the final
+// Result).
 type DirSnap struct {
-	Now   uint64
-	Lines []DirLineSnap
-	L3    sram.Snap
-	Stats DirStats
+	Now     uint64
+	Line    []uint64
+	State   []uint8
+	Owner   []int
+	Sharers []uint64
+	Busy    []DirBusySnap
+	L3      sram.Snap
+	Stats   DirStats
+}
+
+func (e *dirEntry) txn() DirTxnSnap {
+	p := e.pend
+	t := DirTxnSnap{
+		Blocked: e.blocked,
+		Pend:    DirPending{Requestor: p.requestor, IsWrite: p.isWrite, Far: p.far, FarAcks: p.farAcks, FarData: p.farData},
+	}
+	for _, m := range e.waiting {
+		t.Waiting = append(t.Waiting, *m)
+	}
+	return t
 }
 
 func (e *dirEntry) snap() DirEntrySnap {
-	s := DirEntrySnap{
-		State:   uint8(e.state),
-		Owner:   e.owner,
-		Sharers: e.sharers,
-		Blocked: e.blocked,
-	}
-	if e.pend != (pending{}) {
-		s.Pend = &DirPending{
-			Requestor: e.pend.requestor,
-			IsWrite:   e.pend.isWrite,
-			Far:       e.pend.far,
-			FarAcks:   e.pend.farAcks,
-			FarData:   e.pend.farData,
-		}
-	}
-	for _, m := range e.waiting {
-		s.Waiting = append(s.Waiting, *m)
-	}
-	return s
+	return DirEntrySnap{State: uint8(e.state), Owner: e.owner, Sharers: e.sharers, DirTxnSnap: e.txn()}
 }
 
 // Snapshot captures the bank's directory entries and L3 contents. It
 // returns a pointer so the snapshot is handed around by reference
 // rather than bulk-copied.
 func (d *Directory) Snapshot() *DirSnap {
-	s := &DirSnap{Now: d.now, Lines: make([]DirLineSnap, 0, len(d.lines)), L3: d.l3.Snapshot(), Stats: d.Stats}
-	for _, line := range d.LinesKnown() {
+	lines := d.LinesKnown()
+	n := len(lines)
+	s := &DirSnap{
+		Now: d.now, Line: lines,
+		State: make([]uint8, n), Owner: make([]int, n), Sharers: make([]uint64, n),
+		L3: d.l3.Snapshot(), Stats: d.Stats,
+	}
+	for i, line := range lines {
 		e := d.lines[line]
-		s.Lines = append(s.Lines, DirLineSnap{Line: line, Entry: e.snap()})
+		s.State[i], s.Owner[i], s.Sharers[i] = uint8(e.state), e.owner, e.sharers
+		if e.blocked || e.pend != (pending{}) || len(e.waiting) > 0 {
+			s.Busy = append(s.Busy, DirBusySnap{Index: i, DirTxnSnap: e.txn()})
+		}
 	}
 	return s
 }
@@ -132,33 +139,37 @@ func (d *Directory) Snapshot() *DirSnap {
 // Restore rewinds the bank to a previously captured DirSnap. Waiting
 // messages are reconstituted as fresh allocations (never drawn from
 // the pool: the pool counters are restored separately and a pool Get
-// here would double-count the retained population).
+// here would double-count the retained population). It panics on a
+// DirSnap whose columns differ in length or whose Busy records are out
+// of range or out of order.
 func (d *Directory) Restore(s *DirSnap) {
+	n := len(s.Line)
+	if len(s.State) != n || len(s.Owner) != n || len(s.Sharers) != n {
+		panic(fmt.Sprintf("coherence: restoring columns of %d lines, %d states, %d owners and %d sharer sets", n, len(s.State), len(s.Owner), len(s.Sharers)))
+	}
 	d.now = s.Now
 	d.Stats = s.Stats
-	d.lines = make(map[uint64]*dirEntry, len(s.Lines))
-	for k := range s.Lines {
-		line, es := s.Lines[k].Line, &s.Lines[k].Entry
-		pend := es.Pending()
-		e := &dirEntry{
-			state:   dirState(es.State),
-			owner:   es.Owner,
-			sharers: es.Sharers,
-			blocked: es.Blocked,
-			pend: pending{
-				requestor: pend.Requestor,
-				isWrite:   pend.IsWrite,
-				far:       pend.Far,
-				farAcks:   pend.FarAcks,
-				farData:   pend.FarData,
-			},
+	d.lines = make(map[uint64]*dirEntry, n)
+	entries := make([]dirEntry, n)
+	for i, line := range s.Line {
+		e := &entries[i]
+		e.state, e.owner, e.sharers = dirState(s.State[i]), s.Owner[i], s.Sharers[i]
+		d.lines[line] = e
+	}
+	prev := -1
+	for _, b := range s.Busy {
+		if b.Index <= prev || b.Index >= n {
+			panic(fmt.Sprintf("coherence: restoring busy entry %d after %d, of %d", b.Index, prev, n))
 		}
-		for i := range es.Waiting {
+		prev = b.Index
+		e, p := &entries[b.Index], &b.Pend
+		e.blocked = b.Blocked
+		e.pend = pending{requestor: p.Requestor, isWrite: p.IsWrite, far: p.Far, farAcks: p.FarAcks, farData: p.FarData}
+		for i := range b.Waiting {
 			m := new(Msg)
-			*m = es.Waiting[i]
+			*m = b.Waiting[i]
 			e.waiting = append(e.waiting, m)
 		}
-		d.lines[line] = e
 	}
 	d.l3.Restore(s.L3)
 }

@@ -242,7 +242,7 @@ func (m *Model) encodeWith(e *encoder, p *perm) {
 			e.u64(sh)
 			e.bool(ent.Blocked)
 			if ent.Blocked {
-				pend := ent.Pending()
+				pend := ent.Pend
 				e.b(byte(p.cores[pend.Requestor]))
 				e.bool(pend.IsWrite)
 				e.bool(pend.Far)

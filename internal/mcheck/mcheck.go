@@ -825,7 +825,7 @@ func (m *Model) checkTerminal() {
 			ent, _ := d.EntryView(line)
 			if ent.Blocked || len(ent.Waiting) > 0 {
 				m.violate("stuck-blocked", fmt.Sprintf("terminal state with line %#x blocked (%d waiting, pend requestor %d); %d ops incomplete",
-					line, len(ent.Waiting), ent.Pending().Requestor, incomplete))
+					line, len(ent.Waiting), ent.Pend.Requestor, incomplete))
 				return
 			}
 		}

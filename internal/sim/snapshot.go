@@ -77,8 +77,12 @@ func (s *System) Snapshot() *SysSnap {
 // system must have been built by sim.New with the same configuration
 // and the same (regenerated) programs; the caller is expected to have
 // verified that via the checkpoint content key, so a shape mismatch
-// here reports an error rather than guessing.
-func (s *System) RestoreSnap(snap *SysSnap) error {
+// here reports an error rather than guessing. So does a snapshot a
+// component refuses (its Restore panics on state that cannot have come
+// from a component of its geometry, such as an sram line past the end
+// of the array): that error comes after other components were
+// restored, and the system must then be discarded, never run.
+func (s *System) RestoreSnap(snap *SysSnap) (err error) {
 	if len(snap.Cores) != len(s.cores) || len(snap.Caches) != len(s.caches) || len(snap.Dirs) != len(s.dirs) {
 		return fmt.Errorf("sim: snapshot shape %d cores/%d caches/%d dirs does not match system %d/%d/%d",
 			len(snap.Cores), len(snap.Caches), len(snap.Dirs), len(s.cores), len(s.caches), len(s.dirs))
@@ -86,6 +90,11 @@ func (s *System) RestoreSnap(snap *SysSnap) error {
 	if s.injector == nil && snap.Faults != (faults.InjectorSnap{}) {
 		return fmt.Errorf("sim: snapshot carries fault-injector state but the system has no injector")
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("sim: snapshot does not fit the system: %v", r)
+		}
+	}()
 	s.cycle = snap.Cycle
 	s.visited = snap.Visited
 	s.lastCkpt = snap.Cycle

@@ -7,9 +7,9 @@ import (
 )
 
 // TestSnapshotCoversEveryField is the snapshot-completeness guard for
-// the SRAM array (and the Line record its snapshot copies wholesale):
-// slot and chunks are captured together as the valid lines and their
-// positions.
+// the SRAM array and the Line record: slot and chunks are captured
+// together as the valid lines and their positions, a column per Line
+// field but Valid, which every stored line is.
 func TestSnapshotCoversEveryField(t *testing.T) {
 	snapcheck.Assert(t, Array{}, []string{
 		"slot", "chunks", "clock", "hits", "misses",

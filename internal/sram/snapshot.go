@@ -2,31 +2,32 @@ package sram
 
 import "fmt"
 
-// SnapLine is one valid line of a Snap and where it sits: Pos is
-// set*ways + way, the line's index in a row-major array.
-type SnapLine struct {
-	Pos int
-	Line
-}
-
 // Snap is a deep copy of an Array's mutable state: its valid lines in
-// ascending position, the LRU clock and the stats. The model checker
-// (internal/mcheck) captures one per array before exploring a branch
-// and restores it when backtracking; checkpoints serialize it to disk,
-// which is why every field is exported. The geometry (sets, ways, line
-// shift) is construction-time state and is not copied; a Snap may only
-// be restored into the array it was taken from, or one built with
+// ascending position, the LRU clock and the stats. The lines are
+// stored column-wise — entry i of Pos, Tag, LRU and Meta is one line,
+// Pos being set*ways + way, its index in a row-major array — and every
+// stored line is valid. Columns of numbers are what encoding/gob
+// encodes fastest and smallest, which is why a snapshot is not one
+// record per line. The model checker (internal/mcheck) captures one
+// per array before exploring a branch and restores it when
+// backtracking; checkpoints serialize it to disk, which is why every
+// field is exported. The geometry (sets, ways, line shift) is
+// construction-time state and is not copied; a Snap may only be
+// restored into the array it was taken from, or one built with
 // identical geometry. Which block of the backing store a set occupies
 // is not state either: Restore hands blocks out afresh.
 type Snap struct {
-	Lines  []SnapLine
+	Pos    []uint32
+	Tag    []uint64
+	LRU    []uint64
+	Meta   []uint8
 	Clock  uint64
 	Hits   uint64
 	Misses uint64
 }
 
-// Snapshot captures the array's contents, LRU clock and stats. Lines
-// is nil when the array holds no valid line.
+// Snapshot captures the array's contents, LRU clock and stats. The
+// columns are nil when the array holds no valid line.
 func (a *Array) Snapshot() Snap {
 	s := Snap{Clock: a.clock, Hits: a.hits, Misses: a.misses}
 	n := 0
@@ -34,14 +35,17 @@ func (a *Array) Snapshot() Snap {
 	if n == 0 {
 		return s
 	}
-	s.Lines = make([]SnapLine, 0, n)
+	s.Pos, s.Tag, s.LRU, s.Meta = make([]uint32, 0, n), make([]uint64, 0, n), make([]uint64, 0, n), make([]uint8, 0, n)
 	for set, b := range a.slot {
 		if b == 0 {
 			continue
 		}
 		for way, l := range a.block(int(b - 1)) {
 			if l.Valid {
-				s.Lines = append(s.Lines, SnapLine{Pos: set*a.ways + way, Line: l})
+				s.Pos = append(s.Pos, uint32(set*a.ways+way))
+				s.Tag = append(s.Tag, l.Tag)
+				s.LRU = append(s.LRU, l.LRU)
+				s.Meta = append(s.Meta, l.Meta)
 			}
 		}
 	}
@@ -50,30 +54,33 @@ func (a *Array) Snapshot() Snap {
 
 // Restore rewinds the array to a previously captured Snap, whatever it
 // held before. It panics on a Snap that cannot have come from an array
-// of this geometry: a position out of range, out of order or repeated,
-// a line that is not valid, or one whose tag belongs to another set.
+// of this geometry: columns of unequal length, a position out of
+// range, out of order or repeated, or a tag that belongs to another
+// set.
 func (a *Array) Restore(s Snap) {
+	n := len(s.Pos)
+	if len(s.Tag) != n || len(s.LRU) != n || len(s.Meta) != n {
+		panic(fmt.Sprintf("sram: restoring columns of %d positions, %d tags, %d LRU stamps and %d metas", n, len(s.Tag), len(s.LRU), len(s.Meta)))
+	}
 	clear(a.slot)
 	for _, c := range a.chunks[:(a.blocks+chunkBlocks-1)>>chunkShift] {
 		clear(c)
 	}
 	a.blocks = 0
 	prev := -1
-	for i := range s.Lines {
-		r := &s.Lines[i]
-		set := r.Pos / a.ways
+	for i, p := range s.Pos {
+		pos, tag := int(p), s.Tag[i]
+		set := pos / a.ways
 		switch {
-		case r.Pos < 0 || r.Pos >= a.sets*a.ways:
-			panic(fmt.Sprintf("sram: restoring line at position %d into array of %d", r.Pos, a.sets*a.ways))
-		case r.Pos <= prev:
-			panic(fmt.Sprintf("sram: restoring position %d after position %d", r.Pos, prev))
-		case !r.Valid:
-			panic(fmt.Sprintf("sram: restoring invalid line at position %d", r.Pos))
-		case a.setIndex(r.Tag) != set:
-			panic(fmt.Sprintf("sram: restoring line %#x into set %d, it indexes set %d", r.Tag, set, a.setIndex(r.Tag)))
+		case pos >= a.sets*a.ways:
+			panic(fmt.Sprintf("sram: restoring line at position %d into array of %d", pos, a.sets*a.ways))
+		case pos <= prev:
+			panic(fmt.Sprintf("sram: restoring position %d after position %d", pos, prev))
+		case a.setIndex(tag) != set:
+			panic(fmt.Sprintf("sram: restoring line %#x into set %d, it indexes set %d", tag, set, a.setIndex(tag)))
 		}
-		prev = r.Pos
-		a.own(set)[r.Pos%a.ways] = r.Line
+		prev = pos
+		a.own(set)[pos%a.ways] = Line{Tag: tag, LRU: s.LRU[i], Meta: s.Meta[i], Valid: true}
 	}
 	a.clock = s.Clock
 	a.hits = s.Hits

@@ -295,7 +295,10 @@ func (d *dense) snap() Snap {
 	s := Snap{Clock: d.clock, Hits: d.hits, Misses: d.misses}
 	for pos, l := range d.lines {
 		if l.Valid {
-			s.Lines = append(s.Lines, SnapLine{Pos: pos, Line: l})
+			s.Pos = append(s.Pos, uint32(pos))
+			s.Tag = append(s.Tag, l.Tag)
+			s.LRU = append(s.LRU, l.LRU)
+			s.Meta = append(s.Meta, l.Meta)
 		}
 	}
 	return s
@@ -406,18 +409,18 @@ func sameContents(a *Array, d *dense) error {
 		return fmt.Errorf("hits/misses = %d/%d, want %d/%d", a.Hits(), a.Misses(), want.Hits, want.Misses)
 	}
 	if got := a.Snapshot(); !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("snapshot has %d lines at clock %d, want %d at %d (or they differ in content)", len(got.Lines), got.Clock, len(want.Lines), want.Clock)
+		return fmt.Errorf("snapshot has %d lines at clock %d, want %d at %d (or they differ in content)", len(got.Pos), got.Clock, len(want.Pos), want.Clock)
 	}
 	i := 0
 	var err error
 	a.ForEach(func(tag uint64, meta uint8) {
-		if err == nil && (i >= len(want.Lines) || want.Lines[i].Tag != tag || want.Lines[i].Meta != meta) {
+		if err == nil && (i >= len(want.Tag) || want.Tag[i] != tag || want.Meta[i] != meta) {
 			err = fmt.Errorf("ForEach item %d = (%#x,%d), not the valid line at that rank", i, tag, meta)
 		}
 		i++
 	})
-	if err == nil && i != len(want.Lines) {
-		err = fmt.Errorf("ForEach visited %d lines, want %d", i, len(want.Lines))
+	if err == nil && i != len(want.Tag) {
+		err = fmt.Errorf("ForEach visited %d lines, want %d", i, len(want.Tag))
 	}
 	return err
 }
@@ -544,17 +547,26 @@ func TestRestoreIntoUsedArray(t *testing.T) {
 // array of this geometry fails loudly instead of planting lines no
 // lookup can reach.
 func TestRestoreRejectsForeignSnap(t *testing.T) {
-	ok := func(pos int, tag uint64) SnapLine {
-		return SnapLine{Pos: pos, Line: Line{Valid: true, Tag: tag, LRU: 1}}
+	// snap holds LRU-1, meta-0 lines at (position, tag) pairs.
+	snap := func(lines ...uint64) Snap {
+		var s Snap
+		for i := 0; i < len(lines); i += 2 {
+			s.Pos = append(s.Pos, uint32(lines[i]))
+			s.Tag = append(s.Tag, lines[i+1])
+			s.LRU = append(s.LRU, 1)
+			s.Meta = append(s.Meta, 0)
+		}
+		return s
 	}
+	short := snap(4, line(1), 5, line(9))
+	short.LRU = short.LRU[:1]
 	// 8 sets x 4 ways: position p is way p%4 of set p/4; line(i) indexes set i%8.
-	for name, lines := range map[string][]SnapLine{
-		"negative position":  {ok(-1, line(0))},
-		"position past end":  {ok(32, line(0))},
-		"out of order":       {ok(5, line(1)), ok(4, line(9))},
-		"duplicate position": {ok(4, line(1)), ok(4, line(9))},
-		"invalid line":       {{Pos: 4, Line: Line{Tag: line(1)}}},
-		"tag of another set": {ok(4, line(2))},
+	for name, s := range map[string]Snap{
+		"position past end":         snap(32, line(0)),
+		"out of order":              snap(5, line(1), 4, line(9)),
+		"duplicate position":        snap(4, line(1), 4, line(9)),
+		"tag of another set":        snap(4, line(2)),
+		"columns of unequal length": short,
 	} {
 		func() {
 			defer func() {
@@ -562,11 +574,13 @@ func TestRestoreRejectsForeignSnap(t *testing.T) {
 					t.Errorf("%s: Restore did not panic", name)
 				}
 			}()
-			New(2048, 4, 64).Restore(Snap{Lines: lines})
+			New(2048, 4, 64).Restore(s)
 		}()
 	}
 	a := New(2048, 4, 64)
-	a.Restore(Snap{Lines: []SnapLine{ok(4, line(1)), ok(5, line(9)), ok(31, line(7))}, Clock: 9})
+	s := snap(4, line(1), 5, line(9), 31, line(7))
+	s.Clock = 9
+	a.Restore(s)
 	if !a.Contains(line(1)) || !a.Contains(line(9)) || !a.Contains(line(7)) {
 		t.Fatal("well-formed snapshot was not restored")
 	}
