@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"rowsim/internal/sim"
 )
 
 // These tests are the corruption exhaustiveness proof: a checkpoint
@@ -164,21 +166,31 @@ func bodyOf(t testing.TB, data []byte) []byte {
 // snapshot that decodes is then restored into a fresh system of the
 // real seed's shape, which must take it or return an error, not panic.
 // The real seed is relabelled with the header's cycle, so that it and
-// its mutants get past Decode's cycle check to the restore; so is a
-// copy holding an L1 line past the end of its array.
+// its mutants get past Decode's cycle check to the restore; so are
+// three spoiled copies: one holding an L1 line past the end of its
+// array, one listing a directory line twice and one naming core 1000
+// as a line's owner.
 func FuzzDecodeBody(f *testing.F) {
 	tiny := mustEncode(f, tinySnap())
 	tinyBody := bodyOf(f, tiny)
-	real, spoiled := realSnap(f), realSnap(f)
-	real.Cycle, spoiled.Cycle = tinySnap().Cycle, tinySnap().Cycle
-	spoiled.Caches[0].L1.Pos[0] = 1 << 30
+	real := realSnap(f)
+	real.Cycle = tinySnap().Cycle
 	for _, body := range [][]byte{tinyBody, bodyOf(f, mustEncode(f, real))} {
 		f.Add(body)
 		for _, cut := range []int{len(body) / 4, len(body) / 2, len(body) - 1} {
 			f.Add(body[:cut])
 		}
 	}
-	f.Add(bodyOf(f, mustEncode(f, spoiled)))
+	for _, spoil := range []func(*sim.SysSnap){
+		func(s *sim.SysSnap) { s.Caches[0].L1.Pos[0] = 1 << 30 },
+		func(s *sim.SysSnap) { s.Dirs[0].Line[1] = s.Dirs[0].Line[0] },
+		func(s *sim.SysSnap) { s.Dirs[0].Owner[0] = 1000 },
+	} {
+		spoiled := realSnap(f)
+		spoiled.Cycle = tinySnap().Cycle
+		spoil(spoiled)
+		f.Add(bodyOf(f, mustEncode(f, spoiled)))
+	}
 	hdr := tiny[:len(tiny)-len(tinyBody)-8] // magic and header frame, cycle 4096
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var before, after runtime.MemStats

@@ -136,6 +136,8 @@ func TestResumeRefusesSnapshotThatDoesNotFit(t *testing.T) {
 			d := s.Dirs[0]
 			d.Owner = d.Owner[:len(d.Owner)-1]
 		}},
+		{"directory line listed twice", func(s *sim.SysSnap) { s.Dirs[0].Line[1] = s.Dirs[0].Line[0] }},
+		{"directory line owned by core 1000", func(s *sim.SysSnap) { s.Dirs[0].Owner[0] = 1000 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			snap := realSnap(t)

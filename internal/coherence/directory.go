@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"fmt"
-	"sort"
 
 	"rowsim/internal/sram"
 	"rowsim/internal/stats"
@@ -18,27 +17,31 @@ const (
 )
 
 // pending records the transaction context the directory is blocked on.
+// Core numbers fit an int8 because the sharer mask limits a system to
+// 64 cores.
 type pending struct {
-	requestor int
+	requestor int8
 	isWrite   bool
 
 	// Far-RMW recall context: whether a far RMW is in flight and the
 	// number of invalidation acks / the data return still expected
 	// before the bank can perform the operation.
 	far     bool
-	farAcks int
+	farAcks int8
 	farData bool // waiting for the owner's data return
 }
 
-// dirEntry is the directory's view of one line.
+// dirEntry is the directory's view of one line. It holds no pointer
+// and fits 32 bytes: a line's stalled requests live in one of the
+// bank's queues, which the entry names by number.
 type dirEntry struct {
-	state   dirState
-	owner   int
+	line    uint64
 	sharers uint64 // bitmask over cores (NumCores <= 64)
-
+	wait    int32  // 1 + the number of the line's queue in Directory.queues; 0 for none
+	state   dirState
+	owner   int8
 	blocked bool
 	pend    pending
-	waiting []*Msg // requests stalled while blocked, FIFO
 }
 
 // DirStats aggregates directory behaviour for the experiment tables.
@@ -67,7 +70,14 @@ type Directory struct {
 	l3HitCycles int
 	dramCycles  int
 
-	lines map[uint64]*dirEntry
+	lines lineTable
+	// queues[q] holds, FIFO, the requests stalled behind the entry whose
+	// wait is q+1. An entry takes a queue when its line blocks and gives
+	// it back, empty, once the line is unblocked with nothing left to
+	// serve; free lists the queues given back, which keep their
+	// capacity for the next transaction.
+	queues [][]*Msg
+	free   []int32
 
 	pool *MsgPool
 	sink *ErrorSink
@@ -87,7 +97,7 @@ func NewDirectory(nodeID, bank int, net Network, l3SizeBytes, l3Ways, lineBytes,
 		l3:          sram.New(l3SizeBytes, l3Ways, lineBytes),
 		l3HitCycles: l3HitCycles,
 		dramCycles:  dramCycles,
-		lines:       make(map[uint64]*dirEntry),
+		lines:       newLineTable(0),
 	}
 }
 
@@ -124,26 +134,73 @@ func (d *Directory) fail(m *Msg, e *dirEntry, reason string) {
 		pe.Line = m.Line
 	}
 	if e != nil {
-		pe.State = e.describe()
+		pe.State = d.describe(e)
 	}
 	Raise(d.sink, pe)
 }
 
 // describe renders the entry's transaction state for error reports.
-func (e *dirEntry) describe() string {
+func (d *Directory) describe(e *dirEntry) string {
 	return fmt.Sprintf("state=%d owner=%d sharers=%#x blocked=%v pend={req=%d write=%v far=%v acks=%d data=%v} waiting=%d",
 		e.state, e.owner, e.sharers, e.blocked,
 		e.pend.requestor, e.pend.isWrite, e.pend.far, e.pend.farAcks, e.pend.farData,
-		len(e.waiting))
+		len(d.waiting(e)))
 }
 
-func (d *Directory) entry(line uint64) *dirEntry {
-	e, ok := d.lines[line]
-	if !ok {
-		e = &dirEntry{owner: -1}
-		d.lines[line] = e
+// waiting returns the requests stalled behind e's line, FIFO.
+func (d *Directory) waiting(e *dirEntry) []*Msg {
+	if e.wait == 0 {
+		return nil
 	}
-	return e
+	return d.queues[e.wait-1]
+}
+
+// block opens a transaction on e's line, giving the entry a queue for
+// the requests that arrive while it is open.
+//
+//rowlint:noalloc
+func (d *Directory) block(e *dirEntry, p pending) {
+	e.blocked, e.pend = true, p
+	if e.wait != 0 {
+		return
+	}
+	if n := len(d.free); n > 0 {
+		e.wait = d.free[n-1] + 1
+		d.free = d.free[:n-1]
+		return
+	}
+	d.queues = append(d.queues, nil)
+	e.wait = int32(len(d.queues))
+}
+
+// stall queues m behind e's open transaction.
+//
+//rowlint:noalloc
+func (d *Directory) stall(e *dirEntry, m *Msg) {
+	q := &d.queues[e.wait-1]
+	*q = append(*q, m)
+}
+
+// drain serves the requests stalled behind e's line, in order, until
+// one blocks the line again; a line left unblocked gives its queue
+// back.
+//
+//rowlint:noalloc
+func (d *Directory) drain(e *dirEntry) {
+	for !e.blocked {
+		q := d.queues[e.wait-1]
+		if len(q) == 0 {
+			d.free = append(d.free, e.wait-1)
+			e.wait = 0
+			return
+		}
+		next := q[0]
+		copy(q, q[1:])
+		q[len(q)-1] = nil
+		d.queues[e.wait-1] = q[:len(q)-1]
+		d.serve(next, e)
+		d.pool.Put(next) // nothing retains a served request anymore
+	}
 }
 
 // Handle processes one incoming message. The system calls it for every
@@ -176,32 +233,32 @@ func (d *Directory) Handle(m *Msg) {
 func (d *Directory) handle(m *Msg) bool {
 	switch m.Type {
 	case MsgGetS, MsgGetX:
-		e := d.entry(m.Line)
+		e := d.lines.get(m.Line)
 		if e.blocked {
 			d.Stats.Stalled.Inc()
-			d.Stats.StallDepth.Observe(float64(len(e.waiting)))
-			e.waiting = append(e.waiting, m)
+			d.Stats.StallDepth.Observe(float64(len(d.waiting(e))))
+			d.stall(e, m)
 			return false
 		}
 		d.serve(m, e)
 	case MsgPutX:
-		e := d.entry(m.Line)
+		e := d.lines.get(m.Line)
 		if e.blocked {
 			// The owner is concurrently being forwarded-to; queue the
 			// writeback and drop it as stale once the transaction
 			// closes (the owner answers forwards even after evicting).
-			e.waiting = append(e.waiting, m)
+			d.stall(e, m)
 			return false
 		}
 		d.handlePutX(m, e)
 	case MsgUnblock, MsgUnblockX:
 		d.handleUnblock(m)
 	case MsgGetFar:
-		e := d.entry(m.Line)
+		e := d.lines.get(m.Line)
 		if e.blocked {
 			d.Stats.Stalled.Inc()
-			d.Stats.StallDepth.Observe(float64(len(e.waiting)))
-			e.waiting = append(e.waiting, m)
+			d.Stats.StallDepth.Observe(float64(len(d.waiting(e))))
+			d.stall(e, m)
 			return false
 		}
 		d.serveGetFar(m, e)
@@ -210,7 +267,7 @@ func (d *Directory) handle(m *Msg) bool {
 	case MsgData:
 		d.farData(m)
 	default:
-		d.fail(m, d.lines[m.Line], "unexpected message type") //rowlint:ignore noalloc fatal protocol-error path; the run is already over
+		d.fail(m, d.lines.find(m.Line), "unexpected message type") //rowlint:ignore noalloc fatal protocol-error path; the run is already over
 	}
 	return true
 }
@@ -263,8 +320,7 @@ func (d *Directory) serveGetFar(m *Msg, e *dirEntry) {
 				Requestor: d.nodeID, // acks return to the bank
 			}))
 		}
-		e.blocked = true
-		e.pend = pending{requestor: m.Requestor, far: true, farAcks: acks}
+		d.block(e, pending{requestor: int8(m.Requestor), far: true, farAcks: int8(acks)})
 		if acks == 0 {
 			d.finishFar(m.Line, e)
 		}
@@ -274,18 +330,17 @@ func (d *Directory) serveGetFar(m *Msg, e *dirEntry) {
 		// core-to-core forward.
 		d.Stats.Forwards.Inc()
 		d.net.Send(d.pool.New(Msg{
-			Type: MsgFwdGetX, Line: m.Line, Src: d.nodeID, Dst: e.owner,
+			Type: MsgFwdGetX, Line: m.Line, Src: d.nodeID, Dst: int(e.owner),
 			Requestor: d.nodeID,
 		}))
-		e.blocked = true
-		e.pend = pending{requestor: m.Requestor, far: true, farData: true}
+		d.block(e, pending{requestor: int8(m.Requestor), far: true, farData: true})
 	}
 }
 
 //rowlint:noalloc
 func (d *Directory) farAck(m *Msg) {
-	e, ok := d.lines[m.Line]
-	if !ok || !e.blocked || !e.pend.far {
+	e := d.lines.find(m.Line)
+	if e == nil || !e.blocked || !e.pend.far {
 		d.fail(m, e, "stray InvAck: no far recall in flight") //rowlint:ignore noalloc fatal protocol-error path; the run is already over
 		return
 	}
@@ -297,8 +352,8 @@ func (d *Directory) farAck(m *Msg) {
 
 //rowlint:noalloc
 func (d *Directory) farData(m *Msg) {
-	e, ok := d.lines[m.Line]
-	if !ok || !e.blocked || !e.pend.far || !e.pend.farData {
+	e := d.lines.find(m.Line)
+	if e == nil || !e.blocked || !e.pend.far || !e.pend.farData {
 		d.fail(m, e, "stray Data: no far recall awaiting owner data") //rowlint:ignore noalloc fatal protocol-error path; the run is already over
 		return
 	}
@@ -313,7 +368,7 @@ func (d *Directory) farData(m *Msg) {
 //
 //rowlint:noalloc
 func (d *Directory) finishFar(line uint64, e *dirEntry) {
-	req := e.pend.requestor
+	req := int(e.pend.requestor)
 	d.net.SendAfter(d.pool.New(Msg{
 		Type: MsgFarDone, Line: line, Src: d.nodeID, Dst: req,
 		Requestor: req,
@@ -323,12 +378,7 @@ func (d *Directory) finishFar(line uint64, e *dirEntry) {
 	e.sharers = 0
 	e.blocked = false
 	e.pend = pending{}
-	for len(e.waiting) > 0 && !e.blocked {
-		next := e.waiting[0]
-		e.waiting = e.waiting[1:]
-		d.serve(next, e)
-		d.pool.Put(next) // nothing retains a served request anymore
-	}
+	d.drain(e)
 }
 
 // dataDelay models the bank-side access needed to source the line:
@@ -363,12 +413,11 @@ func (d *Directory) serveGetS(m *Msg, e *dirEntry) {
 	case dirM:
 		d.Stats.Forwards.Inc()
 		d.net.Send(d.pool.New(Msg{
-			Type: MsgFwdGetS, Line: m.Line, Src: d.nodeID, Dst: e.owner,
+			Type: MsgFwdGetS, Line: m.Line, Src: d.nodeID, Dst: int(e.owner),
 			Requestor: req,
 		}))
 	}
-	e.blocked = true
-	e.pend = pending{requestor: req, isWrite: false}
+	d.block(e, pending{requestor: int8(req)})
 }
 
 //rowlint:noalloc
@@ -398,7 +447,7 @@ func (d *Directory) serveGetX(m *Msg, e *dirEntry) {
 			Requestor: req, Grant: GrantM, AckCount: acks,
 		}), d.dataDelay(m.Line))
 	case dirM:
-		if e.owner == req {
+		if int(e.owner) == req {
 			// The recorded owner re-requests: its copy was silently
 			// evicted (clean E eviction). Re-supply from the L3.
 			d.net.SendAfter(d.pool.New(Msg{
@@ -408,19 +457,18 @@ func (d *Directory) serveGetX(m *Msg, e *dirEntry) {
 		} else {
 			d.Stats.Forwards.Inc()
 			d.net.Send(d.pool.New(Msg{
-				Type: MsgFwdGetX, Line: m.Line, Src: d.nodeID, Dst: e.owner,
+				Type: MsgFwdGetX, Line: m.Line, Src: d.nodeID, Dst: int(e.owner),
 				Requestor: req,
 			}))
 		}
 	}
-	e.blocked = true
-	e.pend = pending{requestor: req, isWrite: true}
+	d.block(e, pending{requestor: int8(req), isWrite: true})
 }
 
 //rowlint:noalloc
 func (d *Directory) handlePutX(m *Msg, e *dirEntry) {
 	d.Stats.PutX.Inc()
-	if e.state == dirM && e.owner == m.Src {
+	if e.state == dirM && int(e.owner) == m.Src {
 		e.state = dirI
 		e.owner = -1
 		e.sharers = 0
@@ -431,19 +479,19 @@ func (d *Directory) handlePutX(m *Msg, e *dirEntry) {
 
 //rowlint:noalloc
 func (d *Directory) handleUnblock(m *Msg) {
-	e, ok := d.lines[m.Line]
-	if !ok || !e.blocked {
+	e := d.lines.find(m.Line)
+	if e == nil || !e.blocked {
 		d.fail(m, e, "Unblock for a line with no transaction in flight") //rowlint:ignore noalloc fatal protocol-error path; the run is already over
 		return
 	}
-	if m.Src != e.pend.requestor {
+	if m.Src != int(e.pend.requestor) {
 		//rowlint:ignore noalloc fatal protocol-error path; the run is already over
 		d.fail(m, e, fmt.Sprintf("Unblock from core %d but pending requestor is %d", m.Src, e.pend.requestor))
 		return
 	}
 	if m.Type == MsgUnblockX {
 		e.state = dirM
-		e.owner = m.Src
+		e.owner = int8(m.Src)
 		e.sharers = 0
 	} else {
 		// Read transaction closed. A previous M owner has downgraded
@@ -457,7 +505,7 @@ func (d *Directory) handleUnblock(m *Msg) {
 			e.owner = -1
 		case m.Grant == GrantE:
 			e.state = dirM
-			e.owner = m.Src
+			e.owner = int8(m.Src)
 			e.sharers = 0
 		default:
 			e.sharers |= 1 << uint(m.Src)
@@ -466,21 +514,15 @@ func (d *Directory) handleUnblock(m *Msg) {
 	}
 	e.blocked = false
 	e.pend = pending{}
-	// Serve stalled requests in order until one blocks the line again.
-	for len(e.waiting) > 0 && !e.blocked {
-		next := e.waiting[0]
-		e.waiting = e.waiting[1:]
-		d.serve(next, e)
-		d.pool.Put(next) // nothing retains a served request anymore
-	}
+	d.drain(e)
 }
 
 // WarmOwned pre-installs a line as exclusively owned by a core (warm
 // start: the owner's private cache must be warmed to match).
 func (d *Directory) WarmOwned(line uint64, owner int) {
-	e := d.entry(line)
+	e := d.lines.get(line)
 	e.state = dirM
-	e.owner = owner
+	e.owner = int8(owner)
 	e.sharers = 0
 	d.l3.Insert(line, 0)
 }
@@ -493,15 +535,10 @@ func (d *Directory) WarmL3(line uint64) {
 }
 
 // PendingWork reports whether the directory still has blocked lines or
-// queued requests (used by the system's quiescence check).
+// queued requests (used by the system's quiescence check): whether
+// some entry holds a queue.
 func (d *Directory) PendingWork() bool {
-	//rowlint:ignore maporder boolean OR over all entries; any visit order yields the same answer
-	for _, e := range d.lines {
-		if e.blocked || len(e.waiting) > 0 {
-			return true
-		}
-	}
-	return false
+	return len(d.free) < len(d.queues)
 }
 
 // RetainedMsgs counts the messages parked in blocked lines' waiting
@@ -509,9 +546,8 @@ func (d *Directory) PendingWork() bool {
 // end-of-run conservation check sums this across components).
 func (d *Directory) RetainedMsgs() int {
 	n := 0
-	//rowlint:ignore maporder integer sum over all entries; any visit order yields the same total
-	for _, e := range d.lines {
-		n += len(e.waiting)
+	for _, q := range d.queues {
+		n += len(q)
 	}
 	return n
 }
@@ -527,14 +563,15 @@ func (d *Directory) L3() *sram.Array { return d.l3 }
 // ok is false when the line has no transaction in flight. The deadlock
 // diagnoser uses this to walk the wait-for chain.
 func (d *Directory) WaitingOn(line uint64) (desc string, cores []int, ok bool) {
-	e, present := d.lines[line]
-	if !present || !e.blocked {
+	e := d.lines.find(line)
+	if e == nil || !e.blocked {
 		return "", nil, false
 	}
+	owner, req := int(e.owner), int(e.pend.requestor)
 	switch {
 	case e.pend.farData:
-		return fmt.Sprintf("far recall: awaiting dirty data from owner %d", e.owner),
-			[]int{e.owner}, true
+		return fmt.Sprintf("far recall: awaiting dirty data from owner %d", owner),
+			[]int{owner}, true
 	case e.pend.far && e.pend.farAcks > 0:
 		for c := 0; c < 64; c++ {
 			if e.sharers&(1<<uint(c)) != 0 {
@@ -542,34 +579,29 @@ func (d *Directory) WaitingOn(line uint64) (desc string, cores []int, ok bool) {
 			}
 		}
 		return fmt.Sprintf("far recall: awaiting %d invalidation acks", e.pend.farAcks), cores, true
-	case e.state == dirM && e.owner >= 0 && e.owner != e.pend.requestor:
-		return fmt.Sprintf("forward to owner %d outstanding (requestor %d)", e.owner, e.pend.requestor),
-			[]int{e.owner}, true
+	case e.state == dirM && owner >= 0 && owner != req:
+		return fmt.Sprintf("forward to owner %d outstanding (requestor %d)", owner, req),
+			[]int{owner}, true
 	default:
-		return fmt.Sprintf("awaiting Unblock from requestor %d", e.pend.requestor),
-			[]int{e.pend.requestor}, true
+		return fmt.Sprintf("awaiting Unblock from requestor %d", req),
+			[]int{req}, true
 	}
 }
 
 // DebugBlocked describes every blocked line (deadlock diagnostics).
-// The report is key-sorted so deadlock dumps are identical run to run.
+// The report is line-sorted so deadlock dumps are identical run to run.
 func (d *Directory) DebugBlocked() []string {
 	var out []string
-	lines := make([]uint64, 0, len(d.lines))
-	for line := range d.lines {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, line := range lines {
-		e := d.lines[line]
-		if !e.blocked && len(e.waiting) == 0 {
+	for _, line := range d.LinesKnown() {
+		e := d.lines.find(line)
+		if !e.blocked && e.wait == 0 {
 			continue
 		}
 		out = append(out, fmt.Sprintf(
 			"bank%d line=%#x state=%d owner=%d blocked=%v pend={req=%d write=%v far=%v acks=%d data=%v} waiting=%d",
 			d.bank, line, e.state, e.owner, e.blocked,
 			e.pend.requestor, e.pend.isWrite, e.pend.far, e.pend.farAcks, e.pend.farData,
-			len(e.waiting)))
+			len(d.waiting(e))))
 	}
 	return out
 }

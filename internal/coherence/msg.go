@@ -15,6 +15,22 @@
 // (2) the invalidation for a contended line can reach a core after its
 // atomic has already unlocked (Fig. 8), which motivates the
 // directory-latency contention detector.
+//
+// A bank keeps an entry for every line it has seen, so a warm 32-core
+// run holds hundreds of thousands of them; they are stored by value,
+// not one heap object each. A dirEntry is 32 bytes without a pointer:
+// core numbers are int8 (the sharer mask caps a system at 64 cores),
+// and a line's stalled requests sit in one of the bank's reusable
+// queues, which the entry names by number while its line is blocked.
+// The entries live in a lineTable, in insertion order, in chunks that
+// never move, each as large as the table so far up to 1024 entries
+// (32 KB); an open-addressed []int32 index at most half full finds
+// them by linear probing from a Fibonacci hash of the line. Nothing in
+// the table depends on the host, and nothing walks it in index order:
+// LinesKnown sorts, and PendingWork and RetainedMsgs look at the
+// queues, not the lines. Restore sizes a table to the snapshot's lines
+// exactly; a fresh bank starts with 8 index slots and grows by
+// doubling.
 package coherence
 
 import "fmt"

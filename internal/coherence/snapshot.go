@@ -99,20 +99,16 @@ type DirSnap struct {
 	Stats   DirStats
 }
 
-func (e *dirEntry) txn() DirTxnSnap {
+func (d *Directory) txn(e *dirEntry) DirTxnSnap {
 	p := e.pend
 	t := DirTxnSnap{
 		Blocked: e.blocked,
-		Pend:    DirPending{Requestor: p.requestor, IsWrite: p.isWrite, Far: p.far, FarAcks: p.farAcks, FarData: p.farData},
+		Pend:    DirPending{Requestor: int(p.requestor), IsWrite: p.isWrite, Far: p.far, FarAcks: int(p.farAcks), FarData: p.farData},
 	}
-	for _, m := range e.waiting {
+	for _, m := range d.waiting(e) {
 		t.Waiting = append(t.Waiting, *m)
 	}
 	return t
-}
-
-func (e *dirEntry) snap() DirEntrySnap {
-	return DirEntrySnap{State: uint8(e.state), Owner: e.owner, Sharers: e.sharers, DirTxnSnap: e.txn()}
 }
 
 // Snapshot captures the bank's directory entries and L3 contents. It
@@ -127,50 +123,70 @@ func (d *Directory) Snapshot() *DirSnap {
 		L3: d.l3.Snapshot(), Stats: d.Stats,
 	}
 	for i, line := range lines {
-		e := d.lines[line]
-		s.State[i], s.Owner[i], s.Sharers[i] = uint8(e.state), e.owner, e.sharers
-		if e.blocked || e.pend != (pending{}) || len(e.waiting) > 0 {
-			s.Busy = append(s.Busy, DirBusySnap{Index: i, DirTxnSnap: e.txn()})
+		e := d.lines.find(line)
+		s.State[i], s.Owner[i], s.Sharers[i] = uint8(e.state), int(e.owner), e.sharers
+		if e.blocked || e.pend != (pending{}) || e.wait != 0 {
+			s.Busy = append(s.Busy, DirBusySnap{Index: i, DirTxnSnap: d.txn(e)})
 		}
 	}
 	return s
 }
 
+// maxCores is the most cores a sharer mask can name.
+const maxCores = 64
+
 // Restore rewinds the bank to a previously captured DirSnap. Waiting
 // messages are reconstituted as fresh allocations (never drawn from
 // the pool: the pool counters are restored separately and a pool Get
 // here would double-count the retained population). It panics on a
-// DirSnap whose columns differ in length or whose Busy records are out
-// of range or out of order.
+// DirSnap that no bank can have produced: columns of unequal length,
+// lines not strictly ascending, an owner or requestor that is neither
+// a core of a 64-core system nor -1, an ack count outside 0..64, or
+// Busy records out of range or out of order.
 func (d *Directory) Restore(s *DirSnap) {
 	n := len(s.Line)
 	if len(s.State) != n || len(s.Owner) != n || len(s.Sharers) != n {
 		panic(fmt.Sprintf("coherence: restoring columns of %d lines, %d states, %d owners and %d sharer sets", n, len(s.State), len(s.Owner), len(s.Sharers)))
 	}
-	d.now = s.Now
-	d.Stats = s.Stats
-	d.lines = make(map[uint64]*dirEntry, n)
-	entries := make([]dirEntry, n)
+	lines := newLineTable(n)
 	for i, line := range s.Line {
-		e := &entries[i]
-		e.state, e.owner, e.sharers = dirState(s.State[i]), s.Owner[i], s.Sharers[i]
-		d.lines[line] = e
+		switch {
+		case i > 0 && line <= s.Line[i-1]:
+			panic(fmt.Sprintf("coherence: restoring line %#x after line %#x", line, s.Line[i-1]))
+		case s.Owner[i] < -1 || s.Owner[i] >= maxCores:
+			panic(fmt.Sprintf("coherence: restoring line %#x owned by core %d", line, s.Owner[i]))
+		}
+		e := lines.add(line, n-i)
+		e.state, e.owner, e.sharers = dirState(s.State[i]), int8(s.Owner[i]), s.Sharers[i]
 	}
+	var queues [][]*Msg
 	prev := -1
 	for _, b := range s.Busy {
-		if b.Index <= prev || b.Index >= n {
+		p := &b.Pend
+		switch {
+		case b.Index <= prev || b.Index >= n:
 			panic(fmt.Sprintf("coherence: restoring busy entry %d after %d, of %d", b.Index, prev, n))
+		case p.Requestor < -1 || p.Requestor >= maxCores || p.FarAcks < 0 || p.FarAcks > maxCores:
+			panic(fmt.Sprintf("coherence: restoring line %#x awaiting %d acks for core %d", s.Line[b.Index], p.FarAcks, p.Requestor))
 		}
 		prev = b.Index
-		e, p := &entries[b.Index], &b.Pend
+		e := lines.find(s.Line[b.Index])
 		e.blocked = b.Blocked
-		e.pend = pending{requestor: p.Requestor, isWrite: p.IsWrite, far: p.Far, farAcks: p.FarAcks, farData: p.FarData}
-		for i := range b.Waiting {
-			m := new(Msg)
-			*m = b.Waiting[i]
-			e.waiting = append(e.waiting, m)
+		e.pend = pending{requestor: int8(p.Requestor), isWrite: p.IsWrite, far: p.Far, farAcks: int8(p.FarAcks), farData: p.FarData}
+		if !b.Blocked && len(b.Waiting) == 0 {
+			continue
 		}
+		q := make([]*Msg, len(b.Waiting))
+		for i := range b.Waiting {
+			q[i] = new(Msg)
+			*q[i] = b.Waiting[i]
+		}
+		queues = append(queues, q)
+		e.wait = int32(len(queues))
 	}
+	d.now = s.Now
+	d.Stats = s.Stats
+	d.lines, d.queues, d.free = lines, queues, nil
 	d.l3.Restore(s.L3)
 }
 
@@ -179,19 +195,21 @@ func (d *Directory) Restore(s *DirSnap) {
 // has never seen the line (equivalent to an unblocked dirI entry).
 // The model checker encodes bank state from this view.
 func (d *Directory) EntryView(line uint64) (DirEntrySnap, bool) {
-	e, ok := d.lines[line]
-	if !ok {
+	e := d.lines.find(line)
+	if e == nil {
 		return DirEntrySnap{Owner: -1}, false
 	}
-	return e.snap(), true
+	return DirEntrySnap{State: uint8(e.state), Owner: int(e.owner), Sharers: e.sharers, DirTxnSnap: d.txn(e)}, true
 }
 
 // LinesKnown returns the line addresses the bank has entries for, in
 // ascending order (deterministic iteration for checkers).
 func (d *Directory) LinesKnown() []uint64 {
-	out := make([]uint64, 0, len(d.lines))
-	for line := range d.lines {
-		out = append(out, line)
+	out := make([]uint64, 0, d.lines.n)
+	for _, c := range d.lines.chunks {
+		for i := range c {
+			out = append(out, c[i].line)
+		}
 	}
 	slices.Sort(out)
 	return out

@@ -280,6 +280,8 @@ func (c *Config) Validate() error {
 	switch {
 	case c.NumCores <= 0:
 		return fmt.Errorf("config: NumCores must be positive, got %d", c.NumCores)
+	case c.NumCores > 64:
+		return fmt.Errorf("config: NumCores must be at most 64, the cores a directory sharer mask names, got %d", c.NumCores)
 	case c.Core.ROBSize <= 0 || c.Core.LQSize <= 0 || c.Core.SBSize <= 0:
 		return fmt.Errorf("config: ROB/LQ/SB sizes must be positive (%d/%d/%d)",
 			c.Core.ROBSize, c.Core.LQSize, c.Core.SBSize)

@@ -63,6 +63,7 @@ func TestValidateRejections(t *testing.T) {
 		substr string
 	}{
 		{"cores", func(c *Config) { c.NumCores = 0 }, "NumCores"},
+		{"cores past the sharer mask", func(c *Config) { c.NumCores = 65 }, "NumCores"},
 		{"rob", func(c *Config) { c.Core.ROBSize = 0 }, "ROB"},
 		{"aq", func(c *Config) { c.Core.AQSize = -1 }, "AQSize"},
 		{"widths", func(c *Config) { c.Core.FetchWidth = 0 }, "width"},

@@ -81,7 +81,7 @@ func TestCacheDirectorySteadyStateAllocsZero(t *testing.T) {
 		from(0, coherence.MsgData, 0)   // recall done: FarDone, I
 	}
 	for i := 0; i < 8192; i++ {
-		round() // touch every line slot so the directory map stops growing
+		round() // touch every line slot so the directory table stops growing
 	}
 	far := d.Stats.FarOps.Value()
 	if avg := testing.AllocsPerRun(200, round); avg != 0 {
