@@ -107,6 +107,17 @@ func (k PredictorKind) String() string {
 	return fmt.Sprintf("pred(%d)", int(k))
 }
 
+// ROBSlotBits is the width of the ROB-slot field of a memory request
+// tag (the core's tagSlotBits): a slot past 1<<ROBSlotBits-1 would
+// spill into the tag's id bits and its response would be dropped as
+// flushed. Validate bounds ROBSize by it.
+const ROBSlotBits = 12
+
+// MaxQueueSize bounds LQSize and SBSize: the core's LQ and SB line
+// filters count matching entries per line bucket in a uint8, so a
+// queue at this size cannot overflow one.
+const MaxQueueSize = 255
+
 // Core holds the out-of-order core parameters (Table I, "Processor").
 type Core struct {
 	FetchWidth  int // instructions fetched per cycle
@@ -285,6 +296,11 @@ func (c *Config) Validate() error {
 	case c.Core.ROBSize <= 0 || c.Core.LQSize <= 0 || c.Core.SBSize <= 0:
 		return fmt.Errorf("config: ROB/LQ/SB sizes must be positive (%d/%d/%d)",
 			c.Core.ROBSize, c.Core.LQSize, c.Core.SBSize)
+	case c.Core.ROBSize > 1<<ROBSlotBits:
+		return fmt.Errorf("config: ROBSize must be at most %d, the slots a memory tag names, got %d", 1<<ROBSlotBits, c.Core.ROBSize)
+	case c.Core.LQSize > MaxQueueSize || c.Core.SBSize > MaxQueueSize:
+		return fmt.Errorf("config: LQSize and SBSize must be at most %d, what a line-filter counter holds (%d/%d)",
+			MaxQueueSize, c.Core.LQSize, c.Core.SBSize)
 	case c.Core.AQSize <= 0:
 		return fmt.Errorf("config: AQSize must be positive, got %d", c.Core.AQSize)
 	case c.Core.FetchWidth <= 0 || c.Core.IssueWidth <= 0 || c.Core.CommitWidth <= 0:

@@ -11,6 +11,18 @@ func TestDefaultIsValid(t *testing.T) {
 	}
 }
 
+// TestValidateAcceptsLimits: the largest ROB a tag names and the
+// largest LQ and SB a filter counter holds are valid.
+func TestValidateAcceptsLimits(t *testing.T) {
+	cfg := Default()
+	cfg.Core.ROBSize = 1 << ROBSlotBits
+	cfg.Core.LQSize = MaxQueueSize
+	cfg.Core.SBSize = MaxQueueSize
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDefaultMatchesTableI(t *testing.T) {
 	cfg := Default()
 	if cfg.NumCores != 32 {
@@ -65,6 +77,10 @@ func TestValidateRejections(t *testing.T) {
 		{"cores", func(c *Config) { c.NumCores = 0 }, "NumCores"},
 		{"cores past the sharer mask", func(c *Config) { c.NumCores = 65 }, "NumCores"},
 		{"rob", func(c *Config) { c.Core.ROBSize = 0 }, "ROB"},
+		{"rob past the tag slot bits", func(c *Config) { c.Core.ROBSize = 1<<ROBSlotBits + 1 }, "ROBSize"},
+		{"rob 8192", func(c *Config) { c.Core.ROBSize = 8192 }, "ROBSize"},
+		{"lq past the filter counter", func(c *Config) { c.Core.LQSize = MaxQueueSize + 1 }, "LQSize"},
+		{"sb past the filter counter", func(c *Config) { c.Core.SBSize = MaxQueueSize + 1 }, "SBSize"},
 		{"aq", func(c *Config) { c.Core.AQSize = -1 }, "AQSize"},
 		{"widths", func(c *Config) { c.Core.FetchWidth = 0 }, "width"},
 		{"line", func(c *Config) { c.Mem.LineBytes = 60 }, "LineBytes"},

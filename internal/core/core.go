@@ -8,10 +8,32 @@
 // cache locking, coherence stalls — is modeled cycle by cycle, so the
 // contention between cores emerges from the multicore simulation
 // rather than from the trace.
+//
+// Two layouts keep a tick cheap without changing what it computes:
+//
+//   - Line filters. Three searches look for a same-line queue entry
+//     and almost always find none: store-to-load forwarding (sbMatch,
+//     resolved SB stores), the memory-order check of a resolving store
+//     and the TSO squash on an invalidation (checkViolation and
+//     LineInvalidated, performed plain loads in the LQ). Each queue
+//     keeps a lineFilter, a count of such entries per line-number
+//     bucket, and a search whose bucket is zero returns at once. Every
+//     transition that enters or leaves the counted kind goes through
+//     the helpers in filter.go; the filters are derived state, so
+//     Restore recounts them and the run loop's cross-check compares
+//     them with a recount after every core tick.
+//   - Hot and cold ROB halves. A slot is a 64-byte robEntry holding what
+//     every visit reads (id, instruction, state, queue positions,
+//     flags) and a 64-byte robCold beside it holding the dependents
+//     list, a load's store-set wait and the latency timestamps, which
+//     only dispatch, completion, load address generation and the
+//     statistics touch. A snapshot joins the two, so checkpoints keep
+//     one ROBEntrySnap per slot.
 package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"rowsim/internal/cache"
 	"rowsim/internal/coherence"
@@ -41,29 +63,26 @@ type depRef struct {
 	id   uint64
 }
 
-// robEntry is one in-flight instruction.
+// robEntry is the hot half of one in-flight instruction: the fields
+// the pipeline reads on every visit, in one 64-byte cache line (pinned
+// by TestROBEntrySize). The fields only dispatch, completion, load
+// address generation and the statistics touch live in robCold, one per
+// slot.
 type robEntry struct {
-	valid bool
-	id    uint64 // unique dynamic id; never reused
-	pi    int32  // program index (for squash refetch)
-	in    *trace.Instr
-	st    state
-
+	id         uint64 // unique dynamic id; never reused
+	in         *trace.Instr
+	pi         int32 // program index (for squash refetch)
+	st         state
 	srcPending int8
 	token      uint16 // invalidates stale execution-wheel events
-	deps       []depRef
 
-	dispatchAt uint64
-	completeAt uint64
+	line   uint64
+	lq, sb int64 // absolute LQ/SB positions, -1 when not occupying
+	aq     int64 // absolute AQ position, -1 when none
 
-	line      uint64
+	valid     bool
 	addrReady bool
-	lq, sb    int64 // absolute LQ/SB positions, -1 when not occupying
-	aq        int64 // absolute AQ position, -1 when none
-
-	waitStoreID uint64 // store-set: wait until this store resolves (0 = none)
-
-	mispred bool
+	mispred   bool
 
 	// valueReady marks the result available to dependents before the
 	// instruction completes (store-to-atomic value forwarding).
@@ -74,8 +93,20 @@ type robEntry struct {
 	predContended bool
 	addrCalcDone  bool
 	locked        bool
-	lockAt        uint64
-	lockIssueAt   uint64 // cycle the lock GetX was issued
+}
+
+// robCold is the cold half of a ROB slot, also one cache line: the
+// dependents to wake at completion, a load's store-set wait and the
+// timestamps the latency statistics read.
+type robCold struct {
+	deps []depRef
+
+	waitStoreID uint64 // store-set: wait until this store resolves (0 = none)
+
+	dispatchAt  uint64
+	completeAt  uint64
+	lockAt      uint64
+	lockIssueAt uint64 // cycle the lock GetX was issued
 }
 
 // sbEntry is one store-buffer slot (allocated at dispatch, drains in
@@ -140,7 +171,16 @@ const (
 const wheelSize = 16 // > max internal latency
 
 // Tag encoding for memory responses: slot in the low bits, id above.
-const tagSlotBits = 12
+// config.Validate bounds ROBSize by the same constant.
+const tagSlotBits = config.ROBSlotBits
+
+// lineFilter counts a queue's entries of one kind per line bucket, the
+// bucket being the low 8 bits of the line number (Core.bucket). A zero
+// count proves that no such entry targets a line of that bucket.
+type lineFilter [256]uint8
+
+// A queue at config.MaxQueueSize must fit a filter counter.
+const _ uint8 = config.MaxQueueSize
 
 // Stats aggregates a core's behaviour for the experiment harnesses.
 type Stats struct {
@@ -188,8 +228,9 @@ type Core struct {
 	nextID uint64
 
 	rob     []robEntry
-	robHead int64 // absolute position of oldest entry
-	robTail int64 // absolute position one past youngest
+	cold    []robCold // per ROB slot, beside rob
+	robHead int64     // absolute position of oldest entry
+	robTail int64     // absolute position one past youngest
 	robMask int64
 
 	lq     []lqEntry
@@ -201,6 +242,9 @@ type Core struct {
 	aq     []aqEntry
 	aqHead int64
 	aqTail int64
+
+	lqF, sbF  lineFilter // derived from the LQ and SB windows (filter.go)
+	lineShift uint8      // log2(line size): a line address >> lineShift is its line number
 
 	rename [trace.NumRegs]depRef
 
@@ -252,6 +296,7 @@ func New(id int, cfg *config.Config, prog trace.Program) *Core {
 		cfg:         cfg,
 		prog:        prog,
 		rob:         make([]robEntry, nextPow2(cfg.Core.ROBSize)),
+		cold:        make([]robCold, nextPow2(cfg.Core.ROBSize)),
 		lq:          make([]lqEntry, cfg.Core.LQSize),
 		sb:          make([]sbEntry, cfg.Core.SBSize),
 		aq:          make([]aqEntry, cfg.Core.AQSize),
@@ -260,6 +305,7 @@ func New(id int, cfg *config.Config, prog trace.Program) *Core {
 		l1i:         sram.New(cfg.Mem.L1I.SizeBytes, cfg.Mem.L1I.Ways, cfg.Mem.LineBytes),
 		l1iLineMask: ^uint64(cfg.Mem.LineBytes - 1),
 		l1iLastLine: ^uint64(0),
+		lineShift:   uint8(bits.TrailingZeros(uint(cfg.Mem.LineBytes))),
 	}
 	c.robMask = int64(len(c.rob) - 1)
 	c.wheel = make([][]wheelEvent, wheelSize)

@@ -38,6 +38,14 @@ func TestTagRoundTrip(t *testing.T) {
 	if e, _ := c.fromTag(c.makeTag(37, 99)); e != nil {
 		t.Fatal("stale tag resolved")
 	}
+	// The largest ROB config.Validate accepts: the last slot still
+	// fits the tag's slot bits.
+	c = testCore(t, func(cfg *config.Config) { cfg.Core.ROBSize = 1 << config.ROBSlotBits })
+	last := uint32(len(c.rob) - 1)
+	c.rob[last] = robEntry{valid: true, id: 77}
+	if e, slot := c.fromTag(c.makeTag(last, 77)); e == nil || slot != last {
+		t.Fatalf("slot %d lost in its tag: e=%v slot=%d", last, e, slot)
+	}
 }
 
 func TestWrappedLatency(t *testing.T) {

@@ -14,11 +14,9 @@ import (
 func (c *Core) loadAfterAGU(e *robEntry, slot uint32) {
 	e.line = c.mem.Line(e.in.Addr)
 	e.addrReady = true
-	le := &c.lq[e.lq%int64(len(c.lq))]
-	le.line = e.line
-	le.hasLine = true
+	c.lqSetLine(&c.lq[e.lq%int64(len(c.lq))], e.line)
 
-	if e.waitStoreID != 0 && c.storeUnresolved(e.waitStoreID) {
+	if w := c.cold[slot].waitStoreID; w != 0 && c.storeUnresolved(w) {
 		e.st = sWaitStore
 		c.storeBlocked = append(c.storeBlocked, depRef{slot: slot, id: e.id})
 		return
@@ -39,9 +37,7 @@ func (c *Core) loadAfterAGU(e *robEntry, slot uint32) {
 func (c *Core) storeAfterAGU(e *robEntry, slot uint32) {
 	e.line = c.mem.Line(e.in.Addr)
 	e.addrReady = true
-	se := &c.sb[e.sb%int64(len(c.sb))]
-	se.line = e.line
-	se.addrReady = true
+	c.sbResolve(&c.sb[e.sb%int64(len(c.sb))], e.line)
 	c.ss.CompleteStore(e.in.PC, e.id)
 
 	// A violation flush only removes loads younger than this store,
@@ -63,12 +59,10 @@ func (c *Core) atomicAfterAGU(e *robEntry, slot uint32) {
 	e.addrReady = true
 	e.addrCalcDone = true
 	if le := &c.lq[e.lq%int64(len(c.lq))]; le.id == e.id {
-		le.line = e.line
-		le.hasLine = true
+		c.lqSetLine(le, e.line)
 	}
 	if se := &c.sb[e.sb%int64(len(c.sb))]; se.id == e.id {
-		se.line = e.line
-		se.addrReady = true
+		c.sbResolve(se, e.line)
 	}
 	if e.aq >= 0 {
 		a := &c.aq[e.aq%int64(len(c.aq))]
@@ -109,8 +103,9 @@ func (c *Core) tryLock(e *robEntry, slot uint32) {
 	if c.cfg.Policy == config.PolicyFar && e.in.LocksLine() {
 		// Far execution: ship the RMW to the line's home bank.
 		e.st = sIssued
-		e.lockIssueAt = c.now
-		c.Stats.DispatchToIssue.Observe(float64(c.now - e.dispatchAt))
+		cold := &c.cold[slot]
+		cold.lockIssueAt = c.now
+		c.Stats.DispatchToIssue.Observe(float64(c.now - cold.dispatchAt))
 		c.Stats.FarIssued++
 		c.mem.FarRMW(c.makeTag(slot, e.id), e.in.Addr)
 		return
@@ -122,11 +117,12 @@ func (c *Core) tryLock(e *robEntry, slot uint32) {
 	}
 	c.preemptYoungerLock(e.line, e.id)
 	e.st = sIssued
-	e.lockIssueAt = c.now
+	cold := &c.cold[slot]
+	cold.lockIssueAt = c.now
 	if e.aq >= 0 {
 		c.aq[e.aq%int64(len(c.aq))].issuedAt = c.now
 	}
-	c.Stats.DispatchToIssue.Observe(float64(c.now - e.dispatchAt))
+	c.Stats.DispatchToIssue.Observe(float64(c.now - cold.dispatchAt))
 	if e.lazy {
 		c.Stats.LazyIssued++
 		c.Stats.YoungerStartedAtLazy.Observe(float64(c.countYoungerStarted(e.id)))
@@ -152,9 +148,8 @@ func (c *Core) MemResp(tag uint64, info cache.RespInfo) {
 	switch e.in.Kind {
 	case trace.Load:
 		if e.lq >= 0 {
-			le := &c.lq[e.lq%int64(len(c.lq))]
-			if le.id == e.id {
-				le.done = true
+			if le := &c.lq[e.lq%int64(len(c.lq))]; le.id == e.id {
+				c.lqSetDone(le)
 			}
 		}
 		c.complete(e, slot)
@@ -172,9 +167,9 @@ func (c *Core) MemResp(tag uint64, info cache.RespInfo) {
 func (c *Core) atomicLineArrived(e *robEntry, slot uint32, info cache.RespInfo) {
 	if c.cfg.Policy == config.PolicyFar && e.in.LocksLine() {
 		// The bank performed the RMW; the result is back.
-		c.Stats.IssueToLock.Observe(float64(c.now - e.lockIssueAt))
+		c.Stats.IssueToLock.Observe(float64(c.now - c.cold[slot].lockIssueAt))
 		if le := &c.lq[e.lq%int64(len(c.lq))]; le.id == e.id {
-			le.done = true
+			c.lqSetDone(le)
 		}
 		c.complete(e, slot)
 		return
@@ -206,8 +201,9 @@ func (c *Core) atomicLineArrived(e *robEntry, slot uint32, info cache.RespInfo) 
 		a.locked = true
 		a.lockAt = c.now
 		e.locked = true
-		e.lockAt = c.now
-		c.Stats.IssueToLock.Observe(float64(c.now - e.lockIssueAt))
+		cold := &c.cold[slot]
+		cold.lockAt = c.now
+		c.Stats.IssueToLock.Observe(float64(c.now - cold.lockIssueAt))
 		if c.detectDir() && info.FromPrivate && !info.Hit {
 			// The AQ's request-issued-cycle field feeds the 14-bit
 			// subtractor/comparator (Section IV-C hardware).
@@ -216,7 +212,7 @@ func (c *Core) atomicLineArrived(e *robEntry, slot uint32, info cache.RespInfo) 
 			}
 		}
 		if le := &c.lq[e.lq%int64(len(c.lq))]; le.id == e.id {
-			le.done = true
+			c.lqSetDone(le)
 		}
 	}
 	e.token++
@@ -322,8 +318,15 @@ func (c *Core) preemptYoungerLock(line uint64, id uint64) {
 // cache. TSO requires squashing speculatively performed loads whose
 // value may now violate the global order.
 func (c *Core) LineInvalidated(line uint64) {
-	for p := c.lqHead; p < c.lqTail; p++ {
-		le := &c.lq[p%int64(len(c.lq))]
+	if c.lqF[c.bucket(line)] == 0 {
+		return
+	}
+	n := int64(len(c.lq))
+	for p, i := c.lqHead, c.lqHead%n; p < c.lqTail; p, i = p+1, i+1 {
+		if i == n {
+			i = 0
+		}
+		le := &c.lq[i]
 		if le.isAtomic || !le.hasLine || le.line != line || !le.done {
 			continue
 		}
@@ -383,15 +386,22 @@ func (c *Core) ForceRelease(line uint64) bool {
 // atomic store_unlocks (atomics only forward from plain stores in our
 // design, Section IV-E).
 func (c *Core) sbMatch(id uint64, line uint64, regularOnly bool) int {
-	for p := c.sbTail - 1; p >= c.sbHead; p-- {
-		se := &c.sb[p%int64(len(c.sb))]
+	if c.sbF[c.bucket(line)] == 0 {
+		return -1
+	}
+	n := int64(len(c.sb))
+	for p, i := c.sbTail-1, (c.sbTail-1)%n; p >= c.sbHead; p, i = p-1, i-1 {
+		if i < 0 {
+			i = n - 1
+		}
+		se := &c.sb[i]
 		if se.id >= id || !se.addrReady || se.line != line {
 			continue
 		}
 		if regularOnly && se.isAtomic {
 			continue
 		}
-		return int(p % int64(len(c.sb)))
+		return int(i)
 	}
 	return -1
 }
@@ -419,7 +429,7 @@ func (c *Core) wakeStoreBlocked() {
 		if e == nil || e.st != sWaitStore {
 			continue
 		}
-		if e.waitStoreID != 0 && c.storeUnresolved(e.waitStoreID) {
+		if w := c.cold[ref.slot].waitStoreID; w != 0 && c.storeUnresolved(w) {
 			kept = append(kept, ref)
 			continue
 		}
@@ -440,8 +450,15 @@ func (c *Core) wakeStoreBlocked() {
 // store to the same line (memory-order violation): squash the oldest
 // and train the store sets.
 func (c *Core) checkViolation(st *robEntry) {
-	for p := c.lqHead; p < c.lqTail; p++ {
-		le := &c.lq[p%int64(len(c.lq))]
+	if c.lqF[c.bucket(st.line)] == 0 {
+		return
+	}
+	n := int64(len(c.lq))
+	for p, i := c.lqHead, c.lqHead%n; p < c.lqTail; p, i = p+1, i+1 {
+		if i == n {
+			i = 0
+		}
+		le := &c.lq[i]
 		if le.id <= st.id || !le.hasLine || le.line != st.line || !le.done || le.isAtomic {
 			continue
 		}
@@ -508,14 +525,14 @@ func (c *Core) flushFrom(pos int64) {
 			if e.lq != c.lqTail-1 {
 				c.fail(fmt.Sprintf("LQ rollback out of order (entry %d, tail %d)", e.lq, c.lqTail))
 			}
-			c.lq[e.lq%int64(len(c.lq))] = lqEntry{}
+			c.lqClear(&c.lq[e.lq%int64(len(c.lq))])
 			c.lqTail--
 		}
 		if e.sb >= 0 {
 			if e.sb != c.sbTail-1 {
 				c.fail(fmt.Sprintf("SB rollback out of order (entry %d, tail %d)", e.sb, c.sbTail))
 			}
-			c.sb[e.sb%int64(len(c.sb))] = sbEntry{}
+			c.sbClear(&c.sb[e.sb%int64(len(c.sb))])
 			c.sbTail--
 		}
 		if e.aq >= 0 {

@@ -52,13 +52,13 @@ func (c *Core) processWheel() {
 			c.complete(e, ev.slot)
 		case evForwarded:
 			if e.lq >= 0 {
-				c.lq[e.lq%int64(len(c.lq))].done = true
+				c.lqSetDone(&c.lq[e.lq%int64(len(c.lq))])
 			}
 			c.complete(e, ev.slot)
 		case evAtomicRetry:
 			c.tryLock(e, ev.slot)
 		case evAtomicFwdValue:
-			c.forwardValue(e)
+			c.forwardValue(e, ev.slot)
 		}
 	}
 }
@@ -67,9 +67,9 @@ func (c *Core) processWheel() {
 func (c *Core) complete(e *robEntry, slot uint32) {
 	c.work++
 	e.st = sCompleted
-	e.completeAt = c.now
+	c.cold[slot].completeAt = c.now
 	e.valueReady = true
-	c.wakeDependents(e)
+	c.wakeDependents(slot)
 
 	if e.mispred && c.fetchHoldBy == e.id {
 		c.fetchHoldBy = 0
@@ -77,9 +77,11 @@ func (c *Core) complete(e *robEntry, slot uint32) {
 	}
 }
 
-// wakeDependents releases register consumers of this instruction.
-func (c *Core) wakeDependents(e *robEntry) {
-	for _, d := range e.deps {
+// wakeDependents releases register consumers of the instruction in
+// slot.
+func (c *Core) wakeDependents(slot uint32) {
+	cold := &c.cold[slot]
+	for _, d := range cold.deps {
 		de := c.entryBySlot(d.slot, d.id)
 		if de == nil || de.srcPending == 0 {
 			continue
@@ -89,18 +91,18 @@ func (c *Core) wakeDependents(e *robEntry) {
 			c.makeReady(de, d.slot)
 		}
 	}
-	e.deps = e.deps[:0]
+	cold.deps = cold.deps[:0]
 }
 
 // forwardValue makes an atomic's result visible to dependents before
 // the lock completes (the RMW data came from an older store by
 // forwarding, Section IV-E).
-func (c *Core) forwardValue(e *robEntry) {
+func (c *Core) forwardValue(e *robEntry, slot uint32) {
 	if e.valueReady {
 		return
 	}
 	e.valueReady = true
-	c.wakeDependents(e)
+	c.wakeDependents(slot)
 }
 
 // makeReady routes a dependency-resolved instruction to the right
@@ -153,7 +155,7 @@ func (c *Core) commit() {
 			if e.lq != c.lqHead {
 				c.fail(fmt.Sprintf("LQ head mismatch at load retire (%d != %d)", e.lq, c.lqHead))
 			}
-			c.lq[c.lqHead%int64(len(c.lq))] = lqEntry{}
+			c.lqClear(&c.lq[c.lqHead%int64(len(c.lq))])
 			c.lqHead++
 		case trace.Store:
 			c.sb[e.sb%int64(len(c.sb))].committed = true
@@ -161,7 +163,7 @@ func (c *Core) commit() {
 			if e.lq != c.lqHead {
 				c.fail(fmt.Sprintf("LQ head mismatch at atomic retire (%d != %d)", e.lq, c.lqHead))
 			}
-			c.lq[c.lqHead%int64(len(c.lq))] = lqEntry{}
+			c.lqClear(&c.lq[c.lqHead%int64(len(c.lq))])
 			c.lqHead++
 			c.sb[e.sb%int64(len(c.sb))].committed = true
 			if e.in.LocksLine() {
@@ -191,7 +193,7 @@ func (c *Core) drainSB() {
 		if h.noWrite {
 			// Far atomic: the bank already performed the write.
 			c.work++
-			*h = sbEntry{}
+			c.sbClear(h)
 			c.sbHead++
 			continue
 		}
@@ -206,7 +208,7 @@ func (c *Core) drainSB() {
 		if h.isAtomic {
 			c.unlockAtomic(h)
 		}
-		*h = sbEntry{}
+		c.sbClear(h)
 		c.sbHead++
 	}
 }
@@ -491,18 +493,18 @@ func (c *Core) dispatchOne(in *trace.Instr) {
 	c.nextID++
 	e := &c.rob[slot]
 	*e = robEntry{
-		valid:      true,
-		id:         id,
-		pi:         int32(c.fetchIdx),
-		in:         in,
-		st:         sWaiting,
-		dispatchAt: c.now,
-		lq:         -1,
-		sb:         -1,
-		aq:         -1,
-		deps:       e.deps[:0], // reuse backing array
-		token:      e.token + 1,
+		valid: true,
+		id:    id,
+		pi:    int32(c.fetchIdx),
+		in:    in,
+		st:    sWaiting,
+		lq:    -1,
+		sb:    -1,
+		aq:    -1,
+		token: e.token + 1,
 	}
+	cold := &c.cold[slot]
+	*cold = robCold{deps: cold.deps[:0], dispatchAt: c.now} // reuse the deps backing array
 	c.robTail++
 
 	// Rename sources.
@@ -519,7 +521,8 @@ func (c *Core) dispatchOne(in *trace.Instr) {
 			continue
 		}
 		e.srcPending++
-		p.deps = append(p.deps, depRef{slot: slot, id: id})
+		pc := &c.cold[ref.slot]
+		pc.deps = append(pc.deps, depRef{slot: slot, id: id})
 	}
 	if in.Dst != 0 {
 		c.rename[in.Dst] = depRef{slot: slot, id: id}
@@ -539,7 +542,7 @@ func (c *Core) dispatchOne(in *trace.Instr) {
 		e.lq = c.lqTail
 		c.lq[c.lqTail%int64(len(c.lq))] = lqEntry{id: id, slot: slot}
 		c.lqTail++
-		e.waitStoreID = c.ss.DispatchLoad(in.PC)
+		cold.waitStoreID = c.ss.DispatchLoad(in.PC)
 	case trace.Store:
 		e.sb = c.sbTail
 		c.sb[c.sbTail%int64(len(c.sb))] = sbEntry{id: id, slot: slot}

@@ -14,7 +14,7 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 	snapcheck.Assert(t, Core{}, []string{
 		"fetchIdx", "fetchHoldBy", "fetchFreeAt",
 		"now", "nextID",
-		"rob", "robHead", "robTail",
+		"rob", "cold", "robHead", "robTail",
 		"lq", "lqHead", "lqTail",
 		"sb", "sbHead", "sbTail",
 		"aq", "aqHead", "aqTail",
@@ -35,16 +35,22 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		"mem":         "attached cache, snapshotted separately as CacheSnap",
 		"l1iLineMask": "derived from the line size at construction",
 		"sink":        "wiring; provably empty at checkpoint instants (RunCtx checks it earlier in the cycle)",
+		"lqF":         "derived from the LQ window; Restore recounts it",
+		"sbF":         "derived from the SB window; Restore recounts it",
+		"lineShift":   "derived from the line size at construction",
 	})
 
 	snapcheck.Assert(t, robEntry{}, []string{
 		"valid", "id", "pi", "in", // in is serialized as the program index (Pi)
-		"st", "srcPending", "token", "deps",
-		"dispatchAt", "completeAt",
+		"st", "srcPending", "token",
 		"line", "addrReady", "lq", "sb", "aq",
-		"waitStoreID", "mispred", "valueReady",
+		"mispred", "valueReady",
 		"lazy", "predContended", "addrCalcDone",
-		"locked", "lockAt", "lockIssueAt",
+		"locked",
+	}, nil)
+
+	snapcheck.Assert(t, robCold{}, []string{
+		"deps", "waitStoreID", "dispatchAt", "completeAt", "lockAt", "lockIssueAt",
 	}, nil)
 
 	snapcheck.Assert(t, sbEntry{}, []string{

@@ -24,8 +24,11 @@ import (
 //     regenerates it and Restore rebinds in = &prog[pi]; the checkpoint
 //     never stores the trace itself.
 //
-// Construction-time state (config, robMask, l1iLineMask, the attached
-// cache and error sink) is rebuilt by core.New and excluded.
+// Construction-time state (config, robMask, l1iLineMask, lineShift,
+// the attached cache and error sink) is rebuilt by core.New and
+// excluded. The LQ/SB line filters are derived from the queues:
+// Restore recounts them. A ROB slot's snapshot joins its hot robEntry
+// and its robCold.
 
 // DepRef is the exported view of one dependence edge.
 type DepRef struct {
@@ -228,19 +231,19 @@ func (c *Core) Snapshot() *CoreSnap {
 	}
 	s.ROB = make([]ROBEntrySnap, len(c.rob))
 	for i := range c.rob {
-		e := &c.rob[i]
+		e, cold := &c.rob[i], &c.cold[i]
 		pi := int32(-1)
 		if e.in != nil {
 			pi = e.pi
 		}
 		s.ROB[i] = ROBEntrySnap{
 			Valid: e.valid, ID: e.id, Pi: pi, St: uint8(e.st),
-			SrcPending: e.srcPending, Token: e.token, Deps: snapDeps(e.deps),
-			DispatchAt: e.dispatchAt, CompleteAt: e.completeAt,
+			SrcPending: e.srcPending, Token: e.token, Deps: snapDeps(cold.deps),
+			DispatchAt: cold.dispatchAt, CompleteAt: cold.completeAt,
 			Line: e.line, AddrReady: e.addrReady, LQ: e.lq, SB: e.sb, AQ: e.aq,
-			WaitStoreID: e.waitStoreID, Mispred: e.mispred, ValueReady: e.valueReady,
+			WaitStoreID: cold.waitStoreID, Mispred: e.mispred, ValueReady: e.valueReady,
 			Lazy: e.lazy, PredContended: e.predContended, AddrCalcDone: e.addrCalcDone,
-			Locked: e.locked, LockAt: e.lockAt, LockIssueAt: e.lockIssueAt,
+			Locked: e.locked, LockAt: cold.lockAt, LockIssueAt: cold.lockIssueAt,
 		}
 	}
 	s.LQ = make([]LQEntrySnap, len(c.lq))
@@ -320,12 +323,17 @@ func (c *Core) Restore(s *CoreSnap) {
 		}
 		c.rob[i] = robEntry{
 			valid: e.Valid, id: e.ID, pi: e.Pi, in: in, st: state(e.St),
-			srcPending: e.SrcPending, token: e.Token, deps: restoreDeps(e.Deps),
-			dispatchAt: e.DispatchAt, completeAt: e.CompleteAt,
+			srcPending: e.SrcPending, token: e.Token,
 			line: e.Line, addrReady: e.AddrReady, lq: e.LQ, sb: e.SB, aq: e.AQ,
-			waitStoreID: e.WaitStoreID, mispred: e.Mispred, valueReady: e.ValueReady,
+			mispred: e.Mispred, valueReady: e.ValueReady,
 			lazy: e.Lazy, predContended: e.PredContended, addrCalcDone: e.AddrCalcDone,
-			locked: e.Locked, lockAt: e.LockAt, lockIssueAt: e.LockIssueAt,
+			locked: e.Locked,
+		}
+		c.cold[i] = robCold{
+			deps:        restoreDeps(e.Deps),
+			waitStoreID: e.WaitStoreID,
+			dispatchAt:  e.DispatchAt, completeAt: e.CompleteAt,
+			lockAt: e.LockAt, lockIssueAt: e.LockIssueAt,
 		}
 	}
 	for i, e := range s.LQ {
@@ -347,4 +355,5 @@ func (c *Core) Restore(s *CoreSnap) {
 			c.wheel[b] = append(c.wheel[b], wheelEvent{slot: ev.Slot, id: ev.ID, token: ev.Token, kind: ev.Kind})
 		}
 	}
+	c.lqF, c.sbF = c.countFilters()
 }

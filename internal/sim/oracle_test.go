@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"rowsim/internal/config"
+	"rowsim/internal/workload"
+)
 
 // lockstepOracle runs s to completion without System.run: the plainest
 // lock-step loop over the components New assembled. Every bank, cache
@@ -57,5 +62,38 @@ func TestRunMatchesLockstepOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunMatchesLockstepOracle64 fills every bit of the run loop's
+// core masks: 64 cores, the most config.Validate allows, so core 63
+// sits in bit 63. Cross-check mode must match too.
+func TestRunMatchesLockstepOracle64(t *testing.T) {
+	build := func(opts ...Option) *System {
+		cfg := config.Default()
+		cfg.NumCores = 64
+		cfg.MaxCycles = 5_000_000
+		p := workload.MustGet("cq")
+		progs := workload.Generate(p, cfg.NumCores, 300, 11)
+		s, err := New(cfg, progs, append(opts, WithWarmFilter(workload.WarmFilter(p)))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	want := lockstepOracle(t, build()).SchedNormalized()
+	for name, opts := range map[string][]Option{
+		"event":       {WithScheduler(SchedEvent)},
+		"cycle":       {WithScheduler(SchedCycle)},
+		"cross-check": {WithCrossCheck()},
+	} {
+		s := build(opts...)
+		got := s.MustRun()
+		if got.SchedNormalized() != want {
+			t.Errorf("Run (%s) diverges from the oracle:\n got %+v\nwant %+v", name, got, want)
+		}
+		if c := s.cores[63]; !c.Done() || c.Stats.Committed != 300 {
+			t.Errorf("%s: core 63 done=%v committed %d of 300", name, c.Done(), c.Stats.Committed)
+		}
 	}
 }

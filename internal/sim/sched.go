@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 )
 
 // Scheduler selects how RunCtx advances simulated time.
@@ -58,6 +59,12 @@ func (m *Scheduler) Set(s string) error {
 //     is ever consulted. Otherwise only nodes that have mail or are due
 //     are visited, and a visited node's wake times are recomputed.
 //
+// Nodes are named by bit masks, bit i for node i (config.Validate caps
+// the cores at 64): live holds the cores not yet done, and the cache
+// pass builds visit, the nodes it visited. The core pass and the wake
+// recompute then walk the set bits of visit in ascending order, so they
+// touch only what the cycle visited and keep index order.
+//
 // That skipping nodes and cycles cannot change a result rests on three
 // pillars:
 //
@@ -82,18 +89,17 @@ func (s *System) run(ctx context.Context, ms *maintState) (Result, error) {
 	n := len(s.caches)
 	cacheWake := make([]uint64, n)
 	coreWake := make([]uint64, n)
-	visit := make([]bool, n)
-	activeCores := 0
+	var live uint64
 	for i, c := range s.cores {
 		if !visitAll {
 			cacheWake[i] = s.caches[i].NextEventAt(s.cycle)
 			coreWake[i] = c.NextEventAt(s.cycle)
 		}
 		if !c.Done() {
-			activeCores++
+			live |= 1 << i
 		}
 	}
-	for activeCores > 0 {
+	for live != 0 {
 		target := s.cycle + 1
 		if !everyCycle {
 			target = s.nextTarget(cacheWake, coreWake)
@@ -103,96 +109,8 @@ func (s *System) run(ctx context.Context, ms *maintState) (Result, error) {
 		}
 		s.cycle = target
 		s.visited++
-		cyc := s.cycle
-		s.mesh.Tick(cyc)
-		for i, d := range s.dirs {
-			node := s.cfg.NumCores + i
-			if !s.mesh.HasMail(node) {
-				// Banks are purely message-driven: no mail means no
-				// work, and the bank clock only matters while handling.
-				if s.crossCheck && s.mesh.Drain(node) != nil {
-					panic(fmt.Sprintf("sim: cross-check: bank %d skipped with mail at cycle %d", i, cyc))
-				}
-				continue
-			}
-			d.SetCycle(cyc)
-			for _, m := range s.mesh.Drain(node) {
-				d.Handle(m)
-			}
-		}
-		for i, pc := range s.caches {
-			c := s.cores[i]
-			coreLive := !c.Done()
-			// Drain contract: nil exactly when the inbox is empty, so
-			// HasMail is the cheap precheck and Deliver never sees an
-			// empty batch.
-			mail := s.mesh.HasMail(i)
-			cacheDue := cacheWake[i] <= cyc
-			visit[i] = mail || cacheDue || (coreLive && coreWake[i] <= cyc)
-			if !visit[i] {
-				if s.crossCheck {
-					work := pc.WorkDone()
-					pc.Tick(cyc)
-					if pc.WorkDone() != work {
-						panic(fmt.Sprintf("sim: cross-check: cache %d slept through work at cycle %d", i, cyc))
-					}
-				}
-				continue
-			}
-			if coreLive && (mail || cacheDue) {
-				// Cache-phase callbacks (completions, forced releases,
-				// external requests) observe the core clock of the
-				// previous cycle: cores tick after caches, so a core
-				// visited every cycle last ticked at cyc-1.
-				c.SetNow(cyc - 1)
-			}
-			switch {
-			case mail:
-				// Deliver-time handlers likewise read the controller
-				// clock of the previous cycle.
-				pc.SetNow(cyc - 1)
-				pc.Deliver(s.mesh.Drain(i))
-				pc.Tick(cyc)
-			case cacheDue:
-				pc.Tick(cyc)
-			default:
-				// Core-only visit: the clock still advances so the
-				// core's accesses schedule completions at the right
-				// time.
-				pc.SetNow(cyc)
-			}
-		}
-		for i, c := range s.cores {
-			if c.Done() {
-				continue
-			}
-			if !visit[i] {
-				if s.crossCheck {
-					work := c.WorkDone()
-					c.Tick(cyc)
-					if c.WorkDone() != work || c.Done() {
-						panic(fmt.Sprintf("sim: cross-check: core %d slept through work at cycle %d", i, cyc))
-					}
-				}
-				continue
-			}
-			c.Tick(cyc)
-			if c.Done() {
-				activeCores--
-			}
-		}
-		// Only visited nodes can have changed state: unvisited caches
-		// receive no mail and no client calls, unvisited cores no
-		// responses, so their previously computed wake-ups stand.
-		if !visitAll {
-			for i := 0; i < n; i++ {
-				if visit[i] {
-					cacheWake[i] = s.caches[i].NextEventAt(cyc)
-					coreWake[i] = s.cores[i].NextEventAt(cyc)
-				}
-			}
-		}
-		if err := s.postCycle(ctx, cyc, ms); err != nil {
+		live = s.step(live, cacheWake, coreWake, visitAll)
+		if err := s.postCycle(ctx, s.cycle, ms); err != nil {
 			return Result{}, err
 		}
 	}
@@ -200,6 +118,117 @@ func (s *System) run(ctx context.Context, ms *maintState) (Result, error) {
 		return Result{}, err
 	}
 	return s.collect(), nil
+}
+
+// step runs the phases of cycle s.cycle over the live cores and returns
+// the cores still live after it. Under visitAll the wake arrays are
+// left alone (all zero, so every node is due).
+//
+//rowlint:noalloc
+func (s *System) step(live uint64, cacheWake, coreWake []uint64, visitAll bool) uint64 {
+	cyc := s.cycle
+	s.mesh.Tick(cyc)
+	for i, d := range s.dirs {
+		node := s.cfg.NumCores + i
+		if !s.mesh.HasMail(node) {
+			// Banks are purely message-driven: no mail means no
+			// work, and the bank clock only matters while handling.
+			if s.crossCheck && s.mesh.Drain(node) != nil {
+				crossCheckFailed("bank", i, "skipped with mail", cyc) //rowlint:ignore noalloc cross-check failure; the run is already over
+			}
+			continue
+		}
+		d.SetCycle(cyc)
+		for _, m := range s.mesh.Drain(node) {
+			d.Handle(m)
+		}
+	}
+	var visit uint64
+	for i, pc := range s.caches {
+		bit := uint64(1) << i
+		coreLive := live&bit != 0
+		// Drain contract: nil exactly when the inbox is empty, so
+		// HasMail is the cheap precheck and Deliver never sees an
+		// empty batch.
+		mail := s.mesh.HasMail(i)
+		cacheDue := cacheWake[i] <= cyc
+		if !mail && !cacheDue && (!coreLive || coreWake[i] > cyc) {
+			if s.crossCheck {
+				work := pc.WorkDone()
+				pc.Tick(cyc)
+				if pc.WorkDone() != work {
+					crossCheckFailed("cache", i, "slept through work", cyc) //rowlint:ignore noalloc cross-check failure; the run is already over
+				}
+			}
+			continue
+		}
+		visit |= bit
+		if coreLive && (mail || cacheDue) {
+			// Cache-phase callbacks (completions, forced releases,
+			// external requests) observe the core clock of the
+			// previous cycle: cores tick after caches, so a core
+			// visited every cycle last ticked at cyc-1.
+			s.cores[i].SetNow(cyc - 1)
+		}
+		switch {
+		case mail:
+			// Deliver-time handlers likewise read the controller
+			// clock of the previous cycle.
+			pc.SetNow(cyc - 1)
+			pc.Deliver(s.mesh.Drain(i))
+			pc.Tick(cyc)
+		case cacheDue:
+			pc.Tick(cyc)
+		default:
+			// Core-only visit: the clock still advances so the
+			// core's accesses schedule completions at the right
+			// time.
+			pc.SetNow(cyc)
+		}
+	}
+	// The core pass walks the live cores the cycle visited. The
+	// cross-check walks every live core instead, replaying the skipped
+	// ones in their place in index order.
+	walk := live & visit
+	if s.crossCheck {
+		walk = live
+	}
+	for m := walk; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		c := s.cores[i]
+		if visit&(1<<i) == 0 {
+			work := c.WorkDone()
+			c.Tick(cyc)
+			if c.WorkDone() != work || c.Done() {
+				crossCheckFailed("core", i, "slept through work", cyc) //rowlint:ignore noalloc cross-check failure; the run is already over
+			}
+			continue
+		}
+		c.Tick(cyc)
+		if s.crossCheck && !c.FiltersConsistent() {
+			crossCheckFailed("core", i, "line filters disagree with its queues", cyc) //rowlint:ignore noalloc cross-check failure; the run is already over
+		}
+		if c.Done() {
+			live &^= 1 << i
+		}
+	}
+	// Only visited nodes can have changed state: unvisited caches
+	// receive no mail and no client calls, unvisited cores no
+	// responses, so their previously computed wake-ups stand.
+	if !visitAll {
+		for m := visit; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			cacheWake[i] = s.caches[i].NextEventAt(cyc)
+			coreWake[i] = s.cores[i].NextEventAt(cyc)
+		}
+	}
+	return live
+}
+
+// crossCheckFailed panics with a violated cross-check: node i of the
+// given kind did what it must not at cycle cyc.
+func crossCheckFailed(kind string, i int, what string, cyc uint64) {
+	panic(fmt.Sprintf("sim: cross-check: %s %d %s at cycle %d", kind, i, what, cyc))
 }
 
 // nextTarget computes the next cycle anything can happen at: the

@@ -213,6 +213,91 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestStepSteadyStateAllocs pins one run-loop step — the mask walks,
+// every phase's ticks, and under cross-check the replays and the
+// line-filter recount — at zero allocations once the run is warm.
+func TestStepSteadyStateAllocs(t *testing.T) {
+	for _, cross := range []bool{false, true} {
+		var opts []Option
+		if cross {
+			opts = append(opts, WithCrossCheck())
+		}
+		s := schedBuild(t, config.PolicyRoW, "cq", faults.Config{}, 20000, opts...)
+		n := len(s.caches)
+		cacheWake := make([]uint64, n)
+		coreWake := make([]uint64, n)
+		live := uint64(1)<<n - 1
+		for i := range s.cores {
+			cacheWake[i] = s.caches[i].NextEventAt(s.cycle)
+			coreWake[i] = s.cores[i].NextEventAt(s.cycle)
+		}
+		step := func() {
+			if cross {
+				s.cycle++
+			} else {
+				s.cycle = s.nextTarget(cacheWake, coreWake)
+			}
+			live = s.step(live, cacheWake, coreWake, false)
+		}
+		for i := 0; i < 3000; i++ {
+			step()
+		}
+		if avg := testing.AllocsPerRun(500, step); avg != 0 {
+			t.Fatalf("cross-check %v: a warm step allocates %.1f; want 0", cross, avg)
+		}
+		if live != uint64(1)<<n-1 {
+			t.Fatalf("cross-check %v: a core finished inside the measured window (live %b)", cross, live)
+		}
+	}
+}
+
+// TestCrossCheckReplaysInIndexOrder: the cross-check replays a skipped
+// core in its place among the visited ones, not before them. The test
+// hides a due core 1 from the loop; the replay must find its work only
+// after core 0, visited for its own work, has ticked.
+func TestCrossCheckReplaysInIndexOrder(t *testing.T) {
+	s := schedBuild(t, config.PolicyRoW, "cq", faults.Config{}, 20000, WithCrossCheck())
+	n := len(s.caches)
+	cacheWake := make([]uint64, n)
+	coreWake := make([]uint64, n)
+	live := uint64(1)<<n - 1
+	for i := range s.cores {
+		cacheWake[i] = s.caches[i].NextEventAt(s.cycle)
+		coreWake[i] = s.cores[i].NextEventAt(s.cycle)
+	}
+	step := func() (msg any) {
+		defer func() { msg = recover() }()
+		live = s.step(live, cacheWake, coreWake, false)
+		return nil
+	}
+	for tries := 0; tries < 5000; tries++ {
+		s.cycle++
+		cyc := s.cycle
+		if coreWake[0] != cyc || coreWake[1] != cyc {
+			if msg := step(); msg != nil {
+				t.Fatal(msg)
+			}
+			continue
+		}
+		coreWake[1] = ^uint64(0)
+		before := s.cores[0].WorkDone()
+		msg := step()
+		if msg == nil {
+			// Core 1 was visited anyway (mail or a due cache).
+			coreWake[1] = s.cores[1].NextEventAt(cyc)
+			continue
+		}
+		if want := fmt.Sprintf("sim: cross-check: core 1 slept through work at cycle %d", cyc); msg != want {
+			t.Fatalf("panic %q, want %q", msg, want)
+		}
+		if s.cores[0].WorkDone() == before {
+			t.Fatal("core 1 was replayed before visited core 0 ticked")
+		}
+		return
+	}
+	t.Fatal("no cycle with cores 0 and 1 both due and core 1 otherwise unvisited")
+}
+
 // TestCheckpointInsideMSHRStorm: cold canneal keeps every cache's MSHR
 // file full, so a checkpoint lands among queued retries. The snapshot
 // stores them as plain misses, in (At, Seq) order; resumed under either
