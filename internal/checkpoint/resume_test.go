@@ -138,6 +138,14 @@ func TestResumeRefusesSnapshotThatDoesNotFit(t *testing.T) {
 		}},
 		{"directory line listed twice", func(s *sim.SysSnap) { s.Dirs[0].Line[1] = s.Dirs[0].Line[0] }},
 		{"directory line owned by core 1000", func(s *sim.SysSnap) { s.Dirs[0].Owner[0] = 1000 }},
+		{"instruction named in three dependence refs", func(s *sim.SysSnap) {
+			for i := range s.Cores[0].ROB {
+				if e := &s.Cores[0].ROB[i]; e.Valid && len(e.Deps) > 0 {
+					e.Deps = append(e.Deps, e.Deps[0], e.Deps[0])
+					return
+				}
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			snap := realSnap(t)

@@ -29,6 +29,17 @@
 //     only dispatch, completion, load address generation and the
 //     statistics touch. A snapshot joins the two, so checkpoints keep
 //     one ROBEntrySnap per slot.
+//   - Dependency lists that never allocate (gem5 O3CPU's per-producer
+//     list of waiting instructions). A µop has at most two sources, so
+//     the consumer in slot s owns edge nodes 2s and 2s+1, one per
+//     source. A producer's robCold keeps the head and tail of a list
+//     through such nodes, appended at dispatch, so it holds its
+//     consumers in dispatch order, and completion wakes them in that
+//     order. Every node in a list belongs to a live consumer: flushFrom
+//     cuts each surviving producer's list where the flushed consumers,
+//     always its tail, begin, and empties the lists of the flushed
+//     producers. Snapshots walk the lists into ROBEntrySnap.Deps, and
+//     Restore relinks them.
 package core
 
 import (
@@ -57,7 +68,8 @@ const (
 	sCompleted              // executed; waiting to commit
 )
 
-// depRef identifies a dependent instruction to wake at completion.
+// depRef names an in-flight instruction by ROB slot and dynamic id
+// (the rename table and the wait queues).
 type depRef struct {
 	slot uint32
 	id   uint64
@@ -95,11 +107,19 @@ type robEntry struct {
 	locked        bool
 }
 
+// depNode is an edge node plus one, so that 0 is no node: node 2s+k is
+// the k-th source operand of the consumer in slot s.
+type depNode int32
+
+func (n depNode) slot() uint32 { return uint32(n-1) >> 1 }
+
 // robCold is the cold half of a ROB slot, also one cache line: the
 // dependents to wake at completion, a load's store-set wait and the
 // timestamps the latency statistics read.
 type robCold struct {
-	deps []depRef
+	depHead, depTail depNode    // this slot's consumers, in dispatch order
+	depNext          [2]depNode // the list links of this slot's own nodes
+	_                uint64     // pads the slot to 64 bytes
 
 	waitStoreID uint64 // store-set: wait until this store resolves (0 = none)
 

@@ -552,15 +552,21 @@ func (c *Core) flushFrom(pos int64) {
 		}
 		e.valid = false
 		e.token++
+		cold := &c.cold[c.slotOf(p)]
+		cold.depHead, cold.depTail = 0, 0
 	}
 	c.robTail = pos
 
-	// Rebuild the rename table from the surviving window.
+	// Rebuild the rename table from the surviving window, and cut the
+	// flushed consumers off its dependency lists.
 	c.rename = [trace.NumRegs]depRef{}
 	for p := c.robHead; p < c.robTail; p++ {
-		e := c.entry(p)
+		e, slot := c.entry(p), c.slotOf(p)
 		if e.in.Dst != 0 {
-			c.rename[e.in.Dst] = depRef{slot: c.slotOf(p), id: e.id}
+			c.rename[e.in.Dst] = depRef{slot: slot, id: e.id}
+		}
+		if c.cold[slot].depHead != 0 {
+			c.cutDeps(slot, first.id)
 		}
 	}
 

@@ -78,20 +78,55 @@ func (c *Core) complete(e *robEntry, slot uint32) {
 }
 
 // wakeDependents releases register consumers of the instruction in
-// slot.
+// slot, oldest first, and empties its list.
 func (c *Core) wakeDependents(slot uint32) {
 	cold := &c.cold[slot]
-	for _, d := range cold.deps {
-		de := c.entryBySlot(d.slot, d.id)
-		if de == nil || de.srcPending == 0 {
+	for n := cold.depHead; n != 0; n = *c.depLink(n) {
+		ds := n.slot()
+		de := &c.rob[ds]
+		if de.srcPending == 0 {
 			continue
 		}
 		de.srcPending--
 		if de.srcPending == 0 && de.st == sWaiting {
-			c.makeReady(de, d.slot)
+			c.makeReady(de, ds)
 		}
 	}
-	cold.deps = cold.deps[:0]
+	cold.depHead, cold.depTail = 0, 0
+}
+
+// depLink is the link out of node n.
+func (c *Core) depLink(n depNode) *depNode { return &c.cold[n.slot()].depNext[(n-1)&1] }
+
+// linkDep appends source k of the consumer in slot to the producer's
+// list.
+func (c *Core) linkDep(producer, slot uint32, k int) {
+	n := depNode(2*slot) + depNode(k) + 1
+	*c.depLink(n) = 0
+	p := &c.cold[producer]
+	if p.depTail == 0 {
+		p.depHead = n
+	} else {
+		*c.depLink(p.depTail) = n
+	}
+	p.depTail = n
+}
+
+// cutDeps ends the producer's list before its first consumer with an
+// id of at least from: the consumers a flush from that id removes,
+// which are the list's tail.
+func (c *Core) cutDeps(producer uint32, from uint64) {
+	p := &c.cold[producer]
+	var last depNode
+	for n := p.depHead; n != 0 && c.rob[n.slot()].id < from; n = *c.depLink(n) {
+		last = n
+	}
+	if last == 0 {
+		p.depHead, p.depTail = 0, 0
+		return
+	}
+	*c.depLink(last) = 0
+	p.depTail = last
 }
 
 // forwardValue makes an atomic's result visible to dependents before
@@ -504,11 +539,11 @@ func (c *Core) dispatchOne(in *trace.Instr) {
 		token: e.token + 1,
 	}
 	cold := &c.cold[slot]
-	*cold = robCold{deps: cold.deps[:0], dispatchAt: c.now} // reuse the deps backing array
+	*cold = robCold{dispatchAt: c.now}
 	c.robTail++
 
 	// Rename sources.
-	for _, r := range [2]trace.Reg{in.Src1, in.Src2} {
+	for k, r := range [2]trace.Reg{in.Src1, in.Src2} {
 		if r == 0 {
 			continue
 		}
@@ -521,8 +556,7 @@ func (c *Core) dispatchOne(in *trace.Instr) {
 			continue
 		}
 		e.srcPending++
-		pc := &c.cold[ref.slot]
-		pc.deps = append(pc.deps, depRef{slot: slot, id: id})
+		c.linkDep(ref.slot, slot, k)
 	}
 	if in.Dst != 0 {
 		c.rename[in.Dst] = depRef{slot: slot, id: id}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"rowsim/internal/cache"
@@ -188,5 +189,120 @@ func TestRenameRebuiltAfterFlush(t *testing.T) {
 	runCycles(c, 14, 2000)
 	if !c.done {
 		t.Fatal("did not finish after flush")
+	}
+}
+
+// depIDs lists the ids on the producer's dependency list, in order.
+func depIDs(c *Core, slot uint32) []uint64 {
+	var ids []uint64
+	for _, d := range c.snapDepList(slot) {
+		ids = append(ids, d.ID)
+	}
+	return ids
+}
+
+// TestDepListsSurviveLQSquash: a consumer flushed by an LQ squash
+// while its producer waits on a miss leaves that producer's list, and
+// the consumer of another producer that takes its slot joins only that
+// one's. Each producer then wakes exactly its live consumers, oldest
+// first.
+func TestDepListsSurviveLQSquash(t *testing.T) {
+	const coldA, coldB, warmC = 0x99990000, 0x99991000, 0x40000100
+	prog := trace.Program{
+		{PC: 4, Kind: trace.Load, Dst: 1, Addr: coldA, Size: 8},  // P1: misses
+		{PC: 8, Kind: trace.Load, Dst: 2, Addr: coldB, Size: 8},  // P2: misses
+		{PC: 12, Kind: trace.IntOp, Src1: 1, Dst: 6},             // P1's
+		{PC: 16, Kind: trace.IntOp, Src1: 2, Src2: 1, Dst: 7},    // P2's and P1's
+		{PC: 20, Kind: trace.Load, Dst: 3, Addr: warmC, Size: 8}, // performs, then is squashed
+		{PC: 24, Kind: trace.IntOp, Src1: 1, Dst: 5},             // P1's, flushed
+		{PC: 28, Kind: trace.IntOp, Src1: 2, Dst: 8},             // P2's, flushed
+	}
+	c := newWiredCore(t, smallCoreCfg(), prog, []uint64{warmC &^ 63})
+	runCycles(c, 1, 40)
+	if c.robTail-c.robHead != 7 || !c.lq[(c.lqHead+2)%int64(len(c.lq))].done {
+		t.Fatalf("window not set up: %s", c)
+	}
+	slot := func(k int64) uint32 { return c.slotOf(c.robHead + k) }
+	id := func(k int64) uint64 { return c.entry(c.robHead + k).id }
+	p1, p2 := slot(0), slot(1)
+
+	c.LineInvalidated(warmC &^ 63)
+	if c.Stats.LQSquashes != 1 || c.robTail != c.robHead+4 {
+		t.Fatalf("squash did not flush from the load: %d squashes, %s", c.Stats.LQSquashes, c)
+	}
+	if got, want := depIDs(c, p1), []uint64{id(2), id(3)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("P1's list after the squash = %v, want %v", got, want)
+	}
+	// Fill the freed slots: the flushed P1 consumer's with a consumer of
+	// P2, the flushed P2 consumer's with one of P1.
+	for _, in := range []trace.Instr{
+		{PC: 100, Kind: trace.IntOp, Dst: 9},
+		{PC: 104, Kind: trace.IntOp, Src1: 2, Dst: 10},
+		{PC: 108, Kind: trace.IntOp, Src1: 1, Dst: 11},
+	} {
+		c.dispatchOne(&in)
+	}
+	if got, want := depIDs(c, p1), []uint64{id(2), id(3), id(6)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("P1's list = %v, want %v", got, want)
+	}
+	if got, want := depIDs(c, p2), []uint64{id(3), id(5)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("P2's list = %v, want %v", got, want)
+	}
+
+	// Each fill wakes the consumers left with no pending source.
+	woken := func(p uint32, pid uint64) []uint64 {
+		n := len(c.readyQ)
+		c.MemResp(c.makeTag(p, pid), cache.RespInfo{})
+		var ids []uint64
+		for _, r := range c.readyQ[n:] {
+			ids = append(ids, r.id)
+		}
+		return ids
+	}
+	if got, want := woken(p1, id(0)), []uint64{id(2), id(6)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("P1's fill readied %v, want %v", got, want)
+	}
+	if got, want := woken(p2, id(1)), []uint64{id(3), id(5)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("P2's fill readied %v, want %v", got, want)
+	}
+	for k := int64(2); k < c.robTail-c.robHead; k++ {
+		if e := c.entry(c.robHead + k); e.srcPending != 0 {
+			t.Fatalf("entry %d still waits on %d sources", k, e.srcPending)
+		}
+	}
+}
+
+// TestDepListsFirstFillAllocs: dispatching and waking through every
+// slot of a fresh ROB allocates nothing, each consumer linking both its
+// sources. The warm-step allocation tests start after the first fill.
+func TestDepListsFirstFillAllocs(t *testing.T) {
+	cfg := smallCoreCfg()
+	prog := make(trace.Program, cfg.Core.ROBSize)
+	for i := range prog {
+		prog[i] = trace.Instr{PC: uint64(4 * i), Kind: trace.IntOp, Src1: 1, Src2: 1, Dst: 1}
+	}
+	const runs = 3
+	var cores []*Core
+	for i := 0; i <= runs; i++ { // AllocsPerRun calls once more to warm up
+		c := New(0, cfg, prog)
+		c.readyQ = make([]depRef, 0, len(prog))
+		cores = append(cores, c)
+	}
+	avg := testing.AllocsPerRun(runs, func() {
+		c := cores[0]
+		cores = cores[1:]
+		for c.fetchIdx < len(prog) {
+			c.dispatchOne(&prog[c.fetchIdx])
+			c.fetchIdx++
+		}
+		for p := c.robHead; p < c.robTail; p++ {
+			c.complete(c.entry(p), c.slotOf(p))
+		}
+		if len(c.readyQ) != len(prog) {
+			panic("a chained instruction was never readied")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("first fill allocates %.1f times; want 0", avg)
 	}
 }

@@ -167,6 +167,37 @@ type CoreSnap struct {
 	Stats Stats
 }
 
+// snapDepList walks the dependency list of the producer in slot.
+func (c *Core) snapDepList(slot uint32) []DepRef {
+	var out []DepRef
+	for n := c.cold[slot].depHead; n != 0; n = *c.depLink(n) {
+		out = append(out, DepRef{Slot: n.slot(), ID: c.rob[n.slot()].id})
+	}
+	return out
+}
+
+// restoreDepLists relinks the dependency lists from the snapshot's
+// ROB, once every slot holds its restored entry. A ref whose slot does
+// not hold that id is dropped: a snapshot taken before flushes cut the
+// lists can name consumers flushed since, which wake never reached.
+// Each consumer has a node per source, so one named in more than two
+// refs cannot have come from a core.
+func (c *Core) restoreDepLists(rob []ROBEntrySnap) {
+	used := make([]uint8, len(c.rob))
+	for p := range rob {
+		for _, d := range rob[p].Deps {
+			if int(d.Slot) >= len(c.rob) || !c.rob[d.Slot].valid || c.rob[d.Slot].id != d.ID {
+				continue
+			}
+			if used[d.Slot] == 2 {
+				panic(fmt.Sprintf("core: restoring a third dependence edge into instruction %d (slot %d)", d.ID, d.Slot))
+			}
+			c.linkDep(uint32(p), d.Slot, int(used[d.Slot]))
+			used[d.Slot]++
+		}
+	}
+}
+
 func snapDeps(ds []depRef) []DepRef {
 	out := make([]DepRef, 0, len(ds))
 	for _, d := range ds {
@@ -238,7 +269,7 @@ func (c *Core) Snapshot() *CoreSnap {
 		}
 		s.ROB[i] = ROBEntrySnap{
 			Valid: e.valid, ID: e.id, Pi: pi, St: uint8(e.st),
-			SrcPending: e.srcPending, Token: e.token, Deps: snapDeps(cold.deps),
+			SrcPending: e.srcPending, Token: e.token, Deps: c.snapDepList(uint32(i)),
 			DispatchAt: cold.dispatchAt, CompleteAt: cold.completeAt,
 			Line: e.line, AddrReady: e.addrReady, LQ: e.lq, SB: e.sb, AQ: e.aq,
 			WaitStoreID: cold.waitStoreID, Mispred: e.mispred, ValueReady: e.valueReady,
@@ -330,12 +361,12 @@ func (c *Core) Restore(s *CoreSnap) {
 			locked: e.Locked,
 		}
 		c.cold[i] = robCold{
-			deps:        restoreDeps(e.Deps),
 			waitStoreID: e.WaitStoreID,
 			dispatchAt:  e.DispatchAt, completeAt: e.CompleteAt,
 			lockAt: e.LockAt, lockIssueAt: e.LockIssueAt,
 		}
 	}
+	c.restoreDepLists(s.ROB)
 	for i, e := range s.LQ {
 		c.lq[i] = lqEntry{id: e.ID, slot: e.Slot, line: e.Line, hasLine: e.HasLine, isAtomic: e.IsAtomic, done: e.Done}
 	}

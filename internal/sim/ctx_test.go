@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"rowsim/internal/coherence"
+	"rowsim/internal/config"
+	"rowsim/internal/workload"
 )
 
 // TestRunCtxAlreadyCanceled: a canceled context aborts before the
@@ -53,9 +55,23 @@ func TestRunCtxDeadline(t *testing.T) {
 // poll window, so SIGINT drains promptly without a per-cycle check on
 // the hot path.
 func TestRunCtxCancelMidRun(t *testing.T) {
-	s := contendedSystem(t, 4)
+	build := func() *System {
+		cfg := config.Default()
+		cfg.NumCores = 4
+		cfg.Policy = config.PolicyEager
+		s, err := New(cfg, workload.Generate(workload.MustGet("pc"), 4, 4000, 11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// The run must outlast three poll windows, or the third poll never
+	// comes and the check below proves nothing.
+	if res, err := build().Run(); err != nil || res.Cycles <= 3*1024 {
+		t.Fatalf("uncancelled run: %d cycles, err %v; want more than %d", res.Cycles, err, 3*1024)
+	}
 	ctx := &cancelAfterCalls{n: 3} // cancel at the third Err poll
-	_, err := s.RunCtx(ctx)
+	_, err := build().RunCtx(ctx)
 	var rc *RunCanceledError
 	if !errors.As(err, &rc) {
 		t.Fatalf("want *RunCanceledError, got %T: %v", err, err)

@@ -1,6 +1,9 @@
 package sram
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Snap is a deep copy of an Array's mutable state: its valid lines in
 // ascending position, the LRU clock and the stats. The lines are
@@ -15,7 +18,9 @@ import "fmt"
 // construction-time state and is not copied; a Snap may only be
 // restored into the array it was taken from, or one built with
 // identical geometry. Which block of the backing store a set occupies
-// is not state either: Restore hands blocks out afresh.
+// is not state either: Restore hands blocks out afresh. Clock and LRU
+// are 64-bit, wider than the array's own: Restore renumbers stamps
+// that do not fit.
 type Snap struct {
 	Pos    []uint32
 	Tag    []uint64
@@ -29,7 +34,7 @@ type Snap struct {
 // Snapshot captures the array's contents, LRU clock and stats. The
 // columns are nil when the array holds no valid line.
 func (a *Array) Snapshot() Snap {
-	s := Snap{Clock: a.clock, Hits: a.hits, Misses: a.misses}
+	s := Snap{Clock: uint64(a.clock), Hits: a.hits, Misses: a.misses}
 	n := 0
 	a.ForEach(func(uint64, uint8) { n++ })
 	if n == 0 {
@@ -44,7 +49,7 @@ func (a *Array) Snapshot() Snap {
 			if l.Valid {
 				s.Pos = append(s.Pos, uint32(set*a.ways+way))
 				s.Tag = append(s.Tag, l.Tag)
-				s.LRU = append(s.LRU, l.LRU)
+				s.LRU = append(s.LRU, uint64(l.LRU))
 				s.Meta = append(s.Meta, l.Meta)
 			}
 		}
@@ -56,7 +61,8 @@ func (a *Array) Snapshot() Snap {
 // held before. It panics on a Snap that cannot have come from an array
 // of this geometry: columns of unequal length, a position out of
 // range, out of order or repeated, or a tag that belongs to another
-// set.
+// set. A Snap whose clock or stamps do not fit in 32 bits has each
+// set's stamps renumbered 1..n in their order, as tick would have.
 func (a *Array) Restore(s Snap) {
 	n := len(s.Pos)
 	if len(s.Tag) != n || len(s.LRU) != n || len(s.Meta) != n {
@@ -67,6 +73,14 @@ func (a *Array) Restore(s Snap) {
 		clear(c)
 	}
 	a.blocks = 0
+	renumber := s.Clock > math.MaxUint32
+	for _, l := range s.LRU {
+		renumber = renumber || l > math.MaxUint32
+	}
+	var ranks []uint32
+	if renumber {
+		ranks = setRanks(s, a.ways)
+	}
 	prev := -1
 	for i, p := range s.Pos {
 		pos, tag := int(p), s.Tag[i]
@@ -79,10 +93,33 @@ func (a *Array) Restore(s Snap) {
 		case a.setIndex(tag) != set:
 			panic(fmt.Sprintf("sram: restoring line %#x into set %d, it indexes set %d", tag, set, a.setIndex(tag)))
 		}
+		lru := uint32(s.LRU[i])
+		if renumber {
+			lru = ranks[i]
+		}
 		prev = pos
-		a.own(set)[pos%a.ways] = Line{Tag: tag, LRU: s.LRU[i], Meta: s.Meta[i], Valid: true}
+		a.own(set)[pos%a.ways] = Line{Tag: tag, LRU: lru, Meta: s.Meta[i], Valid: true}
 	}
-	a.clock = s.Clock
+	a.clock = uint32(s.Clock)
+	if renumber {
+		a.clock = uint32(a.ways)
+	}
 	a.hits = s.Hits
 	a.misses = s.Misses
+}
+
+// setRanks is s.LRU renumbered set by set: each stamp's 1-based rank
+// among its set's lines, a set's lines being a run of Pos.
+func setRanks(s Snap, ways int) []uint32 {
+	n := len(s.Pos)
+	ranks := make([]uint32, n)
+	for lo, w := 0, uint32(ways); lo < n; {
+		hi := lo + 1
+		for hi < n && s.Pos[hi]/w == s.Pos[lo]/w {
+			hi++
+		}
+		rankStamps(s.LRU[lo:hi], ranks[lo:hi])
+		lo = hi
+	}
+	return ranks
 }

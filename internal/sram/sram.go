@@ -9,12 +9,15 @@
 // L3 bank's sets allocates, clears and snapshots 3% of a bank.
 package sram
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// Line is one array entry. Field order keeps the record at 24 bytes.
+// Line is one array entry, 16 bytes (pinned by TestLineSize).
 type Line struct {
 	Tag   uint64 // full line address (low bits cleared by the caller)
-	LRU   uint64 // higher = more recently used
+	LRU   uint32 // higher = more recently used within the set
 	Meta  uint8  // caller-defined metadata (e.g. coherence state)
 	Valid bool
 }
@@ -48,7 +51,9 @@ type Array struct {
 	chunks [][]Line
 	blocks int
 
-	clock  uint64
+	// clock stamps LRU. Only stamp order within a set is observable,
+	// so when it would pass 2^32 tick renumbers the stamps.
+	clock  uint32
 	hits   uint64
 	misses uint64
 }
@@ -123,8 +128,7 @@ func (a *Array) Lookup(line uint64, touch bool) *Line {
 		// Tag first: nearly every way fails on it, with one load.
 		if set[i].Tag == line && set[i].Valid {
 			if touch {
-				a.clock++
-				set[i].LRU = a.clock
+				set[i].LRU = a.tick()
 			}
 			a.hits++
 			return &set[i]
@@ -184,19 +188,19 @@ func (a *Array) Misses() uint64 { return a.misses }
 // uncacheable. A nil veto vetoes nothing.
 func (a *Array) InsertVeto(line uint64, meta uint8, veto func(tag uint64) bool) (evictedTag uint64, evictedMeta uint8, evicted, ok bool) {
 	set := a.own(a.setIndex(line))
-	a.clock++
+	stamp := a.tick()
 	// Already present: refresh.
 	for i := range set {
 		if set[i].Tag == line && set[i].Valid {
 			set[i].Meta = meta
-			set[i].LRU = a.clock
+			set[i].LRU = stamp
 			return 0, 0, false, true
 		}
 	}
 	// Free way.
 	for i := range set {
 		if !set[i].Valid {
-			set[i] = Line{Valid: true, Tag: line, Meta: meta, LRU: a.clock}
+			set[i] = Line{Valid: true, Tag: line, Meta: meta, LRU: stamp}
 			return 0, 0, false, true
 		}
 	}
@@ -218,10 +222,62 @@ func (a *Array) InsertVeto(line uint64, meta uint8, veto func(tag uint64) bool) 
 		}
 		if veto == nil || !veto(set[victim].Tag) {
 			evictedTag, evictedMeta = set[victim].Tag, set[victim].Meta
-			set[victim] = Line{Valid: true, Tag: line, Meta: meta, LRU: a.clock}
+			set[victim] = Line{Valid: true, Tag: line, Meta: meta, LRU: stamp}
 			return evictedTag, evictedMeta, true, true
 		}
 		prev = victim
+	}
+}
+
+// tick advances the LRU clock and returns the new stamp.
+func (a *Array) tick() uint32 {
+	if a.clock == math.MaxUint32 {
+		a.renumber()
+	}
+	a.clock++
+	return a.clock
+}
+
+// renumber rewrites every set's valid stamps as 1..n in their current
+// order and restarts the clock from ways. Victims are chosen by stamp
+// order within a set alone, so every later eviction is the one a
+// 64-bit clock would have picked.
+func (a *Array) renumber() {
+	stamps, ranks := make([]uint64, 0, a.ways), make([]uint32, a.ways)
+	for _, b := range a.slot {
+		if b == 0 {
+			continue
+		}
+		set := a.block(int(b - 1))
+		stamps = stamps[:0]
+		for i := range set {
+			if set[i].Valid {
+				stamps = append(stamps, uint64(set[i].LRU))
+			}
+		}
+		rankStamps(stamps, ranks)
+		k := 0
+		for i := range set {
+			if set[i].Valid {
+				set[i].LRU = ranks[k]
+				k++
+			}
+		}
+	}
+	a.clock = uint32(a.ways)
+}
+
+// rankStamps sets ranks[i] to the 1-based rank of stamps[i] in
+// ascending (stamp, index) order, the order eviction takes ways in.
+func rankStamps(stamps []uint64, ranks []uint32) {
+	for i, si := range stamps {
+		r := uint32(1)
+		for j, sj := range stamps {
+			if sj < si || (sj == si && j < i) {
+				r++
+			}
+		}
+		ranks[i] = r
 	}
 }
 

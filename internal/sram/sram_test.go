@@ -2,9 +2,11 @@ package sram
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"rowsim/internal/xrand"
 )
@@ -208,25 +210,49 @@ func TestQuickLookupAfterInsert(t *testing.T) {
 
 // dense is the layout this package had before sets were populated on
 // first insert — every way of every set allocated by the constructor,
-// the set found by arithmetic — kept as the reference model the lazy
-// Array is compared against. It shares no code with Array.
+// the set found by arithmetic, a 64-bit LRU clock — kept as the
+// reference model the lazy Array is compared against. It shares no
+// code with Array.
 type dense struct {
 	sets, ways          int
-	lines               []Line // sets*ways, row-major
+	lines               []denseLine // sets*ways, row-major
 	clock, hits, misses uint64
+}
+
+type denseLine struct {
+	Tag   uint64
+	LRU   uint64
+	Meta  uint8
+	Valid bool
 }
 
 func newDense(sizeBytes, ways, lineBytes int) *dense {
 	sets := sizeBytes / (ways * lineBytes)
-	return &dense{sets: sets, ways: ways, lines: make([]Line, sets*ways)}
+	return &dense{sets: sets, ways: ways, lines: make([]denseLine, sets*ways)}
 }
 
-func (d *dense) set(line uint64) []Line {
+// wrapped reports whether the reference's clock has passed 2^32, after
+// which the array's stamps are renumbered and only their order within
+// a set matches.
+func (d *dense) wrapped() bool { return d.clock > math.MaxUint32 }
+
+// shift adds k to the clock and to every valid line's stamp, which
+// changes no decision the reference makes.
+func (d *dense) shift(k uint64) {
+	d.clock += k
+	for i := range d.lines {
+		if d.lines[i].Valid {
+			d.lines[i].LRU += k
+		}
+	}
+}
+
+func (d *dense) set(line uint64) []denseLine {
 	s := int(line / 64 % uint64(d.sets))
 	return d.lines[s*d.ways : (s+1)*d.ways]
 }
 
-func (d *dense) peek(line uint64) *Line {
+func (d *dense) peek(line uint64) *denseLine {
 	set := d.set(line)
 	for i := range set {
 		if set[i].Valid && set[i].Tag == line {
@@ -236,7 +262,7 @@ func (d *dense) peek(line uint64) *Line {
 	return nil
 }
 
-func (d *dense) lookup(line uint64, touch bool) *Line {
+func (d *dense) lookup(line uint64, touch bool) *denseLine {
 	l := d.peek(line)
 	if l == nil {
 		d.misses++
@@ -260,7 +286,7 @@ func (d *dense) insert(line uint64, meta uint8, veto func(uint64) bool) (uint64,
 	victim := -1
 	for i := range set {
 		if !set[i].Valid {
-			set[i] = Line{Valid: true, Tag: line, Meta: meta, LRU: d.clock}
+			set[i] = denseLine{Valid: true, Tag: line, Meta: meta, LRU: d.clock}
 			return 0, 0, false, true
 		}
 	}
@@ -276,7 +302,7 @@ func (d *dense) insert(line uint64, meta uint8, veto func(uint64) bool) (uint64,
 		return 0, 0, false, false
 	}
 	tag, m := set[victim].Tag, set[victim].Meta
-	set[victim] = Line{Valid: true, Tag: line, Meta: meta, LRU: d.clock}
+	set[victim] = denseLine{Valid: true, Tag: line, Meta: meta, LRU: d.clock}
 	return tag, m, true, true
 }
 
@@ -286,7 +312,7 @@ func (d *dense) invalidate(line uint64) (uint8, bool) {
 		return 0, false
 	}
 	meta := l.Meta
-	*l = Line{}
+	*l = denseLine{}
 	return meta, true
 }
 
@@ -319,11 +345,25 @@ var geometries = []struct {
 	{"L3-4096x16", 4 << 20, 16, 300, 37, 2000},
 }
 
-func sameLine(a, b *Line) bool {
+// sameLine compares a returned line with the reference's; the stamps
+// only until the reference's clock wraps.
+func sameLine(a *Line, b *denseLine, d *dense) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	return *a == *b
+	return a.Tag == b.Tag && a.Meta == b.Meta && a.Valid == b.Valid && (d.wrapped() || uint64(a.LRU) == b.LRU)
+}
+
+// ranked is s with each set's stamps replaced by their 1-based rank in
+// it and the clock dropped: what a renumbering keeps.
+func ranked(s Snap, ways int) Snap {
+	out := s
+	out.Clock = 0
+	out.LRU = make([]uint64, len(s.LRU))
+	for i, r := range setRanks(s, ways) {
+		out.LRU[i] = uint64(r)
+	}
+	return out
 }
 
 // step applies one random operation to both implementations and
@@ -334,11 +374,11 @@ func step(rng *xrand.RNG, a *Array, d *dense, setSpan, tagsPerSet int) error {
 	switch op := rng.Intn(100); {
 	case op < 25:
 		touch := rng.Bool(0.7)
-		if g, w := a.Lookup(line, touch), d.lookup(line, touch); !sameLine(g, w) {
+		if g, w := a.Lookup(line, touch), d.lookup(line, touch); !sameLine(g, w, d) {
 			return fmt.Errorf("Lookup(%#x,%v) = %+v, want %+v", line, touch, g, w)
 		}
 	case op < 32:
-		if g, w := a.Peek(line), d.peek(line); !sameLine(g, w) {
+		if g, w := a.Peek(line), d.peek(line); !sameLine(g, w, d) {
 			return fmt.Errorf("Peek(%#x) = %+v, want %+v", line, g, w)
 		}
 	case op < 38:
@@ -402,13 +442,19 @@ func step(rng *xrand.RNG, a *Array, d *dense, setSpan, tagsPerSet int) error {
 }
 
 // sameContents compares everything observable about the two arrays:
-// counters, the valid lines and their positions, ForEach's sequence.
+// counters, the valid lines and their positions, ForEach's sequence,
+// and the stamps — their values until the reference's clock wraps,
+// their order within each set after.
 func sameContents(a *Array, d *dense) error {
 	want := d.snap()
 	if a.Hits() != want.Hits || a.Misses() != want.Misses {
 		return fmt.Errorf("hits/misses = %d/%d, want %d/%d", a.Hits(), a.Misses(), want.Hits, want.Misses)
 	}
-	if got := a.Snapshot(); !reflect.DeepEqual(got, want) {
+	got := a.Snapshot()
+	if d.wrapped() {
+		got, want = ranked(got, d.ways), ranked(want, d.ways)
+	}
+	if !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("snapshot has %d lines at clock %d, want %d at %d (or they differ in content)", len(got.Pos), got.Clock, len(want.Pos), want.Clock)
 	}
 	i := 0
@@ -429,37 +475,59 @@ func sameContents(a *Array, d *dense) error {
 // with the same seeded operation sequences and requires every return
 // value, the counters and the valid-line set to agree throughout,
 // across Snapshot→Restore into the same array and into a fresh one.
+// Each sequence runs twice: from a new array, and from one restored
+// with its clock 1,000 ticks below 2^32, driven across the wrap.
 func TestDifferentialAgainstDense(t *testing.T) {
 	for _, g := range geometries {
 		for seed := uint64(1); seed <= 3; seed++ {
-			g, seed := g, seed
-			t.Run(fmt.Sprintf("%s/seed%d", g.name, seed), func(t *testing.T) {
-				a, d := New(g.size, g.ways, 64), newDense(g.size, g.ways, 64)
-				if err := sameContents(a, d); err != nil {
-					t.Fatalf("empty arrays: %v", err)
+			for _, start := range []uint64{0, 1<<32 - 1000} {
+				g, seed, start := g, seed, start
+				name := fmt.Sprintf("%s/seed%d", g.name, seed)
+				if start > 0 {
+					name += "/wrap"
 				}
-				rng := xrand.New(seed)
-				for i := 1; i <= 12*g.checkpoints; i++ {
-					if err := step(rng, a, d, g.setSpan, g.tagsPerSet); err != nil {
-						t.Fatalf("op %d: %v", i, err)
+				t.Run(name, func(t *testing.T) {
+					a, d := New(g.size, g.ways, 64), newDense(g.size, g.ways, 64)
+					a.Restore(Snap{Clock: start})
+					d.clock = start
+					if err := sameContents(a, d); err != nil {
+						t.Fatalf("empty arrays: %v", err)
 					}
-					if i%g.checkpoints != 0 {
-						continue
+					rng := xrand.New(seed)
+					for i := 1; i <= 12*g.checkpoints || (start > 0 && !d.wrapped()); i++ {
+						if err := step(rng, a, d, g.setSpan, g.tagsPerSet); err != nil {
+							t.Fatalf("op %d: %v", i, err)
+						}
+						if i%g.checkpoints != 0 {
+							continue
+						}
+						if err := sameContents(a, d); err != nil {
+							t.Fatalf("after op %d: %v", i, err)
+						}
+						snap := a.Snapshot()
+						if i/g.checkpoints%2 == 0 {
+							a = New(g.size, g.ways, 64)
+						}
+						a.Restore(snap)
+						if err := sameContents(a, d); err != nil {
+							t.Fatalf("after restore at op %d: %v", i, err)
+						}
 					}
 					if err := sameContents(a, d); err != nil {
-						t.Fatalf("after op %d: %v", i, err)
+						t.Fatalf("at the end: %v", err)
 					}
-					snap := a.Snapshot()
-					if i/g.checkpoints%2 == 0 {
-						a = New(g.size, g.ways, 64)
-					}
-					a.Restore(snap)
-					if err := sameContents(a, d); err != nil {
-						t.Fatalf("after restore at op %d: %v", i, err)
-					}
-				}
-			})
+				})
+			}
 		}
+	}
+}
+
+// TestLineSize pins the entry at 16 bytes: a 32-bit stamp beside the
+// tag, which keeps a chunk of 64 sets at 8, 12 or 16 KB for 8, 12 and
+// 16 ways, all Go size classes.
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 16 {
+		t.Fatalf("Line is %d bytes, want 16", got)
 	}
 }
 
@@ -495,51 +563,63 @@ func TestNeverInsertedSetsOwnNothing(t *testing.T) {
 // into one that already holds lines in other sets — what the model
 // checker does on every backtrack — and requires the two to be
 // indistinguishable afterwards: nothing of the old contents survives.
+// The second row's Snap has a clock and stamps past 32 bits, which
+// Restore renumbers.
 func TestRestoreIntoUsedArray(t *testing.T) {
 	for _, g := range geometries {
-		g := g
-		t.Run(g.name, func(t *testing.T) {
-			src, ref := New(g.size, g.ways, 64), newDense(g.size, g.ways, 64)
-			rng := xrand.New(11)
-			for i := 0; i < 4*g.checkpoints; i++ {
-				if err := step(rng, src, ref, g.setSpan, g.tagsPerSet); err != nil {
-					t.Fatal(err)
-				}
+		for _, shift := range []uint64{0, 1 << 33} {
+			g, shift := g, shift
+			name := g.name
+			if shift > 0 {
+				name += "/wide-stamps"
 			}
-			snap := src.Snapshot()
-
-			fresh, used := New(g.size, g.ways, 64), New(g.size, g.ways, 64)
-			for i := 0; i < src.Sets()*g.ways*3; i++ {
-				// Every set, more lines than ways, tags the snapshot lacks.
-				used.Insert(uint64((g.tagsPerSet+i/src.Sets())*src.Sets()+i%src.Sets())*64, 3)
-				used.Lookup(uint64(i)*64, true)
-			}
-			fresh.Restore(snap)
-			used.Restore(snap)
-			for _, a := range []*Array{fresh, used} {
-				if err := sameContents(a, ref); err != nil {
-					t.Fatalf("restored array: %v", err)
-				}
-			}
-			// Three arrays, one history from here on.
-			state := rng.State()
-			for _, a := range []*Array{fresh, used} {
-				rng.SetState(state)
-				d := *ref
-				d.lines = append([]Line(nil), ref.lines...)
+			t.Run(name, func(t *testing.T) {
+				src, ref := New(g.size, g.ways, 64), newDense(g.size, g.ways, 64)
+				rng := xrand.New(11)
 				for i := 0; i < 4*g.checkpoints; i++ {
-					if err := step(rng, a, &d, g.setSpan, g.tagsPerSet); err != nil {
-						t.Fatalf("op %d after restore: %v", i, err)
+					if err := step(rng, src, ref, g.setSpan, g.tagsPerSet); err != nil {
+						t.Fatal(err)
 					}
 				}
-				if err := sameContents(a, &d); err != nil {
-					t.Fatalf("after driving the restored array: %v", err)
+				snap := src.Snapshot()
+				if shift > 0 {
+					ref.shift(shift)
+					snap = ref.snap()
 				}
-			}
-			if !reflect.DeepEqual(fresh.Snapshot(), used.Snapshot()) {
-				t.Fatal("fresh and used arrays diverged after the same restore and operations")
-			}
-		})
+
+				fresh, used := New(g.size, g.ways, 64), New(g.size, g.ways, 64)
+				for i := 0; i < src.Sets()*g.ways*3; i++ {
+					// Every set, more lines than ways, tags the snapshot lacks.
+					used.Insert(uint64((g.tagsPerSet+i/src.Sets())*src.Sets()+i%src.Sets())*64, 3)
+					used.Lookup(uint64(i)*64, true)
+				}
+				fresh.Restore(snap)
+				used.Restore(snap)
+				for _, a := range []*Array{fresh, used} {
+					if err := sameContents(a, ref); err != nil {
+						t.Fatalf("restored array: %v", err)
+					}
+				}
+				// Three arrays, one history from here on.
+				state := rng.State()
+				for _, a := range []*Array{fresh, used} {
+					rng.SetState(state)
+					d := *ref
+					d.lines = append([]denseLine(nil), ref.lines...)
+					for i := 0; i < 4*g.checkpoints; i++ {
+						if err := step(rng, a, &d, g.setSpan, g.tagsPerSet); err != nil {
+							t.Fatalf("op %d after restore: %v", i, err)
+						}
+					}
+					if err := sameContents(a, &d); err != nil {
+						t.Fatalf("after driving the restored array: %v", err)
+					}
+				}
+				if !reflect.DeepEqual(fresh.Snapshot(), used.Snapshot()) {
+					t.Fatal("fresh and used arrays diverged after the same restore and operations")
+				}
+			})
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -107,5 +109,19 @@ func TestTraceRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTraceFormatPinned: the bytes WritePrograms emits for a fixed
+// program set never change, whatever the order of Instr's fields.
+// Saved traces from any build must keep loading.
+func TestTraceFormatPinned(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WritePrograms(&buf, []Program{sampleProgram(), sampleProgram()[:3], {}}); err != nil {
+		t.Fatal(err)
+	}
+	const want = "c1457f1126675f1cbed128d38c70d53a54b78eafe8340d7006c7aad198bcfe11"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("trace file sha256 %s, want %s: the on-disk format moved", got, want)
 	}
 }

@@ -94,11 +94,16 @@ type Reg uint8
 
 // Instr is one trace instruction. The generator fills all fields; the
 // core never mutates an Instr (per-dynamic-instance state lives in ROB
-// entries, so a trace can be replayed after squashes).
+// entries, so a trace can be replayed after squashes). The two words
+// come first and the eight bytes after them, which keeps the record at
+// 24 bytes with no padding (pinned by TestInstrSize): a 32-core cell
+// of 24,000 instructions a core holds 768,000 of them.
 type Instr struct {
 	// PC is the (synthetic) program counter, used to index the branch
 	// and contention predictors.
 	PC uint64
+	// Addr is the virtual address accessed by Load/Store/Atomic.
+	Addr uint64
 
 	Kind Kind
 
@@ -108,8 +113,6 @@ type Instr struct {
 	// Dst is the destination register (0 = none).
 	Dst Reg
 
-	// Addr is the virtual address accessed by Load/Store/Atomic.
-	Addr uint64
 	// Size is the access size in bytes.
 	Size uint8
 

@@ -1,6 +1,9 @@
 package trace
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestIsMem(t *testing.T) {
 	cases := []struct {
@@ -92,5 +95,13 @@ func TestStringFormats(t *testing.T) {
 		if a.String() == "" {
 			t.Errorf("empty AtomicKind.String for %d", a)
 		}
+	}
+}
+
+// TestInstrSize pins the record at 24 bytes: two words, then eight
+// one-byte fields with no padding.
+func TestInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got != 24 {
+		t.Fatalf("Instr is %d bytes, want 24", got)
 	}
 }
