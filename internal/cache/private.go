@@ -263,8 +263,8 @@ type Private struct {
 	pfDegree  int
 	pfConfMin int
 
-	// noForcedRelease suppresses the time-based forced-release sweep;
-	// the model checker fires BreakStall explicitly instead.
+	// noForcedRelease suppresses the time-based forced-release sweep:
+	// the model checker does not model the release timeout.
 	noForcedRelease bool
 
 	sink *coherence.ErrorSink

@@ -317,31 +317,7 @@ func (p *Private) DeliverOne(m *coherence.Msg) {
 }
 
 // DisableForcedRelease turns off the time-based forced-release sweep
-// in Tick. The model checker abstracts the release timeout into an
-// explicit last-resort transition (BreakStall): firing it on a wall of
-// simulated time would make reachability depend on an arbitrary
-// constant, while enabling it only when nothing else can run models
-// exactly the progress guarantee the timeout provides.
+// in Tick. The model checker does not model the release timeout and
+// needs none: an external request stalls only on a locked line, and
+// the checker can always execute the atomic holding it.
 func (p *Private) DisableForcedRelease() { p.noForcedRelease = true }
-
-// BreakStall forcibly releases the lock stalling an external request
-// on the line and serves that request, exactly like the forced-release
-// sweep in Tick but without the age threshold. It reports false when
-// no external request is stalled on the line or the client declined
-// the release.
-func (p *Private) BreakStall(line uint64) bool {
-	s := p.stalled.get(line)
-	if s == nil {
-		return false
-	}
-	if !p.client.ForceRelease(line) {
-		return false
-	}
-	p.Stats.ForcedRel.Inc()
-	p.work++
-	m := s.msg
-	p.stalled.remove(line)
-	p.serveExternal(m)
-	p.pool.Put(m)
-	return true
-}

@@ -71,11 +71,3 @@ func (p *MsgPool) Outstanding() int64 {
 	}
 	return p.gets - p.puts
 }
-
-// Size reports the number of idle messages on the free list (tests).
-func (p *MsgPool) Size() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.free)
-}

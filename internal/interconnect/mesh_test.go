@@ -1,6 +1,7 @@
 package interconnect
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -117,14 +118,50 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestUnknownDestinationPanics: without an error sink a send to a node
+// the mesh does not have panics; with one, the recorded error still
+// names the message, so the pool may take it back only after Raise.
 func TestUnknownDestinationPanics(t *testing.T) {
 	m := newTestMesh()
+	m.SetMsgPool(&coherence.MsgPool{})
+	sink := &coherence.ErrorSink{}
+	m.SetErrorSink(sink)
+	m.Send(&coherence.Msg{Src: 0, Dst: 40, Line: 0x1c0})
+	e := sink.Err()
+	if e == nil {
+		t.Fatal("send to unknown node recorded no protocol error")
+	}
+	if e.Line != 0x1c0 || !strings.Contains(e.Reason, "unknown node 40") {
+		t.Fatalf("protocol error = line %#x, reason %q; want line 0x1c0 naming node 40", e.Line, e.Reason)
+	}
+
+	m = newTestMesh()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("send to unknown node did not panic")
 		}
 	}()
 	m.Send(&coherence.Msg{Src: 0, Dst: 40})
+}
+
+// dropAll is a perturber that drops every message.
+type dropAll struct{}
+
+func (dropAll) Perturb(*coherence.Msg) []uint64 { return nil }
+
+// TestDroppedMessageTraced: a dropped message still shows in the trace
+// ring under its own line, so the pool may take it back only after the
+// mesh has recorded it.
+func TestDroppedMessageTraced(t *testing.T) {
+	m := newTestMesh()
+	m.SetMsgPool(&coherence.MsgPool{})
+	m.SetPerturber(dropAll{})
+	m.Tick(5)
+	m.Send(&coherence.Msg{Src: 0, Dst: 1, Line: 0x1c0})
+	got := m.RecentTrace(0x1c0, 4)
+	if len(got) != 1 || !strings.HasSuffix(got[0], "DROPPED") {
+		t.Fatalf("RecentTrace = %q, want one DROPPED entry", got)
+	}
 }
 
 // TestQuickEverythingDelivered: any batch of messages is fully

@@ -1,10 +1,9 @@
 // Package lint implements rowlint, the simulator-aware static-analysis
-// pass. The repo's hardest-won contracts — byte-identical determinism,
-// the MsgPool consume-or-retain ownership rule, and the zero-alloc hot
-// path — are invariants the type system cannot express; rowlint turns
-// them into build-time checks. The driver is stdlib-only (go/ast,
-// go/parser, go/types): the module has no external dependencies and
-// must stay hermetic.
+// pass. Two of the repo's hardest-won contracts — byte-identical
+// determinism and the zero-alloc hot path — are invariants the type
+// system cannot express; rowlint turns them into build-time checks.
+// The driver is stdlib-only (go/ast, go/parser, go/types): the module
+// has no external dependencies and must stay hermetic.
 //
 // Analyzers report Findings; a finding can be silenced at its site with
 //
@@ -105,7 +104,7 @@ func (p *Pass) Deterministic() bool {
 
 // Analyzers is the registry, in the order checks are run and reported.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapOrder, MsgPool, NoAlloc, WallClock}
+	return []*Analyzer{MapOrder, NoAlloc, WallClock}
 }
 
 // analyzerKnown reports whether name is a registered analyzer (used to

@@ -22,7 +22,7 @@ func relabelCoreLabel(lab string) string {
 	}
 	out := []byte(lab)
 	switch out[0] {
-	case 'i', 'x', 'b':
+	case 'i', 'x':
 		out[1] = swap(out[1])
 	case 'd':
 		out[1] = swap(out[1])

@@ -12,15 +12,16 @@
 // against the same component stack.
 //
 // The choice points are: which core issues its next program operation,
-// which core executes (and unlocks) a locked atomic, which queued mesh
-// message is delivered next, and — only when nothing else can run —
-// which overlong lock stall is forcibly broken. Between choices the
-// model "settles": cache pipeline events are drained to completion, so
-// every visited state is a quiescent point where only choice-driven
-// progress remains. Two network disciplines bound the legal delivery
-// orders: per-channel FIFO (what the timed mesh guarantees under the
-// fault injector's legal reorderings) and global FIFO (no reordering
-// at all).
+// which core executes (and unlocks) a locked atomic, and which queued
+// mesh message is delivered next. The forced-release timeout is not
+// modelled: an external request stalls only on a locked line, and
+// executing the atomic that holds it is always a choice. Between
+// choices the model "settles": cache pipeline events are drained to
+// completion, so every visited state is a quiescent point where only
+// choice-driven progress remains. Two network disciplines bound the
+// legal delivery orders: per-channel FIFO (what the timed mesh
+// guarantees under the fault injector's legal reorderings) and global
+// FIFO (no reordering at all).
 package mcheck
 
 import (
@@ -265,22 +266,9 @@ func (c *modelCore) LineLocked(line uint64) bool {
 	return c.locked&(1<<c.m.lineIdx(line)) != 0
 }
 
-// ForceRelease implements cache.Client: break the lock and replay the
-// atomic's acquisition, exactly as the real core squashes and replays.
-func (c *modelCore) ForceRelease(line uint64) bool {
-	li := c.m.lineIdx(line)
-	if c.locked&(1<<li) == 0 {
-		return false
-	}
-	c.locked &^= 1 << li
-	for i, op := range c.prog {
-		if op.Kind == OpRMW && op.Line == li && c.status[i] == opLocked {
-			c.status[i] = opPending // re-acquire via a later issue choice
-			return true
-		}
-	}
-	return false
-}
+// ForceRelease implements cache.Client. The checker disables the
+// forced-release sweep (the timeout is not modelled), so no cache asks.
+func (c *modelCore) ForceRelease(line uint64) bool { return false }
 
 // Model is one instantiated configuration under search: the real
 // component stack (caches, directory banks, mesh, pool) plus the model
@@ -418,13 +406,12 @@ const (
 	chIssue choiceKind = iota
 	chExec
 	chDeliver
-	chBreak
 )
 
 type choice struct {
 	kind choiceKind
-	core int    // issue, exec, break
-	line int    // exec, break (line index)
+	core int    // issue, exec
+	line int    // exec (line index)
 	seq  uint64 // deliver
 	src  int    // deliver
 	dst  int    // deliver
@@ -438,8 +425,6 @@ func (c choice) label() string {
 		return fmt.Sprintf("x%d.%d", c.core, c.line)
 	case chDeliver:
 		return fmt.Sprintf("d%d-%d", c.src, c.dst)
-	case chBreak:
-		return fmt.Sprintf("b%d.%d", c.core, c.line)
 	}
 	return "?"
 }
@@ -464,10 +449,7 @@ func (c *modelCore) nextPending() int {
 }
 
 // enabled returns the choices available at the current settled state,
-// in deterministic order. Break-stall choices are last-resort: they
-// model the forced-release timeout and are enabled only when nothing
-// else is, exactly the progress guarantee the timeout provides without
-// making reachability depend on its constant.
+// in deterministic order.
 func (m *Model) enabled(dst []choice) []choice {
 	dst = dst[:0]
 	window := m.cfg.Window()
@@ -509,16 +491,6 @@ func (m *Model) enabled(dst []choice) []choice {
 	for _, d := range m.delivBuf {
 		dst = append(dst, choice{kind: chDeliver, seq: d.Seq, src: d.Src, dst: d.Dst})
 	}
-	if len(dst) > 0 {
-		return dst
-	}
-	for ci, pc := range m.caches {
-		for li := 0; li < m.cfg.Lines; li++ {
-			if _, ok := pc.StalledView(m.lineAddr(li)); ok {
-				dst = append(dst, choice{kind: chBreak, core: ci, line: li})
-			}
-		}
-	}
 	return dst
 }
 
@@ -558,8 +530,6 @@ func (m *Model) apply(ch choice) bool {
 		} else {
 			m.caches[msg.Dst].DeliverOne(msg)
 		}
-	case chBreak:
-		m.caches[ch.core].BreakStall(m.lineAddr(ch.line))
 	}
 	m.settle()
 	if m.viol == nil {

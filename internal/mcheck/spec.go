@@ -17,8 +17,7 @@ import (
 // L<line> load, S<line> store, R<line> near atomic, F<line> far
 // atomic. The trace field is the choice-label sequence: i<core>
 // issues, x<core>.<line> executes a locked atomic, d<src>-<dst>
-// delivers the head of a mesh channel, b<core>.<line> breaks an
-// overlong lock stall.
+// delivers the head of a mesh channel.
 
 // FormatSpec renders a replayable one-line witness.
 func FormatSpec(cfg Config, trace []string) string {
