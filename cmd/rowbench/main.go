@@ -21,7 +21,6 @@ import (
 	"rowsim/internal/cli"
 	"rowsim/internal/experiments"
 	"rowsim/internal/lifecycle"
-	"rowsim/internal/sim"
 	"rowsim/internal/stats"
 	"rowsim/internal/viz"
 	"rowsim/internal/workload"
@@ -76,8 +75,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		jobs      = fs.Int("jobs", 0, "parallel simulation workers for figure sweeps (<1 = GOMAXPROCS); output is identical for any value")
 		prof      = cli.AddProfile(fs)
 	)
-	sched := sim.SchedEvent
-	fs.Var(&sched, "sched", "simulation scheduler: event (skip idle cycles) or cycle (tick every cycle); results are identical")
 	if code, ok := cli.Parse(fs, args); !ok {
 		return code
 	}
@@ -90,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	ctx, stop := cli.Context()
 	defer stop()
 
-	opt := experiments.Options{Cores: *cores, Instrs: *instrs, Seed: *seed, Sched: sched}
+	opt := experiments.Options{Cores: *cores, Instrs: *instrs, Seed: *seed}
 	if *wls != "" {
 		opt.Workloads = strings.Split(*wls, ",")
 		for _, w := range opt.Workloads {

@@ -52,8 +52,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		save    = fs.String("save", "", "write all cores' traces to this file and exit (replay with -tracefile)")
 		prof    = cli.AddProfile(fs)
 	)
-	sched := sim.SchedEvent
-	fs.Var(&sched, "sched", "simulation scheduler: event (skip idle cycles) or cycle (tick every cycle); results are identical")
 	if code, ok := cli.Parse(fs, args); !ok {
 		return code
 	}
@@ -131,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 0
 	}
 	cfg := v.Config(max(*cores, len(progs)))
-	system, err := sim.New(cfg, progs, sim.WithWarmFilter(workload.WarmFilter(p)), sim.WithScheduler(sched))
+	system, err := sim.New(cfg, progs, sim.WithWarmFilter(workload.WarmFilter(p)))
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -175,13 +173,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stdout, t)
 	}
 	if *verbose {
-		// Scheduler bookkeeping stays out of the default output so the
-		// CI mode-equivalence diff compares runs across -sched values.
 		skip := 0.0
 		if r.Cycles > 0 {
 			skip = 1 - float64(r.CyclesVisited)/float64(r.Cycles)
 		}
-		fmt.Fprintf(stdout, "sched           %s (visited %d of %d cycles, %.1f%% skipped)\n", sched, r.CyclesVisited, r.Cycles, skip*100)
+		fmt.Fprintf(stdout, "visited         %d of %d cycles (%.1f%% skipped)\n", r.CyclesVisited, r.Cycles, skip*100)
 		fmt.Fprintf(stdout, "older-unexec@eager   %.1f\n", r.OlderUnexecAtEager)
 		fmt.Fprintf(stdout, "younger-started@lazy %.1f\n", r.YoungerStartedAtLazy)
 		fmt.Fprintf(stdout, "load forwards   %d\n", r.LoadForwards)

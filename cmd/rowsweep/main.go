@@ -58,8 +58,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		prof   = cli.AddProfile(fs)
 	)
 	fs.Var(values, "values", "comma-separated sweep values")
-	sched := sim.SchedEvent
-	fs.Var(&sched, "sched", "simulation scheduler: event (skip idle cycles) or cycle (tick every cycle); results are identical")
 	if code, ok := cli.Parse(fs, args); !ok {
 		return code
 	}
@@ -82,11 +80,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	ctx, stop := sw.Context()
 	defer stop()
 
-	// The sweep's definition is these seven flags: a new journal records
+	// The sweep's definition is these six flags: a new journal records
 	// them, a resumed one restores them (convenience flags like -timeout,
-	// -deadline and -retries still come from the command line).
+	// -deadline and -retries still come from the command line). A
+	// journal that also records -sched, as older builds wrote, still
+	// resumes: OpenSweep skips a journaled name with no flag.
 	defer sw.Close(&code, stderr)
-	if err := sw.Open(fs, "workload", "param", "values", "cores", "instrs", "seed", "sched"); err != nil {
+	if err := sw.Open(fs, "workload", "param", "values", "cores", "instrs", "seed"); err != nil {
 		return fail(err)
 	}
 
@@ -123,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			} else {
 				note(i, "resumed from checkpoint at cycle %d", cycle)
 			}
-		}, sim.WithScheduler(sched))
+		})
 	}, func(i int, out *lifecycle.Outcome, ran bool) {
 		switch {
 		case !out.Status.Terminal():

@@ -14,46 +14,67 @@ func capture(args ...string) (stdout, stderr string, code int) {
 	return o.String(), e.String(), code
 }
 
-// TestResumesParentJournal: testdata/parent_killed.jsonl was written by
-// the rowsweep of the commit before the sweep machinery moved into
-// internal/ (`rowsweep -workload sps -param sharedfrac -values
-// 0.1,0.3,0.5,0.7,0.9 -cores 8 -instrs 20000 -jobs 1 -journal ...`,
-// SIGKILLed after 7 of 15 cells). This build must resume it — same
-// journal format, same cell keys, same definition hash — re-run only
-// the 8 missing cells and print what an uninterrupted sweep prints.
+// TestResumesParentJournal resumes journals older builds wrote,
+// SIGKILLed mid-sweep with `-jobs 1 -journal ...`:
+//
+//   - testdata/parent_killed.jsonl, from the commit before the sweep
+//     machinery moved into internal/ (`-workload sps -param sharedfrac
+//     -values 0.1,0.3,0.5,0.7,0.9 -cores 8 -instrs 20000`, after 7 of
+//     15 cells);
+//   - testdata/parent_sched_cycle.jsonl, from the last build that took
+//     -sched (`-workload pc -param hotlines -values 1,4,16 -cores 4
+//     -instrs 40000 -sched cycle`, after 4 of 9 cells).
+//
+// Both record a "sched" this build has no flag for. This build must
+// resume each — same journal format, same cell keys, same definition
+// hash — re-run only the missing cells and print what an uninterrupted
+// sweep prints.
 func TestResumesParentJournal(t *testing.T) {
-	fixture, err := os.ReadFile("testdata/parent_killed.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-	if err := os.WriteFile(journal, fixture, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	want, _, code := capture("-workload", "sps", "-param", "sharedfrac", "-values", "0.1,0.3,0.5,0.7,0.9",
-		"-cores", "8", "-instrs", "20000", "-format", "csv")
-	if code != 0 {
-		t.Fatalf("uninterrupted sweep exited %d", code)
-	}
+	for _, tc := range []struct {
+		fixture       string
+		def           []string
+		cores         string
+		served, rerun int
+	}{
+		{"parent_killed.jsonl", []string{"-workload", "sps", "-param", "sharedfrac", "-values", "0.1,0.3,0.5,0.7,0.9",
+			"-cores", "8", "-instrs", "20000"}, "8", 7, 8},
+		{"parent_sched_cycle.jsonl", []string{"-workload", "pc", "-param", "hotlines", "-values", "1,4,16",
+			"-cores", "4", "-instrs", "40000"}, "4", 4, 5},
+	} {
+		t.Run(tc.fixture, func(t *testing.T) {
+			fixture, err := os.ReadFile(filepath.Join("testdata", tc.fixture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			journal := filepath.Join(t.TempDir(), "sweep.jsonl")
+			if err := os.WriteFile(journal, fixture, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want, _, code := capture(append(tc.def, "-format", "csv")...)
+			if code != 0 {
+				t.Fatalf("uninterrupted sweep exited %d", code)
+			}
 
-	// A definition flag that contradicts the journal is refused...
-	_, stderr, code := capture("-resume", journal, "-cores", "16")
-	if code != 2 || !strings.Contains(stderr, `-cores: journal has "8", resume computed "16"`) {
-		t.Fatalf("conflicting -cores: exit %d, stderr %q", code, stderr)
-	}
-	// ...one that agrees, and flags outside the definition, are not.
-	got, stderr, code := capture("-resume", journal, "-cores", "8", "-jobs", "2", "-format", "csv")
-	if code != 0 {
-		t.Fatalf("resume exited %d: %s", code, stderr)
-	}
-	if got != want {
-		t.Errorf("resumed sweep differs from an uninterrupted one:\n--- resumed ---\n%s--- uninterrupted ---\n%s", got, want)
-	}
-	if n := strings.Count(stderr, "resumed from journal"); n != 7 {
-		t.Errorf("%d cells served from the parent's journal, want 7:\n%s", n, stderr)
-	}
-	if n := strings.Count(stderr, "ok (1 attempt(s))"); n != 8 {
-		t.Errorf("%d cells re-run, want 8:\n%s", n, stderr)
+			// A definition flag that contradicts the journal is refused...
+			_, stderr, code := capture("-resume", journal, "-cores", "16")
+			if code != 2 || !strings.Contains(stderr, `-cores: journal has "`+tc.cores+`", resume computed "16"`) {
+				t.Fatalf("conflicting -cores: exit %d, stderr %q", code, stderr)
+			}
+			// ...one that agrees, and flags outside the definition, are not.
+			got, stderr, code := capture("-resume", journal, "-cores", tc.cores, "-jobs", "2", "-format", "csv")
+			if code != 0 {
+				t.Fatalf("resume exited %d: %s", code, stderr)
+			}
+			if got != want {
+				t.Errorf("resumed sweep differs from an uninterrupted one:\n--- resumed ---\n%s--- uninterrupted ---\n%s", got, want)
+			}
+			if n := strings.Count(stderr, "resumed from journal"); n != tc.served {
+				t.Errorf("%d cells served from the parent's journal, want %d:\n%s", n, tc.served, stderr)
+			}
+			if n := strings.Count(stderr, "ok (1 attempt(s))"); n != tc.rerun {
+				t.Errorf("%d cells re-run, want %d:\n%s", n, tc.rerun, stderr)
+			}
+		})
 	}
 }
 
@@ -67,13 +88,13 @@ func TestProfileWriteFailureExits1(t *testing.T) {
 	}
 }
 
-// TestBadFlagLeavesNoJournal: a bad -sched or -values is refused while
-// the flags are parsed, before the journal exists, so the same
-// command with the value fixed starts a fresh sweep instead of finding
-// a journal whose definition no run can use.
+// TestBadFlagLeavesNoJournal: a bad -values, or the -sched older builds
+// took, is refused while the flags are parsed, before the journal
+// exists, so the same command with the value fixed starts a fresh sweep
+// instead of finding a journal whose definition no run can use.
 func TestBadFlagLeavesNoJournal(t *testing.T) {
 	for _, tc := range []struct{ flag, value, stderr string }{
-		{"-sched", "bogus", `sim: unknown scheduler "bogus"`},
+		{"-sched", "event", "flag provided but not defined: -sched"},
 		{"-values", "0.5,x", `bad value "x"`},
 	} {
 		journal := filepath.Join(t.TempDir(), "j.jsonl")

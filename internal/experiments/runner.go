@@ -37,9 +37,10 @@ type Options struct {
 	// design, and the resolved value is what gets journaled).
 	Seed      uint64
 	Workloads []string // default: the 13 atomic-intensive workloads
-	// Sched selects the simulation scheduler for every run. The zero
-	// value is sim.SchedEvent; results are identical either way (only
-	// wall time and the visited-cycle bookkeeping differ).
+	// Sched selects the simulation scheduler for every run. Only
+	// rowperf's reference runs set it, to sim.SchedCycle (the
+	// cross-check); results are identical either way (only wall time
+	// and the visited-cycle bookkeeping differ).
 	Sched sim.Scheduler
 }
 

@@ -18,16 +18,16 @@ import (
 
 // TestFrontEndsAgree runs one sweep the way rowsweep does — a spec
 // built from flag strings, Resolve, Jobs, Supervisor.Sweep over
-// SweepSpec.Run, under -sched cycle with a non-canonically spelled
-// value — and the way a client of the daemon does — the JSON spec
-// POSTed to an in-process Server — and requires the same cell keys,
+// SweepSpec.Run, with a non-canonically spelled value — and the way a
+// client of the daemon does — the JSON spec POSTed to an in-process
+// Server — and requires the same cell keys,
 // the same content keys (hence the same checkpoint files and memo
 // entries) and the same sim.Result for every cell: the result of the
 // cell generated, built by plain sim.New and warmed on its own, which
 // neither front end does (both share trace sets through a set-up cache).
 func TestFrontEndsAgree(t *testing.T) {
 	// The CLI front end: rowsweep -workload pc -param hotlines
-	// -values "1, 4.0" -cores 2 -instrs 300 -seed 0 -sched cycle.
+	// -values "1, 4.0" -cores 2 -instrs 300 -seed 0.
 	cli := SweepSpec{Workload: "pc", Param: "hotlines", Cores: 2, Instrs: 300}
 	for _, raw := range strings.Split("1, 4.0", ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
@@ -46,7 +46,7 @@ func TestFrontEndsAgree(t *testing.T) {
 	}
 	setup := experiments.NewSetup(2)
 	outs := lifecycle.New(lifecycle.Config{}).Sweep(context.Background(), nil, 2, jobs, func(ctx context.Context, i int) (sim.Result, error) {
-		return cli.Run(ctx, cells[i], setup, ckptDir, 256, nil, sim.WithScheduler(sim.SchedCycle))
+		return cli.Run(ctx, cells[i], setup, ckptDir, 256, nil)
 	}, nil)
 	if n, want := setup.Stats(), (experiments.SetupStats{Generated: 2, Warmed: 2, Reused: 4}); n != want {
 		t.Errorf("CLI sweep of 2 values x 3 policies: %v, want %v", n, want)

@@ -278,10 +278,8 @@ func (s SweepSpec) Jobs(ckptDir string) ([]Cell, []lifecycle.Job, error) {
 // daemon's workers and rowsweep both simulate a cell. The system comes
 // from the front end's set-up cache: the policies of one value share a
 // trace set and a warm image (a resumed cell too — the checkpoint then
-// overwrites the image). opts are the front end's own simulator options
-// (rowsweep's -sched); they do not enter the content key, so they must
-// not change results.
-func (s SweepSpec) Run(ctx context.Context, c Cell, setup *experiments.Setup, ckptDir string, every uint64, found func(cycle uint64, warn error), opts ...sim.Option) (sim.Result, error) {
+// overwrites the image).
+func (s SweepSpec) Run(ctx context.Context, c Cell, setup *experiments.Setup, ckptDir string, every uint64, found func(cycle uint64, warn error)) (sim.Result, error) {
 	wp, err := s.WorkloadParams(c)
 	if err != nil {
 		return sim.Result{}, err
@@ -293,7 +291,7 @@ func (s SweepSpec) Run(ctx context.Context, c Cell, setup *experiments.Setup, ck
 		}
 	}
 	return checkpoint.Run(ctx, ckptDir, every, key, func(ck ...sim.Option) (*sim.System, error) {
-		return setup.System(ctx, s.Config(c), wp, s.Cores, s.Instrs, s.Seed, append(ck, opts...)...)
+		return setup.System(ctx, s.Config(c), wp, s.Cores, s.Instrs, s.Seed, ck...)
 	}, found)
 }
 

@@ -67,7 +67,7 @@ func TestRunMatchesLockstepOracle(t *testing.T) {
 
 // TestRunMatchesLockstepOracle64 fills every bit of the run loop's
 // core masks: 64 cores, the most config.Validate allows, so core 63
-// sits in bit 63. Cross-check mode must match too.
+// sits in bit 63. The cross-checked run must match too.
 func TestRunMatchesLockstepOracle64(t *testing.T) {
 	build := func(opts ...Option) *System {
 		cfg := config.Default()
@@ -83,8 +83,7 @@ func TestRunMatchesLockstepOracle64(t *testing.T) {
 	}
 	want := lockstepOracle(t, build()).SchedNormalized()
 	for name, opts := range map[string][]Option{
-		"event":       {WithScheduler(SchedEvent)},
-		"cycle":       {WithScheduler(SchedCycle)},
+		"event":       nil,
 		"cross-check": {WithCrossCheck()},
 	} {
 		s := build(opts...)

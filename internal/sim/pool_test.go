@@ -25,9 +25,8 @@ func poolTestRun(wl string, seed uint64) (sim.Result, error) {
 // TestCrossCheckMatchesPlainRun pins the skip invariant from the
 // outside: a run with the cross-check replays (which force every
 // skipped component to execute) must produce the identical result as
-// the production skipping loop, under either scheduler. Combined with
-// the in-loop assertions, this shows skipped components really are
-// no-ops.
+// the production skipping loop. Combined with the in-loop assertions,
+// this shows skipped components really are no-ops.
 func TestCrossCheckMatchesPlainRun(t *testing.T) {
 	for _, wl := range []string{"sps", "canneal"} {
 		plain, err := poolTestRun(wl, 1)
@@ -39,17 +38,15 @@ func TestCrossCheckMatchesPlainRun(t *testing.T) {
 		cfg := config.Default()
 		cfg.NumCores = 4
 		cfg.MaxCycles = 50_000_000
-		for _, sched := range []sim.Scheduler{sim.SchedEvent, sim.SchedCycle} {
-			s, err := sim.New(cfg, progs, sim.WithWarmFilter(workload.WarmFilter(p)), sim.WithScheduler(sched), sim.WithCrossCheck())
-			if err != nil {
-				t.Fatal(err)
-			}
-			checked := s.MustRun()
-			// The cross-check visits every cycle by design, so only the
-			// visited-cycle bookkeeping may differ from the skipping run.
-			if plain.SchedNormalized() != checked.SchedNormalized() {
-				t.Fatalf("%s under %v: cross-checked run diverges from plain run:\nplain:   %+v\nchecked: %+v", wl, sched, plain, checked)
-			}
+		s, err := sim.New(cfg, progs, sim.WithWarmFilter(workload.WarmFilter(p)), sim.WithCrossCheck())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := s.MustRun()
+		// The cross-check visits every cycle by design, so only the
+		// visited-cycle bookkeeping may differ from the skipping run.
+		if plain.SchedNormalized() != checked.SchedNormalized() {
+			t.Fatalf("%s: cross-checked run diverges from plain run:\nplain:   %+v\nchecked: %+v", wl, plain, checked)
 		}
 	}
 }

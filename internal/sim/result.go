@@ -7,15 +7,15 @@ import "rowsim/internal/stats"
 type Result struct {
 	// Cycles is the parallel execution time: the cycle at which the
 	// last core finished. This is the cycles-advanced count — simulated
-	// time is identical in both scheduler modes.
+	// time is identical with and without the cross-check.
 	Cycles uint64
 
 	// CyclesVisited is the number of cycles the scheduler actually
-	// simulated: equal to Cycles under SchedCycle, usually far smaller
-	// under SchedEvent (1 - CyclesVisited/Cycles is the skip
+	// simulated: equal to Cycles under the cross-check, usually far
+	// smaller without it (1 - CyclesVisited/Cycles is the skip
 	// efficiency). It is the only Result field that legitimately
-	// differs between scheduler modes; compare runs across modes with
-	// SchedNormalized.
+	// differs between a cross-checked and a plain run; compare them
+	// with SchedNormalized.
 	CyclesVisited uint64
 
 	Committed uint64

@@ -6,58 +6,31 @@ import (
 	"math/bits"
 )
 
-// Scheduler selects how RunCtx advances simulated time.
+// Scheduler selects how RunCtx advances simulated time. Only rowperf's
+// reference runs still pick one; every command runs SchedEvent.
 type Scheduler uint8
 
 const (
 	// SchedEvent jumps the clock directly to the earliest future
 	// wake-up across all components, skipping dead cycles entirely.
-	// It is the default: the zero value of every Options struct and
-	// CLI that embeds a Scheduler.
+	// It is the default: the zero value of every Options struct that
+	// embeds a Scheduler.
 	SchedEvent Scheduler = iota
-	// SchedCycle visits every cycle and, in it, every cache and every
-	// live core, consulting no wake time — the reference behaviour
-	// the skipping of SchedEvent is checked against.
+	// SchedCycle is the cross-checked run (WithCrossCheck): it visits
+	// every cycle and replays every skipped tick, asserting it idle —
+	// the reference the skipping of SchedEvent is checked against.
 	SchedCycle
 )
-
-// String renders the CLI spelling of the mode.
-func (m Scheduler) String() string {
-	if m == SchedCycle {
-		return "cycle"
-	}
-	return "event"
-}
-
-// Set parses a -sched spelling, so that *Scheduler is the flag.Value of
-// every command's -sched.
-func (m *Scheduler) Set(s string) error {
-	switch s {
-	case "event":
-		*m = SchedEvent
-	case "cycle":
-		*m = SchedCycle
-	default:
-		return fmt.Errorf("sim: unknown scheduler %q (want cycle or event)", s)
-	}
-	return nil
-}
 
 // run is the simulation loop. Each iteration picks the next cycle to
 // simulate, moves the clock there and runs one phase order: the mesh,
 // then banks with mail, then caches in index order, then cores in index
-// order, then postCycle. Two mode bits, fixed before the loop starts,
-// are all that differs between schedulers:
-//
-//   - everyCycle (SchedCycle or WithCrossCheck): the next cycle is
-//     cycle+1. Otherwise it is nextTarget's: the earliest cycle at which
-//     anything can happen — a mesh arrival, a cache pipeline event or
-//     forced-release expiry, a core wheel event or front-end un-stall,
-//     or a maintenance cadence.
-//   - visitAll (SchedCycle only): the wake arrays stay zero, so every
-//     cache and every live core is due at every cycle and no NextEventAt
-//     is ever consulted. Otherwise only nodes that have mail or are due
-//     are visited, and a visited node's wake times are recomputed.
+// order, then postCycle. Only nodes that have mail or are due are
+// visited, and a visited node's wake times are recomputed. The next
+// cycle is nextTarget's — the earliest cycle at which anything can
+// happen: a mesh arrival, a cache pipeline event or forced-release
+// expiry, a core wheel event or front-end un-stall, or a maintenance
+// cadence — except under the cross-check, which visits cycle+1.
 //
 // Nodes are named by bit masks, bit i for node i (config.Validate caps
 // the cores at 64): live holds the cores not yet done, and the cache
@@ -84,24 +57,20 @@ func (m *Scheduler) Set(s string) error {
 //     poll, coherence check, checkpoints and the cycle budget fire at
 //     identical simulated cycles.
 func (s *System) run(ctx context.Context, ms *maintState) (Result, error) {
-	visitAll := s.sched == SchedCycle
-	everyCycle := visitAll || s.crossCheck
 	n := len(s.caches)
 	cacheWake := make([]uint64, n)
 	coreWake := make([]uint64, n)
 	var live uint64
 	for i, c := range s.cores {
-		if !visitAll {
-			cacheWake[i] = s.caches[i].NextEventAt(s.cycle)
-			coreWake[i] = c.NextEventAt(s.cycle)
-		}
+		cacheWake[i] = s.caches[i].NextEventAt(s.cycle)
+		coreWake[i] = c.NextEventAt(s.cycle)
 		if !c.Done() {
 			live |= 1 << i
 		}
 	}
 	for live != 0 {
 		target := s.cycle + 1
-		if !everyCycle {
+		if !s.crossCheck {
 			target = s.nextTarget(cacheWake, coreWake)
 			if target <= s.cycle {
 				panic(fmt.Sprintf("sim: run loop would not advance past cycle %d", s.cycle))
@@ -109,7 +78,7 @@ func (s *System) run(ctx context.Context, ms *maintState) (Result, error) {
 		}
 		s.cycle = target
 		s.visited++
-		live = s.step(live, cacheWake, coreWake, visitAll)
+		live = s.step(live, cacheWake, coreWake)
 		if err := s.postCycle(ctx, s.cycle, ms); err != nil {
 			return Result{}, err
 		}
@@ -121,11 +90,10 @@ func (s *System) run(ctx context.Context, ms *maintState) (Result, error) {
 }
 
 // step runs the phases of cycle s.cycle over the live cores and returns
-// the cores still live after it. Under visitAll the wake arrays are
-// left alone (all zero, so every node is due).
+// the cores still live after it.
 //
 //rowlint:noalloc
-func (s *System) step(live uint64, cacheWake, coreWake []uint64, visitAll bool) uint64 {
+func (s *System) step(live uint64, cacheWake, coreWake []uint64) uint64 {
 	cyc := s.cycle
 	s.mesh.Tick(cyc)
 	for i, d := range s.dirs {
@@ -215,12 +183,10 @@ func (s *System) step(live uint64, cacheWake, coreWake []uint64, visitAll bool) 
 	// Only visited nodes can have changed state: unvisited caches
 	// receive no mail and no client calls, unvisited cores no
 	// responses, so their previously computed wake-ups stand.
-	if !visitAll {
-		for m := visit; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			cacheWake[i] = s.caches[i].NextEventAt(cyc)
-			coreWake[i] = s.cores[i].NextEventAt(cyc)
-		}
+	for m := visit; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		cacheWake[i] = s.caches[i].NextEventAt(cyc)
+		coreWake[i] = s.cores[i].NextEventAt(cyc)
 	}
 	return live
 }

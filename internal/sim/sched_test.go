@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"cmp"
-	"flag"
 	"fmt"
 	"testing"
 
@@ -55,38 +53,40 @@ var schedMatrix = []struct {
 }
 
 // TestSchedulerModeEquivalence is the headline property of the run
-// loop's skipping: over eager and lazy policies, with and without fault
-// injection, an event-mode run must produce a Result byte-identical to
-// the visit-everything cycle mode (modulo the visited-cycle
-// bookkeeping) — and must actually have skipped cycles to earn its
-// keep.
+// loop's skipping: over eager, lazy, RoW and far policies, with and
+// without fault injection, a plain run must produce a Result
+// byte-identical to the cross-checked one (SchedCycle), modulo the
+// visited-cycle bookkeeping. The cross-check visits every cycle and
+// replays every tick the wake times said was skippable, so a wrong
+// NextEventAt panics inside it; the plain run must actually have
+// skipped cycles to earn its keep.
 func TestSchedulerModeEquivalence(t *testing.T) {
 	for _, tc := range schedMatrix {
 		t.Run(tc.name, func(t *testing.T) {
-			cycle := schedBuild(t, tc.policy, tc.wl, tc.faults, 3000, WithScheduler(SchedCycle)).MustRun()
-			event := schedBuild(t, tc.policy, tc.wl, tc.faults, 3000, WithScheduler(SchedEvent)).MustRun()
-			if cycle.SchedNormalized() != event.SchedNormalized() {
-				t.Fatalf("schedulers diverge:\ncycle: %+v\nevent: %+v", cycle, event)
+			checked := schedBuild(t, tc.policy, tc.wl, tc.faults, 3000, WithScheduler(SchedCycle)).MustRun()
+			plain := schedBuild(t, tc.policy, tc.wl, tc.faults, 3000).MustRun()
+			if checked.SchedNormalized() != plain.SchedNormalized() {
+				t.Fatalf("cross-checked run diverges from plain run:\nchecked: %+v\nplain:   %+v", checked, plain)
 			}
-			if cycle.CyclesVisited != cycle.Cycles {
-				t.Fatalf("cycle mode visited %d of %d cycles; want all", cycle.CyclesVisited, cycle.Cycles)
+			if checked.CyclesVisited != checked.Cycles {
+				t.Fatalf("cross-check visited %d of %d cycles; must visit all", checked.CyclesVisited, checked.Cycles)
 			}
-			if event.CyclesVisited >= event.Cycles {
-				t.Fatalf("event mode visited %d of %d cycles; skipped nothing", event.CyclesVisited, event.Cycles)
+			if plain.CyclesVisited >= plain.Cycles {
+				t.Fatalf("plain run visited %d of %d cycles; skipped nothing", plain.CyclesVisited, plain.Cycles)
 			}
 		})
 	}
 }
 
-// TestEventCrossCheckClean runs the event scheduler with the
-// cross-check enabled: every cycle is visited, every tick the wake
-// times said was skippable is replayed and asserted idle. A wrong
-// NextEventAt panics inside the run; a divergent result fails here.
+// TestEventCrossCheckClean runs with the WithCrossCheck option itself
+// rather than through WithScheduler: every cycle is visited, every tick
+// the wake times said was skippable is replayed and asserted idle. A
+// wrong NextEventAt panics inside the run; a divergent result fails here.
 func TestEventCrossCheckClean(t *testing.T) {
 	plain := schedBuild(t, config.PolicyRoW, "cq", faults.Config{}, 3000).MustRun()
 	checked := schedBuild(t, config.PolicyRoW, "cq", faults.Config{}, 3000, WithCrossCheck()).MustRun()
 	if plain.SchedNormalized() != checked.SchedNormalized() {
-		t.Fatalf("event cross-check diverges from plain event run:\nplain:   %+v\nchecked: %+v", plain, checked)
+		t.Fatalf("cross-checked run diverges from plain run:\nplain:   %+v\nchecked: %+v", plain, checked)
 	}
 	if checked.CyclesVisited != checked.Cycles {
 		t.Fatalf("cross-check visited %d of %d cycles; must visit all", checked.CyclesVisited, checked.Cycles)
@@ -96,9 +96,9 @@ func TestEventCrossCheckClean(t *testing.T) {
 // TestEventModeLatenciesUnchanged is the regression test for the
 // skip-path clock wart: completion events are scheduled relative to
 // event time (the controller clock is only advanced on visits), so
-// every latency-derived metric must match a run that ticks every
-// controller every cycle exactly — hit latencies, miss fills, and the
-// lock-window tail included.
+// every latency-derived metric must match the cross-checked run
+// (SchedCycle), which visits every cycle, exactly — hit latencies,
+// miss fills, and the lock-window tail included.
 func TestEventModeLatenciesUnchanged(t *testing.T) {
 	cycle := schedBuild(t, config.PolicyEager, "canneal", faults.Config{}, 4000, WithScheduler(SchedCycle)).MustRun()
 	event := schedBuild(t, config.PolicyEager, "canneal", faults.Config{}, 4000, WithScheduler(SchedEvent)).MustRun()
@@ -115,7 +115,7 @@ func TestEventModeLatenciesUnchanged(t *testing.T) {
 		{"IPC", event.IPC, cycle.IPC},
 	} {
 		if c.got != c.want {
-			t.Errorf("%s: event mode %v, cycle mode %v", c.name, c.got, c.want)
+			t.Errorf("%s: plain run %v, cross-checked run %v", c.name, c.got, c.want)
 		}
 	}
 }
@@ -167,32 +167,6 @@ func TestCrossModeCheckpointRestore(t *testing.T) {
 	}
 }
 
-// TestSchedulerFlag pins the -sched spellings and the error a bad one
-// gets (a bad value leaves the flag as it was).
-func TestSchedulerFlag(t *testing.T) {
-	for _, tc := range []struct {
-		from Scheduler
-		in   string
-		want Scheduler
-		err  string
-	}{
-		{SchedCycle, "event", SchedEvent, ""},
-		{SchedEvent, "cycle", SchedCycle, ""},
-		{SchedCycle, "", SchedCycle, `sim: unknown scheduler "" (want cycle or event)`},
-		{SchedEvent, "events", SchedEvent, `sim: unknown scheduler "events" (want cycle or event)`},
-	} {
-		got := tc.from
-		err := got.Set(tc.in)
-		if fmt.Sprint(err) != cmp.Or(tc.err, "<nil>") || got != tc.want {
-			t.Errorf("Set(%q) = %v, leaving %v; want %q, %v", tc.in, err, got, tc.err, tc.want)
-		}
-	}
-	var _ flag.Value = new(Scheduler)
-	if SchedEvent.String() != "event" || SchedCycle.String() != "cycle" {
-		t.Errorf("String(): %q, %q", SchedEvent, SchedCycle)
-	}
-}
-
 // TestSchedulerSteadyStateAllocs pins event mode's per-cycle
 // hot path — the wake-time queries and the jump-target computation —
 // at zero allocations in steady state.
@@ -237,7 +211,7 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			} else {
 				s.cycle = s.nextTarget(cacheWake, coreWake)
 			}
-			live = s.step(live, cacheWake, coreWake, false)
+			live = s.step(live, cacheWake, coreWake)
 		}
 		for i := 0; i < 3000; i++ {
 			step()
@@ -267,7 +241,7 @@ func TestCrossCheckReplaysInIndexOrder(t *testing.T) {
 	}
 	step := func() (msg any) {
 		defer func() { msg = recover() }()
-		live = s.step(live, cacheWake, coreWake, false)
+		live = s.step(live, cacheWake, coreWake)
 		return nil
 	}
 	for tries := 0; tries < 5000; tries++ {

@@ -37,7 +37,6 @@ type System struct {
 	checkEvery uint64
 	watchdog   uint64
 	crossCheck bool
-	sched      Scheduler
 
 	ckptEvery uint64
 	ckptFn    func(cycle uint64, snap *SysSnap) error
@@ -96,16 +95,19 @@ func WithCrossCheck() Option {
 	return func(s *System) { s.crossCheck = true }
 }
 
-// WithScheduler selects what the run loop visits: SchedEvent (the
-// default) advances the clock directly to the next scheduled wake-up
-// and visits the nodes due there, SchedCycle visits every node at every
-// cycle. Both produce byte-identical Results
-// (modulo CyclesVisited; see Result.SchedNormalized). The scheduler is
-// deliberately not part of config.Config: it cannot change results, so
-// it stays out of checkpoint content keys, and a checkpoint taken in
-// one mode restores into the other.
+// WithScheduler selects how the run loop advances: SchedEvent (the
+// default) jumps to the next wake-up, SchedCycle is WithCrossCheck.
+// Both produce byte-identical Results (modulo CyclesVisited; see
+// Result.SchedNormalized). Only rowperf's reference runs still call it.
+// The scheduler is deliberately not part of config.Config: it cannot
+// change results, so it stays out of checkpoint content keys, and a
+// checkpoint taken in one mode restores into the other.
 func WithScheduler(m Scheduler) Option {
-	return func(s *System) { s.sched = m }
+	return func(s *System) {
+		if m == SchedCycle {
+			s.crossCheck = true
+		}
+	}
 }
 
 // WithCheckpoint arranges for fn to receive a full system snapshot
