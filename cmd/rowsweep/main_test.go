@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rowsim/internal/sim"
 )
 
 // capture runs the command in-process and returns what it printed.
@@ -28,23 +32,35 @@ func capture(args ...string) (stdout, stderr string, code int) {
 // Both record a "sched" this build has no flag for. This build must
 // resume each — same journal format, same cell keys, same definition
 // hash — re-run only the missing cells and print what an uninterrupted
-// sweep prints.
+// sweep prints. The first, its meta restamped with another
+// sim.ModelVersion, must instead be kept beside a fresh journal and
+// re-run every cell, with one warning.
 func TestResumesParentJournal(t *testing.T) {
 	for _, tc := range []struct {
 		fixture       string
 		def           []string
 		cores         string
 		served, rerun int
+		otherModel    bool
 	}{
 		{"parent_killed.jsonl", []string{"-workload", "sps", "-param", "sharedfrac", "-values", "0.1,0.3,0.5,0.7,0.9",
-			"-cores", "8", "-instrs", "20000"}, "8", 7, 8},
+			"-cores", "8", "-instrs", "20000"}, "8", 7, 8, false},
 		{"parent_sched_cycle.jsonl", []string{"-workload", "pc", "-param", "hotlines", "-values", "1,4,16",
-			"-cores", "4", "-instrs", "40000"}, "4", 4, 5},
+			"-cores", "4", "-instrs", "40000"}, "4", 4, 5, false},
+		{"parent_killed.jsonl", []string{"-workload", "sps", "-param", "sharedfrac", "-values", "0.1,0.3,0.5,0.7,0.9",
+			"-cores", "8", "-instrs", "20000"}, "8", 0, 15, true},
 	} {
-		t.Run(tc.fixture, func(t *testing.T) {
+		name := tc.fixture
+		if tc.otherModel {
+			name = "other model starts fresh"
+		}
+		t.Run(name, func(t *testing.T) {
 			fixture, err := os.ReadFile(filepath.Join("testdata", tc.fixture))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.otherModel {
+				fixture = bytes.Replace(fixture, []byte(`"kind":"meta"`), []byte(fmt.Sprintf(`"kind":"meta","model":%d`, sim.ModelVersion+1)), 1)
 			}
 			journal := filepath.Join(t.TempDir(), "sweep.jsonl")
 			if err := os.WriteFile(journal, fixture, 0o644); err != nil {
@@ -73,6 +89,12 @@ func TestResumesParentJournal(t *testing.T) {
 			}
 			if n := strings.Count(stderr, "ok (1 attempt(s))"); n != tc.rerun {
 				t.Errorf("%d cells re-run, want %d:\n%s", n, tc.rerun, stderr)
+			}
+			if n := strings.Count(stderr, "starting fresh"); (n == 1) != tc.otherModel || n > 1 {
+				t.Errorf("%d other-model warnings (other model: %v):\n%s", n, tc.otherModel, stderr)
+			}
+			if kept, err := os.ReadFile(fmt.Sprintf("%s.model%d", journal, sim.ModelVersion+1)); tc.otherModel && !bytes.Equal(kept, fixture) {
+				t.Errorf("other model's journal not kept: %v", err)
 			}
 		})
 	}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"rowsim/internal/lifecycle"
+	"rowsim/internal/sim"
 )
 
 // capture runs the command in-process and returns what it printed.
@@ -25,58 +28,84 @@ func capture(args ...string) (stdout, stderr string, code int) {
 // each ok with the same result. The parent also journaled -sched event,
 // a flag this build no longer has; everything else in its definition
 // is this build's. A -resume that contradicts the journaled definition
-// exits 2, as rowsweep's does.
+// exits 2, as rowsweep's does. The same journal restamped with another
+// sim.ModelVersion is kept beside a fresh one, and all 60 runs re-run
+// after one warning.
 func TestResumesParentJournal(t *testing.T) {
-	dir := t.TempDir()
 	fixture, err := os.ReadFile("testdata/parent_killed.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal := filepath.Join(dir, "torture.jsonl")
-	if err := os.WriteFile(journal, fixture, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	clean := filepath.Join(dir, "clean.jsonl")
-	if out, stderr, code := capture("-n", "60", "-seed", "2026", "-journal", clean); code != 0 {
-		t.Fatalf("uninterrupted sweep exited %d: %s%s", code, out, stderr)
-	}
-
-	for _, conflict := range [][]string{{"-n", "500"}, {"-seed", "7"}, {"-cores", "4"}, {"-instrs", "1000"},
-		{"-replay-every", "0"}, {"-check-every", "1"}, {"-max-cycles", "9"}} {
-		_, stderr, code := capture(append([]string{"-resume", journal}, conflict...)...)
-		if code != 2 || !strings.Contains(stderr, "produced by a different sweep definition ("+conflict[0]+":") {
-			t.Errorf("conflicting %v: exit %d, stderr %q", conflict, code, stderr)
-		}
-	}
-	out, stderr, code := capture("-resume", journal, "-n", "60", "-timeout", "1m")
-	if code != 0 || !strings.Contains(out, "torture: 60 runs, ") || !strings.Contains(out, " 0 failures, 25 resumed from journal") {
-		t.Fatalf("resume: exit %d, %q\n%s", code, out, stderr)
-	}
-
-	got, _, err := lifecycle.Load(journal)
-	if err != nil {
-		t.Fatal(err)
+	clean := filepath.Join(t.TempDir(), "clean.jsonl")
+	wantOut, stderr, code := capture("-n", "60", "-seed", "2026", "-journal", clean)
+	if code != 0 {
+		t.Fatalf("uninterrupted sweep exited %d: %s%s", code, wantOut, stderr)
 	}
 	want, _, err := lifecycle.Load(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parentDef := maps.Clone(got.Meta.Args)
-	if parentDef["sched"] != "event" {
-		t.Errorf("parent journal records -sched %q, want event", parentDef["sched"])
-	}
-	delete(parentDef, "sched")
-	if !maps.Equal(parentDef, want.Meta.Args) {
-		t.Errorf("definition: parent wrote %v, this build writes %v", got.Meta.Args, want.Meta.Args)
-	}
-	if len(got.Runs) != 60 || len(want.Runs) != 60 {
-		t.Fatalf("resumed journal has %d runs, uninterrupted %d, want 60", len(got.Runs), len(want.Runs))
-	}
-	for key, w := range want.Runs {
-		g, ok := got.Completed(key)
-		if !ok || w.Result == nil || *g.Result != *w.Result {
-			t.Errorf("%s: resumed journal has %+v, uninterrupted %+v", key, g, w)
+
+	for _, otherModel := range []bool{false, true} {
+		name := "same model resumes"
+		if otherModel {
+			name = "other model starts fresh"
 		}
+		t.Run(name, func(t *testing.T) {
+			parent := fixture
+			if otherModel {
+				parent = bytes.Replace(fixture, []byte(`"kind":"meta"`), []byte(fmt.Sprintf(`"kind":"meta","model":%d`, sim.ModelVersion+1)), 1)
+			}
+			journal := filepath.Join(t.TempDir(), "torture.jsonl")
+			if err := os.WriteFile(journal, parent, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, conflict := range [][]string{{"-n", "500"}, {"-seed", "7"}, {"-cores", "4"}, {"-instrs", "1000"},
+				{"-replay-every", "0"}, {"-check-every", "1"}, {"-max-cycles", "9"}} {
+				_, stderr, code := capture(append([]string{"-resume", journal}, conflict...)...)
+				if code != 2 || !strings.Contains(stderr, "produced by a different sweep definition ("+conflict[0]+":") {
+					t.Errorf("conflicting %v: exit %d, stderr %q", conflict, code, stderr)
+				}
+			}
+			out, stderr, code := capture("-resume", journal, "-n", "60", "-timeout", "1m")
+			served := strings.Contains(out, "torture: 60 runs, ") && strings.Contains(out, " 0 failures, 25 resumed from journal")
+			if otherModel {
+				served = out == wantOut // every run re-run: the uninterrupted line
+			}
+			if code != 0 || !served {
+				t.Fatalf("resume: exit %d, %q\n%s", code, out, stderr)
+			}
+			if n := strings.Count(stderr, "starting fresh"); (n == 1) != otherModel || n > 1 {
+				t.Errorf("%d other-model warnings:\n%s", n, stderr)
+			}
+
+			got, _, err := lifecycle.Load(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parentDef := maps.Clone(got.Meta.Args)
+			if otherModel {
+				kept, err := os.ReadFile(fmt.Sprintf("%s.model%d", journal, sim.ModelVersion+1))
+				if !bytes.Equal(kept, parent) {
+					t.Errorf("other model's journal not kept: %v", err)
+				}
+			} else if parentDef["sched"] != "event" {
+				t.Errorf("parent journal records -sched %q, want event", parentDef["sched"])
+			}
+			delete(parentDef, "sched")
+			if !maps.Equal(parentDef, want.Meta.Args) {
+				t.Errorf("definition: resumed journal has %v, this build writes %v", got.Meta.Args, want.Meta.Args)
+			}
+			if len(got.Runs) != 60 || len(want.Runs) != 60 {
+				t.Fatalf("resumed journal has %d runs, uninterrupted %d, want 60", len(got.Runs), len(want.Runs))
+			}
+			for key, w := range want.Runs {
+				g, ok := got.Completed(key)
+				if !ok || w.Result == nil || *g.Result != *w.Result {
+					t.Errorf("%s: resumed journal has %+v, uninterrupted %+v", key, g, w)
+				}
+			}
+		})
 	}
 }
 

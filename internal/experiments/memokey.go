@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"runtime/debug"
 	"sync"
+
+	"rowsim/internal/sim"
 )
 
 // This file is the memo: the content-addressing scheme behind every
@@ -16,8 +18,9 @@ import (
 // hash to the same content key are guaranteed to produce the same
 // sim.Result, because a cell is a pure function of (configuration,
 // workload parameters, trace shape, seed) and of the simulator code
-// itself. The code revision is therefore part of every key: results
-// computed by an older binary must never be served for a newer one.
+// itself. The code revision and sim.ModelVersion are therefore part of
+// every key: another model's results are never served, even by an
+// unstamped build whose revision is "dev".
 
 var (
 	codeRevOnce sync.Once
@@ -57,10 +60,10 @@ func CodeRev() string {
 
 // ContentKey hashes an ordered sequence of JSON-serializable parts —
 // typically (config.Config, workload.Params, cores, instrs, seed) —
-// together with CodeRev into a stable hex content address. Parts are
-// length-prefixed by position so adjacent values cannot alias across
-// boundaries, and JSON encoding of the repo's plain config/param
-// structs is deterministic (fixed field order, no maps).
+// together with CodeRev and sim.ModelVersion into a stable hex content
+// address. Parts are length-prefixed by position so adjacent values
+// cannot alias across boundaries, and JSON encoding of the repo's plain
+// config/param structs is deterministic (fixed field order, no maps).
 func ContentKey(parts ...any) string {
 	h := sha256.New()
 	enc := json.NewEncoder(h)
@@ -68,6 +71,7 @@ func ContentKey(parts ...any) string {
 	// a failure would mean a non-serializable part, which is a
 	// programming error the digest makes loudly visible by differing.
 	_ = enc.Encode(CodeRev())
+	_ = enc.Encode(sim.ModelVersion)
 	for i, p := range parts {
 		_ = enc.Encode(i)
 		_ = enc.Encode(p)

@@ -35,10 +35,13 @@ type Record struct {
 	// definition (see SpecHash); Create fills it automatically so a
 	// resume can detect a journal whose meta was edited or that was
 	// produced by a different definition. Sweep records carry the hash
-	// of their embedded Spec the same way.
+	// of their embedded Spec the same way. Model is the
+	// sim.ModelVersion that computed the journal's results; Create
+	// stamps it.
 	Tool     string            `json:"tool,omitempty"`
 	Args     map[string]string `json:"args,omitempty"`
 	SpecHash string            `json:"spec_hash,omitempty"`
+	Model    int               `json:"model,omitempty"`
 
 	// Queue fields (rowserve). Sweep is the owning sweep ID on both
 	// "sweep" and "cell" records; Spec is the sweep's JSON submission.
@@ -112,7 +115,7 @@ func Create(path string, meta Record) (*Journal, error) {
 	if _, err := os.Stat(path); err == nil {
 		return nil, fmt.Errorf("lifecycle: journal %s already exists (use resume, or remove it)", path)
 	}
-	meta.Kind = "meta"
+	meta.Kind, meta.Model = "meta", sim.ModelVersion
 	if meta.SpecHash == "" && len(meta.Args) > 0 {
 		meta.SpecHash = SpecHash(meta.Tool, meta.Args)
 	}
@@ -367,20 +370,25 @@ func Resume(path string) (*Journal, *Snapshot, error) {
 // and every definition flag given on the command line agrees with it —
 // all as *SpecMismatchError — and then sets each flag the journal recorded to
 // the journaled value, so `tool -resume j.jsonl` needs no other flag. A
-// definition flag the journal predates (no key) keeps its value. With
-// neither path it returns a nil journal and snapshot, which Supervisor,
-// Sweep and Close all accept.
+// definition flag the journal predates (no key) keeps its value. A
+// journal another sim.ModelVersion wrote is kept beside resume, renamed
+// after its model, and the sweep starts fresh at resume with a warning
+// on fs's output and a nil snapshot. With neither path it returns a nil
+// journal and snapshot, which Supervisor, Sweep and Close all accept.
 func OpenSweep(fs *flag.FlagSet, tool, create, resume string, def ...string) (*Journal, *Snapshot, error) {
-	if resume == "" {
-		if create == "" {
-			return nil, nil, nil
-		}
+	fresh := func(path string) (*Journal, *Snapshot, error) {
 		args := make(map[string]string, len(def))
 		for _, name := range def {
 			args[name] = fs.Lookup(name).Value.String()
 		}
-		j, err := Create(create, Record{Tool: tool, Args: args})
+		j, err := Create(path, Record{Tool: tool, Args: args})
 		return j, nil, err
+	}
+	if resume == "" {
+		if create == "" {
+			return nil, nil, nil
+		}
+		return fresh(create)
 	}
 	j, snap, err := Resume(resume)
 	if err != nil {
@@ -405,5 +413,19 @@ func OpenSweep(fs *flag.FlagSet, tool, create, resume string, def ...string) (*J
 		j.Close()
 		return nil, nil, err
 	}
-	return j, snap, nil
+	if snap.Meta.Model == sim.ModelVersion {
+		return j, snap, nil
+	}
+	// Another model computed these results: none may be served.
+	j.Close()
+	kept := fmt.Sprintf("%s.model%d", resume, snap.Meta.Model)
+	if _, err := os.Stat(kept); err == nil {
+		return nil, nil, fmt.Errorf("lifecycle: journal %s is from model %d, and %s already exists (remove it to start fresh)", resume, snap.Meta.Model, kept)
+	}
+	if err := os.Rename(resume, kept); err != nil {
+		return nil, nil, err
+	}
+	fmt.Fprintf(fs.Output(), "%s: journal %s is from model %d, this build runs model %d: starting fresh (old journal kept as %s)\n",
+		tool, resume, snap.Meta.Model, sim.ModelVersion, kept)
+	return fresh(resume)
 }

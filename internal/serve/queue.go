@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"log"
 	"os"
 	"sync"
 
@@ -131,7 +132,8 @@ func sweepID(tenant string, spec SweepSpec) string {
 // openQueue creates the journal at path, or — when the file already
 // exists — replays it and reconstructs the exact queue state: sweeps
 // re-admitted, terminal cells kept with their results, everything else
-// re-enqueued. Recovered terminal results also seed the memo cache.
+// re-enqueued. Recovered terminal results also seed the memo cache,
+// when this model computed them.
 // Returns (queue, resumedCells, requeuedCells).
 func openQueue(baseCtx context.Context, path string, memo *experiments.Flight[memoOutcome]) (*queue, int, int, error) {
 	q := &queue{
@@ -165,6 +167,12 @@ func openQueue(baseCtx context.Context, path string, memo *experiments.Flight[me
 		return nil, 0, 0, fmt.Errorf("serve: journal %s belongs to %q, not rowserve", path, snap.Meta.Tool)
 	}
 	q.jnl = jnl
+	// Another model's results keep their own sweeps' outcomes but never
+	// seed the memo, which serves new sweeps.
+	seed := snap.Meta.Model == sim.ModelVersion
+	if !seed {
+		log.Printf("serve: journal %s is from model %d, this build runs model %d: its results are not memoized", path, snap.Meta.Model, sim.ModelVersion)
+	}
 
 	var resumed, requeued int
 	for _, rec := range snap.Sweeps {
@@ -213,10 +221,11 @@ func openQueue(baseCtx context.Context, path string, memo *experiments.Flight[me
 			c.result = prev.Result
 			c.resumed = true
 			resumed++
-			switch prev.Status {
-			case lifecycle.StatusOK:
+			switch {
+			case !seed: // its own sweep's outcome only
+			case prev.Status == lifecycle.StatusOK:
 				memo.Put(c.ckey, memoOutcome{res: *prev.Result})
-			case lifecycle.StatusFailed:
+			case prev.Status == lifecycle.StatusFailed:
 				memo.Put(c.ckey, memoOutcome{err: prev.Error})
 			}
 		}

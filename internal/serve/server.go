@@ -357,6 +357,7 @@ func (s *Server) Snapshot() Stats {
 	st := Stats{
 		UptimeSeconds:    time.Since(b.start).Seconds(),
 		CodeRev:          experiments.CodeRev(),
+		ModelVersion:     sim.ModelVersion,
 		Journal:          s.cfg.Journal,
 		Draining:         s.draining.Load(),
 		QueueDepth:       depth,

@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"rowsim/internal/lifecycle"
+	"rowsim/internal/sim"
 )
 
 // testServer opens a server on a fresh journal and, when run is true,
@@ -252,6 +257,71 @@ func TestServerCrossTenantMemo(t *testing.T) {
 	}
 }
 
+// TestServerRestartMemoIsThisModels: a daemon restarted on its journal
+// seeds the memo with the journaled results, so a second tenant's copy
+// of a finished sweep executes nothing — unless the journal's meta says
+// another model computed them. Then the first sweep keeps its journaled
+// outcomes and the second tenant's cells execute.
+func TestServerRestartMemoIsThisModels(t *testing.T) {
+	for _, model := range []int{sim.ModelVersion, sim.ModelVersion + 1} {
+		t.Run(fmt.Sprintf("model=%d", model), func(t *testing.T) {
+			journal := filepath.Join(t.TempDir(), "q.jsonl")
+			spec := testSpec(t, 0.4)
+			cells := uint64(len(spec.Cells()))
+
+			srv1, err := Open(Config{Journal: journal, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs1 := httptest.NewServer(srv1.Handler())
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() { done <- srv1.Run(ctx) }()
+			_, va := submit(t, hs1, "alice", spec)
+			waitDone(t, hs1, "alice", va.ID)
+			cancel()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			hs1.Close()
+
+			// Restamp the meta record; its spec hash does not cover the model.
+			data, err := os.ReadFile(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			head, rest, _ := bytes.Cut(data, []byte("\n"))
+			var meta lifecycle.Record
+			if err := json.Unmarshal(head, &meta); err != nil {
+				t.Fatal(err)
+			}
+			meta.Model = model
+			if head, err = json.Marshal(meta); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(journal, append(append(head, '\n'), rest...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			srv2, hs2 := testServer(t, Config{Journal: journal}, true)
+			if v := waitDone(t, hs2, "alice", va.ID); v.Status != "done" {
+				t.Fatalf("alice's sweep after restart: %+v", v)
+			}
+			_, vb := submit(t, hs2, "bob", spec)
+			waitDone(t, hs2, "bob", vb.ID)
+			st := srv2.Snapshot()
+			wantRun := uint64(0)
+			if model != sim.ModelVersion {
+				wantRun = cells
+			}
+			if st.CellsResumed != cells || st.CellsExecuted != wantRun || st.CellsFromCache != cells-wantRun {
+				t.Errorf("journal of model %d: resumed %d, executed %d, from memo %d; want %d, %d, %d",
+					model, st.CellsResumed, st.CellsExecuted, st.CellsFromCache, cells, wantRun, cells-wantRun)
+			}
+		})
+	}
+}
+
 // TestServerAdmissionControl: a full queue sheds with 429 and a
 // Retry-After header; already-admitted work is unaffected. Workers
 // are deliberately not running, so the queue cannot drain under us.
@@ -410,7 +480,8 @@ func TestServerStats(t *testing.T) {
 	if st.SweepsAccepted != 1 || st.OutcomeOK != cells || st.QueueDepth != 0 {
 		t.Errorf("stats = accepted:%d ok:%d depth:%d", st.SweepsAccepted, st.OutcomeOK, st.QueueDepth)
 	}
-	if len(st.Workers) != srv.cfg.Workers || st.Journal == "" || st.CodeRev == "" {
+	if len(st.Workers) != srv.cfg.Workers || st.Journal == "" || st.CodeRev == "" ||
+		!bytes.Contains(body, []byte(`"model_version"`)) || st.ModelVersion != sim.ModelVersion {
 		t.Errorf("stats identity fields: %+v", st)
 	}
 }

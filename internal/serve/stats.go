@@ -18,6 +18,7 @@ type WorkerState struct {
 type Stats struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	CodeRev       string  `json:"code_rev"`
+	ModelVersion  int     `json:"model_version"` // sim.ModelVersion
 	Journal       string  `json:"journal"`
 	Draining      bool    `json:"draining"`
 

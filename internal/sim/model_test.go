@@ -32,7 +32,10 @@ type modelCell struct {
 }
 
 // modelCells restates the cells of rowperf's six workloads at its
-// small sizes (cmd/rowperf/workloads.go) for one benchmark seed.
+// small sizes (cmd/rowperf/workloads.go) for one benchmark seed, then
+// adds the paper's 32-core machine at 2,000 instructions a core: the
+// contended pair pc and sps under eager and lazy, and rowperf's cold
+// canneal and spin-lock cells.
 func modelCells(t *testing.T, seed uint64) []modelCell {
 	const cores32, cores8 = 4, 2
 	const instrsFig, instrsContended, instrsCold, instrsSpin, instrsCkpt = 800, 1500, 1500, 1500, 3000
@@ -93,18 +96,29 @@ func modelCells(t *testing.T, seed uint64) []modelCell {
 			}
 		}
 	}
+
+	for _, wl := range []string{"pc", "sps"} {
+		for _, v := range []experiments.Variant{experiments.VarEager, experiments.VarLazy} {
+			add("cores=32", wl, v, 32, 2000, nil)
+		}
+	}
+	add("cores=32 coldmiss", "canneal", experiments.VarDirUD, 32, 2000, func(c *config.Config) { c.WarmCaches = false })
+	add("cores=32 lockspin", "tas", experiments.VarDirUD, 32, 2000, nil)
 	return cells
 }
 
 // TestModelContract pins what the simulator computes: every sim.Result
 // field and every component counter rowperf's ledger sums, for the
-// cells of rowperf's six workloads on seeds 1 and 7, one line per
-// number. A change meant to leave the model alone leaves
-// testdata/model.golden byte-identical; one meant to change it
-// regenerates the file with -update and shows the diff.
+// cells of modelCells on seeds 1 and 7, one line per number, under a
+// "# model N" header that must equal sim.ModelVersion. A change meant
+// to leave the model alone leaves testdata/model.golden byte-identical;
+// one meant to change it bumps sim.ModelVersion and regenerates the
+// file with -update, which refuses new numbers under the old header.
 func TestModelContract(t *testing.T) {
 	var out bytes.Buffer
 	out.WriteString("# rowsim model contract: go test ./internal/sim -run TestModelContract -update\n")
+	header := fmt.Sprintf("# model %d", sim.ModelVersion)
+	out.WriteString(header + "\n")
 	for _, seed := range []uint64{1, 7} {
 		for _, c := range modelCells(t, seed) {
 			writeModelCell(t, &out, fmt.Sprintf("seed=%d %s", seed, c.name), c)
@@ -112,31 +126,44 @@ func TestModelContract(t *testing.T) {
 	}
 
 	path := filepath.Join("testdata", "model.golden")
+	want, err := os.ReadFile(path)
 	if *update {
+		// Past line 2 both files carry this header.
+		if line, g, e := firstDiff(out.String(), string(want)); err == nil && line > 2 {
+			t.Fatalf("model differs from %s at line %d:\n got  %q\n want %q\nunder the same header %q: bump sim.ModelVersion", path, line, g, e, header)
+		}
 		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	if !bytes.Equal(out.Bytes(), want) {
-		got, exp := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(got) || i < len(exp); i++ {
-			var g, e string
-			if i < len(got) {
-				g = got[i]
-			}
-			if i < len(exp) {
-				e = exp[i]
-			}
-			if g != e {
-				t.Fatalf("model differs from %s at line %d:\n got  %q\n want %q\n(run with -update and diff the file)", path, i+1, g, e)
-			}
+	if line, g, e := firstDiff(out.String(), string(want)); line == 2 {
+		t.Fatalf("%s has header %q, sim.ModelVersion says %q (run with -update and diff the file)", path, e, g)
+	} else if line > 0 {
+		t.Fatalf("model differs from %s at line %d:\n got  %q\n want %q\n(run with -update and diff the file)", path, line, g, e)
+	}
+}
+
+// firstDiff returns the first line (from 1) where got and want differ,
+// with both versions of it, or 0 when they are equal.
+func firstDiff(got, want string) (line int, g, e string) {
+	gl, el := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(gl) || i < len(el); i++ {
+		g, e = "", ""
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(el) {
+			e = el[i]
+		}
+		if g != e {
+			return i + 1, g, e
 		}
 	}
+	return 0, "", ""
 }
 
 // writeModelCell runs one cell and appends its numbers, each line

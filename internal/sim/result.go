@@ -2,6 +2,14 @@ package sim
 
 import "rowsim/internal/stats"
 
+// ModelVersion numbers what the simulator computes. Bump it in any
+// change that moves a number in testdata/model.golden: the golden's
+// header must equal it, and every cache of results — content keys,
+// sweep journals, rowserve's memo — refuses another model's. It is 0
+// for the model every journal and fixture before it was written by,
+// so a journal with no "model" field reads as this one.
+const ModelVersion = 0
+
 // Result aggregates the metrics a run produces; the experiments
 // package turns these into the paper's figures.
 type Result struct {
