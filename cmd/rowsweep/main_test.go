@@ -21,46 +21,43 @@ func capture(args ...string) (stdout, stderr string, code int) {
 // TestResumesParentJournal resumes journals older builds wrote,
 // SIGKILLed mid-sweep with `-jobs 1 -journal ...`:
 //
-//   - testdata/parent_killed.jsonl, from the commit before the sweep
-//     machinery moved into internal/ (`-workload sps -param sharedfrac
-//     -values 0.1,0.3,0.5,0.7,0.9 -cores 8 -instrs 20000`, after 7 of
-//     15 cells);
+//   - testdata/parent_killed.jsonl, from a build of this model
+//     (`-workload sps -param sharedfrac -values 0.1,0.3,0.5,0.7,0.9
+//     -cores 8 -instrs 20000`, after 7 of 15 cells);
 //   - testdata/parent_sched_cycle.jsonl, from the last build that took
 //     -sched (`-workload pc -param hotlines -values 1,4,16 -cores 4
-//     -instrs 40000 -sched cycle`, after 4 of 9 cells).
+//     -instrs 40000 -sched cycle`, after 4 of 9 cells), which ran model
+//     0 and so wrote no "model" field.
 //
-// Both record a "sched" this build has no flag for. This build must
-// resume each — same journal format, same cell keys, same definition
-// hash — re-run only the missing cells and print what an uninterrupted
-// sweep prints. The first, its meta restamped with another
-// sim.ModelVersion, must instead be kept beside a fresh journal and
-// re-run every cell, with one warning.
+// This build must resume the first — same journal format, same cell
+// keys, same definition hash — re-run only the missing cells and print
+// what an uninterrupted sweep prints. A journal of another model must
+// instead be kept beside a fresh journal, with one warning, and every
+// cell re-run: the second, whose "sched" this build has no flag for,
+// and the first with its meta restamped as sim.ModelVersion+1.
 func TestResumesParentJournal(t *testing.T) {
 	for _, tc := range []struct {
-		fixture       string
+		name, fixture string
 		def           []string
 		cores         string
 		served, rerun int
-		otherModel    bool
+		model         int // the model the journal is from
 	}{
-		{"parent_killed.jsonl", []string{"-workload", "sps", "-param", "sharedfrac", "-values", "0.1,0.3,0.5,0.7,0.9",
-			"-cores", "8", "-instrs", "20000"}, "8", 7, 8, false},
-		{"parent_sched_cycle.jsonl", []string{"-workload", "pc", "-param", "hotlines", "-values", "1,4,16",
-			"-cores", "4", "-instrs", "40000"}, "4", 4, 5, false},
-		{"parent_killed.jsonl", []string{"-workload", "sps", "-param", "sharedfrac", "-values", "0.1,0.3,0.5,0.7,0.9",
-			"-cores", "8", "-instrs", "20000"}, "8", 0, 15, true},
+		{"parent_killed.jsonl", "parent_killed.jsonl", []string{"-workload", "sps", "-param", "sharedfrac", "-values", "0.1,0.3,0.5,0.7,0.9",
+			"-cores", "8", "-instrs", "20000"}, "8", 7, 8, sim.ModelVersion},
+		{"parent_sched_cycle.jsonl", "parent_sched_cycle.jsonl", []string{"-workload", "pc", "-param", "hotlines", "-values", "1,4,16",
+			"-cores", "4", "-instrs", "40000"}, "4", 0, 9, 0},
+		{"other model starts fresh", "parent_killed.jsonl", []string{"-workload", "sps", "-param", "sharedfrac", "-values", "0.1,0.3,0.5,0.7,0.9",
+			"-cores", "8", "-instrs", "20000"}, "8", 0, 15, sim.ModelVersion + 1},
 	} {
-		name := tc.fixture
-		if tc.otherModel {
-			name = "other model starts fresh"
-		}
+		name, otherModel := tc.name, tc.model != sim.ModelVersion
 		t.Run(name, func(t *testing.T) {
 			fixture, err := os.ReadFile(filepath.Join("testdata", tc.fixture))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.otherModel {
-				fixture = bytes.Replace(fixture, []byte(`"kind":"meta"`), []byte(fmt.Sprintf(`"kind":"meta","model":%d`, sim.ModelVersion+1)), 1)
+			if tc.model > sim.ModelVersion {
+				fixture = bytes.Replace(fixture, fmt.Appendf(nil, `"model":%d`, sim.ModelVersion), fmt.Appendf(nil, `"model":%d`, tc.model), 1)
 			}
 			journal := filepath.Join(t.TempDir(), "sweep.jsonl")
 			if err := os.WriteFile(journal, fixture, 0o644); err != nil {
@@ -90,10 +87,10 @@ func TestResumesParentJournal(t *testing.T) {
 			if n := strings.Count(stderr, "ok (1 attempt(s))"); n != tc.rerun {
 				t.Errorf("%d cells re-run, want %d:\n%s", n, tc.rerun, stderr)
 			}
-			if n := strings.Count(stderr, "starting fresh"); (n == 1) != tc.otherModel || n > 1 {
-				t.Errorf("%d other-model warnings (other model: %v):\n%s", n, tc.otherModel, stderr)
+			if n := strings.Count(stderr, "starting fresh"); (n == 1) != otherModel || n > 1 {
+				t.Errorf("%d other-model warnings (other model: %v):\n%s", n, otherModel, stderr)
 			}
-			if kept, err := os.ReadFile(fmt.Sprintf("%s.model%d", journal, sim.ModelVersion+1)); tc.otherModel && !bytes.Equal(kept, fixture) {
+			if kept, err := os.ReadFile(fmt.Sprintf("%s.model%d", journal, tc.model)); otherModel && !bytes.Equal(kept, fixture) {
 				t.Errorf("other model's journal not kept: %v", err)
 			}
 		})

@@ -21,14 +21,12 @@ func capture(args ...string) (stdout, stderr string, code int) {
 }
 
 // TestResumesParentJournal: testdata/parent_killed.jsonl was written by
-// the rowtorture of the commit before the sweep machinery moved into
-// internal/ (`rowtorture -n 60 -seed 2026 -workers 1 -journal ...`,
-// SIGKILLed after 25 of 60 runs). This build must resume it and end
-// with the journal an uninterrupted sweep writes: the same 60 keys,
-// each ok with the same result. The parent also journaled -sched event,
-// a flag this build no longer has; everything else in its definition
-// is this build's. A -resume that contradicts the journaled definition
-// exits 2, as rowsweep's does. The same journal restamped with another
+// a rowtorture build of this model (`rowtorture -n 60 -seed 2026
+// -workers 1 -journal ...`, SIGKILLed after 25 of 60 runs). This build
+// must resume it and end with the journal an uninterrupted sweep
+// writes: the same definition and 60 keys, each ok with the same
+// result. A -resume that contradicts the journaled definition exits 2,
+// as rowsweep's does. The same journal restamped with another
 // sim.ModelVersion is kept beside a fresh one, and all 60 runs re-run
 // after one warning.
 func TestResumesParentJournal(t *testing.T) {
@@ -54,7 +52,7 @@ func TestResumesParentJournal(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			parent := fixture
 			if otherModel {
-				parent = bytes.Replace(fixture, []byte(`"kind":"meta"`), []byte(fmt.Sprintf(`"kind":"meta","model":%d`, sim.ModelVersion+1)), 1)
+				parent = bytes.Replace(fixture, fmt.Appendf(nil, `"model":%d`, sim.ModelVersion), fmt.Appendf(nil, `"model":%d`, sim.ModelVersion+1), 1)
 			}
 			journal := filepath.Join(t.TempDir(), "torture.jsonl")
 			if err := os.WriteFile(journal, parent, 0o644); err != nil {
@@ -83,17 +81,13 @@ func TestResumesParentJournal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parentDef := maps.Clone(got.Meta.Args)
 			if otherModel {
 				kept, err := os.ReadFile(fmt.Sprintf("%s.model%d", journal, sim.ModelVersion+1))
 				if !bytes.Equal(kept, parent) {
 					t.Errorf("other model's journal not kept: %v", err)
 				}
-			} else if parentDef["sched"] != "event" {
-				t.Errorf("parent journal records -sched %q, want event", parentDef["sched"])
 			}
-			delete(parentDef, "sched")
-			if !maps.Equal(parentDef, want.Meta.Args) {
+			if !maps.Equal(got.Meta.Args, want.Meta.Args) {
 				t.Errorf("definition: resumed journal has %v, this build writes %v", got.Meta.Args, want.Meta.Args)
 			}
 			if len(got.Runs) != 60 || len(want.Runs) != 60 {

@@ -77,7 +77,7 @@ type controller interface {
 }
 
 // refPrivate is the controller as it was before the wheel: the heap for
-// a queue, and every retry through startMiss. Everything else is the
+// a queue. Everything else, parking and waking misses included, is the
 // real Private's code: after each call, whatever it scheduled is moved
 // out of its wheel into the heap, so its own Tick never finds an event.
 type refPrivate struct {
@@ -121,11 +121,11 @@ func (r *refPrivate) Tick(cycle uint64) {
 		case evRespond:
 			r.p.client.MemResp(e.tag, RespInfo{Line: e.line, Latency: e.lat, Hit: true})
 		default:
-			r.p.startMiss(e.tag, e.line, e.wr, e.at-e.lat)
+			r.p.startMiss(e.tag, e.line, e.wr, e.at-e.lat, false)
 		}
 		r.absorb()
 	}
-	r.p.Tick(cycle) // the wheel is empty: only the forced-release sweep runs
+	r.p.Tick(cycle) // the wheel is empty: only the wake and the forced-release sweep run
 }
 
 func (r *refPrivate) SetNow(cycle uint64) { r.p.SetNow(cycle) }
@@ -370,7 +370,7 @@ func (d *diffRun) checkpoint(heapOrder bool) {
 	snap := d.real.Snapshot()
 	var inHeap []EventSnap
 	for _, e := range d.ref.h {
-		inHeap = append(inHeap, EventSnap{At: e.at, Seq: e.seq, Kind: snapKind(e.kind), Tag: e.tag, Line: e.line, Wr: e.wr, Lat: e.lat})
+		inHeap = append(inHeap, EventSnap{At: e.at, Seq: e.seq, Kind: e.kind, Tag: e.tag, Line: e.line, Wr: e.wr, Lat: e.lat})
 	}
 	if !slices.Equal(snap.Events, sortEvents(slices.Clone(inHeap))) {
 		d.t.Fatalf("cycle %d: Snapshot().Events = %v, want the heap's %v in (At, Seq) order", d.cycle, snap.Events, inHeap)
@@ -422,9 +422,8 @@ func (d *diffRun) run(cycles uint64) {
 	}
 }
 
-// TestDifferentialAgainstHeap compares the timing wheel and the retry
-// fast path with the binary heap and the always-slow startMiss they
-// replaced, over seeded histories of accesses, store completions,
+// TestDifferentialAgainstHeap compares the timing wheel with the binary
+// heap it replaced, over seeded histories of accesses, store completions,
 // prefetch training, fills, acks and external requests, with Ticks on
 // time, late, idle, and with the clock running ahead of queued events.
 func TestDifferentialAgainstHeap(t *testing.T) {
@@ -465,6 +464,6 @@ func TestDifferentialAgainstHeap(t *testing.T) {
 		t.Error("no heap-ordered snapshot differed from its sorted twin")
 	}
 	if mshrFull < 1000 {
-		t.Errorf("only %d full-MSHR retries across all histories", mshrFull)
+		t.Errorf("only %d parked misses across all histories", mshrFull)
 	}
 }

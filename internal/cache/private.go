@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rowsim/internal/coherence"
@@ -72,10 +73,6 @@ const (
 	TagPrefetch uint64 = 1<<64 - 1
 )
 
-// mshrRetryCycles is how long a demand miss that found every MSHR busy
-// waits before it tries again.
-const mshrRetryCycles = 4
-
 // releaseAfter is the stall age (cycles) after which a locked line is
 // forcibly released to guarantee forward progress. Real hardware
 // bounds cache-locking time similarly; the value is above ordinary
@@ -100,6 +97,12 @@ type waiter struct {
 	write bool
 }
 
+// parkedMiss is a demand miss waiting for a free MSHR.
+type parkedMiss struct {
+	line uint64
+	waiter
+}
+
 type strideEntry struct {
 	pc       uint64
 	lastAddr uint64
@@ -119,9 +122,6 @@ type stalledExt struct {
 type mshrSet struct {
 	lines []uint64
 	ms    []mshr
-	// gen counts allocations and retirements. A demand miss turned away
-	// by a full file carries the value it saw (event.stamp); see Tick.
-	gen uint64
 }
 
 func (s *mshrSet) get(line uint64) *mshr {
@@ -136,14 +136,12 @@ func (s *mshrSet) get(line uint64) *mshr {
 // add inserts and returns the slot; the pointer is valid only until
 // the next add or remove.
 func (s *mshrSet) add(line uint64, m mshr) *mshr {
-	s.gen++
 	s.lines = append(s.lines, line)
 	s.ms = append(s.ms, m)
 	return &s.ms[len(s.ms)-1]
 }
 
 func (s *mshrSet) remove(line uint64) {
-	s.gen++
 	for i, l := range s.lines {
 		if l == line {
 			n := len(s.lines) - 1
@@ -214,7 +212,7 @@ type Stats struct {
 	MissHist      *stats.Histogram // distribution of the same
 	Prefetches    stats.Counter
 	Writebacks    stats.Counter
-	MSHRFull      stats.Counter // demand misses delayed by full fill buffers
+	MSHRFull      stats.Counter // demand misses parked behind a full MSHR file, each once
 	ExtStalls     stats.Counter // external requests stalled on a locked line
 	ForcedRel     stats.Counter // locks broken by the progress guarantee
 	Invalidations stats.Counter
@@ -236,8 +234,11 @@ type Private struct {
 	l1Hit int
 	l2Hit int
 
-	mshrs      mshrSet
-	mshrLimit  int
+	mshrs     mshrSet
+	mshrLimit int
+	// parked holds the demand misses that found no MSHR free, oldest
+	// first; Tick hands each freed MSHR to the head.
+	parked     []parkedMiss
 	stalled    stalledSet
 	pendingFar map[uint64][]waiter // outstanding far RMWs by line, FIFO
 	// farDeferred holds far RMWs waiting for an in-flight miss on the
@@ -292,8 +293,8 @@ func NewPrivate(coreID int, cfg *config.Config, net coherence.Network, client Cl
 		pfDegree:    m.PrefetcherDegree,
 		pfConfMin:   m.PrefetcherDistance,
 	}
-	// Every delay push is asked for is one of these three.
-	p.events.init(max(m.L1D.HitCycles, m.L2.HitCycles, mshrRetryCycles))
+	// Every delay push is asked for is one of these two.
+	p.events.init(max(m.L1D.HitCycles, m.L2.HitCycles))
 	p.Stats.MissHist = stats.NewHistogram(1 << 16)
 	return p
 }
@@ -386,17 +387,12 @@ func (p *Private) setState(line uint64, st uint8) {
 	}
 }
 
-// push schedules e behind everything already scheduled for its cycle.
+// push numbers e and schedules it behind everything already scheduled
+// for its cycle.
 //
 //rowlint:noalloc
 func (p *Private) push(e event) {
-	p.enqueue(p.events.put(e))
-}
-
-// enqueue numbers the event in record i and queues it.
-//
-//rowlint:noalloc
-func (p *Private) enqueue(i int32) {
+	i := p.events.put(e)
 	p.seq++
 	p.events.slab[i].seq = p.seq
 	if !p.events.link(i, p.now) {
@@ -456,8 +452,9 @@ func (p *Private) permOK(state uint8, write bool) bool {
 }
 
 // startMiss allocates or merges into an MSHR once the lookup pipeline
-// determined the access misses.
-func (p *Private) startMiss(tag uint64, line uint64, write bool, at uint64) {
+// determined the access misses. woken marks the head of the parked
+// queue, which goes ahead of the misses still parked behind it.
+func (p *Private) startMiss(tag uint64, line uint64, write bool, at uint64, woken bool) {
 	// The line may have arrived while the lookup was in flight.
 	if st := p.State(line); p.permOK(st, write) {
 		if write {
@@ -477,15 +474,14 @@ func (p *Private) startMiss(tag uint64, line uint64, write bool, at uint64) {
 		}
 		return
 	}
-	if p.mshrLimit > 0 && p.mshrs.len() >= p.mshrLimit {
-		// All fill buffers busy: prefetches drop, demand misses retry.
+	if p.mshrLimit > 0 && (p.mshrs.len() >= p.mshrLimit || len(p.parked) > 0 && !woken) {
+		// All fill buffers busy, or older misses waiting for one:
+		// prefetches drop, demand misses park behind the older ones.
 		if tag == TagPrefetch {
 			return
 		}
 		p.Stats.MSHRFull.Inc()
-		// Preserve the original access time for latency accounting.
-		retry := p.now + mshrRetryCycles
-		p.push(event{at: retry, kind: evRetry, tag: tag, line: line, wr: write, lat: retry - at, stamp: p.mshrs.gen})
+		p.parked = append(p.parked, parkedMiss{line: line, waiter: waiter{tag: tag, at: at, write: write}})
 		return
 	}
 	m := mshr{line: line, write: write, sentAt: p.now, waiters: p.getWaiters()}
@@ -725,7 +721,7 @@ func (p *Private) maybeComplete(line uint64, msp *mshr) {
 	for _, w := range ms.waiters {
 		if w.write && st != StateM && st != StateE {
 			// GrantS cannot satisfy writers: upgrade.
-			p.startMiss(w.tag, line, true, w.at)
+			p.startMiss(w.tag, line, true, w.at, false)
 		}
 	}
 	p.putWaiters(ms.waiters)
@@ -873,11 +869,10 @@ func (p *Private) installL2(line uint64, st uint8) {
 // be warmed to a matching state by the caller.
 func (p *Private) Warm(line uint64, state uint8) {
 	p.l2.Insert(line, state)
-	p.mshrs.gen++ // permission granted outside a fill: queued retries must look again
 }
 
-// Tick advances internal pipelines: lookup completions and the
-// forced-release progress guarantee.
+// Tick advances internal pipelines: lookup completions, parked misses
+// and the forced-release progress guarantee.
 //
 //rowlint:noalloc
 func (p *Private) Tick(cycle uint64) {
@@ -890,27 +885,22 @@ func (p *Private) Tick(cycle uint64) {
 		}
 		i := w.unlink(b)
 		p.work++
-		if e := &w.slab[i]; e.kind == evRetry && e.stamp == p.mshrs.gen && at == cycle {
-			// startMiss turned this miss away because the line lacked
-			// permission, no MSHR was open for it and none was free. All
-			// three can change only when an MSHR is allocated or retired
-			// (a fill installs after its MSHR retires; everything else
-			// only takes permission away), and none has been: it would
-			// be turned away again, so do just that.
-			p.Stats.MSHRFull.Inc()
-			e.at += mshrRetryCycles
-			e.lat += mshrRetryCycles
-			p.enqueue(i)
-			continue
-		}
 		e := w.slab[i] // by value: the handlers push, and the slab may move
 		w.release(i)
 		switch e.kind {
 		case evRespond:
 			p.client.MemResp(e.tag, RespInfo{Line: e.line, Latency: e.lat, Hit: true})
-		case evMiss, evRetry:
-			p.startMiss(e.tag, e.line, e.wr, e.at-e.lat)
+		case evMiss:
+			p.startMiss(e.tag, e.line, e.wr, e.at-e.lat, false)
 		}
+	}
+	// An MSHR retires only in Deliver, which the run loop follows with
+	// this Tick, so parked misses need no wake-up time of their own.
+	for len(p.parked) > 0 && p.mshrs.len() < p.mshrLimit {
+		m := p.parked[0]
+		p.parked = slices.Delete(p.parked, 0, 1)
+		p.work++
+		p.startMiss(m.tag, m.line, m.write, m.at, true)
 	}
 	// Everything due is drained and nothing is scheduled a whole wheel
 	// ahead, so what is left lies in (cycle, cycle+size).
@@ -937,10 +927,10 @@ func (p *Private) Tick(cycle uint64) {
 	}
 }
 
-// PendingWork reports in-flight misses, queued events or stalled
-// external requests (quiescence check).
+// PendingWork reports in-flight or parked misses, queued events or
+// stalled external requests (quiescence check).
 func (p *Private) PendingWork() bool {
-	return p.mshrs.len() > 0 || p.events.n > 0 || p.stalled.len() > 0 ||
+	return p.mshrs.len() > 0 || len(p.parked) > 0 || p.events.n > 0 || p.stalled.len() > 0 ||
 		len(p.pendingFar) > 0 || len(p.farDeferred) > 0
 }
 
@@ -951,9 +941,9 @@ func (p *Private) RetainedMsgs() int {
 	return p.stalled.len()
 }
 
-// OldestMiss returns the line of the oldest outstanding demand miss or
-// far RMW, with a short description (deadlock diagnostics). ok is false
-// when nothing is outstanding.
+// OldestMiss returns the line of the oldest outstanding demand miss,
+// parked miss or far RMW, with a short description (deadlock
+// diagnostics). ok is false when nothing is outstanding.
 func (p *Private) OldestMiss() (line uint64, desc string, ok bool) {
 	best := ^uint64(0)
 	for i := range p.mshrs.ms {
@@ -967,6 +957,12 @@ func (p *Private) OldestMiss() (line uint64, desc string, ok bool) {
 			}
 			desc = fmt.Sprintf("%s sent at cycle %d (dataArrived=%v acks=%d)", op, m.sentAt, m.dataArrived, m.pendingAcks)
 			ok = true
+		}
+	}
+	for i, m := range p.parked {
+		if m.at < best || (m.at == best && m.line < line) {
+			best, line, ok = m.at, m.line, true
+			desc = fmt.Sprintf("miss at cycle %d parked, %d ahead, MSHR file full", m.at, i)
 		}
 	}
 	//rowlint:ignore maporder minimum over (sentAt, line) with a total-order tie-break; visit order cannot change the result

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -414,11 +415,90 @@ func TestLine(t *testing.T) {
 	}
 }
 
-// TestEventRecordSize: the wheel's links and the retry stamp ride in what
-// was the heap record's padding, so the queue's storage did not grow.
+// TestEventRecordSize: the wheel's links ride in what was the heap
+// record's padding, so an event is six words.
 func TestEventRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got != 56 {
-		t.Fatalf("event is %d bytes, want the heap record's 56", got)
+	if got := unsafe.Sizeof(event{}); got != 48 {
+		t.Fatalf("event is %d bytes, want 48", got)
+	}
+}
+
+// fill delivers the data for line's miss at cycle, as the run loop
+// does: Deliver at the previous cycle's clock, then Tick.
+func fill(p *Private, line, cycle uint64) {
+	p.SetNow(cycle - 1)
+	p.Deliver([]*coherence.Msg{{Type: coherence.MsgData, Line: line, Src: 32, Grant: coherence.GrantS}})
+	p.Tick(cycle)
+}
+
+// TestParkedMissesWakeOldestFirst: with both MSHRs busy, misses park
+// and take freed MSHRs in arrival order. A miss that arrives in the
+// cycle an MSHR frees still queues behind the parked ones; a miss to a
+// line with an open MSHR merges without waiting; and each parked miss
+// counts in MSHRFull once, however long it waits.
+func TestParkedMissesWakeOldestFirst(t *testing.T) {
+	net, client := &fakeNet{}, newFakeClient()
+	cfg := config.Default()
+	cfg.Mem.MSHRs = 2
+	p := NewPrivate(0, cfg, net, client, func(uint64) int { return 32 })
+	line := func(i uint64) uint64 { return lineB + i*64 }
+	p.Tick(1)
+	for i := uint64(1); i <= 4; i++ {
+		p.Access(i, line(i), false)
+	}
+	tick(p, 2, 20) // lines 1 and 2 take the MSHRs, 3 and 4 park
+	p.Access(5, line(5), false)
+	tick(p, 21, 31)
+	fill(p, line(1), 32) // 5's lookup ends as 1's MSHR frees: 5 parks behind 4
+	p.Access(6, line(6), false)
+	p.Access(7, line(2), false) // merges into 2's open MSHR
+	tick(p, 33, 50)
+	if got := p.Stats.MSHRFull.Value(); got != 4 {
+		t.Errorf("MSHRFull = %d with 4 misses parked, want 4", got)
+	}
+	for i, c := uint64(2), uint64(51); i <= 6; i, c = i+1, c+1 {
+		fill(p, line(i), c)
+	}
+	var order []uint64
+	for _, m := range net.take() {
+		if m.Type == coherence.MsgGetS {
+			order = append(order, (m.Line-lineB)/64)
+		}
+	}
+	if !slices.Equal(order, []uint64{1, 2, 3, 4, 5, 6}) {
+		t.Errorf("GetS went out for lines %v, want 1 to 6 in arrival order", order)
+	}
+	for tag := uint64(1); tag <= 7; tag++ {
+		if _, ok := client.resps[tag]; !ok {
+			t.Errorf("access %d never answered", tag)
+		}
+	}
+	if got := p.Stats.MSHRFull.Value(); got != 4 || p.PendingWork() {
+		t.Errorf("after the fills: MSHRFull = %d (want 4), pending work %v", got, p.PendingWork())
+	}
+}
+
+// TestOldestMissNamesParkedMiss: a parked miss that has waited longest
+// is what deadlock diagnostics report, so a wake that never comes does
+// not read as a core waiting on nothing.
+func TestOldestMissNamesParkedMiss(t *testing.T) {
+	cfg := config.Default()
+	cfg.Mem.MSHRs = 1
+	p := NewPrivate(0, cfg, &fakeNet{}, newFakeClient(), func(uint64) int { return 32 })
+	p.Tick(1)
+	p.Access(1, lineB, false)
+	tick(p, 2, 5)
+	p.Access(2, lineB+64, false)
+	p.Access(3, lineB+128, false)
+	tick(p, 6, 20)
+	// Lose the wake: the MSHR retires without the Tick that follows.
+	p.Deliver([]*coherence.Msg{{Type: coherence.MsgData, Line: lineB, Src: 32, Grant: coherence.GrantS}})
+	line, desc, ok := p.OldestMiss()
+	if want := "miss at cycle 5 parked, 0 ahead, MSHR file full"; !ok || line != lineB+64 || desc != want {
+		t.Errorf("OldestMiss() = %#x, %q, %v; want %#x, %q", line, desc, ok, lineB+64, want)
+	}
+	if !p.PendingWork() {
+		t.Error("parked misses are pending work")
 	}
 }
 
@@ -441,16 +521,14 @@ type poolNet struct{ pool *coherence.MsgPool }
 func (n poolNet) Send(m *coherence.Msg)                { n.pool.Put(m) }
 func (n poolNet) SendAfter(m *coherence.Msg, _ uint64) { n.pool.Put(m) }
 
-// TestPipelineSteadyStateAllocs pins the queue's two hot loops at zero
+// TestPipelineSteadyStateAllocs pins the queue's hot loop at zero
 // allocations once its slab has grown: hit after hit through push, Tick
-// and MemResp, and a storm of full-MSHR retries through the fast path.
-// Then the protocol endpoint: misses filled by Data and external
-// requests served, one of them stalled behind a locked line.
+// and MemResp. Then the MSHR file: misses parked behind a full file and
+// woken by fills. Then the protocol endpoint: misses filled by Data and
+// external requests served, one of them stalled behind a locked line.
 func TestPipelineSteadyStateAllocs(t *testing.T) {
-	cfg := config.Default()
-	cfg.Mem.MSHRs = 1
 	client := &countingClient{}
-	p := NewPrivate(0, cfg, &fakeNet{}, client, func(uint64) int { return 32 })
+	p := NewPrivate(0, config.Default(), &fakeNet{}, client, func(uint64) int { return 32 })
 	p.Warm(lineB, StateE)
 	cycle := uint64(1)
 	hits := func() {
@@ -470,39 +548,51 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("%d hits answered, want at least 2000", got)
 	}
 
-	// One miss takes the only MSHR and is never filled; three more queue
-	// up behind it and retry every mshrRetryCycles.
-	for i := uint64(1); i <= 4; i++ {
-		p.Access(1000+i, lineB+i*64, false)
-	}
-	tick(p, cycle, cycle+100)
-	cycle += 101
-	storm := func() {
-		for i := 0; i < 1000; i++ {
-			p.Tick(cycle)
-			cycle++
-		}
-	}
-	before64 := p.Stats.MSHRFull.Value()
-	if n := testing.AllocsPerRun(4, storm); n != 0 {
-		t.Errorf("retry storm allocates %v times per 1000 cycles, want 0", n)
-	}
-	if got := p.Stats.MSHRFull.Value() - before64; got < 1000 {
-		t.Fatalf("%d retries in the storm, want at least 1000", got)
-	}
 	if p.events.late {
 		t.Error("on-time Ticks left the wheel in late mode")
 	}
 
 	pool := &coherence.MsgPool{}
+	one := make([]*coherence.Msg, 1)
+	deliverTo := func(c *Private, typ coherence.MsgType, line uint64, grant coherence.GrantState) {
+		one[0] = pool.New(coherence.Msg{Type: typ, Line: line, Src: 32, Dst: 0, Requestor: 5, Grant: grant})
+		c.Deliver(one)
+	}
+	// One miss takes the only MSHR, three park behind it; each fill
+	// wakes the next, and invalidations make the four lines miss again.
+	cfg := config.Default()
+	cfg.Mem.MSHRs = 1
+	rc := &countingClient{}
+	r := NewPrivate(0, cfg, poolNet{pool}, rc, func(uint64) int { return 32 })
+	r.SetMsgPool(pool)
+	storm := func() {
+		for i := uint64(0); i < 4; i++ {
+			r.Access(i, lineB+i*64, false)
+		}
+		tick(r, cycle, cycle+20)
+		cycle += 21
+		for i := uint64(0); i < 4; i++ {
+			deliverTo(r, coherence.MsgData, lineB+i*64, coherence.GrantS)
+			r.Tick(cycle)
+			cycle++
+		}
+		for i := uint64(0); i < 4; i++ {
+			deliverTo(r, coherence.MsgInv, lineB+i*64, 0)
+		}
+	}
+	storm() // warm-up: the queue, the waiter lists and the pool reach their size
+	parked, answered := r.Stats.MSHRFull.Value(), rc.resps
+	if n := testing.AllocsPerRun(20, storm); n != 0 {
+		t.Errorf("park-and-wake round allocates %v times, want 0", n)
+	}
+	if parked, answered = r.Stats.MSHRFull.Value()-parked, rc.resps-answered; parked != 63 || answered != 84 || r.PendingWork() {
+		t.Fatalf("21 rounds parked %d misses and answered %d, pending work %v; want 63, 84, none", parked, answered, r.PendingWork())
+	}
+
 	qc := &countingClient{}
 	q := NewPrivate(0, config.Default(), poolNet{pool}, qc, func(uint64) int { return 32 })
 	q.SetMsgPool(pool)
-	one := make([]*coherence.Msg, 1)
-	deliver := func(typ coherence.MsgType, grant coherence.GrantState) {
-		one[0] = pool.New(coherence.Msg{Type: typ, Line: lineB, Src: 32, Dst: 0, Requestor: 5, Grant: grant})
-		q.Deliver(one)
-	}
+	deliver := func(typ coherence.MsgType, grant coherence.GrantState) { deliverTo(q, typ, lineB, grant) }
 	miss := func(write bool) {
 		q.Tick(cycle)
 		q.Access(0, lineB, write)

@@ -11,7 +11,7 @@ import (
 func TestSnapshotCoversEveryField(t *testing.T) {
 	snapcheck.Assert(t, Private{}, []string{
 		"l1", "l2",
-		"mshrs", "stalled", "pendingFar", "farDeferred",
+		"mshrs", "parked", "stalled", "pendingFar", "farDeferred",
 		"events", "seq", "now",
 		"strides",
 		"work",
@@ -40,15 +40,14 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 
 	snapcheck.Assert(t, waiter{}, []string{"tag", "at", "write"}, nil)
 
-	snapcheck.Assert(t, mshrSet{}, []string{"lines", "ms"}, map[string]string{
-		"gen": "change counter, compared only for equality with the stamps of live evRetry events; a restore leaves none (they come back as evMiss)",
-	})
+	snapcheck.Assert(t, mshrSet{}, []string{"lines", "ms"}, nil)
+
+	snapcheck.Assert(t, parkedMiss{}, []string{"line", "waiter"}, nil)
 
 	snapcheck.Assert(t, event{}, []string{
 		"at", "seq", "kind", "tag", "line", "wr", "lat",
 	}, map[string]string{
-		"stamp": "lets a retry skip a re-check that would give the same answer; a restored retry is an evMiss and re-checks once",
-		"next":  "slab link; Restore relinks every event",
+		"next": "slab link; Restore relinks every event",
 	})
 
 	snapcheck.Assert(t, wheel{}, []string{"slab"}, map[string]string{

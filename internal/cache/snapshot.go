@@ -51,8 +51,7 @@ type FarSnap struct {
 }
 
 // EventSnap is the exported view of one pending pipeline event
-// (lookup completion or deferred miss). Kind is evRespond or evMiss: a
-// retry is stored as the miss it is.
+// (lookup completion or deferred miss). Kind is evRespond or evMiss.
 type EventSnap struct {
 	At   uint64
 	Seq  uint64
@@ -61,6 +60,13 @@ type EventSnap struct {
 	Line uint64
 	Wr   bool
 	Lat  uint64
+}
+
+// ParkedSnap is the exported view of one demand miss waiting for an
+// MSHR.
+type ParkedSnap struct {
+	Line, Tag, At uint64
+	Write         bool
 }
 
 // StrideSnap is the exported view of one stride-prefetcher table entry.
@@ -80,6 +86,8 @@ type StrideSnap struct {
 // checkpoints serialize the whole snapshot to disk. Snapshot writes
 // Events in ascending (At, Seq); Restore accepts any order (checkpoints
 // written before the timing wheel carry them in binary-heap order).
+// Parked is in queue order; a checkpoint written before the queue has
+// none, and its misses park on their first look.
 type CacheSnap struct {
 	Now, Seq uint64
 	Work     uint64
@@ -88,20 +96,12 @@ type CacheSnap struct {
 	Stalled []StalledSnap
 	Far     []FarSnap
 	FarDef  []FarSnap // far RMWs deferred behind an in-flight miss
+	Parked  []ParkedSnap
 
 	L1, L2  sram.Snap
 	Events  []EventSnap
 	Strides []StrideSnap
 	Stats   Stats
-}
-
-// snapKind is the kind an event is stored as: a retry's stamp is not
-// stored, so it goes down as the miss it is and looks again once restored.
-func snapKind(kind uint8) uint8 {
-	if kind == evRetry {
-		return evMiss
-	}
-	return kind
 }
 
 // sortEvents orders events by (At, Seq), the order Tick handles them in.
@@ -143,7 +143,7 @@ func (p *Private) Snapshot() *CacheSnap {
 		for ; i >= 0; i = p.events.slab[i].next {
 			e := &p.events.slab[i]
 			s.Events = append(s.Events, EventSnap{
-				At: e.at, Seq: e.seq, Kind: snapKind(e.kind), Tag: e.tag, Line: e.line, Wr: e.wr, Lat: e.lat,
+				At: e.at, Seq: e.seq, Kind: e.kind, Tag: e.tag, Line: e.line, Wr: e.wr, Lat: e.lat,
 			})
 		}
 	}
@@ -176,6 +176,9 @@ func (p *Private) Snapshot() *CacheSnap {
 		s.FarDef = append(s.FarDef, FarSnap{Line: line, Waiters: snapWaiters(ws)})
 	}
 	sort.Slice(s.FarDef, func(i, j int) bool { return s.FarDef[i].Line < s.FarDef[j].Line })
+	for _, m := range p.parked {
+		s.Parked = append(s.Parked, ParkedSnap{Line: m.line, Tag: m.tag, At: m.at, Write: m.write})
+	}
 	return s
 }
 
@@ -193,7 +196,7 @@ func (p *Private) Restore(s *CacheSnap) {
 	p.events.reset()
 	for _, e := range sortEvents(slices.Clone(s.Events)) {
 		i := p.events.put(event{
-			at: e.At, seq: e.Seq, kind: snapKind(e.Kind), tag: e.Tag, line: e.Line, wr: e.Wr, lat: e.Lat,
+			at: e.At, seq: e.Seq, kind: e.Kind, tag: e.Tag, line: e.Line, wr: e.Wr, lat: e.Lat,
 		})
 		if !p.events.link(i, p.now) {
 			p.events.release(i)
@@ -230,6 +233,10 @@ func (p *Private) Restore(s *CacheSnap) {
 	p.farDeferred = make(map[uint64][]waiter, len(s.FarDef))
 	for _, f := range s.FarDef {
 		p.farDeferred[f.Line] = restoreWaiters(f.Waiters)
+	}
+	p.parked = p.parked[:0]
+	for _, m := range s.Parked {
+		p.parked = append(p.parked, parkedMiss{line: m.Line, waiter: waiter{tag: m.Tag, at: m.At, write: m.Write}})
 	}
 }
 

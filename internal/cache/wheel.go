@@ -3,28 +3,22 @@ package cache
 import "math/bits"
 
 // event is one pending pipeline step: a lookup that will respond, or a
-// miss on its way to the MSHR file. The record is 56 bytes, links
+// miss on its way to the MSHR file. The record is 48 bytes, links
 // included.
 type event struct {
-	at    uint64
-	seq   uint64
-	tag   uint64
-	line  uint64
-	lat   uint64 // for evRespond: latency to report
-	stamp uint64 // for evRetry: mshrSet.gen when the MSHR file was found full
-	next  int32  // slab link: the bucket's next event, or the next free record
-	kind  uint8  // evRespond | evMiss | evRetry
-	wr    bool
+	at   uint64
+	seq  uint64
+	tag  uint64
+	line uint64
+	lat  uint64 // for evRespond: latency to report
+	next int32  // slab link: the bucket's next event, or the next free record
+	kind uint8  // evRespond | evMiss
+	wr   bool
 }
 
 const (
 	evRespond uint8 = iota
 	evMiss
-	// evRetry is an evMiss that found every MSHR busy and comes round
-	// again; its stamp lets Tick tell that nothing it depends on has
-	// changed since. Snapshots store it as evMiss (the stamp is not
-	// serialised), so a restored retry takes the full path once.
-	evRetry
 )
 
 // wheel is the pipeline's event queue: a timing wheel, possible because

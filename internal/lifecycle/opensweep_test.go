@@ -3,12 +3,15 @@ package lifecycle
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"rowsim/internal/sim"
 )
 
 // sweepFlags is a tool's flag set in miniature: three definition flags
@@ -28,7 +31,9 @@ func sweepFlags(args ...string) (*flag.FlagSet, error) {
 // may repeat the definition, not contradict it.
 func TestOpenSweep(t *testing.T) {
 	def := []string{"n", "seed", "sched"}
-	const meta = `{"kind":"meta","tool":"tool","args":{"n":"500","seed":"7","sched":"cycle"}`
+	// The journals are this model's: another model's would start fresh.
+	model := fmt.Sprintf(`"model":%d,`, sim.ModelVersion)
+	meta := `{"kind":"meta","tool":"tool",` + model + `"args":{"n":"500","seed":"7","sched":"cycle"}`
 	hashed := meta + `,"spec_hash":"` + SpecHash("tool", map[string]string{"n": "500", "seed": "7", "sched": "cycle"}) + `"}` + "\n"
 	cases := []struct {
 		name    string
@@ -47,7 +52,7 @@ func TestOpenSweep(t *testing.T) {
 		{name: "conflicting scheduler", journal: hashed, args: []string{"-sched", "event"}, field: "-sched"},
 		{name: "non-definition flag comes from the line", journal: hashed, args: []string{"-timeout", "90s"},
 			want: "500/7/cycle/1m30s"},
-		{name: "journal with no sched key keeps the flag", journal: `{"kind":"meta","tool":"tool","args":{"n":"500","seed":"7"}}` + "\n",
+		{name: "journal with no sched key keeps the flag", journal: `{"kind":"meta","tool":"tool",` + model + `"args":{"n":"500","seed":"7"}}` + "\n",
 			args: []string{"-sched", "cycle"}, want: "500/7/cycle/0s"},
 		{name: "journal with no spec hash passes", journal: meta + "}\n",
 			want: "500/7/cycle/0s"},

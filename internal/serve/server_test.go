@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -263,8 +262,12 @@ func TestServerCrossTenantMemo(t *testing.T) {
 // another model computed them. Then the first sweep keeps its journaled
 // outcomes and the second tenant's cells execute.
 func TestServerRestartMemoIsThisModels(t *testing.T) {
-	for _, model := range []int{sim.ModelVersion, sim.ModelVersion + 1} {
-		t.Run(fmt.Sprintf("model=%d", model), func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		model int
+	}{{"same model", sim.ModelVersion}, {"other model", sim.ModelVersion + 1}} {
+		model := tc.model
+		t.Run(tc.name, func(t *testing.T) {
 			journal := filepath.Join(t.TempDir(), "q.jsonl")
 			spec := testSpec(t, 0.4)
 			cells := uint64(len(spec.Cells()))

@@ -54,9 +54,9 @@ func lockstepOracle(t *testing.T, s *System) Result {
 func TestRunMatchesLockstepOracle(t *testing.T) {
 	for _, tc := range schedMatrix {
 		t.Run(tc.name, func(t *testing.T) {
-			want := lockstepOracle(t, schedBuild(t, tc.policy, tc.wl, tc.faults, 3000)).SchedNormalized()
+			want := lockstepOracle(t, tc.build(t, 3000)).SchedNormalized()
 			for _, sched := range []Scheduler{SchedEvent, SchedCycle} {
-				got := schedBuild(t, tc.policy, tc.wl, tc.faults, 3000, WithScheduler(sched)).MustRun()
+				got := tc.build(t, 3000, WithScheduler(sched)).MustRun()
 				if got.SchedNormalized() != want {
 					t.Errorf("Run under %v diverges from the oracle:\n got %+v\nwant %+v", sched, got, want)
 				}

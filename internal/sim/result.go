@@ -5,10 +5,11 @@ import "rowsim/internal/stats"
 // ModelVersion numbers what the simulator computes. Bump it in any
 // change that moves a number in testdata/model.golden: the golden's
 // header must equal it, and every cache of results — content keys,
-// sweep journals, rowserve's memo — refuses another model's. It is 0
-// for the model every journal and fixture before it was written by,
-// so a journal with no "model" field reads as this one.
-const ModelVersion = 0
+// sweep journals, rowserve's memo — refuses another model's. A journal
+// with no "model" field was written by model 0, which retried a miss
+// that found the MSHR file full every 4 cycles; model 1 parks it until
+// an MSHR frees.
+const ModelVersion = 1
 
 // Result aggregates the metrics a run produces; the experiments
 // package turns these into the paper's figures.

@@ -35,14 +35,30 @@ var (
 	schedReorder = faults.Config{Seed: 5, JitterProb: 0.25, JitterMax: 12, ReorderProb: 0.05, ReorderMax: 64}
 )
 
-// schedMatrix is what the equivalence tests run over: eager, lazy, RoW
-// and far policies, with and without legal fault mixes.
-var schedMatrix = []struct {
+// schedRow is one system the equivalence tests build. cold starts it
+// with empty caches.
+type schedRow struct {
 	name   string
 	policy config.AtomicPolicy
 	wl     string
 	faults faults.Config
-}{
+	cold   bool
+}
+
+// build assembles the row's system with instrs a core.
+func (tc schedRow) build(t *testing.T, instrs int, opts ...Option) *System {
+	if tc.cold {
+		// Options run before New warms the caches.
+		opts = append(opts, func(s *System) { s.cfg.WarmCaches = false })
+	}
+	return schedBuild(t, tc.policy, tc.wl, tc.faults, instrs, opts...)
+}
+
+// schedMatrix is what the equivalence tests run over: eager, lazy, RoW
+// and far policies, with and without legal fault mixes. The cold row
+// keeps MSHR files full, so its cross-check runs while misses are
+// parked.
+var schedMatrix = []schedRow{
 	{name: "eager_sps", policy: config.PolicyEager, wl: "sps"},
 	{name: "eager_cq_jitter", policy: config.PolicyEager, wl: "cq", faults: schedJitter},
 	{name: "lazy_cq", policy: config.PolicyLazy, wl: "cq"},
@@ -50,6 +66,7 @@ var schedMatrix = []struct {
 	{name: "row_pc", policy: config.PolicyRoW, wl: "pc"},
 	{name: "row_cq_jitter", policy: config.PolicyRoW, wl: "cq", faults: schedJitter},
 	{name: "far_tas", policy: config.PolicyFar, wl: "tas"},
+	{name: "row_canneal_cold_jitter", policy: config.PolicyRoW, wl: "canneal", faults: schedJitter, cold: true},
 }
 
 // TestSchedulerModeEquivalence is the headline property of the run
@@ -63,8 +80,9 @@ var schedMatrix = []struct {
 func TestSchedulerModeEquivalence(t *testing.T) {
 	for _, tc := range schedMatrix {
 		t.Run(tc.name, func(t *testing.T) {
-			checked := schedBuild(t, tc.policy, tc.wl, tc.faults, 3000, WithScheduler(SchedCycle)).MustRun()
-			plain := schedBuild(t, tc.policy, tc.wl, tc.faults, 3000).MustRun()
+			checkedSys := tc.build(t, 3000, WithScheduler(SchedCycle))
+			checked := checkedSys.MustRun()
+			plain := tc.build(t, 3000).MustRun()
 			if checked.SchedNormalized() != plain.SchedNormalized() {
 				t.Fatalf("cross-checked run diverges from plain run:\nchecked: %+v\nplain:   %+v", checked, plain)
 			}
@@ -73,6 +91,9 @@ func TestSchedulerModeEquivalence(t *testing.T) {
 			}
 			if plain.CyclesVisited >= plain.Cycles {
 				t.Fatalf("plain run visited %d of %d cycles; skipped nothing", plain.CyclesVisited, plain.Cycles)
+			}
+			if tc.cold && mshrFull(checkedSys) == 0 {
+				t.Fatal("the cold row parked no miss: the cross-check never ran with misses parked")
 			}
 		})
 	}
@@ -272,10 +293,18 @@ func TestCrossCheckReplaysInIndexOrder(t *testing.T) {
 	t.Fatal("no cycle with cores 0 and 1 both due and core 1 otherwise unvisited")
 }
 
+// mshrFull sums the caches' parked-miss counts (Result has none).
+func mshrFull(s *System) (n uint64) {
+	for _, pc := range s.caches {
+		n += pc.Stats.MSHRFull.Value()
+	}
+	return n
+}
+
 // TestCheckpointInsideMSHRStorm: cold canneal keeps every cache's MSHR
-// file full, so a checkpoint lands among queued retries. The snapshot
-// stores them as plain misses, in (At, Seq) order; resumed under either
-// scheduler the run must end exactly as the uninterrupted one does.
+// file full, so a checkpoint lands while misses are parked. The
+// snapshot carries them in queue order; resumed under either scheduler
+// the run must end exactly as the uninterrupted one does.
 func TestCheckpointInsideMSHRStorm(t *testing.T) {
 	mem := config.Default().Mem
 	build := func(sched Scheduler, opts ...Option) *System {
@@ -291,13 +320,6 @@ func TestCheckpointInsideMSHRStorm(t *testing.T) {
 		}
 		return s
 	}
-	// Result has no MSHR-full count; the retries must add up all the same.
-	mshrFull := func(s *System) (n uint64) {
-		for _, pc := range s.caches {
-			n += pc.Stats.MSHRFull.Value()
-		}
-		return n
-	}
 	for _, from := range []Scheduler{SchedEvent, SchedCycle} {
 		var stormy []byte
 		s := build(from, WithCheckpoint(1024, func(cycle uint64, snap *SysSnap) error {
@@ -305,16 +327,12 @@ func TestCheckpointInsideMSHRStorm(t *testing.T) {
 				return nil
 			}
 			for _, pc := range snap.Caches {
-				retries := 0
 				for i, e := range pc.Events {
 					if i > 0 && (e.At < pc.Events[i-1].At || (e.At == pc.Events[i-1].At && e.Seq < pc.Events[i-1].Seq)) {
 						t.Errorf("cycle %d: snapshot events out of (At, Seq) order: %v", cycle, pc.Events)
 					}
-					if e.Kind == 1 && e.Lat > uint64(mem.L2.HitCycles) {
-						retries++ // a miss older than one lookup has been turned away before
-					}
 				}
-				if retries >= 4 && len(pc.MSHRs) == mem.MSHRs && pc.Stats.MSHRFull.Value() > 0 {
+				if len(pc.Parked) >= 4 && len(pc.MSHRs) == mem.MSHRs {
 					stormy = mustGob(t, snap)
 					return nil
 				}
@@ -343,7 +361,7 @@ func TestCheckpointInsideMSHRStorm(t *testing.T) {
 				t.Errorf("%v resumed under %v diverged:\n got %+v\nwant %+v", from, to, got, want)
 			}
 			if g, w := mshrFull(resumed), mshrFull(s); g != w {
-				t.Errorf("%v resumed under %v: %d full-MSHR retries, want %d", from, to, g, w)
+				t.Errorf("%v resumed under %v: %d parked misses, want %d", from, to, g, w)
 			}
 		}
 	}
