@@ -323,8 +323,6 @@ func (p *Private) WorkDone() uint64 { return p.work }
 // request's forced-release window. ^uint64(0) means the controller is
 // quiescent until mail arrives or its core issues an access (both of
 // which force a visit on their own).
-//
-//rowlint:noalloc
 func (p *Private) NextEventAt(now uint64) uint64 {
 	at := ^uint64(0)
 	if p.events.n > 0 {
@@ -389,8 +387,6 @@ func (p *Private) setState(line uint64, st uint8) {
 
 // push numbers e and schedules it behind everything already scheduled
 // for its cycle.
-//
-//rowlint:noalloc
 func (p *Private) push(e event) {
 	i := p.events.put(e)
 	p.seq++
@@ -398,7 +394,6 @@ func (p *Private) push(e event) {
 	if !p.events.link(i, p.now) {
 		at := p.events.slab[i].at
 		p.events.release(i)
-		//rowlint:ignore noalloc fatal protocol-error path; the run is already over
 		p.fail(nil, fmt.Sprintf("pipeline event for cycle %d outside the %d-cycle wheel's window", at, len(p.events.head)))
 	}
 }
@@ -760,15 +755,12 @@ func (p *Private) putWaiters(w []waiter) {
 // line is locked by the core's atomic queue.
 // handleExternal reports whether the message was consumed (false: it
 // is retained in the stalled table until the lock releases).
-//
-//rowlint:noalloc
 func (p *Private) handleExternal(m *coherence.Msg, write bool) bool {
 	if stall := p.client.ExternalRequest(m.Line, write); stall {
 		p.Stats.ExtStalls.Inc()
 		if prev := p.stalled.get(m.Line); prev != nil {
 			// The directory serializes transactions per line, so at
 			// most one external request can be outstanding.
-			//rowlint:ignore noalloc fatal protocol-error path; the run is already over
 			p.fail(m, fmt.Sprintf("second stalled external request (already have %s)", prev.msg))
 			return true
 		}
@@ -779,7 +771,6 @@ func (p *Private) handleExternal(m *coherence.Msg, write bool) bool {
 	return true
 }
 
-//rowlint:noalloc
 func (p *Private) serveExternal(m *coherence.Msg) {
 	line := m.Line
 	switch m.Type {
@@ -809,14 +800,12 @@ func (p *Private) serveExternal(m *coherence.Msg) {
 			Requestor: m.Requestor, Grant: coherence.GrantS, FromPrivate: true,
 		}), uint64(p.l1Hit))
 	default:
-		p.fail(m, "cannot serve external request type") //rowlint:ignore noalloc fatal protocol-error path; the run is already over
+		p.fail(m, "cannot serve external request type")
 	}
 }
 
 // LockReleased must be called by the core when an atomic unlocks a
 // line; any stalled external request for it is then served.
-//
-//rowlint:noalloc
 func (p *Private) LockReleased(line uint64) {
 	if s, ok := p.stalled.remove(line); ok {
 		p.serveExternal(s.msg)
@@ -826,20 +815,16 @@ func (p *Private) LockReleased(line uint64) {
 
 // install places a fill into both levels (L2 inclusive of L1),
 // handling evictions and writebacks. Locked lines are never evicted.
-//
-//rowlint:noalloc
 func (p *Private) install(line uint64, st uint8) {
 	p.installL2(line, st)
 	p.installL1(line, st)
 }
 
-//rowlint:noalloc
 func (p *Private) installL1(line uint64, st uint8) {
 	_, _, _, ok := p.l1.InsertVeto(line, st, p.client.LineLocked)
 	_ = ok // if every way is locked the fill stays L2-only
 }
 
-//rowlint:noalloc
 func (p *Private) installL2(line uint64, st uint8) {
 	evTag, evMeta, evicted, ok := p.l2.InsertVeto(line, st, p.client.LineLocked)
 	if !ok {
@@ -873,8 +858,6 @@ func (p *Private) Warm(line uint64, state uint8) {
 
 // Tick advances internal pipelines: lookup completions, parked misses
 // and the forced-release progress guarantee.
-//
-//rowlint:noalloc
 func (p *Private) Tick(cycle uint64) {
 	p.now = cycle
 	w := &p.events
@@ -965,7 +948,8 @@ func (p *Private) OldestMiss() (line uint64, desc string, ok bool) {
 			desc = fmt.Sprintf("miss at cycle %d parked, %d ahead, MSHR file full", m.at, i)
 		}
 	}
-	//rowlint:ignore maporder minimum over (sentAt, line) with a total-order tie-break; visit order cannot change the result
+	// A minimum over (sentAt, line) with a total-order tie-break:
+	// visit order cannot change the result.
 	for l, ws := range p.pendingFar {
 		if len(ws) == 0 {
 			continue

@@ -166,12 +166,10 @@ func (p *Private) Snapshot() *CacheSnap {
 		})
 	}
 	sort.Slice(s.Stalled, func(i, j int) bool { return s.Stalled[i].Line < s.Stalled[j].Line })
-	//rowlint:ignore maporder entries are key-sorted immediately below
 	for line, ws := range p.pendingFar {
 		s.Far = append(s.Far, FarSnap{Line: line, Waiters: snapWaiters(ws)})
 	}
 	sort.Slice(s.Far, func(i, j int) bool { return s.Far[i].Line < s.Far[j].Line })
-	//rowlint:ignore maporder entries are key-sorted immediately below
 	for line, ws := range p.farDeferred {
 		s.FarDef = append(s.FarDef, FarSnap{Line: line, Waiters: snapWaiters(ws)})
 	}

@@ -82,8 +82,6 @@ func (w *wheel) reset() {
 
 // put stores e in a free record and returns its index; the event is not
 // queued until link.
-//
-//rowlint:noalloc
 func (w *wheel) put(e event) int32 {
 	if i := w.free; i >= 0 {
 		w.free = w.slab[i].next
@@ -95,8 +93,6 @@ func (w *wheel) put(e event) int32 {
 }
 
 // release returns an unlinked record to the free list.
-//
-//rowlint:noalloc
 func (w *wheel) release(i int32) {
 	w.slab[i].next = w.free
 	w.free = i
@@ -106,8 +102,6 @@ func (w *wheel) release(i int32) {
 // queueing nothing, when the event breaks a premise of the ordering
 // argument: it lies a whole wheel or more ahead of now, or earlier than
 // its bucket's tail (the clock moved backwards).
-//
-//rowlint:noalloc
 func (w *wheel) link(i int32, now uint64) bool {
 	e := &w.slab[i]
 	b := e.at & w.mask
@@ -140,8 +134,6 @@ func (w *wheel) link(i int32, now uint64) bool {
 }
 
 // unlink takes the first record off bucket b, which must not be empty.
-//
-//rowlint:noalloc
 func (w *wheel) unlink(b uint64) int32 {
 	i := w.head[b]
 	next := w.slab[i].next
@@ -156,8 +148,6 @@ func (w *wheel) unlink(b uint64) int32 {
 // earliest returns the bucket whose head is the earliest queued event
 // — the least (at, seq) — and that event's cycle. The wheel must not
 // be empty.
-//
-//rowlint:noalloc
 func (w *wheel) earliest() (b, at uint64) {
 	if !w.late {
 		at = w.low + w.ahead(w.low)
@@ -178,8 +168,6 @@ func (w *wheel) earliest() (b, at uint64) {
 // ahead returns how many buckets past from's own (0 <= d < size,
 // circularly) the first non-empty bucket lies. The wheel must not be
 // empty.
-//
-//rowlint:noalloc
 func (w *wheel) ahead(from uint64) uint64 {
 	b := from & w.mask
 	wi, sh := b>>6, b&63

@@ -157,8 +157,6 @@ func (d *Directory) waiting(e *dirEntry) []*Msg {
 
 // block opens a transaction on e's line, giving the entry a queue for
 // the requests that arrive while it is open.
-//
-//rowlint:noalloc
 func (d *Directory) block(e *dirEntry, p pending) {
 	e.blocked, e.pend = true, p
 	if e.wait != 0 {
@@ -174,8 +172,6 @@ func (d *Directory) block(e *dirEntry, p pending) {
 }
 
 // stall queues m behind e's open transaction.
-//
-//rowlint:noalloc
 func (d *Directory) stall(e *dirEntry, m *Msg) {
 	q := &d.queues[e.wait-1]
 	*q = append(*q, m)
@@ -184,8 +180,6 @@ func (d *Directory) stall(e *dirEntry, m *Msg) {
 // drain serves the requests stalled behind e's line, in order, until
 // one blocks the line again; a line left unblocked gives its queue
 // back.
-//
-//rowlint:noalloc
 func (d *Directory) drain(e *dirEntry) {
 	for !e.blocked {
 		q := d.queues[e.wait-1]
@@ -208,8 +202,6 @@ func (d *Directory) drain(e *dirEntry) {
 // message is released to the pool here — the single consumption point
 // on the bank side; messages parked in a blocked line's waiting queue
 // are released when the queue is later served.
-//
-//rowlint:noalloc
 func (d *Directory) Handle(m *Msg) {
 	if d.hook != nil {
 		orig := m
@@ -228,8 +220,6 @@ func (d *Directory) Handle(m *Msg) {
 
 // handle dispatches one message and reports whether it was fully
 // consumed (false: retained in a blocked line's waiting queue).
-//
-//rowlint:noalloc
 func (d *Directory) handle(m *Msg) bool {
 	switch m.Type {
 	case MsgGetS, MsgGetX:
@@ -267,14 +257,12 @@ func (d *Directory) handle(m *Msg) bool {
 	case MsgData:
 		d.farData(m)
 	default:
-		d.fail(m, d.lines.find(m.Line), "unexpected message type") //rowlint:ignore noalloc fatal protocol-error path; the run is already over
+		d.fail(m, d.lines.find(m.Line), "unexpected message type")
 	}
 	return true
 }
 
 // serve starts a transaction for a GetS/GetX on an unblocked entry.
-//
-//rowlint:noalloc
 func (d *Directory) serve(m *Msg, e *dirEntry) {
 	switch m.Type {
 	case MsgGetS:
@@ -288,7 +276,7 @@ func (d *Directory) serve(m *Msg, e *dirEntry) {
 	case MsgGetFar:
 		d.serveGetFar(m, e)
 	default:
-		d.fail(m, e, "cannot serve queued message type") //rowlint:ignore noalloc fatal protocol-error path; the run is already over
+		d.fail(m, e, "cannot serve queued message type")
 	}
 }
 
@@ -296,8 +284,6 @@ func (d *Directory) serve(m *Msg, e *dirEntry) {
 // recalled first (sharers invalidated, an owner's dirty data pulled
 // back), then the L3 updates the line in place and answers the
 // requestor. The line stays at the L3 — far atomics never bounce it.
-//
-//rowlint:noalloc
 func (d *Directory) serveGetFar(m *Msg, e *dirEntry) {
 	d.Stats.FarOps.Inc()
 	switch e.state {
@@ -337,11 +323,10 @@ func (d *Directory) serveGetFar(m *Msg, e *dirEntry) {
 	}
 }
 
-//rowlint:noalloc
 func (d *Directory) farAck(m *Msg) {
 	e := d.lines.find(m.Line)
 	if e == nil || !e.blocked || !e.pend.far {
-		d.fail(m, e, "stray InvAck: no far recall in flight") //rowlint:ignore noalloc fatal protocol-error path; the run is already over
+		d.fail(m, e, "stray InvAck: no far recall in flight")
 		return
 	}
 	e.pend.farAcks--
@@ -350,11 +335,10 @@ func (d *Directory) farAck(m *Msg) {
 	}
 }
 
-//rowlint:noalloc
 func (d *Directory) farData(m *Msg) {
 	e := d.lines.find(m.Line)
 	if e == nil || !e.blocked || !e.pend.far || !e.pend.farData {
-		d.fail(m, e, "stray Data: no far recall awaiting owner data") //rowlint:ignore noalloc fatal protocol-error path; the run is already over
+		d.fail(m, e, "stray Data: no far recall awaiting owner data")
 		return
 	}
 	e.pend.farData = false
@@ -365,8 +349,6 @@ func (d *Directory) farData(m *Msg) {
 }
 
 // finishFar applies the RMW at the bank and releases the line.
-//
-//rowlint:noalloc
 func (d *Directory) finishFar(line uint64, e *dirEntry) {
 	req := int(e.pend.requestor)
 	d.net.SendAfter(d.pool.New(Msg{
@@ -383,8 +365,6 @@ func (d *Directory) finishFar(line uint64, e *dirEntry) {
 
 // dataDelay models the bank-side access needed to source the line:
 // L3 hit time, or DRAM on an L3 miss (the line is then installed).
-//
-//rowlint:noalloc
 func (d *Directory) dataDelay(line uint64) uint64 {
 	if d.l3.Lookup(line, true) != nil {
 		d.Stats.L3Hits.Inc()
@@ -395,7 +375,6 @@ func (d *Directory) dataDelay(line uint64) uint64 {
 	return uint64(d.l3HitCycles + d.dramCycles)
 }
 
-//rowlint:noalloc
 func (d *Directory) serveGetS(m *Msg, e *dirEntry) {
 	req := m.Requestor
 	switch e.state {
@@ -420,7 +399,6 @@ func (d *Directory) serveGetS(m *Msg, e *dirEntry) {
 	d.block(e, pending{requestor: int8(req)})
 }
 
-//rowlint:noalloc
 func (d *Directory) serveGetX(m *Msg, e *dirEntry) {
 	req := m.Requestor
 	switch e.state {
@@ -465,7 +443,6 @@ func (d *Directory) serveGetX(m *Msg, e *dirEntry) {
 	d.block(e, pending{requestor: int8(req), isWrite: true})
 }
 
-//rowlint:noalloc
 func (d *Directory) handlePutX(m *Msg, e *dirEntry) {
 	d.Stats.PutX.Inc()
 	if e.state == dirM && int(e.owner) == m.Src {
@@ -477,15 +454,13 @@ func (d *Directory) handlePutX(m *Msg, e *dirEntry) {
 	// Otherwise stale (the line was forwarded away first): drop.
 }
 
-//rowlint:noalloc
 func (d *Directory) handleUnblock(m *Msg) {
 	e := d.lines.find(m.Line)
 	if e == nil || !e.blocked {
-		d.fail(m, e, "Unblock for a line with no transaction in flight") //rowlint:ignore noalloc fatal protocol-error path; the run is already over
+		d.fail(m, e, "Unblock for a line with no transaction in flight")
 		return
 	}
 	if m.Src != int(e.pend.requestor) {
-		//rowlint:ignore noalloc fatal protocol-error path; the run is already over
 		d.fail(m, e, fmt.Sprintf("Unblock from core %d but pending requestor is %d", m.Src, e.pend.requestor))
 		return
 	}

@@ -68,8 +68,6 @@ func (t *lineTable) place(line uint64, ref int32) {
 }
 
 // find returns line's entry, or nil when the table has none.
-//
-//rowlint:noalloc
 func (t *lineTable) find(line uint64) *dirEntry {
 	mask := len(t.index) - 1
 	for i := int(line * hashMul >> t.shift); ; i = (i + 1) & mask {

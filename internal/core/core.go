@@ -274,6 +274,7 @@ type Core struct {
 	fenceBlocked []depRef // memory ops stalled behind a fence
 	lockWait     []depRef // atomics waiting for a same-line lock
 	orderWait    []depRef // atomics whose line arrived before an older atomic locked
+	wakeBuf      []depRef // scratch for wakeLockWaiters and checkOrderWait
 	fenceIDs     []uint64 // in-flight fences (and fenced atomics), ascending
 
 	wheel [][]wheelEvent // wheelSize buckets

@@ -32,8 +32,6 @@ func (c *Core) WorkDone() uint64 { return c.work }
 // one-sided: returning too early wastes a visit, returning too late
 // would diverge from ticking every cycle — which is exactly what the
 // cross-check mode verifies.
-//
-//rowlint:noalloc
 func (c *Core) NextEventAt(now uint64) uint64 {
 	if c.done {
 		return never
@@ -71,8 +69,6 @@ func (c *Core) NextEventAt(now uint64) uint64 {
 // woken explicitly inside other actions (storeBlocked, fenceBlocked,
 // lockWait) need no clause, because the waking action itself counts
 // as work and triggers a wake recomputation.
-//
-//rowlint:noalloc
 func (c *Core) activeNow(next uint64) bool {
 	if len(c.readyQ) != 0 {
 		return true // issue acts (or parks entries behind a fence)
@@ -129,8 +125,6 @@ func (c *Core) activeNow(next uint64) bool {
 // before the structural-hazard checks in dispatch and mutates fetch
 // state even when dispatch then stalls, so a new fetch line counts as
 // progress on its own.
-//
-//rowlint:noalloc
 func (c *Core) dispatchReady() bool {
 	if c.fetchHoldBy != 0 || c.fetchIdx >= len(c.prog) || c.robFull() {
 		return false

@@ -9,21 +9,17 @@ package core
 // filters from the windows.
 
 // bucket maps a line address to its filter counter.
-//
-//rowlint:noalloc
 func (c *Core) bucket(line uint64) uint8 { return uint8(line >> c.lineShift) }
 
 // lqCounted reports whether le is counted in lqF.
 func lqCounted(le *lqEntry) bool { return le.done && le.hasLine && !le.isAtomic }
 
-//rowlint:noalloc
 func (c *Core) lqUntrack(le *lqEntry) {
 	if lqCounted(le) {
 		c.lqF[c.bucket(le.line)]--
 	}
 }
 
-//rowlint:noalloc
 func (c *Core) lqTrack(le *lqEntry) {
 	if lqCounted(le) {
 		c.lqF[c.bucket(le.line)]++
@@ -31,8 +27,6 @@ func (c *Core) lqTrack(le *lqEntry) {
 }
 
 // lqSetLine records the line a load or atomic's address resolved to.
-//
-//rowlint:noalloc
 func (c *Core) lqSetLine(le *lqEntry, line uint64) {
 	c.lqUntrack(le)
 	le.line, le.hasLine = line, true
@@ -40,8 +34,6 @@ func (c *Core) lqSetLine(le *lqEntry, line uint64) {
 }
 
 // lqSetDone marks the entry's read performed.
-//
-//rowlint:noalloc
 func (c *Core) lqSetDone(le *lqEntry) {
 	c.lqUntrack(le)
 	le.done = true
@@ -49,16 +41,12 @@ func (c *Core) lqSetDone(le *lqEntry) {
 }
 
 // lqClear frees the entry (retire or squash).
-//
-//rowlint:noalloc
 func (c *Core) lqClear(le *lqEntry) {
 	c.lqUntrack(le)
 	*le = lqEntry{}
 }
 
 // sbResolve records the line a store or atomic's address resolved to.
-//
-//rowlint:noalloc
 func (c *Core) sbResolve(se *sbEntry, line uint64) {
 	if se.addrReady {
 		c.sbF[c.bucket(se.line)]--
@@ -68,8 +56,6 @@ func (c *Core) sbResolve(se *sbEntry, line uint64) {
 }
 
 // sbClear frees the entry (drain or squash).
-//
-//rowlint:noalloc
 func (c *Core) sbClear(se *sbEntry) {
 	if se.addrReady {
 		c.sbF[c.bucket(se.line)]--
@@ -78,8 +64,6 @@ func (c *Core) sbClear(se *sbEntry) {
 }
 
 // countFilters recounts both filters from the live queue windows.
-//
-//rowlint:noalloc
 func (c *Core) countFilters() (lq, sb lineFilter) {
 	for p := c.lqHead; p < c.lqTail; p++ {
 		if le := &c.lq[p%int64(len(c.lq))]; lqCounted(le) {
@@ -97,8 +81,6 @@ func (c *Core) countFilters() (lq, sb lineFilter) {
 // FiltersConsistent reports whether the LQ and SB filters equal a
 // recount of the live queue windows. The run loop's cross-check asks
 // after every core tick it makes.
-//
-//rowlint:noalloc
 func (c *Core) FiltersConsistent() bool {
 	lq, sb := c.countFilters()
 	return lq == c.lqF && sb == c.sbF

@@ -292,7 +292,8 @@ func (c *Core) checkOrderWait() {
 	if len(c.orderWait) == 0 {
 		return
 	}
-	var wake []depRef
+	wake := c.wakeBuf[:0]
+	c.wakeBuf = nil // a re-entrant wake-up grows its own
 	kept := c.orderWait[:0]
 	for _, ref := range c.orderWait {
 		e := c.entryBySlot(ref.slot, ref.id)
@@ -315,6 +316,7 @@ func (c *Core) checkOrderWait() {
 		e.st = sIssued
 		c.tryLock(e, ref.slot)
 	}
+	c.wakeBuf = wake
 }
 
 // checkLazy issues atomics whose lazy conditions are now met: oldest
@@ -387,7 +389,8 @@ func (c *Core) wakeLockWaiters(line uint64) {
 	}
 	// Rebuild the list before re-issuing: tryLock may push a waiter
 	// right back onto it.
-	var wake []depRef
+	wake := c.wakeBuf[:0]
+	c.wakeBuf = nil // a re-entrant wake-up grows its own
 	kept := c.lockWait[:0]
 	for _, ref := range c.lockWait {
 		e := c.entryBySlot(ref.slot, ref.id)
@@ -409,6 +412,7 @@ func (c *Core) wakeLockWaiters(line uint64) {
 		e.st = sIssued
 		c.tryLock(e, ref.slot)
 	}
+	c.wakeBuf = wake
 }
 
 // issue moves ready instructions into execution, bounded by the issue

@@ -38,6 +38,7 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		"lqF":         "derived from the LQ window; Restore recounts it",
 		"sbF":         "derived from the SB window; Restore recounts it",
 		"lineShift":   "derived from the line size at construction",
+		"wakeBuf":     "scratch for one wake-up pass; holds nothing between calls",
 	})
 
 	snapcheck.Assert(t, robEntry{}, []string{

@@ -32,7 +32,6 @@ func (h eventHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-//rowlint:noalloc
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
 	s := *h
@@ -47,7 +46,6 @@ func (h *eventHeap) push(e event) {
 	}
 }
 
-//rowlint:noalloc
 func (h *eventHeap) pop() event {
 	s := *h
 	top := s[0]
@@ -194,13 +192,9 @@ func (m *Mesh) Latency(a, b int) uint64 {
 }
 
 // Send implements coherence.Network.
-//
-//rowlint:noalloc
 func (m *Mesh) Send(msg *coherence.Msg) { m.SendAfter(msg, 0) }
 
 // SendAfter implements coherence.Network.
-//
-//rowlint:noalloc
 func (m *Mesh) SendAfter(msg *coherence.Msg, extra uint64) {
 	if msg.Dst < 0 || msg.Dst >= m.nodes {
 		coherence.Raise(m.sink, &coherence.ProtocolError{
@@ -208,8 +202,7 @@ func (m *Mesh) SendAfter(msg *coherence.Msg, extra uint64) {
 			Component: "mesh",
 			Line:      msg.Line,
 			Op:        msg.String(),
-			//rowlint:ignore noalloc fatal protocol-error path; the run is already over
-			Reason: fmt.Sprintf("message addressed to unknown node %d (have %d)", msg.Dst, m.nodes),
+			Reason:    fmt.Sprintf("message addressed to unknown node %d (have %d)", msg.Dst, m.nodes),
 		})
 		m.pool.Put(msg)
 		return
@@ -241,8 +234,6 @@ func (m *Mesh) SendAfter(msg *coherence.Msg, extra uint64) {
 
 // enqueue schedules one delivery, preserving per-channel FIFO order
 // when fault injection is active.
-//
-//rowlint:noalloc
 func (m *Mesh) enqueue(msg *coherence.Msg, extra, faultDelay uint64) {
 	at := m.now + extra + faultDelay + m.Latency(msg.Src, msg.Dst)
 	if at <= m.now {
@@ -263,11 +254,9 @@ func (m *Mesh) enqueue(msg *coherence.Msg, extra, faultDelay uint64) {
 }
 
 // record remembers the send in the trace ring (arriveAt 0 = dropped).
-//
-//rowlint:noalloc
 func (m *Mesh) record(msg *coherence.Msg, arriveAt uint64) {
 	if m.trace == nil {
-		m.trace = make([]traceEntry, traceDepth) //rowlint:ignore noalloc one-time lazy init of the trace ring, amortized to zero
+		m.trace = make([]traceEntry, traceDepth)
 	}
 	m.trace[m.traceIdx] = traceEntry{sentAt: m.now, arriveAt: arriveAt, msg: *msg}
 	m.traceIdx = (m.traceIdx + 1) % traceDepth
@@ -309,8 +298,6 @@ func (m *Mesh) Duplicated() uint64 { return m.dupes }
 
 // Tick advances the network to the given cycle, moving every message
 // that has arrived into its destination inbox.
-//
-//rowlint:noalloc
 func (m *Mesh) Tick(cycle uint64) {
 	m.now = cycle
 	for len(m.events) > 0 && m.events[0].at <= cycle {
@@ -324,8 +311,6 @@ func (m *Mesh) Tick(cycle uint64) {
 // clamps the arrival to at least now+1 and Tick delivers everything
 // due, so after a Tick at `now` the heap head is always in the future;
 // the clamp below only defends the contract against misuse.
-//
-//rowlint:noalloc
 func (m *Mesh) NextEventAt(now uint64) uint64 {
 	if len(m.events) == 0 {
 		return ^uint64(0)
@@ -339,8 +324,6 @@ func (m *Mesh) NextEventAt(now uint64) uint64 {
 // HasMail reports whether the node's inbox holds undelivered messages.
 // The system's run loop uses it to skip Drain-and-handle entirely for
 // idle nodes.
-//
-//rowlint:noalloc
 func (m *Mesh) HasMail(node int) bool { return len(m.inboxes[node]) > 0 }
 
 // Drain returns the node's pending messages and empties the inbox.
@@ -352,8 +335,6 @@ func (m *Mesh) HasMail(node int) bool { return len(m.inboxes[node]) > 0 }
 // every drained message within the same cycle) and must not retain the
 // slice itself; retaining individual *Msg pointers is fine, subject to
 // the MsgPool ownership discipline.
-//
-//rowlint:noalloc
 func (m *Mesh) Drain(node int) []*coherence.Msg {
 	in := m.inboxes[node]
 	if len(in) == 0 {

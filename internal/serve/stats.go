@@ -14,7 +14,7 @@ type WorkerState struct {
 
 // Stats is the /v1/stats snapshot: the daemon's health in numbers.
 // Everything here is observability — no simulation state, so wall
-// clocks are fine (internal/serve is wallclock-allowlisted).
+// clocks are fine.
 type Stats struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	CodeRev       string  `json:"code_rev"`

@@ -91,8 +91,6 @@ func (s *System) run(ctx context.Context, ms *maintState) (Result, error) {
 
 // step runs the phases of cycle s.cycle over the live cores and returns
 // the cores still live after it.
-//
-//rowlint:noalloc
 func (s *System) step(live uint64, cacheWake, coreWake []uint64) uint64 {
 	cyc := s.cycle
 	s.mesh.Tick(cyc)
@@ -102,7 +100,7 @@ func (s *System) step(live uint64, cacheWake, coreWake []uint64) uint64 {
 			// Banks are purely message-driven: no mail means no
 			// work, and the bank clock only matters while handling.
 			if s.crossCheck && s.mesh.Drain(node) != nil {
-				crossCheckFailed("bank", i, "skipped with mail", cyc) //rowlint:ignore noalloc cross-check failure; the run is already over
+				crossCheckFailed("bank", i, "skipped with mail", cyc)
 			}
 			continue
 		}
@@ -125,7 +123,7 @@ func (s *System) step(live uint64, cacheWake, coreWake []uint64) uint64 {
 				work := pc.WorkDone()
 				pc.Tick(cyc)
 				if pc.WorkDone() != work {
-					crossCheckFailed("cache", i, "slept through work", cyc) //rowlint:ignore noalloc cross-check failure; the run is already over
+					crossCheckFailed("cache", i, "slept through work", cyc)
 				}
 			}
 			continue
@@ -168,13 +166,13 @@ func (s *System) step(live uint64, cacheWake, coreWake []uint64) uint64 {
 			work := c.WorkDone()
 			c.Tick(cyc)
 			if c.WorkDone() != work || c.Done() {
-				crossCheckFailed("core", i, "slept through work", cyc) //rowlint:ignore noalloc cross-check failure; the run is already over
+				crossCheckFailed("core", i, "slept through work", cyc)
 			}
 			continue
 		}
 		c.Tick(cyc)
 		if s.crossCheck && !c.FiltersConsistent() {
-			crossCheckFailed("core", i, "line filters disagree with its queues", cyc) //rowlint:ignore noalloc cross-check failure; the run is already over
+			crossCheckFailed("core", i, "line filters disagree with its queues", cyc)
 		}
 		if c.Done() {
 			live &^= 1 << i
@@ -201,8 +199,6 @@ func crossCheckFailed(kind string, i int, what string, cyc uint64) {
 // earliest component wake-up, bounded by the maintenance cadences so
 // watchdog/poll/checkpoint/coherence checks and the cycle budget fire
 // at the same simulated cycles as when every cycle is visited.
-//
-//rowlint:noalloc
 func (s *System) nextTarget(cacheWake, coreWake []uint64) uint64 {
 	target := (s.cycle &^ 1023) + 1024
 	if s.checkEvery > 0 {
