@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	r := experiments.NewRunner(opt)
 	r.SetJobs(*jobs)
 	r.SetContext(ctx)
-	r.Supervise(lifecycle.New(lifecycle.Config{RunTimeout: *timeout, JitterSeed: r.Options().Seed}))
+	r.Supervise(lifecycle.New(lifecycle.Config{RunTimeout: *timeout}))
 	if !*quiet {
 		r.Progress = func(msg string) { fmt.Fprintln(stderr, msg) }
 	}

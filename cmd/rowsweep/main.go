@@ -9,7 +9,7 @@
 //
 // Every run executes under the lifecycle supervisor: -timeout bounds
 // one run's wall-clock time, -deadline the whole sweep's, transient
-// failures retry with backoff, and -journal streams each outcome to a
+// failures retry at once, and -journal streams each outcome to a
 // crash-safe JSONL log. A sweep killed mid-way (SIGINT or SIGKILL)
 // resumes from its journal:
 //
@@ -105,7 +105,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	sup := lifecycle.New(lifecycle.Config{
 		MaxAttempts: sw.Retries,
 		RunTimeout:  sw.Timeout,
-		JitterSeed:  *seed,
 		Journal:     sw.Journal,
 	})
 	// Cells are independent deterministic simulations, so they fan out

@@ -82,7 +82,6 @@ type Directory struct {
 	pool *MsgPool
 	sink *ErrorSink
 	now  uint64
-	hook func(*Msg) *Msg
 
 	Stats DirStats
 }
@@ -115,12 +114,6 @@ func (d *Directory) SetMsgPool(p *MsgPool) { d.pool = p }
 // SetCycle stamps the bank's local clock; the system calls it before
 // handling the cycle's drained messages so errors carry the cycle.
 func (d *Directory) SetCycle(c uint64) { d.now = c }
-
-// SetTestHook installs a message filter applied before Handle processes
-// each message. Tests use it to seed protocol bugs (mutate or swallow a
-// message) and verify they surface as structured ProtocolErrors. A nil
-// return swallows the message.
-func (d *Directory) SetTestHook(f func(*Msg) *Msg) { d.hook = f }
 
 // fail raises a structured protocol error for this bank.
 func (d *Directory) fail(m *Msg, e *dirEntry, reason string) {
@@ -203,16 +196,6 @@ func (d *Directory) drain(e *dirEntry) {
 // on the bank side; messages parked in a blocked line's waiting queue
 // are released when the queue is later served.
 func (d *Directory) Handle(m *Msg) {
-	if d.hook != nil {
-		orig := m
-		if m = d.hook(m); m == nil {
-			// A swallowed message still came from the pool: release it,
-			// or every hook-dropped message leaks a pool slot (caught by
-			// the end-of-run conservation check).
-			d.pool.Put(orig)
-			return
-		}
-	}
 	if d.handle(m) {
 		d.pool.Put(m)
 	}

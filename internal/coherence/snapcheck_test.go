@@ -20,7 +20,6 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		"dramCycles":  "construction-time latency constant",
 		"pool":        "wiring; pool counters are snapshotted separately as PoolSnap",
 		"sink":        "wiring; provably empty at checkpoint instants",
-		"hook":        "model-checker interposer, never set in checkpointed runs",
 	})
 
 	snapcheck.Assert(t, lineTable{}, []string{

@@ -164,7 +164,9 @@ type Memory struct {
 	L3Banks int
 
 	// MSHRs bounds the outstanding misses per core (fill buffers);
-	// demand misses beyond it retry, prefetches are dropped.
+	// demand misses beyond it park, prefetches are dropped. Without the
+	// bound plain loads reach ~100-way MLP while atomics stay capped by
+	// the 16-entry AQ, which inverts the Fig. 2 microbenchmark.
 	MSHRs int
 
 	DRAMCycles int // main memory access time

@@ -114,7 +114,9 @@ type Mesh struct {
 	// lastAt preserves per-(src,dst) FIFO delivery under fault
 	// injection: jitter may stretch a channel but never lets a younger
 	// message overtake an older one on the same ordered channel, which
-	// is the timing contract the directory protocol assumes.
+	// is the timing contract the directory protocol assumes. Without
+	// it, a delayed PutX overtaken by the same core's next request for
+	// the line reads as that transaction's writeback: a false dual-M.
 	lastAt []uint64
 
 	sink *coherence.ErrorSink

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"rowsim/internal/sim"
 )
@@ -188,8 +187,7 @@ func TestSupervisorJournalsOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var delays []time.Duration
-	sup := New(Config{MaxAttempts: 2, Journal: j, Sleep: instantSleep(&delays)})
+	sup := New(Config{MaxAttempts: 2, Journal: j})
 	sup.Do(context.Background(), Job{Key: "good", Seed: 11}, func(context.Context) (sim.Result, error) {
 		return sim.Result{Cycles: 5}, nil
 	})

@@ -1,20 +1,20 @@
 // Package lifecycle supervises simulation runs: every job executes
 // under cooperative cancellation, an optional per-attempt wall-clock
 // deadline (distinct from the simulated-cycle budget), panic
-// containment, and classified retry — transient host-level failures
-// (deadline, panic) back off exponentially with seeded jitter and try
-// again, deterministic simulator failures (protocol error, deadlock,
-// cycle limit) fail after exactly one attempt because they replay
+// containment, and classified retry (see Classify) — transient
+// host-level failures (deadline, panic) are tried again at once,
+// deterministic simulator failures (protocol error, deadlock, cycle
+// limit) fail after exactly one attempt because they replay
 // identically. Outcomes stream to a crash-safe append-only JSONL
 // journal, so a sweep killed at run 480/500 resumes with the 480
 // finished runs served from disk and only the tail re-executed;
 // repeatedly failing jobs degrade (recorded with their error) instead
 // of aborting the sweep.
 //
-// The same supervisor shape — job spec, attempt, classify,
-// retry-or-degrade, journal — is what any long batch campaign needs;
-// see DESIGN.md "Run lifecycle & recovery" for the state machine and
-// journal format.
+// A job moves pending → running → ok, failed, degraded or canceled
+// (see Status). A parent context that ends — SIGINT, or the
+// whole-sweep deadline, which composes with the per-attempt one —
+// cancels the jobs in flight, and a resume re-runs them.
 package lifecycle
 
 import (
@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"rowsim/internal/sim"
-	"rowsim/internal/xrand"
 )
 
 // Status is the terminal state of a supervised job.
@@ -64,8 +63,10 @@ func (s Status) Terminal() bool {
 }
 
 // Config tunes a Supervisor. The zero value retries transient
-// failures twice (three attempts), backing off from 100ms toward 5s,
-// with no per-attempt deadline and no journal.
+// failures twice (three attempts), with no per-attempt deadline and no
+// journal. A retry follows its failed attempt at once: the work is a
+// deterministic local simulation, and there is no shared resource a
+// delay would relieve.
 type Config struct {
 	// MaxAttempts is the total attempt budget per job, including the
 	// first (default 3). Only transient failures consume retries.
@@ -74,50 +75,15 @@ type Config struct {
 	// It bounds host time; the simulated-cycle budget is Config
 	// .MaxCycles on the simulation side.
 	RunTimeout time.Duration
-	// BackoffBase is the delay before the first retry (default 100ms);
-	// each further retry doubles it, capped at BackoffMax (default 5s).
-	// The actual delay is jittered uniformly into [1/2, 1) of the
-	// nominal value from a seeded generator, so sweeps stay
-	// reproducible while concurrent retries decorrelate.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// JitterSeed seeds the backoff jitter (default 1).
-	JitterSeed uint64
 	// Journal, when set, receives one run record per completed job.
 	Journal *Journal
-	// Sleep replaces the backoff sleep (tests). It must return a
-	// non-nil error when ctx is done before the delay elapses.
-	Sleep func(ctx context.Context, d time.Duration) error
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 100 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 5 * time.Second
-	}
-	if c.JitterSeed == 0 {
-		c.JitterSeed = 1
-	}
-	if c.Sleep == nil {
-		c.Sleep = sleep
-	}
 	return c
-}
-
-func sleep(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // Job identifies one supervised run. Key is its stable identity across
@@ -153,14 +119,11 @@ type Outcome struct {
 // concurrent use by multiple workers.
 type Supervisor struct {
 	cfg Config
-	mu  sync.Mutex
-	rng *xrand.RNG
 }
 
 // New builds a supervisor.
 func New(cfg Config) *Supervisor {
-	cfg = cfg.withDefaults()
-	return &Supervisor{cfg: cfg, rng: xrand.New(cfg.JitterSeed)}
+	return &Supervisor{cfg: cfg.withDefaults()}
 }
 
 // Do runs one job to a terminal state and journals the outcome. The
@@ -266,9 +229,6 @@ func (s *Supervisor) run(ctx context.Context, job Job, fn AttemptFunc) Outcome {
 			if attempt >= s.cfg.MaxAttempts {
 				return Outcome{Status: StatusDegraded, Attempts: attempt, Err: err}
 			}
-			if s.cfg.Sleep(ctx, s.backoff(attempt)) != nil {
-				return Outcome{Status: StatusCanceled, Attempts: attempt, Err: err}
-			}
 		}
 	}
 }
@@ -287,19 +247,4 @@ func (s *Supervisor) attempt(ctx context.Context, job Job, fn AttemptFunc) (res 
 		}
 	}()
 	return fn(ctx)
-}
-
-// backoff computes the jittered delay before retry number attempt.
-func (s *Supervisor) backoff(attempt int) time.Duration {
-	d := s.cfg.BackoffBase
-	for i := 1; i < attempt && d < s.cfg.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > s.cfg.BackoffMax {
-		d = s.cfg.BackoffMax
-	}
-	s.mu.Lock()
-	j := 0.5 + 0.5*s.rng.Float64()
-	s.mu.Unlock()
-	return time.Duration(float64(d) * j)
 }

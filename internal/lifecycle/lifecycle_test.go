@@ -12,19 +12,8 @@ import (
 	"rowsim/internal/sim"
 )
 
-// instantSleep records requested backoff delays without waiting.
-func instantSleep(delays *[]time.Duration) func(context.Context, time.Duration) error {
-	return func(ctx context.Context, d time.Duration) error {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		*delays = append(*delays, d)
-		return nil
-	}
-}
-
-// TestClassify pins the retry classification table documented in
-// DESIGN.md: deterministic simulator failures are permanent,
+// TestClassify pins the retry classification Classify documents:
+// deterministic simulator failures are permanent,
 // host-level ones transient, shutdown is its own class.
 func TestClassify(t *testing.T) {
 	cases := []struct {
@@ -54,8 +43,7 @@ func TestClassify(t *testing.T) {
 // fails after exactly one attempt — retrying a deterministic replay is
 // pure waste.
 func TestPermanentFailureNeverRetried(t *testing.T) {
-	var delays []time.Duration
-	sup := New(Config{MaxAttempts: 5, Sleep: instantSleep(&delays)})
+	sup := New(Config{MaxAttempts: 5})
 	attempts := 0
 	out := sup.Do(context.Background(), Job{Key: "det"}, func(context.Context) (sim.Result, error) {
 		attempts++
@@ -65,17 +53,12 @@ func TestPermanentFailureNeverRetried(t *testing.T) {
 		t.Fatalf("want failed after exactly 1 attempt, got status=%s attempts=%d (fn ran %d times)",
 			out.Status, out.Attempts, attempts)
 	}
-	if len(delays) != 0 {
-		t.Fatalf("permanent failure slept %v", delays)
-	}
 }
 
 // TestPanicRetriedWithBackoff: an escaped panic is contained, retried
-// with exponentially growing jittered delays, and succeeds when the
-// fault clears.
+// at once, and succeeds when the fault clears.
 func TestPanicRetriedWithBackoff(t *testing.T) {
-	var delays []time.Duration
-	sup := New(Config{MaxAttempts: 3, BackoffBase: 100 * time.Millisecond, Sleep: instantSleep(&delays)})
+	sup := New(Config{MaxAttempts: 3})
 	attempts := 0
 	out := sup.Do(context.Background(), Job{Key: "flaky"}, func(context.Context) (sim.Result, error) {
 		attempts++
@@ -86,20 +69,6 @@ func TestPanicRetriedWithBackoff(t *testing.T) {
 	})
 	if out.Status != StatusOK || out.Attempts != 3 || out.Result.Cycles != 42 {
 		t.Fatalf("want ok on third attempt, got %+v", out)
-	}
-	if len(delays) != 2 {
-		t.Fatalf("want 2 backoff sleeps, got %v", delays)
-	}
-	// Jitter maps the nominal delay into [1/2, 1): attempt 1 from
-	// 100ms, attempt 2 from 200ms.
-	bounds := []struct{ lo, hi time.Duration }{
-		{50 * time.Millisecond, 100 * time.Millisecond},
-		{100 * time.Millisecond, 200 * time.Millisecond},
-	}
-	for i, d := range delays {
-		if d < bounds[i].lo || d >= bounds[i].hi {
-			t.Errorf("backoff %d = %v outside [%v, %v)", i, d, bounds[i].lo, bounds[i].hi)
-		}
 	}
 }
 
@@ -128,8 +97,7 @@ func TestPanicContainmentCarriesContext(t *testing.T) {
 // TestTransientExhaustionDegrades: a persistently transient job
 // degrades after MaxAttempts instead of aborting the sweep.
 func TestTransientExhaustionDegrades(t *testing.T) {
-	var delays []time.Duration
-	sup := New(Config{MaxAttempts: 3, Sleep: instantSleep(&delays)})
+	sup := New(Config{MaxAttempts: 3})
 	attempts := 0
 	out := sup.Do(context.Background(), Job{Key: "always-panics"}, func(context.Context) (sim.Result, error) {
 		attempts++
@@ -145,8 +113,7 @@ func TestTransientExhaustionDegrades(t *testing.T) {
 // time; the timed-out attempts count as transient and the job degrades
 // when every retry times out too.
 func TestPerAttemptDeadline(t *testing.T) {
-	var delays []time.Duration
-	sup := New(Config{MaxAttempts: 2, RunTimeout: 5 * time.Millisecond, Sleep: instantSleep(&delays)})
+	sup := New(Config{MaxAttempts: 2, RunTimeout: 5 * time.Millisecond})
 	out := sup.Do(context.Background(), Job{Key: "slow"}, func(ctx context.Context) (sim.Result, error) {
 		<-ctx.Done() // simulate RunCtx observing the deadline at a poll
 		return sim.Result{}, &sim.RunCanceledError{Cycle: 2048, Cause: ctx.Err()}
@@ -181,27 +148,5 @@ func TestParentCancellationDrains(t *testing.T) {
 	})
 	if out.Status != StatusCanceled || out.Attempts != 0 {
 		t.Fatalf("want canceled with 0 attempts, got %+v", out)
-	}
-}
-
-// TestBackoffDeterministic: the same jitter seed produces the same
-// delay sequence — supervised sweeps stay reproducible.
-func TestBackoffDeterministic(t *testing.T) {
-	seq := func() []time.Duration {
-		var delays []time.Duration
-		sup := New(Config{MaxAttempts: 4, JitterSeed: 7, Sleep: instantSleep(&delays)})
-		sup.Do(context.Background(), Job{Key: "x"}, func(context.Context) (sim.Result, error) {
-			panic("always")
-		})
-		return delays
-	}
-	a, c := seq(), seq()
-	if len(a) != 3 || len(c) != 3 {
-		t.Fatalf("want 3 delays each, got %v / %v", a, c)
-	}
-	for i := range a {
-		if a[i] != c[i] {
-			t.Fatalf("jitter not deterministic: %v vs %v", a, c)
-		}
 	}
 }

@@ -2,7 +2,7 @@
 // blocking MESI directory protocol. It drives the real implementation
 // — internal/coherence, internal/cache and internal/interconnect, the
 // same code the simulator runs — not a reimplemented abstract model:
-// for tiny configurations (2–3 cores, 1–2 cachelines, 1–2 banks,
+// for tiny configurations (1–4 cores, 1–2 cachelines, 1–2 banks,
 // a bounded program of loads/stores/atomic RMWs per core) it
 // enumerates every legal interleaving of mesh message deliveries and
 // core memory operations by depth-first search with canonicalized
@@ -22,6 +22,16 @@
 // legal delivery orders: per-channel FIFO (what the timed mesh
 // guarantees under the fault injector's legal reorderings) and global
 // FIFO (no reordering at all).
+//
+// Every state is checked for swmr, owner, data-value, conservation and
+// protocol, every leaf also for stuck-blocked and deadlock
+// (InvariantError.Kind). The search covers orderings, not timing: the
+// state key leaves out clocks, latencies and LRU state, and torture
+// covers timing. The model core locks same-line atomics in age order,
+// as the real core does, so no interleaving the core cannot produce is
+// explored. The owner invariant is checked only at line-quiesced
+// states and only one way, because silent S evictions make the sharer
+// mask an over-approximation.
 package mcheck
 
 import (
@@ -86,8 +96,8 @@ type Config struct {
 	// reorderings). False checks the single global-FIFO order.
 	PerChannel bool
 
-	// Bug seeds a protocol mutation through the directory's test hook:
-	// "" (none), "getx-as-gets", "drop-unblock", "drop-inv".
+	// Bug seeds a protocol mutation into the first matching message
+	// delivered to bank 0: "" (none), "getx-as-gets", "drop-unblock", "drop-inv".
 	Bug string
 
 	// Progs overrides the generated per-core programs.
@@ -356,46 +366,33 @@ func NewModel(cfgIn Config) (*Model, error) {
 		pc.DisableForcedRelease()
 		m.caches = append(m.caches, pc)
 	}
-	m.installBug()
 	return m, nil
 }
 
-// installBug wires the seeded protocol mutation into bank 0's test
-// hook. The fired flag is model state: it is captured by snapshots so
-// the DFS explores "bug already fired" and "not yet" as distinct
-// histories.
-func (m *Model) installBug() {
-	switch m.cfg.Bug {
-	case "":
-		return
-	case "getx-as-gets":
-		m.dirs[0].SetTestHook(func(msg *coherence.Msg) *coherence.Msg {
-			if !m.bugFired && msg.Type == coherence.MsgGetX {
-				m.bugFired = true
-				msg.Type = coherence.MsgGetS
-			}
-			return msg
-		})
-	case "drop-unblock":
-		m.dirs[0].SetTestHook(func(msg *coherence.Msg) *coherence.Msg {
-			if !m.bugFired && (msg.Type == coherence.MsgUnblock || msg.Type == coherence.MsgUnblockX) {
-				m.bugFired = true
-				return nil
-			}
-			return msg
-		})
-	case "drop-inv":
-		// Inv travels directory->core, so it never passes the bank
-		// hook; drop the InvAck it provokes instead — same effect, the
-		// writer's fill never completes.
-		m.dirs[0].SetTestHook(func(msg *coherence.Msg) *coherence.Msg {
-			if !m.bugFired && msg.Type == coherence.MsgInvAck {
-				m.bugFired = true
-				return nil
-			}
-			return msg
-		})
+// seedBug applies the seeded protocol mutation to a message about to
+// be delivered to bank 0 and reports whether the message survives; a
+// swallowed one goes back to the pool. The fired flag is model state:
+// it is captured by snapshots so the DFS explores "bug already fired"
+// and "not yet" as distinct histories.
+func (m *Model) seedBug(msg *coherence.Msg) bool {
+	if m.bugFired || msg.Dst != m.cfg.Cores {
+		return true
 	}
+	switch {
+	case m.cfg.Bug == "getx-as-gets" && msg.Type == coherence.MsgGetX:
+		msg.Type = coherence.MsgGetS
+		m.bugFired = true
+		return true
+	case m.cfg.Bug == "drop-unblock" && (msg.Type == coherence.MsgUnblock || msg.Type == coherence.MsgUnblockX),
+		// Inv travels directory->core, so it never reaches the bank;
+		// drop the InvAck it provokes instead — same effect, the
+		// writer's fill never completes.
+		m.cfg.Bug == "drop-inv" && msg.Type == coherence.MsgInvAck:
+		m.bugFired = true
+		m.pool.Put(msg)
+		return false
+	}
+	return true
 }
 
 // --- transitions ---
@@ -526,7 +523,9 @@ func (m *Model) apply(ch choice) bool {
 		if msg.Dst >= m.cfg.Cores {
 			d := m.dirs[msg.Dst-m.cfg.Cores]
 			d.SetCycle(m.clock)
-			d.Handle(msg)
+			if m.seedBug(msg) {
+				d.Handle(msg)
+			}
 		} else {
 			m.caches[msg.Dst].DeliverOne(msg)
 		}

@@ -40,8 +40,8 @@ func TestCleanMatrix(t *testing.T) {
 	}
 }
 
-// TestSeededBugsCaught seeds each protocol mutation through the
-// directory's test hook and requires the search to find a violation of
+// TestSeededBugsCaught seeds each protocol mutation at bank 0's
+// delivery point and requires the search to find a violation of
 // the expected class, with a witness that replays strictly.
 func TestSeededBugsCaught(t *testing.T) {
 	cases := []struct {

@@ -71,7 +71,12 @@ func tenantOf(r *http.Request) (string, error) {
 	return t, nil
 }
 
-// Handler returns the daemon's HTTP API.
+// Handler returns the daemon's HTTP API. A submission answers 202 on
+// admission, 200 when the tenant resubmits the same spec, 429 with
+// Retry-After when shed, and 503 while draining or when the journal
+// cannot persist it. Results are 409 until every cell is terminal. A
+// DELETE is 200 on repeat, 409 once the sweep is done and 404 across
+// tenants. /healthz stays 200 while draining; /readyz does not.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)

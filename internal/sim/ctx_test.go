@@ -113,18 +113,7 @@ func (c *cancelAfterCalls) Value(key any) any           { return nil }
 func TestErrorSinkIsolatedAcrossSystems(t *testing.T) {
 	buggy := contendedSystem(t, 4)
 	clean := contendedSystem(t, 4)
-	corrupted := false
-	for _, d := range buggy.Directories() {
-		d.SetTestHook(func(m *coherence.Msg) *coherence.Msg {
-			if corrupted || (m.Type != coherence.MsgUnblock && m.Type != coherence.MsgUnblockX) {
-				return m
-			}
-			corrupted = true
-			cp := *m
-			cp.Src = (m.Src + 1) % 4
-			return &cp
-		})
-	}
+	buggy.mesh.SetPerturber(&corruptFirstUnblock{})
 	var wg sync.WaitGroup
 	var buggyErr, cleanErr error
 	var cleanRes Result

@@ -154,8 +154,8 @@ func (e *DeadlockError) Error() string {
 // -> directory bank -> core the bank waits on -> ... — starting from
 // every unfinished core, and returns the structured report. It prefers
 // a chain that closes into a cycle; otherwise it keeps the longest.
-func (s *System) diagnoseDeadlock(window uint64) *DeadlockError {
-	derr := &DeadlockError{Cycle: s.cycle, Window: window, Dump: s.dump()}
+func (s *System) diagnoseDeadlock() *DeadlockError {
+	derr := &DeadlockError{Cycle: s.cycle, Window: watchdogWindow, Dump: s.dump()}
 	var longest []WaitEdge
 	for start, c := range s.cores {
 		if c.Done() {

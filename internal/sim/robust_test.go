@@ -53,7 +53,6 @@ func TestCycleLimitError(t *testing.T) {
 func TestWatchdogFiresOnDroppedMessages(t *testing.T) {
 	s := contendedSystem(t, 4,
 		WithFaults(faults.Config{Seed: 1, DropProb: 1}),
-		WithWatchdogWindow(2048),
 	)
 	_, err := s.Run()
 	var de *DeadlockError
@@ -93,24 +92,25 @@ func TestCheckCoherenceReportsDualExclusive(t *testing.T) {
 	}
 }
 
-// TestSeededProtocolBugSurfaces seeds a protocol bug via the directory
-// test hook — the first Unblock is re-attributed to the wrong core —
-// and verifies it surfaces as a structured *coherence.ProtocolError
+// corruptFirstUnblock is a perturber that re-attributes the first
+// Unblock it sees to the wrong core of a 4-core system, a seeded
+// protocol bug.
+type corruptFirstUnblock struct{ done bool }
+
+func (c *corruptFirstUnblock) Perturb(m *coherence.Msg) []uint64 {
+	if !c.done && (m.Type == coherence.MsgUnblock || m.Type == coherence.MsgUnblockX) {
+		c.done = true
+		m.Src = (m.Src + 1) % 4
+	}
+	return []uint64{0}
+}
+
+// TestSeededProtocolBugSurfaces seeds a protocol bug on the mesh — the
+// first Unblock is re-attributed to the wrong core — and verifies it surfaces as a structured *coherence.ProtocolError
 // with cycle, line and transaction context, not a panic.
 func TestSeededProtocolBugSurfaces(t *testing.T) {
 	s := contendedSystem(t, 4)
-	corrupted := false
-	for _, d := range s.Directories() {
-		d.SetTestHook(func(m *coherence.Msg) *coherence.Msg {
-			if corrupted || (m.Type != coherence.MsgUnblock && m.Type != coherence.MsgUnblockX) {
-				return m
-			}
-			corrupted = true
-			cp := *m
-			cp.Src = (m.Src + 1) % 4
-			return &cp
-		})
-	}
+	s.mesh.SetPerturber(&corruptFirstUnblock{})
 	_, err := s.Run()
 	var pe *coherence.ProtocolError
 	if !errors.As(err, &pe) {
@@ -134,7 +134,6 @@ func TestSeededProtocolBugSurfaces(t *testing.T) {
 func TestDuplicatedMessagesAreDetected(t *testing.T) {
 	s := contendedSystem(t, 4,
 		WithFaults(faults.Config{Seed: 1, DupProb: 0.05}),
-		WithWatchdogWindow(8192),
 	)
 	_, err := s.Run()
 	var pe *coherence.ProtocolError

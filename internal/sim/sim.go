@@ -35,7 +35,6 @@ type System struct {
 	warmFilter func(core int, line uint64) bool
 	image      *WarmImage // WithWarmImage: read-only, shared with other systems
 	checkEvery uint64
-	watchdog   uint64
 	crossCheck bool
 
 	ckptEvery uint64
@@ -125,14 +124,6 @@ func WithCheckpoint(every uint64, fn func(cycle uint64, snap *SysSnap) error) Op
 	}
 }
 
-// WithWatchdogWindow overrides the no-progress watchdog horizon
-// (cycles without a commit before the run aborts with a deadlock
-// report). Values at or below the 1024-cycle check cadence are raised
-// to one cadence. Intended for tests; the default suits real runs.
-func WithWatchdogWindow(cycles uint64) Option {
-	return func(s *System) { s.watchdog = cycles }
-}
-
 // New builds a system running one program per core. Cores without a
 // program idle (len(progs) may be less than NumCores).
 func New(cfg *config.Config, progs []trace.Program, opts ...Option) (*System, error) {
@@ -148,7 +139,7 @@ func New(cfg *config.Config, progs []trace.Program, opts ...Option) (*System, er
 
 	bankOf := func(line uint64) int { return n + cfg.Mem.HomeBank(line) }
 
-	s := &System{cfg: cfg, mesh: mesh, bankOf: bankOf, sink: &coherence.ErrorSink{}, watchdog: watchdogWindow}
+	s := &System{cfg: cfg, mesh: mesh, bankOf: bankOf, sink: &coherence.ErrorSink{}}
 	// One message free list per system, shared by every protocol agent
 	// and the mesh: the system is single-threaded, so the pool needs no
 	// locking, and per-system ownership means concurrent systems can
@@ -298,11 +289,7 @@ func (s *System) RunCtx(ctx context.Context) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, &RunCanceledError{Cycle: s.cycle, Cause: err}
 	}
-	ms := &maintState{watchdog: s.watchdog}
-	if ms.watchdog < 1024 {
-		ms.watchdog = 1024
-	}
-	return s.run(ctx, ms)
+	return s.run(ctx, &maintState{})
 }
 
 // maintState is the per-run maintenance bookkeeping: the
@@ -310,7 +297,6 @@ func (s *System) RunCtx(ctx context.Context) (Result, error) {
 type maintState struct {
 	lastCommitted uint64
 	lastProgress  uint64
-	watchdog      uint64
 }
 
 // postCycle is the epilogue of every simulated cycle: protocol-error
@@ -343,8 +329,8 @@ func (s *System) postCycle(ctx context.Context, cyc uint64, ms *maintState) erro
 		if committed != ms.lastCommitted {
 			ms.lastCommitted = committed
 			ms.lastProgress = cyc
-		} else if cyc-ms.lastProgress > ms.watchdog {
-			return s.diagnoseDeadlock(ms.watchdog)
+		} else if cyc-ms.lastProgress > watchdogWindow {
+			return s.diagnoseDeadlock()
 		}
 		if s.ckptEvery != 0 && cyc-s.lastCkpt >= s.ckptEvery {
 			// Normalize the component clocks left stale on skipped

@@ -46,7 +46,9 @@ type Array struct {
 	// Four bytes a set is the measured choice: a slice header per set
 	// saves a load and wins a single-array benchmark, but with 32 cores'
 	// arrays live the 24-byte headers fall out of the host's cache and
-	// the run loop is 5% slower (DESIGN.md, "SRAM arrays").
+	// the run loop is 5% slower. A header per group of 8 sets bought
+	// nothing at 32 cores and cost the 8-core cells, whose L3 reaches
+	// one set in 8 (deviation 6 in DESIGN.md).
 	slot   []int32
 	chunks [][]Line
 	blocks int

@@ -412,7 +412,6 @@ func Torture(opt Options) Summary {
 	sup := lifecycle.New(lifecycle.Config{
 		MaxAttempts: opt.MaxAttempts,
 		RunTimeout:  opt.RunTimeout,
-		JitterSeed:  opt.Seed,
 		Journal:     opt.Journal,
 	})
 

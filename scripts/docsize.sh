@@ -3,8 +3,10 @@
 # the git revision BASE, unless HEAD adds what those documents describe:
 # a package or command (a directory under internal/ or cmd/ holding
 # non-test Go files) or a figure (a new `func Fig...` in
-# internal/experiments). The documents describe the code as it is;
-# history lives in CHANGES.md and git.
+# internal/experiments). DESIGN.md also fails above 25,000 bytes:
+# mechanism detail lives in the doc comment of the package it
+# describes. The documents describe the code as it is; history lives
+# in CHANGES.md and git.
 #
 #   scripts/docsize.sh BASE        e.g. scripts/docsize.sh origin/main
 set -euo pipefail
@@ -33,6 +35,10 @@ for doc in DESIGN.md EXPERIMENTS.md; do
         status=1
     fi
 done
+if [ "$(git cat-file -s HEAD:DESIGN.md)" -gt 25000 ]; then
+    echo "docsize: DESIGN.md is over its 25,000-byte ceiling"
+    status=1
+fi
 if [ -n "$added" ]; then
     echo "docsize: HEAD adds ${added% }, so the documents may grow"
 fi
