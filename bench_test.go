@@ -196,7 +196,7 @@ func BenchmarkMeshSendDeliver(b *testing.B) {
 	m := interconnect.NewMesh(40, 1, 2, 4)
 	for i := 0; i < b.N; i++ {
 		m.Tick(uint64(i))
-		m.Send(&coherenceMsg)
+		m.Send(coherenceMsg)
 		if i%64 == 0 {
 			for n := 0; n < 40; n++ {
 				m.Drain(n)
@@ -233,15 +233,15 @@ func BenchmarkTraceGeneration(b *testing.B) {
 // nullNet drops every message (directory micro-benchmark harness).
 type nullNet struct{}
 
-func (nullNet) Send(*coherence.Msg)              {}
-func (nullNet) SendAfter(*coherence.Msg, uint64) {}
+func (nullNet) Send(coherence.Msg)              {}
+func (nullNet) SendAfter(coherence.Msg, uint64) {}
 
 func BenchmarkDirectoryTransaction(b *testing.B) {
 	d := coherence.NewDirectory(32, 0, nullNet{}, 4<<20, 16, 64, 35, 160)
 	for i := 0; i < b.N; i++ {
 		line := uint64(i%4096) * 64
-		d.Handle(&coherence.Msg{Type: coherence.MsgGetX, Line: line, Src: 0, Dst: 32, Requestor: 0})
-		d.Handle(&coherence.Msg{Type: coherence.MsgUnblockX, Line: line, Src: 0, Dst: 32, Requestor: 0})
+		d.Handle(coherence.Msg{Type: coherence.MsgGetX, Line: line, Src: 0, Dst: 32, Requestor: 0})
+		d.Handle(coherence.Msg{Type: coherence.MsgUnblockX, Line: line, Src: 0, Dst: 32, Requestor: 0})
 	}
 }
 

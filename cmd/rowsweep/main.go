@@ -83,8 +83,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// The sweep's definition is these six flags: a new journal records
 	// them, a resumed one restores them (convenience flags like -timeout,
 	// -deadline and -retries still come from the command line). A
-	// journal that also records -sched, as older builds wrote, still
-	// resumes: OpenSweep skips a journaled name with no flag.
+	// journal that also records -sched, as older builds wrote, is from
+	// model 0: like a journal of any other model it is kept beside a
+	// fresh journal, and every cell re-runs.
 	defer sw.Close(&code, stderr)
 	if err := sw.Open(fs, "workload", "param", "values", "cores", "instrs", "seed"); err != nil {
 		return fail(err)

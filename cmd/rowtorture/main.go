@@ -92,8 +92,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	// The sweep's definition is these seven flags: a new journal records
 	// them, a resumed one restores them and refuses a conflicting one.
-	// A journal that also records -sched, as older builds wrote, still
-	// resumes: OpenSweep skips a journaled name with no flag.
+	// A journal that also records -sched, as older builds wrote, is from
+	// model 0: like a journal of any other model it is kept beside a
+	// fresh journal, and every cell re-runs.
 	defer sw.Close(&code, stderr)
 	if err := sw.Open(fs, "n", "seed", "cores", "instrs", "replay-every", "check-every", "max-cycles"); err != nil {
 		fmt.Fprintln(stderr, err)

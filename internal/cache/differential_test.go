@@ -68,7 +68,7 @@ type controller interface {
 	Access(tag, addr uint64, write bool)
 	StoreComplete(line uint64) bool
 	TrainPrefetch(pc, addr uint64)
-	Deliver(msgs []*coherence.Msg)
+	Deliver(msgs []coherence.Msg)
 	Tick(cycle uint64)
 	SetNow(cycle uint64)
 	NextEventAt(now uint64) uint64
@@ -107,7 +107,7 @@ func (r *refPrivate) TrainPrefetch(pc, addr uint64) {
 	r.absorb()
 }
 
-func (r *refPrivate) Deliver(msgs []*coherence.Msg) {
+func (r *refPrivate) Deliver(msgs []coherence.Msg) {
 	r.p.Deliver(msgs)
 	r.absorb()
 }
@@ -161,10 +161,10 @@ func (r *recorder) LineInvalidated(line uint64) {
 }
 func (r *recorder) LineLocked(uint64) bool   { return false }
 func (r *recorder) ForceRelease(uint64) bool { return false }
-func (r *recorder) Send(m *coherence.Msg)    { r.SendAfter(m, 0) }
-func (r *recorder) SendAfter(m *coherence.Msg, extra uint64) {
+func (r *recorder) Send(m coherence.Msg)     { r.SendAfter(m, 0) }
+func (r *recorder) SendAfter(m coherence.Msg, extra uint64) {
 	r.log = append(r.log, fmt.Sprintf("c%d send %s grant=%d +%d", r.cycle, m, m.Grant, extra))
-	r.sent = append(r.sent, *m)
+	r.sent = append(r.sent, m)
 }
 
 // diffRun drives the wheel controller and the heap reference through
@@ -324,7 +324,7 @@ func (d *diffRun) core() {
 // both run loops do; otherwise Tick (due or not) or a core-only SetNow.
 // The core then issues, if asked to.
 func (d *diffRun) visit(issue bool) {
-	var msgs [2][]*coherence.Msg
+	var msgs [2][]coherence.Msg
 	rest := d.mail[:0]
 	for _, m := range d.mail {
 		if m.at > d.cycle {
@@ -332,8 +332,7 @@ func (d *diffRun) visit(issue bool) {
 			continue
 		}
 		for side := range msgs {
-			cp := m.msg
-			msgs[side] = append(msgs[side], &cp)
+			msgs[side] = append(msgs[side], m.msg)
 		}
 	}
 	d.mail = rest

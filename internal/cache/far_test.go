@@ -40,14 +40,14 @@ func TestFarDoneRespondsFIFO(t *testing.T) {
 	p.Tick(5)
 	p.FarRMW(2, lineB)
 	net.take()
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgFarDone, Line: lineB, Src: 32, Dst: 0}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgFarDone, Line: lineB, Src: 32, Dst: 0}})
 	if _, ok := client.resps[1]; !ok {
 		t.Fatal("first far RMW not answered first")
 	}
 	if _, ok := client.resps[2]; ok {
 		t.Fatal("second far RMW answered early")
 	}
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgFarDone, Line: lineB, Src: 32, Dst: 0}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgFarDone, Line: lineB, Src: 32, Dst: 0}})
 	if _, ok := client.resps[2]; !ok {
 		t.Fatal("second far RMW never answered")
 	}
@@ -61,7 +61,7 @@ func TestFarDoneLatencyMeasured(t *testing.T) {
 	p.Tick(10)
 	p.FarRMW(3, lineB)
 	p.Tick(110)
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgFarDone, Line: lineB, Src: 32, Dst: 0}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgFarDone, Line: lineB, Src: 32, Dst: 0}})
 	info := client.resps[3]
 	if info.Latency != 100 {
 		t.Fatalf("far latency = %d, want 100", info.Latency)
@@ -75,7 +75,7 @@ func TestStrayFarDonePanics(t *testing.T) {
 			t.Fatal("stray FarDone accepted silently")
 		}
 	}()
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgFarDone, Line: lineB, Src: 32, Dst: 0}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgFarDone, Line: lineB, Src: 32, Dst: 0}})
 }
 
 // TestFarRMWDeferredBehindOutstandingMiss is the regression test for a
@@ -109,7 +109,7 @@ func TestFarRMWDeferredBehindOutstandingMiss(t *testing.T) {
 
 	// The upgrade fill retires the MSHR; the deferred far RMW must now
 	// issue: invalidate the copy, write back the M line, send GetFar.
-	p.Deliver([]*coherence.Msg{{
+	p.Deliver([]coherence.Msg{{
 		Type: coherence.MsgData, Line: lineB, Src: 32, Dst: 0, Requestor: 0,
 		Grant: coherence.GrantM,
 	}})
@@ -135,7 +135,7 @@ func TestFarRMWDeferredBehindOutstandingMiss(t *testing.T) {
 	}
 
 	// And the far completion still answers the deferred waiter.
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgFarDone, Line: lineB, Src: 32, Dst: 0}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgFarDone, Line: lineB, Src: 32, Dst: 0}})
 	if _, ok := client.resps[2]; !ok {
 		t.Fatal("deferred far RMW never completed")
 	}

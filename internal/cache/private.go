@@ -111,7 +111,7 @@ type strideEntry struct {
 }
 
 type stalledExt struct {
-	msg     *coherence.Msg
+	msg     coherence.Msg
 	stallAt uint64
 }
 
@@ -249,8 +249,6 @@ type Private struct {
 	// steady state allocates none.
 	waiterFree [][]waiter
 
-	pool *coherence.MsgPool
-
 	// work counts observable actions taken by Tick (event completions,
 	// forced releases). The run loop's cross-check asserts it
 	// stays unchanged when a skipped Tick is replayed.
@@ -303,9 +301,11 @@ func NewPrivate(coreID int, cfg *config.Config, net coherence.Network, client Cl
 // violations panic (fail-fast for components driven directly by tests).
 func (p *Private) SetErrorSink(s *coherence.ErrorSink) { p.sink = s }
 
-// SetMsgPool installs the system-shared message free list. A nil pool
-// (component tests) falls back to the allocator.
-func (p *Private) SetMsgPool(mp *coherence.MsgPool) { p.pool = mp }
+// SetMsgPool does nothing: messages travel by value.
+//
+// Deprecated: only cmd/rowperf's lock-step driver calls it; ROADMAP
+// item 7 deletes it with that driver.
+func (p *Private) SetMsgPool(*coherence.MsgPool) {}
 
 // SetNow advances the controller clock without running Tick. The
 // system calls it on a visit that has nothing for Tick to do: the core
@@ -489,9 +489,9 @@ func (p *Private) startMiss(tag uint64, line uint64, write bool, at uint64, woke
 	if write {
 		t = coherence.MsgGetX
 	}
-	p.net.Send(p.pool.New(coherence.Msg{
+	p.net.Send(coherence.Msg{
 		Type: t, Line: line, Src: p.coreID, Dst: p.bankOf(line), Requestor: p.coreID,
-	}))
+	})
 }
 
 // StoreComplete performs a store-buffer drain write when the line is
@@ -540,16 +540,16 @@ func (p *Private) issueFar(line uint64, w waiter) {
 	if _, present := p.l2.Invalidate(line); present {
 		// Relinquish ownership silently; the directory treats the
 		// subsequent recall-miss as a stale forward.
-		p.net.Send(p.pool.New(coherence.Msg{
+		p.net.Send(coherence.Msg{
 			Type: coherence.MsgPutX, Line: line, Src: p.coreID, Dst: p.bankOf(line),
 			Requestor: p.coreID,
-		}))
+		})
 	}
 	p.pendingFar[line] = append(p.pendingFar[line], w)
-	p.net.Send(p.pool.New(coherence.Msg{
+	p.net.Send(coherence.Msg{
 		Type: coherence.MsgGetFar, Line: line, Src: p.coreID, Dst: p.bankOf(line),
 		Requestor: p.coreID,
-	}))
+	})
 }
 
 // TrainPrefetch feeds the IP-stride prefetcher with a demand load.
@@ -593,21 +593,15 @@ func (p *Private) TrainPrefetch(pc, addr uint64) {
 	}
 }
 
-// Deliver processes protocol messages drained from the network. A
-// fully consumed message is released to the pool here — the single
-// consumption point on the cache side; a message parked in the stalled
-// table is released when the stall resolves.
-func (p *Private) Deliver(msgs []*coherence.Msg) {
-	for _, m := range msgs {
-		if p.handle(m) {
-			p.pool.Put(m)
-		}
+// Deliver processes protocol messages drained from the network.
+func (p *Private) Deliver(msgs []coherence.Msg) {
+	for i := range msgs {
+		p.handle(&msgs[i])
 	}
 }
 
-// handle dispatches one message and reports whether it was fully
-// consumed (false: retained in the stalled-external table).
-func (p *Private) handle(m *coherence.Msg) bool {
+// handle dispatches one message.
+func (p *Private) handle(m *coherence.Msg) {
 	switch m.Type {
 	case coherence.MsgData:
 		p.handleData(m)
@@ -617,16 +611,16 @@ func (p *Private) handle(m *coherence.Msg) bool {
 			p.maybeComplete(m.Line, ms)
 		}
 	case coherence.MsgInv:
-		return p.handleExternal(m, true)
+		p.handleExternal(m, true)
 	case coherence.MsgFwdGetX:
-		return p.handleExternal(m, true)
+		p.handleExternal(m, true)
 	case coherence.MsgFwdGetS:
-		return p.handleExternal(m, false)
+		p.handleExternal(m, false)
 	case coherence.MsgFarDone:
 		ws := p.pendingFar[m.Line]
 		if len(ws) == 0 {
 			p.fail(m, "FarDone without a pending far RMW")
-			return true
+			return
 		}
 		w := ws[0]
 		if len(ws) == 1 {
@@ -638,7 +632,6 @@ func (p *Private) handle(m *coherence.Msg) bool {
 	default:
 		p.fail(m, "unexpected message type")
 	}
-	return true
 }
 
 func (p *Private) handleData(m *coherence.Msg) {
@@ -684,10 +677,10 @@ func (p *Private) maybeComplete(line uint64, msp *mshr) {
 	if ms.grant == coherence.GrantM || ms.write {
 		ut = coherence.MsgUnblockX
 	}
-	p.net.Send(p.pool.New(coherence.Msg{
+	p.net.Send(coherence.Msg{
 		Type: ut, Line: line, Src: p.coreID, Dst: p.bankOf(line),
 		Requestor: p.coreID, Grant: grant,
-	}))
+	})
 
 	fillLat := p.now - ms.sentAt
 	if len(ms.waiters) > 0 {
@@ -751,24 +744,21 @@ func (p *Private) putWaiters(w []waiter) {
 	p.waiterFree = append(p.waiterFree, w[:0])
 }
 
-// handleExternal processes Inv/FwdGetS/FwdGetX, stalling when the
-// line is locked by the core's atomic queue.
-// handleExternal reports whether the message was consumed (false: it
-// is retained in the stalled table until the lock releases).
-func (p *Private) handleExternal(m *coherence.Msg, write bool) bool {
+// handleExternal processes Inv/FwdGetS/FwdGetX, keeping a copy in the
+// stalled table when the line is locked by the core's atomic queue.
+func (p *Private) handleExternal(m *coherence.Msg, write bool) {
 	if stall := p.client.ExternalRequest(m.Line, write); stall {
 		p.Stats.ExtStalls.Inc()
 		if prev := p.stalled.get(m.Line); prev != nil {
 			// The directory serializes transactions per line, so at
 			// most one external request can be outstanding.
 			p.fail(m, fmt.Sprintf("second stalled external request (already have %s)", prev.msg))
-			return true
+			return
 		}
-		p.stalled.add(m.Line, stalledExt{msg: m, stallAt: p.now})
-		return false
+		p.stalled.add(m.Line, stalledExt{msg: *m, stallAt: p.now})
+		return
 	}
 	p.serveExternal(m)
-	return true
 }
 
 func (p *Private) serveExternal(m *coherence.Msg) {
@@ -779,26 +769,26 @@ func (p *Private) serveExternal(m *coherence.Msg) {
 		p.l1.Invalidate(line)
 		p.l2.Invalidate(line)
 		p.client.LineInvalidated(line)
-		p.net.SendAfter(p.pool.New(coherence.Msg{
+		p.net.SendAfter(coherence.Msg{
 			Type: coherence.MsgInvAck, Line: line, Src: p.coreID, Dst: m.Requestor,
 			Requestor: m.Requestor,
-		}), uint64(p.l1Hit))
+		}, uint64(p.l1Hit))
 	case coherence.MsgFwdGetX:
 		p.Stats.Forwarded.Inc()
 		p.l1.Invalidate(line)
 		p.l2.Invalidate(line)
 		p.client.LineInvalidated(line)
-		p.net.SendAfter(p.pool.New(coherence.Msg{
+		p.net.SendAfter(coherence.Msg{
 			Type: coherence.MsgData, Line: line, Src: p.coreID, Dst: m.Requestor,
 			Requestor: m.Requestor, Grant: coherence.GrantM, FromPrivate: true,
-		}), uint64(p.l1Hit))
+		}, uint64(p.l1Hit))
 	case coherence.MsgFwdGetS:
 		p.Stats.Forwarded.Inc()
 		p.setState(line, StateS)
-		p.net.SendAfter(p.pool.New(coherence.Msg{
+		p.net.SendAfter(coherence.Msg{
 			Type: coherence.MsgData, Line: line, Src: p.coreID, Dst: m.Requestor,
 			Requestor: m.Requestor, Grant: coherence.GrantS, FromPrivate: true,
-		}), uint64(p.l1Hit))
+		}, uint64(p.l1Hit))
 	default:
 		p.fail(m, "cannot serve external request type")
 	}
@@ -808,8 +798,7 @@ func (p *Private) serveExternal(m *coherence.Msg) {
 // line; any stalled external request for it is then served.
 func (p *Private) LockReleased(line uint64) {
 	if s, ok := p.stalled.remove(line); ok {
-		p.serveExternal(s.msg)
-		p.pool.Put(s.msg)
+		p.serveExternal(&s.msg)
 	}
 }
 
@@ -843,10 +832,10 @@ func (p *Private) installL2(line uint64, st uint8) {
 		// this core as a sharer and will send the invalidation.
 		p.client.LineInvalidated(evTag)
 		p.Stats.Writebacks.Inc()
-		p.net.Send(p.pool.New(coherence.Msg{
+		p.net.Send(coherence.Msg{
 			Type: coherence.MsgPutX, Line: evTag, Src: p.coreID, Dst: p.bankOf(evTag),
 			Requestor: p.coreID,
-		}))
+		})
 	}
 }
 
@@ -898,10 +887,9 @@ func (p *Private) Tick(cycle uint64) {
 		if p.client.ForceRelease(line) {
 			p.Stats.ForcedRel.Inc()
 			p.work++
-			m := s.msg
+			m := s.msg // a copy: removeAt overwrites slot i
 			p.stalled.removeAt(i)
-			p.serveExternal(m)
-			p.pool.Put(m)
+			p.serveExternal(&m)
 			// removeAt swapped the tail into slot i: revisit it.
 		} else {
 			s.stallAt = cycle // imminent unlock: re-arm
@@ -915,13 +903,6 @@ func (p *Private) Tick(cycle uint64) {
 func (p *Private) PendingWork() bool {
 	return p.mshrs.len() > 0 || len(p.parked) > 0 || p.events.n > 0 || p.stalled.len() > 0 ||
 		len(p.pendingFar) > 0 || len(p.farDeferred) > 0
-}
-
-// RetainedMsgs counts the external requests parked in the stalled
-// table — the cache's share of the pool's outstanding population (the
-// end-of-run conservation check sums this across components).
-func (p *Private) RetainedMsgs() int {
-	return p.stalled.len()
 }
 
 // OldestMiss returns the line of the oldest outstanding demand miss,

@@ -11,16 +11,16 @@ import (
 
 // fakeNet records messages; tests play the directory side by hand.
 type fakeNet struct {
-	sent  []*coherence.Msg
+	sent  []coherence.Msg
 	extra []uint64
 }
 
-func (f *fakeNet) Send(m *coherence.Msg) { f.SendAfter(m, 0) }
-func (f *fakeNet) SendAfter(m *coherence.Msg, extra uint64) {
+func (f *fakeNet) Send(m coherence.Msg) { f.SendAfter(m, 0) }
+func (f *fakeNet) SendAfter(m coherence.Msg, extra uint64) {
 	f.sent = append(f.sent, m)
 	f.extra = append(f.extra, extra)
 }
-func (f *fakeNet) take() []*coherence.Msg {
+func (f *fakeNet) take() []coherence.Msg {
 	s := f.sent
 	f.sent = nil
 	f.extra = nil
@@ -103,7 +103,7 @@ func TestFillRespondsAndUnblocks(t *testing.T) {
 	p.Access(77, lineB, false)
 	tick(p, 2, 20)
 	net.take()
-	p.Deliver([]*coherence.Msg{{
+	p.Deliver([]coherence.Msg{{
 		Type: coherence.MsgData, Line: lineB, Src: 32, Dst: 0, Requestor: 0,
 		Grant: coherence.GrantE,
 	}})
@@ -130,7 +130,7 @@ func TestHitAfterFill(t *testing.T) {
 	p.Access(77, lineB, false)
 	tick(p, 2, 20)
 	net.take()
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgData, Line: lineB, Src: 32, Dst: 0, Grant: coherence.GrantE}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgData, Line: lineB, Src: 32, Dst: 0, Grant: coherence.GrantE}})
 	tick(p, 21, 22)
 	net.take() // drop the Unblock that closed the fill
 	p.Access(78, lineB, false)
@@ -185,7 +185,7 @@ func TestMSHRMergesSecondaryMisses(t *testing.T) {
 	if sent := net.take(); len(sent) != 1 {
 		t.Fatalf("secondary miss not merged: %d requests", len(sent))
 	}
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgData, Line: lineB, Src: 32, Dst: 0, Grant: coherence.GrantS}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgData, Line: lineB, Src: 32, Dst: 0, Grant: coherence.GrantS}})
 	p.Tick(21)
 	if len(client.resps) != 2 {
 		t.Fatalf("merged waiters responded %d, want 2", len(client.resps))
@@ -198,7 +198,7 @@ func TestInvAcksCollectedBeforeCompleting(t *testing.T) {
 	p.Access(1, lineB, true)
 	tick(p, 2, 20)
 	net.take()
-	p.Deliver([]*coherence.Msg{{
+	p.Deliver([]coherence.Msg{{
 		Type: coherence.MsgData, Line: lineB, Src: 32, Dst: 0,
 		Grant: coherence.GrantM, AckCount: 2,
 	}})
@@ -206,12 +206,12 @@ func TestInvAcksCollectedBeforeCompleting(t *testing.T) {
 	if len(client.resps) != 0 {
 		t.Fatal("completed before collecting invalidation acks")
 	}
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgInvAck, Line: lineB, Src: 1, Dst: 0}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgInvAck, Line: lineB, Src: 1, Dst: 0}})
 	p.Tick(22)
 	if len(client.resps) != 0 {
 		t.Fatal("completed with one ack outstanding")
 	}
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgInvAck, Line: lineB, Src: 2, Dst: 0}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgInvAck, Line: lineB, Src: 2, Dst: 0}})
 	p.Tick(23)
 	if len(client.resps) != 1 {
 		t.Fatal("did not complete after the final ack")
@@ -225,9 +225,9 @@ func TestInvAckBeforeDataHandled(t *testing.T) {
 	tick(p, 2, 20)
 	net.take()
 	// The ack can outrun the data response.
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgInvAck, Line: lineB, Src: 1, Dst: 0}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgInvAck, Line: lineB, Src: 1, Dst: 0}})
 	p.Tick(21)
-	p.Deliver([]*coherence.Msg{{
+	p.Deliver([]coherence.Msg{{
 		Type: coherence.MsgData, Line: lineB, Src: 32, Dst: 0,
 		Grant: coherence.GrantM, AckCount: 1,
 	}})
@@ -240,7 +240,7 @@ func TestInvAckBeforeDataHandled(t *testing.T) {
 func TestExternalInvInvalidatesAndAcks(t *testing.T) {
 	p, net, client := newCacheUnderTest()
 	p.Warm(lineB, StateS)
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgInv, Line: lineB, Src: 32, Dst: 0, Requestor: 7}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgInv, Line: lineB, Src: 32, Dst: 0, Requestor: 7}})
 	if p.State(lineB) != StateI {
 		t.Fatal("Inv did not invalidate")
 	}
@@ -256,7 +256,7 @@ func TestExternalInvInvalidatesAndAcks(t *testing.T) {
 func TestFwdGetXTransfersOwnership(t *testing.T) {
 	p, net, _ := newCacheUnderTest()
 	p.Warm(lineB, StateM)
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgFwdGetX, Line: lineB, Src: 32, Dst: 0, Requestor: 5}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgFwdGetX, Line: lineB, Src: 32, Dst: 0, Requestor: 5}})
 	if p.State(lineB) != StateI {
 		t.Fatal("owner kept the line after FwdGetX")
 	}
@@ -269,7 +269,7 @@ func TestFwdGetXTransfersOwnership(t *testing.T) {
 func TestFwdGetSDowngrades(t *testing.T) {
 	p, net, _ := newCacheUnderTest()
 	p.Warm(lineB, StateM)
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgFwdGetS, Line: lineB, Src: 32, Dst: 0, Requestor: 5}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgFwdGetS, Line: lineB, Src: 32, Dst: 0, Requestor: 5}})
 	if p.State(lineB) != StateS {
 		t.Fatalf("state = %d, want S after FwdGetS", p.State(lineB))
 	}
@@ -283,7 +283,7 @@ func TestLockedLineStallsExternalUntilRelease(t *testing.T) {
 	p, net, client := newCacheUnderTest()
 	p.Warm(lineB, StateM)
 	client.locked[lineB] = true
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgFwdGetX, Line: lineB, Src: 32, Dst: 0, Requestor: 5}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgFwdGetX, Line: lineB, Src: 32, Dst: 0, Requestor: 5}})
 	if len(net.take()) != 0 {
 		t.Fatal("locked line answered an external request")
 	}
@@ -310,7 +310,7 @@ func TestForcedReleaseAfterLongStall(t *testing.T) {
 	p.Warm(lineB, StateM)
 	client.locked[lineB] = true
 	p.Tick(1)
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgFwdGetX, Line: lineB, Src: 32, Dst: 0, Requestor: 5}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgFwdGetX, Line: lineB, Src: 32, Dst: 0, Requestor: 5}})
 	p.Tick(releaseAfter) // not yet over the threshold
 	if client.released[lineB] {
 		t.Fatal("released before the deadline")
@@ -392,7 +392,7 @@ func TestEvictionWritesBack(t *testing.T) {
 	p.Access(1, lineB, true)
 	tick(p, 2, 20)
 	net.take()
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgData, Line: lineB, Src: 32, Dst: 0, Grant: coherence.GrantM}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgData, Line: lineB, Src: 32, Dst: 0, Grant: coherence.GrantM}})
 	p.Tick(21)
 	var putx int
 	for _, m := range net.take() {
@@ -427,7 +427,7 @@ func TestEventRecordSize(t *testing.T) {
 // does: Deliver at the previous cycle's clock, then Tick.
 func fill(p *Private, line, cycle uint64) {
 	p.SetNow(cycle - 1)
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgData, Line: line, Src: 32, Grant: coherence.GrantS}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgData, Line: line, Src: 32, Grant: coherence.GrantS}})
 	p.Tick(cycle)
 }
 
@@ -492,7 +492,7 @@ func TestOldestMissNamesParkedMiss(t *testing.T) {
 	p.Access(3, lineB+128, false)
 	tick(p, 6, 20)
 	// Lose the wake: the MSHR retires without the Tick that follows.
-	p.Deliver([]*coherence.Msg{{Type: coherence.MsgData, Line: lineB, Src: 32, Grant: coherence.GrantS}})
+	p.Deliver([]coherence.Msg{{Type: coherence.MsgData, Line: lineB, Src: 32, Grant: coherence.GrantS}})
 	line, desc, ok := p.OldestMiss()
 	if want := "miss at cycle 5 parked, 0 ahead, MSHR file full"; !ok || line != lineB+64 || desc != want {
 		t.Errorf("OldestMiss() = %#x, %q, %v; want %#x, %q", line, desc, ok, lineB+64, want)
@@ -514,12 +514,12 @@ func (c *countingClient) LineInvalidated(uint64)                   {}
 func (c *countingClient) LineLocked(line uint64) bool              { return line == c.locked }
 func (c *countingClient) ForceRelease(uint64) bool                 { return false }
 
-// poolNet hands every message the cache sends straight back to the
-// pool: the test plays the directory's side itself.
-type poolNet struct{ pool *coherence.MsgPool }
+// discardNet drops every message the cache sends: the test plays the
+// directory's side itself.
+type discardNet struct{}
 
-func (n poolNet) Send(m *coherence.Msg)                { n.pool.Put(m) }
-func (n poolNet) SendAfter(m *coherence.Msg, _ uint64) { n.pool.Put(m) }
+func (discardNet) Send(coherence.Msg)              {}
+func (discardNet) SendAfter(coherence.Msg, uint64) {}
 
 // TestPipelineSteadyStateAllocs pins the queue's hot loop at zero
 // allocations once its slab has grown: hit after hit through push, Tick
@@ -559,10 +559,9 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 		t.Error("on-time Ticks left the wheel in late mode")
 	}
 
-	pool := &coherence.MsgPool{}
-	one := make([]*coherence.Msg, 1)
+	one := make([]coherence.Msg, 1)
 	deliverTo := func(c *Private, typ coherence.MsgType, line uint64, grant coherence.GrantState) {
-		one[0] = pool.New(coherence.Msg{Type: typ, Line: line, Src: 32, Dst: 0, Requestor: 5, Grant: grant})
+		one[0] = coherence.Msg{Type: typ, Line: line, Src: 32, Dst: 0, Requestor: 5, Grant: grant}
 		c.Deliver(one)
 	}
 	// One miss takes the only MSHR, three park behind it; each fill
@@ -570,8 +569,7 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	cfg := config.Default()
 	cfg.Mem.MSHRs = 1
 	rc := &countingClient{}
-	r := NewPrivate(0, cfg, poolNet{pool}, rc, func(uint64) int { return 32 })
-	r.SetMsgPool(pool)
+	r := NewPrivate(0, cfg, discardNet{}, rc, func(uint64) int { return 32 })
 	storm := func() {
 		for i := uint64(0); i < 4; i++ {
 			r.Access(i, lineB+i*64, false)
@@ -587,7 +585,7 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 			deliverTo(r, coherence.MsgInv, lineB+i*64, 0)
 		}
 	}
-	storm() // warm-up: the queue, the waiter lists and the pool reach their size
+	storm() // warm-up: the queue and the waiter lists reach their size
 	parked, answered := r.Stats.MSHRFull.Value(), rc.resps
 	if n := testing.AllocsPerRun(1, func() {
 		for range 20 {
@@ -601,8 +599,7 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	}
 
 	qc := &countingClient{}
-	q := NewPrivate(0, config.Default(), poolNet{pool}, qc, func(uint64) int { return 32 })
-	q.SetMsgPool(pool)
+	q := NewPrivate(0, config.Default(), discardNet{}, qc, func(uint64) int { return 32 })
 	deliver := func(typ coherence.MsgType, grant coherence.GrantState) { deliverTo(q, typ, lineB, grant) }
 	miss := func(write bool) {
 		q.Tick(cycle)
@@ -622,7 +619,7 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 		qc.locked = 0
 		q.LockReleased(lineB) // served: M -> I
 	}
-	protocol() // warm-up: the tables and the pool reach their size
+	protocol() // warm-up: the tables reach their size
 	stalls, fwds, fills := q.Stats.ExtStalls.Value(), q.Stats.Forwarded.Value(), qc.resps
 	if n := testing.AllocsPerRun(1, func() {
 		for range 20 {

@@ -26,7 +26,6 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		"l2Hit":           "construction-time latency constant",
 		"mshrLimit":       "construction-time capacity constant",
 		"waiterFree":      "allocation recycling free list; contents are by definition unreferenced",
-		"pool":            "wiring; pool counters are snapshotted separately as PoolSnap",
 		"pfDegree":        "construction-time prefetcher constant",
 		"pfConfMin":       "construction-time prefetcher constant",
 		"noForcedRelease": "model-checker mode flag, never set in checkpointed runs",

@@ -12,9 +12,6 @@ import (
 
 // This file is the private cache's half of the snapshot/restore and
 // choice-point interface the model checker (internal/mcheck) drives.
-// Snapshots deep-copy every retained message by value; the MsgPool
-// ownership discipline guarantees a retained *Msg has exactly one
-// owner, so restoring fresh copies can never alias a live message.
 
 // WaiterSnap is the exported view of one access waiting on a fill or
 // a far RMW completion.
@@ -162,7 +159,7 @@ func (p *Private) Snapshot() *CacheSnap {
 	sort.Slice(s.MSHRs, func(i, j int) bool { return s.MSHRs[i].Line < s.MSHRs[j].Line })
 	for i := range p.stalled.exts {
 		s.Stalled = append(s.Stalled, StalledSnap{
-			Line: p.stalled.lines[i], StallAt: p.stalled.exts[i].stallAt, Msg: *p.stalled.exts[i].msg,
+			Line: p.stalled.lines[i], StallAt: p.stalled.exts[i].stallAt, Msg: p.stalled.exts[i].msg,
 		})
 	}
 	sort.Slice(s.Stalled, func(i, j int) bool { return s.Stalled[i].Line < s.Stalled[j].Line })
@@ -181,9 +178,6 @@ func (p *Private) Snapshot() *CacheSnap {
 }
 
 // Restore rewinds the controller to a previously captured CacheSnap.
-// Stalled messages are reconstituted as fresh allocations, never drawn
-// from the pool (the pool counters are restored separately; a Get here
-// would double-count the retained population).
 func (p *Private) Restore(s *CacheSnap) {
 	p.now, p.seq, p.work = s.Now, s.Seq, s.Work
 	p.l1.Restore(s.L1)
@@ -220,9 +214,7 @@ func (p *Private) Restore(s *CacheSnap) {
 	p.stalled.lines = p.stalled.lines[:0]
 	p.stalled.exts = p.stalled.exts[:0]
 	for _, st := range s.Stalled {
-		msg := new(coherence.Msg)
-		*msg = st.Msg
-		p.stalled.add(st.Line, stalledExt{msg: msg, stallAt: st.StallAt})
+		p.stalled.add(st.Line, stalledExt{msg: st.Msg, stallAt: st.StallAt})
 	}
 	p.pendingFar = make(map[uint64][]waiter, len(s.Far))
 	for _, f := range s.Far {
@@ -259,7 +251,7 @@ func (p *Private) StalledView(line uint64) (coherence.Msg, bool) {
 	if s == nil {
 		return coherence.Msg{}, false
 	}
-	return *s.msg, true
+	return s.msg, true
 }
 
 // FarView returns the line's outstanding far RMW waiters, in issue
@@ -315,11 +307,7 @@ func (p *Private) EarliestPipelineEvent() (uint64, bool) {
 // DeliverOne processes a single protocol message (choice-mode
 // delivery: the checker extracts one message from the network and
 // hands it over directly).
-func (p *Private) DeliverOne(m *coherence.Msg) {
-	if p.handle(m) {
-		p.pool.Put(m)
-	}
-}
+func (p *Private) DeliverOne(m coherence.Msg) { p.handle(&m) }
 
 // DisableForcedRelease turns off the time-based forced-release sweep
 // in Tick. The model checker does not model the release timeout and

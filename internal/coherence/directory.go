@@ -76,10 +76,9 @@ type Directory struct {
 	// it back, empty, once the line is unblocked with nothing left to
 	// serve; free lists the queues given back, which keep their
 	// capacity for the next transaction.
-	queues [][]*Msg
+	queues [][]Msg
 	free   []int32
 
-	pool *MsgPool
 	sink *ErrorSink
 	now  uint64
 
@@ -104,12 +103,11 @@ func NewDirectory(nodeID, bank int, net Network, l3SizeBytes, l3Ways, lineBytes,
 // violations panic (fail-fast for components driven directly by tests).
 func (d *Directory) SetErrorSink(s *ErrorSink) { d.sink = s }
 
-// SetMsgPool wires the system-owned message free list. Every message
-// the bank sends is drawn from it, and every message the bank fully
-// consumes is released back; messages parked in a blocked line's
-// waiting queue are released when they are eventually served. A nil
-// pool (component tests) falls back to the allocator.
-func (d *Directory) SetMsgPool(p *MsgPool) { d.pool = p }
+// SetMsgPool does nothing: messages travel by value.
+//
+// Deprecated: only cmd/rowperf's lock-step driver calls it; ROADMAP
+// item 7 deletes it with that driver.
+func (d *Directory) SetMsgPool(*MsgPool) {}
 
 // SetCycle stamps the bank's local clock; the system calls it before
 // handling the cycle's drained messages so errors carry the cycle.
@@ -141,7 +139,7 @@ func (d *Directory) describe(e *dirEntry) string {
 }
 
 // waiting returns the requests stalled behind e's line, FIFO.
-func (d *Directory) waiting(e *dirEntry) []*Msg {
+func (d *Directory) waiting(e *dirEntry) []Msg {
 	if e.wait == 0 {
 		return nil
 	}
@@ -164,10 +162,10 @@ func (d *Directory) block(e *dirEntry, p pending) {
 	e.wait = int32(len(d.queues))
 }
 
-// stall queues m behind e's open transaction.
+// stall queues a copy of m behind e's open transaction.
 func (d *Directory) stall(e *dirEntry, m *Msg) {
 	q := &d.queues[e.wait-1]
-	*q = append(*q, m)
+	*q = append(*q, *m)
 }
 
 // drain serves the requests stalled behind e's line, in order, until
@@ -181,68 +179,54 @@ func (d *Directory) drain(e *dirEntry) {
 			e.wait = 0
 			return
 		}
-		next := q[0]
+		next := q[0] // a copy: the shift below overwrites q[0]
 		copy(q, q[1:])
-		q[len(q)-1] = nil
 		d.queues[e.wait-1] = q[:len(q)-1]
-		d.serve(next, e)
-		d.pool.Put(next) // nothing retains a served request anymore
+		d.serve(&next, e)
 	}
 }
 
 // Handle processes one incoming message. The system calls it for every
-// message drained from this bank's network inbox. A fully consumed
-// message is released to the pool here — the single consumption point
-// on the bank side; messages parked in a blocked line's waiting queue
-// are released when the queue is later served.
-func (d *Directory) Handle(m *Msg) {
-	if d.handle(m) {
-		d.pool.Put(m)
-	}
-}
-
-// handle dispatches one message and reports whether it was fully
-// consumed (false: retained in a blocked line's waiting queue).
-func (d *Directory) handle(m *Msg) bool {
+// message drained from this bank's network inbox.
+func (d *Directory) Handle(m Msg) {
 	switch m.Type {
 	case MsgGetS, MsgGetX:
 		e := d.lines.get(m.Line)
 		if e.blocked {
 			d.Stats.Stalled.Inc()
 			d.Stats.StallDepth.Observe(float64(len(d.waiting(e))))
-			d.stall(e, m)
-			return false
+			d.stall(e, &m)
+			return
 		}
-		d.serve(m, e)
+		d.serve(&m, e)
 	case MsgPutX:
 		e := d.lines.get(m.Line)
 		if e.blocked {
 			// The owner is concurrently being forwarded-to; queue the
 			// writeback and drop it as stale once the transaction
 			// closes (the owner answers forwards even after evicting).
-			d.stall(e, m)
-			return false
+			d.stall(e, &m)
+			return
 		}
-		d.handlePutX(m, e)
+		d.handlePutX(&m, e)
 	case MsgUnblock, MsgUnblockX:
-		d.handleUnblock(m)
+		d.handleUnblock(&m)
 	case MsgGetFar:
 		e := d.lines.get(m.Line)
 		if e.blocked {
 			d.Stats.Stalled.Inc()
 			d.Stats.StallDepth.Observe(float64(len(d.waiting(e))))
-			d.stall(e, m)
-			return false
+			d.stall(e, &m)
+			return
 		}
-		d.serveGetFar(m, e)
+		d.serveGetFar(&m, e)
 	case MsgInvAck:
-		d.farAck(m)
+		d.farAck(&m)
 	case MsgData:
-		d.farData(m)
+		d.farData(&m)
 	default:
-		d.fail(m, d.lines.find(m.Line), "unexpected message type")
+		d.fail(&m, d.lines.find(m.Line), "unexpected message type")
 	}
-	return true
 }
 
 // serve starts a transaction for a GetS/GetX on an unblocked entry.
@@ -272,10 +256,10 @@ func (d *Directory) serveGetFar(m *Msg, e *dirEntry) {
 	switch e.state {
 	case dirI:
 		// Uncontested: L3 (or DRAM) access plus the ALU operation.
-		d.net.SendAfter(d.pool.New(Msg{
+		d.net.SendAfter(Msg{
 			Type: MsgFarDone, Line: m.Line, Src: d.nodeID, Dst: m.Requestor,
 			Requestor: m.Requestor,
-		}), d.dataDelay(m.Line)+1)
+		}, d.dataDelay(m.Line)+1)
 	case dirS:
 		acks := 0
 		for c := 0; c < 64; c++ {
@@ -284,10 +268,10 @@ func (d *Directory) serveGetFar(m *Msg, e *dirEntry) {
 			}
 			acks++
 			d.Stats.Invalidates.Inc()
-			d.net.Send(d.pool.New(Msg{
+			d.net.Send(Msg{
 				Type: MsgInv, Line: m.Line, Src: d.nodeID, Dst: c,
 				Requestor: d.nodeID, // acks return to the bank
-			}))
+			})
 		}
 		d.block(e, pending{requestor: int8(m.Requestor), far: true, farAcks: int8(acks)})
 		if acks == 0 {
@@ -298,10 +282,10 @@ func (d *Directory) serveGetFar(m *Msg, e *dirEntry) {
 		// locked line stalls the recall at the owner, exactly like a
 		// core-to-core forward.
 		d.Stats.Forwards.Inc()
-		d.net.Send(d.pool.New(Msg{
+		d.net.Send(Msg{
 			Type: MsgFwdGetX, Line: m.Line, Src: d.nodeID, Dst: int(e.owner),
 			Requestor: d.nodeID,
-		}))
+		})
 		d.block(e, pending{requestor: int8(m.Requestor), far: true, farData: true})
 	}
 }
@@ -334,10 +318,10 @@ func (d *Directory) farData(m *Msg) {
 // finishFar applies the RMW at the bank and releases the line.
 func (d *Directory) finishFar(line uint64, e *dirEntry) {
 	req := int(e.pend.requestor)
-	d.net.SendAfter(d.pool.New(Msg{
+	d.net.SendAfter(Msg{
 		Type: MsgFarDone, Line: line, Src: d.nodeID, Dst: req,
 		Requestor: req,
-	}), d.dataDelay(line)+1)
+	}, d.dataDelay(line)+1)
 	e.state = dirI
 	e.owner = -1
 	e.sharers = 0
@@ -363,21 +347,21 @@ func (d *Directory) serveGetS(m *Msg, e *dirEntry) {
 	switch e.state {
 	case dirI:
 		// Grant exclusive-clean: the common private-data fast path.
-		d.net.SendAfter(d.pool.New(Msg{
+		d.net.SendAfter(Msg{
 			Type: MsgData, Line: m.Line, Src: d.nodeID, Dst: req,
 			Requestor: req, Grant: GrantE,
-		}), d.dataDelay(m.Line))
+		}, d.dataDelay(m.Line))
 	case dirS:
-		d.net.SendAfter(d.pool.New(Msg{
+		d.net.SendAfter(Msg{
 			Type: MsgData, Line: m.Line, Src: d.nodeID, Dst: req,
 			Requestor: req, Grant: GrantS,
-		}), d.dataDelay(m.Line))
+		}, d.dataDelay(m.Line))
 	case dirM:
 		d.Stats.Forwards.Inc()
-		d.net.Send(d.pool.New(Msg{
+		d.net.Send(Msg{
 			Type: MsgFwdGetS, Line: m.Line, Src: d.nodeID, Dst: int(e.owner),
 			Requestor: req,
-		}))
+		})
 	}
 	d.block(e, pending{requestor: int8(req)})
 }
@@ -386,10 +370,10 @@ func (d *Directory) serveGetX(m *Msg, e *dirEntry) {
 	req := m.Requestor
 	switch e.state {
 	case dirI:
-		d.net.SendAfter(d.pool.New(Msg{
+		d.net.SendAfter(Msg{
 			Type: MsgData, Line: m.Line, Src: d.nodeID, Dst: req,
 			Requestor: req, Grant: GrantM,
-		}), d.dataDelay(m.Line))
+		}, d.dataDelay(m.Line))
 	case dirS:
 		acks := 0
 		for c := 0; c < 64; c++ {
@@ -398,29 +382,29 @@ func (d *Directory) serveGetX(m *Msg, e *dirEntry) {
 			}
 			acks++
 			d.Stats.Invalidates.Inc()
-			d.net.Send(d.pool.New(Msg{
+			d.net.Send(Msg{
 				Type: MsgInv, Line: m.Line, Src: d.nodeID, Dst: c,
 				Requestor: req,
-			}))
+			})
 		}
-		d.net.SendAfter(d.pool.New(Msg{
+		d.net.SendAfter(Msg{
 			Type: MsgData, Line: m.Line, Src: d.nodeID, Dst: req,
 			Requestor: req, Grant: GrantM, AckCount: acks,
-		}), d.dataDelay(m.Line))
+		}, d.dataDelay(m.Line))
 	case dirM:
 		if int(e.owner) == req {
 			// The recorded owner re-requests: its copy was silently
 			// evicted (clean E eviction). Re-supply from the L3.
-			d.net.SendAfter(d.pool.New(Msg{
+			d.net.SendAfter(Msg{
 				Type: MsgData, Line: m.Line, Src: d.nodeID, Dst: req,
 				Requestor: req, Grant: GrantM,
-			}), d.dataDelay(m.Line))
+			}, d.dataDelay(m.Line))
 		} else {
 			d.Stats.Forwards.Inc()
-			d.net.Send(d.pool.New(Msg{
+			d.net.Send(Msg{
 				Type: MsgFwdGetX, Line: m.Line, Src: d.nodeID, Dst: int(e.owner),
 				Requestor: req,
-			}))
+			})
 		}
 	}
 	d.block(e, pending{requestor: int8(req), isWrite: true})
@@ -497,17 +481,6 @@ func (d *Directory) WarmL3(line uint64) {
 // some entry holds a queue.
 func (d *Directory) PendingWork() bool {
 	return len(d.free) < len(d.queues)
-}
-
-// RetainedMsgs counts the messages parked in blocked lines' waiting
-// queues — the bank's share of the pool's outstanding population (the
-// end-of-run conservation check sums this across components).
-func (d *Directory) RetainedMsgs() int {
-	n := 0
-	for _, q := range d.queues {
-		n += len(q)
-	}
-	return n
 }
 
 // L3 exposes the bank's data array (for stats).

@@ -7,17 +7,17 @@ import (
 
 // fakeNet records sent messages with their extra (source-side) delay.
 type fakeNet struct {
-	sent  []*Msg
+	sent  []Msg
 	extra []uint64
 }
 
-func (f *fakeNet) Send(m *Msg) { f.SendAfter(m, 0) }
-func (f *fakeNet) SendAfter(m *Msg, extra uint64) {
+func (f *fakeNet) Send(m Msg) { f.SendAfter(m, 0) }
+func (f *fakeNet) SendAfter(m Msg, extra uint64) {
 	f.sent = append(f.sent, m)
 	f.extra = append(f.extra, extra)
 }
 
-func (f *fakeNet) take() []*Msg {
+func (f *fakeNet) take() []Msg {
 	s := f.sent
 	f.sent = nil
 	f.extra = nil
@@ -34,17 +34,17 @@ func newDirUnderTest() (*Directory, *fakeNet) {
 
 const lineA = uint64(0x1000)
 
-func getS(from int) *Msg {
-	return &Msg{Type: MsgGetS, Line: lineA, Src: from, Dst: 32, Requestor: from}
+func getS(from int) Msg {
+	return Msg{Type: MsgGetS, Line: lineA, Src: from, Dst: 32, Requestor: from}
 }
-func getX(from int) *Msg {
-	return &Msg{Type: MsgGetX, Line: lineA, Src: from, Dst: 32, Requestor: from}
+func getX(from int) Msg {
+	return Msg{Type: MsgGetX, Line: lineA, Src: from, Dst: 32, Requestor: from}
 }
-func unblock(from int, grant GrantState) *Msg {
-	return &Msg{Type: MsgUnblock, Line: lineA, Src: from, Dst: 32, Requestor: from, Grant: grant}
+func unblock(from int, grant GrantState) Msg {
+	return Msg{Type: MsgUnblock, Line: lineA, Src: from, Dst: 32, Requestor: from, Grant: grant}
 }
-func unblockX(from int) *Msg {
-	return &Msg{Type: MsgUnblockX, Line: lineA, Src: from, Dst: 32, Requestor: from}
+func unblockX(from int) Msg {
+	return Msg{Type: MsgUnblockX, Line: lineA, Src: from, Dst: 32, Requestor: from}
 }
 
 func TestGetSOnInvalidGrantsExclusive(t *testing.T) {
@@ -69,7 +69,7 @@ func TestColdMissPaysDRAM(t *testing.T) {
 	d.Handle(unblock(0, GrantE))
 	// The line is now in L3: a later fill (after the owner writes
 	// back) pays only the L3 hit.
-	d.Handle(&Msg{Type: MsgPutX, Line: lineA, Src: 0, Dst: 32})
+	d.Handle(Msg{Type: MsgPutX, Line: lineA, Src: 0, Dst: 32})
 	net.take()
 	d.Handle(getS(1))
 	if got := net.extra[len(net.extra)-1]; got != 35 {
@@ -105,7 +105,7 @@ func TestExclusiveOwnerGetsForwardedRead(t *testing.T) {
 				t.Fatalf("Inv requestor = %d, want 2", m.Requestor)
 			}
 		case MsgData:
-			data = m
+			data = &m
 		}
 	}
 	if invs != 2 {
@@ -165,7 +165,7 @@ func TestStalePutXDropped(t *testing.T) {
 	net.take()
 	d.Handle(unblockX(1))
 	// Core 0's late writeback must not clobber core 1's ownership.
-	d.Handle(&Msg{Type: MsgPutX, Line: lineA, Src: 0, Dst: 32})
+	d.Handle(Msg{Type: MsgPutX, Line: lineA, Src: 0, Dst: 32})
 	d.Handle(getS(2))
 	sent := net.take()
 	if len(sent) != 1 || sent[0].Type != MsgFwdGetS || sent[0].Dst != 1 {
@@ -198,7 +198,7 @@ func TestPutXWhileBlockedIsQueuedThenDropped(t *testing.T) {
 	d.Handle(getX(1))
 	net.take()
 	// Core 0's eviction writeback races with the forward: queued.
-	d.Handle(&Msg{Type: MsgPutX, Line: lineA, Src: 0, Dst: 32})
+	d.Handle(Msg{Type: MsgPutX, Line: lineA, Src: 0, Dst: 32})
 	d.Handle(unblockX(1))
 	// After unblocking, the stale PutX is processed and dropped;
 	// core 1 must remain the owner.
@@ -269,7 +269,7 @@ func TestNearMissScenarios(t *testing.T) {
 	cases := []struct {
 		name  string
 		steps func(d *Directory, net *fakeNet)
-		check func(t *testing.T, d *Directory, sent []*Msg, sink *ErrorSink)
+		check func(t *testing.T, d *Directory, sent []Msg, sink *ErrorSink)
 	}{
 		{
 			// A read arriving during another core's write transaction
@@ -286,7 +286,7 @@ func TestNearMissScenarios(t *testing.T) {
 				}
 				d.Handle(unblockX(0))
 			},
-			check: func(t *testing.T, d *Directory, sent []*Msg, sink *ErrorSink) {
+			check: func(t *testing.T, d *Directory, sent []Msg, sink *ErrorSink) {
 				if len(sent) != 1 || sent[0].Type != MsgFwdGetS || sent[0].Dst != 0 || sent[0].Requestor != 1 {
 					t.Fatalf("queued GetS not forwarded to the new owner: %v", sent)
 				}
@@ -303,7 +303,7 @@ func TestNearMissScenarios(t *testing.T) {
 				d.Handle(unblockX(2))
 				d.Handle(getX(2))
 			},
-			check: func(t *testing.T, d *Directory, sent []*Msg, sink *ErrorSink) {
+			check: func(t *testing.T, d *Directory, sent []Msg, sink *ErrorSink) {
 				if len(sent) != 1 || sent[0].Type != MsgData || sent[0].Dst != 2 || sent[0].Grant != GrantM {
 					t.Fatalf("owner re-request not re-supplied: %v", sent)
 				}
@@ -322,8 +322,8 @@ func TestNearMissScenarios(t *testing.T) {
 				d.Handle(unblock(1, GrantS))
 				d.Handle(getX(1))
 			},
-			check: func(t *testing.T, d *Directory, sent []*Msg, sink *ErrorSink) {
-				var invs, data []*Msg
+			check: func(t *testing.T, d *Directory, sent []Msg, sink *ErrorSink) {
+				var invs, data []Msg
 				for _, m := range sent {
 					switch m.Type {
 					case MsgInv:
@@ -352,10 +352,10 @@ func TestNearMissScenarios(t *testing.T) {
 				d.Handle(getS(1))
 				net.take()
 				d.Handle(unblock(1, GrantS)) // M owner downgraded: dirS {0,1}
-				d.Handle(&Msg{Type: MsgPutX, Line: lineA, Src: 0, Dst: 32})
+				d.Handle(Msg{Type: MsgPutX, Line: lineA, Src: 0, Dst: 32})
 				d.Handle(getS(2))
 			},
-			check: func(t *testing.T, d *Directory, sent []*Msg, sink *ErrorSink) {
+			check: func(t *testing.T, d *Directory, sent []Msg, sink *ErrorSink) {
 				if len(sent) != 1 || sent[0].Type != MsgData || sent[0].Grant != GrantS {
 					t.Fatalf("stale PutX in dirS corrupted the entry: %v", sent)
 				}
@@ -371,7 +371,7 @@ func TestNearMissScenarios(t *testing.T) {
 				net.take()
 				d.Handle(unblockX(3))
 			},
-			check: func(t *testing.T, d *Directory, sent []*Msg, sink *ErrorSink) {
+			check: func(t *testing.T, d *Directory, sent []Msg, sink *ErrorSink) {
 				e := sink.Err()
 				if e == nil {
 					t.Fatal("wrong-core Unblock accepted silently")
@@ -387,7 +387,7 @@ func TestNearMissScenarios(t *testing.T) {
 			steps: func(d *Directory, net *fakeNet) {
 				d.Handle(unblockX(0))
 			},
-			check: func(t *testing.T, d *Directory, sent []*Msg, sink *ErrorSink) {
+			check: func(t *testing.T, d *Directory, sent []Msg, sink *ErrorSink) {
 				if sink.Err() == nil {
 					t.Fatal("stray Unblock accepted silently")
 				}

@@ -12,8 +12,8 @@ import (
 // the component, the line address and the transaction state — rather
 // than a crash of the whole process.
 //
-// Like Msg, the error value travels: the raising component builds it
-// and hands it to the sink, which owns it from then on.
+// The raising component builds the error and hands it to the sink,
+// which owns it from then on.
 type ProtocolError struct {
 	// Cycle is the simulation cycle at which the violation was
 	// detected (the raising component's local clock).
@@ -58,34 +58,23 @@ func (e *ProtocolError) Error() string {
 // ErrorSink collects the first protocol error raised by any component
 // of one simulated system. The system checks it every cycle and turns
 // a recorded error into the Run return value; later errors in the same
-// (already doomed) cycle are counted but not kept.
+// (already doomed) cycle are dropped.
 type ErrorSink struct {
-	err        *ProtocolError
-	suppressed int
-}
-
-// Fail records the error; only the first one is kept.
-func (s *ErrorSink) Fail(e *ProtocolError) {
-	if s.err == nil {
-		s.err = e
-		return
-	}
-	s.suppressed++
+	err *ProtocolError
 }
 
 // Err returns the recorded error, or nil.
 func (s *ErrorSink) Err() *ProtocolError { return s.err }
 
-// Suppressed returns how many further errors followed the first.
-func (s *ErrorSink) Suppressed() int { return s.suppressed }
-
-// Raise reports e to the sink. Components not wired into a system
-// (nil sink, e.g. driven directly by a unit test) keep the historical
-// fail-fast behaviour and panic with the structured error as payload.
+// Raise reports e to the sink, which keeps only the first error.
+// Components not wired into a system (nil sink, e.g. driven directly
+// by a unit test) keep the historical fail-fast behaviour and panic
+// with the structured error as payload.
 func Raise(s *ErrorSink, e *ProtocolError) {
-	if s != nil {
-		s.Fail(e)
-		return
+	if s == nil {
+		panic(e)
 	}
-	panic(e)
+	if s.err == nil {
+		s.err = e
+	}
 }

@@ -2,8 +2,8 @@ package coherence
 
 import "testing"
 
-func getFar(from int) *Msg {
-	return &Msg{Type: MsgGetFar, Line: lineA, Src: from, Dst: 32, Requestor: from}
+func getFar(from int) Msg {
+	return Msg{Type: MsgGetFar, Line: lineA, Src: from, Dst: 32, Requestor: from}
 }
 
 func TestFarOnInvalidAnswersDirectly(t *testing.T) {
@@ -49,11 +49,11 @@ func TestFarInvalidatesSharers(t *testing.T) {
 		t.Fatalf("%d invalidations, want 2", invs)
 	}
 	// Acks complete the operation.
-	d.Handle(&Msg{Type: MsgInvAck, Line: lineA, Src: 0, Dst: 32})
+	d.Handle(Msg{Type: MsgInvAck, Line: lineA, Src: 0, Dst: 32})
 	if len(net.take()) != 0 {
 		t.Fatal("answered with one ack outstanding")
 	}
-	d.Handle(&Msg{Type: MsgInvAck, Line: lineA, Src: 1, Dst: 32})
+	d.Handle(Msg{Type: MsgInvAck, Line: lineA, Src: 1, Dst: 32})
 	sent = net.take()
 	if len(sent) != 1 || sent[0].Type != MsgFarDone || sent[0].Dst != 2 {
 		t.Fatalf("expected FarDone after the final ack, got %v", sent)
@@ -72,7 +72,7 @@ func TestFarRecallsOwner(t *testing.T) {
 		t.Fatalf("expected a recall forward to the owner, got %v", sent)
 	}
 	// The owner's data return completes the op at the bank.
-	d.Handle(&Msg{Type: MsgData, Line: lineA, Src: 0, Dst: 32, Grant: GrantM, FromPrivate: true})
+	d.Handle(Msg{Type: MsgData, Line: lineA, Src: 0, Dst: 32, Grant: GrantM, FromPrivate: true})
 	sent = net.take()
 	if len(sent) != 1 || sent[0].Type != MsgFarDone || sent[0].Dst != 1 {
 		t.Fatalf("expected FarDone after the recall, got %v", sent)
@@ -100,7 +100,7 @@ func TestFarSerializesWithOtherRequests(t *testing.T) {
 	}
 	// Completing the far op releases the queued GetX (state I now, so
 	// it is granted straight from the bank).
-	d.Handle(&Msg{Type: MsgData, Line: lineA, Src: 0, Dst: 32, Grant: GrantM, FromPrivate: true})
+	d.Handle(Msg{Type: MsgData, Line: lineA, Src: 0, Dst: 32, Grant: GrantM, FromPrivate: true})
 	sent := net.take()
 	if len(sent) != 2 {
 		t.Fatalf("expected FarDone + queued grant, got %v", sent)
@@ -122,7 +122,7 @@ func TestBackToBackFarOpsSerialize(t *testing.T) {
 	if len(net.take()) != 0 {
 		t.Fatal("second far op served during the first's recall")
 	}
-	d.Handle(&Msg{Type: MsgData, Line: lineA, Src: 0, Dst: 32, Grant: GrantM, FromPrivate: true})
+	d.Handle(Msg{Type: MsgData, Line: lineA, Src: 0, Dst: 32, Grant: GrantM, FromPrivate: true})
 	sent := net.take()
 	// First FarDone, then the queued far op runs against state I and
 	// answers immediately.

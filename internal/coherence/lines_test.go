@@ -72,9 +72,8 @@ func TestLineTableMatchesMap(t *testing.T) {
 func busyBank(t *testing.T) *Directory {
 	t.Helper()
 	d, _ := newDirUnderTest()
-	d.SetMsgPool(&MsgPool{})
 	msg := func(typ MsgType, line uint64, src int, g GrantState) {
-		d.Handle(d.pool.New(Msg{Type: typ, Line: line, Src: src, Dst: 32, Requestor: src, Grant: g}))
+		d.Handle(Msg{Type: typ, Line: line, Src: src, Dst: 32, Requestor: src, Grant: g})
 	}
 	const a, b, c, m, s = 0x1000, 0x2000, 0x3000, 0x4000, 0x5000
 	msg(MsgGetX, m, 4, 0)
@@ -96,10 +95,19 @@ func busyBank(t *testing.T) *Directory {
 	msg(MsgGetX, c, 7, 0)
 	msg(MsgUnblockX, c, 7, 0)
 	msg(MsgGetFar, c, 5, 0) // recalling core 7's copy
-	if got := d.RetainedMsgs(); got != 3 {
-		t.Fatalf("busy bank retains %d requests, want 3", got)
+	if got := queued(d); got != 3 {
+		t.Fatalf("busy bank queues %d requests, want 3", got)
 	}
 	return d
+}
+
+// queued counts the requests waiting behind the bank's blocked lines.
+func queued(d *Directory) int {
+	n := 0
+	for _, q := range d.queues {
+		n += len(q)
+	}
+	return n
 }
 
 // TestSnapshotRestoreRoundTrip: a bank restored from a snapshot of a
@@ -112,15 +120,14 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("%d busy entries in the snapshot, want 3", len(snap.Busy))
 	}
 	r, rnet := newDirUnderTest()
-	r.SetMsgPool(&MsgPool{})
 	r.WarmOwned(0x9000, 3) // state the restore must replace
 	r.Handle(getS(1))
 	r.Restore(snap)
 	if got := r.Snapshot(); !reflect.DeepEqual(got, snap) {
 		t.Fatalf("snapshot after restore differs:\n got %+v\nwant %+v", got, snap)
 	}
-	if !r.PendingWork() || r.RetainedMsgs() != 3 {
-		t.Fatalf("restored bank: pending %v, retained %d; want true, 3", r.PendingWork(), r.RetainedMsgs())
+	if !r.PendingWork() || queued(r) != 3 {
+		t.Fatalf("restored bank: pending %v, %d queued; want true, 3", r.PendingWork(), queued(r))
 	}
 
 	dnet := d.net.(*fakeNet)
@@ -135,8 +142,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		{Type: MsgUnblock, Line: 0x2000, Src: 6, Requestor: 6, Grant: GrantE},
 	} {
 		m.Dst = 32
-		d.Handle(d.pool.New(m))
-		r.Handle(r.pool.New(m))
+		d.Handle(m)
+		r.Handle(m)
 	}
 	if got, want := rnet.take(), dnet.take(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored bank answered differently:\n got %v\nwant %v", got, want)
@@ -183,24 +190,22 @@ func TestRestoreRejectsForeignSnap(t *testing.T) {
 	}
 }
 
-// poolNet hands every message straight back to the pool: a network
-// that allocates nothing, for the allocation test.
-type poolNet struct{ pool *MsgPool }
+// discardNet drops every message: a network that allocates nothing,
+// for the allocation test.
+type discardNet struct{}
 
-func (n poolNet) Send(m *Msg)                { n.pool.Put(m) }
-func (n poolNet) SendAfter(m *Msg, _ uint64) { n.pool.Put(m) }
+func (discardNet) Send(Msg)              {}
+func (discardNet) SendAfter(Msg, uint64) {}
 
 // TestDirectorySteadyStateAllocsZero: once a bank knows its lines and
 // has grown its queues, none of its three paths allocates — serving a
 // request for a known line, queueing requests behind a blocked line,
 // and draining the queue when the line unblocks.
 func TestDirectorySteadyStateAllocsZero(t *testing.T) {
-	pool := &MsgPool{}
-	d := NewDirectory(32, 0, poolNet{pool}, 64<<10, 16, 64, 35, 160)
-	d.SetMsgPool(pool)
+	d := NewDirectory(32, 0, discardNet{}, 64<<10, 16, 64, 35, 160)
 	var line uint64
 	msg := func(typ MsgType, core int, g GrantState) {
-		d.Handle(pool.New(Msg{Type: typ, Line: line, Src: core, Dst: 32, Requestor: core, Grant: g}))
+		d.Handle(Msg{Type: typ, Line: line, Src: core, Dst: 32, Requestor: core, Grant: g})
 	}
 	// Each path walks the same 512 lines; at most 256 are open at once.
 	var served, opened, closed int
@@ -251,7 +256,7 @@ func TestDirectorySteadyStateAllocsZero(t *testing.T) {
 			t.Errorf("%s: %v allocs in 100 runs, want 0", path.name, allocs)
 		}
 	}
-	if d.PendingWork() || pool.Outstanding() != 0 {
-		t.Fatalf("pending %v, %d messages outstanding after the rounds", d.PendingWork(), pool.Outstanding())
+	if d.PendingWork() {
+		t.Fatal("pending work after the rounds")
 	}
 }

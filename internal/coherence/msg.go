@@ -27,8 +27,8 @@
 // (32 KB); an open-addressed []int32 index at most half full finds
 // them by linear probing from a Fibonacci hash of the line. Nothing in
 // the table depends on the host, and nothing walks it in index order:
-// LinesKnown sorts, and PendingWork and RetainedMsgs look at the
-// queues, not the lines. Restore sizes a table to the snapshot's lines
+// LinesKnown sorts, and PendingWork looks at the queues, not the
+// lines. Restore sizes a table to the snapshot's lines
 // exactly; a fresh bank starts with 8 index slots and grows by
 // doubling.
 package coherence
@@ -117,11 +117,11 @@ const (
 // Msg is one protocol message. Node IDs: cores are 0..NumCores-1,
 // directory banks are NumCores..NumCores+Banks-1.
 //
-// Ownership of a message travels with the value (sender builds it,
-// network carries it, consumer releases it — see MsgPool), so the
-// current holder may read and write it freely.
+// A message travels by value: every hop (send, event heap, inbox,
+// handler, a directory queue or a cache's stalled table) holds its own
+// copy, so no two components ever share one. The fields are ordered so
+// the record packs into 48 bytes.
 type Msg struct {
-	Type MsgType
 	Line uint64 // line address (low bits cleared)
 	Src  int    // sending node
 	Dst  int    // receiving node
@@ -131,11 +131,13 @@ type Msg struct {
 	// invalidations it tells sharers where to send InvAck.
 	Requestor int
 
-	// Grant is the state conveyed by a Data response.
-	Grant GrantState
 	// AckCount is the number of InvAcks the requestor must collect
 	// before using a Data response.
 	AckCount int
+
+	Type MsgType
+	// Grant is the state conveyed by a Data response.
+	Grant GrantState
 	// FromPrivate marks a Data response served cache-to-cache from a
 	// remote private cache (the signal used by the RW+Dir contention
 	// detector).
@@ -143,7 +145,7 @@ type Msg struct {
 }
 
 // String renders the message for debugging.
-func (m *Msg) String() string {
+func (m Msg) String() string {
 	return fmt.Sprintf("%s line=%#x %d->%d req=%d acks=%d", m.Type, m.Line, m.Src, m.Dst, m.Requestor, m.AckCount)
 }
 
@@ -152,8 +154,16 @@ func (m *Msg) String() string {
 type Network interface {
 	// Send enqueues m for delivery; latency is derived from the
 	// src/dst placement.
-	Send(m *Msg)
+	Send(m Msg)
 	// SendAfter enqueues m with extra cycles of source-side delay
 	// (e.g. L3 or DRAM access time before the response leaves).
-	SendAfter(m *Msg, extra uint64)
+	SendAfter(m Msg, extra uint64)
 }
+
+// MsgPool is empty: messages travel by value and nothing is pooled.
+//
+// Deprecated: kept, with the no-op SetMsgPool methods of the mesh, the
+// directory and the private cache, only so that cmd/rowperf's
+// lock-step driver still compiles; ROADMAP item 7 deletes all four
+// together with that driver.
+type MsgPool struct{}

@@ -7,7 +7,7 @@ import (
 )
 
 // TestSnapshotCoversEveryField is the snapshot-completeness guard for
-// the directory bank, its per-line entries and the message pool.
+// the directory bank and its per-line entries.
 func TestSnapshotCoversEveryField(t *testing.T) {
 	snapcheck.Assert(t, Directory{}, []string{
 		"now", "lines", "queues", "l3", "Stats",
@@ -18,7 +18,6 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		"net":         "wiring; the mesh is snapshotted separately",
 		"l3HitCycles": "construction-time latency constant",
 		"dramCycles":  "construction-time latency constant",
-		"pool":        "wiring; pool counters are snapshotted separately as PoolSnap",
 		"sink":        "wiring; provably empty at checkpoint instants",
 	})
 
@@ -39,10 +38,4 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 	snapcheck.Assert(t, pending{}, []string{
 		"requestor", "isWrite", "far", "farAcks", "farData",
 	}, nil)
-
-	snapcheck.Assert(t, MsgPool{}, []string{
-		"gets", "puts",
-	}, map[string]string{
-		"free": "free-list members are by definition unreferenced; only the counters define Outstanding",
-	})
 }

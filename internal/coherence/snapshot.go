@@ -10,38 +10,7 @@ import (
 // This file is the directory's half of the snapshot/restore interface
 // the model checker (internal/mcheck) drives: the checker explores the
 // protocol state space by DFS, capturing every component before a
-// branch and rewinding it afterwards. Snapshots deep-copy retained
-// messages by value — the MsgPool ownership discipline guarantees a
-// retained *Msg has exactly one owner, so restoring fresh copies can
-// never alias a live message.
-
-// PoolSnap captures the MsgPool's accounting counters. The free list
-// itself is not part of protocol state (its members are, by
-// definition, unreferenced), so only gets/puts — which define
-// Outstanding, the conserved quantity — are rewound.
-type PoolSnap struct {
-	Gets, Puts int64
-}
-
-// Snapshot captures the pool counters.
-func (p *MsgPool) Snapshot() PoolSnap {
-	if p == nil {
-		return PoolSnap{}
-	}
-	return PoolSnap{Gets: p.gets, Puts: p.puts}
-}
-
-// Restore rewinds the accounting counters. Messages handed out since
-// the snapshot die with the component states that referenced them;
-// messages on the free list stay recyclable (they are zeroed and
-// unreferenced, so reuse is safe in either history).
-func (p *MsgPool) Restore(s PoolSnap) {
-	if p == nil {
-		return
-	}
-	p.gets = s.Gets
-	p.puts = s.Puts
-}
+// branch and rewinding it afterwards.
 
 // DirPending mirrors the directory's in-flight transaction context
 // with exported fields.
@@ -105,9 +74,7 @@ func (d *Directory) txn(e *dirEntry) DirTxnSnap {
 		Blocked: e.blocked,
 		Pend:    DirPending{Requestor: int(p.requestor), IsWrite: p.isWrite, Far: p.far, FarAcks: int(p.farAcks), FarData: p.farData},
 	}
-	for _, m := range d.waiting(e) {
-		t.Waiting = append(t.Waiting, *m)
-	}
+	t.Waiting = append(t.Waiting, d.waiting(e)...)
 	return t
 }
 
@@ -135,11 +102,8 @@ func (d *Directory) Snapshot() *DirSnap {
 // maxCores is the most cores a sharer mask can name.
 const maxCores = 64
 
-// Restore rewinds the bank to a previously captured DirSnap. Waiting
-// messages are reconstituted as fresh allocations (never drawn from
-// the pool: the pool counters are restored separately and a pool Get
-// here would double-count the retained population). It panics on a
-// DirSnap that no bank can have produced: columns of unequal length,
+// Restore rewinds the bank to a previously captured DirSnap. It panics
+// on a DirSnap that no bank can have produced: columns of unequal length,
 // lines not strictly ascending, an owner or requestor that is neither
 // a core of a 64-core system nor -1, an ack count outside 0..64, or
 // Busy records out of range or out of order.
@@ -159,7 +123,7 @@ func (d *Directory) Restore(s *DirSnap) {
 		e := lines.add(line, n-i)
 		e.state, e.owner, e.sharers = dirState(s.State[i]), int8(s.Owner[i]), s.Sharers[i]
 	}
-	var queues [][]*Msg
+	var queues [][]Msg
 	prev := -1
 	for _, b := range s.Busy {
 		p := &b.Pend
@@ -176,12 +140,7 @@ func (d *Directory) Restore(s *DirSnap) {
 		if !b.Blocked && len(b.Waiting) == 0 {
 			continue
 		}
-		q := make([]*Msg, len(b.Waiting))
-		for i := range b.Waiting {
-			q[i] = new(Msg)
-			*q[i] = b.Waiting[i]
-		}
-		queues = append(queues, q)
+		queues = append(queues, slices.Clone(b.Waiting))
 		e.wait = int32(len(queues))
 	}
 	d.now = s.Now

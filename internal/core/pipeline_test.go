@@ -14,8 +14,8 @@ import (
 // need real transport (everything under test stays cache-resident).
 type nullNet struct{}
 
-func (nullNet) Send(*coherence.Msg)              {}
-func (nullNet) SendAfter(*coherence.Msg, uint64) {}
+func (nullNet) Send(coherence.Msg)              {}
+func (nullNet) SendAfter(coherence.Msg, uint64) {}
 
 // newWiredCore builds a core with a real private cache on a null
 // network. Lines in warm are pre-installed in M state so memory

@@ -7,29 +7,22 @@ import (
 )
 
 // TestMeshSendDrainSteadyStateAllocsZero enforces the allocation-free
-// hot path: once the event heap, inboxes, trace ring and message pool
-// have grown to steady state, a full send -> Tick -> Drain -> release
-// round trip must not allocate at all. This is the contract that keeps
+// hot path: once the event heap, inboxes and trace ring have grown to
+// steady state, a full send -> Tick -> Drain round trip must not
+// allocate at all. This is the contract that keeps
 // GC time out of the simulator's per-cycle loop; if this test starts
 // failing, something on the hot path regressed to heap allocation.
 func TestMeshSendDrainSteadyStateAllocsZero(t *testing.T) {
 	m := NewMesh(16, 1, 2, 4)
-	pool := &coherence.MsgPool{}
-	m.SetMsgPool(pool)
 	cyc := uint64(0)
 	round := func() {
 		cyc += 8 // larger than any latency in this mesh: all events arrive
 		m.Tick(cyc)
 		for n := 0; n < 16; n++ {
-			if !m.HasMail(n) {
-				continue
-			}
-			for _, d := range m.Drain(n) {
-				pool.Put(d)
-			}
+			m.Drain(n)
 		}
-		m.Send(pool.New(coherence.Msg{Type: coherence.MsgGetS, Src: 0, Dst: 5, Line: 0x40}))
-		m.Send(pool.New(coherence.Msg{Type: coherence.MsgData, Src: 5, Dst: 0, Line: 0x40}))
+		m.Send(coherence.Msg{Type: coherence.MsgGetS, Src: 0, Dst: 5, Line: 0x40})
+		m.Send(coherence.Msg{Type: coherence.MsgData, Src: 5, Dst: 0, Line: 0x40})
 	}
 	for i := 0; i < 512; i++ {
 		round() // grow every structure to steady state
@@ -46,27 +39,22 @@ func TestMeshSendDrainSteadyStateAllocsZero(t *testing.T) {
 }
 
 // TestCacheDirectorySteadyStateAllocsZero runs the same check one
-// level up: with pooled messages, every directory transaction must be
-// allocation-free in steady state. Each round plays the caches' side
+// level up: every directory transaction must be allocation-free in
+// steady state. Each round plays the caches' side
 // by hand, taking one line from I back to I through every handler.
 func TestCacheDirectorySteadyStateAllocsZero(t *testing.T) {
-	pool := &coherence.MsgPool{}
 	m := NewMesh(33, 1, 2, 4)
-	m.SetMsgPool(pool)
 	d := coherence.NewDirectory(32, 0, m, 4<<20, 16, 64, 35, 160)
-	d.SetMsgPool(pool)
 	cyc := uint64(0)
 	line := uint64(0)
 	from := func(core int, typ coherence.MsgType, grant coherence.GrantState) {
-		d.Handle(pool.New(coherence.Msg{Type: typ, Line: line, Src: core, Dst: 32, Requestor: core, Grant: grant}))
+		d.Handle(coherence.Msg{Type: typ, Line: line, Src: core, Dst: 32, Requestor: core, Grant: grant})
 	}
 	round := func() {
 		cyc += 512 // beyond DRAM latency: every reply arrives
 		m.Tick(cyc)
 		for n := 0; n < 33; n++ {
-			for _, msg := range m.Drain(n) {
-				pool.Put(msg) // stand-in for the receiving cache
-			}
+			m.Drain(n) // stand-in for the receiving caches
 		}
 		d.SetCycle(cyc)
 		line = uint64(cyc%4096) * 64

@@ -14,7 +14,7 @@ import (
 type event struct {
 	at  uint64
 	seq uint64 // tie-breaker preserving send order
-	msg *coherence.Msg
+	msg coherence.Msg
 }
 
 // eventHeap is a typed binary min-heap ordered by (at, seq). It is
@@ -51,7 +51,6 @@ func (h *eventHeap) pop() event {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = event{} // drop the msg reference for the GC
 	s = s[:n]
 	*h = s
 	i := 0
@@ -106,9 +105,7 @@ type Mesh struct {
 	seq    uint64
 	events eventHeap
 
-	inboxes [][]*coherence.Msg
-
-	pool *coherence.MsgPool
+	inboxes [][]coherence.Msg
 
 	perturb Perturber
 	// lastAt preserves per-(src,dst) FIFO delivery under fault
@@ -151,14 +148,15 @@ func NewMesh(nodes, linkCycles, routerCycles, baseCycles int) *Mesh {
 		linkCycles:   linkCycles,
 		routerCycles: routerCycles,
 		baseCycles:   baseCycles,
-		inboxes:      make([][]*coherence.Msg, nodes),
+		inboxes:      make([][]coherence.Msg, nodes),
 	}
 }
 
-// SetMsgPool installs the message free list used for fault-injected
-// duplicate copies. The pool is shared with the protocol endpoints by
-// the system; a nil pool (component tests) falls back to the allocator.
-func (m *Mesh) SetMsgPool(p *coherence.MsgPool) { m.pool = p }
+// SetMsgPool does nothing: messages travel by value.
+//
+// Deprecated: only cmd/rowperf's lock-step driver calls it; ROADMAP
+// item 7 deletes it with that driver.
+func (m *Mesh) SetMsgPool(*coherence.MsgPool) {}
 
 // SetPerturber installs a fault injector on the send path. Must be set
 // before the first message is sent.
@@ -194,10 +192,10 @@ func (m *Mesh) Latency(a, b int) uint64 {
 }
 
 // Send implements coherence.Network.
-func (m *Mesh) Send(msg *coherence.Msg) { m.SendAfter(msg, 0) }
+func (m *Mesh) Send(msg coherence.Msg) { m.SendAfter(msg, 0) }
 
 // SendAfter implements coherence.Network.
-func (m *Mesh) SendAfter(msg *coherence.Msg, extra uint64) {
+func (m *Mesh) SendAfter(msg coherence.Msg, extra uint64) {
 	if msg.Dst < 0 || msg.Dst >= m.nodes {
 		coherence.Raise(m.sink, &coherence.ProtocolError{
 			Cycle:     m.now,
@@ -206,31 +204,31 @@ func (m *Mesh) SendAfter(msg *coherence.Msg, extra uint64) {
 			Op:        msg.String(),
 			Reason:    fmt.Sprintf("message addressed to unknown node %d (have %d)", msg.Dst, m.nodes),
 		})
-		m.pool.Put(msg)
 		return
 	}
 	if m.perturb == nil {
-		m.enqueue(msg, extra, 0)
+		m.enqueue(&msg, extra, 0)
 		return
 	}
-	delays := m.perturb.Perturb(msg)
+	m.sendPerturbed(msg, extra)
+}
+
+// sendPerturbed is SendAfter under fault injection. It is a function
+// of its own because the Perturber sees the message through an
+// interface, which moves it to the heap: kept here, only faulted runs
+// pay that allocation.
+func (m *Mesh) sendPerturbed(msg coherence.Msg, extra uint64) {
+	delays := m.perturb.Perturb(&msg)
 	if len(delays) == 0 {
 		m.dropped++
-		m.record(msg, 0) // a dropped message still shows in the trace
-		m.pool.Put(msg)
+		m.record(&msg, 0) // a dropped message still shows in the trace
 		return
 	}
 	for i, d := range delays {
-		if i == 0 {
-			m.enqueue(msg, extra, d)
-			continue
+		if i > 0 {
+			m.dupes++
 		}
-		// Duplicate deliveries get their own Msg: handlers may retain
-		// the pointer (stall queues), so copies must not alias.
-		m.dupes++
-		cp := m.pool.Get()
-		*cp = *msg
-		m.enqueue(cp, extra, d)
+		m.enqueue(&msg, extra, d)
 	}
 }
 
@@ -249,7 +247,7 @@ func (m *Mesh) enqueue(msg *coherence.Msg, extra, faultDelay uint64) {
 		m.lastAt[ch] = at
 	}
 	m.seq++
-	m.events.push(event{at: at, seq: m.seq, msg: msg})
+	m.events.push(event{at: at, seq: m.seq, msg: *msg})
 	m.messages++
 	m.hopsSum += uint64(m.Hops(msg.Src, msg.Dst))
 	m.record(msg, at)
@@ -335,26 +333,14 @@ func (m *Mesh) HasMail(node int) bool { return len(m.inboxes[node]) > 0 }
 // valid only until the next Tick, which may append into the same
 // backing array. Callers consume it immediately (the system handles
 // every drained message within the same cycle) and must not retain the
-// slice itself; retaining individual *Msg pointers is fine, subject to
-// the MsgPool ownership discipline.
-func (m *Mesh) Drain(node int) []*coherence.Msg {
+// slice; a handler that keeps a message keeps a copy.
+func (m *Mesh) Drain(node int) []coherence.Msg {
 	in := m.inboxes[node]
 	if len(in) == 0 {
 		return nil
 	}
 	m.inboxes[node] = in[:0]
 	return in
-}
-
-// InFlightMsgs counts the messages the network currently owns: queued
-// in the event heap or sitting in a destination inbox. Part of the
-// end-of-run pool conservation check.
-func (m *Mesh) InFlightMsgs() int {
-	n := len(m.events)
-	for _, in := range m.inboxes {
-		n += len(in)
-	}
-	return n
 }
 
 // Idle reports whether no messages are in flight or queued anywhere.

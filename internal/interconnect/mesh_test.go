@@ -42,7 +42,7 @@ func TestSelfLatencyIsBase(t *testing.T) {
 
 func TestDeliveryTiming(t *testing.T) {
 	m := newTestMesh()
-	msg := &coherence.Msg{Type: coherence.MsgGetS, Src: 0, Dst: 1}
+	msg := coherence.Msg{Type: coherence.MsgGetS, Src: 0, Dst: 1}
 	m.Tick(10)
 	m.Send(msg)
 	lat := m.Latency(0, 1)
@@ -60,7 +60,7 @@ func TestDeliveryTiming(t *testing.T) {
 func TestSendAfterAddsDelay(t *testing.T) {
 	m := newTestMesh()
 	m.Tick(0)
-	m.SendAfter(&coherence.Msg{Src: 0, Dst: 1}, 100)
+	m.SendAfter(coherence.Msg{Src: 0, Dst: 1}, 100)
 	m.Tick(m.Latency(0, 1) + 99)
 	if m.Drain(1) != nil {
 		t.Fatal("SendAfter delivered early")
@@ -74,8 +74,8 @@ func TestSendAfterAddsDelay(t *testing.T) {
 func TestFIFOOrderSameEndpoints(t *testing.T) {
 	m := newTestMesh()
 	m.Tick(0)
-	a := &coherence.Msg{Line: 1, Src: 0, Dst: 5}
-	b := &coherence.Msg{Line: 2, Src: 0, Dst: 5}
+	a := coherence.Msg{Line: 1, Src: 0, Dst: 5}
+	b := coherence.Msg{Line: 2, Src: 0, Dst: 5}
 	m.Send(a)
 	m.Send(b)
 	m.Tick(1000)
@@ -91,7 +91,7 @@ func TestIdle(t *testing.T) {
 		t.Fatal("fresh mesh not idle")
 	}
 	m.Tick(0)
-	m.Send(&coherence.Msg{Src: 0, Dst: 2})
+	m.Send(coherence.Msg{Src: 0, Dst: 2})
 	if m.Idle() {
 		t.Fatal("mesh with in-flight message reported idle")
 	}
@@ -108,8 +108,8 @@ func TestIdle(t *testing.T) {
 func TestStats(t *testing.T) {
 	m := newTestMesh()
 	m.Tick(0)
-	m.Send(&coherence.Msg{Src: 0, Dst: 1})
-	m.Send(&coherence.Msg{Src: 0, Dst: 39})
+	m.Send(coherence.Msg{Src: 0, Dst: 1})
+	m.Send(coherence.Msg{Src: 0, Dst: 39})
 	if m.Messages() != 2 {
 		t.Fatalf("messages = %d", m.Messages())
 	}
@@ -119,14 +119,13 @@ func TestStats(t *testing.T) {
 }
 
 // TestUnknownDestinationPanics: without an error sink a send to a node
-// the mesh does not have panics; with one, the recorded error still
-// names the message, so the pool may take it back only after Raise.
+// the mesh does not have panics; with one, the recorded error names the
+// message's line and the missing node.
 func TestUnknownDestinationPanics(t *testing.T) {
 	m := newTestMesh()
-	m.SetMsgPool(&coherence.MsgPool{})
 	sink := &coherence.ErrorSink{}
 	m.SetErrorSink(sink)
-	m.Send(&coherence.Msg{Src: 0, Dst: 40, Line: 0x1c0})
+	m.Send(coherence.Msg{Src: 0, Dst: 40, Line: 0x1c0})
 	e := sink.Err()
 	if e == nil {
 		t.Fatal("send to unknown node recorded no protocol error")
@@ -141,7 +140,7 @@ func TestUnknownDestinationPanics(t *testing.T) {
 			t.Fatal("send to unknown node did not panic")
 		}
 	}()
-	m.Send(&coherence.Msg{Src: 0, Dst: 40})
+	m.Send(coherence.Msg{Src: 0, Dst: 40})
 }
 
 // dropAll is a perturber that drops every message.
@@ -150,17 +149,35 @@ type dropAll struct{}
 func (dropAll) Perturb(*coherence.Msg) []uint64 { return nil }
 
 // TestDroppedMessageTraced: a dropped message still shows in the trace
-// ring under its own line, so the pool may take it back only after the
-// mesh has recorded it.
+// ring under its own line, marked as dropped.
 func TestDroppedMessageTraced(t *testing.T) {
 	m := newTestMesh()
-	m.SetMsgPool(&coherence.MsgPool{})
 	m.SetPerturber(dropAll{})
 	m.Tick(5)
-	m.Send(&coherence.Msg{Src: 0, Dst: 1, Line: 0x1c0})
+	m.Send(coherence.Msg{Src: 0, Dst: 1, Line: 0x1c0})
 	got := m.RecentTrace(0x1c0, 4)
 	if len(got) != 1 || !strings.HasSuffix(got[0], "DROPPED") {
 		t.Fatalf("RecentTrace = %q, want one DROPPED entry", got)
+	}
+}
+
+// dupAll is a perturber that delivers every message twice.
+type dupAll struct{}
+
+func (dupAll) Perturb(*coherence.Msg) []uint64 { return []uint64{0, 3} }
+
+// TestDuplicateDeliveredTwice: a duplicated message is counted once and
+// arrives twice, each copy a value equal to the message sent.
+func TestDuplicateDeliveredTwice(t *testing.T) {
+	m := newTestMesh()
+	m.SetPerturber(dupAll{})
+	m.Tick(0)
+	sent := coherence.Msg{Type: coherence.MsgInv, Src: 0, Dst: 1, Line: 0x1c0, Requestor: 2}
+	m.Send(sent)
+	m.Tick(1000)
+	got := m.Drain(1)
+	if len(got) != 2 || got[0] != sent || got[1] != sent || m.Duplicated() != 1 {
+		t.Fatalf("delivered %v with %d duplicates; want the message twice, 1 duplicate", got, m.Duplicated())
 	}
 }
 
@@ -171,7 +188,7 @@ func TestQuickEverythingDelivered(t *testing.T) {
 		m := newTestMesh()
 		m.Tick(0)
 		for _, d := range dsts {
-			m.Send(&coherence.Msg{Src: int(d) % 7, Dst: int(d) % 40})
+			m.Send(coherence.Msg{Src: int(d) % 7, Dst: int(d) % 40})
 		}
 		m.Tick(10000)
 		total := 0

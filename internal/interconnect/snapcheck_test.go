@@ -19,7 +19,6 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		"linkCycles":   "construction-time latency constant",
 		"routerCycles": "construction-time latency constant",
 		"baseCycles":   "construction-time latency constant",
-		"pool":         "wiring; pool counters are snapshotted separately as PoolSnap",
 		"perturb":      "wiring; the fault injector is snapshotted separately as InjectorSnap",
 		"sink":         "wiring; provably empty at checkpoint instants",
 		"trace":        "deadlock-diagnosis ring, only read when an error is being reported",

@@ -80,11 +80,9 @@ func (m *Mesh) Deliverables(perChannel bool, dst []Deliverable) []Deliverable {
 }
 
 // TakeSeq removes the queued message with the given send sequence and
-// returns it, or nil when no such message is queued. Ownership of the
-// message transfers to the caller, which must deliver it to its
-// destination (the destination's handler consumes or retains it under
-// the usual pool discipline).
-func (m *Mesh) TakeSeq(seq uint64) *coherence.Msg {
+// returns it; ok is false when no such message is queued. The caller
+// must deliver it to its destination.
+func (m *Mesh) TakeSeq(seq uint64) (msg coherence.Msg, ok bool) {
 	idx := -1
 	for i := range m.events {
 		if m.events[i].seq == seq {
@@ -93,18 +91,17 @@ func (m *Mesh) TakeSeq(seq uint64) *coherence.Msg {
 		}
 	}
 	if idx < 0 {
-		return nil
+		return coherence.Msg{}, false
 	}
-	msg := m.events[idx].msg
+	msg = m.events[idx].msg
 	n := len(m.events) - 1
 	m.events[idx] = m.events[n]
-	m.events[n] = event{}
 	m.events = m.events[:n]
 	if idx < n {
 		m.events.siftDown(idx)
 		m.events.siftUp(idx)
 	}
-	return msg
+	return msg, true
 }
 
 func (h eventHeap) siftUp(i int) {
@@ -139,8 +136,8 @@ func (h eventHeap) siftDown(i int) {
 
 // ForEachPending calls fn for every queued (not yet delivered) message
 // in ascending send order. Checkers use it to encode the network's
-// state; fn must not mutate the message.
-func (m *Mesh) ForEachPending(fn func(seq uint64, msg *coherence.Msg)) {
+// state.
+func (m *Mesh) ForEachPending(fn func(seq uint64, msg coherence.Msg)) {
 	idx := make([]int, len(m.events))
 	for i := range idx {
 		idx[i] = i
@@ -178,14 +175,12 @@ func (m *Mesh) Snapshot() MeshSnap {
 		Messages: m.messages, HopsSum: m.hopsSum, Dropped: m.dropped, Dupes: m.dupes,
 	}
 	for i := range m.events {
-		s.Events = append(s.Events, MeshEventSnap{At: m.events[i].at, Seq: m.events[i].seq, Msg: *m.events[i].msg})
+		s.Events = append(s.Events, MeshEventSnap{At: m.events[i].at, Seq: m.events[i].seq, Msg: m.events[i].msg})
 	}
 	if len(m.inboxes) > 0 {
 		s.Inboxes = make([][]coherence.Msg, len(m.inboxes))
 		for n, in := range m.inboxes {
-			for _, msg := range in {
-				s.Inboxes[n] = append(s.Inboxes[n], *msg)
-			}
+			s.Inboxes[n] = append(s.Inboxes[n], in...)
 		}
 	}
 	if m.lastAt != nil {
@@ -194,28 +189,19 @@ func (m *Mesh) Snapshot() MeshSnap {
 	return s
 }
 
-// Restore rewinds the mesh to a previously captured MeshSnap. Queued
-// messages are reconstituted as fresh allocations, never drawn from
-// the pool: the pool's counters are restored separately, and a Get
-// here would double-count the in-flight population.
+// Restore rewinds the mesh to a previously captured MeshSnap.
 func (m *Mesh) Restore(s MeshSnap) {
 	m.now, m.seq = s.Now, s.Seq
 	m.messages, m.hopsSum, m.dropped, m.dupes = s.Messages, s.HopsSum, s.Dropped, s.Dupes
 	m.events = m.events[:0]
 	for i := range s.Events {
-		msg := new(coherence.Msg)
-		*msg = s.Events[i].Msg
-		m.events = append(m.events, event{at: s.Events[i].At, seq: s.Events[i].Seq, msg: msg})
+		m.events = append(m.events, event{at: s.Events[i].At, seq: s.Events[i].Seq, msg: s.Events[i].Msg})
 	}
 	for n := range m.inboxes {
 		m.inboxes[n] = m.inboxes[n][:0]
 	}
 	for n, in := range s.Inboxes {
-		for i := range in {
-			msg := new(coherence.Msg)
-			*msg = in[i]
-			m.inboxes[n] = append(m.inboxes[n], msg)
-		}
+		m.inboxes[n] = append(m.inboxes[n], in...)
 	}
 	if s.LastAt != nil {
 		if m.lastAt == nil {

@@ -131,7 +131,7 @@ func (m *Model) relNode(p *perm, node int) int {
 	return m.cfg.Cores + p.banks[node-m.cfg.Cores]
 }
 
-func (m *Model) encodeMsg(e *encoder, p *perm, msg *coherence.Msg) {
+func (m *Model) encodeMsg(e *encoder, p *perm, msg coherence.Msg) {
 	e.b(byte(msg.Type))
 	e.b(byte(p.lines[m.lineIdx(msg.Line)]))
 	e.b(byte(m.relNode(p, msg.Src)))
@@ -196,7 +196,7 @@ func (m *Model) encodeWith(e *encoder, p *perm) {
 			}
 			if msg, ok := pc.StalledView(addr); ok {
 				e.b(1)
-				m.encodeMsg(e, p, &msg)
+				m.encodeMsg(e, p, msg)
 			} else {
 				e.b(0)
 			}
@@ -250,14 +250,14 @@ func (m *Model) encodeWith(e *encoder, p *perm) {
 				e.bool(pend.FarData)
 			}
 			e.b(byte(len(ent.Waiting)))
-			for i := range ent.Waiting {
-				m.encodeMsg(e, p, &ent.Waiting[i])
+			for _, msg := range ent.Waiting {
+				m.encodeMsg(e, p, msg)
 			}
 		}
 	}
 
 	m.pendBuf = m.pendBuf[:0]
-	m.mesh.ForEachPending(func(seq uint64, msg *coherence.Msg) {
+	m.mesh.ForEachPending(func(seq uint64, msg coherence.Msg) {
 		m.pendBuf = append(m.pendBuf, msg)
 	})
 	if m.cfg.PerChannel {

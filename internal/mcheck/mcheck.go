@@ -23,8 +23,8 @@
 // guarantees under the fault injector's legal reorderings) and global
 // FIFO (no reordering at all).
 //
-// Every state is checked for swmr, owner, data-value, conservation and
-// protocol, every leaf also for stuck-blocked and deadlock
+// Every state is checked for swmr, owner, data-value and protocol,
+// every leaf also for stuck-blocked and deadlock
 // (InvariantError.Kind). The search covers orderings, not timing: the
 // state key leaves out clocks, latencies and LRU state, and torture
 // covers timing. The model core locks same-line atomics in age order,
@@ -181,7 +181,7 @@ func DefaultProgs(cores, lines, ops int) [][]Op {
 // spec replayable by rowtorture -replay.
 type InvariantError struct {
 	// Kind is the invariant class: "swmr", "owner", "data-value",
-	// "stuck-blocked", "deadlock", "conservation" or "protocol".
+	// "stuck-blocked", "deadlock" or "protocol".
 	Kind   string
 	Detail string
 	// Trace is the choice-label sequence from the initial state to the
@@ -281,14 +281,13 @@ func (c *modelCore) LineLocked(line uint64) bool {
 func (c *modelCore) ForceRelease(line uint64) bool { return false }
 
 // Model is one instantiated configuration under search: the real
-// component stack (caches, directory banks, mesh, pool) plus the model
+// component stack (caches, directory banks, mesh) plus the model
 // cores and ghost state.
 type Model struct {
 	cfg   Config
 	mem   *config.Memory // the component stack's memory parameters
 	nodes int
 
-	pool   *coherence.MsgPool
 	sink   *coherence.ErrorSink
 	mesh   *interconnect.Mesh
 	caches []*cache.Private
@@ -306,7 +305,7 @@ type Model struct {
 
 	delivBuf []interconnect.Deliverable
 	encBuf   []byte
-	pendBuf  []*coherence.Msg
+	pendBuf  []coherence.Msg
 }
 
 func (m *Model) lineAddr(idx int) uint64 { return uint64(idx) * lineBytes }
@@ -345,15 +344,12 @@ func NewModel(cfgIn Config) (*Model, error) {
 	sc.Mem.L3Banks = cfg.Banks
 
 	m := &Model{cfg: cfg, mem: &sc.Mem, nodes: cfg.Cores + cfg.Banks}
-	m.pool = &coherence.MsgPool{}
 	m.sink = &coherence.ErrorSink{}
 	m.mesh = interconnect.NewMesh(m.nodes, 1, 1, 1)
-	m.mesh.SetMsgPool(m.pool)
 
 	bankOf := m.bankOf
 	for b := 0; b < cfg.Banks; b++ {
 		d := coherence.NewDirectory(cfg.Cores+b, b, m.mesh, 4<<10, 4, lineBytes, 1, 2)
-		d.SetMsgPool(m.pool)
 		d.SetErrorSink(m.sink)
 		m.dirs = append(m.dirs, d)
 	}
@@ -361,7 +357,6 @@ func NewModel(cfgIn Config) (*Model, error) {
 		mc := &modelCore{m: m, id: i, prog: cfg.Progs[i], status: make([]opStatus, len(cfg.Progs[i]))}
 		m.cores = append(m.cores, mc)
 		pc := cache.NewPrivate(i, sc, m.mesh, mc, bankOf)
-		pc.SetMsgPool(m.pool)
 		pc.SetErrorSink(m.sink)
 		pc.DisableForcedRelease()
 		m.caches = append(m.caches, pc)
@@ -370,8 +365,8 @@ func NewModel(cfgIn Config) (*Model, error) {
 }
 
 // seedBug applies the seeded protocol mutation to a message about to
-// be delivered to bank 0 and reports whether the message survives; a
-// swallowed one goes back to the pool. The fired flag is model state:
+// be delivered to bank 0 and reports whether the message survives. The
+// fired flag is model state:
 // it is captured by snapshots so the DFS explores "bug already fired"
 // and "not yet" as distinct histories.
 func (m *Model) seedBug(msg *coherence.Msg) bool {
@@ -389,7 +384,6 @@ func (m *Model) seedBug(msg *coherence.Msg) bool {
 		// writer's fill never completes.
 		m.cfg.Bug == "drop-inv" && msg.Type == coherence.MsgInvAck:
 		m.bugFired = true
-		m.pool.Put(msg)
 		return false
 	}
 	return true
@@ -515,15 +509,15 @@ func (m *Model) apply(ch choice) bool {
 	case chExec:
 		m.execRMW(ch.core, ch.line)
 	case chDeliver:
-		msg := m.mesh.TakeSeq(ch.seq)
-		if msg == nil {
+		msg, ok := m.mesh.TakeSeq(ch.seq)
+		if !ok {
 			m.violate("deadlock", fmt.Sprintf("replay chose seq %d which is not queued", ch.seq))
 			return false
 		}
 		if msg.Dst >= m.cfg.Cores {
 			d := m.dirs[msg.Dst-m.cfg.Cores]
 			d.SetCycle(m.clock)
-			if m.seedBug(msg) {
+			if m.seedBug(&msg) {
 				d.Handle(msg)
 			}
 		} else {
@@ -663,21 +657,6 @@ func (m *Model) checkState() {
 		m.violate("protocol", e.Error())
 		return
 	}
-	// Pool conservation: every message handed out is either queued in
-	// the mesh or retained by a directory (waiting queue) or a cache
-	// (stalled external).
-	retained := 0
-	for _, d := range m.dirs {
-		retained += d.RetainedMsgs()
-	}
-	for _, pc := range m.caches {
-		retained += pc.RetainedMsgs()
-	}
-	inFlight := m.mesh.InFlightMsgs()
-	if out := m.pool.Outstanding(); out != int64(inFlight+retained) {
-		m.violate("conservation", fmt.Sprintf("outstanding=%d but in-flight=%d retained=%d", out, inFlight, retained))
-		return
-	}
 	for li := 0; li < m.cfg.Lines; li++ {
 		if !m.checkLine(li) {
 			return
@@ -748,7 +727,7 @@ func (m *Model) checkLine(li int) bool {
 // waiters.
 func (m *Model) lineQuiesced(li int, addr uint64) bool {
 	quiet := true
-	m.mesh.ForEachPending(func(seq uint64, msg *coherence.Msg) {
+	m.mesh.ForEachPending(func(seq uint64, msg coherence.Msg) {
 		if msg.Line == addr {
 			quiet = false
 		}
@@ -867,7 +846,6 @@ type modelSnap struct {
 	caches   []*cache.CacheSnap
 	dirs     []*coherence.DirSnap
 	mesh     interconnect.MeshSnap
-	pool     coherence.PoolSnap
 }
 
 func (m *Model) snapshot() *modelSnap {
@@ -875,7 +853,6 @@ func (m *Model) snapshot() *modelSnap {
 		clock:    m.clock,
 		bugFired: m.bugFired,
 		mesh:     m.mesh.Snapshot(),
-		pool:     m.pool.Snapshot(),
 	}
 	for _, c := range m.cores {
 		s.cores = append(s.cores, coreSnap{
@@ -897,7 +874,6 @@ func (m *Model) restore(s *modelSnap) {
 	m.clock = s.clock
 	m.bugFired = s.bugFired
 	m.mesh.Restore(s.mesh)
-	m.pool.Restore(s.pool)
 	for i, c := range m.cores {
 		c.status = append(c.status[:0], s.cores[i].status...)
 		c.locked = s.cores[i].locked

@@ -51,9 +51,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if k2 := m.stateKey(buildPerms(&m.cfg)); k2 != key {
 		t.Fatalf("canonical key drifted across restore: %x vs %x", key, k2)
 	}
-	// The restored state must still satisfy the per-state invariants
-	// (in particular pool conservation: restore reconstitutes retained
-	// and in-flight messages without touching the pool's free list).
+	// The restored state must still satisfy the per-state invariants.
 	m.checkState()
 	if m.viol != nil {
 		t.Fatalf("restored state violates invariants: %v", m.viol)

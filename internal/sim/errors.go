@@ -40,27 +40,6 @@ func (e *CycleLimitError) Error() string {
 	return s
 }
 
-// MsgLeakError reports broken pool conservation at the end of a run:
-// the number of messages drawn from the pool and never released does
-// not match the population with a live owner (in flight in the network
-// plus retained in stall/waiting structures). Outstanding > InFlight +
-// Retained means some component dropped a message without Put — the
-// free list shrinks and the steady state starts allocating; the
-// (never-observed) opposite sign would mean a double Put.
-type MsgLeakError struct {
-	Cycle       uint64
-	Outstanding int64 // pool gets minus puts
-	InFlight    int   // owned by the network (event heap + inboxes)
-	Retained    int   // parked in directory/cache stall structures
-}
-
-func (e *MsgLeakError) Error() string {
-	return fmt.Sprintf(
-		"sim: message pool conservation broken at cycle %d: %d outstanding, but %d in flight + %d retained (%+d leaked)",
-		e.Cycle, e.Outstanding, e.InFlight, e.Retained,
-		e.Outstanding-int64(e.InFlight)-int64(e.Retained))
-}
-
 // RunCanceledError reports a run stopped by its context before
 // completion — cooperative cancellation (SIGINT drain, a supervisor
 // shutting down) or an expired wall-clock deadline. Cause is the

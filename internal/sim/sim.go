@@ -30,7 +30,6 @@ type System struct {
 
 	sink     *coherence.ErrorSink
 	injector *faults.Injector
-	pool     *coherence.MsgPool
 
 	warmFilter func(core int, line uint64) bool
 	image      *WarmImage // WithWarmImage: read-only, shared with other systems
@@ -140,13 +139,7 @@ func New(cfg *config.Config, progs []trace.Program, opts ...Option) (*System, er
 	bankOf := func(line uint64) int { return n + cfg.Mem.HomeBank(line) }
 
 	s := &System{cfg: cfg, mesh: mesh, bankOf: bankOf, sink: &coherence.ErrorSink{}}
-	// One message free list per system, shared by every protocol agent
-	// and the mesh: the system is single-threaded, so the pool needs no
-	// locking, and per-system ownership means concurrent systems can
-	// never leak messages (or state) into each other.
-	s.pool = &coherence.MsgPool{}
 	mesh.SetErrorSink(s.sink)
-	mesh.SetMsgPool(s.pool)
 	for b := 0; b < banks; b++ {
 		d := coherence.NewDirectory(
 			n+b, b, mesh,
@@ -154,7 +147,6 @@ func New(cfg *config.Config, progs []trace.Program, opts ...Option) (*System, er
 			cfg.Mem.L3.HitCycles, cfg.Mem.DRAMCycles,
 		)
 		d.SetErrorSink(s.sink)
-		d.SetMsgPool(s.pool)
 		s.dirs = append(s.dirs, d)
 	}
 	for i := 0; i < n; i++ {
@@ -167,7 +159,6 @@ func New(cfg *config.Config, progs []trace.Program, opts ...Option) (*System, er
 		c.AttachMemory(pc)
 		c.SetErrorSink(s.sink)
 		pc.SetErrorSink(s.sink)
-		pc.SetMsgPool(s.pool)
 		s.cores = append(s.cores, c)
 		s.caches = append(s.caches, pc)
 	}
@@ -353,44 +344,6 @@ func (s *System) postCycle(ctx context.Context, cyc uint64, ms *maintState) erro
 			if err := s.ckptFn(cyc, snap); err != nil {
 				return fmt.Errorf("sim: checkpoint at cycle %d: %w", cyc, err)
 			}
-		}
-	}
-	return nil
-}
-
-// MsgAccounting returns the three message populations the pool
-// conservation law relates: outstanding (pool gets minus puts), in
-// flight (owned by the network), and retained (parked in directory
-// waiting queues and cache stall tables).
-func (s *System) MsgAccounting() (outstanding int64, inFlight, retained int) {
-	outstanding = s.pool.Outstanding()
-	inFlight = s.mesh.InFlightMsgs()
-	for _, d := range s.dirs {
-		retained += d.RetainedMsgs()
-	}
-	for _, pc := range s.caches {
-		retained += pc.RetainedMsgs()
-	}
-	return outstanding, inFlight, retained
-}
-
-// checkMsgConservation asserts the pool conservation law at the end of
-// a successful run: every message drawn from the pool is either still
-// in flight, still retained, or was released. It runs only on the
-// success path — error returns leave transactions legitimately open —
-// and is a pure read: it never drains the network or perturbs stats,
-// so enabling it cannot change any reported result. Legal fault
-// injection keeps the books balanced (drops and duplicate copies are
-// Put/Get through the pool by the mesh), so a nonzero residue is
-// always a consume-or-retain bug in a component.
-func (s *System) checkMsgConservation() error {
-	outstanding, inFlight, retained := s.MsgAccounting()
-	if outstanding != int64(inFlight)+int64(retained) {
-		return &MsgLeakError{
-			Cycle:       s.cycle,
-			Outstanding: outstanding,
-			InFlight:    inFlight,
-			Retained:    retained,
 		}
 	}
 	return nil

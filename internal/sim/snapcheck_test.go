@@ -12,7 +12,7 @@ import (
 // construction-time state.
 func TestSnapshotCoversEveryField(t *testing.T) {
 	snapcheck.Assert(t, System{}, []string{
-		"mesh", "cores", "caches", "dirs", "pool", "injector",
+		"mesh", "cores", "caches", "dirs", "injector",
 		"cycle", "visited",
 		"lastCkpt", // restored to the snapshot cycle so the cadence continues
 	}, map[string]string{

@@ -13,9 +13,8 @@ import (
 
 // SysSnap is a deep copy of the full system's mutable state at one
 // simulated instant: every core pipeline, private cache, directory
-// bank, the mesh (in-flight and inboxed messages), the message-pool
-// accounting, the fault injector's RNG position, and the cycle
-// counter. Restoring it into a freshly built System (same config, same
+// bank, the mesh (in-flight and inboxed messages), the fault
+// injector's RNG position, and the cycle counter. Restoring it into a freshly built System (same config, same
 // regenerated programs) and resuming yields a run byte-identical to
 // one that was never interrupted.
 //
@@ -47,7 +46,6 @@ type SysSnap struct {
 	Cores  []*core.CoreSnap
 	Caches []*cache.CacheSnap
 	Dirs   []*coherence.DirSnap
-	Pool   coherence.PoolSnap
 	Faults faults.InjectorSnap
 }
 
@@ -58,7 +56,6 @@ func (s *System) Snapshot() *SysSnap {
 		Cycle:   s.cycle,
 		Visited: s.visited,
 		Mesh:    s.mesh.Snapshot(),
-		Pool:    s.pool.Snapshot(),
 		Faults:  s.injector.Snapshot(),
 	}
 	for _, c := range s.cores {
@@ -99,7 +96,6 @@ func (s *System) RestoreSnap(snap *SysSnap) (err error) {
 	s.visited = snap.Visited
 	s.lastCkpt = snap.Cycle
 	s.mesh.Restore(snap.Mesh)
-	s.pool.Restore(snap.Pool)
 	s.injector.Restore(snap.Faults)
 	for i, c := range s.cores {
 		c.Restore(snap.Cores[i])

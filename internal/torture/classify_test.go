@@ -4,17 +4,7 @@ import (
 	"testing"
 
 	"rowsim/internal/mcheck"
-	"rowsim/internal/sim"
 )
-
-// TestClassifyMsgLeak: pool-conservation failures get their own
-// failure kind in sweep summaries.
-func TestClassifyMsgLeak(t *testing.T) {
-	err := &sim.MsgLeakError{Cycle: 42, Outstanding: 3, InFlight: 1, Retained: 1}
-	if kind := Classify(err); kind != "msg-leak" {
-		t.Fatalf("Classify(MsgLeakError) = %q, want \"msg-leak\"", kind)
-	}
-}
 
 // TestClassifyMcheckInvariant: model-checker counterexamples replayed
 // through the torture CLI are classified distinctly.

@@ -293,7 +293,7 @@ type Failure struct {
 	Index int // run index within the sweep
 	Spec  RunSpec
 	Err   error
-	Kind  string // protocol | deadlock | cycle-limit | coherence | msg-leak | replay-mismatch | mcheck-invariant | panic | timeout | setup
+	Kind  string // protocol | deadlock | cycle-limit | coherence | replay-mismatch | mcheck-invariant | panic | timeout | canceled | setup
 }
 
 // Classify names the failure mode of a run error.
@@ -302,7 +302,6 @@ func Classify(err error) string {
 	var de *sim.DeadlockError
 	var ce *sim.CycleLimitError
 	var ve *sim.CoherenceViolationError
-	var le *sim.MsgLeakError
 	var re *ReplayMismatchError
 	var rp *lifecycle.RunPanicError
 	var me *mcheck.InvariantError
@@ -319,8 +318,6 @@ func Classify(err error) string {
 		return "cycle-limit"
 	case errors.As(err, &ve):
 		return "coherence"
-	case errors.As(err, &le):
-		return "msg-leak"
 	case errors.As(err, &rp):
 		return "panic"
 	case errors.Is(err, context.DeadlineExceeded):
