@@ -126,3 +126,23 @@ func TestBadFlagLeavesNoJournal(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadlineInterruptsResumably: a sweep whose -deadline passes
+// before it finishes exits 130 and names the command that resumes it,
+// and that command prints what an uninterrupted sweep prints.
+func TestDeadlineInterruptsResumably(t *testing.T) {
+	def := []string{"-values", "0.2,0.8", "-cores", "2", "-instrs", "4000", "-format", "csv"}
+	want, _, code := capture(def...)
+	if code != 0 {
+		t.Fatalf("uninterrupted sweep: exit %d", code)
+	}
+	journal := filepath.Join(t.TempDir(), "j.jsonl")
+	out, stderr, code := capture(append(def, "-deadline", "1ms", "-journal", journal)...)
+	if code != 130 || out != "" || !strings.Contains(stderr, "sweep interrupted — resume with: rowsweep -resume "+journal+"\n") {
+		t.Fatalf("-deadline 1ms: exit %d, stdout %q, stderr %q; want 130 and the resume command", code, out, stderr)
+	}
+	got, stderr, code := capture("-resume", journal, "-format", "csv")
+	if code != 0 || got != want {
+		t.Fatalf("-resume: exit %d, printed\n%s\nwant\n%s\nstderr: %s", code, got, want, stderr)
+	}
+}

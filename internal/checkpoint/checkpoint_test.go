@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
@@ -337,4 +338,28 @@ func appendFrame(buf, payload []byte) []byte {
 	buf = append(buf, payload...)
 	crc := crc32.Checksum(payload, castagnoli)
 	return append(buf, byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24))
+}
+
+// TestErrorTexts pins what a run prints when it cannot use a
+// checkpoint, for each way Decode refuses one.
+func TestErrorTexts(t *testing.T) {
+	good := mustEncode(t, tinySnap())
+	cases := []struct {
+		name string
+		data []byte
+		key  string
+		want string
+	}{
+		{"another run's", good, "other", `checkpoint c.ckpt: content key mismatch: checkpoint has "k", this run wants "other"`},
+		{"an older format", mustRead(t, "testdata/v3.ckpt"), "k", fmt.Sprintf(`checkpoint c.ckpt: version mismatch: checkpoint has "3", this run wants "%d"`, Version)},
+		{"truncated in the magic", good[:3], "k", "checkpoint c.ckpt: corrupt: magic: unexpected EOF"},
+		{"not a checkpoint", []byte("shredded"), "k", `checkpoint c.ckpt: corrupt: bad magic "shredded"`},
+		{"trailing bytes", append(append([]byte(nil), good...), 0), "k", "checkpoint c.ckpt: corrupt: 1 trailing bytes after body frame"},
+	}
+	for _, tc := range cases {
+		_, _, err := Decode("c.ckpt", tc.key, tc.data)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s:\n got %v\nwant %s", tc.name, err, tc.want)
+		}
+	}
 }

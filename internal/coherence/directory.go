@@ -483,9 +483,6 @@ func (d *Directory) PendingWork() bool {
 	return len(d.free) < len(d.queues)
 }
 
-// L3 exposes the bank's data array (for stats).
-func (d *Directory) L3() *sram.Array { return d.l3 }
-
 // WaitingOn reports, for a line with a transaction in flight, which
 // cores the bank is waiting on before the transaction can close: the
 // owner whose data recall or forward is outstanding, the sharers whose

@@ -382,9 +382,6 @@ func (c *Core) Done() bool { return c.done }
 // FinishedAt returns the cycle the core completed (valid once Done).
 func (c *Core) FinishedAt() uint64 { return c.finishedAt }
 
-// ID returns the core's id.
-func (c *Core) ID() int { return c.id }
-
 func (c *Core) entry(pos int64) *robEntry { return &c.rob[pos&c.robMask] }
 
 func (c *Core) slotOf(pos int64) uint32 { return uint32(pos & c.robMask) }
@@ -429,12 +426,6 @@ func (c *Core) schedule(lat int, kind uint8, slot uint32, id uint64, token uint1
 	}
 	b := (c.now + uint64(lat)) % wheelSize
 	c.wheel[b] = append(c.wheel[b], wheelEvent{slot: slot, id: id, token: token, kind: kind})
-}
-
-// PendingWork reports whether the core still has in-flight state
-// (quiescence/deadlock diagnostics).
-func (c *Core) PendingWork() bool {
-	return !c.done
 }
 
 func (c *Core) String() string {

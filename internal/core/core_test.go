@@ -1,8 +1,10 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"rowsim/internal/coherence"
 	"rowsim/internal/config"
 	"rowsim/internal/trace"
 )
@@ -182,5 +184,29 @@ func TestDetectDirRespectsThreshold(t *testing.T) {
 	cfg.RoW.LatencyThreshold = -1 // infinite
 	if c.detectDir() {
 		t.Fatal("infinite threshold must disable Dir detection")
+	}
+}
+
+// TestLatencyPastTheWheelFails: an internal latency the execution wheel
+// cannot hold is a model bug. It must surface as a ProtocolError that
+// names the core and the latency, and the event must still fire, at
+// the wheel's last bucket, rather than vanish.
+func TestLatencyPastTheWheelFails(t *testing.T) {
+	cfg := config.Default()
+	cfg.NumCores = 4
+	c := New(3, cfg, trace.Program{})
+	sink := &coherence.ErrorSink{}
+	c.SetErrorSink(sink)
+	c.schedule(wheelSize+4, evForwarded, 5, 9, 1)
+	pe := sink.Err()
+	if pe == nil {
+		t.Fatal("a latency past the wheel raised no error")
+	}
+	want := "protocol error at cycle 0: core 3: internal latency 20 exceeds the 16-cycle execution wheel"
+	if got := pe.Error(); !strings.HasPrefix(got, want) || !strings.Contains(got, "state={core3{") {
+		t.Fatalf("got %q\nwant it to start %q and carry the core's state", got, want)
+	}
+	if ev := c.wheel[wheelSize-1]; len(ev) != 1 || ev[0].slot != 5 || ev[0].id != 9 {
+		t.Fatalf("wheel's last bucket holds %v; want the clamped event", ev)
 	}
 }

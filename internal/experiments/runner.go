@@ -189,9 +189,6 @@ func NewRunner(opt Options) *Runner {
 	return &Runner{opt: opt.withDefaults(), setup: NewSetup(1)}
 }
 
-// Options returns the effective (defaulted) options.
-func (r *Runner) Options() Options { return r.opt }
-
 // SetContext installs the base context every run (and therefore every
 // figure) executes under, making whole figure harnesses cancellable by
 // SIGINT or a sweep deadline.

@@ -125,8 +125,6 @@ type Mesh struct {
 	// stats
 	messages uint64
 	hopsSum  uint64
-	dropped  uint64
-	dupes    uint64
 }
 
 // NewMesh builds a mesh holding the given number of nodes with the
@@ -220,14 +218,10 @@ func (m *Mesh) SendAfter(msg coherence.Msg, extra uint64) {
 func (m *Mesh) sendPerturbed(msg coherence.Msg, extra uint64) {
 	delays := m.perturb.Perturb(&msg)
 	if len(delays) == 0 {
-		m.dropped++
 		m.record(&msg, 0) // a dropped message still shows in the trace
 		return
 	}
-	for i, d := range delays {
-		if i > 0 {
-			m.dupes++
-		}
+	for _, d := range delays {
 		m.enqueue(&msg, extra, d)
 	}
 }
@@ -289,12 +283,6 @@ func (m *Mesh) RecentTrace(line uint64, max int) []string {
 	}
 	return out
 }
-
-// Dropped returns the number of messages removed by fault injection.
-func (m *Mesh) Dropped() uint64 { return m.dropped }
-
-// Duplicated returns the number of extra copies injected by faults.
-func (m *Mesh) Duplicated() uint64 { return m.dupes }
 
 // Tick advances the network to the given cycle, moving every message
 // that has arrived into its destination inbox.

@@ -11,7 +11,7 @@ import (
 func TestSnapshotCoversEveryField(t *testing.T) {
 	snapcheck.Assert(t, Mesh{}, []string{
 		"now", "seq", "events", "inboxes", "lastAt",
-		"messages", "hopsSum", "dropped", "dupes",
+		"messages", "hopsSum",
 	}, map[string]string{
 		"cols":         "derived from the node count at construction",
 		"rows":         "derived from the node count at construction",

@@ -163,7 +163,7 @@ type MeshSnap struct {
 	Inboxes  [][]coherence.Msg
 	LastAt   []uint64
 
-	Messages, HopsSum, Dropped, Dupes uint64
+	Messages, HopsSum uint64
 }
 
 // Snapshot captures the queued events, inboxes and counters. Events
@@ -172,7 +172,7 @@ type MeshSnap struct {
 func (m *Mesh) Snapshot() MeshSnap {
 	s := MeshSnap{
 		Now: m.now, Seq: m.seq,
-		Messages: m.messages, HopsSum: m.hopsSum, Dropped: m.dropped, Dupes: m.dupes,
+		Messages: m.messages, HopsSum: m.hopsSum,
 	}
 	for i := range m.events {
 		s.Events = append(s.Events, MeshEventSnap{At: m.events[i].at, Seq: m.events[i].seq, Msg: m.events[i].msg})
@@ -192,7 +192,7 @@ func (m *Mesh) Snapshot() MeshSnap {
 // Restore rewinds the mesh to a previously captured MeshSnap.
 func (m *Mesh) Restore(s MeshSnap) {
 	m.now, m.seq = s.Now, s.Seq
-	m.messages, m.hopsSum, m.dropped, m.dupes = s.Messages, s.HopsSum, s.Dropped, s.Dupes
+	m.messages, m.hopsSum = s.Messages, s.HopsSum
 	m.events = m.events[:0]
 	for i := range s.Events {
 		m.events = append(m.events, event{at: s.Events[i].At, seq: s.Events[i].Seq, msg: s.Events[i].Msg})

@@ -167,3 +167,29 @@ func TestSpecRoundTrip(t *testing.T) {
 		t.Fatalf("round trip drifted:\n%s\n%s", spec, got)
 	}
 }
+
+// TestLostRequestIsDeadlock seeds a loss no Config.Bug can: core 0's
+// load request vanishes from the network before any bank sees it. No
+// line is blocked, so the leaf is a deadlock, not stuck-blocked, and
+// its detail must name the core and the line its miss waits on.
+func TestLostRequestIsDeadlock(t *testing.T) {
+	m, err := NewModel(Config{Cores: 1, Lines: 1, Banks: 1, Progs: [][]Op{{{Kind: OpLoad, Line: 0}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.settle()
+	applyTrace(t, m, []string{"i0"})
+	lost := m.mesh.Deliverables(false, nil)
+	if len(lost) != 1 {
+		t.Fatalf("issuing the load queued %d messages, want its one request", len(lost))
+	}
+	m.mesh.TakeSeq(lost[0].Seq)
+	if ch := m.enabled(nil); len(ch) != 0 {
+		t.Fatalf("choices left after the loss: %v", ch)
+	}
+	m.checkTerminal()
+	want := "no enabled choice but 1 ops incomplete: core 0: line 0x0 GetS sent at cycle 3 (dataArrived=false acks=0)"
+	if m.viol == nil || m.viol.Kind != "deadlock" || m.viol.Detail != want {
+		t.Fatalf("verdict %v; want a deadlock detailed %q", m.viol, want)
+	}
+}

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rowsim/internal/checkpoint"
 )
 
 func del(t *testing.T, hs *httptest.Server, tenant, id string) (*http.Response, SweepView) {
@@ -219,13 +221,7 @@ func TestServerCheckpointLifecycle(t *testing.T) {
 
 	_, v := submit(t, hs, "", testSpec(t, 0.4))
 	waitDone(t, hs, "", v.ID)
-	waitFor(t, func() bool {
-		ents, err := os.ReadDir(srv.cfg.CheckpointDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(ents) == 0
-	}, "checkpoints of terminal cells were not removed")
+	waitFor(t, func() bool { return ckptFiles(t, srv.cfg.CheckpointDir) == 0 }, "checkpoints of terminal cells were not removed")
 
 	// A deleted sweep drops its cells' checkpoints as well.
 	_, v2 := submit(t, hs, "", testSpec(t, 0.6))
@@ -233,11 +229,102 @@ func TestServerCheckpointLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusConflict {
 		t.Fatalf("DELETE = %d", resp.StatusCode)
 	}
+	waitFor(t, func() bool { return ckptFiles(t, srv.cfg.CheckpointDir) == 0 }, "checkpoints of a deleted sweep were not removed")
+}
+
+// ckptFiles counts the files in a checkpoint directory, which does not
+// exist before the first save.
+func ckptFiles(t *testing.T, dir string) int {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	return len(ents)
+}
+
+// TestServerDeleteCheckpointedRunningSweep: a DELETE that lands while a
+// cell is running and checkpointing leaves that cell's files to it, so
+// no save of the cell fails on a file removed under it: the cell
+// settles as canceled, not failed, and then removes its checkpoints.
+// The checkpoint directory ends empty.
+func TestServerDeleteCheckpointedRunningSweep(t *testing.T) {
+	srv, hs := testServer(t, Config{Workers: 1, CheckpointEvery: 256}, true)
+	spec := SweepSpec{Values: []float64{0.1, 0.9}, Policies: []string{"eager"}, Cores: 4, Instrs: 200000}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	_, v := submit(t, hs, "", spec)
+	waitFor(t, func() bool { return ckptFiles(t, srv.cfg.CheckpointDir) > 0 }, "the running cell never wrote a checkpoint")
+	if resp, _ := del(t, hs, "", v.ID); resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE of a running sweep = %d, want 200", resp.StatusCode)
+	}
 	waitFor(t, func() bool {
-		ents, err := os.ReadDir(srv.cfg.CheckpointDir)
-		if err != nil {
+		_, body := get(t, hs, "", "/v1/sweeps/"+v.ID)
+		var sv SweepView
+		if err := json.Unmarshal(body, &sv); err != nil {
 			t.Fatal(err)
 		}
-		return len(ents) == 0
-	}, "checkpoints of a deleted sweep were not removed")
+		if sv.Failed > 0 {
+			t.Fatalf("a cell of the deleted sweep failed instead of canceling: %+v", sv)
+		}
+		return sv.Status == "canceled" && sv.Running == 0 && sv.Canceled == 2
+	}, "deleted sweep never settled both cells as canceled")
+	if n := ckptFiles(t, srv.cfg.CheckpointDir); n != 0 {
+		t.Fatalf("checkpoint dir holds %d file(s) after the deleted sweep settled, want none", n)
+	}
+}
+
+// TestServerRecoveryRemovesStrandedCheckpoints: a daemon killed after
+// journaling a cell's end but before removing its checkpoint strands
+// the files. The next daemon on the journal removes them at start, so
+// the checkpoint directory of a finished queue drains to empty.
+func TestServerRecoveryRemovesStrandedCheckpoints(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "q.jsonl")
+	cfg := Config{Journal: journal, CheckpointEvery: 256}
+	srv, hs := testServer(t, cfg, true)
+	_, v := submit(t, hs, "", testSpec(t, 0.4))
+	waitDone(t, hs, "", v.ID)
+	sw, _ := srv.q.get("default", v.ID)
+	var stranded []string
+	for _, c := range sw.cells {
+		p := srv.ckptPath(c.ckey)
+		stranded = append(stranded, p, p+checkpoint.PrevSuffix)
+	}
+	for _, p := range stranded {
+		if err := os.WriteFile(p, []byte("stranded"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	again, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.q.close()
+	for _, p := range stranded {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s survived recovery (stat: %v)", filepath.Base(p), err)
+		}
+	}
+}
+
+// TestServerDeleteSparesSharedCheckpoint: a checkpoint is named by its
+// cell's content, so two tenants' identical cells share one. Deleting
+// bob's sweep, whose copy of the cell is still pending, must leave the
+// files of alice's running copy alone: her cell finishes ok.
+func TestServerDeleteSparesSharedCheckpoint(t *testing.T) {
+	srv, hs := testServer(t, Config{Workers: 1, CheckpointEvery: 256}, true)
+	spec := SweepSpec{Values: []float64{0.5}, Policies: []string{"eager"}, Cores: 4, Instrs: 30000}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	_, va := submit(t, hs, "alice", spec)
+	waitFor(t, func() bool { return ckptFiles(t, srv.cfg.CheckpointDir) > 0 }, "alice's cell never wrote a checkpoint")
+	_, vb := submit(t, hs, "bob", spec)
+	if resp, _ := del(t, hs, "bob", vb.ID); resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE of bob's queued sweep = %d, want 200", resp.StatusCode)
+	}
+	if v := waitDone(t, hs, "alice", va.ID); v.OK != 1 {
+		t.Fatalf("alice's sweep ended %+v; want its one cell ok", v)
+	}
 }

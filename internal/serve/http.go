@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 
-	"rowsim/internal/checkpoint"
 	"rowsim/internal/sim"
 )
 
@@ -224,12 +223,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	if first {
 		s.stats.add(func(b *statsBook) { b.sweepsCanceled++ })
-	}
-	// Canceled cells will never run again in any process: drop their
-	// recovery checkpoints (idempotent; running cells that settle later
-	// clean up after themselves in settle).
-	for _, c := range sw.cells {
-		_ = checkpoint.Remove(s.ckptPath(c.ckey))
 	}
 	writeJSON(w, http.StatusOK, s.viewOf(sw))
 }

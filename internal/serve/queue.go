@@ -10,6 +10,7 @@ import (
 	"os"
 	"sync"
 
+	"rowsim/internal/checkpoint"
 	"rowsim/internal/experiments"
 	"rowsim/internal/lifecycle"
 	"rowsim/internal/sim"
@@ -102,6 +103,9 @@ type queue struct {
 	mu   sync.Mutex
 	jnl  *lifecycle.Journal
 	path string
+	// ckptDir holds the cells' checkpoints, named by content key; ""
+	// when checkpointing is off.
+	ckptDir string
 
 	sweeps map[string]*sweepState
 	order  []string // sweep IDs in admission order
@@ -133,11 +137,13 @@ func sweepID(tenant string, spec SweepSpec) string {
 // exists — replays it and reconstructs the exact queue state: sweeps
 // re-admitted, terminal cells kept with their results, everything else
 // re-enqueued. Recovered terminal results also seed the memo cache,
-// when this model computed them.
+// when this model computed them, and checkpoints no cell will read
+// again are removed.
 // Returns (queue, resumedCells, requeuedCells).
-func openQueue(baseCtx context.Context, path string, memo *experiments.Flight[memoOutcome]) (*queue, int, int, error) {
+func openQueue(baseCtx context.Context, path, ckptDir string, memo *experiments.Flight[memoOutcome]) (*queue, int, int, error) {
 	q := &queue{
 		path:       path,
+		ckptDir:    ckptDir,
 		sweeps:     make(map[string]*sweepState),
 		tenantFIFO: make(map[string][]*cellState),
 		wake:       make(chan struct{}, 1),
@@ -230,14 +236,44 @@ func openQueue(baseCtx context.Context, path string, memo *experiments.Flight[me
 			}
 		}
 	}
+	wanted := make(map[string]bool) // content key -> a cell that runs again holds it
 	for _, id := range q.order {
 		for _, c := range q.sweeps[id].cells {
 			if c.status == lifecycle.StatusPending {
 				requeued++
 			}
+			wanted[c.ckey] = wanted[c.ckey] || runsAgain(c)
+		}
+	}
+	// A kill between journaling a cell's end and removing its
+	// checkpoint strands the files.
+	for ckey, w := range wanted {
+		if !w {
+			_ = checkpoint.Remove(checkpoint.Path(q.ckptDir, ckey))
 		}
 	}
 	return q, resumed, requeued, nil
+}
+
+// runsAgain reports whether c will still run, in this process or after
+// a restart: it is not terminal and its sweep was not deleted.
+func runsAgain(c *cellState) bool { return !c.status.Terminal() && !c.sweep.canceled }
+
+// dropCheckpointLocked removes c's checkpoint once c will not run again
+// and no cell that will shares its content key, the checkpoint's name:
+// two sweeps' identical cells resume from one file. Caller holds q.mu.
+func (q *queue) dropCheckpointLocked(c *cellState) {
+	if q.ckptDir == "" || runsAgain(c) {
+		return
+	}
+	for _, id := range q.order {
+		for _, o := range q.sweeps[id].cells {
+			if o.ckey == c.ckey && runsAgain(o) {
+				return
+			}
+		}
+	}
+	_ = checkpoint.Remove(checkpoint.Path(q.ckptDir, c.ckey))
 }
 
 // admitLocked registers a sweep (recovery passes journalRec == nil to
@@ -250,17 +286,18 @@ func (q *queue) admitLocked(baseCtx context.Context, id, tenant string, spec Swe
 		spec:   spec,
 		byKey:  make(map[string]*cellState),
 	}
-	sctx := baseCtx
-	var cancel context.CancelFunc = func() {}
+	// Deleting the sweep cancels this context, which stops its running
+	// cells.
 	if d := spec.Timeout(); d > 0 {
-		sctx, cancel = context.WithTimeout(baseCtx, d)
+		sw.ctx, sw.cancel = context.WithTimeout(baseCtx, d)
+	} else {
+		sw.ctx, sw.cancel = context.WithCancel(baseCtx)
 	}
-	sw.ctx, sw.cancel = sctx, cancel
 
 	for _, cell := range spec.Cells() {
 		ckey, err := spec.ContentKey(cell)
 		if err != nil {
-			cancel()
+			sw.cancel()
 			return nil, err
 		}
 		cs := &cellState{
@@ -276,7 +313,7 @@ func (q *queue) admitLocked(baseCtx context.Context, id, tenant string, spec Swe
 	if journalRec != nil {
 		q.jnl.Append(*journalRec)
 		if err := q.jnl.Err(); err != nil {
-			cancel()
+			sw.cancel()
 			return nil, fmt.Errorf("serve: journal admission: %w", err)
 		}
 	}
@@ -351,6 +388,12 @@ func (q *queue) cancel(tenant, id string) (sw *sweepState, first bool, err error
 		return nil, false, fmt.Errorf("serve: journal cancel: %w", err)
 	}
 	q.cancelSweepLocked(sw, true)
+	// Running cells drop theirs when they settle (complete).
+	for _, c := range sw.cells {
+		if c.status == lifecycle.StatusCanceled {
+			q.dropCheckpointLocked(c)
+		}
+	}
 	return sw, true, nil
 }
 
@@ -449,6 +492,7 @@ func (q *queue) complete(c *cellState, out lifecycle.Outcome, cached bool) {
 		rec.Result = &res
 	}
 	q.jnl.Append(rec)
+	q.dropCheckpointLocked(c)
 	if done := q.sweepDoneLocked(c.sweep); done {
 		c.sweep.cancel() // release the deadline timer
 	}
@@ -463,13 +507,6 @@ func (q *queue) sweepDoneLocked(sw *sweepState) bool {
 		}
 	}
 	return true
-}
-
-// sweepCanceled reports whether sw was explicitly deleted.
-func (q *queue) sweepCanceled(sw *sweepState) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return sw.canceled
 }
 
 // get returns a sweep by ID, tenant-scoped: a tenant can only see its

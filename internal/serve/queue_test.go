@@ -26,7 +26,7 @@ func mustOpenQueue(t *testing.T, path string, m *experiments.Flight[memoOutcome]
 	if m == nil {
 		m = new(experiments.Flight[memoOutcome])
 	}
-	q, resumed, requeued, err := openQueue(context.Background(), path, m)
+	q, resumed, requeued, err := openQueue(context.Background(), path, "", m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestQueueRecoveryRejectsTamperedSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, _, err = openQueue(context.Background(), path, new(experiments.Flight[memoOutcome]))
+	_, _, _, err = openQueue(context.Background(), path, "", new(experiments.Flight[memoOutcome]))
 	var sm *lifecycle.SpecMismatchError
 	if !errors.As(err, &sm) {
 		t.Fatalf("openQueue = %v, want *lifecycle.SpecMismatchError", err)
@@ -162,7 +162,7 @@ func TestQueueRejectsForeignJournal(t *testing.T) {
 	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := openQueue(context.Background(), path, new(experiments.Flight[memoOutcome])); err == nil {
+	if _, _, _, err := openQueue(context.Background(), path, "", new(experiments.Flight[memoOutcome])); err == nil {
 		t.Fatal("openQueue accepted a rowsweep journal")
 	}
 }

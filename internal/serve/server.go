@@ -126,7 +126,7 @@ func Open(cfg Config) (*Server, error) {
 		stats: newStatsBook(cfg.Workers),
 	}
 	s.cellCtx, s.cellCancel = context.WithCancel(context.Background())
-	q, resumed, requeued, err := openQueue(s.cellCtx, cfg.Journal, &s.memo)
+	q, resumed, requeued, err := openQueue(s.cellCtx, cfg.Journal, cfg.CheckpointDir, &s.memo)
 	if err != nil {
 		s.cellCancel()
 		return nil, err
@@ -193,9 +193,6 @@ func (s *Server) Run(ctx context.Context) error {
 	}
 	return nil
 }
-
-// Draining reports whether shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // worker is one pool goroutine: pop a cell under fair share, resolve
 // it through the memo (single-flight) or compute it under the
@@ -300,13 +297,6 @@ func (s *Server) ckptPath(ckey string) string { return checkpoint.Path(s.cfg.Che
 // settle journals the outcome, updates counters and idles the worker.
 func (s *Server) settle(id int, c *cellState, out lifecycle.Outcome, cached bool) {
 	s.q.complete(c, out, cached)
-	// A terminal cell no longer needs its recovery state; a canceled
-	// cell of a deleted sweep will never run again, so its checkpoint
-	// goes too. A drain-canceled cell keeps its checkpoint — that is
-	// the state the restart resumes from.
-	if out.Status.Terminal() || s.q.sweepCanceled(c.sweep) {
-		_ = checkpoint.Remove(s.ckptPath(c.ckey))
-	}
 	s.stats.add(func(b *statsBook) {
 		switch out.Status {
 		case lifecycle.StatusOK:

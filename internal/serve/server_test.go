@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -527,4 +528,48 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal(msg)
+}
+
+// TestServerListSweeps: GET /v1/sweeps lists the caller's sweeps in
+// submission order and no other tenant's, a tenant with none gets an
+// empty list rather than null, and a malformed tenant is a 400.
+func TestServerListSweeps(t *testing.T) {
+	_, hs := testServer(t, Config{}, false)
+	_, a1 := submit(t, hs, "alice", testSpec(t, 0.2))
+	_, b1 := submit(t, hs, "bob", testSpec(t, 0.2))
+	_, a2 := submit(t, hs, "alice", testSpec(t, 0.8))
+	list := func(tenant string) []string {
+		t.Helper()
+		resp, body := get(t, hs, tenant, "/v1/sweeps")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("list for %q: %d %s", tenant, resp.StatusCode, body)
+		}
+		var doc struct{ Sweeps []SweepView }
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Sweeps == nil {
+			t.Fatalf("list for %q has no sweeps array: %s", tenant, body)
+		}
+		var ids []string
+		for _, v := range doc.Sweeps {
+			if v.Tenant != tenant {
+				t.Errorf("%q's list holds %q's sweep %s", tenant, v.Tenant, v.ID)
+			}
+			ids = append(ids, v.ID)
+		}
+		return ids
+	}
+	if got, want := list("alice"), []string{a1.ID, a2.ID}; !reflect.DeepEqual(got, want) {
+		t.Errorf("alice lists %v, want %v", got, want)
+	}
+	if got, want := list("bob"), []string{b1.ID}; !reflect.DeepEqual(got, want) {
+		t.Errorf("bob lists %v, want %v", got, want)
+	}
+	if got := list("carol"); len(got) != 0 {
+		t.Errorf("carol lists %v, want none", got)
+	}
+	if resp, _ := get(t, hs, "Not A Tenant", "/v1/sweeps"); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("list with a malformed tenant = %d, want 400", resp.StatusCode)
+	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -82,5 +83,37 @@ func TestDeadlockErrorRendering(t *testing.T) {
 	deadEnd := &DeadlockError{Cycle: 512, Window: 256, Chain: chain[:1], Cyclic: false}
 	if ds := deadEnd.Error(); !strings.Contains(ds, "no progress") || strings.Contains(ds, "deadlock cycle") {
 		t.Errorf("dead-ended chain mislabeled: %q", ds)
+	}
+}
+
+// TestErrorTexts pins the first line a failing run prints for each of
+// the run's other error types, and that a cycle-limit report carries
+// its state dump.
+func TestErrorTexts(t *testing.T) {
+	cases := []struct {
+		err  error
+		want string
+	}{
+		{
+			&CoherenceViolationError{Line: 0x4c0, Holders: []Holder{{Core: 0, State: 3}, {Core: 2, State: 1}}},
+			"coherence violation: line 0x4c0 held exclusively but valid in 2 caches ([{0 3} {2 1}])",
+		},
+		{
+			&CycleLimitError{MaxCycles: 300, Cycle: 301},
+			"sim: exceeded MaxCycles=300 at cycle 301",
+		},
+		{
+			&CycleLimitError{MaxCycles: 300, Cycle: 301, Dump: "core0{...}"},
+			"sim: exceeded MaxCycles=300 at cycle 301\ncore0{...}",
+		},
+		{
+			&RunCanceledError{Cycle: 4096, Cause: context.DeadlineExceeded},
+			"sim: run stopped at cycle 4096: context deadline exceeded",
+		},
+	}
+	for _, tc := range cases {
+		if got := tc.err.Error(); got != tc.want {
+			t.Errorf("%T:\n got %q\nwant %q", tc.err, got, tc.want)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -180,4 +182,54 @@ func TestDeterministicReplay(t *testing.T) {
 	if a != b {
 		t.Fatalf("nondeterministic replay:\nfirst  %+v\nsecond %+v", a, b)
 	}
+}
+
+// dropContendedUnblock is a perturber that loses the first Unblock or
+// UnblockX for a line two cores have requested, and delivers every
+// other message untouched.
+type dropContendedUnblock struct {
+	askers  map[uint64]uint64 // line -> bit mask of requesting cores
+	dropped *coherence.Msg
+}
+
+func (d *dropContendedUnblock) Perturb(m *coherence.Msg) []uint64 {
+	switch {
+	case d.dropped != nil:
+	case m.Type == coherence.MsgGetS || m.Type == coherence.MsgGetX:
+		d.askers[m.Line] |= 1 << uint(m.Src)
+	case m.Type == coherence.MsgUnblock || m.Type == coherence.MsgUnblockX:
+		if bits.OnesCount64(d.askers[m.Line]) >= 2 {
+			lost := *m
+			d.dropped = &lost
+			return nil
+		}
+	}
+	return []uint64{0}
+}
+
+// TestDeadlockChainThroughBlockedLine: a lost Unblock leaves its
+// directory line blocked, so the next core to ask for the contended
+// line queues behind a transaction that never closes. The diagnoser's
+// chain must walk from that core through the bank, name the Unblock
+// the bank still awaits, and end at the requestor that sent it.
+func TestDeadlockChainThroughBlockedLine(t *testing.T) {
+	s := contendedSystem(t, 4)
+	drop := &dropContendedUnblock{askers: map[uint64]uint64{}}
+	s.mesh.SetPerturber(drop)
+	_, err := s.Run()
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("want *DeadlockError, got %T: %v", err, err)
+	}
+	if drop.dropped == nil {
+		t.Fatal("no Unblock was sent")
+	}
+	req, bank := drop.dropped.Src, drop.dropped.Dst-4
+	want := fmt.Sprintf("bank %d: awaiting Unblock from requestor %d -> core %d", bank, req, req)
+	for _, e := range de.Chain {
+		if e.Line == drop.dropped.Line && strings.Contains(e.String(), want) {
+			return
+		}
+	}
+	t.Fatalf("no hop of the chain reads %q for line %#x:\n%v", want, drop.dropped.Line, de)
 }

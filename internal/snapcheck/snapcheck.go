@@ -27,7 +27,7 @@ import (
 // derived (deliberately not captured, mapped to the reason why that is
 // sound). A name in neither list, in both lists, or naming no field at
 // all (a stale entry after a rename) is a failure.
-func Assert(t *testing.T, live any, serialized []string, derived map[string]string) {
+func Assert(t testing.TB, live any, serialized []string, derived map[string]string) {
 	t.Helper()
 	typ := reflect.TypeOf(live)
 	for typ.Kind() == reflect.Pointer {

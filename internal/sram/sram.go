@@ -85,9 +85,6 @@ func New(sizeBytes, ways, lineBytes int) *Array {
 // Sets returns the number of sets.
 func (a *Array) Sets() int { return a.sets }
 
-// Ways returns the associativity.
-func (a *Array) Ways() int { return a.ways }
-
 func (a *Array) setIndex(line uint64) int {
 	return int((line >> a.lineShift) & uint64(a.sets-1))
 }
