@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		banks     = fs.Int("banks", 1, "number of directory banks (1..2)")
 		ops       = fs.Int("ops", 3, "per-core program length (generated workload)")
 		mode      = fs.String("mode", "both", "issue discipline: eager, lazy or both")
-		net       = fs.String("net", "both", "network envelope: chan (per-channel FIFO), fifo (global FIFO) or both")
 		bug       = fs.String("bug", "", "seed a protocol bug: getx-as-gets, drop-unblock, drop-inv")
 		maxStates = fs.Uint64("max-states", 0, "truncate each search after this many states (0: unlimited)")
 		wall      = fs.Duration("wall", 0, "wall-clock cap across the whole matrix (0: none)")
@@ -62,11 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "rowcheck:", err)
 		return 2
 	}
-	nets, err := pick(*net, "chan", "fifo")
-	if err != nil {
-		fmt.Fprintln(stderr, "rowcheck:", err)
-		return 2
-	}
 
 	var stop func() bool
 	if *wall > 0 {
@@ -77,46 +71,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rep := report{}
 	worst := 0
 	for _, mo := range modes {
-		for _, ne := range nets {
-			cfg := mcheck.Config{
-				Cores: *cores, Lines: *lines, Banks: *banks, Ops: *ops,
-				Lazy: mo == "lazy", PerChannel: ne == "chan",
-				Bug: *bug, MaxStates: *maxStates, StopAfter: stop,
-			}
-			name := fmt.Sprintf("rowcheck/%s/%s/c%dl%db%d", mo, ne, *cores, *lines, *banks)
-			start := time.Now()
-			res, err := mcheck.Check(cfg)
-			if err != nil {
-				fmt.Fprintf(stderr, "rowcheck: %s: %v\n", name, err)
-				return 2
-			}
-			ent := matrixEntry{
-				Name:        name,
-				WallNS:      time.Since(start).Nanoseconds(),
-				Visited:     res.Stats.Visited,
-				Transitions: res.Stats.Transitions,
-				MaxDepth:    res.Stats.MaxDepth,
-				Truncated:   res.Stats.Truncated,
-			}
-			switch {
-			case res.Violation != nil:
-				ent.Violation = res.Violation.Kind
-				fmt.Fprintf(stdout, "FAIL %s: %s\n", name, res.Violation.Error())
-				fmt.Fprintf(stdout, "  witness (%d choices): %v\n", len(res.Violation.Trace), res.Violation.Trace)
-				fmt.Fprintf(stdout, "  replay: rowtorture -replay '%s'\n", res.Violation.Spec)
-				worst = max(worst, 1)
-			case res.Stats.Truncated:
-				fmt.Fprintf(stdout, "TRUNCATED %s: %d states visited (cap hit before exhaustion)\n", name, res.Stats.Visited)
-				worst = max(worst, 2)
-			default:
-				if !*quiet {
-					fmt.Fprintf(stdout, "ok   %s: %d states, %d transitions, depth %d, %s — all invariants hold\n",
-						name, res.Stats.Visited, res.Stats.Transitions, res.Stats.MaxDepth,
-						time.Since(start).Round(time.Millisecond))
-				}
-			}
-			rep.Entries = append(rep.Entries, ent)
+		cfg := mcheck.Config{
+			Cores: *cores, Lines: *lines, Banks: *banks, Ops: *ops, Lazy: mo == "lazy",
+			Bug: *bug, MaxStates: *maxStates, StopAfter: stop,
 		}
+		name := fmt.Sprintf("rowcheck/%s/c%dl%db%d", mo, *cores, *lines, *banks)
+		start := time.Now()
+		res, err := mcheck.Check(cfg)
+		if err != nil {
+			fmt.Fprintf(stderr, "rowcheck: %s: %v\n", name, err)
+			return 2
+		}
+		ent := matrixEntry{
+			Name:        name,
+			WallNS:      time.Since(start).Nanoseconds(),
+			Visited:     res.Stats.Visited,
+			Transitions: res.Stats.Transitions,
+			MaxDepth:    res.Stats.MaxDepth,
+			Truncated:   res.Stats.Truncated,
+		}
+		switch {
+		case res.Violation != nil:
+			ent.Violation = res.Violation.Kind
+			fmt.Fprintf(stdout, "FAIL %s: %s\n", name, res.Violation.Error())
+			fmt.Fprintf(stdout, "  witness (%d choices): %v\n", len(res.Violation.Trace), res.Violation.Trace)
+			fmt.Fprintf(stdout, "  replay: rowtorture -replay '%s'\n", res.Violation.Spec)
+			worst = max(worst, 1)
+		case res.Stats.Truncated:
+			fmt.Fprintf(stdout, "TRUNCATED %s: %d states visited (cap hit before exhaustion)\n", name, res.Stats.Visited)
+			worst = max(worst, 2)
+		default:
+			if !*quiet {
+				fmt.Fprintf(stdout, "ok   %s: %d states, %d transitions, depth %d, %s — all invariants hold\n",
+					name, res.Stats.Visited, res.Stats.Transitions, res.Stats.MaxDepth,
+					time.Since(start).Round(time.Millisecond))
+			}
+		}
+		rep.Entries = append(rep.Entries, ent)
 	}
 
 	if *benchJSON != "" {

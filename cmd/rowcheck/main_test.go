@@ -16,10 +16,9 @@ func capture(args ...string) (stdout, stderr string, code int) {
 	return o.String(), e.String(), code
 }
 
-// TestStateCountsMatchRecord: three exhaustive searches (eager and
-// lazy, per-channel and global FIFO each) explore exactly the states,
-// transitions and depth scripts/rowcheck_states.txt records, one line
-// a search. A change to the protocol, the directory or the state
+// TestStateCountsMatchRecord: three invocations, each an exhaustive
+// eager and lazy search, explore exactly the states, transitions and
+// depth scripts/rowcheck_states.txt records, one line a search. A change to the protocol, the directory or the state
 // encoding that moves a count fails here; one that moves it on purpose
 // updates the file and says why.
 func TestStateCountsMatchRecord(t *testing.T) {

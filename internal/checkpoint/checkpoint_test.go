@@ -11,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
+	"syscall"
 	"testing"
 
 	"rowsim/internal/config"
@@ -298,6 +300,30 @@ func TestFailedSaveLeavesNoTemporary(t *testing.T) {
 	}
 	if _, meta, err := Load(path, "k"); err != nil || meta.Cycle != 4096 {
 		t.Fatalf("lineage damaged by a failed Save: meta=%+v err=%v", meta, err)
+	}
+}
+
+// TestUnwritableCheckpointFailsRun: a checkpoint path whose parent is
+// a regular file cannot be created (ENOTDIR; permission bits would not
+// stop a root test run). The run stops at its first checkpoint with an
+// error naming the cycle, and Save returns the same cause and leaves
+// nothing behind.
+func TestUnwritableCheckpointFailsRun(t *testing.T) {
+	dir := t.TempDir()
+	parent := filepath.Join(dir, "file")
+	if err := os.WriteFile(parent, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(parent, "run.ckpt")
+	_, err := spsSystem(t, 2, 4000, sim.WithCheckpoint(2048, Saver(path, "k"))).Run()
+	if err == nil || !strings.Contains(err.Error(), "checkpoint at cycle 2048") || !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("run with an unwritable checkpoint: %v", err)
+	}
+	if err := Save(path, "k", tinySnap()); !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("Save: %v, want ENOTDIR", err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("a failed Save left files behind: %v %v", ents, err)
 	}
 }
 

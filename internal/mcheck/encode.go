@@ -18,12 +18,11 @@ import (
 // A line permutation is admissible only when it acts consistently on
 // banks: line l lives on bank l%banks, so mapping l to λ(l) forces
 // bank l%banks to map to λ(l)%banks, and two lines of the same bank
-// must agree. The per-channel network encoding emits each (src,dst)
-// channel's queue separately in send order and discards cross-channel
-// send-order: under the per-channel discipline two states whose
-// channels hold the same sequences are bisimilar even if their global
-// send interleavings differ. Under global FIFO the whole queue is one
-// sequence, so cross-channel order is kept.
+// must agree. The network encoding emits each (src,dst) channel's
+// queue separately in send order and discards cross-channel send
+// order: under per-channel FIFO two states whose channels hold the
+// same sequences are bisimilar even if their global send interleavings
+// differ.
 
 // perm is one admissible relabeling: cores[old] = new core id,
 // lines[old] = new line index, banks[old] = new bank index.
@@ -146,7 +145,6 @@ func (m *Model) encodeMsg(e *encoder, p *perm, msg coherence.Msg) {
 func (m *Model) encodeWith(e *encoder, p *perm) {
 	e.bool(m.bugFired)
 	e.bool(m.cfg.Lazy)
-	e.bool(m.cfg.PerChannel)
 
 	for newC := 0; newC < m.cfg.Cores; newC++ {
 		c := m.cores[p.invCores[newC]]
@@ -260,29 +258,22 @@ func (m *Model) encodeWith(e *encoder, p *perm) {
 	m.mesh.ForEachPending(func(seq uint64, msg coherence.Msg) {
 		m.pendBuf = append(m.pendBuf, msg)
 	})
-	if m.cfg.PerChannel {
-		// Per-channel queues in relabeled channel order; cross-channel
-		// send order deliberately discarded.
-		for newSrc := 0; newSrc < m.nodes; newSrc++ {
-			for newDst := 0; newDst < m.nodes; newDst++ {
-				n := 0
-				for _, msg := range m.pendBuf {
-					if m.relNode(p, msg.Src) == newSrc && m.relNode(p, msg.Dst) == newDst {
-						n++
-					}
-				}
-				e.b(byte(n))
-				for _, msg := range m.pendBuf {
-					if m.relNode(p, msg.Src) == newSrc && m.relNode(p, msg.Dst) == newDst {
-						m.encodeMsg(e, p, msg)
-					}
+	// Per-channel queues in relabeled channel order; cross-channel send
+	// order deliberately discarded.
+	for newSrc := 0; newSrc < m.nodes; newSrc++ {
+		for newDst := 0; newDst < m.nodes; newDst++ {
+			n := 0
+			for _, msg := range m.pendBuf {
+				if m.relNode(p, msg.Src) == newSrc && m.relNode(p, msg.Dst) == newDst {
+					n++
 				}
 			}
-		}
-	} else {
-		e.b(byte(len(m.pendBuf)))
-		for _, msg := range m.pendBuf {
-			m.encodeMsg(e, p, msg)
+			e.b(byte(n))
+			for _, msg := range m.pendBuf {
+				if m.relNode(p, msg.Src) == newSrc && m.relNode(p, msg.Dst) == newDst {
+					m.encodeMsg(e, p, msg)
+				}
+			}
 		}
 	}
 }

@@ -18,10 +18,10 @@
 // executing the atomic that holds it is always a choice. Between
 // choices the model "settles": cache pipeline events are drained to
 // completion, so every visited state is a quiescent point where only
-// choice-driven progress remains. Two network disciplines bound the
-// legal delivery orders: per-channel FIFO (what the timed mesh
-// guarantees under the fault injector's legal reorderings) and global
-// FIFO (no reordering at all).
+// choice-driven progress remains. Deliveries follow per-channel FIFO,
+// what the timed mesh guarantees under the fault injector's legal
+// reorderings; it includes global send order (no reordering at all),
+// so a search under that order would find nothing this one misses.
 //
 // Every state is checked for swmr, owner, data-value and protocol,
 // every leaf also for stuck-blocked and deadlock
@@ -90,11 +90,6 @@ type Config struct {
 	// Lazy selects the lazy RoW issue discipline: one operation in
 	// flight per core. Eager allows a window of two.
 	Lazy bool
-
-	// PerChannel selects the per-channel-FIFO network envelope (every
-	// channel's oldest message is deliverable — covers the legal fault
-	// reorderings). False checks the single global-FIFO order.
-	PerChannel bool
 
 	// Bug seeds a protocol mutation into the first matching message
 	// delivered to bank 0: "" (none), "getx-as-gets", "drop-unblock", "drop-inv".
@@ -481,7 +476,7 @@ func (m *Model) enabled(dst []choice) []choice {
 			}
 		}
 	}
-	m.delivBuf = m.mesh.Deliverables(m.cfg.PerChannel, m.delivBuf)
+	m.delivBuf = m.mesh.Deliverables(m.delivBuf)
 	for _, d := range m.delivBuf {
 		dst = append(dst, choice{kind: chDeliver, seq: d.Seq, src: d.Src, dst: d.Dst})
 	}

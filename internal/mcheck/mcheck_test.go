@@ -10,33 +10,27 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden witness files")
 
-// TestCleanMatrix exhausts the smallest configuration under every
-// mode/network combination: the unmodified protocol must satisfy every
-// invariant in the entire reachable state space.
+// TestCleanMatrix exhausts the smallest configuration under each
+// mode: the unmodified protocol must satisfy every invariant in the
+// entire reachable state space.
 func TestCleanMatrix(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
-		for _, perChannel := range []bool{false, true} {
-			name := modeName(lazy) + "/" + netName(perChannel)
-			t.Run(name, func(t *testing.T) {
-				res, err := Check(Config{
-					Cores: 2, Lines: 1, Banks: 1, Ops: 3,
-					Lazy: lazy, PerChannel: perChannel,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Stats.Truncated {
-					t.Fatal("search truncated without a cap")
-				}
-				if res.Violation != nil {
-					t.Fatalf("clean protocol violated %s: %s\nspec: %s",
-						res.Violation.Kind, res.Violation.Detail, res.Violation.Spec)
-				}
-				if res.Stats.Visited < 100 {
-					t.Fatalf("suspiciously small state space: %d states", res.Stats.Visited)
-				}
-			})
-		}
+		t.Run(modeName(lazy), func(t *testing.T) {
+			res, err := Check(Config{Cores: 2, Lines: 1, Banks: 1, Ops: 3, Lazy: lazy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Truncated {
+				t.Fatal("search truncated without a cap")
+			}
+			if res.Violation != nil {
+				t.Fatalf("clean protocol violated %s: %s\nspec: %s",
+					res.Violation.Kind, res.Violation.Detail, res.Violation.Spec)
+			}
+			if res.Stats.Visited < 100 {
+				t.Fatalf("suspiciously small state space: %d states", res.Stats.Visited)
+			}
+		})
 	}
 }
 
@@ -131,11 +125,11 @@ func TestReplayRejectsBadSpecs(t *testing.T) {
 	}{
 		{"empty", ""},
 		{"wrong-magic", "rowtorture v1 cores=2"},
-		{"bad-field", "mcheck v1 cores=2 lines=1 banks=1 mode=eager net=fifo prog=L0/L0 bogus=1"},
-		{"bad-mode", "mcheck v1 cores=2 lines=1 banks=1 mode=sideways net=fifo prog=L0/L0"},
-		{"prog-count", "mcheck v1 cores=2 lines=1 banks=1 mode=eager net=fifo prog=L0"},
-		{"line-range", "mcheck v1 cores=2 lines=1 banks=1 mode=eager net=fifo prog=L5/L0"},
-		{"dead-label", "mcheck v1 cores=2 lines=1 banks=1 mode=eager net=fifo prog=L0/L0 trace=x0.0"},
+		{"bad-field", "mcheck v1 cores=2 lines=1 banks=1 mode=eager prog=L0/L0 bogus=1"},
+		{"bad-mode", "mcheck v1 cores=2 lines=1 banks=1 mode=sideways prog=L0/L0"},
+		{"prog-count", "mcheck v1 cores=2 lines=1 banks=1 mode=eager prog=L0"},
+		{"line-range", "mcheck v1 cores=2 lines=1 banks=1 mode=eager prog=L5/L0"},
+		{"dead-label", "mcheck v1 cores=2 lines=1 banks=1 mode=eager prog=L0/L0 trace=x0.0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -150,7 +144,7 @@ func TestReplayRejectsBadSpecs(t *testing.T) {
 // rendered output (the property rowtorture -replay depends on).
 func TestSpecRoundTrip(t *testing.T) {
 	cfg := Config{
-		Cores: 3, Lines: 2, Banks: 2, Lazy: true, PerChannel: true, Bug: "drop-inv",
+		Cores: 3, Lines: 2, Banks: 2, Lazy: true, Bug: "drop-inv",
 		Progs: [][]Op{
 			{{OpRMW, 0}, {OpLoad, 1}},
 			{{OpStore, 1}, {OpFar, 0}},
@@ -179,7 +173,7 @@ func TestLostRequestIsDeadlock(t *testing.T) {
 	}
 	m.settle()
 	applyTrace(t, m, []string{"i0"})
-	lost := m.mesh.Deliverables(false, nil)
+	lost := m.mesh.Deliverables(nil)
 	if len(lost) != 1 {
 		t.Fatalf("issuing the load queued %d messages, want its one request", len(lost))
 	}

@@ -63,9 +63,9 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 // canonical state — no leakage from the first continuation into the
 // second.
 func TestRestoreIsolation(t *testing.T) {
-	// Per-channel network: both cores' requests are deliverable
-	// independently, so the two continuations below diverge.
-	m, err := NewModel(Config{Cores: 2, Lines: 1, Banks: 1, Ops: 3, PerChannel: true})
+	// Both cores' requests are deliverable independently (two
+	// channels), so the two continuations below diverge.
+	m, err := NewModel(Config{Cores: 2, Lines: 1, Banks: 1, Ops: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 
 // One-line witness specs. A violation found by Check is emitted as
 //
-//	mcheck v1 cores=2 lines=1 banks=1 mode=eager net=chan \
+//	mcheck v1 cores=2 lines=1 banks=1 mode=eager \
 //	    bug=getx-as-gets prog=R0.L0.S0/L0.R0.S0 trace=i0,d0-2,...
 //
 // and replayed — against the same real component stack — by Replay,
@@ -22,8 +22,8 @@ import (
 // FormatSpec renders a replayable one-line witness.
 func FormatSpec(cfg Config, trace []string) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "mcheck v1 cores=%d lines=%d banks=%d mode=%s net=%s",
-		cfg.Cores, cfg.Lines, cfg.Banks, modeName(cfg.Lazy), netName(cfg.PerChannel))
+	fmt.Fprintf(&sb, "mcheck v1 cores=%d lines=%d banks=%d mode=%s",
+		cfg.Cores, cfg.Lines, cfg.Banks, modeName(cfg.Lazy))
 	if cfg.Bug != "" {
 		fmt.Fprintf(&sb, " bug=%s", cfg.Bug)
 	}
@@ -57,13 +57,6 @@ func modeName(lazy bool) string {
 		return "lazy"
 	}
 	return "eager"
-}
-
-func netName(perChannel bool) string {
-	if perChannel {
-		return "chan"
-	}
-	return "fifo"
 }
 
 // ParseSpec parses a witness line back into a configuration and a
@@ -102,15 +95,6 @@ func ParseSpec(spec string) (Config, []string, error) {
 				cfg.Lazy = true
 			default:
 				return Config{}, nil, fmt.Errorf("mcheck: bad mode=%q", v)
-			}
-		case "net":
-			switch v {
-			case "chan":
-				cfg.PerChannel = true
-			case "fifo":
-				cfg.PerChannel = false
-			default:
-				return Config{}, nil, fmt.Errorf("mcheck: bad net=%q", v)
 			}
 		case "bug":
 			cfg.Bug = v

@@ -9,7 +9,8 @@ import (
 )
 
 // TestCoherenceInvariantUnderContention runs a heavily contended
-// workload with the single-writer/multiple-reader checker armed.
+// workload under each policy, then drains the system and checks the
+// single-writer/multiple-reader invariant over every cache.
 func TestCoherenceInvariantUnderContention(t *testing.T) {
 	for _, pol := range []config.AtomicPolicy{
 		config.PolicyEager, config.PolicyLazy, config.PolicyRoW, config.PolicyFar,
@@ -19,11 +20,14 @@ func TestCoherenceInvariantUnderContention(t *testing.T) {
 		cfg.Policy = pol
 		cfg.MaxCycles = 50_000_000
 		progs := workload.Generate(workload.MustGet("pc"), 8, 3000, 5)
-		s, err := New(cfg, progs, WithInvariantChecks(64))
+		s, err := New(cfg, progs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Run(); err != nil {
+			t.Fatalf("policy %v: %v", pol, err)
+		}
+		if err := s.Quiesce(); err != nil {
 			t.Fatalf("policy %v: %v", pol, err)
 		}
 	}
@@ -47,15 +51,14 @@ func TestCoherenceInvariantMixedSharing(t *testing.T) {
 	cfg.NumCores = 4
 	cfg.MaxCycles = 20_000_000
 	progs := []trace.Program{mk(true), mk(false), mk(true), mk(false)}
-	s, err := New(cfg, progs, WithInvariantChecks(32))
+	s, err := New(cfg, progs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// A final explicit check at quiescence.
-	if err := s.CheckCoherence(); err != nil {
+	if err := s.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -12,7 +12,7 @@ type Holder struct {
 }
 
 // CoherenceViolationError reports a broken single-writer/multiple-
-// reader invariant found by CheckCoherence: a line held exclusively by
+// reader invariant found by Quiesce: a line held exclusively by
 // one core while valid in other caches.
 type CoherenceViolationError struct {
 	Line    uint64
@@ -99,9 +99,11 @@ func (e WaitEdge) String() string {
 }
 
 // DeadlockError reports the no-progress watchdog firing, with the
-// wait-for chain starting at the stuck core. Cyclic is true when the
-// chain closes on itself — a genuine cross-core deadlock — and false
-// when it dead-ends (e.g. a message lost to fault injection).
+// wait-for chain starting at the stuck core, or Quiesce finding a bank
+// still busy once every core finished (no chain then: no core waits).
+// Cyclic is true when the chain closes on itself — a genuine
+// cross-core deadlock — and false when it dead-ends (e.g. a message
+// lost to fault injection).
 type DeadlockError struct {
 	Cycle  uint64
 	Window uint64 // cycles without a commit before firing

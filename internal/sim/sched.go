@@ -53,9 +53,10 @@ const (
 //     same mesh sequence number and the same fault injector RNG draw
 //     whichever nodes were skipped.
 //   - Maintenance bounds: a jump never overshoots the next multiple
-//     of 1024 or checkEvery, or MaxCycles+1, so the watchdog, context
-//     poll, coherence check, checkpoints and the cycle budget fire at
-//     identical simulated cycles.
+//     of 1024 or MaxCycles+1, so the watchdog, context poll,
+//     checkpoints and the cycle budget fire at identical simulated
+//     cycles. The coherence check bounds no jump: it runs in Quiesce,
+//     once the run is over and the system has drained.
 func (s *System) run(ctx context.Context, ms *maintState) (Result, error) {
 	n := len(s.caches)
 	cacheWake := make([]uint64, n)
@@ -193,16 +194,11 @@ func crossCheckFailed(kind string, i int, what string, cyc uint64) {
 }
 
 // nextTarget computes the next cycle anything can happen at: the
-// earliest component wake-up, bounded by the maintenance cadences so
-// watchdog/poll/checkpoint/coherence checks and the cycle budget fire
-// at the same simulated cycles as when every cycle is visited.
+// earliest component wake-up, bounded by the maintenance cadence so
+// watchdog/poll/checkpoint checks and the cycle budget fire at the
+// same simulated cycles as when every cycle is visited.
 func (s *System) nextTarget(cacheWake, coreWake []uint64) uint64 {
 	target := (s.cycle &^ 1023) + 1024
-	if s.checkEvery > 0 {
-		if t := (s.cycle/s.checkEvery + 1) * s.checkEvery; t < target {
-			target = t
-		}
-	}
 	if s.cfg.MaxCycles > 0 && s.cfg.MaxCycles+1 > s.cycle && s.cfg.MaxCycles+1 < target {
 		target = s.cfg.MaxCycles + 1
 	}

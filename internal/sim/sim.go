@@ -33,7 +33,6 @@ type System struct {
 
 	warmFilter func(core int, line uint64) bool
 	image      *WarmImage // WithWarmImage: read-only, shared with other systems
-	checkEvery uint64
 	crossCheck bool
 
 	ckptEvery uint64
@@ -63,13 +62,6 @@ func WithWarmFilter(f func(core int, line uint64) bool) Option {
 // ignored. The warm filter plays no part: it already shaped the image.
 func WithWarmImage(img *WarmImage) Option {
 	return func(s *System) { s.image = img }
-}
-
-// WithInvariantChecks verifies the single-writer/multiple-reader
-// coherence invariant every interval cycles (expensive; intended for
-// tests). A violation aborts the run with a diagnostic error.
-func WithInvariantChecks(interval uint64) Option {
-	return func(s *System) { s.checkEvery = interval }
 }
 
 // WithFaults installs a fault injector on the interconnect (see the
@@ -291,11 +283,10 @@ type maintState struct {
 }
 
 // postCycle is the epilogue of every simulated cycle: protocol-error
-// surfacing, the cycle budget, the coherence-invariant cadence and the
-// 1024-cycle cold block (context poll, progress watchdog, checkpoints).
-// The loop visits every multiple of 1024 and of checkEvery even when it
-// skips cycles, so maintenance fires at the same simulated cycles under
-// both schedulers.
+// surfacing, the cycle budget and the 1024-cycle cold block (context
+// poll, progress watchdog, checkpoints). The loop visits every multiple
+// of 1024 even when it skips cycles, so maintenance fires at the same
+// simulated cycles under both schedulers.
 func (s *System) postCycle(ctx context.Context, cyc uint64, ms *maintState) error {
 	if pe := s.sink.Err(); pe != nil {
 		pe.Trace = s.mesh.RecentTrace(pe.Line, 32)
@@ -303,11 +294,6 @@ func (s *System) postCycle(ctx context.Context, cyc uint64, ms *maintState) erro
 	}
 	if s.cfg.MaxCycles > 0 && cyc > s.cfg.MaxCycles {
 		return &CycleLimitError{MaxCycles: s.cfg.MaxCycles, Cycle: cyc, Dump: s.dump()}
-	}
-	if s.checkEvery > 0 && cyc%s.checkEvery == 0 {
-		if err := s.CheckCoherence(); err != nil {
-			return fmt.Errorf("sim: cycle %d: %w", cyc, err)
-		}
 	}
 	if cyc&1023 == 0 {
 		if err := ctx.Err(); err != nil {
@@ -368,26 +354,59 @@ func (s *System) MustRun() Result {
 	return r
 }
 
-// CheckCoherence verifies the single-writer/multiple-reader invariant
-// across every private cache: a line held M or E by one core must not
-// be valid anywhere else. Transient windows exist while a transaction
-// is in flight (data sent, old copy being invalidated), so lines with
-// open directory transactions or in-flight messages are skipped; the
-// check is therefore meaningful at quiesced instants and approximate
-// otherwise — still enough to catch protocol regressions in tests.
-func (s *System) CheckCoherence() error {
-	if !s.mesh.Idle() {
-		return nil // messages in flight: transient states expected
+// Quiesce runs after Run and checks the state the run left behind. It
+// advances the mesh, banks and caches with no core ticking until no
+// message is in flight and no cache has work pending, at most
+// watchdogWindow cycles. A bank still holding a transaction then lost a
+// message: Quiesce returns a *DeadlockError whose dump names the bank
+// and the line. Otherwise it checks the single-writer/multiple-reader
+// invariant over every private cache and returns a
+// *CoherenceViolationError for a line held M or E beside another valid
+// copy. A protocol error raised while draining is returned as Run
+// returns one.
+func (s *System) Quiesce() error {
+	n := len(s.caches)
+	cacheWake := make([]uint64, n)
+	coreWake := make([]uint64, n)
+	for i, pc := range s.caches {
+		cacheWake[i] = pc.NextEventAt(s.cycle)
+		coreWake[i] = s.cores[i].NextEventAt(s.cycle)
 	}
+	start := s.cycle
+	for s.busy() && s.cycle-start < watchdogWindow {
+		target := s.cycle + 1
+		if !s.crossCheck {
+			target = s.nextTarget(cacheWake, coreWake)
+		}
+		s.cycle = target
+		s.step(0, cacheWake, coreWake)
+		if pe := s.sink.Err(); pe != nil {
+			pe.Trace = s.mesh.RecentTrace(pe.Line, 32)
+			return pe
+		}
+	}
+	if s.busy() || slices.ContainsFunc(s.dirs, (*coherence.Directory).PendingWork) {
+		return &DeadlockError{Cycle: s.cycle, Window: s.cycle - start,
+			Dump: "\nstill busy after draining with every core done:\n" + s.dump()}
+	}
+	return s.checkCoherence()
+}
+
+// busy reports a message in flight or a private cache with work left.
+func (s *System) busy() bool {
+	return !s.mesh.Idle() || slices.ContainsFunc(s.caches, (*cache.Private).PendingWork)
+}
+
+// checkCoherence is Quiesce's single-writer/multiple-reader check: a
+// line held M or E by one core must not be valid anywhere else. It is
+// only meaningful on a drained system, where no transaction is open.
+func (s *System) checkCoherence() error {
 	type holder struct {
 		core  int
 		state uint8
 	}
 	holders := make(map[uint64][]holder)
 	for i, pc := range s.caches {
-		if pc.PendingWork() {
-			return nil
-		}
 		core := i
 		pc.ForEachLine(func(line uint64, state uint8) {
 			if state == cache.StateI {
@@ -395,11 +414,6 @@ func (s *System) CheckCoherence() error {
 			}
 			holders[line] = append(holders[line], holder{core: core, state: state})
 		})
-	}
-	for _, d := range s.dirs {
-		if d.PendingWork() {
-			return nil
-		}
 	}
 	// Sort the lines so that, when several are in violation, the same
 	// one is reported on every run (the error text reaches logs and

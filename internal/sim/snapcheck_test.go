@@ -21,7 +21,6 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		"sink":       "provably empty at checkpoint instants: RunCtx drains it earlier in the same cold block",
 		"warmFilter": "construction-time option, pure function of the workload params",
 		"image":      "construction-time option, read once by New in place of Warm; what it restores is in the cache and directory snapshots",
-		"checkEvery": "construction-time option",
 		"crossCheck": "construction-time option",
 		"ckptEvery":  "construction-time option (the checkpoint cadence itself)",
 		"ckptFn":     "construction-time option (the checkpoint sink itself)",

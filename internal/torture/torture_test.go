@@ -83,14 +83,13 @@ func TestExecuteMatchesReproLine(t *testing.T) {
 // must agree on everything but the visited-cycle count (faults on).
 func TestExecuteSchedulerEquivalence(t *testing.T) {
 	spec := RunSpec{
-		Seed:       0x9d1,
-		Workload:   "tas",
-		Variant:    "Lazy",
-		Cores:      4,
-		Instrs:     500,
-		Faults:     faults.Config{Seed: 6, JitterProb: 0.25, JitterMax: 12, ReorderProb: 0.05, ReorderMax: 64},
-		CheckEvery: 4096,
-		MaxCycles:  5_000_000,
+		Seed:      0x9d1,
+		Workload:  "tas",
+		Variant:   "Lazy",
+		Cores:     4,
+		Instrs:    500,
+		Faults:    faults.Config{Seed: 6, JitterProb: 0.25, JitterMax: 12, ReorderProb: 0.05, ReorderMax: 64},
+		MaxCycles: 5_000_000,
 	}
 	primary, err := Execute(spec)
 	if err != nil {
@@ -128,6 +127,29 @@ func TestIllegalFaultsAreDetected(t *testing.T) {
 	}
 	if kind := Classify(err); kind != "deadlock" && kind != "cycle-limit" {
 		t.Fatalf("unexpected failure kind %q for: %v", kind, err)
+	}
+}
+
+// TestLostMessageFailsAsDeadlock: this spec's one drop stalls no
+// core, so the run alone completes (the replay, which does not drain,
+// passes); Execute drains it, finds a bank still blocked and fails as a
+// deadlock.
+func TestLostMessageFailsAsDeadlock(t *testing.T) {
+	spec := RunSpec{
+		Seed:      0x77,
+		Workload:  "barnes",
+		Variant:   "Eager",
+		Cores:     4,
+		Instrs:    500,
+		Faults:    faults.Config{Seed: 1, DropProb: 0.001},
+		MaxCycles: 3_000_000,
+	}
+	if _, err := replay(context.Background(), spec); err != nil {
+		t.Fatalf("the run alone: %v", err)
+	}
+	_, err := Execute(spec)
+	if kind := Classify(err); kind != "deadlock" || !strings.Contains(err.Error(), "blocked=true") {
+		t.Fatalf("Execute: %q, want a deadlock naming a blocked line: %v", kind, err)
 	}
 }
 
