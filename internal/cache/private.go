@@ -8,11 +8,11 @@ package cache
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"rowsim/internal/coherence"
 	"rowsim/internal/config"
+	"rowsim/internal/slab"
 	"rowsim/internal/sram"
 	"rowsim/internal/stats"
 )
@@ -80,10 +80,15 @@ const (
 // of cycles) so it only breaks genuine cross-core waiting cycles.
 const releaseAfter = 2048
 
+// stalledRoom is the stalled external requests a cache has room for
+// before its table grows. The bound is one per locked line, an AQ's
+// worth, but no rowperf workload stalls more than 2 at once.
+const stalledRoom = 4
+
 type mshr struct {
 	line        uint64
 	write       bool
-	waiters     []waiter
+	waiters     slab.List // of Private.waits, in arrival order
 	dataArrived bool
 	grant       coherence.GrantState
 	fromPrivate bool
@@ -97,8 +102,10 @@ type waiter struct {
 	write bool
 }
 
-// parkedMiss is a demand miss waiting for a free MSHR.
-type parkedMiss struct {
+// access is a demand access the cache holds in its waits slab: a
+// waiter behind the fill of its line's MSHR, or a miss parked for an
+// MSHR.
+type access struct {
 	line uint64
 	waiter
 }
@@ -117,8 +124,8 @@ type stalledExt struct {
 
 // mshrSet is a dense table of outstanding misses keyed by line. The
 // miss count is bounded by the MSHR limit (16 by default), so a linear
-// scan over a flat array beats a map on every hot-path lookup and,
-// unlike a map of pointers, allocates nothing in steady state.
+// scan over a flat array beats a map on every hot-path lookup, and
+// NewPrivate sizes the table to the limit.
 type mshrSet struct {
 	lines []uint64
 	ms    []mshr
@@ -148,7 +155,6 @@ func (s *mshrSet) remove(line uint64) {
 			s.lines[i] = s.lines[n]
 			s.ms[i] = s.ms[n]
 			s.lines = s.lines[:n]
-			s.ms[n] = mshr{} // drop the tail's waiter-slice reference
 			s.ms = s.ms[:n]
 			return
 		}
@@ -160,7 +166,7 @@ func (s *mshrSet) len() int { return len(s.lines) }
 // stalledSet is the same flat-table idea for stalled external
 // requests; the directory serializes transactions per line, so the
 // set holds at most one entry per locked line and is almost always
-// empty or length one.
+// empty or length one. NewPrivate gives it stalledRoom.
 type stalledSet struct {
 	lines []uint64
 	exts  []stalledExt
@@ -238,16 +244,16 @@ type Private struct {
 	mshrLimit int
 	// parked holds the demand misses that found no MSHR free, oldest
 	// first; Tick hands each freed MSHR to the head.
-	parked     []parkedMiss
+	parked slab.List
+	// waits holds the records of parked and of every MSHR's waiters.
+	// NewPrivate sizes it for two accesses per MSHR; a miss storm that
+	// parks more grows it to its high-water mark.
+	waits      slab.Slab[access]
 	stalled    stalledSet
 	pendingFar map[uint64][]waiter // outstanding far RMWs by line, FIFO
 	// farDeferred holds far RMWs waiting for an in-flight miss on the
 	// same line to retire before they may drop the copy and issue.
 	farDeferred map[uint64][]waiter
-
-	// waiterFree recycles the waiter slices of retired MSHRs so the
-	// steady state allocates none.
-	waiterFree [][]waiter
 
 	// work counts observable actions taken by Tick (event completions,
 	// forced releases). The run loop's cross-check asserts it
@@ -285,6 +291,8 @@ func NewPrivate(coreID int, cfg *config.Config, net coherence.Network, client Cl
 		l1Hit:       m.L1D.HitCycles,
 		l2Hit:       m.L2.HitCycles,
 		mshrLimit:   m.MSHRs,
+		mshrs:       mshrSet{lines: make([]uint64, 0, m.MSHRs), ms: make([]mshr, 0, m.MSHRs)},
+		stalled:     stalledSet{lines: make([]uint64, 0, stalledRoom), exts: make([]stalledExt, 0, stalledRoom)},
 		pendingFar:  make(map[uint64][]waiter),
 		farDeferred: make(map[uint64][]waiter),
 		strides:     make([]strideEntry, 64),
@@ -293,6 +301,7 @@ func NewPrivate(coreID int, cfg *config.Config, net coherence.Network, client Cl
 	}
 	// Every delay push is asked for is one of these two.
 	p.events.init(max(m.L1D.HitCycles, m.L2.HitCycles))
+	p.waits.Reserve(2 * m.MSHRs)
 	p.Stats.MissHist = stats.NewHistogram(1 << 16)
 	return p
 }
@@ -355,7 +364,7 @@ func (p *Private) fail(m *coherence.Msg, reason string) {
 		pe.Line = m.Line
 		if ms := p.mshrs.get(m.Line); ms != nil {
 			pe.State = fmt.Sprintf("mshr{write=%v dataArrived=%v grant=%d acks=%d waiters=%d sentAt=%d}",
-				ms.write, ms.dataArrived, ms.grant, ms.pendingAcks, len(ms.waiters), ms.sentAt)
+				ms.write, ms.dataArrived, ms.grant, ms.pendingAcks, p.waits.Len(ms.waiters), ms.sentAt)
 		}
 	}
 	coherence.Raise(p.sink, pe)
@@ -465,23 +474,23 @@ func (p *Private) startMiss(tag uint64, line uint64, write bool, at uint64, woke
 		// in-flight GetS is re-issued as an upgrade when the read
 		// fill completes (see maybeComplete).
 		if tag != TagPrefetch {
-			m.waiters = append(m.waiters, waiter{tag: tag, at: at, write: write})
+			p.waits.Push(&m.waiters, access{line, waiter{tag: tag, at: at, write: write}})
 		}
 		return
 	}
-	if p.mshrLimit > 0 && (p.mshrs.len() >= p.mshrLimit || len(p.parked) > 0 && !woken) {
+	if p.mshrLimit > 0 && (p.mshrs.len() >= p.mshrLimit || !p.parked.Empty() && !woken) {
 		// All fill buffers busy, or older misses waiting for one:
 		// prefetches drop, demand misses park behind the older ones.
 		if tag == TagPrefetch {
 			return
 		}
 		p.Stats.MSHRFull.Inc()
-		p.parked = append(p.parked, parkedMiss{line: line, waiter: waiter{tag: tag, at: at, write: write}})
+		p.waits.Push(&p.parked, access{line, waiter{tag: tag, at: at, write: write}})
 		return
 	}
-	m := mshr{line: line, write: write, sentAt: p.now, waiters: p.getWaiters()}
+	m := mshr{line: line, write: write, sentAt: p.now}
 	if tag != TagPrefetch {
-		m.waiters = append(m.waiters, waiter{tag: tag, at: at, write: write})
+		p.waits.Push(&m.waiters, access{line, waiter{tag: tag, at: at, write: write}})
 	}
 	p.mshrs.add(line, m)
 	p.Stats.Misses.Inc()
@@ -683,16 +692,17 @@ func (p *Private) maybeComplete(line uint64, msp *mshr) {
 	})
 
 	fillLat := p.now - ms.sentAt
-	if len(ms.waiters) > 0 {
+	if !ms.waiters.Empty() {
 		p.Stats.MissLatency.Observe(float64(fillLat))
 		p.Stats.MissHist.Observe(float64(fillLat))
 	}
 
 	// Serve read-satisfiable waiters, then re-issue writers that a
 	// shared grant cannot satisfy (upgrade). Two passes over the same
-	// slice preserve the historical serve-then-reissue order without a
-	// scratch buffer; the backing array is recycled only after both.
-	for _, w := range ms.waiters {
+	// list preserve the historical serve-then-reissue order without a
+	// scratch buffer; its records are freed only after both.
+	for r := ms.waiters.Front(); r != 0; r = p.waits.Next(r) {
+		w := p.waits.At(r).waiter
 		if w.write && st != StateM && st != StateE {
 			continue
 		}
@@ -706,13 +716,13 @@ func (p *Private) maybeComplete(line uint64, msp *mshr) {
 			FromPrivate: ms.fromPrivate,
 		})
 	}
-	for _, w := range ms.waiters {
-		if w.write && st != StateM && st != StateE {
+	for r := ms.waiters.Front(); r != 0; r = p.waits.Next(r) {
+		if w := p.waits.At(r).waiter; w.write && st != StateM && st != StateE {
 			// GrantS cannot satisfy writers: upgrade.
 			p.startMiss(w.tag, line, true, w.at, false)
 		}
 	}
-	p.putWaiters(ms.waiters)
+	p.waits.Free(ms.waiters)
 
 	// Release far RMWs deferred behind this miss — unless a writer
 	// just re-issued an upgrade above, in which case they stay parked
@@ -723,25 +733,6 @@ func (p *Private) maybeComplete(line uint64, msp *mshr) {
 			p.issueFar(line, w)
 		}
 	}
-}
-
-// getWaiters hands out a recycled zero-length waiter slice (nil when
-// the free list is empty: append then allocates once and the array
-// returns here on retire).
-func (p *Private) getWaiters() []waiter {
-	if n := len(p.waiterFree); n > 0 {
-		w := p.waiterFree[n-1]
-		p.waiterFree = p.waiterFree[:n-1]
-		return w
-	}
-	return nil
-}
-
-func (p *Private) putWaiters(w []waiter) {
-	if cap(w) == 0 {
-		return
-	}
-	p.waiterFree = append(p.waiterFree, w[:0])
 }
 
 // handleExternal processes Inv/FwdGetS/FwdGetX, keeping a copy in the
@@ -868,9 +859,8 @@ func (p *Private) Tick(cycle uint64) {
 	}
 	// An MSHR retires only in Deliver, which the run loop follows with
 	// this Tick, so parked misses need no wake-up time of their own.
-	for len(p.parked) > 0 && p.mshrs.len() < p.mshrLimit {
-		m := p.parked[0]
-		p.parked = slices.Delete(p.parked, 0, 1)
+	for !p.parked.Empty() && p.mshrs.len() < p.mshrLimit {
+		m := p.waits.Pop(&p.parked)
 		p.work++
 		p.startMiss(m.tag, m.line, m.write, m.at, true)
 	}
@@ -901,7 +891,7 @@ func (p *Private) Tick(cycle uint64) {
 // PendingWork reports in-flight or parked misses, queued events or
 // stalled external requests (quiescence check).
 func (p *Private) PendingWork() bool {
-	return p.mshrs.len() > 0 || len(p.parked) > 0 || p.events.n > 0 || p.stalled.len() > 0 ||
+	return p.mshrs.len() > 0 || !p.parked.Empty() || p.events.n > 0 || p.stalled.len() > 0 ||
 		len(p.pendingFar) > 0 || len(p.farDeferred) > 0
 }
 
@@ -923,7 +913,7 @@ func (p *Private) OldestMiss() (line uint64, desc string, ok bool) {
 			ok = true
 		}
 	}
-	for i, m := range p.parked {
+	for i, m := range p.waits.Values(p.parked) {
 		if m.at < best || (m.at == best && m.line < line) {
 			best, line, ok = m.at, m.line, true
 			desc = fmt.Sprintf("miss at cycle %d parked, %d ahead, MSHR file full", m.at, i)
@@ -958,7 +948,7 @@ func (p *Private) DebugMSHRs() []string {
 		line, m := p.mshrs.lines[i], &p.mshrs.ms[i]
 		out = append(out, fmt.Sprintf(
 			"cache%d mshr line=%#x write=%v dataArrived=%v grant=%d acks=%d waiters=%d sentAt=%d",
-			p.coreID, line, m.write, m.dataArrived, m.grant, m.pendingAcks, len(m.waiters), m.sentAt))
+			p.coreID, line, m.write, m.dataArrived, m.grant, m.pendingAcks, p.waits.Len(m.waiters), m.sentAt))
 	}
 	for _, line := range p.stalled.lines {
 		out = append(out, fmt.Sprintf("cache%d stalledExt line=%#x", p.coreID, line))

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 
+	"rowsim/internal/slab"
 	"rowsim/internal/snapcheck"
 )
 
@@ -12,6 +13,7 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 	snapcheck.Assert(t, Private{}, []string{
 		"l1", "l2",
 		"mshrs", "parked", "stalled", "pendingFar", "farDeferred",
+		"waits", // the records of parked and of the MSHRs' waiters, captured through those lists
 		"events", "seq", "now",
 		"strides",
 		"work",
@@ -25,7 +27,6 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		"l1Hit":           "construction-time latency constant",
 		"l2Hit":           "construction-time latency constant",
 		"mshrLimit":       "construction-time capacity constant",
-		"waiterFree":      "allocation recycling free list; contents are by definition unreferenced",
 		"pfDegree":        "construction-time prefetcher constant",
 		"pfConfMin":       "construction-time prefetcher constant",
 		"noForcedRelease": "model-checker mode flag, never set in checkpointed runs",
@@ -41,7 +42,11 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 
 	snapcheck.Assert(t, mshrSet{}, []string{"lines", "ms"}, nil)
 
-	snapcheck.Assert(t, parkedMiss{}, []string{"line", "waiter"}, nil)
+	snapcheck.Assert(t, access{}, []string{"line", "waiter"}, nil)
+
+	snapcheck.Assert(t, slab.Slab[access]{}, []string{"nodes"}, map[string]string{
+		"free": "free list through the slab; Restore starts from an empty slab",
+	})
 
 	snapcheck.Assert(t, event{}, []string{
 		"at", "seq", "kind", "tag", "line", "wr", "lat",

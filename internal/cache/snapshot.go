@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"rowsim/internal/coherence"
+	"rowsim/internal/slab"
 	"rowsim/internal/sram"
 )
 
@@ -117,6 +118,16 @@ func snapWaiters(ws []waiter) []WaiterSnap {
 	return out
 }
 
+// snapWaitList is snapWaiters for a list of the waits slab.
+func (p *Private) snapWaitList(l slab.List) []WaiterSnap {
+	out := make([]WaiterSnap, 0, p.waits.Len(l))
+	for r := l.Front(); r != 0; r = p.waits.Next(r) {
+		w := p.waits.At(r)
+		out = append(out, WaiterSnap{Tag: w.tag, At: w.at, Write: w.write})
+	}
+	return out
+}
+
 func restoreWaiters(ws []WaiterSnap) []waiter {
 	var out []waiter
 	for _, w := range ws {
@@ -153,7 +164,7 @@ func (p *Private) Snapshot() *CacheSnap {
 		s.MSHRs = append(s.MSHRs, MSHRSnap{
 			Line: p.mshrs.lines[i], Write: m.write, DataArrived: m.dataArrived,
 			Grant: m.grant, FromPrivate: m.fromPrivate, PendingAcks: m.pendingAcks,
-			SentAt: m.sentAt, Waiters: snapWaiters(m.waiters),
+			SentAt: m.sentAt, Waiters: p.snapWaitList(m.waiters),
 		})
 	}
 	sort.Slice(s.MSHRs, func(i, j int) bool { return s.MSHRs[i].Line < s.MSHRs[j].Line })
@@ -171,7 +182,7 @@ func (p *Private) Snapshot() *CacheSnap {
 		s.FarDef = append(s.FarDef, FarSnap{Line: line, Waiters: snapWaiters(ws)})
 	}
 	sort.Slice(s.FarDef, func(i, j int) bool { return s.FarDef[i].Line < s.FarDef[j].Line })
-	for _, m := range p.parked {
+	for _, m := range p.waits.Values(p.parked) {
 		s.Parked = append(s.Parked, ParkedSnap{Line: m.line, Tag: m.tag, At: m.at, Write: m.write})
 	}
 	return s
@@ -202,14 +213,19 @@ func (p *Private) Restore(s *CacheSnap) {
 		p.strides[i] = strideEntry{pc: t.PC, lastAddr: t.LastAddr, stride: t.Stride, conf: t.Conf}
 	}
 
+	p.waits.Reset()
 	p.mshrs.lines = p.mshrs.lines[:0]
 	p.mshrs.ms = p.mshrs.ms[:0]
 	for _, ms := range s.MSHRs {
-		p.mshrs.add(ms.Line, mshr{
+		m := mshr{
 			line: ms.Line, write: ms.Write, dataArrived: ms.DataArrived,
 			grant: ms.Grant, fromPrivate: ms.FromPrivate, pendingAcks: ms.PendingAcks,
-			sentAt: ms.SentAt, waiters: restoreWaiters(ms.Waiters),
-		})
+			sentAt: ms.SentAt,
+		}
+		for _, w := range ms.Waiters {
+			p.waits.Push(&m.waiters, access{ms.Line, waiter{tag: w.Tag, at: w.At, write: w.Write}})
+		}
+		p.mshrs.add(ms.Line, m)
 	}
 	p.stalled.lines = p.stalled.lines[:0]
 	p.stalled.exts = p.stalled.exts[:0]
@@ -224,9 +240,9 @@ func (p *Private) Restore(s *CacheSnap) {
 	for _, f := range s.FarDef {
 		p.farDeferred[f.Line] = restoreWaiters(f.Waiters)
 	}
-	p.parked = p.parked[:0]
+	p.parked = slab.List{}
 	for _, m := range s.Parked {
-		p.parked = append(p.parked, parkedMiss{line: m.Line, waiter: waiter{tag: m.Tag, at: m.At, write: m.Write}})
+		p.waits.Push(&p.parked, access{m.Line, waiter{tag: m.Tag, at: m.At, write: m.Write}})
 	}
 }
 
@@ -240,7 +256,7 @@ func (p *Private) MSHRView(line uint64) (MSHRSnap, bool) {
 	return MSHRSnap{
 		Line: line, Write: m.write, DataArrived: m.dataArrived,
 		Grant: m.grant, FromPrivate: m.fromPrivate, PendingAcks: m.pendingAcks,
-		SentAt: m.sentAt, Waiters: snapWaiters(m.waiters),
+		SentAt: m.sentAt, Waiters: p.snapWaitList(m.waiters),
 	}, true
 }
 

@@ -56,12 +56,14 @@ type wheel struct {
 }
 
 // init sizes the wheel to the next power of two above the longest delay
-// it will be asked to hold.
+// it will be asked to hold, and its slab to two events a bucket, which
+// no rowperf workload passes.
 func (w *wheel) init(maxDelay int) {
 	size := 1
 	for size <= maxDelay {
 		size <<= 1
 	}
+	w.slab = make([]event, 0, 2*size)
 	w.head = make([]int32, size)
 	w.tail = make([]int32, size)
 	w.occ = make([]uint64, (size+63)/64)

@@ -3,6 +3,7 @@ package coherence
 import (
 	"fmt"
 
+	"rowsim/internal/slab"
 	"rowsim/internal/sram"
 	"rowsim/internal/stats"
 )
@@ -32,12 +33,12 @@ type pending struct {
 }
 
 // dirEntry is the directory's view of one line. It holds no pointer
-// and fits 32 bytes: a line's stalled requests live in one of the
-// bank's queues, which the entry names by number.
+// and fits 32 bytes: a line's stalled requests are records of the
+// bank's slab, which the entry names by the ends of their list.
 type dirEntry struct {
 	line    uint64
-	sharers uint64 // bitmask over cores (NumCores <= 64)
-	wait    int32  // 1 + the number of the line's queue in Directory.queues; 0 for none
+	sharers uint64    // bitmask over cores (NumCores <= 64)
+	queue   slab.List // requests stalled behind the open transaction, FIFO
 	state   dirState
 	owner   int8
 	blocked bool
@@ -71,13 +72,12 @@ type Directory struct {
 	dramCycles  int
 
 	lines lineTable
-	// queues[q] holds, FIFO, the requests stalled behind the entry whose
-	// wait is q+1. An entry takes a queue when its line blocks and gives
-	// it back, empty, once the line is unblocked with nothing left to
-	// serve; free lists the queues given back, which keep their
-	// capacity for the next transaction.
-	queues [][]Msg
-	free   []int32
+	// stalled holds every entry's queue. A request is queued only behind
+	// a blocked line, and drain empties the queue unless it blocks the
+	// line again, so the records in use are the requests that wait right
+	// now, and the slab grows only past their high-water mark.
+	stalled slab.Slab[Msg]
+	open    int // blocked lines: transactions in flight
 
 	sink *ErrorSink
 	now  uint64
@@ -97,6 +97,14 @@ func NewDirectory(nodeID, bank int, net Network, l3SizeBytes, l3Ways, lineBytes,
 		dramCycles:  dramCycles,
 		lines:       newLineTable(0),
 	}
+}
+
+// Reserve makes room for lines more lines in the bank's index and for
+// requests stalled requests at once, so that neither grows before it
+// holds more.
+func (d *Directory) Reserve(lines, requests int) {
+	d.lines.reserve(lines)
+	d.stalled.Reserve(requests)
 }
 
 // SetErrorSink wires the system-wide protocol-error sink. Without one,
@@ -135,53 +143,35 @@ func (d *Directory) describe(e *dirEntry) string {
 	return fmt.Sprintf("state=%d owner=%d sharers=%#x blocked=%v pend={req=%d write=%v far=%v acks=%d data=%v} waiting=%d",
 		e.state, e.owner, e.sharers, e.blocked,
 		e.pend.requestor, e.pend.isWrite, e.pend.far, e.pend.farAcks, e.pend.farData,
-		len(d.waiting(e)))
+		d.stalled.Len(e.queue))
 }
 
-// waiting returns the requests stalled behind e's line, FIFO.
-func (d *Directory) waiting(e *dirEntry) []Msg {
-	if e.wait == 0 {
-		return nil
-	}
-	return d.queues[e.wait-1]
-}
-
-// block opens a transaction on e's line, giving the entry a queue for
-// the requests that arrive while it is open.
+// block opens a transaction on e's line; the requests that arrive
+// while it is open queue behind it.
 func (d *Directory) block(e *dirEntry, p pending) {
+	if !e.blocked {
+		d.open++
+	}
 	e.blocked, e.pend = true, p
-	if e.wait != 0 {
-		return
-	}
-	if n := len(d.free); n > 0 {
-		e.wait = d.free[n-1] + 1
-		d.free = d.free[:n-1]
-		return
-	}
-	d.queues = append(d.queues, nil)
-	e.wait = int32(len(d.queues))
+}
+
+// unblock closes e's transaction and serves what queued behind it.
+func (d *Directory) unblock(e *dirEntry) {
+	e.blocked, e.pend = false, pending{}
+	d.open--
+	d.drain(e)
 }
 
 // stall queues a copy of m behind e's open transaction.
 func (d *Directory) stall(e *dirEntry, m *Msg) {
-	q := &d.queues[e.wait-1]
-	*q = append(*q, *m)
+	d.stalled.Push(&e.queue, *m)
 }
 
 // drain serves the requests stalled behind e's line, in order, until
-// one blocks the line again; a line left unblocked gives its queue
-// back.
+// one blocks the line again.
 func (d *Directory) drain(e *dirEntry) {
-	for !e.blocked {
-		q := d.queues[e.wait-1]
-		if len(q) == 0 {
-			d.free = append(d.free, e.wait-1)
-			e.wait = 0
-			return
-		}
-		next := q[0] // a copy: the shift below overwrites q[0]
-		copy(q, q[1:])
-		d.queues[e.wait-1] = q[:len(q)-1]
+	for !e.blocked && !e.queue.Empty() {
+		next := d.stalled.Pop(&e.queue)
 		d.serve(&next, e)
 	}
 }
@@ -194,7 +184,7 @@ func (d *Directory) Handle(m Msg) {
 		e := d.lines.get(m.Line)
 		if e.blocked {
 			d.Stats.Stalled.Inc()
-			d.Stats.StallDepth.Observe(float64(len(d.waiting(e))))
+			d.Stats.StallDepth.Observe(float64(d.stalled.Len(e.queue)))
 			d.stall(e, &m)
 			return
 		}
@@ -215,7 +205,7 @@ func (d *Directory) Handle(m Msg) {
 		e := d.lines.get(m.Line)
 		if e.blocked {
 			d.Stats.Stalled.Inc()
-			d.Stats.StallDepth.Observe(float64(len(d.waiting(e))))
+			d.Stats.StallDepth.Observe(float64(d.stalled.Len(e.queue)))
 			d.stall(e, &m)
 			return
 		}
@@ -325,9 +315,7 @@ func (d *Directory) finishFar(line uint64, e *dirEntry) {
 	e.state = dirI
 	e.owner = -1
 	e.sharers = 0
-	e.blocked = false
-	e.pend = pending{}
-	d.drain(e)
+	d.unblock(e)
 }
 
 // dataDelay models the bank-side access needed to source the line:
@@ -454,9 +442,7 @@ func (d *Directory) handleUnblock(m *Msg) {
 			e.state = dirS
 		}
 	}
-	e.blocked = false
-	e.pend = pending{}
-	d.drain(e)
+	d.unblock(e)
 }
 
 // WarmOwned pre-installs a line as exclusively owned by a core (warm
@@ -477,10 +463,10 @@ func (d *Directory) WarmL3(line uint64) {
 }
 
 // PendingWork reports whether the directory still has blocked lines or
-// queued requests (used by the system's quiescence check): whether
-// some entry holds a queue.
+// queued requests (used by the system's quiescence check). A request
+// queues only behind a blocked line, so the blocked lines tell.
 func (d *Directory) PendingWork() bool {
-	return len(d.free) < len(d.queues)
+	return d.open > 0
 }
 
 // WaitingOn reports, for a line with a transaction in flight, which
@@ -522,14 +508,14 @@ func (d *Directory) DebugBlocked() []string {
 	var out []string
 	for _, line := range d.LinesKnown() {
 		e := d.lines.find(line)
-		if !e.blocked && e.wait == 0 {
+		if !e.blocked && e.queue.Empty() {
 			continue
 		}
 		out = append(out, fmt.Sprintf(
 			"bank%d line=%#x state=%d owner=%d blocked=%v pend={req=%d write=%v far=%v acks=%d data=%v} waiting=%d",
 			d.bank, line, e.state, e.owner, e.blocked,
 			e.pend.requestor, e.pend.isWrite, e.pend.far, e.pend.farAcks, e.pend.farData,
-			len(d.waiting(e))))
+			d.stalled.Len(e.queue)))
 	}
 	return out
 }

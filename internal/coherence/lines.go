@@ -17,28 +17,47 @@ const (
 
 // lineTable holds a bank's directory entries by value. The entries sit
 // in insertion order in chunks that never move, so a *dirEntry stays
-// valid while the table grows; each new chunk is as large as the table
-// so far (between minChunk and maxChunk entries). The index is an
-// open-addressed table of refs, probed linearly from the line's hash
-// and kept at most half full, so the whole layout is a function of the
-// lines inserted and their order.
+// valid while the table grows. Restore puts the entries it restores in
+// chunks of their exact size; past them, each new chunk is as large as
+// what was added since the table was made or restored (between minChunk
+// and maxChunk entries), so a restored table that gains a few lines
+// gains a small chunk, not one the size of what it restored. The index
+// is an open-addressed table of refs, probed linearly from the line's
+// hash and kept at most half full; reserve sizes it ahead of a known
+// number of adds. Where an entry sits depends on the lines inserted and
+// their order, and on nothing else.
 type lineTable struct {
 	chunks [][]dirEntry
 	n      int
+	base   int     // entries the table was restored with
 	index  []int32 // 1 + the ref of an entry; 0 is an empty slot
 	shift  uint    // 64 - log2(len(index))
+}
+
+// indexSize is the smallest index that keeps n entries at most half
+// full.
+func indexSize(n int) int {
+	size := minIndex
+	for size < 2*n {
+		size <<= 1
+	}
+	return size
 }
 
 // newLineTable returns an empty table whose index takes n entries
 // without growing.
 func newLineTable(n int) lineTable {
-	size := minIndex
-	for size < 2*n {
-		size <<= 1
-	}
 	var t lineTable
-	t.resize(size)
+	t.resize(indexSize(n))
 	return t
+}
+
+// reserve sizes the index for n more entries, so that adding them does
+// not resize it.
+func (t *lineTable) reserve(n int) {
+	if size := indexSize(t.n + n); size > len(t.index) {
+		t.resize(size)
+	}
 }
 
 // resize replaces the index with one of size slots, a power of two,
@@ -87,7 +106,7 @@ func (t *lineTable) get(line uint64) *dirEntry {
 	if e := t.find(line); e != nil {
 		return e
 	}
-	return t.add(line, min(max(t.n, minChunk), maxChunk))
+	return t.add(line, min(max(t.n-t.base, minChunk), maxChunk))
 }
 
 // add appends an idle dirI entry for line, which the table must not

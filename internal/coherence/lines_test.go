@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -104,8 +105,8 @@ func busyBank(t *testing.T) *Directory {
 // queued counts the requests waiting behind the bank's blocked lines.
 func queued(d *Directory) int {
 	n := 0
-	for _, q := range d.queues {
-		n += len(q)
+	for _, line := range d.LinesKnown() {
+		n += d.stalled.Len(d.lines.find(line).queue)
 	}
 	return n
 }
@@ -258,5 +259,49 @@ func TestDirectorySteadyStateAllocsZero(t *testing.T) {
 	}
 	if d.PendingWork() {
 		t.Fatal("pending work after the rounds")
+	}
+}
+
+// TestRestoredTableFirstChunkAllocs: the first line a restored bank
+// adds takes a chunk sized to what the bank added since the restore,
+// minChunk entries, not one the size of the 1,500 lines it restored
+// (a 1,024-entry, 32 KB chunk before). The index has room for the line,
+// so the bytes the add allocates are the chunk and, at most, a doubled
+// chunk table.
+func TestRestoredTableFirstChunkAllocs(t *testing.T) {
+	src, _ := newDirUnderTest()
+	for i := 0; i < 1500; i++ {
+		src.WarmOwned(uint64(i)*64*8, i%4)
+	}
+	d, _ := newDirUnderTest()
+	d.Restore(src.Snapshot())
+	limit := uint64(minChunk*unsafe.Sizeof(dirEntry{}) + 2*uintptr(len(d.lines.chunks))*unsafe.Sizeof([]dirEntry(nil)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d.lines.get(1500 * 64 * 8)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("the first line after a restore of 1,500 allocates %d bytes; want at most %d", got, limit)
+	}
+	if got := cap(d.lines.chunks[len(d.lines.chunks)-1]); got != minChunk {
+		t.Fatalf("the chunk after the restored ones holds %d entries; want %d", got, minChunk)
+	}
+}
+
+// TestReserveSizesIndex: a table reserved for n more lines adds them
+// without resizing its index.
+func TestReserveSizesIndex(t *testing.T) {
+	tab := newLineTable(0)
+	tab.get(0)
+	tab.reserve(3000)
+	index := &tab.index[0]
+	for i := 1; i <= 3000; i++ {
+		tab.get(uint64(i) * 64 * 8)
+	}
+	if &tab.index[0] != index {
+		t.Fatalf("adding 3,000 reserved lines resized the index to %d slots", len(tab.index))
+	}
+	if tab.n != 3001 || tab.find(3000*64*8) == nil {
+		t.Fatalf("table holds %d lines after 3,001 adds", tab.n)
 	}
 }

@@ -20,17 +20,18 @@
 // run holds hundreds of thousands of them; they are stored by value,
 // not one heap object each. A dirEntry is 32 bytes without a pointer:
 // core numbers are int8 (the sharer mask caps a system at 64 cores),
-// and a line's stalled requests sit in one of the bank's reusable
-// queues, which the entry names by number while its line is blocked.
-// The entries live in a lineTable, in insertion order, in chunks that
-// never move, each as large as the table so far up to 1024 entries
-// (32 KB); an open-addressed []int32 index at most half full finds
-// them by linear probing from a Fibonacci hash of the line. Nothing in
-// the table depends on the host, and nothing walks it in index order:
-// LinesKnown sorts, and PendingWork looks at the queues, not the
-// lines. Restore sizes a table to the snapshot's lines
-// exactly; a fresh bank starts with 8 index slots and grows by
-// doubling.
+// and a line's stalled requests are a FIFO in the bank's slab of
+// requests, which the entry holds by the ends of the list. The entries
+// live in a lineTable, in insertion order, in chunks that never move,
+// each as large as what the table gained since it was made or restored,
+// up to 1024 entries (32 KB); an open-addressed []int32 index at most
+// half full finds them by linear probing from a Fibonacci hash of the
+// line. Nothing in the table depends on the host, and nothing walks it
+// in index order: LinesKnown sorts, and PendingWork counts blocked
+// lines, not entries. Restore sizes a table to the snapshot's lines
+// exactly, and the system's Warm reserves each bank's index for the
+// lines it is about to own (Directory.Reserve); past that, an index
+// grows by doubling from 8 slots.
 package coherence
 
 import "fmt"

@@ -3,6 +3,7 @@ package coherence
 import (
 	"testing"
 
+	"rowsim/internal/slab"
 	"rowsim/internal/snapcheck"
 )
 
@@ -10,9 +11,9 @@ import (
 // the directory bank and its per-line entries.
 func TestSnapshotCoversEveryField(t *testing.T) {
 	snapcheck.Assert(t, Directory{}, []string{
-		"now", "lines", "queues", "l3", "Stats",
+		"now", "lines", "stalled", "l3", "Stats",
 	}, map[string]string{
-		"free":        "empty queues kept for reuse; Restore starts without any, and which queue a line holds is not observable",
+		"open":        "the number of blocked entries, recounted by Restore",
 		"nodeID":      "construction-time identity",
 		"bank":        "construction-time identity",
 		"net":         "wiring; the mesh is snapshotted separately",
@@ -25,14 +26,18 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		"chunks",
 	}, map[string]string{
 		"n":     "the number of entries in chunks, rebuilt by Restore",
+		"base":  "the entries Restore added, set by it; sizes later chunks, not what they hold",
 		"index": "where each line's entry is; Restore builds it anew from the lines",
 		"shift": "the index's size, rebuilt with it",
 	})
 
 	snapcheck.Assert(t, dirEntry{}, []string{
 		"line", "state", "owner", "sharers", "blocked", "pend",
-	}, map[string]string{
-		"wait": "which queue holds the line's stalled requests; the requests are captured as DirTxnSnap.Waiting and Restore hands queues out afresh",
+		"queue", // captured as DirTxnSnap.Waiting, queued again by Restore
+	}, nil)
+
+	snapcheck.Assert(t, slab.Slab[Msg]{}, []string{"nodes"}, map[string]string{
+		"free": "free list through the slab; Restore starts from an empty slab",
 	})
 
 	snapcheck.Assert(t, pending{}, []string{

@@ -74,7 +74,7 @@ func (d *Directory) txn(e *dirEntry) DirTxnSnap {
 		Blocked: e.blocked,
 		Pend:    DirPending{Requestor: int(p.requestor), IsWrite: p.isWrite, Far: p.far, FarAcks: int(p.farAcks), FarData: p.farData},
 	}
-	t.Waiting = append(t.Waiting, d.waiting(e)...)
+	t.Waiting = d.stalled.Values(e.queue)
 	return t
 }
 
@@ -92,7 +92,7 @@ func (d *Directory) Snapshot() *DirSnap {
 	for i, line := range lines {
 		e := d.lines.find(line)
 		s.State[i], s.Owner[i], s.Sharers[i] = uint8(e.state), int(e.owner), e.sharers
-		if e.blocked || e.pend != (pending{}) || e.wait != 0 {
+		if e.blocked || e.pend != (pending{}) || !e.queue.Empty() {
 			s.Busy = append(s.Busy, DirBusySnap{Index: i, DirTxnSnap: d.txn(e)})
 		}
 	}
@@ -123,7 +123,9 @@ func (d *Directory) Restore(s *DirSnap) {
 		e := lines.add(line, n-i)
 		e.state, e.owner, e.sharers = dirState(s.State[i]), int8(s.Owner[i]), s.Sharers[i]
 	}
-	var queues [][]Msg
+	lines.base = n
+	d.stalled.Reset()
+	open := 0
 	prev := -1
 	for _, b := range s.Busy {
 		p := &b.Pend
@@ -137,15 +139,16 @@ func (d *Directory) Restore(s *DirSnap) {
 		e := lines.find(s.Line[b.Index])
 		e.blocked = b.Blocked
 		e.pend = pending{requestor: int8(p.Requestor), isWrite: p.IsWrite, far: p.Far, farAcks: int8(p.FarAcks), farData: p.FarData}
-		if !b.Blocked && len(b.Waiting) == 0 {
-			continue
+		if b.Blocked {
+			open++
 		}
-		queues = append(queues, slices.Clone(b.Waiting))
-		e.wait = int32(len(queues))
+		for _, m := range b.Waiting {
+			d.stalled.Push(&e.queue, m)
+		}
 	}
 	d.now = s.Now
 	d.Stats = s.Stats
-	d.lines, d.queues, d.free = lines, queues, nil
+	d.lines, d.open = lines, open
 	d.l3.Restore(s.L3)
 }
 

@@ -40,6 +40,11 @@
 //     always its tail, begin, and empties the lists of the flushed
 //     producers. Snapshots walk the lists into ROBEntrySnap.Deps, and
 //     Restore relinks them.
+//   - Wait lists and a wheel that do not grow in a run. The execution
+//     wheel's buckets are FIFOs in one slab (package slab), whose freed
+//     records the next events reuse, and the wait lists share one array
+//     that New carves up. New reserves both for what runs hold at once,
+//     so a run allocates only past such a high-water mark.
 package core
 
 import (
@@ -169,14 +174,6 @@ type aqEntry struct {
 	trainable     bool // update the predictor at unlock
 }
 
-// wheelEvent is a scheduled completion inside the core.
-type wheelEvent struct {
-	slot  uint32
-	id    uint64
-	token uint16
-	kind  uint8
-}
-
 const (
 	evALUDone uint8 = iota
 	evLoadAGU
@@ -187,8 +184,6 @@ const (
 	evAtomicRetry    // replay of a force-released lock acquisition
 	evAtomicFwdValue // forwarded RMW result becomes visible to dependents
 )
-
-const wheelSize = 16 // > max internal latency
 
 // Tag encoding for memory responses: slot in the low bits, id above.
 // config.Validate bounds ROBSize by the same constant.
@@ -268,6 +263,9 @@ type Core struct {
 
 	rename [trace.NumRegs]depRef
 
+	// The wait lists. New carves all but the fence lists from one
+	// array (carveWaitLists); the fence lists, which only fenced traces
+	// use, start empty.
 	readyQ       []depRef
 	lazyWait     []depRef // atomics in sWaitLazy
 	storeBlocked []depRef // loads in sWaitStore
@@ -276,8 +274,9 @@ type Core struct {
 	orderWait    []depRef // atomics whose line arrived before an older atomic locked
 	wakeBuf      []depRef // scratch for wakeLockWaiters and checkOrderWait
 	fenceIDs     []uint64 // in-flight fences (and fenced atomics), ascending
+	lockBuf      []uint64 // scratch for flushFrom's released locks, an AQ's worth
 
-	wheel [][]wheelEvent // wheelSize buckets
+	wheel execWheel
 
 	mem *cache.Private
 	bp  *predictor.Branch
@@ -329,13 +328,38 @@ func New(id int, cfg *config.Config, prog trace.Program) *Core {
 		lineShift:   uint8(bits.TrailingZeros(uint(cfg.Mem.LineBytes))),
 	}
 	c.robMask = int64(len(c.rob) - 1)
-	c.wheel = make([][]wheelEvent, wheelSize)
+	c.wheel.slab.Reserve(2 * wheelSize) // two events a bucket, which no rowperf workload passes
+	c.carveWaitLists()
+	c.lockBuf = make([]uint64, 0, cfg.Core.AQSize)
 	c.Stats.LockHold = stats.NewHistogram(1 << 16)
 	if cfg.Policy == config.PolicyRoW {
 		c.cp = predictor.NewContention(cfg)
 	}
 	c.nextID = 1
 	return c
+}
+
+// carveWaitLists gives each wait list but the fence lists its share of
+// one array, sized to what the lists hold at once in runs, so that a
+// run appends to them without allocating. A list of atomics gets a ref
+// per AQ entry, and so do the loads blocked on a store; the ready queue
+// gets twice the issue width. Of rowperf's workloads only the spin lock
+// passes them (54 lock waiters and 26 blocked loads on lockspin-32c).
+// Stale refs (flushed or re-issued entries) stay in a list until its
+// next pass, so no share is a bound: a list that outgrows its share
+// gets an array of its own from append, and its three-index cap keeps
+// it off the next list's share.
+func (c *Core) carveWaitLists() {
+	ready, aq := 2*c.cfg.Core.IssueWidth, c.cfg.Core.AQSize
+	room := make([]depRef, ready+5*aq)
+	carve := func(n int) []depRef {
+		s := room[:0:n]
+		room = room[n:]
+		return s
+	}
+	c.readyQ = carve(ready)
+	c.lazyWait, c.storeBlocked = carve(aq), carve(aq)
+	c.lockWait, c.orderWait, c.wakeBuf = carve(aq), carve(aq), carve(aq)
 }
 
 func nextPow2(n int) int {
@@ -424,8 +448,7 @@ func (c *Core) schedule(lat int, kind uint8, slot uint32, id uint64, token uint1
 		c.fail(fmt.Sprintf("internal latency %d exceeds the %d-cycle execution wheel", lat, wheelSize))
 		lat = wheelSize - 1
 	}
-	b := (c.now + uint64(lat)) % wheelSize
-	c.wheel[b] = append(c.wheel[b], wheelEvent{slot: slot, id: id, token: token, kind: kind})
+	c.wheel.push((c.now+uint64(lat))%wheelSize, wheelEvent{slot: slot, id: id, token: token, kind: kind})
 }
 
 func (c *Core) String() string {

@@ -206,7 +206,7 @@ func TestLatencyPastTheWheelFails(t *testing.T) {
 	if got := pe.Error(); !strings.HasPrefix(got, want) || !strings.Contains(got, "state={core3{") {
 		t.Fatalf("got %q\nwant it to start %q and carry the core's state", got, want)
 	}
-	if ev := c.wheel[wheelSize-1]; len(ev) != 1 || ev[0].slot != 5 || ev[0].id != 9 {
+	if ev := c.wheel.slab.Values(c.wheel.buckets[wheelSize-1]); len(ev) != 1 || ev[0].slot != 5 || ev[0].id != 9 {
 		t.Fatalf("wheel's last bucket holds %v; want the clamped event", ev)
 	}
 }

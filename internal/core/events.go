@@ -47,14 +47,8 @@ func (c *Core) NextEventAt(now uint64) uint64 {
 	// are neither fired early nor missed. Buckets holding only stale
 	// (token-mismatched) events wake the core spuriously once; the
 	// visit clears them.
-	for b := uint64(0); b < wheelSize; b++ {
-		if len(c.wheel[b]) == 0 {
-			continue
-		}
-		t := next + (b+wheelSize-next%wheelSize)%wheelSize
-		if t < at {
-			at = t
-		}
+	if d, ok := c.wheel.ahead(next); ok {
+		at = next + d
 	}
 	// Front end blocked only by the redirect / i-miss bubble.
 	if c.fetchFreeAt > next && c.dispatchReady() && c.fetchFreeAt < at {

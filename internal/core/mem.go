@@ -518,7 +518,8 @@ func (c *Core) flushFrom(pos int64) {
 	// Lock releases are deferred until the rollback finishes: serving
 	// a stalled external request re-enters the core (LineInvalidated)
 	// and must observe consistent queues.
-	var released []uint64
+	released := c.lockBuf[:0]
+	c.lockBuf = nil // a re-entrant flush grows its own
 	for p := c.robTail - 1; p >= pos; p-- {
 		e := c.entry(p)
 		if e.lq >= 0 {
@@ -576,4 +577,5 @@ func (c *Core) flushFrom(pos int64) {
 	for _, line := range released {
 		c.mem.LockReleased(line)
 	}
+	c.lockBuf = released
 }

@@ -27,13 +27,8 @@ func (c *Core) Tick(cycle uint64) {
 
 // processWheel drains this cycle's completion events.
 func (c *Core) processWheel() {
-	bucket := c.now % wheelSize
-	evs := c.wheel[bucket]
-	if len(evs) == 0 {
-		return
-	}
-	c.wheel[bucket] = evs[:0]
-	for _, ev := range evs {
+	for evs := c.wheel.take(c.now % wheelSize); !evs.Empty(); {
+		ev := c.wheel.slab.Pop(&evs)
 		e := c.entryBySlot(ev.slot, ev.id)
 		if e == nil || e.token != ev.token {
 			continue // flushed or cancelled

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"rowsim/internal/slab"
 	"rowsim/internal/snapcheck"
 )
 
@@ -39,6 +40,7 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		"sbF":         "derived from the SB window; Restore recounts it",
 		"lineShift":   "derived from the line size at construction",
 		"wakeBuf":     "scratch for one wake-up pass; holds nothing between calls",
+		"lockBuf":     "scratch for one flush; holds nothing between calls",
 	})
 
 	snapcheck.Assert(t, robEntry{}, []string{
@@ -70,6 +72,16 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		"locked", "contended", "issuedAt", "lockAt",
 		"predContended", "trainable",
 	}, nil)
+
+	snapcheck.Assert(t, execWheel{}, []string{
+		"slab", "buckets", // captured as each bucket's events in order, queued again by Restore
+	}, map[string]string{
+		"occ": "one bit per non-empty bucket, rebuilt as Restore queues the events",
+	})
+
+	snapcheck.Assert(t, slab.Slab[wheelEvent]{}, []string{"nodes"}, map[string]string{
+		"free": "free list through the slab; Restore starts from an empty slab",
+	})
 
 	snapcheck.Assert(t, wheelEvent{}, []string{
 		"slot", "id", "token", "kind",

@@ -206,12 +206,13 @@ func snapDeps(ds []depRef) []DepRef {
 	return out
 }
 
-func restoreDeps(ds []DepRef) []depRef {
-	var out []depRef
+// restoreDeps refills the wait list dst, keeping its storage.
+func restoreDeps(dst []depRef, ds []DepRef) []depRef {
+	dst = dst[:0]
 	for _, d := range ds {
-		out = append(out, depRef{slot: d.Slot, id: d.ID})
+		dst = append(dst, depRef{slot: d.Slot, id: d.ID})
 	}
-	return out
+	return dst
 }
 
 // Snapshot captures the core's full pipeline state. It returns a
@@ -293,9 +294,9 @@ func (c *Core) Snapshot() *CoreSnap {
 			PredContended: e.predContended, Trainable: e.trainable,
 		}
 	}
-	s.Wheel = make([][]WheelEventSnap, len(c.wheel))
-	for b, evs := range c.wheel {
-		for _, ev := range evs {
+	s.Wheel = make([][]WheelEventSnap, wheelSize)
+	for b := range s.Wheel {
+		for _, ev := range c.wheel.slab.Values(c.wheel.buckets[b]) {
 			s.Wheel[b] = append(s.Wheel[b], WheelEventSnap{Slot: ev.slot, ID: ev.id, Token: ev.token, Kind: ev.kind})
 		}
 	}
@@ -307,9 +308,9 @@ func (c *Core) Snapshot() *CoreSnap {
 // same (regenerated) program — instruction pointers are rebound to
 // prog by the serialized program indexes.
 func (c *Core) Restore(s *CoreSnap) {
-	if len(s.ROB) != len(c.rob) || len(s.LQ) != len(c.lq) || len(s.SB) != len(c.sb) || len(s.AQ) != len(c.aq) {
-		panic(fmt.Sprintf("core: restoring snapshot with rings rob=%d lq=%d sb=%d aq=%d into core with rob=%d lq=%d sb=%d aq=%d",
-			len(s.ROB), len(s.LQ), len(s.SB), len(s.AQ), len(c.rob), len(c.lq), len(c.sb), len(c.aq)))
+	if len(s.ROB) != len(c.rob) || len(s.LQ) != len(c.lq) || len(s.SB) != len(c.sb) || len(s.AQ) != len(c.aq) || len(s.Wheel) != wheelSize {
+		panic(fmt.Sprintf("core: restoring snapshot with rings rob=%d lq=%d sb=%d aq=%d wheel=%d into core with rob=%d lq=%d sb=%d aq=%d wheel=%d",
+			len(s.ROB), len(s.LQ), len(s.SB), len(s.AQ), len(s.Wheel), len(c.rob), len(c.lq), len(c.sb), len(c.aq), wheelSize))
 	}
 	c.fetchIdx = s.FetchIdx
 	c.fetchHoldBy = s.FetchHoldBy
@@ -323,12 +324,12 @@ func (c *Core) Restore(s *CoreSnap) {
 	for i := range c.rename {
 		c.rename[i] = depRef{slot: s.Rename[i].Slot, id: s.Rename[i].ID}
 	}
-	c.readyQ = restoreDeps(s.ReadyQ)
-	c.lazyWait = restoreDeps(s.LazyWait)
-	c.storeBlocked = restoreDeps(s.StoreBlocked)
-	c.fenceBlocked = restoreDeps(s.FenceBlocked)
-	c.lockWait = restoreDeps(s.LockWait)
-	c.orderWait = restoreDeps(s.OrderWait)
+	c.readyQ = restoreDeps(c.readyQ, s.ReadyQ)
+	c.lazyWait = restoreDeps(c.lazyWait, s.LazyWait)
+	c.storeBlocked = restoreDeps(c.storeBlocked, s.StoreBlocked)
+	c.fenceBlocked = restoreDeps(c.fenceBlocked, s.FenceBlocked)
+	c.lockWait = restoreDeps(c.lockWait, s.LockWait)
+	c.orderWait = restoreDeps(c.orderWait, s.OrderWait)
 	c.fenceIDs = append(c.fenceIDs[:0], s.FenceIDs...)
 	c.bp.Restore(s.BP)
 	c.ss.Restore(s.SS)
@@ -380,10 +381,10 @@ func (c *Core) Restore(s *CoreSnap) {
 			predContended: e.PredContended, trainable: e.Trainable,
 		}
 	}
-	for b := range c.wheel {
-		c.wheel[b] = c.wheel[b][:0]
-		for _, ev := range s.Wheel[b] {
-			c.wheel[b] = append(c.wheel[b], wheelEvent{slot: ev.Slot, id: ev.ID, token: ev.Token, kind: ev.Kind})
+	c.wheel.reset()
+	for b, evs := range s.Wheel {
+		for _, ev := range evs {
+			c.wheel.push(uint64(b), wheelEvent{slot: ev.Slot, id: ev.ID, token: ev.Token, kind: ev.Kind})
 		}
 	}
 	c.lqF, c.sbF = c.countFilters()

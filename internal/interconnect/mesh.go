@@ -127,6 +127,17 @@ type Mesh struct {
 	hopsSum  uint64
 }
 
+// Room the mesh makes at construction, so that a run's sends and
+// deliveries allocate nothing: heapRoom messages in flight per node
+// and inboxRoom arrivals per node and cycle. They are what rowperf's
+// 4- and 8-core workloads reach and most of what its 32-core ones do
+// (cold canneal has 15 messages a node in flight); a run past them
+// grows the heap or an inbox to its high-water mark.
+const (
+	heapRoom  = 8
+	inboxRoom = 8
+)
+
 // NewMesh builds a mesh holding the given number of nodes with the
 // given per-hop timing. Nodes are placed row-major on the smallest
 // near-square grid that fits.
@@ -139,15 +150,23 @@ func NewMesh(nodes, linkCycles, routerCycles, baseCycles int) *Mesh {
 		cols++
 	}
 	rows := (nodes + cols - 1) / cols
-	return &Mesh{
+	m := &Mesh{
 		cols:         cols,
 		rows:         rows,
 		nodes:        nodes,
 		linkCycles:   linkCycles,
 		routerCycles: routerCycles,
 		baseCycles:   baseCycles,
+		events:       make(eventHeap, 0, heapRoom*nodes),
 		inboxes:      make([][]coherence.Msg, nodes),
 	}
+	// One array holds every inbox's share; the three-index cap keeps an
+	// inbox that outgrows its share off its neighbour's.
+	room := make([]coherence.Msg, inboxRoom*nodes)
+	for i := range m.inboxes {
+		m.inboxes[i] = room[i*inboxRoom : i*inboxRoom : (i+1)*inboxRoom]
+	}
+	return m
 }
 
 // SetMsgPool does nothing: messages travel by value.

@@ -11,6 +11,16 @@ type Holder struct {
 	State uint8
 }
 
+// String names the core and the state's MESI letter, as rowcheck's
+// reports do: "c0=M".
+func (h Holder) String() string {
+	letter := "?"
+	if int(h.State) < len("ISEM") {
+		letter = "ISEM"[h.State : h.State+1]
+	}
+	return fmt.Sprintf("c%d=%s", h.Core, letter)
+}
+
 // CoherenceViolationError reports a broken single-writer/multiple-
 // reader invariant found by Quiesce: a line held exclusively by
 // one core while valid in other caches.
@@ -20,8 +30,12 @@ type CoherenceViolationError struct {
 }
 
 func (e *CoherenceViolationError) Error() string {
-	return fmt.Sprintf("coherence violation: line %#x held exclusively but valid in %d caches (%v)",
-		e.Line, len(e.Holders), e.Holders)
+	hs := make([]string, len(e.Holders))
+	for i, h := range e.Holders {
+		hs[i] = h.String()
+	}
+	return fmt.Sprintf("coherence violation: line %#x held exclusively but valid in %d caches (%s)",
+		e.Line, len(e.Holders), strings.Join(hs, " "))
 }
 
 // CycleLimitError reports a run that exhausted its cycle budget

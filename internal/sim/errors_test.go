@@ -96,7 +96,7 @@ func TestErrorTexts(t *testing.T) {
 	}{
 		{
 			&CoherenceViolationError{Line: 0x4c0, Holders: []Holder{{Core: 0, State: 3}, {Core: 2, State: 1}}},
-			"coherence violation: line 0x4c0 held exclusively but valid in 2 caches ([{0 3} {2 1}])",
+			"coherence violation: line 0x4c0 held exclusively but valid in 2 caches (c0=M c2=S)",
 		},
 		{
 			&CycleLimitError{MaxCycles: 300, Cycle: 301},

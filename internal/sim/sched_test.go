@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"rowsim/internal/config"
@@ -216,38 +217,73 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestStepSteadyStateAllocs pins one run-loop step — the mask walks,
+// TestStepSteadyStateAllocs pins a real run's loop — the mask walks,
 // every phase's ticks, and under cross-check the replays and the
-// line-filter recount — at zero allocations once the run is warm.
-//
-// Each core runs one 250-instruction block of cq over and over, so
-// the warm-up takes every queue and wait list to the largest size the
-// measured window needs. A fresh trace keeps touching new lines, and
-// its lists keep outgrowing their capacity now and then: amortized
-// growth that a count of every allocation would report.
+// line-filter recount — at zero allocations after its first 1,000
+// steps. The trace is fresh (cq, 4 cores × 20,000 instructions, seed
+// 11), so the queues and wait lists keep meeting new peaks until the
+// first core finishes, and each 1,000-step window is counted whole with
+// runtime.MemStats. The only allocation a window may make is the sram's,
+// whose storage follows use: a line filled into a set nothing touched
+// before takes a block, and every 64th block a chunk. When a window
+// allocates, a second run of the same system counts those blocks in
+// the memory profile (sramBlockAllocs). It is a run of its own because
+// the collections that publish the profile are not free: a window
+// measured right after them now and then counts one allocation that
+// no frame of the run made.
 func TestStepSteadyStateAllocs(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
 	p := workload.MustGet("cq")
-	progs := workload.Generate(p, 4, 250, 11)
-	for i, block := range progs {
-		for range 159 {
-			progs[i] = append(progs[i], block...)
-		}
+	progs := workload.Generate(p, 4, 20000, 11)
+	mallocs := func() int64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.Mallocs)
 	}
 	for _, cross := range []bool{false, true} {
-		var opts []Option
-		if cross {
-			opts = append(opts, WithCrossCheck())
+		got := freshWindows(t, p, progs, cross, mallocs)
+		var blocks []int64
+		for w := 1; w < len(got); w++ {
+			if got[w] == 0 {
+				continue
+			}
+			if blocks == nil {
+				blocks = freshWindows(t, p, progs, cross, sramBlockAllocs)
+			}
+			if got[w] != blocks[w] {
+				t.Errorf("cross-check %v: window %d allocates %d times, %d of them sram blocks; want none but those",
+					cross, w, got[w], blocks[w])
+			}
 		}
-		s := schedSystem(t, config.PolicyRoW, p, progs, faults.Config{}, opts...)
-		n := len(s.caches)
-		cacheWake := make([]uint64, n)
-		coreWake := make([]uint64, n)
-		live := uint64(1)<<n - 1
-		for i := range s.cores {
-			cacheWake[i] = s.caches[i].NextEventAt(s.cycle)
-			coreWake[i] = s.cores[i].NextEventAt(s.cycle)
+		if len(got) < 10 {
+			t.Fatalf("cross-check %v: the first core finished after %d windows; the test measures too little", cross, len(got))
 		}
-		step := func() {
+	}
+}
+
+// freshWindows runs a fresh 4-core system on progs in windows of 1,000
+// run-loop steps until its first core finishes, and returns how far
+// count moved across each window.
+func freshWindows(t *testing.T, p workload.Params, progs []trace.Program, cross bool, count func() int64) []int64 {
+	var opts []Option
+	if cross {
+		opts = append(opts, WithCrossCheck())
+	}
+	s := schedSystem(t, config.PolicyRoW, p, progs, faults.Config{}, opts...)
+	n := len(s.caches)
+	cacheWake := make([]uint64, n)
+	coreWake := make([]uint64, n)
+	all := uint64(1)<<n - 1
+	live := all
+	for i := range s.cores {
+		cacheWake[i] = s.caches[i].NextEventAt(s.cycle)
+		coreWake[i] = s.cores[i].NextEventAt(s.cycle)
+	}
+	var moved []int64
+	for live == all {
+		before := count()
+		for k := 0; k < 1000 && live == all; k++ {
 			if cross {
 				s.cycle++
 			} else {
@@ -255,23 +291,39 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			}
 			live = s.step(live, cacheWake, coreWake)
 		}
-		for i := 0; i < 3000; i++ {
-			step()
-		}
-		// One run of 500 steps, counted whole (a per-step average
-		// rounds a step that allocates every 64 cycles down to 0);
-		// AllocsPerRun runs it once more to warm up.
-		if allocs := testing.AllocsPerRun(1, func() {
-			for range 500 {
-				step()
+		d := count() - before
+		moved = append(moved, d)
+	}
+	return moved
+}
+
+// sramBlockAllocs counts the heap objects the sram's first-touch
+// storage (sram.(*Array).own) has allocated, as the memory profile
+// records them; MemProfileRate must be 1. The two collections publish
+// the allocations made since the last ones.
+func sramBlockAllocs() int64 {
+	runtime.GC()
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var total int64
+	for _, r := range recs[:n] {
+		for frames := runtime.CallersFrames(r.Stack()); ; {
+			f, more := frames.Next()
+			if f.Function == "rowsim/internal/sram.(*Array).own" {
+				total += r.AllocObjects
+				break
 			}
-		}); allocs != 0 {
-			t.Fatalf("cross-check %v: 500 warm steps allocate %v times; want 0", cross, allocs)
-		}
-		if live != uint64(1)<<n-1 {
-			t.Fatalf("cross-check %v: a core finished inside the measured window (live %b)", cross, live)
+			if !more {
+				break
+			}
 		}
 	}
+	return total
 }
 
 // TestCrossCheckReplaysInIndexOrder: the cross-check replays a skipped

@@ -139,6 +139,10 @@ func New(cfg *config.Config, progs []trace.Program, opts ...Option) (*System, er
 			cfg.Mem.L3.HitCycles, cfg.Mem.DRAMCycles,
 		)
 		d.SetErrorSink(s.sink)
+		// Room for four stalled requests per core: what a bank of
+		// rowperf's workloads queues at once, but for the hottest banks
+		// of 8-core canneal.
+		d.Reserve(0, 4*n)
 		s.dirs = append(s.dirs, d)
 	}
 	for i := 0; i < n; i++ {
@@ -219,32 +223,53 @@ func (s *System) Warm(progs []trace.Program) {
 	slices.Sort(keys)
 
 	n := s.cfg.NumCores
+	// walk calls fn on every line the filter lets warm, in ascending
+	// order, with its owner, or -1 for a line several cores share.
+	walk := func(fn func(line uint64, c int)) {
+		for i := 0; i < len(keys); {
+			idx := keys[i] >> coreBits
+			j := i + 1
+			for j < len(keys) && keys[j]>>coreBits == idx {
+				j++
+			}
+			c := int(keys[i] & coreMask)
+			if int(keys[j-1]&coreMask) != c {
+				c = -1 // shared
+			}
+			i = j
+			line := idx << lineShift
+			if s.warmFilter != nil && !s.warmFilter(c, line) {
+				continue
+			}
+			if c >= n {
+				c = -1
+			}
+			fn(line, c)
+		}
+	}
+	// A first walk counts each bank's owned lines, so that its index
+	// has room for them before the second walk adds them.
+	owned := make([]int, len(s.dirs))
+	walk(func(line uint64, c int) {
+		if c >= 0 {
+			owned[s.cfg.Mem.HomeBank(line)]++
+		}
+	})
+	for b, d := range s.dirs {
+		d.Reserve(owned[b], 0)
+	}
 	// Installing in ascending line order is what makes a warm start
 	// reproducible: LRU keeps the highest lines of an over-capacity
 	// region — a fixed subset.
-	for i := 0; i < len(keys); {
-		idx := keys[i] >> coreBits
-		j := i + 1
-		for j < len(keys) && keys[j]>>coreBits == idx {
-			j++
-		}
-		c := int(keys[i] & coreMask)
-		if int(keys[j-1]&coreMask) != c {
-			c = -1 // shared
-		}
-		i = j
-		line := idx << lineShift
-		if s.warmFilter != nil && !s.warmFilter(c, line) {
-			continue
-		}
+	walk(func(line uint64, c int) {
 		bank := s.cfg.Mem.HomeBank(line)
-		if c >= 0 && c < n {
+		if c >= 0 {
 			s.dirs[bank].WarmOwned(line, c)
 			s.caches[c].Warm(line, cache.StateE)
 		} else {
 			s.dirs[bank].WarmL3(line)
 		}
-	}
+	})
 }
 
 // watchdogWindow is the progress-check horizon: a healthy system
