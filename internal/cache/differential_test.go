@@ -8,13 +8,20 @@ import (
 
 	"rowsim/internal/coherence"
 	"rowsim/internal/config"
+	"rowsim/internal/slab"
 	"rowsim/internal/xrand"
 )
+
+// heapEvent is an event numbered in push order.
+type heapEvent struct {
+	event
+	seq uint64
+}
 
 // eventHeap is the queue the controller kept its pipeline in before the
 // timing wheel: a binary min-heap ordered by (at, seq). It survives here
 // as the reference the wheel is compared against.
-type eventHeap []event
+type eventHeap []heapEvent
 
 func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
@@ -23,7 +30,7 @@ func (h eventHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-func (h *eventHeap) pushEvent(e event) {
+func (h *eventHeap) pushEvent(e heapEvent) {
 	*h = append(*h, e)
 	s := *h
 	i := len(s) - 1
@@ -37,7 +44,7 @@ func (h *eventHeap) pushEvent(e event) {
 	}
 }
 
-func (h *eventHeap) popEvent() event {
+func (h *eventHeap) popEvent() heapEvent {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
@@ -81,18 +88,22 @@ type controller interface {
 // real Private's code: after each call, whatever it scheduled is moved
 // out of its wheel into the heap, so its own Tick never finds an event.
 type refPrivate struct {
-	p *Private
-	h eventHeap
+	p   *Private
+	h   eventHeap
+	seq uint64
 }
 
+// absorb moves the wheel's events into the heap. A bucket holds one
+// cycle in push order, so numbering each bucket in turn keeps the push
+// order of every cycle.
 func (r *refPrivate) absorb() {
-	w := &r.p.events
-	for _, i := range w.head {
-		for ; i >= 0; i = w.slab[i].next {
-			r.h.pushEvent(w.slab[i])
+	for b := range uint64(slab.WheelSize) {
+		for _, e := range r.p.events.Bucket(b) {
+			r.seq++
+			r.h.pushEvent(heapEvent{e, r.seq})
 		}
 	}
-	w.reset()
+	r.p.events.Reset()
 }
 
 func (r *refPrivate) Access(tag, addr uint64, write bool) {
@@ -186,8 +197,6 @@ type diffRun struct {
 	seen    int        // requests in realRec.sent already answered
 	mail    []mailItem // replies and external requests not yet delivered
 	checked int        // log entries already compared
-
-	sawLate, sawUnsorted *bool
 }
 
 type mailItem struct {
@@ -195,9 +204,8 @@ type mailItem struct {
 	msg coherence.Msg
 }
 
-func newDiffRun(t *testing.T, cfg *config.Config, seed uint64, sawLate, sawUnsorted *bool) *diffRun {
-	d := &diffRun{t: t, rng: xrand.New(seed), realRec: &recorder{}, refRec: &recorder{}, pfAddr: 1 << 30,
-		sawLate: sawLate, sawUnsorted: sawUnsorted}
+func newDiffRun(t *testing.T, cfg *config.Config, seed uint64) *diffRun {
+	d := &diffRun{t: t, rng: xrand.New(seed), realRec: &recorder{}, refRec: &recorder{}, pfAddr: 1 << 30}
 	bank := func(uint64) int { return 32 }
 	d.real = NewPrivate(0, cfg, d.realRec, d.realRec, bank)
 	d.ref = &refPrivate{p: NewPrivate(0, cfg, d.refRec, d.refRec, bank)}
@@ -220,9 +228,6 @@ func (d *diffRun) do(what string, op func(c controller, side int)) {
 	d.realRec.cycle, d.refRec.cycle = d.cycle, d.cycle
 	op(d.real, 0)
 	op(d.ref, 1)
-	if d.real.events.late {
-		*d.sawLate = true
-	}
 	d.compare(what)
 }
 
@@ -249,9 +254,6 @@ func (d *diffRun) compare(what string) {
 	}
 	if g, w := d.real.WorkDone(), d.ref.WorkDone(); g != w {
 		fail("WorkDone = %d, want %d", g, w)
-	}
-	if g, w := d.real.seq, d.ref.p.seq; g != w {
-		fail("seq = %d, want %d", g, w)
 	}
 	now := d.real.now
 	if g, w := d.real.NextEventAt(now), d.ref.NextEventAt(now); g != w {
@@ -361,52 +363,51 @@ func (d *diffRun) visit(issue bool) {
 	}
 }
 
-// checkpoint snapshots the wheel controller and restores it in place,
-// from its own snapshot or from the same snapshot with the events in the
-// reference heap's order, as a checkpoint written before the wheel has
-// them. The reference is not restored: what follows must still agree.
-func (d *diffRun) checkpoint(heapOrder bool) {
+// checkpoint snapshots the wheel controller, whose events must be the
+// reference heap's in pop order, and restores it in place. The
+// reference is not restored: what follows must still agree.
+func (d *diffRun) checkpoint() {
 	snap := d.real.Snapshot()
-	var inHeap []EventSnap
-	for _, e := range d.ref.h {
-		inHeap = append(inHeap, EventSnap{At: e.at, Seq: e.seq, Kind: e.kind, Tag: e.tag, Line: e.line, Wr: e.wr, Lat: e.lat})
+	var want []EventSnap
+	for h := slices.Clone(d.ref.h); len(h) > 0; {
+		e := h.popEvent()
+		want = append(want, EventSnap{At: e.at, Kind: e.kind, Tag: e.tag, Line: e.line, Wr: e.wr, Lat: e.lat})
 	}
-	if !slices.Equal(snap.Events, sortEvents(slices.Clone(inHeap))) {
-		d.t.Fatalf("cycle %d: Snapshot().Events = %v, want the heap's %v in (At, Seq) order", d.cycle, snap.Events, inHeap)
-	}
-	if heapOrder {
-		if !slices.Equal(snap.Events, inHeap) {
-			*d.sawUnsorted = true
-		}
-		snap.Events = inHeap
+	if !slices.Equal(snap.Events, want) {
+		d.t.Fatalf("cycle %d: Snapshot().Events = %v, want the heap's %v", d.cycle, snap.Events, want)
 	}
 	d.real.Restore(snap)
 	d.compare("Restore")
 }
 
+// quiet reports whether nothing falls due at the current cycle: no
+// mail arrives and the controller has nothing to do.
+func (d *diffRun) quiet() bool {
+	for _, m := range d.mail {
+		if m.at <= d.cycle {
+			return false
+		}
+	}
+	return d.real.NextEventAt(d.real.now) > d.cycle
+}
+
 func (d *diffRun) run(cycles uint64) {
-	size := uint64(len(d.real.events.head))
-	gap, gapPushes := uint64(0), false
+	gap := uint64(0)
 	for d.cycle = 1; d.cycle <= cycles; d.cycle++ {
 		if gap == 0 && d.rng.Bool(0.04) {
-			// Nobody ticks for a while: by one cycle, by just under a
-			// wheel, by more than a wheel.
-			gap = []uint64{1, size - 1, size + 1 + uint64(d.rng.Intn(8))}[d.rng.Intn(3)]
-			gapPushes = d.rng.Bool(0.5)
+			// Nobody is called for a while, as the run loop skips the
+			// quiet cycles: by one cycle, by just under a wheel, by
+			// more than a wheel, or until something falls due.
+			gap = []uint64{1, slab.WheelSize - 1, slab.WheelSize + 1 + uint64(d.rng.Intn(8))}[d.rng.Intn(3)]
 		}
-		if gap > 0 {
+		if gap > 0 && d.quiet() {
 			gap--
-			if gapPushes && d.rng.Bool(0.3) {
-				// The clock passes queued events and the core keeps
-				// issuing: pushes land behind overdue events.
-				d.do("SetNow", func(c controller, _ int) { c.SetNow(d.cycle) })
-				d.core()
-			}
 			continue
 		}
+		gap = 0
 		d.visit(true)
 		if d.cycle%397 == 0 {
-			d.checkpoint(d.cycle%2 == 0)
+			d.checkpoint()
 		}
 	}
 	// Drain: every access is answered and both sides fall idle.
@@ -424,43 +425,31 @@ func (d *diffRun) run(cycles uint64) {
 // TestDifferentialAgainstHeap compares the timing wheel with the binary
 // heap it replaced, over seeded histories of accesses, store completions,
 // prefetch training, fills, acks and external requests, with Ticks on
-// time, late, idle, and with the clock running ahead of queued events.
+// time and idle, and cycles skipped while nothing falls due.
 func TestDifferentialAgainstHeap(t *testing.T) {
 	configs := []struct {
 		name         string
 		mshrs, l2Hit int
-		wheel        int
 	}{
-		{"mshrs0", 0, 12, 16},
-		{"mshrs1", 1, 12, 16},
-		{"mshrs2", 2, 12, 16},
-		{"mshrs16", 16, 12, 16},
-		{"mshrs2-l2hit40", 2, 40, 64},
-		{"mshrs1-l2hit70", 1, 70, 128}, // two words of occupancy bits
+		{"mshrs0", 0, 12},
+		{"mshrs1", 1, 12},
+		{"mshrs2", 2, 12},
+		{"mshrs16", 16, 12},
+		{"mshrs2-l2hit15", 2, 15}, // the longest delay the wheel holds
+		{"mshrs1-l2hit15", 1, 15},
 	}
-	var sawLate, sawUnsorted bool
 	var mshrFull uint64
 	for _, c := range configs {
 		for seed := uint64(1); seed <= 3; seed++ {
-			c, seed := c, seed
 			t.Run(fmt.Sprintf("%s/seed%d", c.name, seed), func(t *testing.T) {
 				cfg := config.Default()
 				cfg.Mem.MSHRs = c.mshrs
 				cfg.Mem.L2.HitCycles = c.l2Hit
-				d := newDiffRun(t, cfg, seed, &sawLate, &sawUnsorted)
-				if got := len(d.real.events.head); got != c.wheel {
-					t.Fatalf("wheel has %d buckets, want %d", got, c.wheel)
-				}
+				d := newDiffRun(t, cfg, seed)
 				d.run(4000)
 				mshrFull += d.real.Stats.MSHRFull.Value()
 			})
 		}
-	}
-	if !sawLate {
-		t.Error("no history ever pushed behind an overdue event: the late path went untested")
-	}
-	if !sawUnsorted {
-		t.Error("no heap-ordered snapshot differed from its sorted twin")
 	}
 	if mshrFull < 1000 {
 		t.Errorf("only %d parked misses across all histories", mshrFull)

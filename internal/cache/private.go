@@ -260,8 +260,7 @@ type Private struct {
 	// stays unchanged when a skipped Tick is replayed.
 	work uint64
 
-	events wheel
-	seq    uint64
+	events slab.Wheel[event]
 	now    uint64
 
 	strides   []strideEntry
@@ -299,8 +298,7 @@ func NewPrivate(coreID int, cfg *config.Config, net coherence.Network, client Cl
 		pfDegree:    m.PrefetcherDegree,
 		pfConfMin:   m.PrefetcherDistance,
 	}
-	// Every delay push is asked for is one of these two.
-	p.events.init(max(m.L1D.HitCycles, m.L2.HitCycles))
+	p.events.Reserve(2 * slab.WheelSize) // two events a bucket, which no rowperf workload passes
 	p.waits.Reserve(2 * m.MSHRs)
 	p.Stats.MissHist = stats.NewHistogram(1 << 16)
 	return p
@@ -334,8 +332,8 @@ func (p *Private) WorkDone() uint64 { return p.work }
 // which force a visit on their own).
 func (p *Private) NextEventAt(now uint64) uint64 {
 	at := ^uint64(0)
-	if p.events.n > 0 {
-		_, at = p.events.earliest()
+	if d, ok := p.events.Ahead(p.now); ok {
+		at = p.now + d
 	}
 	if !p.noForcedRelease {
 		// Tick releases a stalled entry once cycle-stallAt exceeds
@@ -394,16 +392,17 @@ func (p *Private) setState(line uint64, st uint8) {
 	}
 }
 
-// push numbers e and schedules it behind everything already scheduled
-// for its cycle.
+// push schedules e behind everything already scheduled for its cycle.
+// Every delay is a hit latency, shorter than the wheel, and the run
+// loop ticks the controller at every cycle it has an event for, so e
+// is due in [now, now+WheelSize) and its bucket holds no other cycle.
+// Otherwise the event is dropped with a protocol error.
 func (p *Private) push(e event) {
-	i := p.events.put(e)
-	p.seq++
-	p.events.slab[i].seq = p.seq
-	if !p.events.link(i, p.now) {
-		at := p.events.slab[i].at
-		p.events.release(i)
-		p.fail(nil, fmt.Sprintf("pipeline event for cycle %d outside the %d-cycle wheel's window", at, len(p.events.head)))
+	switch {
+	case e.at-p.now >= slab.WheelSize:
+		p.fail(nil, fmt.Sprintf("pipeline event for cycle %d outside the %d-cycle wheel's window", e.at, slab.WheelSize))
+	case !p.events.Push(e.at, e):
+		p.fail(nil, fmt.Sprintf("pipeline event for cycle %d lands in a wheel bucket that holds another cycle: the clock passed a queued event or ran backwards", e.at))
 	}
 }
 
@@ -839,22 +838,21 @@ func (p *Private) Warm(line uint64, state uint8) {
 // Tick advances internal pipelines: lookup completions, parked misses
 // and the forced-release progress guarantee.
 func (p *Private) Tick(cycle uint64) {
+	from := p.now
 	p.now = cycle
-	w := &p.events
-	for w.n > 0 {
-		b, at := w.earliest()
-		if at > cycle {
-			break
-		}
-		i := w.unlink(b)
-		p.work++
-		e := w.slab[i] // by value: the handlers push, and the slab may move
-		w.release(i)
-		switch e.kind {
-		case evRespond:
-			p.client.MemResp(e.tag, RespInfo{Line: e.line, Latency: e.lat, Hit: true})
-		case evMiss:
-			p.startMiss(e.tag, e.line, e.wr, e.at-e.lat, false)
+	// Every queued event is due in [from, from+WheelSize), one cycle a
+	// bucket, so the buckets read circularly from from's are in time
+	// order. A bucket that is not due holds what the handlers pushed.
+	for at := from; at <= cycle && at-from < slab.WheelSize; at++ {
+		for evs := p.events.Take(at); !evs.Empty(); {
+			e := p.events.Pop(&evs)
+			p.work++
+			switch e.kind {
+			case evRespond:
+				p.client.MemResp(e.tag, RespInfo{Line: e.line, Latency: e.lat, Hit: true})
+			case evMiss:
+				p.startMiss(e.tag, e.line, e.wr, e.at-e.lat, false)
+			}
 		}
 	}
 	// An MSHR retires only in Deliver, which the run loop follows with
@@ -864,9 +862,6 @@ func (p *Private) Tick(cycle uint64) {
 		p.work++
 		p.startMiss(m.tag, m.line, m.write, m.at, true)
 	}
-	// Everything due is drained and nothing is scheduled a whole wheel
-	// ahead, so what is left lies in (cycle, cycle+size).
-	w.low, w.late = cycle, false
 	for i := 0; !p.noForcedRelease && i < p.stalled.len(); {
 		s := &p.stalled.exts[i]
 		if cycle-s.stallAt <= releaseAfter {
@@ -891,7 +886,7 @@ func (p *Private) Tick(cycle uint64) {
 // PendingWork reports in-flight or parked misses, queued events or
 // stalled external requests (quiescence check).
 func (p *Private) PendingWork() bool {
-	return p.mshrs.len() > 0 || !p.parked.Empty() || p.events.n > 0 || p.stalled.len() > 0 ||
+	return p.mshrs.len() > 0 || !p.parked.Empty() || !p.events.Empty() || p.stalled.len() > 0 ||
 		len(p.pendingFar) > 0 || len(p.farDeferred) > 0
 }
 

@@ -2,11 +2,13 @@ package cache
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
 	"rowsim/internal/coherence"
 	"rowsim/internal/config"
+	"rowsim/internal/slab"
 )
 
 // fakeNet records messages; tests play the directory side by hand.
@@ -415,11 +417,14 @@ func TestLine(t *testing.T) {
 	}
 }
 
-// TestEventRecordSize: the wheel's links ride in what was the heap
-// record's padding, so an event is six words.
+// TestEventRecordSize: a wheel record is an event and its slab link,
+// which rides in the event's padding: six words at most.
 func TestEventRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got != 48 {
-		t.Fatalf("event is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(struct {
+		event
+		next slab.Ref
+	}{}); got > 48 {
+		t.Fatalf("a wheel record is %d bytes, want at most 48", got)
 	}
 }
 
@@ -555,10 +560,6 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("%d hits answered, want at least 4000", got)
 	}
 
-	if p.events.late {
-		t.Error("on-time Ticks left the wheel in late mode")
-	}
-
 	one := make([]coherence.Msg, 1)
 	deliverTo := func(c *Private, typ coherence.MsgType, line uint64, grant coherence.GrantState) {
 		one[0] = coherence.Msg{Type: typ, Line: line, Src: 32, Dst: 0, Requestor: 5, Grant: grant}
@@ -635,26 +636,70 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestLateTickDrainsInTimeOrder: a Tick past several due events
+// handles them in time order, reading the wheel from the clock of the
+// call before it.
+func TestLateTickDrainsInTimeOrder(t *testing.T) {
+	rec := &recorder{}
+	p := NewPrivate(0, config.Default(), rec, rec, func(uint64) int { return 32 })
+	p.Warm(lineB, StateE)
+	p.SetNow(100)
+	p.Access(1, lineB, false) // L2 hit: answered at 112
+	p.SetNow(103)
+	p.Access(2, lineB, false)    // L1 hit: answered at 108
+	p.Access(3, lineB+64, false) // miss: GetS at 115
+	p.Tick(120)
+	var got []string
+	for _, l := range rec.log {
+		got = append(got, strings.Fields(l)[1]+" "+strings.Fields(l)[2])
+	}
+	if want := []string{"resp tag=2", "resp tag=1", "send GetS"}; !slices.Equal(got, want) {
+		t.Fatalf("Tick(120) did %q, want %q", got, want)
+	}
+	if !p.events.Empty() {
+		t.Error("events left queued")
+	}
+}
+
 // TestEventOutsideWindowIsProtocolError: the wheel's ordering rests on
-// a clock that never runs backwards. A caller that breaks that gets a
-// structured error through the sink, not a panic and not a misordered
-// queue.
+// every event being due within a wheel of now, in a bucket that holds
+// only its cycle. A caller that breaks that gets a structured error
+// through the sink, not a panic and not a misordered queue, and the
+// event is dropped.
 func TestEventOutsideWindowIsProtocolError(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		now  uint64 // the clock of the second access, which is due 12 later
+		want string
+	}{
+		{"clock ran backwards", 84, "pipeline event for cycle 96 lands in a wheel bucket that holds another cycle"},
+		{"clock passed a queued event", 116, "pipeline event for cycle 128 lands in a wheel bucket that holds another cycle"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p, _, _ := newCacheUnderTest()
+			sink := &coherence.ErrorSink{}
+			p.SetErrorSink(sink)
+			p.SetNow(100)
+			p.Access(1, lineB, false) // due at 112
+			p.SetNow(c.now)
+			p.Access(2, lineB+64, false) // due in 112's bucket
+			pe := sink.Err()
+			if pe == nil || pe.Component != "cache 0" || pe.Cycle != c.now || !strings.HasPrefix(pe.Reason, c.want) {
+				t.Fatalf("error = %v, want %q at cycle %d", pe, c.want, c.now)
+			}
+			if evs := p.Snapshot().Events; len(evs) != 1 || evs[0].At != 112 {
+				t.Errorf("queue holds %v; want only the event at 112", evs)
+			}
+		})
+	}
 	p, _, _ := newCacheUnderTest()
 	sink := &coherence.ErrorSink{}
 	p.SetErrorSink(sink)
-	p.SetNow(100)
-	p.Access(1, lineB, false) // due at 112
-	p.SetNow(84)
-	p.Access(2, lineB+64, false) // due at 96: same bucket, behind 112
-	pe := sink.Err()
-	if pe == nil {
-		t.Fatal("no protocol error for an event scheduled behind its bucket's tail")
+	p.push(event{at: slab.WheelSize, kind: evRespond})
+	if pe := sink.Err(); pe == nil || pe.Reason != "pipeline event for cycle 16 outside the 16-cycle wheel's window" {
+		t.Fatalf("error = %v, want the event a wheel ahead refused", pe)
 	}
-	if pe.Component != "cache 0" || pe.Cycle != 84 {
-		t.Errorf("error = %v", pe)
-	}
-	if at, ok := p.EarliestPipelineEvent(); !ok || at != 112 || p.events.n != 1 {
-		t.Errorf("queue holds %d events, earliest %d; want the one at 112", p.events.n, at)
+	if !p.events.Empty() {
+		t.Error("the refused event was queued")
 	}
 }

@@ -14,7 +14,7 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		"l1", "l2",
 		"mshrs", "parked", "stalled", "pendingFar", "farDeferred",
 		"waits", // the records of parked and of the MSHRs' waiters, captured through those lists
-		"events", "seq", "now",
+		"events", "now",
 		"strides",
 		"work",
 		"Stats",
@@ -49,20 +49,18 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 	})
 
 	snapcheck.Assert(t, event{}, []string{
-		"at", "seq", "kind", "tag", "line", "wr", "lat",
+		"at", "kind", "tag", "line", "wr", "lat",
+	}, nil)
+
+	snapcheck.Assert(t, slab.Wheel[event]{}, []string{
+		"slab", "buckets", // captured as the events in time order, queued again by Restore
 	}, map[string]string{
-		"next": "slab link; Restore relinks every event",
+		"due": "each bucket's cycle, the at of its events; set as Restore queues them",
+		"occ": "one bit per non-empty bucket, rebuilt as Restore queues the events",
 	})
 
-	snapcheck.Assert(t, wheel{}, []string{"slab"}, map[string]string{
+	snapcheck.Assert(t, slab.Slab[event]{}, []string{"nodes"}, map[string]string{
 		"free": "free list through the slab; Restore starts from an empty slab",
-		"head": "bucket FIFO links, rebuilt by Restore from the sorted events",
-		"tail": "bucket FIFO links, rebuilt by Restore from the sorted events",
-		"occ":  "one bit per non-empty bucket, rebuilt with the links",
-		"mask": "wheel size - 1, from the hit latencies at construction",
-		"n":    "number of queued events, recounted as Restore links them",
-		"low":  "lower bound of the queued cycles, re-derived by link as events are queued",
-		"late": "set while an overdue event holds the window back; re-derived by link, cleared by Tick",
 	})
 
 	snapcheck.Assert(t, strideEntry{}, []string{

@@ -1,9 +1,6 @@
 package cache
 
 import (
-	"cmp"
-	"fmt"
-	"slices"
 	"sort"
 
 	"rowsim/internal/coherence"
@@ -52,7 +49,6 @@ type FarSnap struct {
 // (lookup completion or deferred miss). Kind is evRespond or evMiss.
 type EventSnap struct {
 	At   uint64
-	Seq  uint64
 	Kind uint8
 	Tag  uint64
 	Line uint64
@@ -81,14 +77,12 @@ type StrideSnap struct {
 // order (the flat tables use swap-removal, which permutes entries
 // without changing behaviour). Stats ride along so a restored run
 // reports byte-identical counters; every field is exported because
-// checkpoints serialize the whole snapshot to disk. Snapshot writes
-// Events in ascending (At, Seq); Restore accepts any order (checkpoints
-// written before the timing wheel carry them in binary-heap order).
-// Parked is in queue order; a checkpoint written before the queue has
-// none, and its misses park on their first look.
+// checkpoints serialize the whole snapshot to disk. Events are in
+// time order, same-cycle events in queue order; Parked is in queue
+// order.
 type CacheSnap struct {
-	Now, Seq uint64
-	Work     uint64
+	Now  uint64
+	Work uint64
 
 	MSHRs   []MSHRSnap
 	Stalled []StalledSnap
@@ -100,14 +94,6 @@ type CacheSnap struct {
 	Events  []EventSnap
 	Strides []StrideSnap
 	Stats   Stats
-}
-
-// sortEvents orders events by (At, Seq), the order Tick handles them in.
-func sortEvents(evs []EventSnap) []EventSnap {
-	slices.SortFunc(evs, func(a, b EventSnap) int {
-		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Seq, b.Seq))
-	})
-	return evs
 }
 
 func snapWaiters(ws []waiter) []WaiterSnap {
@@ -141,21 +127,19 @@ func restoreWaiters(ws []WaiterSnap) []waiter {
 // reference rather than bulk-copied.
 func (p *Private) Snapshot() *CacheSnap {
 	s := &CacheSnap{
-		Now: p.now, Seq: p.seq, Work: p.work,
+		Now: p.now, Work: p.work,
 		L1:    p.l1.Snapshot(),
 		L2:    p.l2.Snapshot(),
 		Stats: p.Stats,
 	}
 	s.Stats.MissHist = p.Stats.MissHist.Clone()
-	for _, i := range p.events.head {
-		for ; i >= 0; i = p.events.slab[i].next {
-			e := &p.events.slab[i]
+	for d := range uint64(slab.WheelSize) {
+		for _, e := range p.events.Bucket(p.now + d) {
 			s.Events = append(s.Events, EventSnap{
-				At: e.at, Seq: e.seq, Kind: e.kind, Tag: e.tag, Line: e.line, Wr: e.wr, Lat: e.lat,
+				At: e.at, Kind: e.kind, Tag: e.tag, Line: e.line, Wr: e.wr, Lat: e.lat,
 			})
 		}
 	}
-	sortEvents(s.Events)
 	for _, t := range p.strides {
 		s.Strides = append(s.Strides, StrideSnap{PC: t.pc, LastAddr: t.lastAddr, Stride: t.stride, Conf: t.conf})
 	}
@@ -190,21 +174,14 @@ func (p *Private) Snapshot() *CacheSnap {
 
 // Restore rewinds the controller to a previously captured CacheSnap.
 func (p *Private) Restore(s *CacheSnap) {
-	p.now, p.seq, p.work = s.Now, s.Seq, s.Work
+	p.now, p.work = s.Now, s.Work
 	p.l1.Restore(s.L1)
 	p.l2.Restore(s.L2)
 	p.Stats = s.Stats
 	p.Stats.MissHist = s.Stats.MissHist.Clone()
-	// Queued in (At, Seq) order every bucket comes out a FIFO again.
-	p.events.reset()
-	for _, e := range sortEvents(slices.Clone(s.Events)) {
-		i := p.events.put(event{
-			at: e.At, seq: e.Seq, kind: e.Kind, tag: e.Tag, line: e.Line, wr: e.Wr, lat: e.Lat,
-		})
-		if !p.events.link(i, p.now) {
-			p.events.release(i)
-			p.fail(nil, fmt.Sprintf("snapshot holds a pipeline event for cycle %d, outside the %d-cycle wheel's window at cycle %d", e.At, len(p.events.head), p.now))
-		}
+	p.events.Reset()
+	for _, e := range s.Events {
+		p.push(event{at: e.At, kind: e.Kind, tag: e.Tag, line: e.Line, wr: e.Wr, lat: e.Lat})
 	}
 	for i := range p.strides {
 		p.strides[i] = strideEntry{}
@@ -313,11 +290,8 @@ func (p *Private) LevelStates(line uint64) (l1, l2 uint8) {
 // scheduler's contract, which also folds in the forced-release sweep,
 // is NextEventAt in private.go.)
 func (p *Private) EarliestPipelineEvent() (uint64, bool) {
-	if p.events.n == 0 {
-		return 0, false
-	}
-	_, at := p.events.earliest()
-	return at, true
+	d, ok := p.events.Ahead(p.now)
+	return p.now + d, ok
 }
 
 // DeliverOne processes a single protocol message (choice-mode

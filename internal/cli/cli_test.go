@@ -1,9 +1,11 @@
 package cli
 
 import (
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"testing"
 
@@ -103,4 +105,33 @@ func TestProfileWritesFiles(t *testing.T) {
 			t.Errorf("-%s wrote an empty file", name)
 		}
 	}
+}
+
+// TestProfileStartFailureStopsCollectors: when a collector cannot start
+// (a -trace path under a regular file, which fails even as root), Start
+// is a usage error that says why and leaves the CPU profile it already
+// started stopped, so a new one can start.
+func TestProfileStartFailureStopsCollectors(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr strings.Builder
+	fs := NewFlagSet("tool", &stderr)
+	p := AddProfile(fs)
+	if err := fs.Parse([]string{"-cpuprofile", filepath.Join(dir, "cpu"), "-trace", filepath.Join(file, "trace")}); err != nil {
+		t.Fatal(err)
+	}
+	if p.Start(&stderr) {
+		p.stop()
+		t.Fatal("Start succeeded with a -trace path under a regular file")
+	}
+	if !strings.HasPrefix(stderr.String(), "profiling: ") {
+		t.Errorf("stderr %q does not say profiling failed", stderr.String())
+	}
+	if err := pprof.StartCPUProfile(io.Discard); err != nil {
+		t.Fatalf("the CPU profile was left running: %v", err)
+	}
+	pprof.StopCPUProfile()
 }

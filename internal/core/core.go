@@ -55,6 +55,7 @@ import (
 	"rowsim/internal/coherence"
 	"rowsim/internal/config"
 	"rowsim/internal/predictor"
+	"rowsim/internal/slab"
 	"rowsim/internal/sram"
 	"rowsim/internal/stats"
 	"rowsim/internal/trace"
@@ -185,6 +186,14 @@ const (
 	evAtomicFwdValue // forwarded RMW result becomes visible to dependents
 )
 
+// wheelEvent is a scheduled completion inside the core.
+type wheelEvent struct {
+	slot  uint32
+	id    uint64
+	token uint16
+	kind  uint8
+}
+
 // Tag encoding for memory responses: slot in the low bits, id above.
 // config.Validate bounds ROBSize by the same constant.
 const tagSlotBits = config.ROBSlotBits
@@ -276,7 +285,7 @@ type Core struct {
 	fenceIDs     []uint64 // in-flight fences (and fenced atomics), ascending
 	lockBuf      []uint64 // scratch for flushFrom's released locks, an AQ's worth
 
-	wheel execWheel
+	wheel slab.Wheel[wheelEvent] // scheduled completions
 
 	mem *cache.Private
 	bp  *predictor.Branch
@@ -328,7 +337,7 @@ func New(id int, cfg *config.Config, prog trace.Program) *Core {
 		lineShift:   uint8(bits.TrailingZeros(uint(cfg.Mem.LineBytes))),
 	}
 	c.robMask = int64(len(c.rob) - 1)
-	c.wheel.slab.Reserve(2 * wheelSize) // two events a bucket, which no rowperf workload passes
+	c.wheel.Reserve(2 * slab.WheelSize) // two events a bucket, which no rowperf workload passes
 	c.carveWaitLists()
 	c.lockBuf = make([]uint64, 0, cfg.Core.AQSize)
 	c.Stats.LockHold = stats.NewHistogram(1 << 16)
@@ -444,11 +453,14 @@ func (c *Core) schedule(lat int, kind uint8, slot uint32, id uint64, token uint1
 	if lat < 1 {
 		lat = 1
 	}
-	if lat >= wheelSize {
-		c.fail(fmt.Sprintf("internal latency %d exceeds the %d-cycle execution wheel", lat, wheelSize))
-		lat = wheelSize - 1
+	if lat >= slab.WheelSize {
+		c.fail(fmt.Sprintf("internal latency %d exceeds the %d-cycle execution wheel", lat, slab.WheelSize))
+		lat = slab.WheelSize - 1
 	}
-	c.wheel.push((c.now+uint64(lat))%wheelSize, wheelEvent{slot: slot, id: id, token: token, kind: kind})
+	at := c.now + uint64(lat)
+	if !c.wheel.Push(at, wheelEvent{slot: slot, id: id, token: token, kind: kind}) {
+		c.fail(fmt.Sprintf("completion for cycle %d lands in an execution-wheel bucket that holds another cycle", at))
+	}
 }
 
 func (c *Core) String() string {

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"rowsim/internal/coherence"
 	"rowsim/internal/config"
+	"rowsim/internal/slab"
 	"rowsim/internal/trace"
 )
 
@@ -197,7 +199,7 @@ func TestLatencyPastTheWheelFails(t *testing.T) {
 	c := New(3, cfg, trace.Program{})
 	sink := &coherence.ErrorSink{}
 	c.SetErrorSink(sink)
-	c.schedule(wheelSize+4, evForwarded, 5, 9, 1)
+	c.schedule(slab.WheelSize+4, evForwarded, 5, 9, 1)
 	pe := sink.Err()
 	if pe == nil {
 		t.Fatal("a latency past the wheel raised no error")
@@ -206,7 +208,67 @@ func TestLatencyPastTheWheelFails(t *testing.T) {
 	if got := pe.Error(); !strings.HasPrefix(got, want) || !strings.Contains(got, "state={core3{") {
 		t.Fatalf("got %q\nwant it to start %q and carry the core's state", got, want)
 	}
-	if ev := c.wheel.slab.Values(c.wheel.buckets[wheelSize-1]); len(ev) != 1 || ev[0].slot != 5 || ev[0].id != 9 {
+	if ev := c.wheel.Bucket(slab.WheelSize - 1); len(ev) != 1 || ev[0].slot != 5 || ev[0].id != 9 {
 		t.Fatalf("wheel's last bucket holds %v; want the clamped event", ev)
+	}
+}
+
+// TestRestoredWheelKeepsCycles: Restore queues each bucket's
+// completions for the first cycle past now that maps to it, so one
+// scheduled afterwards for the same cycle joins them, behind.
+func TestRestoredWheelKeepsCycles(t *testing.T) {
+	cfg := config.Default()
+	cfg.NumCores = 4
+	sink := &coherence.ErrorSink{}
+	c := New(3, cfg, trace.Program{})
+	c.SetNow(100)
+	c.schedule(3, evForwarded, 5, 9, 1)   // due at 103
+	c.schedule(15, evForwarded, 6, 10, 1) // due at 115
+	r := New(3, cfg, trace.Program{})
+	r.SetErrorSink(sink)
+	r.Restore(c.Snapshot())
+	r.schedule(3, evForwarded, 7, 11, 1)
+	if pe := sink.Err(); pe != nil {
+		t.Fatal(pe)
+	}
+	for _, want := range []struct {
+		at    uint64
+		slots []uint32
+	}{{103, []uint32{5, 7}}, {115, []uint32{6}}} {
+		var got []uint32
+		for l := r.wheel.Take(want.at - slab.WheelSize); !l.Empty(); {
+			got = append(got, r.wheel.Pop(&l).slot)
+		}
+		if got != nil {
+			t.Fatalf("cycle %d took %v, a wheel early", want.at-slab.WheelSize, got)
+		}
+		for l := r.wheel.Take(want.at); !l.Empty(); {
+			got = append(got, r.wheel.Pop(&l).slot)
+		}
+		if !slices.Equal(got, want.slots) {
+			t.Fatalf("cycle %d took %v, want %v", want.at, got, want.slots)
+		}
+	}
+}
+
+// TestCompletionBehindTheClockFails: a clock that runs backwards past a
+// queued completion sends the next one into a bucket that holds another
+// cycle. That is a ProtocolError, and the queued completion stays.
+func TestCompletionBehindTheClockFails(t *testing.T) {
+	cfg := config.Default()
+	cfg.NumCores = 4
+	c := New(3, cfg, trace.Program{})
+	sink := &coherence.ErrorSink{}
+	c.SetErrorSink(sink)
+	c.SetNow(100)
+	c.schedule(4, evForwarded, 5, 9, 1) // due at 104
+	c.SetNow(84)
+	c.schedule(4, evForwarded, 6, 10, 1) // due at 88: 104's bucket
+	want := "protocol error at cycle 84: core 3: completion for cycle 88 lands in an execution-wheel bucket that holds another cycle"
+	if pe := sink.Err(); pe == nil || !strings.HasPrefix(pe.Error(), want) {
+		t.Fatalf("got %v, want an error starting %q", pe, want)
+	}
+	if ev := c.wheel.Bucket(104); len(ev) != 1 || ev[0].slot != 5 {
+		t.Fatalf("bucket holds %v; want only the completion due at 104", ev)
 	}
 }

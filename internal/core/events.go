@@ -41,13 +41,13 @@ func (c *Core) NextEventAt(now uint64) uint64 {
 		return next
 	}
 	at := never
-	// A pending wheel event for cycle Y sits in bucket Y%wheelSize and
-	// was scheduled fewer than wheelSize cycles before Y, so from any
+	// A pending wheel event for cycle Y sits in bucket Y%WheelSize and
+	// was scheduled fewer than WheelSize cycles before Y, so from any
 	// later now the bucket's next alias time is Y itself: timed events
 	// are neither fired early nor missed. Buckets holding only stale
 	// (token-mismatched) events wake the core spuriously once; the
 	// visit clears them.
-	if d, ok := c.wheel.ahead(next); ok {
+	if d, ok := c.wheel.Ahead(next); ok {
 		at = next + d
 	}
 	// Front end blocked only by the redirect / i-miss bubble.

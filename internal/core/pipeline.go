@@ -27,8 +27,8 @@ func (c *Core) Tick(cycle uint64) {
 
 // processWheel drains this cycle's completion events.
 func (c *Core) processWheel() {
-	for evs := c.wheel.take(c.now % wheelSize); !evs.Empty(); {
-		ev := c.wheel.slab.Pop(&evs)
+	for evs := c.wheel.Take(c.now); !evs.Empty(); {
+		ev := c.wheel.Pop(&evs)
 		e := c.entryBySlot(ev.slot, ev.id)
 		if e == nil || e.token != ev.token {
 			continue // flushed or cancelled

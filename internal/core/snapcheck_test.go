@@ -73,9 +73,10 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		"predContended", "trainable",
 	}, nil)
 
-	snapcheck.Assert(t, execWheel{}, []string{
+	snapcheck.Assert(t, slab.Wheel[wheelEvent]{}, []string{
 		"slab", "buckets", // captured as each bucket's events in order, queued again by Restore
 	}, map[string]string{
+		"due": "each bucket's cycle, the first past now that maps to it; set as Restore queues the events",
 		"occ": "one bit per non-empty bucket, rebuilt as Restore queues the events",
 	})
 

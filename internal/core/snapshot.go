@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rowsim/internal/predictor"
+	"rowsim/internal/slab"
 	"rowsim/internal/sram"
 	"rowsim/internal/trace"
 )
@@ -294,9 +295,9 @@ func (c *Core) Snapshot() *CoreSnap {
 			PredContended: e.predContended, Trainable: e.trainable,
 		}
 	}
-	s.Wheel = make([][]WheelEventSnap, wheelSize)
+	s.Wheel = make([][]WheelEventSnap, slab.WheelSize)
 	for b := range s.Wheel {
-		for _, ev := range c.wheel.slab.Values(c.wheel.buckets[b]) {
+		for _, ev := range c.wheel.Bucket(uint64(b)) {
 			s.Wheel[b] = append(s.Wheel[b], WheelEventSnap{Slot: ev.slot, ID: ev.id, Token: ev.token, Kind: ev.kind})
 		}
 	}
@@ -308,9 +309,9 @@ func (c *Core) Snapshot() *CoreSnap {
 // same (regenerated) program — instruction pointers are rebound to
 // prog by the serialized program indexes.
 func (c *Core) Restore(s *CoreSnap) {
-	if len(s.ROB) != len(c.rob) || len(s.LQ) != len(c.lq) || len(s.SB) != len(c.sb) || len(s.AQ) != len(c.aq) || len(s.Wheel) != wheelSize {
+	if len(s.ROB) != len(c.rob) || len(s.LQ) != len(c.lq) || len(s.SB) != len(c.sb) || len(s.AQ) != len(c.aq) || len(s.Wheel) != slab.WheelSize {
 		panic(fmt.Sprintf("core: restoring snapshot with rings rob=%d lq=%d sb=%d aq=%d wheel=%d into core with rob=%d lq=%d sb=%d aq=%d wheel=%d",
-			len(s.ROB), len(s.LQ), len(s.SB), len(s.AQ), len(s.Wheel), len(c.rob), len(c.lq), len(c.sb), len(c.aq), wheelSize))
+			len(s.ROB), len(s.LQ), len(s.SB), len(s.AQ), len(s.Wheel), len(c.rob), len(c.lq), len(c.sb), len(c.aq), slab.WheelSize))
 	}
 	c.fetchIdx = s.FetchIdx
 	c.fetchHoldBy = s.FetchHoldBy
@@ -381,10 +382,13 @@ func (c *Core) Restore(s *CoreSnap) {
 			predContended: e.PredContended, trainable: e.Trainable,
 		}
 	}
-	c.wheel.reset()
+	// Every queued completion is due after now, within a wheel: bucket
+	// b's is the first cycle past now that is b modulo WheelSize.
+	c.wheel.Reset()
 	for b, evs := range s.Wheel {
+		at := c.now + 1 + (uint64(b)-c.now-1)%slab.WheelSize
 		for _, ev := range evs {
-			c.wheel.push(uint64(b), wheelEvent{slot: ev.Slot, id: ev.ID, token: ev.Token, kind: ev.Kind})
+			c.wheel.Push(at, wheelEvent{slot: ev.Slot, id: ev.ID, token: ev.Token, kind: ev.Kind})
 		}
 	}
 	c.lqF, c.sbF = c.countFilters()

@@ -34,16 +34,7 @@ func (h eventHeap) less(i, j int) bool {
 
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
+	h.siftUp(len(*h) - 1)
 }
 
 func (h *eventHeap) pop() event {
@@ -51,25 +42,39 @@ func (h *eventHeap) pop() event {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
+	*h = s[:n]
+	h.siftDown(0)
+	return top
+}
+
+func (h eventHeap) siftUp(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (h eventHeap) siftDown(i int) {
+	n := len(h)
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < n && s.less(l, min) {
+		if l < n && h.less(l, min) {
 			min = l
 		}
-		if r < n && s.less(r, min) {
+		if r < n && h.less(r, min) {
 			min = r
 		}
 		if min == i {
-			break
+			return
 		}
-		s[i], s[min] = s[min], s[i]
+		h[i], h[min] = h[min], h[i]
 		i = min
 	}
-	return top
 }
 
 // Perturber mutates message delivery for fault injection. The mesh

@@ -88,36 +88,6 @@ func (m *Mesh) TakeSeq(seq uint64) (msg coherence.Msg, ok bool) {
 	return msg, true
 }
 
-func (h eventHeap) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (h eventHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && h.less(l, min) {
-			min = l
-		}
-		if r < n && h.less(r, min) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-}
-
 // ForEachPending calls fn for every queued (not yet delivered) message
 // in ascending send order. Checkers use it to encode the network's
 // state.

@@ -11,6 +11,7 @@ import (
 	"rowsim/internal/coherence"
 	"rowsim/internal/config"
 	"rowsim/internal/faults"
+	"rowsim/internal/trace"
 	"rowsim/internal/workload"
 )
 
@@ -74,6 +75,60 @@ func TestWatchdogFiresOnDroppedMessages(t *testing.T) {
 	}
 	if s.FaultStats().Dropped == 0 {
 		t.Fatal("injector reports no drops")
+	}
+}
+
+// TestWatchdogReportsLockCycle: two cores each lock one line with an
+// eager atomic while an older load, held back behind a miss to memory,
+// misses on the other core's line. Each load's request stalls behind
+// the other core's lock. Without forced release that is a deadlock,
+// and the watchdog must name the cycle core 0 -> core 1 -> core 0;
+// with it the run completes, which is the paper's progress guarantee.
+func TestWatchdogReportsLockCycle(t *testing.T) {
+	lines := [2]uint64{0x10000, 0x20040}
+	build := func() *System {
+		progs := make([]trace.Program, 2)
+		for i := range progs {
+			progs[i] = trace.Program{
+				{PC: 0x400000, Kind: trace.Load, Addr: 0x800000 + uint64(i)<<12, Size: 8, Dst: 3},
+				{PC: 0x400004, Kind: trace.Load, Addr: lines[1-i], Size: 8, Src1: 3, Dst: 1},
+				{PC: 0x400008, Kind: trace.Atomic, Addr: lines[i], Size: 8, Dst: 2, AtomicOp: trace.FAA},
+			}
+		}
+		cfg := config.Default()
+		cfg.NumCores = 2
+		cfg.Policy = config.PolicyEager
+		cfg.WarmCaches = false
+		s, err := New(cfg, progs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := build()
+	for _, pc := range s.Caches() {
+		pc.DisableForcedRelease()
+	}
+	_, err := s.Run()
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("want *DeadlockError, got %T: %v", err, err)
+	}
+	if !de.Cyclic || len(de.Chain) != 2 {
+		t.Fatalf("want a two-core cycle, got:\n%v", de)
+	}
+	for i, e := range de.Chain {
+		if e.Core != i || e.Next != 1-i || e.Line != lines[1-i] || !e.Stalled {
+			t.Fatalf("edge %d is %v; want core %d waiting on line %#x, stalled behind core %d's lock", i, e, i, lines[1-i], 1-i)
+		}
+	}
+
+	r, err := build().Run()
+	if err != nil {
+		t.Fatalf("with forced release: %v", err)
+	}
+	if r.Committed != 6 || r.ForcedReleases == 0 {
+		t.Fatalf("with forced release: %d instructions committed after %d forced releases; want 6 after some", r.Committed, r.ForcedReleases)
 	}
 }
 

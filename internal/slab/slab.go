@@ -5,8 +5,9 @@
 // earlier total: a run that reaches its high-water mark early
 // allocates nothing afterwards, however its queues come and go. It is
 // the storage of the run loop's queues that no configuration bound
-// sizes tightly: the core's execution wheel, a private cache's MSHR
-// waiters and parked misses, and a directory bank's stalled requests.
+// sizes tightly: the timing Wheel of the core and of each private
+// cache, a private cache's MSHR waiters and parked misses, and a
+// directory bank's stalled requests.
 package slab
 
 import "slices"
