@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
 	"rowsim/internal/coherence"
@@ -156,5 +157,76 @@ func TestFarRMWIssuesImmediatelyWithoutMiss(t *testing.T) {
 	sent := net.take()
 	if len(sent) != 1 || sent[0].Type != coherence.MsgGetFar {
 		t.Fatalf("far RMW on an idle line must issue at once, got %v", sent)
+	}
+}
+
+// sentTypes drains the messages the cache sent and returns their types.
+func sentTypes(net *fakeNet) []coherence.MsgType {
+	var types []coherence.MsgType
+	for _, m := range net.take() {
+		types = append(types, m.Type)
+	}
+	return types
+}
+
+// TestFarRMWStaysDeferredBehindUpgrade covers the upgrade guard on the
+// release of deferred far RMWs: a read miss is in flight, a write merges
+// onto it and a far RMW defers behind it. The shared fill cannot satisfy
+// the writer, which re-issues an upgrade on a fresh MSHR, and the far RMW
+// must stay deferred behind that one too: issuing it would drop the copy
+// the upgrade is about to re-install, as in
+// TestFarRMWDeferredBehindOutstandingMiss.
+func TestFarRMWStaysDeferredBehindUpgrade(t *testing.T) {
+	p, net, client := newCacheUnderTest()
+	p.Tick(1)
+	p.Access(1, lineB, false)
+	tick(p, 2, 20)
+	p.Access(2, lineB, true) // merges onto the GetS in flight
+	tick(p, 21, 40)
+	if got := sentTypes(net); !slices.Equal(got, []coherence.MsgType{coherence.MsgGetS}) {
+		t.Fatalf("before the fill: sent %v, want one GetS", got)
+	}
+	p.FarRMW(3, lineB)
+	if p.FarDeferredView(lineB) == nil {
+		t.Fatal("far RMW not deferred behind the read miss")
+	}
+
+	p.Deliver([]coherence.Msg{{
+		Type: coherence.MsgData, Line: lineB, Src: 32, Dst: 0, Requestor: 0,
+		Grant: coherence.GrantS,
+	}})
+	p.Tick(41)
+	if _, ok := client.resps[1]; !ok {
+		t.Fatal("reader not answered by the shared fill")
+	}
+	if _, ok := client.resps[2]; ok {
+		t.Fatal("writer answered by a shared fill")
+	}
+	if got, want := sentTypes(net), []coherence.MsgType{coherence.MsgUnblock, coherence.MsgGetX}; !slices.Equal(got, want) {
+		t.Fatalf("after the shared fill: sent %v, want %v (the writer's upgrade, no PutX or GetFar)", got, want)
+	}
+	if ws := p.FarDeferredView(lineB); len(ws) != 1 || ws[0].Tag != 3 {
+		t.Fatalf("far RMW left the deferred list while the upgrade is in flight: deferred %v", ws)
+	}
+	if p.FarView(lineB) != nil {
+		t.Fatal("far RMW issued while the upgrade is in flight")
+	}
+
+	p.Deliver([]coherence.Msg{{
+		Type: coherence.MsgData, Line: lineB, Src: 32, Dst: 0, Requestor: 0,
+		Grant: coherence.GrantM,
+	}})
+	p.Tick(42)
+	if _, ok := client.resps[2]; !ok {
+		t.Fatal("upgrade never answered the writer")
+	}
+	if got, want := sentTypes(net), []coherence.MsgType{coherence.MsgUnblockX, coherence.MsgPutX, coherence.MsgGetFar}; !slices.Equal(got, want) {
+		t.Fatalf("after the upgrade: sent %v, want %v", got, want)
+	}
+	if p.FarDeferredView(lineB) != nil {
+		t.Fatal("far RMW still deferred after the upgrade retired")
+	}
+	if ws := p.FarView(lineB); len(ws) != 1 || ws[0].Tag != 3 {
+		t.Fatalf("outstanding far RMWs %v, want tag 3", ws)
 	}
 }

@@ -8,7 +8,6 @@ package cache
 
 import (
 	"fmt"
-	"sort"
 
 	"rowsim/internal/coherence"
 	"rowsim/internal/config"
@@ -86,7 +85,6 @@ const releaseAfter = 2048
 const stalledRoom = 4
 
 type mshr struct {
-	line        uint64
 	write       bool
 	waiters     slab.List // of Private.waits, in arrival order
 	dataArrived bool
@@ -122,91 +120,69 @@ type stalledExt struct {
 	stallAt uint64
 }
 
-// mshrSet is a dense table of outstanding misses keyed by line. The
-// miss count is bounded by the MSHR limit (16 by default), so a linear
-// scan over a flat array beats a map on every hot-path lookup, and
-// NewPrivate sizes the table to the limit.
-type mshrSet struct {
+// lineTable is a dense table of records keyed by line: the outstanding
+// misses, the stalled external requests and the far RMWs. Each holds a
+// few lines, the largest at most the MSHR limit (16 by default), so a
+// linear scan over a flat array beats a map on every hot-path lookup,
+// and NewPrivate sizes each table to what runs hold at once. Removal
+// swaps the last entry in, so entries are in no particular order.
+type lineTable[T any] struct {
 	lines []uint64
-	ms    []mshr
+	vals  []T
 }
 
-func (s *mshrSet) get(line uint64) *mshr {
-	for i, l := range s.lines {
+func newLineTable[T any](n int) lineTable[T] {
+	return lineTable[T]{lines: make([]uint64, 0, n), vals: make([]T, 0, n)}
+}
+
+// get returns the line's record, nil when it has none. The pointer is
+// valid only until the next add or remove.
+func (t *lineTable[T]) get(line uint64) *T {
+	for i, l := range t.lines {
 		if l == line {
-			return &s.ms[i]
+			return &t.vals[i]
 		}
 	}
 	return nil
 }
 
-// add inserts and returns the slot; the pointer is valid only until
-// the next add or remove.
-func (s *mshrSet) add(line uint64, m mshr) *mshr {
-	s.lines = append(s.lines, line)
-	s.ms = append(s.ms, m)
-	return &s.ms[len(s.ms)-1]
+// add inserts a record for a line that has none and returns it, valid
+// as get's is.
+func (t *lineTable[T]) add(line uint64, v T) *T {
+	t.lines = append(t.lines, line)
+	t.vals = append(t.vals, v)
+	return &t.vals[len(t.vals)-1]
 }
 
-func (s *mshrSet) remove(line uint64) {
-	for i, l := range s.lines {
+func (t *lineTable[T]) removeAt(i int) {
+	n := len(t.lines) - 1
+	t.lines[i] = t.lines[n]
+	t.vals[i] = t.vals[n]
+	var zero T
+	t.vals[n] = zero
+	t.lines, t.vals = t.lines[:n], t.vals[:n]
+}
+
+// remove deletes the line's record and returns it; ok is false when it
+// has none.
+func (t *lineTable[T]) remove(line uint64) (v T, ok bool) {
+	for i, l := range t.lines {
 		if l == line {
-			n := len(s.lines) - 1
-			s.lines[i] = s.lines[n]
-			s.ms[i] = s.ms[n]
-			s.lines = s.lines[:n]
-			s.ms = s.ms[:n]
-			return
+			v = t.vals[i]
+			t.removeAt(i)
+			return v, true
 		}
 	}
+	return v, false
 }
 
-func (s *mshrSet) len() int { return len(s.lines) }
+func (t *lineTable[T]) len() int { return len(t.lines) }
 
-// stalledSet is the same flat-table idea for stalled external
-// requests; the directory serializes transactions per line, so the
-// set holds at most one entry per locked line and is almost always
-// empty or length one. NewPrivate gives it stalledRoom.
-type stalledSet struct {
-	lines []uint64
-	exts  []stalledExt
+// reset empties the table, keeping its storage.
+func (t *lineTable[T]) reset() {
+	clear(t.vals)
+	t.lines, t.vals = t.lines[:0], t.vals[:0]
 }
-
-func (s *stalledSet) get(line uint64) *stalledExt {
-	for i, l := range s.lines {
-		if l == line {
-			return &s.exts[i]
-		}
-	}
-	return nil
-}
-
-func (s *stalledSet) add(line uint64, e stalledExt) {
-	s.lines = append(s.lines, line)
-	s.exts = append(s.exts, e)
-}
-
-func (s *stalledSet) removeAt(i int) {
-	n := len(s.lines) - 1
-	s.lines[i] = s.lines[n]
-	s.exts[i] = s.exts[n]
-	s.lines = s.lines[:n]
-	s.exts[n] = stalledExt{}
-	s.exts = s.exts[:n]
-}
-
-func (s *stalledSet) remove(line uint64) (stalledExt, bool) {
-	for i, l := range s.lines {
-		if l == line {
-			e := s.exts[i]
-			s.removeAt(i)
-			return e, true
-		}
-	}
-	return stalledExt{}, false
-}
-
-func (s *stalledSet) len() int { return len(s.lines) }
 
 // Stats aggregates controller behaviour.
 type Stats struct {
@@ -240,20 +216,20 @@ type Private struct {
 	l1Hit int
 	l2Hit int
 
-	mshrs     mshrSet
+	mshrs     lineTable[mshr]
 	mshrLimit int
 	// parked holds the demand misses that found no MSHR free, oldest
 	// first; Tick hands each freed MSHR to the head.
 	parked slab.List
-	// waits holds the records of parked and of every MSHR's waiters.
-	// NewPrivate sizes it for two accesses per MSHR; a miss storm that
-	// parks more grows it to its high-water mark.
-	waits      slab.Slab[access]
-	stalled    stalledSet
-	pendingFar map[uint64][]waiter // outstanding far RMWs by line, FIFO
-	// farDeferred holds far RMWs waiting for an in-flight miss on the
-	// same line to retire before they may drop the copy and issue.
-	farDeferred map[uint64][]waiter
+	// waits holds the records of parked, of every MSHR's waiters and of
+	// the far RMWs. NewPrivate sizes it for two accesses per MSHR; a
+	// miss storm that parks more grows it to its high-water mark.
+	waits   slab.Slab[access]
+	stalled lineTable[stalledExt]
+	// pendingFar holds the far RMWs outstanding at the L3 by line, in
+	// issue order; farDeferred those waiting for an in-flight miss on
+	// the same line to retire before they may drop the copy and issue.
+	pendingFar, farDeferred lineTable[slab.List]
 
 	// work counts observable actions taken by Tick (event completions,
 	// forced releases). The run loop's cross-check asserts it
@@ -280,24 +256,25 @@ type Private struct {
 func NewPrivate(coreID int, cfg *config.Config, net coherence.Network, client Client, bankOf func(uint64) int) *Private {
 	m := cfg.Mem
 	p := &Private{
-		coreID:      coreID,
-		net:         net,
-		client:      client,
-		bankOf:      bankOf,
-		l1:          sram.New(m.L1D.SizeBytes, m.L1D.Ways, m.LineBytes),
-		l2:          sram.New(m.L2.SizeBytes, m.L2.Ways, m.LineBytes),
-		lineMask:    ^uint64(m.LineBytes - 1),
-		l1Hit:       m.L1D.HitCycles,
-		l2Hit:       m.L2.HitCycles,
-		mshrLimit:   m.MSHRs,
-		mshrs:       mshrSet{lines: make([]uint64, 0, m.MSHRs), ms: make([]mshr, 0, m.MSHRs)},
-		stalled:     stalledSet{lines: make([]uint64, 0, stalledRoom), exts: make([]stalledExt, 0, stalledRoom)},
-		pendingFar:  make(map[uint64][]waiter),
-		farDeferred: make(map[uint64][]waiter),
-		strides:     make([]strideEntry, 64),
-		pfDegree:    m.PrefetcherDegree,
-		pfConfMin:   m.PrefetcherDistance,
+		coreID:    coreID,
+		net:       net,
+		client:    client,
+		bankOf:    bankOf,
+		l1:        sram.New(m.L1D.SizeBytes, m.L1D.Ways, m.LineBytes),
+		l2:        sram.New(m.L2.SizeBytes, m.L2.Ways, m.LineBytes),
+		lineMask:  ^uint64(m.LineBytes - 1),
+		l1Hit:     m.L1D.HitCycles,
+		l2Hit:     m.L2.HitCycles,
+		mshrLimit: m.MSHRs,
+		mshrs:     newLineTable[mshr](m.MSHRs),
+		stalled:   newLineTable[stalledExt](stalledRoom),
+		strides:   make([]strideEntry, 64),
+		pfDegree:  m.PrefetcherDegree,
+		pfConfMin: m.PrefetcherDistance,
 	}
+	// A far RMW issues at the head of its core's LQ and completes before
+	// the next one can, so one line is outstanding at a time.
+	p.pendingFar, p.farDeferred = newLineTable[slab.List](1), newLineTable[slab.List](1)
 	p.events.Reserve(2 * slab.WheelSize) // two events a bucket, which no rowperf workload passes
 	p.waits.Reserve(2 * m.MSHRs)
 	p.Stats.MissHist = stats.NewHistogram(1 << 16)
@@ -338,8 +315,8 @@ func (p *Private) NextEventAt(now uint64) uint64 {
 	if !p.noForcedRelease {
 		// Tick releases a stalled entry once cycle-stallAt exceeds
 		// releaseAfter, i.e. from stallAt+releaseAfter+1 on.
-		for i := range p.stalled.exts {
-			if t := p.stalled.exts[i].stallAt + releaseAfter + 1; t < at {
+		for i := range p.stalled.vals {
+			if t := p.stalled.vals[i].stallAt + releaseAfter + 1; t < at {
 				at = t
 			}
 		}
@@ -487,7 +464,7 @@ func (p *Private) startMiss(tag uint64, line uint64, write bool, at uint64, woke
 		p.waits.Push(&p.parked, access{line, waiter{tag: tag, at: at, write: write}})
 		return
 	}
-	m := mshr{line: line, write: write, sentAt: p.now}
+	m := mshr{write: write, sentAt: p.now}
 	if tag != TagPrefetch {
 		p.waits.Push(&m.waiters, access{line, waiter{tag: tag, at: at, write: write}})
 	}
@@ -537,10 +514,19 @@ func (p *Private) FarRMW(tag uint64, addr uint64) {
 	line := p.Line(addr)
 	p.Stats.Accesses.Inc()
 	if p.mshrs.get(line) != nil {
-		p.farDeferred[line] = append(p.farDeferred[line], waiter{tag: tag, at: p.now})
+		p.queueFar(&p.farDeferred, line, waiter{tag: tag, at: p.now})
 		return
 	}
 	p.issueFar(line, waiter{tag: tag, at: p.now})
+}
+
+// queueFar appends w to the line's list in the far table t.
+func (p *Private) queueFar(t *lineTable[slab.List], line uint64, w waiter) {
+	l := t.get(line)
+	if l == nil {
+		l = t.add(line, slab.List{})
+	}
+	p.waits.Push(l, access{line, w})
 }
 
 func (p *Private) issueFar(line uint64, w waiter) {
@@ -553,7 +539,7 @@ func (p *Private) issueFar(line uint64, w waiter) {
 			Requestor: p.coreID,
 		})
 	}
-	p.pendingFar[line] = append(p.pendingFar[line], w)
+	p.queueFar(&p.pendingFar, line, w)
 	p.net.Send(coherence.Msg{
 		Type: coherence.MsgGetFar, Line: line, Src: p.coreID, Dst: p.bankOf(line),
 		Requestor: p.coreID,
@@ -625,16 +611,14 @@ func (p *Private) handle(m *coherence.Msg) {
 	case coherence.MsgFwdGetS:
 		p.handleExternal(m, false)
 	case coherence.MsgFarDone:
-		ws := p.pendingFar[m.Line]
-		if len(ws) == 0 {
+		ws := p.pendingFar.get(m.Line)
+		if ws == nil {
 			p.fail(m, "FarDone without a pending far RMW")
 			return
 		}
-		w := ws[0]
-		if len(ws) == 1 {
-			delete(p.pendingFar, m.Line)
-		} else {
-			p.pendingFar[m.Line] = ws[1:]
+		w := p.waits.Pop(ws)
+		if ws.Empty() {
+			p.pendingFar.remove(m.Line)
 		}
 		p.client.MemResp(w.tag, RespInfo{Line: m.Line, Latency: p.now - w.at})
 	default:
@@ -661,11 +645,9 @@ func (p *Private) maybeComplete(line uint64, msp *mshr) {
 	if !msp.dataArrived || msp.pendingAcks != 0 {
 		return
 	}
-	// Copy the entry out and free the slot first: re-issued upgrade
-	// misses below allocate a fresh MSHR for the same line, and the
-	// table remove invalidates pointers into it.
-	ms := *msp
-	p.mshrs.remove(line)
+	// Take the entry out first: re-issued upgrade misses below allocate
+	// a fresh MSHR for the same line, and the remove invalidates msp.
+	ms, _ := p.mshrs.remove(line)
 
 	st := StateS
 	switch ms.grant {
@@ -726,10 +708,10 @@ func (p *Private) maybeComplete(line uint64, msp *mshr) {
 	// Release far RMWs deferred behind this miss — unless a writer
 	// just re-issued an upgrade above, in which case they stay parked
 	// behind the new MSHR.
-	if dws, ok := p.farDeferred[line]; ok && p.mshrs.get(line) == nil {
-		delete(p.farDeferred, line)
-		for _, w := range dws {
-			p.issueFar(line, w)
+	if p.farDeferred.get(line) != nil && p.mshrs.get(line) == nil {
+		dws, _ := p.farDeferred.remove(line)
+		for !dws.Empty() {
+			p.issueFar(line, p.waits.Pop(&dws).waiter)
 		}
 	}
 }
@@ -863,7 +845,7 @@ func (p *Private) Tick(cycle uint64) {
 		p.startMiss(m.tag, m.line, m.write, m.at, true)
 	}
 	for i := 0; !p.noForcedRelease && i < p.stalled.len(); {
-		s := &p.stalled.exts[i]
+		s := &p.stalled.vals[i]
 		if cycle-s.stallAt <= releaseAfter {
 			i++
 			continue
@@ -887,7 +869,7 @@ func (p *Private) Tick(cycle uint64) {
 // stalled external requests (quiescence check).
 func (p *Private) PendingWork() bool {
 	return p.mshrs.len() > 0 || !p.parked.Empty() || !p.events.Empty() || p.stalled.len() > 0 ||
-		len(p.pendingFar) > 0 || len(p.farDeferred) > 0
+		p.pendingFar.len() > 0 || p.farDeferred.len() > 0
 }
 
 // OldestMiss returns the line of the oldest outstanding demand miss,
@@ -895,8 +877,8 @@ func (p *Private) PendingWork() bool {
 // diagnostics). ok is false when nothing is outstanding.
 func (p *Private) OldestMiss() (line uint64, desc string, ok bool) {
 	best := ^uint64(0)
-	for i := range p.mshrs.ms {
-		l, m := p.mshrs.lines[i], &p.mshrs.ms[i]
+	for i := range p.mshrs.vals {
+		l, m := p.mshrs.lines[i], &p.mshrs.vals[i]
 		if m.sentAt < best || (m.sentAt == best && l < line) {
 			best = m.sentAt
 			line = l
@@ -916,15 +898,11 @@ func (p *Private) OldestMiss() (line uint64, desc string, ok bool) {
 	}
 	// A minimum over (sentAt, line) with a total-order tie-break:
 	// visit order cannot change the result.
-	for l, ws := range p.pendingFar {
-		if len(ws) == 0 {
-			continue
-		}
-		if ws[0].at < best || (ws[0].at == best && l < line) {
-			best = ws[0].at
-			line = l
-			desc = fmt.Sprintf("GetFar sent at cycle %d (%d queued)", ws[0].at, len(ws))
-			ok = true
+	for i, ws := range p.pendingFar.vals {
+		l, at := p.pendingFar.lines[i], p.waits.At(ws.Front()).at
+		if at < best || (at == best && l < line) {
+			best, line, ok = at, l, true
+			desc = fmt.Sprintf("GetFar sent at cycle %d (%d queued)", at, p.waits.Len(ws))
 		}
 	}
 	return line, desc, ok
@@ -939,8 +917,8 @@ func (p *Private) HasStalledExternal(line uint64) bool {
 // DebugMSHRs describes every outstanding miss (deadlock diagnostics).
 func (p *Private) DebugMSHRs() []string {
 	var out []string
-	for i := range p.mshrs.ms {
-		line, m := p.mshrs.lines[i], &p.mshrs.ms[i]
+	for i := range p.mshrs.vals {
+		line, m := p.mshrs.lines[i], &p.mshrs.vals[i]
 		out = append(out, fmt.Sprintf(
 			"cache%d mshr line=%#x write=%v dataArrived=%v grant=%d acks=%d waiters=%d sentAt=%d",
 			p.coreID, line, m.write, m.dataArrived, m.grant, m.pendingAcks, p.waits.Len(m.waiters), m.sentAt))
@@ -948,14 +926,8 @@ func (p *Private) DebugMSHRs() []string {
 	for _, line := range p.stalled.lines {
 		out = append(out, fmt.Sprintf("cache%d stalledExt line=%#x", p.coreID, line))
 	}
-	// Sorted so the deadlock report is identical run to run.
-	far := make([]uint64, 0, len(p.pendingFar))
-	for line := range p.pendingFar {
-		far = append(far, line)
-	}
-	sort.Slice(far, func(i, j int) bool { return far[i] < far[j] })
-	for _, line := range far {
-		out = append(out, fmt.Sprintf("cache%d pendingFar line=%#x n=%d", p.coreID, line, len(p.pendingFar[line])))
+	for i, ws := range p.pendingFar.vals {
+		out = append(out, fmt.Sprintf("cache%d pendingFar line=%#x n=%d", p.coreID, p.pendingFar.lines[i], p.waits.Len(ws)))
 	}
 	return out
 }

@@ -13,7 +13,7 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 	snapcheck.Assert(t, Private{}, []string{
 		"l1", "l2",
 		"mshrs", "parked", "stalled", "pendingFar", "farDeferred",
-		"waits", // the records of parked and of the MSHRs' waiters, captured through those lists
+		"waits", // the records of parked, the MSHRs' waiters and the far RMWs, captured through those lists
 		"events", "now",
 		"strides",
 		"work",
@@ -34,13 +34,13 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 	})
 
 	snapcheck.Assert(t, mshr{}, []string{
-		"line", "write", "waiters", "dataArrived", "grant",
+		"write", "waiters", "dataArrived", "grant",
 		"fromPrivate", "pendingAcks", "sentAt",
 	}, nil)
 
 	snapcheck.Assert(t, waiter{}, []string{"tag", "at", "write"}, nil)
 
-	snapcheck.Assert(t, mshrSet{}, []string{"lines", "ms"}, nil)
+	snapcheck.Assert(t, lineTable[mshr]{}, []string{"lines", "vals"}, nil)
 
 	snapcheck.Assert(t, access{}, []string{"line", "waiter"}, nil)
 

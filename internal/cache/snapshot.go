@@ -96,15 +96,7 @@ type CacheSnap struct {
 	Stats   Stats
 }
 
-func snapWaiters(ws []waiter) []WaiterSnap {
-	out := make([]WaiterSnap, 0, len(ws))
-	for _, w := range ws {
-		out = append(out, WaiterSnap{Tag: w.tag, At: w.at, Write: w.write})
-	}
-	return out
-}
-
-// snapWaitList is snapWaiters for a list of the waits slab.
+// snapWaitList captures a list of the waits slab.
 func (p *Private) snapWaitList(l slab.List) []WaiterSnap {
 	out := make([]WaiterSnap, 0, p.waits.Len(l))
 	for r := l.Front(); r != 0; r = p.waits.Next(r) {
@@ -114,12 +106,24 @@ func (p *Private) snapWaitList(l slab.List) []WaiterSnap {
 	return out
 }
 
-func restoreWaiters(ws []WaiterSnap) []waiter {
-	var out []waiter
-	for _, w := range ws {
-		out = append(out, waiter{tag: w.Tag, at: w.At, write: w.Write})
+// snapFar captures a far table, sorted by line.
+func (p *Private) snapFar(t *lineTable[slab.List]) []FarSnap {
+	var out []FarSnap
+	for i, ws := range t.vals {
+		out = append(out, FarSnap{Line: t.lines[i], Waiters: p.snapWaitList(ws)})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Line < out[j].Line })
 	return out
+}
+
+// restoreFar refills a far table from its snapshot.
+func (p *Private) restoreFar(t *lineTable[slab.List], fs []FarSnap) {
+	t.reset()
+	for _, f := range fs {
+		for _, w := range f.Waiters {
+			p.queueFar(t, f.Line, waiter{tag: w.Tag, at: w.At, write: w.Write})
+		}
+	}
 }
 
 // Snapshot captures the controller's protocol and pipeline state. It
@@ -143,8 +147,8 @@ func (p *Private) Snapshot() *CacheSnap {
 	for _, t := range p.strides {
 		s.Strides = append(s.Strides, StrideSnap{PC: t.pc, LastAddr: t.lastAddr, Stride: t.stride, Conf: t.conf})
 	}
-	for i := range p.mshrs.ms {
-		m := &p.mshrs.ms[i]
+	for i := range p.mshrs.vals {
+		m := &p.mshrs.vals[i]
 		s.MSHRs = append(s.MSHRs, MSHRSnap{
 			Line: p.mshrs.lines[i], Write: m.write, DataArrived: m.dataArrived,
 			Grant: m.grant, FromPrivate: m.fromPrivate, PendingAcks: m.pendingAcks,
@@ -152,20 +156,11 @@ func (p *Private) Snapshot() *CacheSnap {
 		})
 	}
 	sort.Slice(s.MSHRs, func(i, j int) bool { return s.MSHRs[i].Line < s.MSHRs[j].Line })
-	for i := range p.stalled.exts {
-		s.Stalled = append(s.Stalled, StalledSnap{
-			Line: p.stalled.lines[i], StallAt: p.stalled.exts[i].stallAt, Msg: p.stalled.exts[i].msg,
-		})
+	for i, st := range p.stalled.vals {
+		s.Stalled = append(s.Stalled, StalledSnap{Line: p.stalled.lines[i], StallAt: st.stallAt, Msg: st.msg})
 	}
 	sort.Slice(s.Stalled, func(i, j int) bool { return s.Stalled[i].Line < s.Stalled[j].Line })
-	for line, ws := range p.pendingFar {
-		s.Far = append(s.Far, FarSnap{Line: line, Waiters: snapWaiters(ws)})
-	}
-	sort.Slice(s.Far, func(i, j int) bool { return s.Far[i].Line < s.Far[j].Line })
-	for line, ws := range p.farDeferred {
-		s.FarDef = append(s.FarDef, FarSnap{Line: line, Waiters: snapWaiters(ws)})
-	}
-	sort.Slice(s.FarDef, func(i, j int) bool { return s.FarDef[i].Line < s.FarDef[j].Line })
+	s.Far, s.FarDef = p.snapFar(&p.pendingFar), p.snapFar(&p.farDeferred)
 	for _, m := range p.waits.Values(p.parked) {
 		s.Parked = append(s.Parked, ParkedSnap{Line: m.line, Tag: m.tag, At: m.at, Write: m.write})
 	}
@@ -191,11 +186,10 @@ func (p *Private) Restore(s *CacheSnap) {
 	}
 
 	p.waits.Reset()
-	p.mshrs.lines = p.mshrs.lines[:0]
-	p.mshrs.ms = p.mshrs.ms[:0]
+	p.mshrs.reset()
 	for _, ms := range s.MSHRs {
 		m := mshr{
-			line: ms.Line, write: ms.Write, dataArrived: ms.DataArrived,
+			write: ms.Write, dataArrived: ms.DataArrived,
 			grant: ms.Grant, fromPrivate: ms.FromPrivate, pendingAcks: ms.PendingAcks,
 			sentAt: ms.SentAt,
 		}
@@ -204,19 +198,12 @@ func (p *Private) Restore(s *CacheSnap) {
 		}
 		p.mshrs.add(ms.Line, m)
 	}
-	p.stalled.lines = p.stalled.lines[:0]
-	p.stalled.exts = p.stalled.exts[:0]
+	p.stalled.reset()
 	for _, st := range s.Stalled {
 		p.stalled.add(st.Line, stalledExt{msg: st.Msg, stallAt: st.StallAt})
 	}
-	p.pendingFar = make(map[uint64][]waiter, len(s.Far))
-	for _, f := range s.Far {
-		p.pendingFar[f.Line] = restoreWaiters(f.Waiters)
-	}
-	p.farDeferred = make(map[uint64][]waiter, len(s.FarDef))
-	for _, f := range s.FarDef {
-		p.farDeferred[f.Line] = restoreWaiters(f.Waiters)
-	}
+	p.restoreFar(&p.pendingFar, s.Far)
+	p.restoreFar(&p.farDeferred, s.FarDef)
 	p.parked = slab.List{}
 	for _, m := range s.Parked {
 		p.waits.Push(&p.parked, access{m.Line, waiter{tag: m.Tag, at: m.At, write: m.Write}})
@@ -250,21 +237,19 @@ func (p *Private) StalledView(line uint64) (coherence.Msg, bool) {
 // FarView returns the line's outstanding far RMW waiters, in issue
 // order (nil when none).
 func (p *Private) FarView(line uint64) []WaiterSnap {
-	ws := p.pendingFar[line]
-	if len(ws) == 0 {
-		return nil
+	if ws := p.pendingFar.get(line); ws != nil {
+		return p.snapWaitList(*ws)
 	}
-	return snapWaiters(ws)
+	return nil
 }
 
 // FarDeferredView returns the line's far RMWs parked behind an
 // in-flight miss, in issue order (nil when none).
 func (p *Private) FarDeferredView(line uint64) []WaiterSnap {
-	ws := p.farDeferred[line]
-	if len(ws) == 0 {
-		return nil
+	if ws := p.farDeferred.get(line); ws != nil {
+		return p.snapWaitList(*ws)
 	}
-	return snapWaiters(ws)
+	return nil
 }
 
 // LevelStates returns the coherence state of the line's L1 and L2

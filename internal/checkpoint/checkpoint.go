@@ -8,7 +8,7 @@
 //	header frame: uint32 length | JSON Meta | uint32 CRC32-C
 //	body frame:   uint32 length | gob sim.SysSnap | uint32 CRC32-C
 //
-// Version 4 of the body is one encoding/gob stream holding one
+// Version 5 of the body is one encoding/gob stream holding one
 // sim.SysSnap: binary, self-describing, zero fields and empty slices
 // left out. A snapshot encodes state that exists, not capacity — each
 // sram array is its valid lines in ascending position, each directory
@@ -16,8 +16,12 @@
 // bytes are a function of the state. Both are stored column-wise, a
 // slice per field, which gob encodes as runs of numbers. The stats
 // accumulators travel through their MarshalBinary methods, floats as
-// their bits. Version 3 held the same snapshot one struct per line,
-// and versions 1 and 2 were JSON bodies; no reader for them remains.
+// their bits. Version 4 had the same layout but kept the core's lazy
+// and lock-order waiters in lists of their own, which version 5 reads
+// from the LQ and AQ (an order waiter restored from a version 4 file
+// would sit in no list and never wake); version 3 held the snapshot one
+// struct per line, and versions 1 and 2 were JSON bodies. No reader for
+// them remains.
 //
 // The header carries the format version, the simulated cycle, and a
 // content key — a hash over everything that determines the run
@@ -31,14 +35,15 @@
 // Run) starts such a run fresh and says so, and the next Save rotates
 // the old file away. Another run's key stays a hard error.
 //
-// Durability discipline: Save writes to a temporary file, fsyncs it,
-// rotates the current checkpoint to the ".prev" slot, and renames the
-// temporary into place (then fsyncs the directory). A crash at any
-// point leaves either the old checkpoint, the new one, or the old one
-// in the ".prev" slot — Load tries the primary first and falls back to
-// ".prev", so a torn or half-rotated write costs one checkpoint
-// interval of progress, never the run. Load never panics on corrupt
-// input: every structural defect is reported as a *CorruptError.
+// Durability discipline: Save rotates the current checkpoint to the
+// ".prev" slot, then writes the new one with lifecycle.WriteAtomic (a
+// temporary file, fsynced and renamed into place, then a directory
+// fsync). A crash or a failed write at any point leaves either the old
+// checkpoint, the new one, or the old one in the ".prev" slot — Load
+// tries the primary first and falls back to ".prev", so a torn or
+// half-rotated write costs one checkpoint interval of progress, never
+// the run. Load never panics on corrupt input: every structural defect
+// is reported as a *CorruptError.
 package checkpoint
 
 import (
@@ -54,12 +59,13 @@ import (
 	"os"
 	"path/filepath"
 
+	"rowsim/internal/lifecycle"
 	"rowsim/internal/sim"
 )
 
 // Version is the on-disk format version. Bump on any incompatible
 // change to the header or body encoding; Load refuses other versions.
-const Version = 4
+const Version = 5
 
 // PrevSuffix is appended to a checkpoint path to name the previous
 // (fallback) checkpoint in the keep-last-2 rotation.
@@ -234,60 +240,22 @@ func Decode(path, key string, data []byte) (*sim.SysSnap, Meta, error) {
 }
 
 // Save durably writes snap as the checkpoint at path, rotating any
-// existing checkpoint to path+PrevSuffix. The write is atomic
-// (temp+fsync+rename): a crash during Save never damages the existing
-// checkpoint lineage.
+// existing checkpoint to path+PrevSuffix first: a crash or a failed
+// write never damages the existing checkpoint lineage.
 func Save(path, key string, snap *sim.SysSnap) error {
 	data, err := Encode(key, snap)
 	if err != nil {
 		return fmt.Errorf("checkpoint %s: encode: %w", path, err)
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Rotate: the checkpoint being replaced becomes the fallback. Both
-	// renames are atomic; a crash between them leaves only the ".prev"
-	// slot populated, which Load handles.
 	if _, err := os.Stat(path); err == nil {
 		if err := os.Rename(path, path+PrevSuffix); err != nil {
-			os.Remove(tmp)
 			return err
 		}
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	return lifecycle.WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	syncDir(filepath.Dir(path))
-	return nil
-}
-
-// syncDir fsyncs a directory so the renames within it are durable.
-// Best-effort: some filesystems refuse directory fsync, and the
-// in-process guarantees do not depend on it.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
+	})
 }
 
 // loadFile reads and decodes one checkpoint file.

@@ -123,6 +123,14 @@ func TestRunDurableAttempt(t *testing.T) {
 					t.Fatal(err)
 				}
 			}},
+		{name: "a Version 4 file", dir: true, stale: true,
+			setup: func(t *testing.T, dir string) {
+				// The same snapshot as the last Version 4 build wrote it,
+				// whose core snapshot held the lazy and order wait lists.
+				if err := os.WriteFile(Path(dir, key), mustRead(t, "testdata/v4.ckpt"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}},
 		{name: "another run's checkpoint", dir: true, mismatch: true,
 			setup: func(t *testing.T, dir string) { interrupted(t, dir, other) }},
 	}

@@ -9,7 +9,7 @@
 // contention between cores emerges from the multicore simulation
 // rather than from the trace.
 //
-// Two layouts keep a tick cheap without changing what it computes:
+// These layouts keep a tick cheap without changing what it computes:
 //
 //   - Line filters. Three searches look for a same-line queue entry
 //     and almost always find none: store-to-load forwarding (sbMatch,
@@ -40,11 +40,12 @@
 //     always its tail, begin, and empties the lists of the flushed
 //     producers. Snapshots walk the lists into ROBEntrySnap.Deps, and
 //     Restore relinks them.
-//   - Wait lists and a wheel that do not grow in a run. The execution
-//     wheel's buckets are FIFOs in one slab (package slab), whose freed
-//     records the next events reuse, and the wait lists share one array
-//     that New carves up. New reserves both for what runs hold at once,
-//     so a run allocates only past such a high-water mark.
+//   - Waits read from the queues that hold them. A lazy atomic issues
+//     at the LQ head, and a lock that per-core ordering deferred
+//     retries at the oldest unlocked AQ entry, so neither keeps a list.
+//     The execution wheel's buckets are FIFOs in one slab (package
+//     slab), and the other wait lists share one array that New carves
+//     up, so a run allocates only past a high-water mark.
 package core
 
 import (
@@ -71,6 +72,7 @@ const (
 	sWaitStore              // load blocked behind an older store (store sets / unready forward)
 	sWaitLazy               // atomic waiting for the lazy-issue conditions
 	sWaitLock               // atomic waiting for an older same-line lock to release
+	sWaitOrder              // atomic whose line arrived before an older atomic locked
 	sCompleted              // executed; waiting to commit
 )
 
@@ -276,12 +278,10 @@ type Core struct {
 	// array (carveWaitLists); the fence lists, which only fenced traces
 	// use, start empty.
 	readyQ       []depRef
-	lazyWait     []depRef // atomics in sWaitLazy
 	storeBlocked []depRef // loads in sWaitStore
 	fenceBlocked []depRef // memory ops stalled behind a fence
 	lockWait     []depRef // atomics waiting for a same-line lock
-	orderWait    []depRef // atomics whose line arrived before an older atomic locked
-	wakeBuf      []depRef // scratch for wakeLockWaiters and checkOrderWait
+	wakeBuf      []depRef // scratch for wakeLockWaiters
 	fenceIDs     []uint64 // in-flight fences (and fenced atomics), ascending
 	lockBuf      []uint64 // scratch for flushFrom's released locks, an AQ's worth
 
@@ -349,26 +349,24 @@ func New(id int, cfg *config.Config, prog trace.Program) *Core {
 }
 
 // carveWaitLists gives each wait list but the fence lists its share of
-// one array, sized to what the lists hold at once in runs, so that a
-// run appends to them without allocating. A list of atomics gets a ref
-// per AQ entry, and so do the loads blocked on a store; the ready queue
-// gets twice the issue width. Of rowperf's workloads only the spin lock
-// passes them (54 lock waiters and 26 blocked loads on lockspin-32c).
-// Stale refs (flushed or re-issued entries) stay in a list until its
-// next pass, so no share is a bound: a list that outgrows its share
-// gets an array of its own from append, and its three-index cap keeps
-// it off the next list's share.
+// one array, so that a run appends to them without allocating. The
+// lock waiters are live atomics, at most one per AQ entry, and the
+// loads blocked on a store at most one per LQ entry, because flushFrom
+// drops flushed refs from both; wakeBuf holds one pass's lock waiters.
+// The ready queue gets twice the issue width, which is no bound: it
+// keeps flushed refs until issue passes them, and when it outgrows its
+// share append gives it an array of its own, its three-index cap
+// keeping it off the next list's share.
 func (c *Core) carveWaitLists() {
-	ready, aq := 2*c.cfg.Core.IssueWidth, c.cfg.Core.AQSize
-	room := make([]depRef, ready+5*aq)
+	ready, lq, aq := 2*c.cfg.Core.IssueWidth, c.cfg.Core.LQSize, c.cfg.Core.AQSize
+	room := make([]depRef, ready+lq+2*aq)
 	carve := func(n int) []depRef {
 		s := room[:0:n]
 		room = room[n:]
 		return s
 	}
-	c.readyQ = carve(ready)
-	c.lazyWait, c.storeBlocked = carve(aq), carve(aq)
-	c.lockWait, c.orderWait, c.wakeBuf = carve(aq), carve(aq), carve(aq)
+	c.readyQ, c.storeBlocked = carve(ready), carve(lq)
+	c.lockWait, c.wakeBuf = carve(aq), carve(aq)
 }
 
 func nextPow2(n int) int {

@@ -92,17 +92,11 @@ func (c *Core) activeNow(next uint64) bool {
 			return true // drainSB drains the head or goes busy fetching permission
 		}
 	}
-	for _, ref := range c.lazyWait {
-		e := c.entryBySlot(ref.slot, ref.id)
-		if e != nil && e.st == sWaitLazy && e.srcPending == 0 && c.lazyReady(e) {
-			return true // checkLazy issues it (ports reset every tick)
-		}
+	if e, _ := c.lazyHead(); e != nil {
+		return true // checkLazy issues it (ports reset every tick)
 	}
-	for _, ref := range c.orderWait {
-		e := c.entryBySlot(ref.slot, ref.id)
-		if e != nil && e.st == sWaitLock && !c.olderUnlockedAtomic(e.id) {
-			return true // checkOrderWait re-issues the lock
-		}
+	if e, _ := c.orderHead(); e != nil {
+		return true // checkOrderWait re-issues the lock
 	}
 	if next >= c.fetchFreeAt && c.dispatchReady() {
 		return true

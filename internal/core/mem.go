@@ -87,7 +87,6 @@ func (c *Core) atomicAfterAGU(e *robEntry, slot uint32) {
 	}
 	if e.lazy && !c.lazyReady(e) {
 		e.st = sWaitLazy
-		c.lazyWait = append(c.lazyWait, depRef{slot: slot, id: e.id})
 		return
 	}
 	c.tryLock(e, slot)
@@ -192,8 +191,7 @@ func (c *Core) atomicLineArrived(e *robEntry, slot uint32, info cache.RespInfo) 
 			// stays cached unlocked — a contending core may steal it
 			// before our turn comes, in which case the lock request
 			// replays.
-			e.st = sWaitLock
-			c.orderWait = append(c.orderWait, depRef{slot: slot, id: e.id})
+			e.st = sWaitOrder
 			return
 		}
 		c.preemptYoungerLock(e.line, e.id)
@@ -371,7 +369,6 @@ func (c *Core) ForceRelease(line uint64) bool {
 		// behind the winner.
 		if e.lazy {
 			e.st = sWaitLazy
-			c.lazyWait = append(c.lazyWait, depRef{slot: a.slot, id: a.id})
 		} else {
 			e.st = sIssued
 			c.schedule(2, evAtomicRetry, a.slot, a.id, e.token)
@@ -483,7 +480,7 @@ func (c *Core) countOlderUnexecuted(id uint64) int {
 			break
 		}
 		switch e.st {
-		case sWaiting, sReady, sWaitStore, sWaitLazy, sWaitLock:
+		case sWaiting, sReady, sWaitStore, sWaitLazy, sWaitLock, sWaitOrder:
 			n++
 		}
 	}
@@ -571,6 +568,9 @@ func (c *Core) flushFrom(pos int64) {
 		}
 	}
 
+	c.lockWait = c.dropFlushed(c.lockWait)
+	c.storeBlocked = c.dropFlushed(c.storeBlocked)
+
 	c.fetchIdx = int(refetch)
 	c.fetchFreeAt = c.now + uint64(c.cfg.Core.RedirectPenalty)
 
@@ -578,4 +578,18 @@ func (c *Core) flushFrom(pos int64) {
 		c.mem.LockReleased(line)
 	}
 	c.lockBuf = released
+}
+
+// dropFlushed filters the refs of instructions a flush removed out of a
+// wait list, in place. No caller walks a list that a flush can
+// shorten: wakeLockWaiters re-issues from its own buffer, and
+// wakeStoreBlocked's accesses never invalidate a line.
+func (c *Core) dropFlushed(l []depRef) []depRef {
+	kept := l[:0]
+	for _, ref := range l {
+		if c.entryBySlot(ref.slot, ref.id) != nil {
+			kept = append(kept, ref)
+		}
+	}
+	return kept
 }

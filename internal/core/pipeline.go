@@ -135,13 +135,12 @@ func (c *Core) forwardValue(e *robEntry, slot uint32) {
 	c.wakeDependents(slot)
 }
 
-// makeReady routes a dependency-resolved instruction to the right
-// queue: the ready queue, or straight to the lazy-wait list for
-// atomics issued lazily without the early address-calculation pass.
+// makeReady routes a dependency-resolved instruction to the ready
+// queue, or straight to sWaitLazy for atomics issued lazily without the
+// early address-calculation pass.
 func (c *Core) makeReady(e *robEntry, slot uint32) {
 	if e.in.Kind == trace.Atomic && e.lazy && !c.cfg.EarlyAddrCalc() {
 		e.st = sWaitLazy
-		c.lazyWait = append(c.lazyWait, depRef{slot: slot, id: e.id})
 		return
 	}
 	if e.in.Kind == trace.Fence {
@@ -281,67 +280,65 @@ func (c *Core) unlockAtomic(h *sbEntry) {
 	}
 }
 
-// checkOrderWait retries atomics whose lock acquisition was deferred
-// by per-core lock ordering, once every older atomic has locked.
+// checkOrderWait retries the lock acquisition that per-core lock
+// ordering deferred, once every older atomic has locked: only the
+// oldest unlocked AQ entry has no older unlocked atomic.
 func (c *Core) checkOrderWait() {
-	if len(c.orderWait) == 0 {
-		return
-	}
-	wake := c.wakeBuf[:0]
-	c.wakeBuf = nil // a re-entrant wake-up grows its own
-	kept := c.orderWait[:0]
-	for _, ref := range c.orderWait {
-		e := c.entryBySlot(ref.slot, ref.id)
-		if e == nil || e.st != sWaitLock {
-			continue
-		}
-		if c.olderUnlockedAtomic(e.id) {
-			kept = append(kept, ref)
-			continue
-		}
-		wake = append(wake, ref)
-	}
-	c.orderWait = kept
-	for _, ref := range wake {
-		e := c.entryBySlot(ref.slot, ref.id)
-		if e == nil || e.st != sWaitLock {
-			continue
-		}
+	if e, slot := c.orderHead(); e != nil {
 		c.work++
 		e.st = sIssued
-		c.tryLock(e, ref.slot)
+		c.tryLock(e, slot)
 	}
-	c.wakeBuf = wake
 }
 
-// checkLazy issues atomics whose lazy conditions are now met: oldest
-// memory instruction (head of the LQ) and a drained SB (the atomic's
-// own store_unlock entry at the SB head).
+// orderHead returns the oldest unlocked AQ entry's instruction when it
+// waits in sWaitOrder, or nil.
+func (c *Core) orderHead() (*robEntry, uint32) {
+	for p := c.aqHead; p < c.aqTail; p++ {
+		a := &c.aq[p%int64(len(c.aq))]
+		if a.locked {
+			continue
+		}
+		if e := c.entryBySlot(a.slot, a.id); e != nil && e.st == sWaitOrder {
+			return e, a.slot
+		}
+		break
+	}
+	return nil, 0
+}
+
+// checkLazy issues the atomic whose lazy conditions are now met: the
+// oldest memory instruction (head of the LQ) with a drained SB (its own
+// store_unlock entry at the SB head), its sources ready and a port free.
 func (c *Core) checkLazy() {
-	if len(c.lazyWait) == 0 {
+	e, slot := c.lazyHead()
+	if e == nil || c.memPortsUsed >= c.cfg.Core.MemPorts {
 		return
 	}
-	kept := c.lazyWait[:0]
-	for _, ref := range c.lazyWait {
-		e := c.entryBySlot(ref.slot, ref.id)
-		if e == nil || e.st != sWaitLazy {
-			continue
-		}
-		if e.srcPending != 0 || !c.lazyReady(e) || c.memPortsUsed >= c.cfg.Core.MemPorts {
-			kept = append(kept, ref)
-			continue
-		}
-		c.work++
-		c.memPortsUsed++
-		e.st = sIssued
-		if !e.addrCalcDone {
-			e.token++
-			c.schedule(c.cfg.Core.AGULatency, evAtomicAGU, ref.slot, e.id, e.token)
-		} else {
-			c.tryLock(e, ref.slot)
-		}
+	c.work++
+	c.memPortsUsed++
+	e.st = sIssued
+	if !e.addrCalcDone {
+		e.token++
+		c.schedule(c.cfg.Core.AGULatency, evAtomicAGU, slot, e.id, e.token)
+	} else {
+		c.tryLock(e, slot)
 	}
-	c.lazyWait = kept
+}
+
+// lazyHead returns the LQ head's instruction when it is an atomic in
+// sWaitLazy with its sources ready and its SB entry at the SB head, or
+// nil.
+func (c *Core) lazyHead() (*robEntry, uint32) {
+	le := &c.lq[c.lqHead%int64(len(c.lq))]
+	if c.lqHead == c.lqTail || !le.isAtomic {
+		return nil, 0
+	}
+	e := c.entryBySlot(le.slot, le.id)
+	if e == nil || e.st != sWaitLazy || e.srcPending != 0 || e.sb != c.sbHead {
+		return nil, 0
+	}
+	return e, le.slot
 }
 
 func (c *Core) lazyReady(e *robEntry) bool {

@@ -20,8 +20,8 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		"sb", "sbHead", "sbTail",
 		"aq", "aqHead", "aqTail",
 		"rename",
-		"readyQ", "lazyWait", "storeBlocked", "fenceBlocked",
-		"lockWait", "orderWait", "fenceIDs",
+		"readyQ", "storeBlocked", "fenceBlocked",
+		"lockWait", "fenceIDs",
 		"wheel",
 		"bp", "ss", "cp",
 		"l1i", "l1iLastLine", "l1iMisses",

@@ -142,11 +142,9 @@ type CoreSnap struct {
 	Rename []DepRef
 
 	ReadyQ       []DepRef
-	LazyWait     []DepRef
 	StoreBlocked []DepRef
 	FenceBlocked []DepRef
 	LockWait     []DepRef
-	OrderWait    []DepRef
 	FenceIDs     []uint64
 
 	Wheel [][]WheelEventSnap
@@ -235,11 +233,9 @@ func (c *Core) Snapshot() *CoreSnap {
 		AQHead:       c.aqHead,
 		AQTail:       c.aqTail,
 		ReadyQ:       snapDeps(c.readyQ),
-		LazyWait:     snapDeps(c.lazyWait),
 		StoreBlocked: snapDeps(c.storeBlocked),
 		FenceBlocked: snapDeps(c.fenceBlocked),
 		LockWait:     snapDeps(c.lockWait),
-		OrderWait:    snapDeps(c.orderWait),
 		FenceIDs:     append([]uint64(nil), c.fenceIDs...),
 		BP:           c.bp.Snapshot(),
 		SS:           c.ss.Snapshot(),
@@ -326,11 +322,9 @@ func (c *Core) Restore(s *CoreSnap) {
 		c.rename[i] = depRef{slot: s.Rename[i].Slot, id: s.Rename[i].ID}
 	}
 	c.readyQ = restoreDeps(c.readyQ, s.ReadyQ)
-	c.lazyWait = restoreDeps(c.lazyWait, s.LazyWait)
 	c.storeBlocked = restoreDeps(c.storeBlocked, s.StoreBlocked)
 	c.fenceBlocked = restoreDeps(c.fenceBlocked, s.FenceBlocked)
 	c.lockWait = restoreDeps(c.lockWait, s.LockWait)
-	c.orderWait = restoreDeps(c.orderWait, s.OrderWait)
 	c.fenceIDs = append(c.fenceIDs[:0], s.FenceIDs...)
 	c.bp.Restore(s.BP)
 	c.ss.Restore(s.SS)

@@ -15,7 +15,7 @@ import (
 // cell transitions reloads from a file proportional to the number of
 // cells, not the number of transitions).
 //
-// The rewrite is atomic (see writeAtomic): a crash mid-compaction
+// The rewrite is atomic (see WriteAtomic): a crash mid-compaction
 // leaves the original journal untouched. The journal must not be open
 // for appending — compaction is for quiesced journals (rowserve runs
 // it on graceful drain, after the queue has closed).
@@ -30,7 +30,7 @@ func CompactFile(path string) error {
 	}
 	sort.Strings(keys)
 
-	err = writeAtomic(path, func(w io.Writer) error {
+	err = WriteAtomic(path, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		recs := append([]Record{snap.Meta}, snap.Sweeps...)
 		for _, k := range keys {

@@ -123,7 +123,7 @@ func Create(path string, meta Record) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lifecycle: encode meta: %w", err)
 	}
-	err = writeAtomic(path, func(w io.Writer) error {
+	err = WriteAtomic(path, func(w io.Writer) error {
 		_, err := w.Write(append(line, '\n'))
 		return err
 	})
@@ -133,13 +133,14 @@ func Create(path string, meta Record) (*Journal, error) {
 	return openAppend(path)
 }
 
-// writeAtomic makes path hold exactly what write writes, or leaves it
-// as it was: the bytes go to a temp file that is fsynced, closed and
+// WriteAtomic makes path hold exactly what write writes, or leaves it
+// as it was: the bytes go to path+".tmp", which is fsynced, closed and
 // renamed over path, and then the directory is fsynced so the rename
 // itself survives power loss (without it a journal acknowledged to a
 // client can vanish). The directory fsync is best-effort: some
-// filesystems refuse it.
-func writeAtomic(path string, write func(io.Writer) error) error {
+// filesystems refuse it. A failed write removes the temp file.
+// Journals and checkpoints are written through it.
+func WriteAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {

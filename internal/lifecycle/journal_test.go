@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"rowsim/internal/sim"
@@ -84,8 +85,8 @@ func TestWriteAtomic(t *testing.T) {
 		{func(w io.Writer) error { io.WriteString(w, "torn"); return boom }, boom, "old\n"},
 		{func(w io.Writer) error { _, err := io.WriteString(w, "new\n"); return err }, nil, "new\n"},
 	} {
-		if err := writeAtomic(path, tc.write); !errors.Is(err, tc.err) {
-			t.Errorf("writeAtomic = %v, want %v", err, tc.err)
+		if err := WriteAtomic(path, tc.write); !errors.Is(err, tc.err) {
+			t.Errorf("WriteAtomic = %v, want %v", err, tc.err)
 		}
 		if got, err := os.ReadFile(path); err != nil || string(got) != tc.want {
 			t.Errorf("file holds %q (%v), want %q", got, err, tc.want)
@@ -93,6 +94,38 @@ func TestWriteAtomic(t *testing.T) {
 		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 			t.Errorf("temp file left behind (stat: %v)", err)
 		}
+	}
+}
+
+// TestWriteAtomicFailures: a temp file that cannot be created (its
+// parent is a regular file, which stops root too) and a rename onto a
+// non-empty directory both fail, leave no temp file and leave what was
+// at path alone.
+func TestWriteAtomicFailures(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, []byte("old\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	occupied := filepath.Join(dir, "occupied")
+	if err := os.MkdirAll(filepath.Join(occupied, "entry"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	write := func(w io.Writer) error { _, err := io.WriteString(w, "new\n"); return err }
+	if err := WriteAtomic(filepath.Join(file, "j.jsonl"), write); !errors.Is(err, syscall.ENOTDIR) {
+		t.Errorf("WriteAtomic under a regular file = %v, want ENOTDIR", err)
+	}
+	if err := WriteAtomic(occupied, write); err == nil {
+		t.Error("WriteAtomic renamed a file onto a non-empty directory")
+	}
+	if _, err := os.Stat(filepath.Join(occupied, "entry")); err != nil {
+		t.Errorf("the directory at path was disturbed: %v", err)
+	}
+	if got, err := os.ReadFile(file); err != nil || string(got) != "old\n" {
+		t.Errorf("the regular file holds %q (%v)", got, err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 2 {
+		t.Errorf("failed writes left files behind: %v %v", ents, err)
 	}
 }
 

@@ -40,10 +40,23 @@ const chaosSpec = `{"workload":"sps","param":"sharedfrac","values":[0.1,0.5,0.9]
 const chaosCells = 9
 
 var (
+	binDir    string // removed by TestMain once the tests are done
 	buildOnce sync.Once
 	buildErr  error
 	binPath   string
 )
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "rowserve-chaos-*")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	binDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
 
 // rowserveBin builds cmd/rowserve once per test binary.
 func rowserveBin(t *testing.T) string {
@@ -54,12 +67,7 @@ func rowserveBin(t *testing.T) string {
 			buildErr = err
 			return
 		}
-		dir, err := os.MkdirTemp("", "rowserve-chaos-*")
-		if err != nil {
-			buildErr = err
-			return
-		}
-		binPath = filepath.Join(dir, "rowserve")
+		binPath = filepath.Join(binDir, "rowserve")
 		cmd := exec.Command("go", "build", "-o", binPath, "rowsim/cmd/rowserve")
 		cmd.Dir = root
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -98,6 +106,7 @@ type daemon struct {
 
 // startDaemon launches rowserve on a free port and waits for /readyz.
 // Extra flags (e.g. -checkpoint-every) are appended to the base set.
+// The daemon is killed when the test ends, if nothing killed it before.
 func startDaemon(t *testing.T, journal string, extra ...string) *daemon {
 	t.Helper()
 	addrFile := filepath.Join(t.TempDir(), fmt.Sprintf("addr-%d", time.Now().UnixNano()))
@@ -111,6 +120,7 @@ func startDaemon(t *testing.T, journal string, extra ...string) *daemon {
 	if err := d.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(d.kill)
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
 		if addr, err := os.ReadFile(addrFile); err == nil && len(addr) > 0 {
@@ -125,13 +135,16 @@ func startDaemon(t *testing.T, journal string, extra ...string) *daemon {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	d.kill()
 	t.Fatalf("rowserve never became ready; log:\n%s", d.log)
 	return nil
 }
 
-// kill delivers SIGKILL: no deferred code, no flushes, no goodbye.
+// kill delivers SIGKILL: no deferred code, no flushes, no goodbye. A
+// daemon already killed is left alone.
 func (d *daemon) kill() {
+	if d.cmd.ProcessState != nil {
+		return
+	}
 	_ = d.cmd.Process.Kill()
 	_ = d.cmd.Wait()
 }
@@ -256,7 +269,6 @@ func TestChaosKill9(t *testing.T) {
 
 	// Final restart: no more kills, the sweep must complete.
 	d := startDaemon(t, journal)
-	defer d.kill()
 	got := d.waitDone(t, id)
 	if !bytes.Equal(want, got) {
 		t.Errorf("results after %d SIGKILLs diverge from the uninterrupted run:\n--- clean ---\n%s--- chaos ---\n%s",
@@ -373,7 +385,6 @@ func TestChaosCheckpointKill9(t *testing.T) {
 	// Final restart: no more kills; the sweep completes from whatever
 	// checkpoints survived.
 	d := startDaemon(t, journal, ckptFlags...)
-	defer d.kill()
 	got := d.waitDone(t, id)
 	if !bytes.Equal(want, got) {
 		t.Errorf("results after %d mid-checkpoint SIGKILLs diverge from the uninterrupted run:\n--- clean ---\n%s--- chaos ---\n%s",
