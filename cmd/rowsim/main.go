@@ -20,6 +20,7 @@ import (
 
 	"rowsim/internal/cli"
 	"rowsim/internal/config"
+	"rowsim/internal/core"
 	"rowsim/internal/experiments"
 	"rowsim/internal/sim"
 	"rowsim/internal/stats"
@@ -184,11 +185,27 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stdout, "LQ squashes     %d\n", r.LQSquashes)
 		fmt.Fprintf(stdout, "SS violations   %d\n", r.SSViolations)
 		fmt.Fprintf(stdout, "forced releases %d\n", r.ForcedReleases)
+		fmt.Fprintf(stdout, "lock transitions%s\n", lockTransitions(system.Cores()))
 		fmt.Fprintf(stdout, "branches        %d (%.2f%% mispredicted)\n", r.Branches, pct(r.Mispredicts, r.Branches))
 		fmt.Fprintf(stdout, "ext stalls      %d\n", r.ExtStalls)
 		fmt.Fprintf(stdout, "net messages    %d\n", r.NetworkMessages)
 	}
 	return 0
+}
+
+// lockTransitions lists the locking atomics' non-zero transition
+// counts, summed over cores, as " name=count" in the table's order.
+func lockTransitions(cores []*core.Core) (out string) {
+	for t := range core.NumTransitions {
+		var n uint64
+		for _, c := range cores {
+			n += c.Stats.Transitions[t]
+		}
+		if n != 0 {
+			out += fmt.Sprintf(" %s=%d", t, n)
+		}
+	}
+	return out
 }
 
 // lookup sets *dst to m[name], or returns an "unknown <what>" error.

@@ -1,15 +1,18 @@
 package main
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
+	"rowsim/internal/core"
 	"rowsim/internal/experiments"
 )
 
@@ -125,5 +128,41 @@ func TestFlagsMatchVariant(t *testing.T) {
 				t.Errorf("%v (%s): stdout lacks %q:\n%s", args, tc.v.Name, line, out)
 			}
 		}
+	}
+}
+
+// TestVerboseLockTransitions: -v prints one line of the locking
+// atomics' non-zero transition counts, summed over cores, named in the
+// table's order; its issue counts are the "issued" line's.
+func TestVerboseLockTransitions(t *testing.T) {
+	out, stderr, code := capture("-workload", "sps", "-cores", "4", "-instrs", "2000", "-v")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	line := regexp.MustCompile(`(?m)^lock transitions((?: [a-z-]+=[1-9][0-9]*)+)$`).FindStringSubmatch(out)
+	if line == nil {
+		t.Fatalf("no lock transitions line of non-zero counts:\n%s", out)
+	}
+	order := map[string]int{}
+	for tr := range core.NumTransitions {
+		order[tr.String()] = int(tr)
+	}
+	got, last := map[string]string{}, -1
+	for _, f := range strings.Fields(line[1]) {
+		name, n, _ := strings.Cut(f, "=")
+		i, ok := order[name]
+		if !ok || i <= last {
+			t.Fatalf("%q is not a transition named in table order: %s", name, line[0])
+		}
+		got[name], last = n, i
+	}
+	issued := regexp.MustCompile(`issued +eager=(\d+) lazy=(\d+)`).FindStringSubmatch(out)
+	for i, name := range []string{"eager-issue", "lazy-issue"} {
+		if n := cmp.Or(got[name], "0"); n != issued[i+1] {
+			t.Errorf("%s=%s, but the issued line says %s", name, n, issued[i+1])
+		}
+	}
+	if got["lock"] == "" || got["unlock"] == "" {
+		t.Errorf("a run of locking atomics counted no lock or unlock: %s", line[0])
 	}
 }

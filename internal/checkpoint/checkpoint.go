@@ -8,7 +8,7 @@
 //	header frame: uint32 length | JSON Meta | uint32 CRC32-C
 //	body frame:   uint32 length | gob sim.SysSnap | uint32 CRC32-C
 //
-// Version 5 of the body is one encoding/gob stream holding one
+// Version 6 of the body is one encoding/gob stream holding one
 // sim.SysSnap: binary, self-describing, zero fields and empty slices
 // left out. A snapshot encodes state that exists, not capacity — each
 // sram array is its valid lines in ascending position, each directory
@@ -16,12 +16,12 @@
 // bytes are a function of the state. Both are stored column-wise, a
 // slice per field, which gob encodes as runs of numbers. The stats
 // accumulators travel through their MarshalBinary methods, floats as
-// their bits. Version 4 had the same layout but kept the core's lazy
-// and lock-order waiters in lists of their own, which version 5 reads
-// from the LQ and AQ (an order waiter restored from a version 4 file
-// would sit in no list and never wake); version 3 held the snapshot one
-// struct per line, and versions 1 and 2 were JSON bodies. No reader for
-// them remains.
+// their bits. Version 5 counted the core's issues, forwards and forced
+// releases in five fields that version 6 keeps in one array of lock
+// transitions, so a resumed version 5 file would lose those counts;
+// version 4 kept the lazy and lock-order waiters in lists of their own,
+// version 3 held the snapshot one struct per line, and versions 1 and 2
+// were JSON bodies. No reader for them remains.
 //
 // The header carries the format version, the simulated cycle, and a
 // content key — a hash over everything that determines the run
@@ -65,7 +65,7 @@ import (
 
 // Version is the on-disk format version. Bump on any incompatible
 // change to the header or body encoding; Load refuses other versions.
-const Version = 5
+const Version = 6
 
 // PrevSuffix is appended to a checkpoint path to name the previous
 // (fallback) checkpoint in the keep-last-2 rotation.

@@ -186,13 +186,13 @@ func TestLoadKeyMismatch(t *testing.T) {
 
 func TestLoadVersionMismatch(t *testing.T) {
 	// Hand-build checkpoints whose header names another format: the
-	// four versions this format replaced, and one from the future.
+	// five versions this format replaced, and one from the future.
 	data := mustEncode(t, tinySnap())
 	_, meta, err := Decode("x", "k", data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{1, 2, 3, 4, Version + 1} {
+	for _, v := range []int{1, 2, 3, 4, 5, Version + 1} {
 		meta.Version = v
 		// Re-frame with the altered header.
 		hdr, _ := json.Marshal(meta)
@@ -205,8 +205,8 @@ func TestLoadVersionMismatch(t *testing.T) {
 			t.Fatalf("version-%d checkpoint accepted by a version-%d reader: err=%v", v, Version, err)
 		}
 	}
-	// And real ones: files the last Version 2, 3 and 4 builds wrote.
-	for _, v := range []string{"2", "3", "4"} {
+	// And real ones: files the last Version 2, 3, 4 and 5 builds wrote.
+	for _, v := range []string{"2", "3", "4", "5"} {
 		var mm *MismatchError
 		if _, _, err := Decode("x", "k", mustRead(t, "testdata/v"+v+".ckpt")); !errors.As(err, &mm) || mm.Field != "version" || mm.Got != v {
 			t.Fatalf("Version %s file: err=%v, want a version *MismatchError", v, err)

@@ -131,6 +131,15 @@ func TestRunDurableAttempt(t *testing.T) {
 					t.Fatal(err)
 				}
 			}},
+		{name: "a Version 5 file", dir: true, stale: true,
+			setup: func(t *testing.T, dir string) {
+				// The same snapshot as the last Version 5 build wrote it,
+				// whose core snapshot held five per-transition counters
+				// and the lock state in both ROB and AQ entries.
+				if err := os.WriteFile(Path(dir, key), mustRead(t, "testdata/v5.ckpt"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}},
 		{name: "another run's checkpoint", dir: true, mismatch: true,
 			setup: func(t *testing.T, dir string) { interrupted(t, dir, other) }},
 	}

@@ -1,7 +1,9 @@
 // Package core implements the cycle-level out-of-order core: a
 // 512-entry ROB with register renaming, load queue, store buffer and
 // the Atomic Queue (AQ) of Free Atomics, plus the paper's Rush-or-Wait
-// policy engine deciding when each atomic RMW issues.
+// policy engine deciding when each atomic RMW issues. A locking
+// atomic's state machine is one (state, event) table in lock.go, whose
+// transitions Stats.Transitions counts.
 //
 // The core is trace-driven: it fetches pre-generated instructions from
 // a trace.Program, but all timing — dependencies, structural hazards,
@@ -112,7 +114,6 @@ type robEntry struct {
 	lazy          bool // current policy (may flip eager via forwarding)
 	predContended bool
 	addrCalcDone  bool
-	locked        bool
 }
 
 // depNode is an edge node plus one, so that 0 is no node: node 2s+k is
@@ -127,14 +128,13 @@ func (n depNode) slot() uint32 { return uint32(n-1) >> 1 }
 type robCold struct {
 	depHead, depTail depNode    // this slot's consumers, in dispatch order
 	depNext          [2]depNode // the list links of this slot's own nodes
-	_                uint64     // pads the slot to 64 bytes
+	_                [2]uint64  // pads the slot to 64 bytes
 
 	waitStoreID uint64 // store-set: wait until this store resolves (0 = none)
 
 	dispatchAt  uint64
 	completeAt  uint64
-	lockAt      uint64
-	lockIssueAt uint64 // cycle the lock GetX was issued
+	lockIssueAt uint64 // cycle the lock GetX or far RMW was issued (14-bit semantics at use)
 }
 
 // sbEntry is one store-buffer slot (allocated at dispatch, drains in
@@ -160,8 +160,9 @@ type lqEntry struct {
 }
 
 // aqEntry is one Atomic Queue slot, augmented with the RoW fields:
-// the contended bit, the only-calculate-address flag (implicit in
-// hasAddr + the entry's lazy policy) and the issued-cycle timestamp.
+// the contended bit and the only-calculate-address flag (implicit in
+// hasAddr + the entry's lazy policy). The request's issue cycle is the
+// ROB slot's lockIssueAt. Only lock.go changes locked.
 type aqEntry struct {
 	id        uint64
 	slot      uint32
@@ -170,7 +171,6 @@ type aqEntry struct {
 	hasAddr   bool
 	locked    bool
 	contended bool
-	issuedAt  uint64 // cycle the GetX was sent (14-bit semantics at use)
 	lockAt    uint64 // cycle the line was locked
 
 	predContended bool // prediction made at allocation (for training)
@@ -213,13 +213,9 @@ type Stats struct {
 	Committed uint64
 	Atomics   uint64 // committed locking atomics
 
-	EagerIssued uint64
-	LazyIssued  uint64
-	FarIssued   uint64
+	Transitions [NumTransitions]uint64 // the locking atomic's, by kind (lock.go)
 
 	ContendedAtomics uint64 // contended bit set at unlock
-	ForwardedAtomics uint64 // flipped eager by a matching SB store
-	ForcedReleases   uint64
 	PredictedLazy    uint64
 	Mispredicts      uint64
 	Branches         uint64
@@ -465,8 +461,9 @@ func (c *Core) String() string {
 	head := "empty"
 	if c.robHead < c.robTail {
 		e := c.entry(c.robHead)
+		locked := e.aq >= 0 && c.aq[e.aq%int64(len(c.aq))].locked
 		head = fmt.Sprintf("%s st=%d src=%d lq=%d/%d sb=%d/%d locked=%v lazy=%v",
-			e.in, e.st, e.srcPending, e.lq, c.lqHead, e.sb, c.sbHead, e.locked, e.lazy)
+			e.in, e.st, e.srcPending, e.lq, c.lqHead, e.sb, c.sbHead, locked, e.lazy)
 	}
 	sbh := "empty"
 	if c.sbHead < c.sbTail {

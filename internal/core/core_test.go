@@ -100,7 +100,7 @@ func TestAQScansEmpty(t *testing.T) {
 	if c.LineLocked(0x40) {
 		t.Fatal("empty AQ reports a lock")
 	}
-	if c.olderSameLineAtomic(0x40, 5) || c.olderUnlockedAtomic(5) {
+	if c.olderSameLineAtomic(0x40, 5) || c.oldestUnlocked() != nil {
 		t.Fatal("empty AQ reports conflicts")
 	}
 	if c.ExternalRequest(0x40, true) {
@@ -127,11 +127,11 @@ func TestAQLockBookkeeping(t *testing.T) {
 	if c.olderSameLineAtomic(0x100, 3) {
 		t.Fatal("an older atomic blocked by a younger one")
 	}
-	if c.olderUnlockedAtomic(9) {
+	if c.oldestUnlocked() != nil {
 		t.Fatal("locked entry counted as unlocked")
 	}
 	c.aq[0].locked = false
-	if !c.olderUnlockedAtomic(9) {
+	if a := c.oldestUnlocked(); a == nil || a.id != 5 {
 		t.Fatal("unlocked older atomic not reported")
 	}
 }

@@ -118,25 +118,5 @@ func (c *Core) dispatchReady() bool {
 		return false
 	}
 	in := &c.prog[c.fetchIdx]
-	if in.PC&c.l1iLineMask != c.l1iLastLine {
-		return true
-	}
-	switch in.Kind {
-	case trace.Load:
-		if c.lqTail-c.lqHead >= int64(len(c.lq)) {
-			return false
-		}
-	case trace.Store:
-		if c.sbTail-c.sbHead >= int64(len(c.sb)) {
-			return false
-		}
-	case trace.Atomic:
-		if c.lqTail-c.lqHead >= int64(len(c.lq)) || c.sbTail-c.sbHead >= int64(len(c.sb)) {
-			return false
-		}
-		if in.LocksLine() && c.aqTail-c.aqHead >= int64(len(c.aq)) {
-			return false
-		}
-	}
-	return true
+	return in.PC&c.l1iLineMask != c.l1iLastLine || !c.noRoom(in)
 }

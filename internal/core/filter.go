@@ -77,11 +77,3 @@ func (c *Core) countFilters() (lq, sb lineFilter) {
 	}
 	return lq, sb
 }
-
-// FiltersConsistent reports whether the LQ and SB filters equal a
-// recount of the live queue windows. The run loop's cross-check asks
-// after every core tick it makes.
-func (c *Core) FiltersConsistent() bool {
-	lq, sb := c.countFilters()
-	return lq == c.lqF && sb == c.sbF
-}

@@ -44,8 +44,8 @@ func TestFiltersTrackQueues(t *testing.T) {
 	for cyc := uint64(1); cyc <= 60; cyc++ {
 		c.Mem().Tick(cyc)
 		c.Tick(cyc)
-		if !c.FiltersConsistent() {
-			t.Fatalf("cycle %d: filters disagree with the queues", cyc)
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("cycle %d: %v", cyc, err)
 		}
 	}
 	if c.lqF == (lineFilter{}) || c.sbF == (lineFilter{}) {
@@ -55,8 +55,8 @@ func TestFiltersTrackQueues(t *testing.T) {
 		t.Fatal("sbMatch misses a resolved store")
 	}
 	c.flushFrom(c.robHead + (c.robTail-c.robHead)/2)
-	if !c.FiltersConsistent() {
-		t.Fatal("flush left the filters disagreeing with the queues")
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("after a flush: %v", err)
 	}
 	c.flushFrom(c.robHead + 1)
 	if c.lqF != (lineFilter{}) || c.sbF != (lineFilter{}) {

@@ -49,89 +49,6 @@ func (c *Core) storeAfterAGU(e *robEntry, slot uint32) {
 	c.wakeStoreBlocked()
 }
 
-// atomicAfterAGU is the atomic's address-calculation pass. For
-// predicted-contended atomics under RoW this is the
-// only-calculate-address issue: it opens the ready window (the AQ now
-// knows the address) and searches the SB for a forwarding match that
-// would flip the atomic back to eager (atomic locality, Section IV-E).
-func (c *Core) atomicAfterAGU(e *robEntry, slot uint32) {
-	e.line = c.mem.Line(e.in.Addr)
-	e.addrReady = true
-	e.addrCalcDone = true
-	if le := &c.lq[e.lq%int64(len(c.lq))]; le.id == e.id {
-		c.lqSetLine(le, e.line)
-	}
-	if se := &c.sb[e.sb%int64(len(c.sb))]; se.id == e.id {
-		c.sbResolve(se, e.line)
-	}
-	if e.aq >= 0 {
-		a := &c.aq[e.aq%int64(len(c.aq))]
-		a.line = e.line
-		a.hasAddr = true
-	}
-
-	if c.cfg.ForwardAtomics && !c.cfg.Core.FencedAtomics && c.cfg.Policy != config.PolicyFar &&
-		c.sbMatch(e.id, e.line, true) >= 0 {
-		// Atomic locality (Section IV-E): a matching older regular
-		// store can forward its data, and a predicted-contended
-		// atomic flips to eager so the line is locked while the store
-		// still owns it. The store contends for the line anyway,
-		// which mitigates the cost of the eager lock.
-		c.Stats.ForwardedAtomics++
-		if e.lazy {
-			e.lazy = false
-		}
-		// Dependents can proceed as soon as the forwarded value
-		// arrives, before the lock completes.
-		c.schedule(c.cfg.Core.ForwardLat+c.cfg.Core.IntALULatency, evAtomicFwdValue, slot, e.id, e.token)
-	}
-	if e.lazy && !c.lazyReady(e) {
-		e.st = sWaitLazy
-		return
-	}
-	c.tryLock(e, slot)
-}
-
-// tryLock issues the atomic's load_lock: request the line with
-// exclusive permission. Same-line atomics of one core serialize in
-// age order: a younger atomic waits for an older in-flight same-line
-// atomic, and an older atomic preempts a younger one that locked
-// first (the younger replays after the older unlocks) — otherwise the
-// commit order would deadlock against the lock order.
-func (c *Core) tryLock(e *robEntry, slot uint32) {
-	if c.cfg.Policy == config.PolicyFar && e.in.LocksLine() {
-		// Far execution: ship the RMW to the line's home bank.
-		e.st = sIssued
-		cold := &c.cold[slot]
-		cold.lockIssueAt = c.now
-		c.Stats.DispatchToIssue.Observe(float64(c.now - cold.dispatchAt))
-		c.Stats.FarIssued++
-		c.mem.FarRMW(c.makeTag(slot, e.id), e.in.Addr)
-		return
-	}
-	if c.olderSameLineAtomic(e.line, e.id) {
-		e.st = sWaitLock
-		c.lockWait = append(c.lockWait, depRef{slot: slot, id: e.id})
-		return
-	}
-	c.preemptYoungerLock(e.line, e.id)
-	e.st = sIssued
-	cold := &c.cold[slot]
-	cold.lockIssueAt = c.now
-	if e.aq >= 0 {
-		c.aq[e.aq%int64(len(c.aq))].issuedAt = c.now
-	}
-	c.Stats.DispatchToIssue.Observe(float64(c.now - cold.dispatchAt))
-	if e.lazy {
-		c.Stats.LazyIssued++
-		c.Stats.YoungerStartedAtLazy.Observe(float64(c.countYoungerStarted(e.id)))
-	} else {
-		c.Stats.EagerIssued++
-		c.Stats.OlderUnexecAtEager.Observe(float64(c.countOlderUnexecuted(e.id)))
-	}
-	c.mem.Access(c.makeTag(slot, e.id), e.in.Addr, true)
-}
-
 // MemResp implements cache.Client: a memory access completed.
 func (c *Core) MemResp(tag uint64, info cache.RespInfo) {
 	if tag>>63 == 1 {
@@ -146,10 +63,8 @@ func (c *Core) MemResp(tag uint64, info cache.RespInfo) {
 	}
 	switch e.in.Kind {
 	case trace.Load:
-		if e.lq >= 0 {
-			if le := &c.lq[e.lq%int64(len(c.lq))]; le.id == e.id {
-				c.lqSetDone(le)
-			}
+		if le := &c.lq[e.lq%int64(len(c.lq))]; le.id == e.id {
+			c.lqSetDone(le)
 		}
 		c.complete(e, slot)
 	case trace.Atomic:
@@ -157,64 +72,6 @@ func (c *Core) MemResp(tag uint64, info cache.RespInfo) {
 	default:
 		c.fail(fmt.Sprintf("unexpected MemResp for non-memory instruction %s", e.in))
 	}
-}
-
-// atomicLineArrived locks the line (for locking atomics) and starts
-// the RMW ALU operation. The RW+Dir contention detector fires here:
-// a fill served by a remote private cache whose latency exceeds the
-// threshold marks the atomic contended.
-func (c *Core) atomicLineArrived(e *robEntry, slot uint32, info cache.RespInfo) {
-	if c.cfg.Policy == config.PolicyFar && e.in.LocksLine() {
-		// The bank performed the RMW; the result is back.
-		c.Stats.IssueToLock.Observe(float64(c.now - c.cold[slot].lockIssueAt))
-		if le := &c.lq[e.lq%int64(len(c.lq))]; le.id == e.id {
-			c.lqSetDone(le)
-		}
-		c.complete(e, slot)
-		return
-	}
-	if e.in.LocksLine() {
-		if c.olderSameLineAtomic(e.line, e.id) {
-			// An older same-line atomic appeared (resolved its
-			// address) between our request and the response: wait
-			// for its unlock.
-			e.st = sWaitLock
-			c.lockWait = append(c.lockWait, depRef{slot: slot, id: e.id})
-			return
-		}
-		if c.olderUnlockedAtomic(e.id) {
-			// Locks are acquired in program order per core: this is
-			// what makes cache locking deadlock-free (the globally
-			// oldest atomic can always commit, so every lock releases
-			// in finite time) and what keeps lock-hold times from
-			// inflating to other atomics' queueing delays. The line
-			// stays cached unlocked — a contending core may steal it
-			// before our turn comes, in which case the lock request
-			// replays.
-			e.st = sWaitOrder
-			return
-		}
-		c.preemptYoungerLock(e.line, e.id)
-		a := &c.aq[e.aq%int64(len(c.aq))]
-		a.locked = true
-		a.lockAt = c.now
-		e.locked = true
-		cold := &c.cold[slot]
-		cold.lockAt = c.now
-		c.Stats.IssueToLock.Observe(float64(c.now - cold.lockIssueAt))
-		if c.detectDir() && info.FromPrivate && !info.Hit {
-			// The AQ's request-issued-cycle field feeds the 14-bit
-			// subtractor/comparator (Section IV-C hardware).
-			if c.wrappedLatency(a.issuedAt, c.now) > uint64(c.cfg.RoW.LatencyThreshold) {
-				a.contended = true
-			}
-		}
-		if le := &c.lq[e.lq%int64(len(c.lq))]; le.id == e.id {
-			c.lqSetDone(le)
-		}
-	}
-	e.token++
-	c.schedule(c.cfg.Core.IntALULatency, evAtomicOp, slot, e.id, e.token)
 }
 
 // detectDir reports whether the directory-latency detector is active.
@@ -263,119 +120,14 @@ func (c *Core) LineLocked(line uint64) bool {
 	return false
 }
 
-// olderUnlockedAtomic reports whether an older in-flight locking
-// atomic has not yet acquired its lock (per-core lock ordering).
-func (c *Core) olderUnlockedAtomic(id uint64) bool {
-	for p := c.aqHead; p < c.aqTail; p++ {
-		a := &c.aq[p%int64(len(c.aq))]
-		if a.id != 0 && a.id < id && !a.locked {
-			return true
-		}
-	}
-	return false
-}
-
-// olderSameLineAtomic reports whether an older in-flight atomic with a
-// resolved address targets the same line (the younger must wait).
-func (c *Core) olderSameLineAtomic(line uint64, id uint64) bool {
-	for p := c.aqHead; p < c.aqTail; p++ {
-		a := &c.aq[p%int64(len(c.aq))]
-		if a.id != 0 && a.id < id && a.hasAddr && a.line == line {
-			return true
-		}
-	}
-	return false
-}
-
-// preemptYoungerLock force-releases a younger atomic's lock on the
-// line so an older atomic can proceed; the younger replays once the
-// older unlocks.
-func (c *Core) preemptYoungerLock(line uint64, id uint64) {
-	for p := c.aqHead; p < c.aqTail; p++ {
-		a := &c.aq[p%int64(len(c.aq))]
-		if a.id <= id || !a.locked || a.line != line {
-			continue
-		}
-		ye := c.entryBySlot(a.slot, a.id)
-		if ye == nil {
-			continue
-		}
-		a.locked = false
-		ye.locked = false
-		ye.token++ // cancel an in-flight op completion
-		ye.st = sWaitLock
-		c.lockWait = append(c.lockWait, depRef{slot: a.slot, id: a.id})
-		// The line stays in the cache (the older atomic locks it
-		// next); no coherence action is needed, but a stalled
-		// external request must not be released here — the older
-		// atomic's lock keeps stalling it.
-	}
-}
-
 // LineInvalidated implements cache.Client: the line left the private
 // cache. TSO requires squashing speculatively performed loads whose
 // value may now violate the global order.
 func (c *Core) LineInvalidated(line uint64) {
-	if c.lqF[c.bucket(line)] == 0 {
-		return
-	}
-	n := int64(len(c.lq))
-	for p, i := c.lqHead, c.lqHead%n; p < c.lqTail; p, i = p+1, i+1 {
-		if i == n {
-			i = 0
-		}
-		le := &c.lq[i]
-		if le.isAtomic || !le.hasLine || le.line != line || !le.done {
-			continue
-		}
-		e := c.entryBySlot(le.slot, le.id)
-		if e == nil {
-			continue
-		}
+	if _, pos := c.performedLoad(line, 0); pos >= 0 {
 		c.Stats.LQSquashes++
-		c.flushFrom(c.posOfSlot(le.slot))
-		return
+		c.flushFrom(pos)
 	}
-}
-
-// ForceRelease implements cache.Client: the progress guarantee asks
-// to break a lock whose external request has stalled too long. The
-// lock is released and the atomic replays its lock acquisition unless
-// the unlock is imminent.
-func (c *Core) ForceRelease(line uint64) bool {
-	for p := c.aqHead; p < c.aqTail; p++ {
-		a := &c.aq[p%int64(len(c.aq))]
-		if !a.locked || a.line != line {
-			continue
-		}
-		e := c.entryBySlot(a.slot, a.id)
-		if e == nil {
-			continue
-		}
-		// Imminent unlock: the atomic is committed (SB entry just
-		// needs to drain) or at the ROB head with a drained SB.
-		if e.st == sCompleted && e.sb == c.sbHead && c.posOfSlot(a.slot) == c.robHead {
-			return false
-		}
-		a.locked = false
-		a.contended = true // a stalled external request is contention
-		e.locked = false
-		e.token++ // cancel an in-flight op completion
-		c.Stats.ForcedReleases++
-		// Replay the lock acquisition. The retry is delayed a couple
-		// of cycles so the released line leaves the cache first (the
-		// stalled external request is served right after this call
-		// returns); the replayed GetX then queues at the directory
-		// behind the winner.
-		if e.lazy {
-			e.st = sWaitLazy
-		} else {
-			e.st = sIssued
-			c.schedule(2, evAtomicRetry, a.slot, a.id, e.token)
-		}
-		return true
-	}
-	return false
 }
 
 // sbMatch returns the SB index (>=0) of the youngest resolved entry
@@ -447,8 +199,18 @@ func (c *Core) wakeStoreBlocked() {
 // store to the same line (memory-order violation): squash the oldest
 // and train the store sets.
 func (c *Core) checkViolation(st *robEntry) {
-	if c.lqF[c.bucket(st.line)] == 0 {
-		return
+	if e, pos := c.performedLoad(st.line, st.id); pos >= 0 {
+		c.Stats.SSViolations++
+		c.ss.Violation(e.in.PC, st.in.PC)
+		c.flushFrom(pos)
+	}
+}
+
+// performedLoad returns the oldest plain load younger than id that has
+// performed its read of line, and its ROB position, or -1.
+func (c *Core) performedLoad(line, id uint64) (*robEntry, int64) {
+	if c.lqF[c.bucket(line)] == 0 {
+		return nil, -1
 	}
 	n := int64(len(c.lq))
 	for p, i := c.lqHead, c.lqHead%n; p < c.lqTail; p, i = p+1, i+1 {
@@ -456,18 +218,14 @@ func (c *Core) checkViolation(st *robEntry) {
 			i = 0
 		}
 		le := &c.lq[i]
-		if le.id <= st.id || !le.hasLine || le.line != st.line || !le.done || le.isAtomic {
+		if le.id <= id || !lqCounted(le) || le.line != line {
 			continue
 		}
-		e := c.entryBySlot(le.slot, le.id)
-		if e == nil {
-			continue
+		if e := c.entryBySlot(le.slot, le.id); e != nil {
+			return e, c.posOfSlot(le.slot)
 		}
-		c.Stats.SSViolations++
-		c.ss.Violation(e.in.PC, st.in.PC)
-		c.flushFrom(c.posOfSlot(le.slot))
-		return
 	}
+	return nil, -1
 }
 
 // countOlderUnexecuted counts in-flight instructions older than id
@@ -534,13 +292,7 @@ func (c *Core) flushFrom(pos int64) {
 			c.sbTail--
 		}
 		if e.aq >= 0 {
-			a := &c.aq[e.aq%int64(len(c.aq))]
-			line, wasLocked := a.line, a.locked
-			*a = aqEntry{}
-			c.aqTail--
-			if wasLocked {
-				released = append(released, line)
-			}
+			released = c.squashAQ(e.aq, released)
 		}
 		if e.in.Kind == trace.Fence || (e.in.Kind == trace.Atomic && c.cfg.Core.FencedAtomics && e.in.LocksLine()) {
 			c.removeFence(e.id)

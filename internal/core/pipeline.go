@@ -45,10 +45,8 @@ func (c *Core) processWheel() {
 			c.atomicAfterAGU(e, ev.slot)
 		case evAtomicOp:
 			c.complete(e, ev.slot)
-		case evForwarded:
-			if e.lq >= 0 {
-				c.lqSetDone(&c.lq[e.lq%int64(len(c.lq))])
-			}
+		case evForwarded: // a load's, which always has an LQ entry
+			c.lqSetDone(&c.lq[e.lq%int64(len(c.lq))])
 			c.complete(e, ev.slot)
 		case evAtomicRetry:
 			c.tryLock(e, ev.slot)
@@ -244,69 +242,6 @@ func (c *Core) drainSB() {
 
 func (c *Core) sbDrainTag() uint64 { return 1<<63 | uint64(c.sbHead) }
 
-// unlockAtomic clears the AQ head for a draining store_unlock, trains
-// the contention predictor and releases any stalled external request.
-func (c *Core) unlockAtomic(h *sbEntry) {
-	if c.aqHead == c.aqTail {
-		return // non-locking RMW: no AQ entry
-	}
-	a := &c.aq[c.aqHead%int64(len(c.aq))]
-	if a.id != h.id {
-		// The SB entry belongs to a non-locking RMW dispatched while
-		// locking atomics are also in flight.
-		return
-	}
-	line := a.line
-	wasLocked := a.locked
-	if a.contended {
-		c.Stats.ContendedAtomics++
-	}
-	if a.locked {
-		c.Stats.LockToUnlock.Observe(float64(c.now - a.lockAt))
-		c.Stats.LockHold.Observe(float64(c.now - a.lockAt))
-	}
-	if a.trainable && c.cp != nil {
-		c.cp.Train(a.pc, a.predContended, a.contended)
-	}
-	if c.cfg.Core.FencedAtomics {
-		c.removeFence(a.id)
-		c.wakeFenceBlocked()
-	}
-	*a = aqEntry{}
-	c.aqHead++
-	if wasLocked {
-		c.mem.LockReleased(line)
-		c.wakeLockWaiters(line)
-	}
-}
-
-// checkOrderWait retries the lock acquisition that per-core lock
-// ordering deferred, once every older atomic has locked: only the
-// oldest unlocked AQ entry has no older unlocked atomic.
-func (c *Core) checkOrderWait() {
-	if e, slot := c.orderHead(); e != nil {
-		c.work++
-		e.st = sIssued
-		c.tryLock(e, slot)
-	}
-}
-
-// orderHead returns the oldest unlocked AQ entry's instruction when it
-// waits in sWaitOrder, or nil.
-func (c *Core) orderHead() (*robEntry, uint32) {
-	for p := c.aqHead; p < c.aqTail; p++ {
-		a := &c.aq[p%int64(len(c.aq))]
-		if a.locked {
-			continue
-		}
-		if e := c.entryBySlot(a.slot, a.id); e != nil && e.st == sWaitOrder {
-			return e, a.slot
-		}
-		break
-	}
-	return nil, 0
-}
-
 // checkLazy issues the atomic whose lazy conditions are now met: the
 // oldest memory instruction (head of the LQ) with a drained SB (its own
 // store_unlock entry at the SB head), its sources ready and a port free.
@@ -375,38 +310,6 @@ func (c *Core) wakeFenceBlocked() {
 	c.fenceBlocked = c.fenceBlocked[:0]
 }
 
-func (c *Core) wakeLockWaiters(line uint64) {
-	if len(c.lockWait) == 0 {
-		return
-	}
-	// Rebuild the list before re-issuing: tryLock may push a waiter
-	// right back onto it.
-	wake := c.wakeBuf[:0]
-	c.wakeBuf = nil // a re-entrant wake-up grows its own
-	kept := c.lockWait[:0]
-	for _, ref := range c.lockWait {
-		e := c.entryBySlot(ref.slot, ref.id)
-		if e == nil || e.st != sWaitLock {
-			continue
-		}
-		if e.line == line {
-			wake = append(wake, ref)
-		} else {
-			kept = append(kept, ref)
-		}
-	}
-	c.lockWait = kept
-	for _, ref := range wake {
-		e := c.entryBySlot(ref.slot, ref.id)
-		if e == nil || e.st != sWaitLock {
-			continue
-		}
-		e.st = sIssued
-		c.tryLock(e, ref.slot)
-	}
-	c.wakeBuf = wake
-}
-
 // issue moves ready instructions into execution, bounded by the issue
 // width and L1D ports.
 func (c *Core) issue() {
@@ -441,14 +344,12 @@ func (c *Core) issue() {
 		e.token++
 		co := &c.cfg.Core
 		switch e.in.Kind {
-		case trace.IntOp:
+		case trace.IntOp, trace.Branch:
 			c.schedule(co.IntALULatency, evALUDone, ref.slot, e.id, e.token)
 		case trace.IntMul:
 			c.schedule(co.IntMulLatency, evALUDone, ref.slot, e.id, e.token)
 		case trace.FPOp:
 			c.schedule(co.FPLatency, evALUDone, ref.slot, e.id, e.token)
-		case trace.Branch:
-			c.schedule(co.IntALULatency, evALUDone, ref.slot, e.id, e.token)
 		case trace.Load:
 			c.schedule(co.AGULatency, evLoadAGU, ref.slot, e.id, e.token)
 		case trace.Store:
@@ -490,23 +391,8 @@ func (c *Core) dispatch() {
 				}
 			}
 		}
-		// Structural hazards.
-		switch in.Kind {
-		case trace.Load:
-			if c.lqTail-c.lqHead >= int64(len(c.lq)) {
-				return
-			}
-		case trace.Store:
-			if c.sbTail-c.sbHead >= int64(len(c.sb)) {
-				return
-			}
-		case trace.Atomic:
-			if c.lqTail-c.lqHead >= int64(len(c.lq)) || c.sbTail-c.sbHead >= int64(len(c.sb)) {
-				return
-			}
-			if in.LocksLine() && c.aqTail-c.aqHead >= int64(len(c.aq)) {
-				return
-			}
+		if c.noRoom(in) {
+			return
 		}
 		c.dispatchOne(in)
 		c.fetchIdx++
@@ -514,6 +400,20 @@ func (c *Core) dispatch() {
 			return // mispredicted branch: stall the front end
 		}
 	}
+}
+
+// noRoom reports whether a queue in needs is full (a structural hazard).
+func (c *Core) noRoom(in *trace.Instr) bool {
+	switch in.Kind {
+	case trace.Load:
+		return c.lqTail-c.lqHead >= int64(len(c.lq))
+	case trace.Store:
+		return c.sbTail-c.sbHead >= int64(len(c.sb))
+	case trace.Atomic:
+		return c.lqTail-c.lqHead >= int64(len(c.lq)) || c.sbTail-c.sbHead >= int64(len(c.sb)) ||
+			in.LocksLine() && c.aqTail-c.aqHead >= int64(len(c.aq))
+	}
+	return false
 }
 
 func (c *Core) dispatchOne(in *trace.Instr) {

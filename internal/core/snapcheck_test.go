@@ -49,12 +49,11 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		"line", "addrReady", "lq", "sb", "aq",
 		"mispred", "valueReady",
 		"lazy", "predContended", "addrCalcDone",
-		"locked",
 	}, nil)
 
 	snapcheck.Assert(t, robCold{}, []string{
 		"depHead", "depTail", "depNext", // walked into Deps, relinked by Restore
-		"waitStoreID", "dispatchAt", "completeAt", "lockAt", "lockIssueAt",
+		"waitStoreID", "dispatchAt", "completeAt", "lockIssueAt",
 	}, map[string]string{
 		"_": "padding",
 	})
@@ -69,8 +68,18 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 
 	snapcheck.Assert(t, aqEntry{}, []string{
 		"id", "slot", "pc", "line", "hasAddr",
-		"locked", "contended", "issuedAt", "lockAt",
+		"locked", "contended", "lockAt",
 		"predContended", "trainable",
+	}, nil)
+
+	// Stats travels whole, the transition counts included, and
+	// LockHold as a clone.
+	snapcheck.Assert(t, Stats{}, []string{
+		"Committed", "Atomics", "Transitions",
+		"ContendedAtomics", "PredictedLazy", "Mispredicts", "Branches",
+		"LQSquashes", "SSViolations", "LoadForwards",
+		"DispatchToIssue", "IssueToLock", "LockToUnlock", "LockHold",
+		"OlderUnexecAtEager", "YoungerStartedAtLazy",
 	}, nil)
 
 	snapcheck.Assert(t, slab.Wheel[wheelEvent]{}, []string{

@@ -66,8 +66,6 @@ type ROBEntrySnap struct {
 	Lazy          bool
 	PredContended bool
 	AddrCalcDone  bool
-	Locked        bool
-	LockAt        uint64
 	LockIssueAt   uint64
 }
 
@@ -101,7 +99,6 @@ type AQEntrySnap struct {
 	HasAddr   bool
 	Locked    bool
 	Contended bool
-	IssuedAt  uint64
 	LockAt    uint64
 
 	PredContended bool
@@ -272,7 +269,7 @@ func (c *Core) Snapshot() *CoreSnap {
 			Line: e.line, AddrReady: e.addrReady, LQ: e.lq, SB: e.sb, AQ: e.aq,
 			WaitStoreID: cold.waitStoreID, Mispred: e.mispred, ValueReady: e.valueReady,
 			Lazy: e.lazy, PredContended: e.predContended, AddrCalcDone: e.addrCalcDone,
-			Locked: e.locked, LockAt: cold.lockAt, LockIssueAt: cold.lockIssueAt,
+			LockIssueAt: cold.lockIssueAt,
 		}
 	}
 	s.LQ = make([]LQEntrySnap, len(c.lq))
@@ -287,7 +284,7 @@ func (c *Core) Snapshot() *CoreSnap {
 	for i, e := range c.aq {
 		s.AQ[i] = AQEntrySnap{
 			ID: e.id, Slot: e.slot, PC: e.pc, Line: e.line, HasAddr: e.hasAddr,
-			Locked: e.locked, Contended: e.contended, IssuedAt: e.issuedAt, LockAt: e.lockAt,
+			Locked: e.locked, Contended: e.contended, LockAt: e.lockAt,
 			PredContended: e.predContended, Trainable: e.trainable,
 		}
 	}
@@ -354,12 +351,10 @@ func (c *Core) Restore(s *CoreSnap) {
 			line: e.Line, addrReady: e.AddrReady, lq: e.LQ, sb: e.SB, aq: e.AQ,
 			mispred: e.Mispred, valueReady: e.ValueReady,
 			lazy: e.Lazy, predContended: e.PredContended, addrCalcDone: e.AddrCalcDone,
-			locked: e.Locked,
 		}
 		c.cold[i] = robCold{
 			waitStoreID: e.WaitStoreID,
-			dispatchAt:  e.DispatchAt, completeAt: e.CompleteAt,
-			lockAt: e.LockAt, lockIssueAt: e.LockIssueAt,
+			dispatchAt:  e.DispatchAt, completeAt: e.CompleteAt, lockIssueAt: e.LockIssueAt,
 		}
 	}
 	c.restoreDepLists(s.ROB)
@@ -372,7 +367,7 @@ func (c *Core) Restore(s *CoreSnap) {
 	for i, e := range s.AQ {
 		c.aq[i] = aqEntry{
 			id: e.ID, slot: e.Slot, pc: e.PC, line: e.Line, hasAddr: e.HasAddr,
-			locked: e.Locked, contended: e.Contended, issuedAt: e.IssuedAt, lockAt: e.LockAt,
+			locked: e.Locked, contended: e.Contended, lockAt: e.LockAt,
 			predContended: e.PredContended, trainable: e.Trainable,
 		}
 	}

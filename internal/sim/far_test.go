@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rowsim/internal/config"
+	"rowsim/internal/core"
 	"rowsim/internal/trace"
 )
 
@@ -22,7 +23,7 @@ func TestFarAtomicsComplete(t *testing.T) {
 	}
 	var far uint64
 	for _, c := range s.Cores() {
-		far += c.Stats.FarIssued
+		far += c.Stats.Transitions[core.FarIssue]
 	}
 	if far != 50 {
 		t.Fatalf("far-issued = %d, want 50", far)

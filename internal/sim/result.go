@@ -1,6 +1,9 @@
 package sim
 
-import "rowsim/internal/stats"
+import (
+	"rowsim/internal/core"
+	"rowsim/internal/stats"
+)
 
 // ModelVersion numbers what the simulator computes. Bump it in any
 // change that moves a number in testdata/model.golden: the golden's
@@ -87,10 +90,9 @@ func (s *System) collect() Result {
 	r.Cycles = s.cycle
 	r.CyclesVisited = s.visited
 
-	var d2i, i2l, l2u struct{ sum, n float64 }
-	var older, younger struct{ sum, n float64 }
-	var miss struct{ sum, n float64 }
+	var d2i, i2l, l2u, older, younger, miss stats.Mean
 	var predTotal, predCorrectWeighted float64
+	var contendedTotal uint64
 	missHist := stats.NewHistogram(1 << 16)
 	lockHist := stats.NewHistogram(1 << 16)
 
@@ -98,31 +100,26 @@ func (s *System) collect() Result {
 		st := &c.Stats
 		r.Committed += st.Committed
 		r.Atomics += st.Atomics
-		r.EagerIssued += st.EagerIssued
-		r.LazyIssued += st.LazyIssued
-		r.ForwardedAtomics += st.ForwardedAtomics
+		r.EagerIssued += st.Transitions[core.EagerIssue]
+		r.LazyIssued += st.Transitions[core.LazyIssue]
+		r.ForwardedAtomics += st.Transitions[core.Forward]
 		r.PredictedLazy += st.PredictedLazy
 		r.LoadForwards += st.LoadForwards
 		r.LQSquashes += st.LQSquashes
 		r.SSViolations += st.SSViolations
-		r.ForcedReleases += st.ForcedReleases
+		r.ForcedReleases += st.Transitions[core.ForcedReleaseEager] + st.Transitions[core.ForcedReleaseLazy]
 		r.Mispredicts += st.Mispredicts
 		r.Branches += st.Branches
+		contendedTotal += st.ContendedAtomics
 
-		d2i.sum += st.DispatchToIssue.Sum()
-		d2i.n += float64(st.DispatchToIssue.Count())
-		i2l.sum += st.IssueToLock.Sum()
-		i2l.n += float64(st.IssueToLock.Count())
-		l2u.sum += st.LockToUnlock.Sum()
-		l2u.n += float64(st.LockToUnlock.Count())
-		older.sum += st.OlderUnexecAtEager.Sum()
-		older.n += float64(st.OlderUnexecAtEager.Count())
-		younger.sum += st.YoungerStartedAtLazy.Sum()
-		younger.n += float64(st.YoungerStartedAtLazy.Count())
+		d2i.Merge(&st.DispatchToIssue)
+		i2l.Merge(&st.IssueToLock)
+		l2u.Merge(&st.LockToUnlock)
+		older.Merge(&st.OlderUnexecAtEager)
+		younger.Merge(&st.YoungerStartedAtLazy)
 
 		pc := s.caches[i]
-		miss.sum += pc.Stats.MissLatency.Sum()
-		miss.n += float64(pc.Stats.MissLatency.Count())
+		miss.Merge(&pc.Stats.MissLatency)
 		missHist.Merge(pc.Stats.MissHist)
 		lockHist.Merge(st.LockHold)
 		r.ExtStalls += pc.Stats.ExtStalls.Value()
@@ -131,10 +128,6 @@ func (s *System) collect() Result {
 			predTotal += float64(cp.Predictions())
 			predCorrectWeighted += cp.Accuracy() * float64(cp.Predictions())
 		}
-	}
-	var contendedTotal uint64
-	for _, c := range s.cores {
-		contendedTotal += c.Stats.ContendedAtomics
 	}
 	if r.Atomics > 0 {
 		r.ContendedFrac = float64(contendedTotal) / float64(r.Atomics)
@@ -145,24 +138,12 @@ func (s *System) collect() Result {
 	if r.Cycles > 0 {
 		r.IPC = float64(r.Committed) / float64(r.Cycles)
 	}
-	if d2i.n > 0 {
-		r.DispatchToIssue = d2i.sum / d2i.n
-	}
-	if i2l.n > 0 {
-		r.IssueToLock = i2l.sum / i2l.n
-	}
-	if l2u.n > 0 {
-		r.LockToUnlock = l2u.sum / l2u.n
-	}
-	if older.n > 0 {
-		r.OlderUnexecAtEager = older.sum / older.n
-	}
-	if younger.n > 0 {
-		r.YoungerStartedAtLazy = younger.sum / younger.n
-	}
-	if miss.n > 0 {
-		r.MissLatency = miss.sum / miss.n
-	}
+	r.DispatchToIssue = d2i.Value()
+	r.IssueToLock = i2l.Value()
+	r.LockToUnlock = l2u.Value()
+	r.OlderUnexecAtEager = older.Value()
+	r.YoungerStartedAtLazy = younger.Value()
+	r.MissLatency = miss.Value()
 	r.MissLatencyP99 = missHist.Quantile(0.99)
 	r.LockHoldP99 = lockHist.Quantile(0.99)
 	if predTotal > 0 {

@@ -169,8 +169,10 @@ func (s *System) step(live uint64, cacheWake, coreWake []uint64) uint64 {
 			continue
 		}
 		c.Tick(cyc)
-		if s.crossCheck && !c.FiltersConsistent() {
-			crossCheckFailed("core", i, "line filters disagree with its queues", cyc)
+		if s.crossCheck {
+			if err := c.CheckInvariants(); err != nil {
+				crossCheckFailed("core", i, err.Error(), cyc)
+			}
 		}
 		if c.Done() {
 			live &^= 1 << i

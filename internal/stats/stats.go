@@ -41,6 +41,9 @@ func (m *Mean) Count() uint64 { return m.n }
 // Sum returns the running total.
 func (m *Mean) Sum() float64 { return m.sum }
 
+// Merge adds o's samples to m.
+func (m *Mean) Merge(o *Mean) { m.sum, m.n = m.sum+o.sum, m.n+o.n }
+
 // Value returns the mean, or 0 when no samples were observed.
 func (m *Mean) Value() float64 {
 	if m.n == 0 {
