@@ -2,12 +2,10 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -124,11 +122,11 @@ func TestEncodeIsAFunctionOfTheState(t *testing.T) {
 	}
 }
 
-// TestEncodeUsesOneBuffer: on top of what gob itself allocates to
-// encode the snapshot (its Encoder grows a private buffer to the whole
-// message before writing it out), Encode allocates the bytes it returns
-// and little else — the body is not staged in a second buffer and
-// copied into the file image.
+// TestEncodeUsesOneBuffer: Encode allocates the bytes it returns and
+// little else — the body is sized before it is written, not grown by
+// appends or staged in a second buffer and copied into the file image —
+// and appendEncode into the buffer a previous call returned, as a
+// Saver's later saves do, allocates a small fraction of it.
 func TestEncodeUsesOneBuffer(t *testing.T) {
 	snap := realSnap(t)
 	allocated := func(f func()) uint64 {
@@ -139,17 +137,17 @@ func TestEncodeUsesOneBuffer(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	var data []byte
-	encode := func() { data = mustEncode(t, snap) }
-	bare := func() {
-		if err := gob.NewEncoder(io.Discard).Encode(snap); err != nil {
+	if whole := allocated(func() { data = mustEncode(t, snap) }); whole > uint64(len(data))*5/4 {
+		t.Fatalf("Encode allocated %d bytes for a %d-byte checkpoint, want at most 1.25x", whole, len(data))
+	}
+	again := allocated(func() {
+		var err error
+		if data, err = appendEncode(data[:0], "k", snap); err != nil {
 			t.Fatal(err)
 		}
-	}
-	encode() // gob compiles its encoders for the snapshot's types once
-	whole, gobs := allocated(encode), allocated(bare)
-	if own := int64(whole) - int64(gobs); own > int64(len(data))*5/4 {
-		t.Fatalf("Encode allocated %d bytes, gob alone %d: %d of its own for a %d-byte checkpoint, want at most 1.25x",
-			whole, gobs, own, len(data))
+	})
+	if again > uint64(len(data))/16 {
+		t.Fatalf("appendEncode into a %d-byte buffer allocated %d bytes, want at most 1/16 of it", cap(data), again)
 	}
 }
 
@@ -186,13 +184,13 @@ func TestLoadKeyMismatch(t *testing.T) {
 
 func TestLoadVersionMismatch(t *testing.T) {
 	// Hand-build checkpoints whose header names another format: the
-	// five versions this format replaced, and one from the future.
+	// six versions this format replaced, and one from the future.
 	data := mustEncode(t, tinySnap())
 	_, meta, err := Decode("x", "k", data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{1, 2, 3, 4, 5, Version + 1} {
+	for _, v := range []int{1, 2, 3, 4, 5, 6, Version + 1} {
 		meta.Version = v
 		// Re-frame with the altered header.
 		hdr, _ := json.Marshal(meta)
@@ -205,8 +203,8 @@ func TestLoadVersionMismatch(t *testing.T) {
 			t.Fatalf("version-%d checkpoint accepted by a version-%d reader: err=%v", v, Version, err)
 		}
 	}
-	// And real ones: files the last Version 2, 3, 4 and 5 builds wrote.
-	for _, v := range []string{"2", "3", "4", "5"} {
+	// And real ones: files the last Version 2 to 6 builds wrote.
+	for _, v := range []string{"2", "3", "4", "5", "6"} {
 		var mm *MismatchError
 		if _, _, err := Decode("x", "k", mustRead(t, "testdata/v"+v+".ckpt")); !errors.As(err, &mm) || mm.Field != "version" || mm.Got != v {
 			t.Fatalf("Version %s file: err=%v, want a version *MismatchError", v, err)
@@ -371,6 +369,9 @@ func appendFrame(buf, payload []byte) []byte {
 // checkpoint, for each way Decode refuses one.
 func TestErrorTexts(t *testing.T) {
 	good := mustEncode(t, tinySnap())
+	body := bodyOf(t, good)
+	// The body frame's payload is one byte longer than the snapshot.
+	padded := appendFrame(append([]byte(nil), good[:len(good)-len(body)-8]...), append(body[:len(body):len(body)], 0))
 	cases := []struct {
 		name string
 		data []byte
@@ -382,6 +383,7 @@ func TestErrorTexts(t *testing.T) {
 		{"truncated in the magic", good[:3], "k", "checkpoint c.ckpt: corrupt: magic: unexpected EOF"},
 		{"not a checkpoint", []byte("shredded"), "k", `checkpoint c.ckpt: corrupt: bad magic "shredded"`},
 		{"trailing bytes", append(append([]byte(nil), good...), 0), "k", "checkpoint c.ckpt: corrupt: 1 trailing bytes after body frame"},
+		{"a byte after the snapshot", padded, "k", fmt.Sprintf("checkpoint c.ckpt: corrupt: body: byte %d: 1 bytes after the snapshot", len(body))},
 	}
 	for _, tc := range cases {
 		_, _, err := Decode("c.ckpt", tc.key, tc.data)

@@ -156,20 +156,36 @@ func bodyOf(t testing.TB, data []byte) []byte {
 	return body
 }
 
+// fuzzAllocPerByte and fuzzAllocFixed bound what Decode allocates for
+// a body of n bytes: fuzzAllocPerByte*n + fuzzAllocFixed. The decoder
+// charges the snapshot's slices, pointees and histogram buckets to a
+// budget of allocPerByte bytes per body byte, and the allocator rounds
+// each request r up to at most 1.25r + 16 bytes (its size classes waste
+// under 19% above 16 bytes, and a large object wastes less than its
+// 8 KiB page above 32 KiB). Every allocation follows its own length or
+// presence byte, so there are at most n of them: 1.25*32 + 16 = 56
+// bytes per body byte. What Decode allocates whatever the body — the
+// header's JSON, the snapshot's root, the codec and one error — is
+// under fuzzAllocFixed.
+const (
+	fuzzAllocPerByte = allocPerByte*5/4 + 16
+	fuzzAllocFixed   = 16 << 10
+)
+
 // FuzzDecodeBody reaches what the tests above almost never do: they
 // damage a file and the CRC turns it away before the body decoder sees
 // a byte. Here the fuzz input is the body, framed with a correct CRC
-// behind a valid header, so it is gob and the snapshot types'
-// unmarshalers that must hold Decode's contract: a snapshot or a
-// *CorruptError, no panic, and no allocation out of proportion to a
-// frame (a length field inside the body must not be believed). A
-// snapshot that decodes is then restored into a fresh system of the
-// real seed's shape, which must take it or return an error, not panic.
-// The real seed is relabelled with the header's cycle, so that it and
-// its mutants get past Decode's cycle check to the restore; so are
-// three spoiled copies: one holding an L1 line past the end of its
-// array, one listing a directory line twice and one naming core 1000
-// as a line's owner.
+// behind a valid header, so it is the body codec and the stats
+// accumulators' unmarshalers that must hold Decode's contract: a
+// snapshot or a *CorruptError, no panic, and no allocation out of
+// proportion to the body (a length field inside it must not be
+// believed). A snapshot that decodes is then restored into a fresh
+// system of the real seed's shape, which must take it or return an
+// error, not panic. The real seed is relabelled with the header's
+// cycle, so that it and its mutants get past Decode's cycle check to
+// the restore; so are three spoiled copies: one holding an L1 line past
+// the end of its array, one listing a directory line twice and one
+// naming core 1000 as a line's owner.
 func FuzzDecodeBody(f *testing.F) {
 	tiny := mustEncode(f, tinySnap())
 	tinyBody := bodyOf(f, tiny)
@@ -193,16 +209,17 @@ func FuzzDecodeBody(f *testing.F) {
 	}
 	hdr := tiny[:len(tiny)-len(tinyBody)-8] // magic and header frame, cycle 4096
 	f.Fuzz(func(t *testing.T, body []byte) {
+		data := appendFrame(append([]byte(nil), hdr...), body)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		snap, _, err := Decode("fuzz", "k", appendFrame(append([]byte(nil), hdr...), body))
+		snap, _, err := Decode("fuzz", "k", data)
 		runtime.ReadMemStats(&after)
 		var ce *CorruptError
 		if (err == nil) == (snap == nil) || err != nil && !errors.As(err, &ce) {
 			t.Fatalf("Decode returned snapshot %v, error %T: %v", snap != nil, err, err)
 		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > maxFrame {
-			t.Fatalf("Decode allocated %d bytes for a %d-byte body", grew, len(body))
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(fuzzAllocPerByte*len(body)+fuzzAllocFixed); grew > bound {
+			t.Fatalf("Decode allocated %d bytes for a %d-byte body, want at most %d", grew, len(body), bound)
 		}
 		if snap != nil {
 			_ = realSystem(t).RestoreSnap(snap) // an error is an answer; a panic fails the fuzz

@@ -140,6 +140,14 @@ func TestRunDurableAttempt(t *testing.T) {
 					t.Fatal(err)
 				}
 			}},
+		{name: "a Version 6 file", dir: true, stale: true,
+			setup: func(t *testing.T, dir string) {
+				// The same snapshot as the last Version 6 build wrote it,
+				// an encoding/gob body.
+				if err := os.WriteFile(Path(dir, key), mustRead(t, "testdata/v6.ckpt"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}},
 		{name: "another run's checkpoint", dir: true, mismatch: true,
 			setup: func(t *testing.T, dir string) { interrupted(t, dir, other) }},
 	}

@@ -49,10 +49,10 @@ type DirBusySnap struct {
 // DirSnap is a deep copy of one bank's mutable protocol state. The
 // entries are stored column-wise in ascending line order — entry i is
 // Line[i], State[i], Owner[i] and Sharers[i] — because nearly every
-// entry of a checkpoint is an idle line, and columns of numbers are
-// what encoding/gob encodes fastest and smallest; Busy holds the
-// transactions of the few entries that are not idle, in ascending
-// Index. Slices, not a map, make encoding a snapshot a function of the
+// entry of a checkpoint is an idle line, and columns let the
+// checkpoint codec write one field of every entry in one loop; Busy
+// holds the transactions of the few entries that are not idle, in
+// ascending Index. Slices, not a map, make encoding a snapshot a function of the
 // state (an encoder walks a map in random order). Stats ride along so
 // a checkpointed run restores to byte-identical counters (they never
 // feed back into protocol decisions, but they do reach the final

@@ -258,3 +258,40 @@ func TestCheckInvariantsNamesTheCheck(t *testing.T) {
 		t.Errorf("stray filter count: err = %v, want a line-filter error", err)
 	}
 }
+
+// TestLazyWaitsForItsStoreToDrain: a lazy atomic at the LQ head with
+// its sources ready still waits while an older store, which cannot
+// drain (its line never fills), is ahead of its own store_unlock entry
+// in the SB.
+func TestLazyWaitsForItsStoreToDrain(t *testing.T) {
+	prog := trace.Program{{PC: 4, Kind: trace.Store, Addr: coldAddr, Size: 8}, faa(8, lineB, 0)}
+	c := newWiredCore(t, lockCfg(config.PolicyLazy), prog, []uint64{lineB})
+	next := runUntil(t, c, 1, func() bool { e, _ := inFlight(c, 1); return e != nil && e.st == sWaitLazy })
+	runCycles(c, next, 200)
+	e, _ := inFlight(c, 1)
+	if e == nil || e.lq != c.lqHead || e.srcPending != 0 || e.sb == c.sbHead {
+		t.Fatal("the atomic is not a ready LQ head behind an older store; the test proves nothing")
+	}
+	if e.st != sWaitLazy || c.Stats.Transitions[LazyIssue] != 0 {
+		t.Fatalf("atomic st=%d after %d lazy issues, want sWaitLazy and none: it issued past the older store", e.st, c.Stats.Transitions[LazyIssue])
+	}
+}
+
+// TestOrderWaitHoldsBehindOlderUnlocked: a younger atomic whose line
+// arrived while an older atomic was unlocked waits in sWaitOrder, and
+// retries only when the oldest unlocked entry is its own: the older
+// one, whose line never fills, stays unlocked, so it never retries.
+func TestOrderWaitHoldsBehindOlderUnlocked(t *testing.T) {
+	prog := trace.Program{faa(4, coldAddr, 0), faa(8, lineB, 0)}
+	c := newWiredCore(t, lockCfg(config.PolicyEager), prog, []uint64{lineB})
+	next := runUntil(t, c, 1, func() bool { return c.Stats.Transitions[OrderWait] != 0 })
+	runCycles(c, next, 200)
+	if o, _ := inFlight(c, 0); o == nil || c.aqOf(o).locked {
+		t.Fatal("the older atomic is not in flight and unlocked; the test proves nothing")
+	}
+	y, _ := inFlight(c, 1)
+	if y.st != sWaitOrder || c.aqOf(y).locked || c.Stats.Transitions[WakeOrderWait] != 0 {
+		t.Fatalf("younger atomic st=%d locked=%v after %d order-wait wakes, want sWaitOrder, unlocked, none",
+			y.st, c.aqOf(y).locked, c.Stats.Transitions[WakeOrderWait])
+	}
+}

@@ -148,53 +148,6 @@ func TestEventModeLatenciesUnchanged(t *testing.T) {
 	}
 }
 
-// TestCrossModeCheckpointRestore: a checkpoint taken under one
-// scheduler must restore into the other and finish with the same
-// normalized result as an uninterrupted run. The snapshot is
-// round-tripped through JSON, as the on-disk checkpoint would be.
-func TestCrossModeCheckpointRestore(t *testing.T) {
-	jitter := faults.Config{Seed: 7, JitterProb: 0.2, JitterMax: 10}
-	for _, tc := range []struct {
-		name     string
-		from, to Scheduler
-		faults   faults.Config
-	}{
-		{name: "event_to_cycle", from: SchedEvent, to: SchedCycle},
-		{name: "cycle_to_event", from: SchedCycle, to: SchedEvent},
-		{name: "event_to_cycle_jitter", from: SchedEvent, to: SchedCycle, faults: jitter},
-		{name: "cycle_to_event_jitter", from: SchedCycle, to: SchedEvent, faults: jitter},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			want := schedBuild(t, config.PolicyRoW, "sps", tc.faults, 6000, WithScheduler(tc.to)).MustRun()
-
-			var snaps []SysSnap
-			s := schedBuild(t, config.PolicyRoW, "sps", tc.faults, 6000, WithScheduler(tc.from),
-				WithCheckpoint(2048, func(cycle uint64, snap *SysSnap) error {
-					snaps = append(snaps, *snap)
-					return nil
-				}))
-			if _, err := s.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if len(snaps) < 2 {
-				t.Fatalf("expected at least 2 checkpoints, got %d", len(snaps))
-			}
-			mid := snaps[len(snaps)/2]
-			var decoded SysSnap
-			mustUngob(t, mustGob(t, &mid), &decoded)
-
-			resumed := schedBuild(t, config.PolicyRoW, "sps", tc.faults, 6000, WithScheduler(tc.to))
-			if err := resumed.RestoreSnap(&decoded); err != nil {
-				t.Fatal(err)
-			}
-			got := resumed.MustRun()
-			if got.SchedNormalized() != want.SchedNormalized() {
-				t.Fatalf("cross-mode resume (%s) diverged:\n got %+v\nwant %+v", tc.name, got, want)
-			}
-		})
-	}
-}
-
 // TestSchedulerSteadyStateAllocs pins event mode's per-cycle
 // hot path — the wake-time queries and the jump-target computation —
 // at zero allocations in steady state.
@@ -379,70 +332,4 @@ func mshrFull(s *System) (n uint64) {
 		n += pc.Stats.MSHRFull.Value()
 	}
 	return n
-}
-
-// TestCheckpointInsideMSHRStorm: cold canneal keeps every cache's MSHR
-// file full, so a checkpoint lands while misses are parked. The
-// snapshot carries them in queue order; resumed under either scheduler
-// the run must end exactly as the uninterrupted one does.
-func TestCheckpointInsideMSHRStorm(t *testing.T) {
-	mem := config.Default().Mem
-	build := func(sched Scheduler, opts ...Option) *System {
-		cfg := config.Default()
-		cfg.NumCores = 8
-		cfg.Policy = config.PolicyRoW
-		cfg.WarmCaches = false
-		cfg.MaxCycles = 50_000_000
-		progs := workload.Generate(workload.MustGet("canneal"), cfg.NumCores, 3000, 11)
-		s, err := New(cfg, progs, append(opts, WithScheduler(sched))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	for _, from := range []Scheduler{SchedEvent, SchedCycle} {
-		var stormy []byte
-		s := build(from, WithCheckpoint(1024, func(cycle uint64, snap *SysSnap) error {
-			if stormy != nil {
-				return nil
-			}
-			for _, pc := range snap.Caches {
-				for i, e := range pc.Events {
-					if i > 0 && e.At < pc.Events[i-1].At {
-						t.Errorf("cycle %d: snapshot events out of time order: %v", cycle, pc.Events)
-					}
-				}
-				if len(pc.Parked) >= 4 && len(pc.MSHRs) == mem.MSHRs {
-					stormy = mustGob(t, snap)
-					return nil
-				}
-			}
-			return nil
-		}))
-		want, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stormy == nil {
-			t.Fatalf("%v: no checkpoint fell inside a full-MSHR storm", from)
-		}
-		for _, to := range []Scheduler{SchedEvent, SchedCycle} {
-			var snap SysSnap
-			mustUngob(t, stormy, &snap)
-			resumed := build(to)
-			if err := resumed.RestoreSnap(&snap); err != nil {
-				t.Fatal(err)
-			}
-			got := resumed.MustRun()
-			if to == from && got != want {
-				t.Errorf("%v resumed under %v:\n got %+v\nwant %+v", from, to, got, want)
-			}
-			if got.SchedNormalized() != want.SchedNormalized() {
-				t.Errorf("%v resumed under %v diverged:\n got %+v\nwant %+v", from, to, got, want)
-			}
-			if g, w := mshrFull(resumed), mshrFull(s); g != w {
-				t.Errorf("%v resumed under %v: %d parked misses, want %d", from, to, g, w)
-			}
-		}
-	}
 }

@@ -41,8 +41,8 @@ type SysSnap struct {
 	Mesh    interconnect.MeshSnap
 	// The per-component snapshots are held by pointer: each one is
 	// built in place by its component and handed around by reference
-	// (a CoreSnap alone is ~900 bytes). The checkpoint body is one gob
-	// stream of this struct, which follows the pointers.
+	// (a CoreSnap alone is ~900 bytes). The checkpoint body codec
+	// follows the pointers, each behind a presence byte.
 	Cores  []*core.CoreSnap
 	Caches []*cache.CacheSnap
 	Dirs   []*coherence.DirSnap

@@ -1,14 +1,11 @@
 package sim
 
 import (
-	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 
 	"rowsim/internal/config"
 	"rowsim/internal/core"
-	"rowsim/internal/faults"
 	"rowsim/internal/workload"
 )
 
@@ -33,107 +30,6 @@ func runToEnd(t *testing.T, s *System) (Result, *SysSnap) {
 		t.Fatal(err)
 	}
 	return r, s.Snapshot()
-}
-
-// mustGob encodes v with encoding/gob, the checkpoint body's codec.
-func mustGob(t *testing.T, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// mustUngob decodes mustGob's bytes into v.
-func mustUngob(t *testing.T, b []byte, v any) {
-	t.Helper()
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSnapshotResumeByteIdentical is the core checkpoint correctness
-// property at the in-memory level: capture a snapshot mid-run, rebuild
-// a fresh system from scratch (regenerated programs), restore, resume
-// — the final Result and the final full-system snapshot must be
-// byte-identical to the uninterrupted run's.
-func TestSnapshotResumeByteIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		policy config.AtomicPolicy
-		wl     string
-		faults faults.Config
-	}{
-		{name: "row_sps", policy: config.PolicyRoW, wl: "sps"},
-		{name: "eager_pc", policy: config.PolicyEager, wl: "pc"},
-		{name: "row_sps_jitter", policy: config.PolicyRoW, wl: "sps",
-			faults: faults.Config{Seed: 9, JitterProb: 0.3, JitterMax: 12}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := snapCfg(tc.policy)
-			p := workload.MustGet(tc.wl)
-			build := func() *System {
-				progs := workload.Generate(p, cfg.NumCores, 6000, 11)
-				opts := []Option{WithWarmFilter(workload.WarmFilter(p))}
-				if tc.faults != (faults.Config{}) {
-					opts = append(opts, WithFaults(tc.faults))
-				}
-				s, err := New(cfg, progs, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
-			}
-
-			wantRes, wantSnap := runToEnd(t, build())
-
-			// Second run: capture snapshots at a cadence and keep the
-			// middle one, so the resume exercises genuinely in-flight
-			// state (non-empty ROBs, MSHRs, mesh traffic).
-			var snaps []SysSnap
-			s := build()
-			s.ckptEvery = 2048
-			s.ckptFn = func(cycle uint64, snap *SysSnap) error {
-				snaps = append(snaps, *snap)
-				return nil
-			}
-			midRes, err := s.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(midRes, wantRes) {
-				t.Fatalf("checkpointing perturbed the run:\n got %+v\nwant %+v", midRes, wantRes)
-			}
-			if len(snaps) < 2 {
-				t.Fatalf("expected at least 2 checkpoints, got %d (run too short for the cadence?)", len(snaps))
-			}
-			mid := snaps[len(snaps)/2]
-
-			// Round-trip the snapshot through gob first: the on-disk
-			// checkpoint stores exactly this encoding, so the resumed
-			// state must survive serialization, not just copying.
-			var decoded SysSnap
-			mustUngob(t, mustGob(t, &mid), &decoded)
-
-			resumed := build()
-			if err := resumed.RestoreSnap(&decoded); err != nil {
-				t.Fatal(err)
-			}
-			if resumed.Cycle() != mid.Cycle {
-				t.Fatalf("restored cycle %d, snapshot says %d", resumed.Cycle(), mid.Cycle)
-			}
-			gotRes, gotSnap := runToEnd(t, resumed)
-
-			if !reflect.DeepEqual(gotRes, wantRes) {
-				t.Fatalf("resumed result diverged:\n got %+v\nwant %+v", gotRes, wantRes)
-			}
-			gotB, wantB := mustGob(t, gotSnap), mustGob(t, wantSnap)
-			if string(gotB) != string(wantB) {
-				t.Fatalf("resumed final state diverged from uninterrupted run (snapshots differ, %d vs %d bytes)", len(gotB), len(wantB))
-			}
-		})
-	}
 }
 
 // TestRestoreSnapShapeMismatch: restoring into a differently shaped

@@ -9,8 +9,8 @@ import (
 // ascending position, the LRU clock and the stats. The lines are
 // stored column-wise — entry i of Pos, Tag, LRU and Meta is one line,
 // Pos being set*ways + way, its index in a row-major array — and every
-// stored line is valid. Columns of numbers are what encoding/gob
-// encodes fastest and smallest, which is why a snapshot is not one
+// stored line is valid. Columns let the checkpoint codec write one
+// field of every line in one loop, which is why a snapshot is not one
 // record per line. The model checker (internal/mcheck) captures one
 // per array before exploring a branch and restores it when
 // backtracking; checkpoints serialize it to disk, which is why every

@@ -7,17 +7,19 @@ import (
 )
 
 // Binary round-tripping for the three sample accumulators, so component
-// Stats structs that embed them travel inside a checkpoint: encoding/gob
-// — the checkpoint body's codec — cannot see unexported fields, and asks
-// a type for these methods instead. Fixed-width little-endian words; a
-// float64 travels as its IEEE 754 bits, so NaN payloads, infinities and
-// the sign of zero survive and a restored mean is bit-identical. Input
-// of the wrong length is an error, never a panic: the bytes come off a
-// disk.
+// Stats structs that embed them travel inside a checkpoint: the
+// checkpoint body's codec cannot see unexported fields, and hands each
+// accumulator to these methods instead. AppendBinary has the signature
+// of encoding.BinaryAppender, so the codec appends into the body it is
+// building and no accumulator allocates a buffer of its own.
+// Fixed-width little-endian words; a float64 travels as its IEEE 754
+// bits, so NaN payloads, infinities and the sign of zero survive and a
+// restored mean is bit-identical. Input of the wrong length is an
+// error, never a panic: the bytes come off a disk.
 
-// MarshalBinary encodes the counter's full state.
-func (c Counter) MarshalBinary() ([]byte, error) {
-	return binary.LittleEndian.AppendUint64(nil, c.n), nil
+// AppendBinary appends the counter's full state to b.
+func (c Counter) AppendBinary(b []byte) ([]byte, error) {
+	return binary.LittleEndian.AppendUint64(b, c.n), nil
 }
 
 // UnmarshalBinary restores the counter's full state.
@@ -29,9 +31,9 @@ func (c *Counter) UnmarshalBinary(b []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes the mean's full state.
-func (m Mean) MarshalBinary() ([]byte, error) {
-	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 16), math.Float64bits(m.sum))
+// AppendBinary appends the mean's full state to b.
+func (m Mean) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.sum))
 	return binary.LittleEndian.AppendUint64(b, m.n), nil
 }
 
@@ -49,10 +51,9 @@ func (m *Mean) UnmarshalBinary(b []byte) error {
 // the buckets follow, eight bytes each.
 const histogramFixed = 24
 
-// MarshalBinary encodes the histogram's full state, bucket layout
-// included.
-func (h *Histogram) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, histogramFixed+8*len(h.buckets))
+// AppendBinary appends the histogram's full state, bucket layout
+// included, to b.
+func (h *Histogram) AppendBinary(b []byte) ([]byte, error) {
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(h.sum))
 	b = binary.LittleEndian.AppendUint64(b, h.n)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(h.max))

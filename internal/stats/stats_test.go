@@ -2,8 +2,6 @@ package stats
 
 import (
 	"bytes"
-	"encoding"
-	"encoding/gob"
 	"math"
 	"strings"
 	"testing"
@@ -153,63 +151,55 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
+// binaryForm is what a checkpoint asks of an accumulator.
+type binaryForm interface {
+	AppendBinary([]byte) ([]byte, error)
+	UnmarshalBinary([]byte) error
+}
+
 // TestBinaryRoundTrip: the binary form of each accumulator restores its
 // exact state — floats bit for bit, so NaN, the infinities and negative
-// zero survive — both directly and as a field inside a gob stream (how a
-// checkpoint carries them; gob leaves zero values out, and negative zero
-// must not count as one).
+// zero survive. AppendBinary appends after what the buffer already
+// holds, as a checkpoint body calls it, and leaves that prefix alone.
 func TestBinaryRoundTrip(t *testing.T) {
 	sums := []float64{0, math.Copysign(0, -1), 1.5, -7e300, math.Inf(1), math.Inf(-1), math.NaN(),
 		math.Float64frombits(0x7ff8_0000_dead_beef)} // a NaN with a payload
-	type carrier struct {
-		C Counter
-		M Mean
-		H *Histogram
-	}
+	prefix := []byte("body so far")
 	for _, sum := range sums {
-		in := carrier{C: Counter{n: 1<<63 + 5}, M: Mean{sum: sum, n: 3}, H: NewHistogram(64)}
-		in.H.Observe(3)
-		in.H.Observe(1000)
-		in.H.sum, in.H.max = sum, sum
+		c, m, h := Counter{n: 1<<63 + 5}, Mean{sum: sum, n: 3}, NewHistogram(64)
+		h.Observe(3)
+		h.Observe(1000)
+		h.sum, h.max = sum, sum
 
-		var direct carrier
-		direct.H = new(Histogram)
+		var outC Counter
+		var outM Mean
+		outH := new(Histogram)
 		for _, p := range []struct {
-			from encoding.BinaryMarshaler
-			to   encoding.BinaryUnmarshaler
-		}{{in.C, &direct.C}, {in.M, &direct.M}, {in.H, direct.H}} {
-			b, err := p.from.MarshalBinary()
+			from, to binaryForm
+		}{{&c, &outC}, {&m, &outM}, {h, outH}} {
+			b, err := p.from.AppendBinary(append([]byte(nil), prefix...))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := p.to.UnmarshalBinary(b); err != nil {
+			if !bytes.HasPrefix(b, prefix) {
+				t.Fatalf("AppendBinary overwrote the buffer's prefix: %q", b)
+			}
+			if err := p.to.UnmarshalBinary(b[len(prefix):]); err != nil {
 				t.Fatal(err)
 			}
 		}
 
-		var buf bytes.Buffer
-		var viaGob carrier
-		if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-			t.Fatal(err)
+		bits := math.Float64bits
+		if outC != c || outM.n != m.n || bits(outM.sum) != bits(sum) {
+			t.Errorf("sum %v: counter/mean came back %+v %+v", sum, outC, outM)
 		}
-		if err := gob.NewDecoder(&buf).Decode(&viaGob); err != nil {
-			t.Fatal(err)
+		if outH.n != h.n || bits(outH.sum) != bits(sum) || bits(outH.max) != bits(sum) ||
+			len(outH.buckets) != len(h.buckets) {
+			t.Fatalf("sum %v: histogram came back %+v", sum, outH)
 		}
-
-		for name, out := range map[string]carrier{"direct": direct, "gob": viaGob} {
-			bits := math.Float64bits
-			if out.C != in.C || out.M.n != in.M.n || bits(out.M.sum) != bits(sum) {
-				t.Errorf("%s, sum %v: counter/mean came back %+v %+v", name, sum, out.C, out.M)
-			}
-			h := out.H
-			if h == nil || h.n != in.H.n || bits(h.sum) != bits(sum) || bits(h.max) != bits(sum) ||
-				len(h.buckets) != len(in.H.buckets) {
-				t.Fatalf("%s, sum %v: histogram came back %+v", name, sum, h)
-			}
-			for i := range h.buckets {
-				if h.buckets[i] != in.H.buckets[i] {
-					t.Errorf("%s, sum %v: bucket %d is %d, want %d", name, sum, i, h.buckets[i], in.H.buckets[i])
-				}
+		for i := range outH.buckets {
+			if outH.buckets[i] != h.buckets[i] {
+				t.Errorf("sum %v: bucket %d is %d, want %d", sum, i, outH.buckets[i], h.buckets[i])
 			}
 		}
 	}
@@ -221,11 +211,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 func TestBinaryRejectsMalformed(t *testing.T) {
 	h := NewHistogram(16)
 	h.Observe(2)
-	for name, v := range map[string]interface {
-		encoding.BinaryMarshaler
-		encoding.BinaryUnmarshaler
-	}{"counter": &Counter{n: 9}, "mean": &Mean{sum: 2, n: 1}, "histogram": h} {
-		whole, err := v.MarshalBinary()
+	for name, v := range map[string]binaryForm{"counter": &Counter{n: 9}, "mean": &Mean{sum: 2, n: 1}, "histogram": h} {
+		whole, err := v.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
