@@ -19,8 +19,8 @@ import (
 
 // The body codec. Every snapshot type reachable from sim.SysSnap has
 // one function below that names each of its exported fields once, in
-// order; the same function sizes, encodes and decodes, so the three
-// cannot drift apart. The encoding rules:
+// order; the same function encodes (sizing what does not fit) and
+// decodes, so the directions cannot drift apart. The encoding rules:
 //
 //   - an unsigned number is a uvarint, a signed one a zigzag varint, a
 //     bool one byte, 0 or 1;
@@ -47,18 +47,21 @@ const allocPerByte = 32
 type pass uint8
 
 const (
-	sizing   pass = iota // count the bytes encoding would write
-	encoding             // write the fields to buf
+	encoding pass = iota // write the fields to buf, or count them past end
 	decoding             // fill the fields from buf
 )
 
-// A codec is one pass over a body. buf is the whole body — sized
-// before it is encoded, so encoding writes in place and never appends —
-// and off the bytes sized, written or read so far.
+// A codec is one pass over a body. buf is the room the body is encoded
+// into, or the body decoded, and off the bytes sized, written or read
+// so far. Encoding writes in place and never appends. It writes what
+// starts at or before end, a longest number short of buf's end, and
+// only counts what starts after it: a pass that ends past end has
+// sized the body without writing all of it.
 type codec struct {
 	pass pass
 	buf  []byte
 	off  int
+	end  int
 	// decoding: the bytes the snapshot may still allocate, and the
 	// first defect.
 	budget int
@@ -67,22 +70,29 @@ type codec struct {
 	scratch []byte
 }
 
-// appendBody appends snap's body to buf, growing buf at most once, to
-// hold the body and reserve bytes after it: a sizing pass first finds
-// the body's exact length.
+// appendBody appends snap's body to buf with reserve bytes of capacity
+// left after it. It encodes straight into buf's spare capacity; only a
+// body that overflows it, such as a lineage's first, is encoded twice:
+// the overflowing pass ends up having sized the body, and buf grows
+// once to hold it. It grows with a sixteenth to spare, because a run's
+// later checkpoints tend to be a little larger than its earlier ones
+// (an 8-core sps run's grow about 1% a checkpoint), and a Saver's next
+// body should fit.
 func appendBody(buf []byte, snap *sim.SysSnap, reserve int) []byte {
-	c := &codec{pass: sizing}
+	at := len(buf)
+	c := &codec{pass: encoding, buf: buf[at:max(at, cap(buf)-reserve)]}
+	c.end = len(c.buf) - binary.MaxVarintLen64
 	sysSnap(c, snap)
-	at, n := len(buf), c.off
-	if cap(buf)-at < n+reserve {
-		grown := make([]byte, at, at+n+reserve)
-		copy(grown, buf)
-		buf = grown
+	n := c.off
+	if n <= c.end {
+		return buf[:at+n]
 	}
-	buf = buf[:at+n]
-	*c = codec{pass: encoding, buf: buf[at:], scratch: c.scratch}
+	spare := max(n/16, binary.MaxVarintLen64)
+	grown := make([]byte, at+n, at+n+spare+reserve)
+	copy(grown, buf)
+	*c = codec{pass: encoding, buf: grown[at : at+n+spare], end: n + spare - binary.MaxVarintLen64, scratch: c.scratch}
 	sysSnap(c, snap)
-	return buf
+	return grown
 }
 
 // decodeBody decodes a whole body, which must hold one snapshot and
@@ -113,9 +123,10 @@ func (c *codec) fail(msg string) {
 
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// uint sizes or writes v; decoding reads with uvarint instead.
+// uint writes v, or counts it past end; decoding reads with uvarint
+// instead.
 func (c *codec) uint(v uint64) {
-	if c.pass == encoding {
+	if c.off <= c.end {
 		c.off += binary.PutUvarint(c.buf[c.off:], v)
 	} else {
 		c.off += uvarintLen(v)
@@ -237,15 +248,12 @@ func flag(c *codec, p *bool) {
 func unsigneds[T unsignedNum](c *codec, p *[]T) {
 	if c.pass != decoding {
 		c.uint(uint64(len(*p)))
-		if c.pass == sizing {
-			for _, v := range *p {
-				c.off += uvarintLen(uint64(v))
-			}
-			return
+		s, buf, off, end := *p, c.buf, c.off, c.end
+		for ; len(s) > 0 && off <= end; s = s[1:] {
+			off += binary.PutUvarint(buf[off:], uint64(s[0]))
 		}
-		buf, off := c.buf, c.off
-		for _, v := range *p {
-			off += binary.PutUvarint(buf[off:], uint64(v))
+		for _, v := range s { // past end
+			off += uvarintLen(uint64(v))
 		}
 		c.off = off
 		return
@@ -270,15 +278,12 @@ func unsigneds[T unsignedNum](c *codec, p *[]T) {
 func signeds[T signedNum](c *codec, p *[]T) {
 	if c.pass != decoding {
 		c.uint(uint64(len(*p)))
-		if c.pass == sizing {
-			for _, v := range *p {
-				c.off += uvarintLen(zigzag(int64(v)))
-			}
-			return
+		s, buf, off, end := *p, c.buf, c.off, c.end
+		for ; len(s) > 0 && off <= end; s = s[1:] {
+			off += binary.PutUvarint(buf[off:], zigzag(int64(s[0])))
 		}
-		buf, off := c.buf, c.off
-		for _, v := range *p {
-			off += binary.PutUvarint(buf[off:], zigzag(int64(v)))
+		for _, v := range s {
+			off += uvarintLen(zigzag(int64(v)))
 		}
 		c.off = off
 		return
@@ -305,8 +310,8 @@ func signeds[T signedNum](c *codec, p *[]T) {
 func raw(c *codec, p *[]uint8) {
 	if c.pass != decoding {
 		c.uint(uint64(len(*p)))
-		if c.pass == encoding {
-			copy(c.buf[c.off:], *p)
+		if c.off <= c.end {
+			copy(c.buf[c.off:], *p) // a short copy ends the pass past end
 		}
 		c.off += len(*p)
 		return
@@ -360,7 +365,7 @@ func acc(c *codec, a accumulator) {
 	if c.pass != decoding {
 		c.scratch, _ = a.AppendBinary(c.scratch[:0])
 		c.uint(uint64(len(c.scratch)))
-		if c.pass == encoding {
+		if c.off <= c.end {
 			copy(c.buf[c.off:], c.scratch)
 		}
 		c.off += len(c.scratch)

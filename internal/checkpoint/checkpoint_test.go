@@ -151,6 +151,45 @@ func TestEncodeUsesOneBuffer(t *testing.T) {
 	}
 }
 
+// TestEncodeIntoAnyRoom: appendEncode writes the bytes Encode returns
+// whatever room its buffer has. The capacities run from none to past
+// the file's end, a byte at a time over its last 64 bytes, so the body
+// overflows its buffer inside every kind of field (a number, a run of
+// numbers, raw bytes, an accumulator), or fits it exactly. A Saver's
+// saves write those bytes too: the first into no buffer, the second
+// overflowing the first's, the third fitting in the second's with room
+// to spare.
+func TestEncodeIntoAnyRoom(t *testing.T) {
+	big, small := realSnap(t), tinySnap()
+	want := mustEncode(t, big)
+	for room := 0; room <= len(want)+8; room++ {
+		if room < len(want)-64 && room%251 != 0 {
+			continue
+		}
+		got, err := appendEncode(make([]byte, 0, room), "k", big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendEncode into %d bytes of room wrote %d bytes unlike Encode's %d", room, len(got), len(want))
+		}
+	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	save := Saver(path, "k")
+	for i, snap := range []*sim.SysSnap{small, big, small} {
+		if err := save(snap.Cycle, snap); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, mustEncode(t, snap)) {
+			t.Fatalf("save %d wrote %d bytes unlike Encode's", i, len(got))
+		}
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	snap := realSnap(t)
 	path := filepath.Join(t.TempDir(), "run.ckpt")

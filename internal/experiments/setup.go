@@ -16,10 +16,12 @@ import (
 // parameters, cores, instrs, seed) and System.Warm of the programs, the
 // workload's warm filter and the memory geometry. So the first cell
 // over a trace set generates it, builds its system the ordinary way
-// (sim.New, which warms) and takes the system's warm image; every later
-// cell over the same set is built from the shared programs and that
-// image (sim.WithWarmImage) and pays neither Generate nor Warm — or
-// Generate only, when the programs were dropped before the image.
+// (sim.New) and takes the system's warm image, which runs the warm;
+// every later cell over the same set is built from the shared programs
+// and that image (sim.WithWarmImage) and pays neither Generate nor Warm
+// — or Generate only, when the programs were dropped before the image.
+// A cell that resumes a checkpoint does not restore the image either:
+// RestoreSnap drops it.
 //
 // A Setup belongs to whoever runs the cells — a Runner, a rowserve
 // Server, one rowsweep invocation — and dies with it; nothing here is

@@ -12,9 +12,11 @@ import (
 // and core is visited every cycle; no HasMail, no NextEventAt, no
 // SetNow, no postCycle. It shares nothing with the run loop but the
 // phase order, so a Result equal to Run's says the loop's two modes
-// both skip only what does nothing.
+// both skip only what does nothing. It starts, as Run does, by running
+// the warm New deferred.
 func lockstepOracle(t *testing.T, s *System) Result {
 	t.Helper()
+	s.settle()
 	for {
 		s.cycle++
 		cyc := s.cycle

@@ -58,6 +58,7 @@ const (
 //     cycles. The coherence check bounds no jump: it runs in Quiesce,
 //     once the run is over and the system has drained.
 func (s *System) run(ctx context.Context, ms *maintState) (Result, error) {
+	s.settle()
 	n := len(s.caches)
 	cacheWake := make([]uint64, n)
 	coreWake := make([]uint64, n)

@@ -153,6 +153,7 @@ func TestEventModeLatenciesUnchanged(t *testing.T) {
 // at zero allocations in steady state.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	s := schedBuild(t, config.PolicyRoW, "cq", faults.Config{}, 2000)
+	s.settle()
 	n := len(s.caches)
 	cacheWake := make([]uint64, n)
 	coreWake := make([]uint64, n)
@@ -224,6 +225,7 @@ func freshWindows(t *testing.T, p workload.Params, progs []trace.Program, cross 
 		opts = append(opts, WithCrossCheck())
 	}
 	s := schedSystem(t, config.PolicyRoW, p, progs, faults.Config{}, opts...)
+	s.settle() // the warm Run would run before its first step
 	n := len(s.caches)
 	cacheWake := make([]uint64, n)
 	coreWake := make([]uint64, n)
@@ -285,6 +287,7 @@ func sramBlockAllocs() int64 {
 // after core 0, visited for its own work, has ticked.
 func TestCrossCheckReplaysInIndexOrder(t *testing.T) {
 	s := schedBuild(t, config.PolicyRoW, "cq", faults.Config{}, 20000, WithCrossCheck())
+	s.settle()
 	n := len(s.caches)
 	cacheWake := make([]uint64, n)
 	coreWake := make([]uint64, n)

@@ -35,6 +35,12 @@ type System struct {
 	image      *WarmImage // WithWarmImage: read-only, shared with other systems
 	crossCheck bool
 
+	// warmDue is New's warm, deferred until something reads or advances
+	// the system (settle): Warm over progs, or image restored.
+	// RestoreSnap drops it.
+	warmDue bool
+	progs   []trace.Program
+
 	ckptEvery uint64
 	ckptFn    func(cycle uint64, snap *SysSnap) error
 	lastCkpt  uint64
@@ -52,14 +58,16 @@ func WithWarmFilter(f func(core int, line uint64) bool) Option {
 	return func(s *System) { s.warmFilter = f }
 }
 
-// WithWarmImage makes New restore img where it would have called Warm:
-// the caches and banks come up in the state Warm left the system the
-// image was taken from (see System.WarmImage), for the cost of their
-// Restore methods. The image is only read, so any number of systems —
-// concurrent ones included — may be built from one. New refuses an
-// image whose memory geometry or core count is not the configuration's;
-// with cfg.WarmCaches off there is nothing to restore and the image is
-// ignored. The warm filter plays no part: it already shaped the image.
+// WithWarmImage makes the system restore img where it would have
+// warmed: the caches and banks come up in the state Warm left the
+// system the image was taken from (see System.WarmImage), for the cost
+// of their Restore methods, and like the warm the restore waits for
+// the system's first read or advance (see New). The image is only
+// read, so any number of systems — concurrent ones included — may be
+// built from one. New refuses an image whose memory geometry or core
+// count is not the configuration's; with cfg.WarmCaches off there is
+// nothing to restore and the image is ignored. The warm filter plays
+// no part: it already shaped the image.
 func WithWarmImage(img *WarmImage) Option {
 	return func(s *System) { s.image = img }
 }
@@ -117,6 +125,15 @@ func WithCheckpoint(every uint64, fn func(cycle uint64, snap *SysSnap) error) Op
 
 // New builds a system running one program per core. Cores without a
 // program idle (len(progs) may be less than NumCores).
+//
+// With cfg.WarmCaches on, New records the warm (Warm over progs, or
+// the WithWarmImage image restored) instead of running it. The system
+// warms the first time anything reads or advances it: Run and RunCtx,
+// Snapshot, WarmImage, Quiesce, and the Cores, Caches and Directories
+// accessors. RestoreSnap drops the pending warm, because the snapshot
+// overwrites every cache and bank the warm would fill, so a system
+// built to resume from a checkpoint never pays for it. progs must not
+// change until then.
 func New(cfg *config.Config, progs []trace.Program, opts ...Option) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -162,23 +179,48 @@ func New(cfg *config.Config, progs []trace.Program, opts ...Option) (*System, er
 		opt(s)
 	}
 	if cfg.WarmCaches {
-		if s.image == nil {
-			s.Warm(progs)
-		} else if err := s.restoreWarm(s.image); err != nil {
-			return nil, err
+		if s.image != nil {
+			if err := s.image.fits(s); err != nil {
+				return nil, err
+			}
 		}
+		s.warmDue, s.progs = true, progs
 	}
 	return s, nil
 }
 
+// settle runs the warm New deferred, if it is still due. Everything
+// that reads or advances the system calls it first.
+func (s *System) settle() {
+	if !s.warmDue {
+		return
+	}
+	s.warmDue = false
+	if s.image != nil {
+		s.restoreImage(s.image)
+	} else {
+		s.warm(s.progs)
+	}
+	s.progs = nil
+}
+
 // Cores exposes the simulated cores (stats inspection).
-func (s *System) Cores() []*core.Core { return s.cores }
+func (s *System) Cores() []*core.Core {
+	s.settle()
+	return s.cores
+}
 
 // Caches exposes the private caches (stats inspection).
-func (s *System) Caches() []*cache.Private { return s.caches }
+func (s *System) Caches() []*cache.Private {
+	s.settle()
+	return s.caches
+}
 
 // Directories exposes the L3/directory banks (stats inspection).
-func (s *System) Directories() []*coherence.Directory { return s.dirs }
+func (s *System) Directories() []*coherence.Directory {
+	s.settle()
+	return s.dirs
+}
 
 // Cycle returns the current simulation cycle.
 func (s *System) Cycle() uint64 { return s.cycle }
@@ -189,8 +231,14 @@ func (s *System) Cycle() uint64 { return s.cycle }
 // core's private L2 (and at the directory), lines shared by several
 // cores are installed in the L3. Without this, short traces are
 // dominated by cold first-touch DRAM misses that real ROI
-// measurements never see.
+// measurements never see. A warm New deferred runs first.
 func (s *System) Warm(progs []trace.Program) {
+	s.settle()
+	s.warm(progs)
+}
+
+// warm is Warm's body, which settle runs for a deferred warm.
+func (s *System) warm(progs []trace.Program) {
 	lineShift := uint(bits.TrailingZeros(uint(s.cfg.Mem.LineBytes)))
 	// One key per memory access: the line number above the core
 	// number. A single sort then puts each line's accesses side by
@@ -390,6 +438,7 @@ func (s *System) MustRun() Result {
 // copy. A protocol error raised while draining is returned as Run
 // returns one.
 func (s *System) Quiesce() error {
+	s.settle()
 	n := len(s.caches)
 	cacheWake := make([]uint64, n)
 	coreWake := make([]uint64, n)

@@ -22,11 +22,11 @@ import (
 //
 //   - programs: workload.Generate is a pure function of its parameters,
 //     so a resume builds the system over the same trace again — freshly
-//     generated, or the shared copy a sweep's set-up cache holds, in
-//     which case New first restores the set's warm image and RestoreSnap
-//     then overwrites it — and core.Restore rebinds instruction pointers
-//     by program index. The checkpoint content key covers the generator
-//     parameters instead.
+//     generated, or the shared copy a sweep's set-up cache holds — and
+//     core.Restore rebinds instruction pointers by program index. The
+//     warm New recorded (Warm, or the set's warm image) never runs:
+//     RestoreSnap drops it. The checkpoint content key covers the
+//     generator parameters instead.
 //   - the error sink: snapshots are taken in RunCtx's cold block, which
 //     runs only after the sink has been checked empty that cycle — a
 //     system with a recorded protocol error never reaches a checkpoint.
@@ -50,8 +50,10 @@ type SysSnap struct {
 }
 
 // Snapshot captures the system's full mutable state. It is a pure
-// read: taking a snapshot never perturbs the run.
+// read: taking a snapshot never perturbs the run. On a system nothing
+// has read or advanced yet it first runs the warm New deferred.
 func (s *System) Snapshot() *SysSnap {
+	s.settle()
 	snap := &SysSnap{
 		Cycle:   s.cycle,
 		Visited: s.visited,
@@ -78,7 +80,9 @@ func (s *System) Snapshot() *SysSnap {
 // component refuses (its Restore panics on state that cannot have come
 // from a component of its geometry, such as an sram line past the end
 // of the array): that error comes after other components were
-// restored, and the system must then be discarded, never run.
+// restored, and the system must then be discarded, never run. A warm
+// New deferred is dropped, not run: the snapshot overwrites every
+// cache and bank it would have filled.
 func (s *System) RestoreSnap(snap *SysSnap) (err error) {
 	if len(snap.Cores) != len(s.cores) || len(snap.Caches) != len(s.caches) || len(snap.Dirs) != len(s.dirs) {
 		return fmt.Errorf("sim: snapshot shape %d cores/%d caches/%d dirs does not match system %d/%d/%d",
@@ -92,6 +96,7 @@ func (s *System) RestoreSnap(snap *SysSnap) (err error) {
 			err = fmt.Errorf("sim: snapshot does not fit the system: %v", r)
 		}
 	}()
+	s.warmDue, s.progs = false, nil
 	s.cycle = snap.Cycle
 	s.visited = snap.Visited
 	s.lastCkpt = snap.Cycle
@@ -124,8 +129,10 @@ type WarmImage struct {
 
 // WarmImage captures the caches and banks of a system New has just
 // built, before it runs: at that point they hold what Warm installed
-// and nothing else. Like Snapshot it is a pure read.
+// and nothing else. Like Snapshot it is a pure read, and like Snapshot
+// it first runs the warm New deferred.
 func (s *System) WarmImage() *WarmImage {
+	s.settle()
 	img := &WarmImage{
 		Mem:    s.cfg.Mem,
 		Caches: make([]*cache.CacheSnap, len(s.caches)),
@@ -140,17 +147,22 @@ func (s *System) WarmImage() *WarmImage {
 	return img
 }
 
-// restoreWarm is New's alternative to Warm: the same state, restored.
-func (s *System) restoreWarm(img *WarmImage) error {
+// fits reports why img cannot stand in for s's warm, if it cannot.
+func (img *WarmImage) fits(s *System) error {
 	if img.Mem != s.cfg.Mem || len(img.Caches) != len(s.caches) || len(img.Dirs) != len(s.dirs) {
 		return fmt.Errorf("sim: warm image of %d caches/%d banks, memory %+v, does not fit a system of %d/%d, memory %+v",
 			len(img.Caches), len(img.Dirs), &img.Mem, len(s.caches), len(s.dirs), &s.cfg.Mem)
 	}
+	return nil
+}
+
+// restoreImage is settle's alternative to Warm: the same state,
+// restored from an image that fits.
+func (s *System) restoreImage(img *WarmImage) {
 	for i, pc := range s.caches {
 		pc.Restore(img.Caches[i])
 	}
 	for i, d := range s.dirs {
 		d.Restore(img.Dirs[i])
 	}
-	return nil
 }

@@ -139,24 +139,24 @@ func (g *generator) emitLocalWork(prog trace.Program, n int) trace.Program {
 
 // generateSynth builds a structured synchronization trace.
 func generateSynth(p Params, cores, instrs int, seed uint64) []trace.Program {
+	var emit func(g *generator, prog trace.Program) trace.Program
+	switch p.Synth {
+	case synthTAS:
+		emit = (*generator).emitTAS
+	case synthTicket:
+		emit = (*generator).emitTicket
+	case synthBarrier:
+		emit = (*generator).emitBarrier
+	default:
+		panic(fmt.Sprintf("workload: unknown synthetic kind %q", p.Synth))
+	}
 	t := &template{p: p}
-	progs := make([]trace.Program, cores)
-	for c := 0; c < cores; c++ {
+	return generateCores(cores, func(c int) trace.Program {
 		g := newGenerator(t, c, seed)
 		prog := make(trace.Program, 0, instrs+instrs/8)
 		for len(prog) < instrs {
-			switch p.Synth {
-			case synthTAS:
-				prog = g.emitTAS(prog)
-			case synthTicket:
-				prog = g.emitTicket(prog)
-			case synthBarrier:
-				prog = g.emitBarrier(prog)
-			default:
-				panic(fmt.Sprintf("workload: unknown synthetic kind %q", p.Synth))
-			}
+			prog = emit(g, prog)
 		}
-		progs[c] = prog
-	}
-	return progs
+		return prog
+	})
 }

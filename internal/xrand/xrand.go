@@ -5,6 +5,8 @@
 // experiments are reproducible.
 package xrand
 
+import "math"
+
 // RNG is a SplitMix64 pseudo-random number generator. The zero value
 // is a valid generator seeded with 0.
 type RNG struct {
@@ -54,13 +56,21 @@ func (r *RNG) Bool(p float64) bool {
 // Geometric returns a sample from a geometric-ish distribution with
 // the given mean (minimum 1). Used for dependency distances and
 // inter-arrival gaps.
+//
+// Each trial is Bool(1/mean) without the float: Float64's draw x/2^53
+// is below p exactly when x is below p·2^53 (scaling by a power of two
+// is exact), and an integer is below a real exactly when it is below
+// the real's ceiling. So the draws, the result and the final state are
+// those of the loop `for !r.Bool(p) && n < int(mean*8) { n++ }`.
 func (r *RNG) Geometric(mean float64) int {
 	if mean <= 1 {
 		return 1
 	}
 	p := 1 / mean
+	hit := uint64(math.Ceil(p * (1 << 53)))
+	limit := int(mean * 8)
 	n := 1
-	for !r.Bool(p) && n < int(mean*8) {
+	for r.Uint64()>>11 >= hit && n < limit {
 		n++
 	}
 	return n
