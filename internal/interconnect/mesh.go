@@ -1,7 +1,8 @@
 // Package interconnect models the on-chip network connecting cores
 // and L3/directory banks: a 2D mesh with dimension-order routing and
 // per-hop link plus router latency, in the spirit of GARNET but at
-// message (not flit) granularity.
+// message (not flit) granularity. Messages in flight wait in a
+// calendar (calendar.go), a timing wheel with one bucket a cycle.
 package interconnect
 
 import (
@@ -9,73 +10,6 @@ import (
 
 	"rowsim/internal/coherence"
 )
-
-// event is one in-flight message with its arrival time.
-type event struct {
-	at  uint64
-	seq uint64 // tie-breaker preserving send order
-	msg coherence.Msg
-}
-
-// eventHeap is a typed binary min-heap ordered by (at, seq). It is
-// hand-rolled instead of container/heap because the interface-based
-// Push/Pop box every event through the heap (one allocation per send
-// on the simulator's hottest path); the typed version keeps events in
-// place. seq is unique, so pop order is a total order independent of
-// the heap's internal layout.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	h.siftUp(len(*h) - 1)
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	*h = s[:n]
-	h.siftDown(0)
-	return top
-}
-
-func (h eventHeap) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (h eventHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && h.less(l, min) {
-			min = l
-		}
-		if r < n && h.less(r, min) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-}
 
 // Perturber mutates message delivery for fault injection. The mesh
 // consults it on every send when installed (see faults.Injector).
@@ -106,9 +40,9 @@ type Mesh struct {
 	routerCycles int
 	baseCycles   int
 
-	now    uint64
-	seq    uint64
-	events eventHeap
+	now uint64 // the cycle of the last Tick
+	seq uint64
+	cal calendar
 
 	inboxes [][]coherence.Msg
 
@@ -133,14 +67,15 @@ type Mesh struct {
 }
 
 // Room the mesh makes at construction, so that a run's sends and
-// deliveries allocate nothing: heapRoom messages in flight per node
-// and inboxRoom arrivals per node and cycle. They are what rowperf's
-// 4- and 8-core workloads reach and most of what its 32-core ones do
-// (cold canneal has 15 messages a node in flight); a run past them
-// grows the heap or an inbox to its high-water mark.
+// deliveries allocate nothing: flightRoom messages in flight per node
+// and inboxRoom arrivals per node and cycle. The most in flight at once
+// on rowperf's workloads (seed 1) is 85 on figcells-8c's 16 nodes, 112
+// on ckpt-8c's, 203 on lockspin-32c's 40, 334 on contended-32c's and
+// 603 on coldmiss-32c's, 15 a node; a run past the room grows the
+// calendar's slab to its high-water mark once.
 const (
-	heapRoom  = 8
-	inboxRoom = 8
+	flightRoom = 8
+	inboxRoom  = 8
 )
 
 // NewMesh builds a mesh holding the given number of nodes with the
@@ -162,8 +97,9 @@ func NewMesh(nodes, linkCycles, routerCycles, baseCycles int) *Mesh {
 		linkCycles:   linkCycles,
 		routerCycles: routerCycles,
 		baseCycles:   baseCycles,
-		events:       make(eventHeap, 0, heapRoom*nodes),
+		cal:          newCalendar(flightRoom * nodes),
 		inboxes:      make([][]coherence.Msg, nodes),
+		trace:        make([]traceEntry, traceDepth),
 	}
 	// One array holds every inbox's share; the three-index cap keeps an
 	// inbox that outgrows its share off its neighbour's.
@@ -237,7 +173,7 @@ func (m *Mesh) SendAfter(msg coherence.Msg, extra uint64) {
 
 // sendPerturbed is SendAfter under fault injection. It is a function
 // of its own because the Perturber sees the message through an
-// interface, which moves it to the heap: kept here, only faulted runs
+// interface, which moves it to the Go heap: kept here, only faulted runs
 // pay that allocation.
 func (m *Mesh) sendPerturbed(msg coherence.Msg, extra uint64) {
 	delays := m.perturb.Perturb(&msg)
@@ -251,7 +187,8 @@ func (m *Mesh) sendPerturbed(msg coherence.Msg, extra uint64) {
 }
 
 // enqueue schedules one delivery, preserving per-channel FIFO order
-// when fault injection is active.
+// when fault injection is active. A delivery more than maxDelay cycles
+// ahead is a protocol error, and the message is not sent.
 func (m *Mesh) enqueue(msg *coherence.Msg, extra, faultDelay uint64) {
 	at := m.now + extra + faultDelay + m.Latency(msg.Src, msg.Dst)
 	if at <= m.now {
@@ -264,8 +201,18 @@ func (m *Mesh) enqueue(msg *coherence.Msg, extra, faultDelay uint64) {
 		}
 		m.lastAt[ch] = at
 	}
+	if at-m.now > maxDelay {
+		coherence.Raise(m.sink, &coherence.ProtocolError{
+			Cycle:     m.now,
+			Component: "mesh",
+			Line:      msg.Line,
+			Op:        msg.String(),
+			Reason:    fmt.Sprintf("message delayed %d cycles, past the mesh's %d", at-m.now, maxDelay),
+		})
+		return
+	}
 	m.seq++
-	m.events.push(event{at: at, seq: m.seq, msg: *msg})
+	m.cal.push(m.now, at, event{seq: m.seq, msg: *msg})
 	m.messages++
 	m.hopsSum += uint64(m.Hops(msg.Src, msg.Dst))
 	m.record(msg, at)
@@ -273,9 +220,6 @@ func (m *Mesh) enqueue(msg *coherence.Msg, extra, faultDelay uint64) {
 
 // record remembers the send in the trace ring (arriveAt 0 = dropped).
 func (m *Mesh) record(msg *coherence.Msg, arriveAt uint64) {
-	if m.trace == nil {
-		m.trace = make([]traceEntry, traceDepth)
-	}
 	m.trace[m.traceIdx] = traceEntry{sentAt: m.now, arriveAt: arriveAt, msg: *msg}
 	m.traceIdx = (m.traceIdx + 1) % traceDepth
 	if m.traceN < traceDepth {
@@ -287,9 +231,6 @@ func (m *Mesh) record(msg *coherence.Msg, arriveAt uint64) {
 // (line 0 = all lines), oldest first, up to max entries. The system
 // attaches this to protocol-error reports.
 func (m *Mesh) RecentTrace(line uint64, max int) []string {
-	if m.trace == nil {
-		return nil
-	}
 	var out []string
 	for i := 0; i < m.traceN; i++ {
 		e := &m.trace[(m.traceIdx+traceDepth-m.traceN+i)%traceDepth]
@@ -308,29 +249,37 @@ func (m *Mesh) RecentTrace(line uint64, max int) []string {
 	return out
 }
 
-// Tick advances the network to the given cycle, moving every message
-// that has arrived into its destination inbox.
+// Tick advances the network to the given cycle, which must not be
+// before the last Tick's, moving every message that has arrived into
+// its destination inbox in (arrival, send) order.
 func (m *Mesh) Tick(cycle uint64) {
-	m.now = cycle
-	for len(m.events) > 0 && m.events[0].at <= cycle {
-		e := m.events.pop()
-		m.inboxes[e.msg.Dst] = append(m.inboxes[e.msg.Dst], e.msg)
+	if cycle < m.now {
+		panic(fmt.Sprintf("interconnect: Tick(%d) after Tick(%d)", cycle, m.now))
 	}
+	for {
+		at, ok := m.cal.next(m.now)
+		if !ok || at > cycle {
+			break
+		}
+		for l := m.cal.take(at); !l.Empty(); {
+			e := m.cal.slab.Pop(&l)
+			m.inboxes[e.msg.Dst] = append(m.inboxes[e.msg.Dst], e.msg)
+		}
+	}
+	m.now = cycle
 }
 
 // NextEventAt returns the arrival cycle of the earliest undelivered
 // message, or ^uint64(0) when nothing is in flight. Every enqueue
 // clamps the arrival to at least now+1 and Tick delivers everything
-// due, so after a Tick at `now` the heap head is always in the future;
-// the clamp below only defends the contract against misuse.
+// due, so after a Tick at `now` the earliest arrival is always in the
+// future; the clamp below only defends the contract against misuse.
 func (m *Mesh) NextEventAt(now uint64) uint64 {
-	if len(m.events) == 0 {
+	at, ok := m.cal.next(m.now)
+	if !ok {
 		return ^uint64(0)
 	}
-	if at := m.events[0].at; at > now {
-		return at
-	}
-	return now + 1
+	return max(at, now+1)
 }
 
 // HasMail reports whether the node's inbox holds undelivered messages.
@@ -357,7 +306,7 @@ func (m *Mesh) Drain(node int) []coherence.Msg {
 
 // Idle reports whether no messages are in flight or queued anywhere.
 func (m *Mesh) Idle() bool {
-	if len(m.events) > 0 {
+	if m.cal.busy > 0 {
 		return false
 	}
 	for _, in := range m.inboxes {

@@ -201,3 +201,44 @@ func TestQuickEverythingDelivered(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDelayPastMaxDelayRaises: a send due more than maxDelay cycles
+// ahead, which only a fault spec's jitter or a corrupt configuration
+// asks for, is a protocol error naming the delay; the calendar does
+// not grow for it and nothing is queued.
+func TestDelayPastMaxDelayRaises(t *testing.T) {
+	m := newTestMesh()
+	sink := &coherence.ErrorSink{}
+	m.SetErrorSink(sink)
+	m.Tick(7)
+	m.SendAfter(coherence.Msg{Src: 0, Dst: 1, Line: 0x1c0}, maxDelay)
+	e := sink.Err()
+	if e == nil {
+		t.Fatalf("a send %d cycles ahead recorded no protocol error", maxDelay+m.Latency(0, 1))
+	}
+	if e.Line != 0x1c0 || !strings.Contains(e.Reason, "past the mesh's") {
+		t.Fatalf("protocol error = line %#x, reason %q; want line 0x1c0 naming the mesh's bound", e.Line, e.Reason)
+	}
+	if !m.Idle() || len(m.cal.buckets) != calendarSize {
+		t.Fatalf("the refused send left the mesh idle=%v with %d buckets", m.Idle(), len(m.cal.buckets))
+	}
+	m.SendAfter(coherence.Msg{Src: 0, Dst: 1}, maxDelay-m.Latency(0, 1))
+	if m.Idle() || sink.Err() != e {
+		t.Fatal("a send exactly maxDelay cycles ahead was refused")
+	}
+}
+
+// TestTickBackwardsPanics: the calendar reads its buckets from the
+// last Tick's cycle on, so a clock that runs backwards is a bug in the
+// caller, not a state the mesh can deliver from.
+func TestTickBackwardsPanics(t *testing.T) {
+	m := newTestMesh()
+	m.Tick(10)
+	m.Tick(10) // the same cycle again is fine
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Tick(9) after Tick(10) did not panic")
+		}
+	}()
+	m.Tick(9)
+}

@@ -3,6 +3,7 @@ package interconnect
 import (
 	"testing"
 
+	"rowsim/internal/slab"
 	"rowsim/internal/snapcheck"
 )
 
@@ -10,7 +11,7 @@ import (
 // the mesh and its in-flight event records.
 func TestSnapshotCoversEveryField(t *testing.T) {
 	snapcheck.Assert(t, Mesh{}, []string{
-		"now", "seq", "events", "inboxes", "lastAt",
+		"now", "seq", "cal", "inboxes", "lastAt",
 		"messages", "hopsSum",
 	}, map[string]string{
 		"cols":         "derived from the node count at construction",
@@ -26,5 +27,16 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		"traceN":       "deadlock-diagnosis ring fill count",
 	})
 
-	snapcheck.Assert(t, event{}, []string{"at", "seq", "msg"}, nil)
+	snapcheck.Assert(t, calendar{}, []string{
+		"slab", "buckets", // captured as the events in (at, seq) order, queued again by Restore
+	}, map[string]string{
+		"occ":  "one bit per non-empty bucket, rebuilt as Restore queues the events",
+		"busy": "the count of those bits",
+	})
+
+	snapcheck.Assert(t, slab.Slab[event]{}, []string{"nodes"}, map[string]string{
+		"free": "free list through the slab; Restore starts from an empty slab",
+	})
+
+	snapcheck.Assert(t, event{}, []string{"seq", "msg"}, nil)
 }

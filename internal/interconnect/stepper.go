@@ -1,7 +1,9 @@
 package interconnect
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"slices"
 
 	"rowsim/internal/coherence"
 )
@@ -37,29 +39,24 @@ type Deliverable struct {
 // result identifies choices for TakeSeq.
 func (m *Mesh) Deliverables(dst []Deliverable) []Deliverable {
 	dst = dst[:0]
-	if len(m.events) == 0 {
+	if m.cal.busy == 0 {
 		return dst
 	}
 	// Oldest per (src,dst) channel. A flat table over node pairs keeps
 	// the scan deterministic (no map iteration).
-	heads := make([]int, m.nodes*m.nodes)
-	for i := range heads {
-		heads[i] = -1
-	}
-	for i := range m.events {
-		ch := m.events[i].msg.Src*m.nodes + m.events[i].msg.Dst
-		if heads[ch] < 0 || m.events[i].seq < m.events[heads[ch]].seq {
-			heads[ch] = i
+	heads := make([]uint64, m.nodes*m.nodes) // seq of the channel's oldest; seqs start at 1
+	m.cal.each(m.now, func(_ uint64, e *event) {
+		ch := e.msg.Src*m.nodes + e.msg.Dst
+		if heads[ch] == 0 || e.seq < heads[ch] {
+			heads[ch] = e.seq
+		}
+	})
+	for ch, seq := range heads {
+		if seq != 0 {
+			dst = append(dst, Deliverable{Seq: seq, Src: ch / m.nodes, Dst: ch % m.nodes})
 		}
 	}
-	for _, idx := range heads {
-		if idx < 0 {
-			continue
-		}
-		e := &m.events[idx]
-		dst = append(dst, Deliverable{Seq: e.seq, Src: e.msg.Src, Dst: e.msg.Dst})
-	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i].Seq < dst[j].Seq })
+	slices.SortFunc(dst, func(a, b Deliverable) int { return cmp.Compare(a.Seq, b.Seq) })
 	return dst
 }
 
@@ -67,38 +64,27 @@ func (m *Mesh) Deliverables(dst []Deliverable) []Deliverable {
 // returns it; ok is false when no such message is queued. The caller
 // must deliver it to its destination.
 func (m *Mesh) TakeSeq(seq uint64) (msg coherence.Msg, ok bool) {
-	idx := -1
-	for i := range m.events {
-		if m.events[i].seq == seq {
-			idx = i
-			break
+	var at uint64
+	m.cal.each(m.now, func(a uint64, e *event) {
+		if e.seq == seq && !ok {
+			at, ok = a, true
 		}
-	}
-	if idx < 0 {
+	})
+	if !ok {
 		return coherence.Msg{}, false
 	}
-	msg = m.events[idx].msg
-	n := len(m.events) - 1
-	m.events[idx] = m.events[n]
-	m.events = m.events[:n]
-	if idx < n {
-		m.events.siftDown(idx)
-		m.events.siftUp(idx)
-	}
-	return msg, true
+	return m.cal.remove(at, seq).msg, true
 }
 
 // ForEachPending calls fn for every queued (not yet delivered) message
 // in ascending send order. Checkers use it to encode the network's
 // state.
 func (m *Mesh) ForEachPending(fn func(seq uint64, msg coherence.Msg)) {
-	idx := make([]int, len(m.events))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return m.events[idx[a]].seq < m.events[idx[b]].seq })
-	for _, i := range idx {
-		fn(m.events[i].seq, m.events[i].msg)
+	var pending []event
+	m.cal.each(m.now, func(_ uint64, e *event) { pending = append(pending, *e) })
+	slices.SortFunc(pending, func(a, b event) int { return cmp.Compare(a.seq, b.seq) })
+	for _, e := range pending {
+		fn(e.seq, e.msg)
 	}
 }
 
@@ -110,7 +96,10 @@ type MeshEventSnap struct {
 
 // MeshSnap is a deep copy of the mesh's mutable delivery state. The
 // diagnostic trace ring is excluded: it feeds error reports only and
-// never protocol decisions.
+// never protocol decisions. Its fields are those it had when the mesh
+// queued messages in a binary heap and listed Events in heap-array
+// order. Restore takes Events in any order, so checkpoint.Version stays
+// 7 and a checkpoint written by either mesh resumes in the other.
 type MeshSnap struct {
 	Now, Seq uint64
 	Events   []MeshEventSnap
@@ -120,17 +109,16 @@ type MeshSnap struct {
 	Messages, HopsSum uint64
 }
 
-// Snapshot captures the queued events, inboxes and counters. Events
-// are stored in heap-array order, so Restore rebuilds an identical
-// heap by copying them back in place.
+// Snapshot captures the queued events, in (At, Seq) order, the inboxes
+// and the counters.
 func (m *Mesh) Snapshot() MeshSnap {
 	s := MeshSnap{
 		Now: m.now, Seq: m.seq,
 		Messages: m.messages, HopsSum: m.hopsSum,
 	}
-	for i := range m.events {
-		s.Events = append(s.Events, MeshEventSnap{At: m.events[i].at, Seq: m.events[i].seq, Msg: m.events[i].msg})
-	}
+	m.cal.each(m.now, func(at uint64, e *event) {
+		s.Events = append(s.Events, MeshEventSnap{At: at, Seq: e.seq, Msg: e.msg})
+	})
 	if len(m.inboxes) > 0 {
 		s.Inboxes = make([][]coherence.Msg, len(m.inboxes))
 		for n, in := range m.inboxes {
@@ -143,13 +131,32 @@ func (m *Mesh) Snapshot() MeshSnap {
 	return s
 }
 
-// Restore rewinds the mesh to a previously captured MeshSnap.
+// Restore rewinds the mesh to a previously captured MeshSnap. It takes
+// the Events in any order: sorted by (At, Seq), they queue as the
+// messages were sent. It panics on an event that no mesh of this size
+// can have queued at Now: one due by Now or more than maxDelay after
+// it, or addressed to a node it does not have.
 func (m *Mesh) Restore(s MeshSnap) {
 	m.now, m.seq = s.Now, s.Seq
 	m.messages, m.hopsSum = s.Messages, s.HopsSum
-	m.events = m.events[:0]
-	for i := range s.Events {
-		m.events = append(m.events, event{at: s.Events[i].At, seq: s.Events[i].Seq, msg: s.Events[i].Msg})
+	evs := s.Events
+	byTime := func(a, b MeshEventSnap) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Seq, b.Seq)
+	}
+	if !slices.IsSortedFunc(evs, byTime) {
+		evs = slices.Clone(evs)
+		slices.SortFunc(evs, byTime)
+	}
+	m.cal.reset()
+	for i := range evs {
+		e := &evs[i]
+		if e.At <= s.Now || e.At-s.Now > maxDelay || e.Msg.Dst < 0 || e.Msg.Dst >= m.nodes {
+			panic(fmt.Sprintf("interconnect: snapshot at cycle %d queues %s for cycle %d", s.Now, e.Msg.String(), e.At))
+		}
+		m.cal.push(s.Now, e.At, event{seq: e.Seq, msg: e.Msg})
 	}
 	for n := range m.inboxes {
 		m.inboxes[n] = m.inboxes[n][:0]
