@@ -61,7 +61,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		summary   = fs.Bool("summary", false, "print the Section VI headline summary")
 		ablation  = fs.String("ablation", "", "ablation to run: entries, update, aq")
 		scaling   = fs.Bool("scaling", false, "core-count scaling sweep")
-		far       = fs.Bool("far", false, "far-vs-near atomics comparison")
 		locks     = fs.Bool("locks", false, "synchronization-kernel study (tas/ticket/barrier)")
 		stability = fs.Bool("stability", false, "multi-seed stability check")
 		format    = fs.String("format", "text", "output format: text, csv, chart")
@@ -147,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		for _, n := range []int{1, 2, 4, 5, 6, 8, 9, 10, 11, 12, 13} {
 			run = append(run, figs[n]...)
 		}
-		run = append(run, experiments.Summary, experiments.FarVsNear,
+		run = append(run, experiments.Summary,
 			experiments.AblationEntries, experiments.AblationUpdate, experiments.AblationAQSize)
 	} else {
 		run = append(run, figs[*fig]...)
@@ -159,7 +158,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			{*table == 2, func(*experiments.Runner) *stats.Table { return experiments.HardwareCost() }},
 			{*summary, experiments.Summary},
 			{*scaling, func(r *experiments.Runner) *stats.Table { return experiments.Scaling(r, opt.Workloads) }},
-			{*far, experiments.FarVsNear},
 			{*locks, experiments.LockStudy},
 			{*stability, func(r *experiments.Runner) *stats.Table { return experiments.Stability(r, nil, opt.Workloads) }},
 			{*ablation != "", ablations[*ablation]},

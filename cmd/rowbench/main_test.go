@@ -25,7 +25,7 @@ func TestTablesMatchGoldens(t *testing.T) {
 		args   []string
 	}{
 		{"all.txt", []string{"-all"}},
-		{"extra.txt", []string{"-scaling", "-locks", "-stability", "-far"}},
+		{"extra.txt", []string{"-scaling", "-locks", "-stability"}},
 		{"fig9.csv", []string{"-fig", "9", "-format", "csv"}},
 		{"fig9.chart", []string{"-fig", "9", "-format", "chart"}},
 	} {

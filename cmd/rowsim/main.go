@@ -36,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := cli.NewFlagSet("rowsim", stderr)
 	var (
 		name    = fs.String("workload", "pc", "workload name (see -list)")
-		policy  = fs.String("policy", "row", "atomic policy: eager, lazy, row, far")
+		policy  = fs.String("policy", "row", "atomic policy: eager, lazy, row")
 		detect  = fs.String("detect", "rwdir", "contention detection: ew, rw, rwdir")
 		pred    = fs.String("pred", "ud", "predictor: ud, sat, 2up1down")
 		cores   = fs.Int("cores", 32, "number of cores")
@@ -73,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	v := experiments.Variant{Forward: *fwd, Threshold: -1}
 	for _, err := range []error{
 		lookup(&v.Policy, "policy", *policy, map[string]config.AtomicPolicy{
-			"eager": config.PolicyEager, "lazy": config.PolicyLazy, "row": config.PolicyRoW, "far": config.PolicyFar}),
+			"eager": config.PolicyEager, "lazy": config.PolicyLazy, "row": config.PolicyRoW}),
 		lookup(&v.Detection, "detection", *detect, map[string]config.Detection{
 			"ew": config.DetectEW, "rw": config.DetectRW, "rwdir": config.DetectRWDir}),
 		lookup(&v.Predictor, "predictor", *pred, map[string]config.PredictorKind{

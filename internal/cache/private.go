@@ -121,11 +121,11 @@ type stalledExt struct {
 }
 
 // lineTable is a dense table of records keyed by line: the outstanding
-// misses, the stalled external requests and the far RMWs. Each holds a
-// few lines, the largest at most the MSHR limit (16 by default), so a
-// linear scan over a flat array beats a map on every hot-path lookup,
-// and NewPrivate sizes each table to what runs hold at once. Removal
-// swaps the last entry in, so entries are in no particular order.
+// misses and the stalled external requests. Each holds a few lines,
+// the largest at most the MSHR limit (16 by default), so a linear scan
+// over a flat array beats a map on every hot-path lookup, and
+// NewPrivate sizes each table to what runs hold at once. Removal swaps
+// the last entry in, so entries are in no particular order.
 type lineTable[T any] struct {
 	lines []uint64
 	vals  []T
@@ -221,15 +221,11 @@ type Private struct {
 	// parked holds the demand misses that found no MSHR free, oldest
 	// first; Tick hands each freed MSHR to the head.
 	parked slab.List
-	// waits holds the records of parked, of every MSHR's waiters and of
-	// the far RMWs. NewPrivate sizes it for two accesses per MSHR; a
-	// miss storm that parks more grows it to its high-water mark.
+	// waits holds the records of parked and of every MSHR's waiters.
+	// NewPrivate sizes it for two accesses per MSHR; a miss storm that
+	// parks more grows it to its high-water mark.
 	waits   slab.Slab[access]
 	stalled lineTable[stalledExt]
-	// pendingFar holds the far RMWs outstanding at the L3 by line, in
-	// issue order; farDeferred those waiting for an in-flight miss on
-	// the same line to retire before they may drop the copy and issue.
-	pendingFar, farDeferred lineTable[slab.List]
 
 	// work counts observable actions taken by Tick (event completions,
 	// forced releases). The run loop's cross-check asserts it
@@ -272,9 +268,6 @@ func NewPrivate(coreID int, cfg *config.Config, net coherence.Network, client Cl
 		pfDegree:  m.PrefetcherDegree,
 		pfConfMin: m.PrefetcherDistance,
 	}
-	// A far RMW issues at the head of its core's LQ and completes before
-	// the next one can, so one line is outstanding at a time.
-	p.pendingFar, p.farDeferred = newLineTable[slab.List](1), newLineTable[slab.List](1)
 	p.events.Reserve(2 * slab.WheelSize) // two events a bucket, which no rowperf workload passes
 	p.waits.Reserve(2 * m.MSHRs)
 	p.Stats.MissHist = stats.NewHistogram(1 << 16)
@@ -498,54 +491,6 @@ func (p *Private) StoreComplete(line uint64) bool {
 	return false
 }
 
-// FarRMW sends the atomic to the line's home L3 bank to be performed
-// there (far atomics). The response arrives via Client.MemResp. Any
-// local copy is dropped first: the bank's recall would invalidate it
-// anyway, and the RMW result never migrates back.
-//
-// A far RMW issued while a miss on the same line is still in flight is
-// deferred until that miss retires. Issuing it immediately is a
-// protocol violation found by exhaustive search (rowcheck): the drop-
-// and-PutX below would relinquish a copy the outstanding GetX is about
-// to re-install, and the stale PutX then erases the directory's record
-// of the new owner — the directory ends up in dirI while this core
-// holds M.
-func (p *Private) FarRMW(tag uint64, addr uint64) {
-	line := p.Line(addr)
-	p.Stats.Accesses.Inc()
-	if p.mshrs.get(line) != nil {
-		p.queueFar(&p.farDeferred, line, waiter{tag: tag, at: p.now})
-		return
-	}
-	p.issueFar(line, waiter{tag: tag, at: p.now})
-}
-
-// queueFar appends w to the line's list in the far table t.
-func (p *Private) queueFar(t *lineTable[slab.List], line uint64, w waiter) {
-	l := t.get(line)
-	if l == nil {
-		l = t.add(line, slab.List{})
-	}
-	p.waits.Push(l, access{line, w})
-}
-
-func (p *Private) issueFar(line uint64, w waiter) {
-	p.l1.Invalidate(line)
-	if _, present := p.l2.Invalidate(line); present {
-		// Relinquish ownership silently; the directory treats the
-		// subsequent recall-miss as a stale forward.
-		p.net.Send(coherence.Msg{
-			Type: coherence.MsgPutX, Line: line, Src: p.coreID, Dst: p.bankOf(line),
-			Requestor: p.coreID,
-		})
-	}
-	p.queueFar(&p.pendingFar, line, w)
-	p.net.Send(coherence.Msg{
-		Type: coherence.MsgGetFar, Line: line, Src: p.coreID, Dst: p.bankOf(line),
-		Requestor: p.coreID,
-	})
-}
-
 // TrainPrefetch feeds the IP-stride prefetcher with a demand load.
 func (p *Private) TrainPrefetch(pc, addr uint64) {
 	if p.pfDegree <= 0 {
@@ -610,17 +555,6 @@ func (p *Private) handle(m *coherence.Msg) {
 		p.handleExternal(m, true)
 	case coherence.MsgFwdGetS:
 		p.handleExternal(m, false)
-	case coherence.MsgFarDone:
-		ws := p.pendingFar.get(m.Line)
-		if ws == nil {
-			p.fail(m, "FarDone without a pending far RMW")
-			return
-		}
-		w := p.waits.Pop(ws)
-		if ws.Empty() {
-			p.pendingFar.remove(m.Line)
-		}
-		p.client.MemResp(w.tag, RespInfo{Line: m.Line, Latency: p.now - w.at})
 	default:
 		p.fail(m, "unexpected message type")
 	}
@@ -704,16 +638,6 @@ func (p *Private) maybeComplete(line uint64, msp *mshr) {
 		}
 	}
 	p.waits.Free(ms.waiters)
-
-	// Release far RMWs deferred behind this miss — unless a writer
-	// just re-issued an upgrade above, in which case they stay parked
-	// behind the new MSHR.
-	if p.farDeferred.get(line) != nil && p.mshrs.get(line) == nil {
-		dws, _ := p.farDeferred.remove(line)
-		for !dws.Empty() {
-			p.issueFar(line, p.waits.Pop(&dws).waiter)
-		}
-	}
 }
 
 // handleExternal processes Inv/FwdGetS/FwdGetX, keeping a copy in the
@@ -868,13 +792,14 @@ func (p *Private) Tick(cycle uint64) {
 // PendingWork reports in-flight or parked misses, queued events or
 // stalled external requests (quiescence check).
 func (p *Private) PendingWork() bool {
-	return p.mshrs.len() > 0 || !p.parked.Empty() || !p.events.Empty() || p.stalled.len() > 0 ||
-		p.pendingFar.len() > 0 || p.farDeferred.len() > 0
+	return p.mshrs.len() > 0 || !p.parked.Empty() || !p.events.Empty() || p.stalled.len() > 0
 }
 
-// OldestMiss returns the line of the oldest outstanding demand miss,
-// parked miss or far RMW, with a short description (deadlock
-// diagnostics). ok is false when nothing is outstanding.
+// OldestMiss returns the line of the oldest outstanding or parked
+// demand miss, with a short description (deadlock diagnostics). ok is
+// false when nothing is outstanding. It is a minimum over (sentAt,
+// line) with a total-order tie-break: visit order cannot change the
+// result.
 func (p *Private) OldestMiss() (line uint64, desc string, ok bool) {
 	best := ^uint64(0)
 	for i := range p.mshrs.vals {
@@ -894,15 +819,6 @@ func (p *Private) OldestMiss() (line uint64, desc string, ok bool) {
 		if m.at < best || (m.at == best && m.line < line) {
 			best, line, ok = m.at, m.line, true
 			desc = fmt.Sprintf("miss at cycle %d parked, %d ahead, MSHR file full", m.at, i)
-		}
-	}
-	// A minimum over (sentAt, line) with a total-order tie-break:
-	// visit order cannot change the result.
-	for i, ws := range p.pendingFar.vals {
-		l, at := p.pendingFar.lines[i], p.waits.At(ws.Front()).at
-		if at < best || (at == best && l < line) {
-			best, line, ok = at, l, true
-			desc = fmt.Sprintf("GetFar sent at cycle %d (%d queued)", at, p.waits.Len(ws))
 		}
 	}
 	return line, desc, ok
@@ -925,9 +841,6 @@ func (p *Private) DebugMSHRs() []string {
 	}
 	for _, line := range p.stalled.lines {
 		out = append(out, fmt.Sprintf("cache%d stalledExt line=%#x", p.coreID, line))
-	}
-	for i, ws := range p.pendingFar.vals {
-		out = append(out, fmt.Sprintf("cache%d pendingFar line=%#x n=%d", p.coreID, p.pendingFar.lines[i], p.waits.Len(ws)))
 	}
 	return out
 }

@@ -12,8 +12,8 @@ import (
 func TestSnapshotCoversEveryField(t *testing.T) {
 	snapcheck.Assert(t, Private{}, []string{
 		"l1", "l2",
-		"mshrs", "parked", "stalled", "pendingFar", "farDeferred",
-		"waits", // the records of parked, the MSHRs' waiters and the far RMWs, captured through those lists
+		"mshrs", "parked", "stalled",
+		"waits", // the records of parked and the MSHRs' waiters, captured through those lists
 		"events", "now",
 		"strides",
 		"work",

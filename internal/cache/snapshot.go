@@ -11,8 +11,7 @@ import (
 // This file is the private cache's half of the snapshot/restore and
 // choice-point interface the model checker (internal/mcheck) drives.
 
-// WaiterSnap is the exported view of one access waiting on a fill or
-// a far RMW completion.
+// WaiterSnap is the exported view of one access waiting on a fill.
 type WaiterSnap struct {
 	Tag   uint64
 	At    uint64
@@ -37,12 +36,6 @@ type StalledSnap struct {
 	Line    uint64
 	StallAt uint64
 	Msg     coherence.Msg
-}
-
-// FarSnap is the exported view of one line's outstanding far RMWs.
-type FarSnap struct {
-	Line    uint64
-	Waiters []WaiterSnap
 }
 
 // EventSnap is the exported view of one pending pipeline event
@@ -72,7 +65,7 @@ type StrideSnap struct {
 }
 
 // CacheSnap is a deep copy of the controller's mutable state. The
-// MSHR, stalled and far tables are key-sorted so two snapshots of
+// MSHR and stalled tables are key-sorted so two snapshots of
 // equal logical state compare equal regardless of internal table
 // order (the flat tables use swap-removal, which permutes entries
 // without changing behaviour). Stats ride along so a restored run
@@ -86,8 +79,6 @@ type CacheSnap struct {
 
 	MSHRs   []MSHRSnap
 	Stalled []StalledSnap
-	Far     []FarSnap
-	FarDef  []FarSnap // far RMWs deferred behind an in-flight miss
 	Parked  []ParkedSnap
 
 	L1, L2  sram.Snap
@@ -104,26 +95,6 @@ func (p *Private) snapWaitList(l slab.List) []WaiterSnap {
 		out = append(out, WaiterSnap{Tag: w.tag, At: w.at, Write: w.write})
 	}
 	return out
-}
-
-// snapFar captures a far table, sorted by line.
-func (p *Private) snapFar(t *lineTable[slab.List]) []FarSnap {
-	var out []FarSnap
-	for i, ws := range t.vals {
-		out = append(out, FarSnap{Line: t.lines[i], Waiters: p.snapWaitList(ws)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Line < out[j].Line })
-	return out
-}
-
-// restoreFar refills a far table from its snapshot.
-func (p *Private) restoreFar(t *lineTable[slab.List], fs []FarSnap) {
-	t.reset()
-	for _, f := range fs {
-		for _, w := range f.Waiters {
-			p.queueFar(t, f.Line, waiter{tag: w.Tag, at: w.At, write: w.Write})
-		}
-	}
 }
 
 // Snapshot captures the controller's protocol and pipeline state. It
@@ -160,7 +131,6 @@ func (p *Private) Snapshot() *CacheSnap {
 		s.Stalled = append(s.Stalled, StalledSnap{Line: p.stalled.lines[i], StallAt: st.stallAt, Msg: st.msg})
 	}
 	sort.Slice(s.Stalled, func(i, j int) bool { return s.Stalled[i].Line < s.Stalled[j].Line })
-	s.Far, s.FarDef = p.snapFar(&p.pendingFar), p.snapFar(&p.farDeferred)
 	for _, m := range p.waits.Values(p.parked) {
 		s.Parked = append(s.Parked, ParkedSnap{Line: m.line, Tag: m.tag, At: m.at, Write: m.write})
 	}
@@ -202,8 +172,6 @@ func (p *Private) Restore(s *CacheSnap) {
 	for _, st := range s.Stalled {
 		p.stalled.add(st.Line, stalledExt{msg: st.Msg, stallAt: st.StallAt})
 	}
-	p.restoreFar(&p.pendingFar, s.Far)
-	p.restoreFar(&p.farDeferred, s.FarDef)
 	p.parked = slab.List{}
 	for _, m := range s.Parked {
 		p.waits.Push(&p.parked, access{m.Line, waiter{tag: m.Tag, at: m.At, write: m.Write}})
@@ -232,24 +200,6 @@ func (p *Private) StalledView(line uint64) (coherence.Msg, bool) {
 		return coherence.Msg{}, false
 	}
 	return s.msg, true
-}
-
-// FarView returns the line's outstanding far RMW waiters, in issue
-// order (nil when none).
-func (p *Private) FarView(line uint64) []WaiterSnap {
-	if ws := p.pendingFar.get(line); ws != nil {
-		return p.snapWaitList(*ws)
-	}
-	return nil
-}
-
-// FarDeferredView returns the line's far RMWs parked behind an
-// in-flight miss, in issue order (nil when none).
-func (p *Private) FarDeferredView(line uint64) []WaiterSnap {
-	if ws := p.farDeferred.get(line); ws != nil {
-		return p.snapWaitList(*ws)
-	}
-	return nil
 }
 
 // LevelStates returns the coherence state of the line's L1 and L2

@@ -523,7 +523,6 @@ func sbEntry(c *codec, e *core.SBEntrySnap) {
 	flag(c, &e.AddrReady)
 	flag(c, &e.Committed)
 	flag(c, &e.IsAtomic)
-	flag(c, &e.NoWrite)
 }
 
 func aqEntry(c *codec, e *core.AQEntrySnap) {
@@ -597,8 +596,6 @@ func cacheSnap(c *codec, s *cache.CacheSnap) {
 	unsigned(c, &s.Work)
 	list(c, &s.MSHRs, mshr)
 	list(c, &s.Stalled, stalled)
-	list(c, &s.Far, far)
-	list(c, &s.FarDef, far)
 	list(c, &s.Parked, parked)
 	sramSnap(c, &s.L1)
 	sramSnap(c, &s.L2)
@@ -628,11 +625,6 @@ func stalled(c *codec, s *cache.StalledSnap) {
 	unsigned(c, &s.Line)
 	unsigned(c, &s.StallAt)
 	msg(c, &s.Msg)
-}
-
-func far(c *codec, f *cache.FarSnap) {
-	unsigned(c, &f.Line)
-	list(c, &f.Waiters, waiter)
 }
 
 func parked(c *codec, p *cache.ParkedSnap) {
@@ -699,9 +691,6 @@ func dirTxn(c *codec, t *coherence.DirTxnSnap) {
 func dirPending(c *codec, p *coherence.DirPending) {
 	signed(c, &p.Requestor)
 	flag(c, &p.IsWrite)
-	flag(c, &p.Far)
-	signed(c, &p.FarAcks)
-	flag(c, &p.FarData)
 }
 
 func dirStats(c *codec, s *coherence.DirStats) {
@@ -710,7 +699,6 @@ func dirStats(c *codec, s *coherence.DirStats) {
 	acc(c, &s.PutX)
 	acc(c, &s.Forwards)
 	acc(c, &s.Stalled)
-	acc(c, &s.FarOps)
 	acc(c, &s.L3Hits)
 	acc(c, &s.L3Misses)
 	acc(c, &s.Invalidates)

@@ -8,7 +8,7 @@
 //	header frame: uint32 length | JSON Meta | uint32 CRC32-C
 //	body frame:   uint32 length | body | uint32 CRC32-C
 //
-// Version 7 of the body is one sim.SysSnap in a hand-listed binary
+// Version 8 of the body is one sim.SysSnap in a hand-listed binary
 // codec (body.go): each snapshot type has one function naming its
 // fields once, which sizes, encodes and decodes them — numbers as
 // varints, slices length first, []uint8 raw, pointers behind a
@@ -20,8 +20,12 @@
 // were encoding/gob streams of the same snapshot, which gob walks by
 // reflection: it took about three times as long to encode and half as
 // long again to decode, and its encoder's buffers were nearly half of
-// what a checkpointed run allocated. Version 6 differs from 7 in
-// nothing else; version 5 counted the core's issues, forwards and
+// what a checkpointed run allocated. Version 7 differs from 8 only in
+// the far atomics it also held: two lists of far RMWs per private
+// cache, three fields of each open directory transaction, a counter
+// per bank, a flag per store-buffer slot and a slot of the lock
+// transitions. Version 6 differs from 7 in nothing but the codec;
+// version 5 counted the core's issues, forwards and
 // forced releases in five fields that version 6 keeps in one array of
 // lock transitions, version 4 kept the lazy and lock-order waiters in
 // lists of their own, version 3 held the snapshot one struct per line,
@@ -68,7 +72,7 @@ import (
 
 // Version is the on-disk format version. Bump on any incompatible
 // change to the header or body encoding; Load refuses other versions.
-const Version = 7
+const Version = 8
 
 // PrevSuffix is appended to a checkpoint path to name the previous
 // (fallback) checkpoint in the keep-last-2 rotation.

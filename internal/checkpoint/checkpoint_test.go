@@ -9,12 +9,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
 
+	"rowsim/internal/coherence"
 	"rowsim/internal/config"
 	"rowsim/internal/faults"
+	"rowsim/internal/interconnect"
 	"rowsim/internal/sim"
 	"rowsim/internal/workload"
 )
@@ -223,13 +226,13 @@ func TestLoadKeyMismatch(t *testing.T) {
 
 func TestLoadVersionMismatch(t *testing.T) {
 	// Hand-build checkpoints whose header names another format: the
-	// six versions this format replaced, and one from the future.
+	// seven versions this format replaced, and one from the future.
 	data := mustEncode(t, tinySnap())
 	_, meta, err := Decode("x", "k", data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{1, 2, 3, 4, 5, 6, Version + 1} {
+	for _, v := range []int{1, 2, 3, 4, 5, 6, 7, Version + 1} {
 		meta.Version = v
 		// Re-frame with the altered header.
 		hdr, _ := json.Marshal(meta)
@@ -242,8 +245,8 @@ func TestLoadVersionMismatch(t *testing.T) {
 			t.Fatalf("version-%d checkpoint accepted by a version-%d reader: err=%v", v, Version, err)
 		}
 	}
-	// And real ones: files the last Version 2 to 6 builds wrote.
-	for _, v := range []string{"2", "3", "4", "5", "6"} {
+	// And real ones: files the last Version 2 to 7 builds wrote.
+	for _, v := range []string{"2", "3", "4", "5", "6", "7"} {
 		var mm *MismatchError
 		if _, _, err := Decode("x", "k", mustRead(t, "testdata/v"+v+".ckpt")); !errors.As(err, &mm) || mm.Field != "version" || mm.Got != v {
 			t.Fatalf("Version %s file: err=%v, want a version *MismatchError", v, err)
@@ -411,6 +414,16 @@ func TestErrorTexts(t *testing.T) {
 	body := bodyOf(t, good)
 	// The body frame's payload is one byte longer than the snapshot.
 	padded := appendFrame(append([]byte(nil), good[:len(good)-len(body)-8]...), append(body[:len(body):len(body)], 0))
+	// The same snapshot with one message, whose uint8 type reads 256
+	// in place of 0x7f: a varint too wide for its field.
+	snap := tinySnap()
+	snap.Mesh.Events = []interconnect.MeshEventSnap{{Msg: coherence.Msg{Type: 0x7f}}}
+	one := bodyOf(t, mustEncode(t, snap))
+	at := bytes.IndexByte(one, 0x7f)
+	if bytes.Count(one, []byte{0x7f}) != 1 {
+		t.Fatalf("the message type is not the body's only byte 0x7f: % x", one)
+	}
+	wide := appendFrame(append([]byte(nil), good[:len(good)-len(body)-8]...), slices.Concat(one[:at], []byte{0x80, 0x02}, one[at+1:]))
 	cases := []struct {
 		name string
 		data []byte
@@ -423,6 +436,7 @@ func TestErrorTexts(t *testing.T) {
 		{"not a checkpoint", []byte("shredded"), "k", `checkpoint c.ckpt: corrupt: bad magic "shredded"`},
 		{"trailing bytes", append(append([]byte(nil), good...), 0), "k", "checkpoint c.ckpt: corrupt: 1 trailing bytes after body frame"},
 		{"a byte after the snapshot", padded, "k", fmt.Sprintf("checkpoint c.ckpt: corrupt: body: byte %d: 1 bytes after the snapshot", len(body))},
+		{"a number too wide for its field", wide, "k", fmt.Sprintf("checkpoint c.ckpt: corrupt: body: byte %d: 256 overflows coherence.MsgType", at+2)},
 	}
 	for _, tc := range cases {
 		_, _, err := Decode("c.ckpt", tc.key, tc.data)

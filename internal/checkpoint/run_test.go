@@ -148,6 +148,14 @@ func TestRunDurableAttempt(t *testing.T) {
 					t.Fatal(err)
 				}
 			}},
+		{name: "a Version 7 file", dir: true, stale: true,
+			setup: func(t *testing.T, dir string) {
+				// The same snapshot as the last Version 7 build wrote it,
+				// whose caches, banks and cores still held far atomics.
+				if err := os.WriteFile(Path(dir, key), mustRead(t, "testdata/v7.ckpt"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}},
 		{name: "another run's checkpoint", dir: true, mismatch: true,
 			setup: func(t *testing.T, dir string) { interrupted(t, dir, other) }},
 	}

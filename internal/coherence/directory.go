@@ -23,13 +23,6 @@ const (
 type pending struct {
 	requestor int8
 	isWrite   bool
-
-	// Far-RMW recall context: whether a far RMW is in flight and the
-	// number of invalidation acks / the data return still expected
-	// before the bank can perform the operation.
-	far     bool
-	farAcks int8
-	farData bool // waiting for the owner's data return
 }
 
 // dirEntry is the directory's view of one line. It holds no pointer
@@ -52,7 +45,6 @@ type DirStats struct {
 	PutX        stats.Counter
 	Forwards    stats.Counter // requests answered cache-to-cache
 	Stalled     stats.Counter // requests queued behind a blocked line
-	FarOps      stats.Counter // RMWs performed at the bank (far atomics)
 	L3Hits      stats.Counter
 	L3Misses    stats.Counter
 	Invalidates stats.Counter
@@ -140,10 +132,8 @@ func (d *Directory) fail(m *Msg, e *dirEntry, reason string) {
 
 // describe renders the entry's transaction state for error reports.
 func (d *Directory) describe(e *dirEntry) string {
-	return fmt.Sprintf("state=%d owner=%d sharers=%#x blocked=%v pend={req=%d write=%v far=%v acks=%d data=%v} waiting=%d",
-		e.state, e.owner, e.sharers, e.blocked,
-		e.pend.requestor, e.pend.isWrite, e.pend.far, e.pend.farAcks, e.pend.farData,
-		d.stalled.Len(e.queue))
+	return fmt.Sprintf("state=%d owner=%d sharers=%#x blocked=%v pend={req=%d write=%v} waiting=%d",
+		e.state, e.owner, e.sharers, e.blocked, e.pend.requestor, e.pend.isWrite, d.stalled.Len(e.queue))
 }
 
 // block opens a transaction on e's line; the requests that arrive
@@ -201,19 +191,6 @@ func (d *Directory) Handle(m Msg) {
 		d.handlePutX(&m, e)
 	case MsgUnblock, MsgUnblockX:
 		d.handleUnblock(&m)
-	case MsgGetFar:
-		e := d.lines.get(m.Line)
-		if e.blocked {
-			d.Stats.Stalled.Inc()
-			d.Stats.StallDepth.Observe(float64(d.stalled.Len(e.queue)))
-			d.stall(e, &m)
-			return
-		}
-		d.serveGetFar(&m, e)
-	case MsgInvAck:
-		d.farAck(&m)
-	case MsgData:
-		d.farData(&m)
 	default:
 		d.fail(&m, d.lines.find(m.Line), "unexpected message type")
 	}
@@ -230,92 +207,9 @@ func (d *Directory) serve(m *Msg, e *dirEntry) {
 		d.serveGetX(m, e)
 	case MsgPutX:
 		d.handlePutX(m, e)
-	case MsgGetFar:
-		d.serveGetFar(m, e)
 	default:
 		d.fail(m, e, "cannot serve queued message type")
 	}
-}
-
-// serveGetFar performs an RMW at the bank: any private copies are
-// recalled first (sharers invalidated, an owner's dirty data pulled
-// back), then the L3 updates the line in place and answers the
-// requestor. The line stays at the L3 — far atomics never bounce it.
-func (d *Directory) serveGetFar(m *Msg, e *dirEntry) {
-	d.Stats.FarOps.Inc()
-	switch e.state {
-	case dirI:
-		// Uncontested: L3 (or DRAM) access plus the ALU operation.
-		d.net.SendAfter(Msg{
-			Type: MsgFarDone, Line: m.Line, Src: d.nodeID, Dst: m.Requestor,
-			Requestor: m.Requestor,
-		}, d.dataDelay(m.Line)+1)
-	case dirS:
-		acks := 0
-		for c := 0; c < 64; c++ {
-			if e.sharers&(1<<uint(c)) == 0 {
-				continue
-			}
-			acks++
-			d.Stats.Invalidates.Inc()
-			d.net.Send(Msg{
-				Type: MsgInv, Line: m.Line, Src: d.nodeID, Dst: c,
-				Requestor: d.nodeID, // acks return to the bank
-			})
-		}
-		d.block(e, pending{requestor: int8(m.Requestor), far: true, farAcks: int8(acks)})
-		if acks == 0 {
-			d.finishFar(m.Line, e)
-		}
-	case dirM:
-		// Recall the owner's copy; its Data returns to the bank. A
-		// locked line stalls the recall at the owner, exactly like a
-		// core-to-core forward.
-		d.Stats.Forwards.Inc()
-		d.net.Send(Msg{
-			Type: MsgFwdGetX, Line: m.Line, Src: d.nodeID, Dst: int(e.owner),
-			Requestor: d.nodeID,
-		})
-		d.block(e, pending{requestor: int8(m.Requestor), far: true, farData: true})
-	}
-}
-
-func (d *Directory) farAck(m *Msg) {
-	e := d.lines.find(m.Line)
-	if e == nil || !e.blocked || !e.pend.far {
-		d.fail(m, e, "stray InvAck: no far recall in flight")
-		return
-	}
-	e.pend.farAcks--
-	if e.pend.farAcks == 0 && !e.pend.farData {
-		d.finishFar(m.Line, e)
-	}
-}
-
-func (d *Directory) farData(m *Msg) {
-	e := d.lines.find(m.Line)
-	if e == nil || !e.blocked || !e.pend.far || !e.pend.farData {
-		d.fail(m, e, "stray Data: no far recall awaiting owner data")
-		return
-	}
-	e.pend.farData = false
-	d.l3.Insert(m.Line, 0) // the recalled dirty line lands in the L3
-	if e.pend.farAcks == 0 {
-		d.finishFar(m.Line, e)
-	}
-}
-
-// finishFar applies the RMW at the bank and releases the line.
-func (d *Directory) finishFar(line uint64, e *dirEntry) {
-	req := int(e.pend.requestor)
-	d.net.SendAfter(Msg{
-		Type: MsgFarDone, Line: line, Src: d.nodeID, Dst: req,
-		Requestor: req,
-	}, d.dataDelay(line)+1)
-	e.state = dirI
-	e.owner = -1
-	e.sharers = 0
-	d.unblock(e)
 }
 
 // dataDelay models the bank-side access needed to source the line:
@@ -471,9 +365,9 @@ func (d *Directory) PendingWork() bool {
 
 // WaitingOn reports, for a line with a transaction in flight, which
 // cores the bank is waiting on before the transaction can close: the
-// owner whose data recall or forward is outstanding, the sharers whose
-// invalidation acks are missing, or — when the protocol legwork is done
-// and only the requestor's Unblock is pending — the requestor itself.
+// owner whose forward is outstanding, or — when the protocol legwork
+// is done and only the requestor's Unblock is pending — the requestor
+// itself.
 // ok is false when the line has no transaction in flight. The deadlock
 // diagnoser uses this to walk the wait-for chain.
 func (d *Directory) WaitingOn(line uint64) (desc string, cores []int, ok bool) {
@@ -483,16 +377,6 @@ func (d *Directory) WaitingOn(line uint64) (desc string, cores []int, ok bool) {
 	}
 	owner, req := int(e.owner), int(e.pend.requestor)
 	switch {
-	case e.pend.farData:
-		return fmt.Sprintf("far recall: awaiting dirty data from owner %d", owner),
-			[]int{owner}, true
-	case e.pend.far && e.pend.farAcks > 0:
-		for c := 0; c < 64; c++ {
-			if e.sharers&(1<<uint(c)) != 0 {
-				cores = append(cores, c)
-			}
-		}
-		return fmt.Sprintf("far recall: awaiting %d invalidation acks", e.pend.farAcks), cores, true
 	case e.state == dirM && owner >= 0 && owner != req:
 		return fmt.Sprintf("forward to owner %d outstanding (requestor %d)", owner, req),
 			[]int{owner}, true
@@ -512,10 +396,8 @@ func (d *Directory) DebugBlocked() []string {
 			continue
 		}
 		out = append(out, fmt.Sprintf(
-			"bank%d line=%#x state=%d owner=%d blocked=%v pend={req=%d write=%v far=%v acks=%d data=%v} waiting=%d",
-			d.bank, line, e.state, e.owner, e.blocked,
-			e.pend.requestor, e.pend.isWrite, e.pend.far, e.pend.farAcks, e.pend.farData,
-			d.stalled.Len(e.queue)))
+			"bank%d line=%#x state=%d owner=%d blocked=%v pend={req=%d write=%v} waiting=%d",
+			d.bank, line, e.state, e.owner, e.blocked, e.pend.requestor, e.pend.isWrite, d.stalled.Len(e.queue)))
 	}
 	return out
 }

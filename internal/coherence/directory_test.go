@@ -393,6 +393,23 @@ func TestNearMissScenarios(t *testing.T) {
 				}
 			},
 		},
+		{
+			// InvAcks travel to the requestor core, and no bank is one,
+			// so an InvAck at a bank is diagnosed even while a write
+			// transaction on its line is open.
+			name: "invack-at-bank-diagnosed",
+			steps: func(d *Directory, net *fakeNet) {
+				d.Handle(getX(3))
+				net.take()
+				d.Handle(Msg{Type: MsgInvAck, Line: lineA, Src: 1, Dst: 32, Requestor: 3})
+			},
+			check: func(t *testing.T, d *Directory, sent []Msg, sink *ErrorSink) {
+				e := sink.Err()
+				if e == nil || e.Reason != "unexpected message type" || e.Line != lineA {
+					t.Fatalf("InvAck at a bank: %v", e)
+				}
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -68,8 +68,9 @@ func TestLineTableMatchesMap(t *testing.T) {
 
 // busyBank plays a bank into a state with every kind of transaction
 // open: a line blocked on a read with a GetX and a PutX queued behind
-// it, a far RMW awaiting invalidation acks with a GetS queued, a far
-// RMW awaiting the owner's data, and idle lines in M and S.
+// it, a write to a shared line awaiting its writer's UnblockX with a
+// GetS queued, a write forwarded to the owner, and idle lines in M and
+// S.
 func busyBank(t *testing.T) *Directory {
 	t.Helper()
 	d, _ := newDirUnderTest()
@@ -90,12 +91,11 @@ func busyBank(t *testing.T) *Directory {
 		msg(MsgGetS, b, core, 0)
 		msg(MsgUnblock, b, core, GrantS)
 	}
-	msg(MsgGetFar, b, 5, 0)
-	msg(MsgInvAck, b, 0, 0) // two acks still missing
+	msg(MsgGetX, b, 5, 0) // invalidates cores 0..2, awaits core 5's UnblockX
 	msg(MsgGetS, b, 6, 0)
 	msg(MsgGetX, c, 7, 0)
 	msg(MsgUnblockX, c, 7, 0)
-	msg(MsgGetFar, c, 5, 0) // recalling core 7's copy
+	msg(MsgGetX, c, 8, 0) // forwarded to owner 7
 	if got := queued(d); got != 3 {
 		t.Fatalf("busy bank queues %d requests, want 3", got)
 	}
@@ -136,11 +136,10 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	rnet.take()
 	for _, m := range []Msg{
 		{Type: MsgUnblock, Line: 0x1000, Src: 1, Requestor: 1, Grant: GrantE}, // serves the queued GetX, drops the PutX later
-		{Type: MsgInvAck, Line: 0x2000, Src: 1},
-		{Type: MsgInvAck, Line: 0x2000, Src: 2}, // far RMW done; the queued GetS is served
-		{Type: MsgData, Line: 0x3000, Src: 7},
+		{Type: MsgUnblockX, Line: 0x2000, Src: 5, Requestor: 5},               // the queued GetS is forwarded to core 5
+		{Type: MsgUnblockX, Line: 0x3000, Src: 8, Requestor: 8},
 		{Type: MsgUnblockX, Line: 0x1000, Src: 2, Requestor: 2},
-		{Type: MsgUnblock, Line: 0x2000, Src: 6, Requestor: 6, Grant: GrantE},
+		{Type: MsgUnblock, Line: 0x2000, Src: 6, Requestor: 6, Grant: GrantS},
 	} {
 		m.Dst = 32
 		d.Handle(m)
@@ -165,8 +164,6 @@ func TestRestoreRejectsForeignSnap(t *testing.T) {
 		"owner past 63":             func(s *DirSnap) { s.Owner[0] = 1000 },
 		"owner below -1":            func(s *DirSnap) { s.Owner[0] = -2 },
 		"requestor past 63":         func(s *DirSnap) { s.Busy[0].Pend.Requestor = 64 },
-		"ack count past 64":         func(s *DirSnap) { s.Busy[0].Pend.FarAcks = 65 },
-		"negative ack count":        func(s *DirSnap) { s.Busy[0].Pend.FarAcks = -1 },
 		"busy entry out of range":   func(s *DirSnap) { s.Busy[0].Index = len(s.Line) },
 		"busy entries out of order": func(s *DirSnap) { s.Busy[0].Index = s.Busy[1].Index },
 	} {
@@ -184,7 +181,7 @@ func TestRestoreRejectsForeignSnap(t *testing.T) {
 	}
 	d, _ := newDirUnderTest()
 	snap := busyBank(t).Snapshot()
-	snap.Owner[0], snap.Busy[0].Pend.Requestor, snap.Busy[0].Pend.FarAcks = 63, 63, 64
+	snap.Owner[0], snap.Busy[0].Pend.Requestor = 63, 63
 	d.Restore(snap)
 	if e, ok := d.EntryView(snap.Line[0]); !ok || e.Owner != 63 {
 		t.Fatalf("well-formed snapshot was not restored: %+v, %v", e, ok)

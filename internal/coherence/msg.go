@@ -63,13 +63,6 @@ const (
 	MsgUnblock
 	// MsgUnblockX closes a write transaction (requestor -> directory).
 	MsgUnblockX
-	// MsgGetFar asks the directory to perform the RMW at the L3 bank
-	// ("far atomics", the near/far axis of the paper's Section VII):
-	// the line is recalled from any private holder and updated in
-	// place, and no copy migrates to the requestor.
-	MsgGetFar
-	// MsgFarDone returns the far RMW's result to the requestor.
-	MsgFarDone
 )
 
 // String returns the protocol mnemonic.
@@ -95,10 +88,6 @@ func (t MsgType) String() string {
 		return "Unblock"
 	case MsgUnblockX:
 		return "UnblockX"
-	case MsgGetFar:
-		return "GetFar"
-	case MsgFarDone:
-		return "FarDone"
 	}
 	return fmt.Sprintf("msg(%d)", uint8(t))
 }

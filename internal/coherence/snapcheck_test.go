@@ -41,6 +41,6 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 	})
 
 	snapcheck.Assert(t, pending{}, []string{
-		"requestor", "isWrite", "far", "farAcks", "farData",
+		"requestor", "isWrite",
 	}, nil)
 }

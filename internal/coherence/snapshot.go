@@ -17,9 +17,6 @@ import (
 type DirPending struct {
 	Requestor int
 	IsWrite   bool
-	Far       bool
-	FarAcks   int
-	FarData   bool
 }
 
 // DirTxnSnap is the part of a directory entry an idle line leaves
@@ -72,7 +69,7 @@ func (d *Directory) txn(e *dirEntry) DirTxnSnap {
 	p := e.pend
 	t := DirTxnSnap{
 		Blocked: e.blocked,
-		Pend:    DirPending{Requestor: int(p.requestor), IsWrite: p.isWrite, Far: p.far, FarAcks: int(p.farAcks), FarData: p.farData},
+		Pend:    DirPending{Requestor: int(p.requestor), IsWrite: p.isWrite},
 	}
 	t.Waiting = d.stalled.Values(e.queue)
 	return t
@@ -132,13 +129,13 @@ func (d *Directory) Restore(s *DirSnap) {
 		switch {
 		case b.Index <= prev || b.Index >= n:
 			panic(fmt.Sprintf("coherence: restoring busy entry %d after %d, of %d", b.Index, prev, n))
-		case p.Requestor < -1 || p.Requestor >= maxCores || p.FarAcks < 0 || p.FarAcks > maxCores:
-			panic(fmt.Sprintf("coherence: restoring line %#x awaiting %d acks for core %d", s.Line[b.Index], p.FarAcks, p.Requestor))
+		case p.Requestor < -1 || p.Requestor >= maxCores:
+			panic(fmt.Sprintf("coherence: restoring line %#x with a transaction for core %d", s.Line[b.Index], p.Requestor))
 		}
 		prev = b.Index
 		e := lines.find(s.Line[b.Index])
 		e.blocked = b.Blocked
-		e.pend = pending{requestor: int8(p.Requestor), isWrite: p.IsWrite, far: p.Far, farAcks: int8(p.FarAcks), farData: p.FarData}
+		e.pend = pending{requestor: int8(p.Requestor), isWrite: p.IsWrite}
 		if b.Blocked {
 			open++
 		}

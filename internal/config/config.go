@@ -23,11 +23,6 @@ const (
 	// PolicyRoW consults the contention predictor per atomic: predicted
 	// non-contended atomics run eager, predicted contended ones lazy.
 	PolicyRoW
-	// PolicyFar performs atomics at the shared L3 bank instead of
-	// locking the line in the private cache ("far atomics" — the
-	// orthogonal near/far axis the paper's Section VII discusses).
-	// Issue conditions follow the lazy rules to preserve TSO order.
-	PolicyFar
 )
 
 // String returns the short name used in experiment tables.
@@ -39,8 +34,6 @@ func (p AtomicPolicy) String() string {
 		return "lazy"
 	case PolicyRoW:
 		return "row"
-	case PolicyFar:
-		return "far"
 	}
 	return fmt.Sprintf("policy(%d)", int(p))
 }

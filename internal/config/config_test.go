@@ -156,7 +156,7 @@ func TestEarlyAddrCalc(t *testing.T) {
 	early := map[AtomicPolicy]map[Detection]bool{
 		PolicyRoW: {DetectRW: true, DetectRWDir: true},
 	}
-	for _, p := range []AtomicPolicy{PolicyEager, PolicyLazy, PolicyRoW, PolicyFar} {
+	for _, p := range []AtomicPolicy{PolicyEager, PolicyLazy, PolicyRoW} {
 		for _, d := range []Detection{DetectEW, DetectRW, DetectRWDir} {
 			cfg := Default()
 			cfg.Policy, cfg.RoW.Detection = p, d

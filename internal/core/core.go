@@ -134,7 +134,7 @@ type robCold struct {
 
 	dispatchAt  uint64
 	completeAt  uint64
-	lockIssueAt uint64 // cycle the lock GetX or far RMW was issued (14-bit semantics at use)
+	lockIssueAt uint64 // cycle the lock GetX was issued (14-bit semantics at use)
 }
 
 // sbEntry is one store-buffer slot (allocated at dispatch, drains in
@@ -146,7 +146,6 @@ type sbEntry struct {
 	addrReady bool
 	committed bool
 	isAtomic  bool
-	noWrite   bool // far atomic: the RMW already happened at the L3
 }
 
 // lqEntry is one load-queue slot.

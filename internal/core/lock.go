@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rowsim/internal/cache"
-	"rowsim/internal/config"
 )
 
 // The locking atomic's state machine. Its state is its ROB entry's st
@@ -17,7 +16,6 @@ import (
 //	state               event                                next                   Transition
 //	sIssued (AGU)       address known, older plain SB store  eager, value forwarded Forward
 //	sIssued (AGU)       address known, lazy, not yet oldest  sWaitLazy              -
-//	sIssued, sWaitLazy  tryLock, far policy                  sIssued, RMW at bank   FarIssue
 //	sIssued             tryLock, older atomic on its line    sWaitLock              LockWaitAtIssue
 //	sIssued             tryLock, eager / lazy                sIssued, GetX sent     EagerIssue / LazyIssue
 //	sIssued             fill, older atomic on its line       sWaitLock              LockWaitAtFill
@@ -44,7 +42,6 @@ type Transition uint8
 const (
 	EagerIssue Transition = iota
 	LazyIssue
-	FarIssue
 	LockWaitAtIssue
 	LockWaitAtFill
 	OrderWait
@@ -61,7 +58,7 @@ const (
 )
 
 var transitionNames = [NumTransitions]string{
-	"eager-issue", "lazy-issue", "far-issue", "lock-wait-at-issue", "lock-wait-at-fill",
+	"eager-issue", "lazy-issue", "lock-wait-at-issue", "lock-wait-at-fill",
 	"order-wait", "lock", "forward", "forced-release-eager", "forced-release-lazy",
 	"refusal", "squash-locked", "unlock", "wake-lock-wait", "wake-order-wait",
 }
@@ -91,8 +88,7 @@ func (c *Core) atomicAfterAGU(e *robEntry, slot uint32) {
 		a.hasAddr = true
 	}
 
-	if c.cfg.ForwardAtomics && !c.cfg.Core.FencedAtomics && c.cfg.Policy != config.PolicyFar &&
-		c.sbMatch(e.id, e.line, true) >= 0 {
+	if c.cfg.ForwardAtomics && !c.cfg.Core.FencedAtomics && c.sbMatch(e.id, e.line, true) >= 0 {
 		// An older plain store to the line forwards its data, and the
 		// atomic flips to eager to lock the line while the store still
 		// owns it; dependents proceed once the forwarded value arrives.
@@ -108,11 +104,10 @@ func (c *Core) atomicAfterAGU(e *robEntry, slot uint32) {
 }
 
 // tryLock issues the atomic's load_lock: request the line with
-// exclusive permission, or under the far policy ship the RMW to the
-// line's home bank. A younger atomic waits for an older same-line one.
+// exclusive permission. A younger atomic waits for an older same-line
+// one.
 func (c *Core) tryLock(e *robEntry, slot uint32) {
-	far := c.cfg.Policy == config.PolicyFar && e.in.LocksLine()
-	if !far && c.olderSameLineAtomic(e.line, e.id) {
+	if c.olderSameLineAtomic(e.line, e.id) {
 		c.waitLock(e, slot, LockWaitAtIssue)
 		return
 	}
@@ -121,10 +116,6 @@ func (c *Core) tryLock(e *robEntry, slot uint32) {
 	cold.lockIssueAt = c.now
 	c.Stats.DispatchToIssue.Observe(float64(c.now - cold.dispatchAt))
 	switch {
-	case far:
-		c.count(FarIssue)
-		c.mem.FarRMW(c.makeTag(slot, e.id), e.in.Addr)
-		return
 	case e.lazy:
 		c.count(LazyIssue)
 		c.Stats.YoungerStartedAtLazy.Observe(float64(c.countYoungerStarted(e.id)))
@@ -141,15 +132,6 @@ func (c *Core) tryLock(e *robEntry, slot uint32) {
 // threshold marks the atomic contended.
 func (c *Core) atomicLineArrived(e *robEntry, slot uint32, info cache.RespInfo) {
 	cold := &c.cold[slot]
-	if c.cfg.Policy == config.PolicyFar && e.in.LocksLine() {
-		// The bank performed the RMW; the result is back.
-		c.Stats.IssueToLock.Observe(float64(c.now - cold.lockIssueAt))
-		if le := &c.lq[e.lq%int64(len(c.lq))]; le.id == e.id {
-			c.lqSetDone(le)
-		}
-		c.complete(e, slot)
-		return
-	}
 	if e.in.LocksLine() {
 		if c.olderSameLineAtomic(e.line, e.id) {
 			// An older same-line atomic resolved its address between

@@ -217,13 +217,6 @@ func (c *Core) drainSB() {
 		if !h.committed || !h.addrReady {
 			return
 		}
-		if h.noWrite {
-			// Far atomic: the bank already performed the write.
-			c.work++
-			c.sbClear(h)
-			c.sbHead++
-			continue
-		}
 		if !c.mem.StoreComplete(h.line) {
 			// Need write permission first.
 			c.work++
@@ -505,7 +498,7 @@ func (c *Core) dispatchAtomic(e *robEntry, in *trace.Instr, slot uint32, id uint
 	switch c.cfg.Policy {
 	case config.PolicyEager:
 		e.lazy = false
-	case config.PolicyLazy, config.PolicyFar:
+	case config.PolicyLazy:
 		e.lazy = true
 	case config.PolicyRoW:
 		e.predContended = c.cp.Predict(in.PC)
@@ -517,13 +510,6 @@ func (c *Core) dispatchAtomic(e *robEntry, in *trace.Instr, slot uint32, id uint
 	if c.cfg.Core.FencedAtomics {
 		e.lazy = true
 		c.fenceIDs = append(c.fenceIDs, id)
-	}
-
-	if c.cfg.Policy == config.PolicyFar {
-		// Far atomics never lock a line: no AQ entry, and the RMW's
-		// store side needs no local write at drain time.
-		c.sb[e.sb%int64(len(c.sb))].noWrite = true
-		return
 	}
 
 	e.aq = c.aqTail

@@ -59,7 +59,7 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 	})
 
 	snapcheck.Assert(t, sbEntry{}, []string{
-		"id", "slot", "line", "addrReady", "committed", "isAtomic", "noWrite",
+		"id", "slot", "line", "addrReady", "committed", "isAtomic",
 	}, nil)
 
 	snapcheck.Assert(t, lqEntry{}, []string{

@@ -77,7 +77,6 @@ type SBEntrySnap struct {
 	AddrReady bool
 	Committed bool
 	IsAtomic  bool
-	NoWrite   bool
 }
 
 // LQEntrySnap is the exported view of one load-queue slot.
@@ -278,7 +277,7 @@ func (c *Core) Snapshot() *CoreSnap {
 	}
 	s.SB = make([]SBEntrySnap, len(c.sb))
 	for i, e := range c.sb {
-		s.SB[i] = SBEntrySnap{ID: e.id, Slot: e.slot, Line: e.line, AddrReady: e.addrReady, Committed: e.committed, IsAtomic: e.isAtomic, NoWrite: e.noWrite}
+		s.SB[i] = SBEntrySnap{ID: e.id, Slot: e.slot, Line: e.line, AddrReady: e.addrReady, Committed: e.committed, IsAtomic: e.isAtomic}
 	}
 	s.AQ = make([]AQEntrySnap, len(c.aq))
 	for i, e := range c.aq {
@@ -362,7 +361,7 @@ func (c *Core) Restore(s *CoreSnap) {
 		c.lq[i] = lqEntry{id: e.ID, slot: e.Slot, line: e.Line, hasLine: e.HasLine, isAtomic: e.IsAtomic, done: e.Done}
 	}
 	for i, e := range s.SB {
-		c.sb[i] = sbEntry{id: e.ID, slot: e.Slot, line: e.Line, addrReady: e.AddrReady, committed: e.Committed, isAtomic: e.IsAtomic, noWrite: e.NoWrite}
+		c.sb[i] = sbEntry{id: e.ID, slot: e.Slot, line: e.Line, addrReady: e.AddrReady, committed: e.Committed, isAtomic: e.IsAtomic}
 	}
 	for i, e := range s.AQ {
 		c.aq[i] = aqEntry{

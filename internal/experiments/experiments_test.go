@@ -230,17 +230,6 @@ func TestAblationAQ(t *testing.T) {
 	}
 }
 
-func TestFarVsNearTable(t *testing.T) {
-	r := NewRunner(Options{Cores: 4, Instrs: 2000, Seed: 1, Workloads: []string{"sps"}})
-	tab := FarVsNear(r)
-	if len(tab.Rows) != 2 { // sps + geomean
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	if len(tab.Headers) != 5 {
-		t.Fatalf("headers = %v", tab.Headers)
-	}
-}
-
 func TestLockStudyTable(t *testing.T) {
 	r := NewRunner(Options{Cores: 4, Instrs: 2000, Seed: 1})
 	tab := LockStudy(r)

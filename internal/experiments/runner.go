@@ -92,8 +92,6 @@ var (
 
 	VarDirUDFwd  = rowVariant("RW+Dir_U/D+Fwd", config.DetectRWDir, config.PredUpDown, true)
 	VarDirSatFwd = rowVariant("RW+Dir_Sat+Fwd", config.DetectRWDir, config.PredSaturate, true)
-
-	varFar = Variant{Name: "Far", Policy: config.PolicyFar, Threshold: -1}
 )
 
 func rowVariant(name string, d config.Detection, p config.PredictorKind, fwd bool) Variant {

@@ -29,34 +29,21 @@ func Scaling(r *Runner, workloads []string) *stats.Table {
 	return t
 }
 
-// FarVsNear extends the evaluation along the orthogonal axis the
-// paper's Section VII surveys: *where* to execute the atomic. Far
-// atomics (performed at the shared L3 bank, IBM-style) avoid bouncing
-// contended lines entirely but pay a full round trip per atomic, so
-// they win exactly where lazy wins and lose where eager wins — RoW's
-// when-question and Dynamo/CLAU's where-question are complementary.
-func FarVsNear(r *Runner) *stats.Table {
-	return normTable(r, "Far vs near — normalized execution time vs eager (near)", true,
-		[]Variant{VarLazy, VarDirSatFwd, varFar}, []string{"lazy", "RoW(Sat+Fwd)", "far"})
-}
-
 // LockStudy applies the policy comparison to the classic
 // synchronization algorithms the paper's introduction motivates:
 // test-and-set spinlocks (SWAP-hammering), ticket locks (one FAA per
 // acquisition) and sense-reversing barriers. Eager execution is
 // disastrous for lock words (the lock's cacheline is held locked
-// while the winner's ROB drains), lazy recovers most of it, and far
-// execution shines for barrier arrivals (a fetch-and-add at the bank,
-// no line migration at all).
+// while the winner's ROB drains) and lazy recovers most of it.
 func LockStudy(r *Runner) *stats.Table {
 	t := &stats.Table{
 		Title:   "Lock study — synchronization kernels, normalized to eager",
-		Headers: []string{"kernel", "eager-cycles", "lazy", "RoW(Sat)", "RoW(Sat+Fwd)", "far"},
+		Headers: []string{"kernel", "eager-cycles", "lazy", "RoW(Sat)", "RoW(Sat+Fwd)"},
 	}
-	for w, res := range r.sweep(workload.SyncKernels, nil, nil, VarEager, VarLazy, VarDirSat, VarDirSatFwd, varFar) {
+	for w, res := range r.sweep(workload.SyncKernels, nil, nil, VarEager, VarLazy, VarDirSat, VarDirSatFwd) {
 		e := res[0].Cycles
 		t.AddRow(workload.SyncKernels[w], fmt.Sprint(e), stats.F(Norm(res[1].Cycles, e)),
-			stats.F(Norm(res[2].Cycles, e)), stats.F(Norm(res[3].Cycles, e)), stats.F(Norm(res[4].Cycles, e)))
+			stats.F(Norm(res[2].Cycles, e)), stats.F(Norm(res[3].Cycles, e)))
 	}
 	return t
 }

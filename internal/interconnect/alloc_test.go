@@ -138,19 +138,18 @@ func TestCacheDirectorySteadyStateAllocsZero(t *testing.T) {
 		from(1, coherence.MsgUnblock, coherence.GrantE)
 		from(2, coherence.MsgGetS, 0) // M: FwdGetS to core 1
 		from(2, coherence.MsgUnblock, coherence.GrantS)
-		from(3, coherence.MsgGetFar, 0) // S: Inv to cores 1 and 2
-		from(1, coherence.MsgInvAck, 0)
-		from(2, coherence.MsgInvAck, 0) // recall done: FarDone, I
-		from(3, coherence.MsgGetFar, 0) // I: FarDone
-		from(0, coherence.MsgGetX, 0)
-		from(0, coherence.MsgUnblockX, 0)
-		from(3, coherence.MsgGetFar, 0) // M: FwdGetX to core 0
-		from(0, coherence.MsgData, 0)   // recall done: FarDone, I
+		from(3, coherence.MsgGetX, 0) // S: Inv to cores 1 and 2
+		from(0, coherence.MsgGetS, 0) // queued behind the GetX
+		from(3, coherence.MsgUnblockX, 0)
+		from(0, coherence.MsgUnblock, coherence.GrantS) // the queued GetS was forwarded to core 3
+		from(1, coherence.MsgGetX, 0)                   // S: Inv to cores 0 and 3
+		from(1, coherence.MsgUnblockX, 0)
+		from(1, coherence.MsgPutX, 0) // M: written back, I
 	}
 	for i := 0; i < 8192; i++ {
 		round() // touch every line slot so the directory table stops growing
 	}
-	far := d.Stats.FarOps.Value()
+	invs, stalled := d.Stats.Invalidates.Value(), d.Stats.Stalled.Value()
 	if allocs := testing.AllocsPerRun(1, func() {
 		for range 200 {
 			round()
@@ -159,7 +158,10 @@ func TestCacheDirectorySteadyStateAllocsZero(t *testing.T) {
 		t.Fatalf("200 rounds of steady-state directory transactions allocate %v times, want 0", allocs)
 	}
 	// The window runs twice: once to warm up, then the run it counts.
-	if got := d.Stats.FarOps.Value() - far; got != 3*400 {
-		t.Fatalf("%d far RMWs in 400 rounds, want %d", got, 3*400)
+	if got := d.Stats.Invalidates.Value() - invs; got != 4*400 {
+		t.Fatalf("%d invalidations in 400 rounds, want %d", got, 4*400)
+	}
+	if got := d.Stats.Stalled.Value() - stalled; got != 400 {
+		t.Fatalf("%d requests queued in 400 rounds, want 400", got)
 	}
 }

@@ -198,16 +198,6 @@ func (m *Model) encodeWith(e *encoder, p *perm) {
 			} else {
 				e.b(0)
 			}
-			fw := pc.FarView(addr)
-			e.b(byte(len(fw)))
-			for _, w := range fw {
-				e.b(byte(opOfTag(w.Tag)))
-			}
-			fd := pc.FarDeferredView(addr)
-			e.b(byte(len(fd)))
-			for _, w := range fd {
-				e.b(byte(opOfTag(w.Tag)))
-			}
 		}
 	}
 
@@ -243,9 +233,6 @@ func (m *Model) encodeWith(e *encoder, p *perm) {
 				pend := ent.Pend
 				e.b(byte(p.cores[pend.Requestor]))
 				e.bool(pend.IsWrite)
-				e.bool(pend.Far)
-				e.i(pend.FarAcks)
-				e.bool(pend.FarData)
 			}
 			e.b(byte(len(ent.Waiting)))
 			for _, msg := range ent.Waiting {

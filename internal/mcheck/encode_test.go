@@ -37,7 +37,7 @@ func relabelCoreLabel(lab string) string {
 func TestStateKeyCorePermutation(t *testing.T) {
 	progsA := [][]Op{
 		{{OpRMW, 0}, {OpLoad, 0}, {OpStore, 0}},
-		{{OpLoad, 0}, {OpStore, 0}, {OpFar, 0}},
+		{{OpLoad, 0}, {OpStore, 0}, {OpRMW, 0}},
 	}
 	progsB := [][]Op{progsA[1], progsA[0]}
 	cfgA := Config{Cores: 2, Lines: 1, Banks: 1, Progs: progsA}
@@ -80,7 +80,7 @@ func TestStateKeyCorePermutation(t *testing.T) {
 func TestSearchCountCorePermutation(t *testing.T) {
 	progs := [][]Op{
 		{{OpRMW, 0}, {OpStore, 0}},
-		{{OpLoad, 0}, {OpFar, 0}},
+		{{OpLoad, 0}, {OpRMW, 0}},
 	}
 	swapped := [][]Op{progs[1], progs[0]}
 	ra, err := Check(Config{Cores: 2, Lines: 1, Banks: 1, Progs: progs})

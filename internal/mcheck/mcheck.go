@@ -52,11 +52,9 @@ const (
 	OpLoad OpKind = iota
 	// OpStore is a plain store.
 	OpStore
-	// OpRMW is a near atomic: acquire the line in M, lock it, and
+	// OpRMW is an atomic: acquire the line in M, lock it, and
 	// execute/unlock as a separate choice (the "no rush" window).
 	OpRMW
-	// OpFar is a far atomic, executed at the directory bank.
-	OpFar
 )
 
 func (k OpKind) String() string {
@@ -67,8 +65,6 @@ func (k OpKind) String() string {
 		return "S"
 	case OpRMW:
 		return "R"
-	case OpFar:
-		return "F"
 	}
 	return "?"
 }
@@ -92,7 +88,8 @@ type Config struct {
 	Lazy bool
 
 	// Bug seeds a protocol mutation into the first matching message
-	// delivered to bank 0: "" (none), "getx-as-gets", "drop-unblock", "drop-inv".
+	// delivered: "" (none), "getx-as-gets" or "drop-unblock" (bank 0's
+	// first GetX or Unblock), or "drop-inv" (a core's first Inv).
 	Bug string
 
 	// Progs overrides the generated per-core programs.
@@ -147,23 +144,21 @@ func (c *Config) validate() error {
 }
 
 // DefaultProgs generates the standard contended workload: each core's
-// k-th slot rotates through RMW(0), load, store and far-RMW(0) with a
-// per-core phase shift, so line 0 sees lock contention from every core
-// while loads and stores rove over all lines.
+// k-th slot rotates through RMW(0), load, store and RMW(0) again with
+// a per-core phase shift, so line 0 sees lock contention from every
+// core while loads and stores rove over all lines.
 func DefaultProgs(cores, lines, ops int) [][]Op {
 	progs := make([][]Op, cores)
 	for c := 0; c < cores; c++ {
 		prog := make([]Op, 0, ops)
 		for k := 0; k < ops; k++ {
 			switch (c + k) % 4 {
-			case 0:
+			case 0, 3:
 				prog = append(prog, Op{Kind: OpRMW, Line: 0})
 			case 1:
 				prog = append(prog, Op{Kind: OpLoad, Line: k % lines})
 			case 2:
 				prog = append(prog, Op{Kind: OpStore, Line: k % lines})
-			case 3:
-				prog = append(prog, Op{Kind: OpFar, Line: 0})
 			}
 		}
 		progs[c] = prog
@@ -232,8 +227,8 @@ type modelCore struct {
 	// from inside one of its own callbacks. validAtResp records the
 	// line state the cache held when the response fired: a load's
 	// value is captured at fill time, so a later same-settle
-	// invalidation (e.g. a deferred far atomic draining) must not be
-	// mistaken for a fill that never installed.
+	// invalidation must not be mistaken for a fill that never
+	// installed.
 	completions []completion
 }
 
@@ -363,24 +358,24 @@ func NewModel(cfgIn Config) (*Model, error) {
 }
 
 // seedBug applies the seeded protocol mutation to a message about to
-// be delivered to bank 0 and reports whether the message survives. The
-// fired flag is model state:
-// it is captured by snapshots so the DFS explores "bug already fired"
-// and "not yet" as distinct histories.
+// be delivered and reports whether the message survives. getx-as-gets
+// and drop-unblock act on messages to bank 0; drop-inv drops the first
+// Inv to any core, whose sharer then never acks, so the writer's fill
+// never completes. The fired flag is model state: it is captured by
+// snapshots so the DFS explores "bug already fired" and "not yet" as
+// distinct histories.
 func (m *Model) seedBug(msg *coherence.Msg) bool {
-	if m.bugFired || msg.Dst != m.cfg.Cores {
+	if m.bugFired {
 		return true
 	}
+	toBank0 := msg.Dst == m.cfg.Cores
 	switch {
-	case m.cfg.Bug == "getx-as-gets" && msg.Type == coherence.MsgGetX:
+	case m.cfg.Bug == "getx-as-gets" && toBank0 && msg.Type == coherence.MsgGetX:
 		msg.Type = coherence.MsgGetS
 		m.bugFired = true
 		return true
-	case m.cfg.Bug == "drop-unblock" && (msg.Type == coherence.MsgUnblock || msg.Type == coherence.MsgUnblockX),
-		// Inv travels directory->core, so it never reaches the bank;
-		// drop the InvAck it provokes instead — same effect, the
-		// writer's fill never completes.
-		m.cfg.Bug == "drop-inv" && msg.Type == coherence.MsgInvAck:
+	case m.cfg.Bug == "drop-unblock" && toBank0 && (msg.Type == coherence.MsgUnblock || msg.Type == coherence.MsgUnblockX),
+		m.cfg.Bug == "drop-inv" && msg.Type == coherence.MsgInv:
 		m.bugFired = true
 		return false
 	}
@@ -454,11 +449,11 @@ func (m *Model) enabled(dst []choice) []choice {
 		// (core.tryLock): a younger atomic does not dispatch while an
 		// older same-line atomic is still in flight.
 		op := c.prog[idx]
-		if op.Kind == OpRMW || op.Kind == OpFar {
+		if op.Kind == OpRMW {
 			blocked := false
 			for i := 0; i < idx; i++ {
 				prev := c.prog[i]
-				if (prev.Kind == OpRMW || prev.Kind == OpFar) && prev.Line == op.Line && c.status[i] != opDone {
+				if prev.Kind == OpRMW && prev.Line == op.Line && c.status[i] != opDone {
 					blocked = true
 					break
 				}
@@ -501,8 +496,6 @@ func (m *Model) apply(ch choice) bool {
 			pc.Access(c.tag(idx), addr, false)
 		case OpStore, OpRMW:
 			pc.Access(c.tag(idx), addr, true)
-		case OpFar:
-			pc.FarRMW(c.tag(idx), addr)
 		}
 	case chExec:
 		m.execRMW(ch.core, ch.line)
@@ -518,7 +511,7 @@ func (m *Model) apply(ch choice) bool {
 			if m.seedBug(&msg) {
 				d.Handle(msg)
 			}
-		} else {
+		} else if m.seedBug(&msg) {
 			m.caches[msg.Dst].DeliverOne(msg)
 		}
 	}
@@ -529,7 +522,7 @@ func (m *Model) apply(ch choice) bool {
 	return m.viol == nil
 }
 
-// execRMW is the execute/unlock half of a near atomic: the write is
+// execRMW is the execute/unlock half of an atomic: the write is
 // performed while the lock is held, then the lock releases — which
 // immediately serves any stalled external request (the Fig. 8 window).
 func (m *Model) execRMW(core, line int) {
@@ -619,8 +612,7 @@ func (m *Model) drainCompletions(c *modelCore) {
 		case OpStore:
 			if !pc.StoreComplete(addr) {
 				// Write permission was lost between the fill and the
-				// commit (a deferred far atomic draining at MSHR
-				// retirement, or a racing external). The store buffer
+				// commit (a racing external). The store buffer
 				// re-acquires the line and retries (core.drainSB);
 				// losing permission here is legal, failing to retry
 				// would be the bug.
@@ -635,8 +627,6 @@ func (m *Model) drainCompletions(c *modelCore) {
 			// explores every legal hold duration.
 			c.status[idx] = opLocked
 			c.locked |= 1 << op.Line
-		case OpFar:
-			c.status[idx] = opDone
 		}
 	}
 }
@@ -720,9 +710,8 @@ func (m *Model) checkLine(li int) bool {
 }
 
 // lineQuiesced reports whether no transaction touching the line is in
-// flight: nothing queued in the mesh, no MSHR, no stalled external, no
-// pending far RMW, and the directory entry neither blocked nor holding
-// waiters.
+// flight: nothing queued in the mesh, no MSHR, no stalled external,
+// and the directory entry neither blocked nor holding waiters.
 func (m *Model) lineQuiesced(li int, addr uint64) bool {
 	quiet := true
 	m.mesh.ForEachPending(func(seq uint64, msg coherence.Msg) {
@@ -738,9 +727,6 @@ func (m *Model) lineQuiesced(li int, addr uint64) bool {
 			return false
 		}
 		if _, ok := pc.StalledView(addr); ok {
-			return false
-		}
-		if pc.FarView(addr) != nil || pc.FarDeferredView(addr) != nil {
 			return false
 		}
 	}

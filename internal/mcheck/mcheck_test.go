@@ -34,9 +34,9 @@ func TestCleanMatrix(t *testing.T) {
 	}
 }
 
-// TestSeededBugsCaught seeds each protocol mutation at bank 0's
-// delivery point and requires the search to find a violation of
-// the expected class, with a witness that replays strictly.
+// TestSeededBugsCaught seeds each protocol mutation at its delivery
+// point and requires the search to find a violation of the expected
+// class, with a witness that replays strictly.
 func TestSeededBugsCaught(t *testing.T) {
 	cases := []struct {
 		bug   string
@@ -122,19 +122,26 @@ func TestGoldenCounterexample(t *testing.T) {
 func TestReplayRejectsBadSpecs(t *testing.T) {
 	cases := []struct {
 		name, spec string
+		names      string // the error names this, when set
 	}{
-		{"empty", ""},
-		{"wrong-magic", "rowtorture v1 cores=2"},
-		{"bad-field", "mcheck v1 cores=2 lines=1 banks=1 mode=eager prog=L0/L0 bogus=1"},
-		{"bad-mode", "mcheck v1 cores=2 lines=1 banks=1 mode=sideways prog=L0/L0"},
-		{"prog-count", "mcheck v1 cores=2 lines=1 banks=1 mode=eager prog=L0"},
-		{"line-range", "mcheck v1 cores=2 lines=1 banks=1 mode=eager prog=L5/L0"},
-		{"dead-label", "mcheck v1 cores=2 lines=1 banks=1 mode=eager prog=L0/L0 trace=x0.0"},
+		{"empty", "", ""},
+		{"wrong-magic", "rowtorture v1 cores=2", ""},
+		{"bad-field", "mcheck v1 cores=2 lines=1 banks=1 mode=eager prog=L0/L0 bogus=1", ""},
+		{"bad-mode", "mcheck v1 cores=2 lines=1 banks=1 mode=sideways prog=L0/L0", ""},
+		{"prog-count", "mcheck v1 cores=2 lines=1 banks=1 mode=eager prog=L0", ""},
+		{"line-range", "mcheck v1 cores=2 lines=1 banks=1 mode=eager prog=L5/L0", ""},
+		{"dead-label", "mcheck v1 cores=2 lines=1 banks=1 mode=eager prog=L0/L0 trace=x0.0", ""},
+		// Older builds printed far atomics as F<line>; the model has none.
+		{"far-op", "mcheck v1 cores=2 lines=1 banks=1 mode=eager prog=R0.F0/L0 trace=i0", `"F0"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Replay(tc.spec); err == nil {
+			_, err := Replay(tc.spec)
+			if err == nil {
 				t.Fatalf("spec %q accepted", tc.spec)
+			}
+			if !strings.Contains(err.Error(), tc.names) {
+				t.Fatalf("spec %q: %v, want an error naming %s", tc.spec, err, tc.names)
 			}
 		})
 	}
@@ -147,7 +154,7 @@ func TestSpecRoundTrip(t *testing.T) {
 		Cores: 3, Lines: 2, Banks: 2, Lazy: true, Bug: "drop-inv",
 		Progs: [][]Op{
 			{{OpRMW, 0}, {OpLoad, 1}},
-			{{OpStore, 1}, {OpFar, 0}},
+			{{OpStore, 1}, {OpRMW, 0}},
 			{{OpLoad, 0}},
 		},
 	}

@@ -14,8 +14,7 @@ import (
 // and replayed — against the same real component stack — by Replay,
 // which `rowtorture -replay` exposes on the command line. The prog
 // field is each core's program ("/"-separated), one op per token:
-// L<line> load, S<line> store, R<line> near atomic, F<line> far
-// atomic. The trace field is the choice-label sequence: i<core>
+// L<line> load, S<line> store, R<line> atomic. The trace field is the choice-label sequence: i<core>
 // issues, x<core>.<line> executes a locked atomic, d<src>-<dst>
 // delivers the head of a mesh channel.
 
@@ -138,8 +137,6 @@ func parseProgs(v string) ([][]Op, error) {
 					kind = OpStore
 				case 'R':
 					kind = OpRMW
-				case 'F':
-					kind = OpFar
 				default:
 					return nil, fmt.Errorf("mcheck: bad program op %q", tok)
 				}

@@ -13,7 +13,7 @@ import (
 // single-writer/multiple-reader invariant over every cache.
 func TestCoherenceInvariantUnderContention(t *testing.T) {
 	for _, pol := range []config.AtomicPolicy{
-		config.PolicyEager, config.PolicyLazy, config.PolicyRoW, config.PolicyFar,
+		config.PolicyEager, config.PolicyLazy, config.PolicyRoW,
 	} {
 		cfg := config.Default()
 		cfg.NumCores = 8

@@ -81,7 +81,7 @@ type WaitEdge struct {
 	Core int    // waiting core
 	Line uint64 // line its oldest outstanding request targets
 	Bank int    // directory bank owning the line (-1 when unknown)
-	// CacheDesc describes the core-side transaction (MSHR/far state).
+	// CacheDesc describes the core-side transaction (MSHR state).
 	CacheDesc string
 	// BankDesc describes the bank-side transaction state ("" when the
 	// bank has no transaction in flight — the request or response is

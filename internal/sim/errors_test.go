@@ -34,7 +34,7 @@ func TestWaitEdgeRendering(t *testing.T) {
 		},
 		{
 			name: "next holder stalls the external request (cache locking)",
-			edge: WaitEdge{Core: 1, Line: 0x100, Bank: 0, CacheDesc: "far RMW", BankDesc: "busy", Stalled: true, Next: 2},
+			edge: WaitEdge{Core: 1, Line: 0x100, Bank: 0, CacheDesc: "GetX sent at cycle 40", BankDesc: "busy", Stalled: true, Next: 2},
 			want: []string{
 				"-> core 2 (holds the line locked; external request stalled)",
 			},

@@ -409,7 +409,7 @@ func TestQuickNeverDeadlocks(t *testing.T) {
 	}
 	workloads := []string{"pc", "cq", "ticket", "tas", "barrier"}
 	policies := []config.AtomicPolicy{
-		config.PolicyEager, config.PolicyLazy, config.PolicyRoW, config.PolicyFar,
+		config.PolicyEager, config.PolicyLazy, config.PolicyRoW,
 	}
 	f := func(seed uint64, polPick, wlPick uint8) bool {
 		wl := workloads[int(wlPick)%len(workloads)]

@@ -61,8 +61,8 @@ func (tc schedRow) build(t *testing.T, instrs int, opts ...Option) *System {
 	return schedBuild(t, tc.policy, tc.wl, tc.faults, instrs, opts...)
 }
 
-// schedMatrix is what the equivalence tests run over: eager, lazy, RoW
-// and far policies, with and without legal fault mixes. The cold row
+// schedMatrix is what the equivalence tests run over: eager, lazy and
+// RoW policies, with and without legal fault mixes. The cold row
 // keeps MSHR files full, so its cross-check runs while misses are
 // parked.
 var schedMatrix = []schedRow{
@@ -72,12 +72,11 @@ var schedMatrix = []schedRow{
 	{name: "lazy_sps_reorder", policy: config.PolicyLazy, wl: "sps", faults: schedReorder},
 	{name: "row_pc", policy: config.PolicyRoW, wl: "pc"},
 	{name: "row_cq_jitter", policy: config.PolicyRoW, wl: "cq", faults: schedJitter},
-	{name: "far_tas", policy: config.PolicyFar, wl: "tas"},
 	{name: "row_canneal_cold_jitter", policy: config.PolicyRoW, wl: "canneal", faults: schedJitter, cold: true},
 }
 
 // TestSchedulerModeEquivalence is the headline property of the run
-// loop's skipping: over eager, lazy, RoW and far policies, with and
+// loop's skipping: over eager, lazy and RoW policies, with and
 // without fault injection, a plain run must produce a Result
 // byte-identical to the cross-checked one (SchedCycle), modulo the
 // visited-cycle bookkeeping. The cross-check visits every cycle and

@@ -6,8 +6,8 @@
 // allocates nothing afterwards, however its queues come and go. It is
 // the storage of the run loop's queues that no configuration bound
 // sizes tightly: the timing Wheel of the core and of each private
-// cache, a private cache's MSHR waiters, parked misses and far RMWs,
-// and a directory bank's stalled requests.
+// cache, a private cache's MSHR waiters and parked misses, and a
+// directory bank's stalled requests.
 package slab
 
 import "slices"

@@ -17,7 +17,6 @@ import (
 
 	"rowsim/internal/checkpoint"
 	"rowsim/internal/coherence"
-	"rowsim/internal/config"
 	"rowsim/internal/experiments"
 	"rowsim/internal/faults"
 	"rowsim/internal/lifecycle"
@@ -35,7 +34,6 @@ var variants = []experiments.Variant{
 	experiments.VarDirUD,
 	experiments.VarDirSat,
 	experiments.VarDirSatFwd,
-	{Name: "Far", Policy: config.PolicyFar, Threshold: -1},
 }
 
 // VariantNames returns the sweep's variant names, in order.

@@ -9,7 +9,7 @@ import (
 // The paper's introduction motivates atomics as the building blocks
 // of higher-level synchronization (locks, barriers). These generators
 // emit the instruction patterns of three classic algorithms so the
-// eager/lazy/RoW/far comparison can be read directly against them.
+// eager/lazy/RoW comparison can be read directly against them.
 //
 // Spin iteration counts are drawn per dynamic instance from the
 // generator's PRNG (a static trace cannot adapt to simulated timing);
